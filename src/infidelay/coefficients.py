@@ -361,7 +361,6 @@ def tail_sum_bound(family: CoefficientFamily, weight: WeightFunction, n_start: i
         L = len(family.coeffs)
         out = w.level * family.tail_abs_bound
         if n <= L:
-            taus = d.tau_array(L)[n - 1 :]
             out += float(np.sum(np.abs(np.array(family.coeffs[n - 1 :]))) * w.level)
         return out
 

@@ -72,8 +72,10 @@ def hermite_coeffs(x0: float, m0: float, x1: float, m1: float, dt: float) -> tup
 
     Matches value x0 and slope m0 at u=0, value x1 and slope m1 at u=dt.
     Returns (c0, c1, c2, c3) with p(u) = c0 + c1 u + c2 u^2 + c3 u^3.
+    The arguments may also be equal-length arrays, one entry per piece;
+    each entry then gets exactly the scalar result.
     """
-    if dt <= 0.0:
+    if np.any(np.asarray(dt) <= 0.0):
         raise ValueError(f"hermite_coeffs needs dt > 0, got {dt}")
     A = x1 - x0 - m0 * dt
     B = m1 - m0

@@ -1,22 +1,30 @@
 """Independent reference integrator used to cross-check the main stepper.
 
-Classical RK4 on x' = a x + F(t) with its own dense output and its own
-fixed truncation of the delayed sum.  It shares only the problem data
-types and the Trajectory container with the stepper; the march itself has
+Classical RK4 on x' = a x + F(t) with its own fixed truncation of the
+delayed sum.  It shares with the stepper the problem data types, the
+Trajectory container, the step boundaries, and the window-batched
+evaluation and Hermite storage of the delayed data; the update formula has
 no code in common with the variation-of-constants method, which is what
 makes agreement between the two meaningful.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .numerics import hermite_coeffs
-from .stepper import ProblemSpec, SolverConfig, Trajectory, _delayed_values
+from .stepper import (
+    ProblemSpec,
+    SolverConfig,
+    Trajectory,
+    _buffers,
+    _delayed_values,
+    _store_window,
+    _substeps,
+    _window_forcing,
+)
 
 
 @dataclass(frozen=True)
@@ -66,72 +74,43 @@ def oracle_solve(
     taus = fam.delays.tau_array(n)
     bs = fam.b_array(n)
 
-    # align steps with the kink locations: t=0 junction echoes at each delay
-    # and at the window boundaries
-    knots = {horizon}
-    i = 1
-    while True:
-        tau = fam.delays.tau(i)
-        if tau >= horizon - 1e-12:
-            break
-        knots.add(tau)
-        i += 1
-    j = 1
-    while j * tau1 < horizon - 1e-12:
-        knots.add(j * tau1)
-        j += 1
-    boundaries = sorted(knots)
-
-    grid = [0.0]
-    values = [phi.value_at_zero()]
-
-    def F(t: float, garr: np.ndarray, parr: np.ndarray) -> float:
-        if n == 0:
-            return 0.0
-        return float(np.dot(bs, _delayed_values(phi, garr, parr, t - taus)))
-
-    garr0 = np.array(grid)
-    parr0 = np.zeros((1, 4))
-    derivs = [a * values[0] + F(0.0, garr0, parr0)]
-    pieces: list = []
-
-    t_cur = 0.0
-    for t_next in boundaries:
-        nsub = max(1, math.ceil((t_next - t_cur) / h - 1e-12))
-        dt_nom = (t_next - t_cur) / nsub
-        for jj in range(nsub):
-            t0 = grid[-1]
-            t1 = t_next if jj == nsub - 1 else t_cur + (jj + 1) * dt_nom
-            dt = t1 - t0
-            garr = np.array(grid)
-            parr = np.array(pieces).reshape(len(pieces), 4) if pieces else np.zeros((1, 4))
-            x0 = values[-1]
-            g0 = F(t0, garr, parr)
-            gm = F(t0 + 0.5 * dt, garr, parr)
-            g1 = F(t1, garr, parr)
-            k1 = a * x0 + g0
-            k2 = a * (x0 + 0.5 * dt * k1) + gm
-            k3 = a * (x0 + 0.5 * dt * k2) + gm
-            k4 = a * (x0 + dt * k3) + g1
-            x1 = x0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            d1 = a * x1 + g1
-            pieces.append(hermite_coeffs(x0, derivs[-1], x1, d1, dt))
-            grid.append(t1)
-            values.append(x1)
-            derivs.append(d1)
-        t_cur = t_next
-
-    return Trajectory(
+    # steps align with the kinks (the t=0 junction echoes at each delay and
+    # at the window boundaries); each window's RK4 stages read only data
+    # from before it, so their forcing is one batch
+    windows = _substeps(0.0, horizon, fam, h)
+    x_zero = phi.value_at_zero()
+    g_zero = _window_forcing(_delayed_values, phi, np.zeros(1), np.zeros((1, 4)), np.zeros(1), taus, bs)
+    start = Trajectory(
         problem=problem,
         config=SolverConfig(h=h),
-        grid=np.array(grid),
-        values=np.array(values),
-        derivs=np.array(derivs),
-        pieces=np.array(pieces),
+        grid=np.array([0.0]),
+        values=np.array([x_zero]),
+        derivs=np.array([a * x_zero + g_zero[0]]),
+        pieces=np.zeros((0, 4)),
         n_forcing=n,
         h_used=h,
         eps_forcing_used=0.0,
     )
+    grid, values, derivs, pieces = _buffers(start, windows)
+
+    m = 1
+    for ends in windows:
+        starts = np.concatenate(([grid[m - 1]], ends[:-1]))
+        dts = ends - starts
+        stages = np.column_stack((starts, starts + 0.5 * dts, ends))
+        g = _window_forcing(_delayed_values, phi, grid[:m], pieces[:m], stages.ravel(), taus, bs)
+        x0 = float(values[m - 1])
+        for r, (dt, g0, gm, g1) in enumerate(zip(dts.tolist(), *g.reshape(-1, 3).T.tolist()), start=m):
+            k1 = a * x0 + g0
+            k2 = a * (x0 + 0.5 * dt * k1) + gm
+            k3 = a * (x0 + 0.5 * dt * k2) + gm
+            k4 = a * (x0 + dt * k3) + g1
+            x0 = x0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            values[r] = x0
+            derivs[r] = a * x0 + g1
+        m = _store_window(grid, values, derivs, pieces, m, ends, dts)
+
+    return replace(start, grid=grid, values=values, derivs=derivs, pieces=pieces[: m - 1])
 
 
 def compare_trajectories(

@@ -107,23 +107,21 @@ class _Anchored:
     def fail(self, message: str, key: str) -> ScenarioError:
         return ScenarioError(message, self.path, _line_of(self.raw, key))
 
+    def _typed(self, v, types, label: str, key: str):
+        if not isinstance(v, types):
+            tn = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
+            raise self.fail(f"{label} must be {tn}, got {type(v).__name__}", key)
+        return v
+
     def need(self, obj: dict, key: str, types, where: str):
         if key not in obj:
             raise self.fail(f"missing required key {key!r} in {where}", key if self.raw and f'"{key}"' in self.raw else where)
-        v = obj[key]
-        if not isinstance(v, types):
-            tn = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-            raise self.fail(f"{where}.{key} must be {tn}, got {type(v).__name__}", key)
-        return v
+        return self._typed(obj[key], types, f"{where}.{key}", key)
 
     def opt(self, obj: dict, key: str, types, default):
         if key not in obj:
             return default
-        v = obj[key]
-        if not isinstance(v, types):
-            tn = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-            raise self.fail(f"{key} must be {tn}, got {type(v).__name__}", key)
-        return v
+        return self._typed(obj[key], types, key, key)
 
 
 _NUM = (int, float)

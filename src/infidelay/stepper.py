@@ -8,18 +8,32 @@ The march uses exact variation of constants on each sub-step,
 with the integral evaluated by a fixed quadrature rule and F truncated at a
 certified index N: the discarded delayed terms are bounded through the
 history tail's envelope atoms by at most eps_forcing uniformly on [0, T].
-Sub-steps never exceed tau_1, so every delayed argument lands in history or
-in already-computed pieces; dense output is the cubic Hermite interpolant
-of the stored node values and slopes.
+Dense output is the cubic Hermite interpolant of the stored node values
+and slopes.
 
 Step boundaries are forced at every multiple of tau_1 and at every delay
 tau_i <= T, where the solution loses one order of smoothness.
+
+The march runs one window [k tau_1, (k+1) tau_1] at a time.  Every delay is
+at least tau_1, so F on the window reads x only on (-inf, k tau_1]: the
+forcing at all quadrature nodes and step ends of the window is one batched
+evaluation of a (points x N) argument matrix, taken in row chunks of at
+most _CHUNK_TERMS terms, after which the variation-of-constants update is
+a scalar scan.  While the batch is evaluated, the piece row after the last
+node holds the pending piece (x, x', 0, 0), so an argument at that node,
+or one rounding step past it, reads the node data exactly as a finished
+piece starting there would.  solve and step_interval share this march
+(_advance).
+
+A Trajectory records in certified_k how many leading windows have p_k
+certified finite under its config's eps_tail_seminorm; step_interval
+certifies only the windows beyond that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -76,7 +90,9 @@ class Trajectory:
 
     grid/values/derivs hold the node data; pieces[j] are the local Hermite
     coefficients on [grid[j], grid[j+1]].  Evaluation at t <= 0 falls back
-    to the history, so x is usable on (-infty, horizon].
+    to the history, so x is usable on (-infty, horizon].  certified_k counts
+    the leading windows whose p_k are certified finite under
+    config.eps_tail_seminorm (0: nothing certified).
     """
 
     problem: ProblemSpec
@@ -88,6 +104,7 @@ class Trajectory:
     n_forcing: int
     h_used: float
     eps_forcing_used: float
+    certified_k: int = 0
 
     @property
     def horizon(self) -> float:
@@ -152,6 +169,10 @@ class Trajectory:
             "values": [float(v) for v in self.values],
             "derivs": [float(v) for v in self.derivs],
         }
+
+
+#: largest (points x N) argument block _window_forcing evaluates at once
+_CHUNK_TERMS = 65536
 
 
 def _delayed_values(
@@ -220,9 +241,13 @@ def _certify_forcing(problem: ProblemSpec, horizon: float, eps: float) -> int:
         ) from exc
 
 
-def _check_membership(problem: ProblemSpec, horizon: float, eps_tail: float) -> None:
+def _check_membership(problem: ProblemSpec, horizon: float, eps_tail: float, certified_k: int) -> int:
+    """Certify p_k finite for the windows certified_k < k <= k_max of [0, horizon].
+
+    Returns the number of leading windows now certified.
+    """
     k_max = max(1, math.ceil(horizon / problem.family.delays.tau1 - 1e-12))
-    for k in range(1, k_max + 1):
+    for k in range(certified_k + 1, k_max + 1):
         sv = p_seminorm(problem.history, problem.family, k, eps_tail)
         if sv.verdict == "divergent":
             raise NotInPhaseSpaceError(
@@ -232,6 +257,7 @@ def _check_membership(problem: ProblemSpec, horizon: float, eps_tail: float) -> 
             raise NotInPhaseSpaceError(
                 f"p_{k} cannot be certified finite for this history/family pair"
             )
+    return max(certified_k, k_max)
 
 
 def _knots_between(t_from: float, t_to: float, family: CoefficientFamily) -> list[float]:
@@ -263,62 +289,119 @@ def _knots_between(t_from: float, t_to: float, family: CoefficientFamily) -> lis
     return merged
 
 
-def _march(
-    problem: ProblemSpec,
-    t_end: float,
-    h: float,
-    quad: str,
-    n_forcing: int,
-    grid: list,
-    values: list,
-    derivs: list,
-    pieces: list,
-) -> None:
-    """Extend the node/piece lists in place from grid[-1] to t_end."""
-    a = problem.a
-    phi = problem.history
-    nodes, weights = QUAD_RULES[quad]
-    if n_forcing > 0:
-        taus = problem.family.delays.tau_array(n_forcing)
-        bs = problem.family.b_array(n_forcing)
-    else:
-        taus = np.zeros(0)
-        bs = np.zeros(0)
+def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -> list[np.ndarray]:
+    """Sub-step end times in (t_from, t_to], one array per tau_1-window.
 
-    def F(t: float, garr: np.ndarray, parr: np.ndarray) -> float:
-        if n_forcing == 0:
-            return 0.0
-        return float(np.dot(bs, _delayed_values(phi, garr, parr, t - taus)))
-
-    t_cur = grid[-1]
-    for t_next in _knots_between(t_cur, t_end, problem.family):
+    Each knot interval is cut into equal sub-steps of at most h.  A window
+    closes at every multiple of tau_1 and at t_to, so with h <= tau_1 no
+    delayed argument of a window reaches past the node it starts from.
+    """
+    tau1 = family.delays.tau1
+    j = math.floor(t_from / tau1 + 1e-12) + 1
+    windows = []
+    ends: list = []
+    t_cur = t_from
+    for t_next in _knots_between(t_from, t_to, family):
         nsub = max(1, math.ceil((t_next - t_cur) / h - 1e-12))
         dt = (t_next - t_cur) / nsub
-        for j in range(nsub):
-            t0 = grid[-1]
-            t1 = t_next if j == nsub - 1 else t_cur + (j + 1) * dt
-            step = t1 - t0
-            # steps never exceed tau_1, so all delayed arguments (including
-            # those of F(t1)) lie at or before t0: the frozen data suffices
-            garr = np.array(grid)
-            parr = np.array(pieces).reshape(len(pieces), 4) if pieces else np.zeros((1, 4))
-            s_q = t0 + step * nodes
-            f_q = np.array([F(float(s), garr, parr) for s in s_q])
-            exps = np.exp(a * (t1 - s_q))
-            x1 = values[-1] * math.exp(a * step) + step * float(np.dot(weights, exps * f_q))
-            f1 = F(t1, garr, parr)
-            d1 = a * x1 + f1
-            pieces.append(hermite_coeffs(values[-1], derivs[-1], x1, d1, step))
-            grid.append(t1)
-            values.append(x1)
-            derivs.append(d1)
+        ends.extend(t_cur + (i + 1) * dt for i in range(nsub - 1))
+        ends.append(t_next)
         t_cur = t_next
+        if t_next >= j * tau1 - 1e-12 or t_next == t_to:
+            windows.append(np.array(ends))
+            ends = []
+            j += 1
+    return windows
 
 
-def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] = None) -> Trajectory:
-    """Integrate the problem on [0, horizon] after certifying admissibility."""
-    if config is None:
-        config = SolverConfig()
+def _window_forcing(
+    delayed_values,
+    phi: HistoryFunction,
+    grid: np.ndarray,
+    pieces: np.ndarray,
+    points: np.ndarray,
+    taus: np.ndarray,
+    bs: np.ndarray,
+) -> np.ndarray:
+    """F(s) = sum_i b_i x(s - tau_i) at every s in points, in one batch.
+
+    delayed_values is the caller's _delayed_values.  The (points x N)
+    argument matrix is evaluated in row chunks of at most _CHUNK_TERMS
+    terms; each row is summed by its own dot product, in the order a
+    single-point evaluation would use.
+    """
+    out = np.zeros(len(points))
+    if len(taus) == 0:
+        return out
+    rows = max(1, _CHUNK_TERMS // len(taus))
+    for r0 in range(0, len(points), rows):
+        args = points[r0 : r0 + rows, None] - taus
+        vals = delayed_values(phi, grid, pieces, args.ravel()).reshape(args.shape)
+        out[r0 : r0 + rows] = [np.dot(bs, row) for row in vals]
+        del args, vals  # at large N one chunk is a row; free it before the next
+    return out
+
+
+def _buffers(traj: Trajectory, windows: list) -> tuple:
+    """Node and piece buffers holding traj's data, sized for the new windows.
+
+    pieces has one row per node: the row of the last node holds the pending
+    piece (x, x', 0, 0) while a window's forcing is evaluated, so delayed
+    arguments at or just past that node read the node data exactly.
+    """
+    n0 = len(traj.grid)
+    total = n0 + sum(len(w) for w in windows)
+    grid, values, derivs = np.empty(total), np.empty(total), np.empty(total)
+    pieces = np.empty((total, 4))
+    grid[:n0], values[:n0], derivs[:n0] = traj.grid, traj.values, traj.derivs
+    pieces[: n0 - 1] = traj.pieces
+    pieces[n0 - 1] = (values[n0 - 1], derivs[n0 - 1], 0.0, 0.0)
+    return grid, values, derivs, pieces
+
+
+def _store_window(grid, values, derivs, pieces, m: int, ends: np.ndarray, steps: np.ndarray) -> int:
+    """Write a window's step ends, its Hermite pieces and the next pending piece.
+
+    The window's node values and slopes must already fill rows m onward.
+    Returns the new node count.
+    """
+    m_new = m + len(ends)
+    grid[m:m_new] = ends
+    lo, hi = slice(m - 1, m_new - 1), slice(m, m_new)
+    pieces[lo] = np.column_stack(hermite_coeffs(values[lo], derivs[lo], values[hi], derivs[hi], steps))
+    pieces[m_new - 1] = (values[m_new - 1], derivs[m_new - 1], 0.0, 0.0)
+    return m_new
+
+
+def _advance(traj: Trajectory, t_end: float) -> Trajectory:
+    """traj marched on from its horizon to t_end, one tau_1-window at a time."""
+    problem = traj.problem
+    a = problem.a
+    nodes, weights = QUAD_RULES[traj.config.quad]
+    taus = problem.family.delays.tau_array(traj.n_forcing)
+    bs = problem.family.b_array(traj.n_forcing)
+    windows = _substeps(traj.horizon, t_end, problem.family, traj.h_used)
+    grid, values, derivs, pieces = _buffers(traj, windows)
+    m = len(traj.grid)
+    for ends in windows:
+        starts = np.concatenate(([grid[m - 1]], ends[:-1]))
+        steps = ends - starts
+        s_q = starts[:, None] + steps[:, None] * nodes
+        points = np.concatenate((s_q, ends[:, None]), axis=1)
+        f = _window_forcing(
+            _delayed_values, problem.history, grid[:m], pieces[:m], points.ravel(), taus, bs
+        ).reshape(points.shape)
+        weighted = np.exp(a * (ends[:, None] - s_q)) * f[:, :-1]
+        x = float(values[m - 1])
+        for r, (step, f1) in enumerate(zip(steps.tolist(), f[:, -1].tolist()), start=m):
+            x = x * math.exp(a * step) + step * float(np.dot(weights, weighted[r - m]))
+            values[r] = x
+            derivs[r] = a * x + f1
+        m = _store_window(grid, values, derivs, pieces, m, ends, steps)
+    return replace(traj, grid=grid, values=values, derivs=derivs, pieces=pieces[: m - 1])
+
+
+def _solve(problem: ProblemSpec, horizon: float, config: SolverConfig, certified_k: int) -> Trajectory:
     if not (horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
     tau1 = problem.family.delays.tau1
@@ -330,39 +413,43 @@ def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] =
         if config.eps_forcing is not None
         else 1e-10 * max(1.0, sup_norm_k(problem.history, 1))
     )
-    _check_membership(problem, horizon, config.eps_tail_seminorm)
+    certified_k = _check_membership(problem, horizon, config.eps_tail_seminorm, certified_k)
     n_forcing = _certify_forcing(problem, horizon, eps_f)
 
     phi0 = problem.history.value_at_zero()
-    grid: list = [0.0]
-    values: list = [phi0]
     if n_forcing > 0:
         taus = problem.family.delays.tau_array(n_forcing)
         bs = problem.family.b_array(n_forcing)
         f0 = float(np.dot(bs, problem.history.evaluate(-taus)))
     else:
         f0 = 0.0
-    derivs: list = [problem.a * phi0 + f0]
-    pieces: list = []
-    _march(problem, horizon, h, config.quad, n_forcing, grid, values, derivs, pieces)
-    return Trajectory(
+    start = Trajectory(
         problem=problem,
         config=config,
-        grid=np.array(grid),
-        values=np.array(values),
-        derivs=np.array(derivs),
-        pieces=np.array(pieces),
+        grid=np.array([0.0]),
+        values=np.array([phi0]),
+        derivs=np.array([problem.a * phi0 + f0]),
+        pieces=np.zeros((0, 4)),
         n_forcing=n_forcing,
         h_used=h,
         eps_forcing_used=eps_f,
+        certified_k=certified_k,
     )
+    return _advance(start, horizon)
+
+
+def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] = None) -> Trajectory:
+    """Integrate the problem on [0, horizon] after certifying admissibility."""
+    return _solve(problem, horizon, config if config is not None else SolverConfig(), 0)
 
 
 def step_interval(traj: Trajectory, k: int, config: Optional[SolverConfig] = None) -> Trajectory:
     """Trajectory extended through the window [k*tau_1, (k+1)*tau_1].
 
-    Returns traj unchanged when it already covers the window; otherwise
-    re-certifies for the larger horizon and marches the remaining span.
+    Returns traj unchanged when it already covers the window.  Otherwise
+    certifies the windows traj has not certified yet and marches the
+    remaining span; when the longer horizon needs a deeper forcing
+    truncation, the march re-runs from t = 0 without certifying again.
     """
     if k < 0:
         raise ValueError(f"window index must be >= 0, got {k}")
@@ -371,27 +458,12 @@ def step_interval(traj: Trajectory, k: int, config: Optional[SolverConfig] = Non
     if target <= traj.horizon + 1e-12:
         return traj
     problem = traj.problem
-    _check_membership(problem, target, cfg.eps_tail_seminorm)
+    certified_k = traj.certified_k if cfg.eps_tail_seminorm == traj.config.eps_tail_seminorm else 0
+    certified_k = _check_membership(problem, target, cfg.eps_tail_seminorm, certified_k)
     n_forcing = _certify_forcing(problem, target, traj.eps_forcing_used)
     if n_forcing != traj.n_forcing:
-        # deeper truncation needed for the longer horizon: re-run from scratch
-        return solve(problem, target, cfg)
-    grid = list(traj.grid)
-    values = list(traj.values)
-    derivs = list(traj.derivs)
-    pieces = [tuple(row) for row in traj.pieces]
-    _march(problem, target, traj.h_used, cfg.quad, n_forcing, grid, values, derivs, pieces)
-    return Trajectory(
-        problem=problem,
-        config=cfg,
-        grid=np.array(grid),
-        values=np.array(values),
-        derivs=np.array(derivs),
-        pieces=np.array(pieces),
-        n_forcing=n_forcing,
-        h_used=traj.h_used,
-        eps_forcing_used=traj.eps_forcing_used,
-    )
+        return _solve(problem, target, cfg, certified_k)
+    return _advance(replace(traj, config=cfg, certified_k=certified_k), target)
 
 
 # ---------------------------------------------------------------------------

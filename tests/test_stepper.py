@@ -20,7 +20,7 @@ from infidelay import (
     solve,
     step_interval,
 )
-from conftest import classic_exact, classic_problem
+from conftest import classic_exact, classic_problem, oracle_scenarios
 
 DS = DelaySchedule()
 
@@ -31,6 +31,17 @@ def pure_exponential_problem() -> ProblemSpec:
 
 def geometric_problem(a: float = 1.0) -> ProblemSpec:
     return ProblemSpec(a, CoefficientFamily.geometric(1.0, 0.5, DS), history_preset("constant"))
+
+
+def slow_geometric_problem() -> ProblemSpec:
+    """Delays 1, 2.5, 3.5, ...; N is set by eps far above the floor and stays put."""
+    ds = DelaySchedule(delta=1.0, prefix=(1.0, 2.5))
+    return ProblemSpec(-0.3, CoefficientFamily.geometric(0.5, 0.9, ds), history_preset("cos"))
+
+
+def fast_geometric_problem() -> ProblemSpec:
+    """Truncation index at the forcing floor: N grows by one per window from H = 3."""
+    return ProblemSpec(-0.5, CoefficientFamily.geometric(0.5, 0.1, DS), history_preset("cos"))
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +157,81 @@ def test_step_interval_extends_bit_identically():
     direct = solve(p, 3.0)
     assert extended.horizon == direct.horizon
     assert compare_trajectories(extended, direct, (0.0, 3.0)) == 0.0
+
+
+@pytest.mark.parametrize("quad", ["gauss4", "simpson"])
+def test_node_slopes_match_the_forcing_exactly(quad):
+    # every node slope comes from a window-batched forcing evaluation; it
+    # must equal a single-point evaluation over the finished trajectory
+    # bit for bit, including the step ends where t - tau_1 is the node the
+    # window started from
+    for p in oracle_scenarios() + [classic_problem()]:
+        traj = solve(p, 10.0 * p.family.delays.tau1, SolverConfig(quad=quad))
+        for j in range(1, len(traj.grid)):
+            assert traj.derivs[j] == p.a * traj.values[j] + forcing(traj, traj.grid[j]), (p, j)
+
+
+def _assert_same_nodes(a, b):
+    for name in ("grid", "values", "derivs", "pieces"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_step_interval_from_inside_a_window_is_bit_identical():
+    # t = 2.5 is a knot of both runs but no window boundary
+    p = slow_geometric_problem()
+    base = solve(p, 2.5)
+    chained = step_interval(base, 3)
+    direct = solve(p, 4.0)
+    assert base.n_forcing == direct.n_forcing
+    _assert_same_nodes(chained, direct)
+
+
+def test_step_interval_resolve_is_bit_identical():
+    # the truncation index grows with the horizon here, so the extension
+    # re-runs the march from t = 0 with the deeper index
+    p = fast_geometric_problem()
+    base = solve(p, 2.0)
+    chained = step_interval(base, 3)
+    direct = solve(p, 4.0)
+    assert base.n_forcing != direct.n_forcing
+    _assert_same_nodes(chained, direct)
+
+
+@pytest.fixture
+def seminorm_calls(monkeypatch):
+    calls = []
+    original = fd.stepper.p_seminorm
+
+    def counted(phi, family, k, eps_tail=1e-10):
+        calls.append(k)
+        return original(phi, family, k, eps_tail)
+
+    monkeypatch.setattr(fd.stepper, "p_seminorm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("problem", [slow_geometric_problem(), fast_geometric_problem()], ids=["march", "resolve"])
+def test_step_interval_certifies_only_the_new_window(seminorm_calls, problem):
+    traj = solve(problem, 2.0)
+    assert traj.certified_k == 2
+    seminorm_calls.clear()
+    extended = step_interval(traj, 2)
+    assert seminorm_calls == [3]
+    assert extended.certified_k == 3
+
+
+def test_step_interval_recertifies_under_a_new_tolerance(seminorm_calls):
+    traj = solve(classic_problem(), 2.0)
+    seminorm_calls.clear()
+    step_interval(traj, 2, SolverConfig(eps_tail_seminorm=1e-8))
+    assert seminorm_calls == [1, 2, 3]
+
+
+def test_step_interval_certifies_oracle_trajectories_from_p1(seminorm_calls):
+    traj = fd.oracle_solve(classic_problem(), 2.0)
+    assert traj.certified_k == 0
+    step_interval(traj, 2)
+    assert seminorm_calls == [1, 2, 3]
 
 
 def test_step_interval_short_circuits_when_covered():
