@@ -17,11 +17,10 @@ from infidelay.cli import bundled_scenario_names, main as cli_main
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="output root directory")
-    parser.add_argument("--jobs", type=int, default=2, help="parallel scenario workers")
     args = parser.parse_args()
     names = bundled_scenario_names()
     print(f"running {len(names)} bundled scenarios -> {args.out}/")
-    return cli_main(["run", *names, "--out", args.out, "--jobs", str(args.jobs)])
+    return cli_main(["run", *names, "--out", args.out])
 
 
 if __name__ == "__main__":

@@ -1,13 +1,13 @@
 """Command-line front end.
 
-    infidelay run SCENARIO [SCENARIO ...] [--out DIR] [--jobs N]
-                  [--seed S] [--tolerance-scale X]
+    infidelay run SCENARIO [SCENARIO ...] [--out DIR] [--tolerance-scale X]
     infidelay checks
     infidelay version
 
-SCENARIO is a path to a scenario JSON file, or a bundled scenario name
-(``infidelay checks`` lists checks; bundled names are the basenames under
-the package's ``scenarios/`` directory, e.g. ``classic-delay``).
+SCENARIO is a path to a scenario JSON file, a directory of them, or a
+bundled scenario name (``infidelay checks`` lists checks; bundled names
+are the basenames under the package's ``scenarios/`` directory, e.g.
+``classic-delay``).  Scenarios run one after another in the given order.
 
 Exit codes: 2 for schema errors, 1 when any check failed, 0 otherwise.
 The INFIDELAY_OUT environment variable overrides --out.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from . import __version__
@@ -66,8 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run scenario files and write report trees")
     run_p.add_argument("scenarios", nargs="+", metavar="SCENARIO", help="scenario JSON path or bundled name")
     run_p.add_argument("--out", default="out", help="output root directory (default: ./out; env INFIDELAY_OUT overrides)")
-    run_p.add_argument("--jobs", type=int, default=1, help="scenarios to run in parallel (default 1)")
-    run_p.add_argument("--seed", type=int, default=None, help="seed recorded in the summaries")
     run_p.add_argument("--tolerance-scale", type=float, default=1.0, help="multiply every check tolerance by this factor")
 
     sub.add_parser("checks", help="list supported checks")
@@ -75,11 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(path: str, out_root: str, seed, tol_scale: float) -> tuple[str, int]:
+def _run_one(path: str, out_root: str, tol_scale: float) -> tuple[str, int]:
     """Returns (message, exit_code_contribution)."""
     try:
         data, raw = load_scenario(path)
-        result = run_scenario(data, out_root, raw=raw, path=path, seed=seed, tolerance_scale=tol_scale)
+        result = run_scenario(data, out_root, raw=raw, path=path, tolerance_scale=tol_scale)
     except ScenarioError as exc:
         return (f"schema error: {exc}", EXIT_SCHEMA_ERROR)
     status = "PASS" if result.passed else "FAIL"
@@ -110,13 +107,8 @@ def main(argv=None) -> int:
         except FileNotFoundError as exc:
             print(f"error: {exc}")
             worst = EXIT_SCHEMA_ERROR
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(paths) <= 1:
-        outcomes = [_run_one(s, out_root, args.seed, args.tolerance_scale) for s in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda s: _run_one(s, out_root, args.seed, args.tolerance_scale), paths))
-    for message, code in outcomes:
+    for path in paths:
+        message, code = _run_one(path, out_root, args.tolerance_scale)
         print(message)
         worst = max(worst, code)
     return worst

@@ -35,7 +35,7 @@ from .coefficients import (
     n_index,
     tail_sum_bound,
 )
-from .numerics import dedupe_knots, eval_pieces, eval_pieces_derivative, sup_abs_pieces
+from .numerics import dedupe_knots, derivative_coeffs, eval_pieces, piece_index, sup_abs_pieces
 
 _CONST1 = WeightFunction.constant(1.0)
 
@@ -418,11 +418,7 @@ class HistoryFunction:
 
     def core_slope_sup(self) -> float:
         """Exact sup of |phi'| over the core (ignores the tail)."""
-        dcf = np.zeros_like(self.coeffs)
-        dcf[:, 0] = self.coeffs[:, 1]
-        dcf[:, 1] = 2.0 * self.coeffs[:, 2]
-        dcf[:, 2] = 3.0 * self.coeffs[:, 3]
-        return sup_abs_pieces(self.breakpoints, dcf, float(self.breakpoints[0]), 0.0)
+        return sup_abs_pieces(self.breakpoints, derivative_coeffs(self.coeffs), float(self.breakpoints[0]), 0.0)
 
     def value_at_zero(self) -> float:
         c = self.coeffs[-1]
@@ -447,10 +443,7 @@ class HistoryFunction:
         bp = self.breakpoints
         cf = self.coeffs
         scale = max(1.0, float(np.max(np.abs(cf))))
-        dcf = np.zeros_like(cf)
-        dcf[:, 0] = cf[:, 1]
-        dcf[:, 1] = 2.0 * cf[:, 2]
-        dcf[:, 2] = 3.0 * cf[:, 3]
+        dcf = derivative_coeffs(cf)
         for j in range(len(bp) - 2):
             du = bp[j + 1] - bp[j]
             s_end = dcf[j, 0] + du * (dcf[j, 1] + du * dcf[j, 2])
@@ -645,8 +638,8 @@ def history_difference(h1: HistoryFunction, h2: HistoryFunction) -> HistoryFunct
             # within 1e-12 may sit a few ulp before a side's own knot, and a
             # left-endpoint lookup would then extrapolate the previous piece
             mid = 0.5 * (bp[j] + bp[j + 1])
-            ia = int(np.clip(np.searchsorted(a.breakpoints, mid, side="right") - 1, 0, len(a.coeffs) - 1))
-            ib = int(np.clip(np.searchsorted(b.breakpoints, mid, side="right") - 1, 0, len(b.coeffs) - 1))
+            ia = int(piece_index(a.breakpoints, len(a.coeffs), mid))
+            ib = int(piece_index(b.breakpoints, len(b.coeffs), mid))
             cf[j] = _taylor_shift(a.coeffs[ia], s - a.breakpoints[ia]) - _taylor_shift(
                 b.coeffs[ib], s - b.breakpoints[ib]
             )

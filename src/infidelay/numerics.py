@@ -14,6 +14,10 @@ Because the coefficients are local to the left endpoint, translating all
 breakpoints leaves the coefficient array unchanged.  That property is what
 lets trajectory segments be spliced into shifted history functions without
 any refitting error.
+
+The convention is applied in this module only: piece_index finds the piece
+of a point and derivative_coeffs differentiates the pieces; the evaluators
+below build on them.
 """
 
 from __future__ import annotations
@@ -84,6 +88,24 @@ def hermite_coeffs(x0: float, m0: float, x1: float, m1: float, dt: float) -> tup
     return (x0, m0, c2, c3)
 
 
+def piece_index(breaks: np.ndarray, n_pieces: int, x):
+    """Index of the piece whose [breaks[j], breaks[j+1]) holds x, clamped to [0, n_pieces - 1].
+
+    A point on a breakpoint belongs to the piece starting there; points
+    left of breaks[0] or right of the last piece go to the end pieces.
+    """
+    return np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, n_pieces - 1)
+
+
+def derivative_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """Local coefficients of each piece's derivative (a quadratic: column 3 is 0)."""
+    dcf = np.zeros_like(coeffs)
+    dcf[:, 0] = coeffs[:, 1]
+    dcf[:, 1] = 2.0 * coeffs[:, 2]
+    dcf[:, 2] = 3.0 * coeffs[:, 3]
+    return dcf
+
+
 def eval_pieces(breaks: np.ndarray, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate a piecewise cubic at points x (assumed inside [breaks[0], breaks[-1]]).
 
@@ -91,8 +113,7 @@ def eval_pieces(breaks: np.ndarray, coeffs: np.ndarray, x: np.ndarray) -> np.nda
     responsible for domain checks.  Vectorized Horner evaluation.
     """
     x = np.asarray(x, dtype=float)
-    idx = np.searchsorted(breaks, x, side="right") - 1
-    idx = np.clip(idx, 0, len(coeffs) - 1)
+    idx = piece_index(breaks, len(coeffs), x)
     u = x - breaks[idx]
     c = coeffs[idx]
     return c[..., 0] + u * (c[..., 1] + u * (c[..., 2] + u * c[..., 3]))
@@ -101,8 +122,7 @@ def eval_pieces(breaks: np.ndarray, coeffs: np.ndarray, x: np.ndarray) -> np.nda
 def eval_pieces_derivative(breaks: np.ndarray, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate the derivative of a piecewise cubic at points x."""
     x = np.asarray(x, dtype=float)
-    idx = np.searchsorted(breaks, x, side="right") - 1
-    idx = np.clip(idx, 0, len(coeffs) - 1)
+    idx = piece_index(breaks, len(coeffs), x)
     u = x - breaks[idx]
     c = coeffs[idx]
     return c[..., 1] + u * (2.0 * c[..., 2] + u * 3.0 * c[..., 3])
@@ -145,8 +165,8 @@ def sup_abs_pieces(breaks: np.ndarray, coeffs: np.ndarray, lo: float, hi: float)
     hi = min(hi, float(breaks[-1]))
     if hi < lo:
         return 0.0
-    j_lo = int(np.clip(np.searchsorted(breaks, lo, side="right") - 1, 0, len(coeffs) - 1))
-    j_hi = int(np.clip(np.searchsorted(breaks, hi, side="right") - 1, 0, len(coeffs) - 1))
+    j_lo = int(piece_index(breaks, len(coeffs), lo))
+    j_hi = int(piece_index(breaks, len(coeffs), hi))
     best = 0.0
     for j in range(j_lo, j_hi + 1):
         u_lo = max(lo, float(breaks[j])) - float(breaks[j])

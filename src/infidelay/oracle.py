@@ -21,6 +21,7 @@ from .stepper import (
     Trajectory,
     _buffers,
     _delayed_values,
+    _forcing_index,
     _store_window,
     _substeps,
     _window_forcing,
@@ -48,12 +49,7 @@ def _oracle_truncation(problem: ProblemSpec, config: OracleConfig, horizon: floa
         return n
     if config.n_trunc is not None:
         return config.n_trunc
-    from .history import _atom_tail_search
-    from .stepper import _forcing_floor
-
-    atoms = problem.history.tail_atoms()
-    n, _ = _atom_tail_search(fam, atoms, _forcing_floor(problem, horizon), config.eps_trunc)
-    return n
+    return _forcing_index(problem, horizon, config.eps_trunc)
 
 
 def oracle_solve(

@@ -111,6 +111,8 @@ class _Anchored:
         if not isinstance(v, types):
             tn = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
             raise self.fail(f"{label} must be {tn}, got {type(v).__name__}", key)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise self.fail(f"{label} must be finite, got {v}", key)
         return v
 
     def need(self, obj: dict, key: str, types, where: str):
@@ -143,12 +145,12 @@ def _build_weight(cfg: dict, anch: _Anchored) -> WeightFunction:
 def _build_family(cfg: dict, anch: _Anchored) -> CoefficientFamily:
     kind = anch.need(cfg, "kind", str, "family")
     tau_cfg = anch.need(cfg, "tau", dict, "family")
-    delays = DelaySchedule(
-        c=float(anch.opt(tau_cfg, "c", _NUM, 0.0)),
-        delta=float(anch.opt(tau_cfg, "delta", _NUM, 1.0)),
-        prefix=tuple(float(v) for v in anch.opt(tau_cfg, "prefix", list, [])),
-    )
     try:
+        delays = DelaySchedule(
+            c=float(anch.opt(tau_cfg, "c", _NUM, 0.0)),
+            delta=float(anch.opt(tau_cfg, "delta", _NUM, 1.0)),
+            prefix=tuple(float(v) for v in anch.opt(tau_cfg, "prefix", list, [])),
+        )
         if kind == "finite-support":
             return CoefficientFamily.finite_support(anch.need(cfg, "coeffs", list, "family"), delays)
         if kind == "geometric":
@@ -169,7 +171,7 @@ def _build_family(cfg: dict, anch: _Anchored) -> CoefficientFamily:
                 float(anch.need(cfg, "tail_abs_bound", _NUM, "family")),
                 delays,
             )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise anch.fail(str(exc), "family") from exc
     raise anch.fail(f"unknown family kind {kind!r}", "kind")
 
@@ -244,12 +246,11 @@ def _build_solver(cfg: dict, anch: _Anchored) -> SolverConfig:
 class _Ctx:
     """Shared lazy state for one scenario run."""
 
-    def __init__(self, problem: ProblemSpec, horizon: float, solver: SolverConfig, tol_scale: float, seed: Optional[int]):
+    def __init__(self, problem: ProblemSpec, horizon: float, solver: SolverConfig, tol_scale: float):
         self.problem = problem
         self.horizon = horizon
         self.solver = solver
         self.tol_scale = tol_scale
-        self.seed = seed
         self._traj = None
 
     def traj(self):
@@ -463,7 +464,6 @@ def run_scenario(
     out_root: str,
     raw: Optional[str] = None,
     path: str = "<scenario>",
-    seed: Optional[int] = None,
     tolerance_scale: float = 1.0,
 ) -> ScenarioResult:
     """Validate, run every listed check, and write the report tree.
@@ -498,7 +498,7 @@ def run_scenario(
 
     outdir = os.path.join(out_root, _safe_name(name))
     os.makedirs(outdir, exist_ok=True)
-    ctx = _Ctx(ProblemSpec(a, family, history), horizon, solver, tolerance_scale, seed)
+    ctx = _Ctx(ProblemSpec(a, family, history), horizon, solver, tolerance_scale)
 
     results = []
     for idx, (cname, params) in enumerate(normalized, start=1):
@@ -516,7 +516,6 @@ def run_scenario(
         "passed": passed,
         "checks": results,
         "horizon": horizon,
-        "seed": seed,
         "tolerance_scale": tolerance_scale,
         "scenario": data,
     }

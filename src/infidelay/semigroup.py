@@ -29,7 +29,7 @@ from .history import (
     p_seminorm,
     sup_norm_k,
 )
-from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, sup_abs_pieces
+from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, derivative_coeffs, piece_index, sup_abs_pieces
 from .stepper import ProblemSpec, SolverConfig, Trajectory, solve
 
 
@@ -142,11 +142,7 @@ def check_semigroup_law(
 
 
 def _traj_slope_sup(traj: Trajectory, lo: float, hi: float) -> float:
-    dcf = np.zeros_like(traj.pieces)
-    dcf[:, 0] = traj.pieces[:, 1]
-    dcf[:, 1] = 2.0 * traj.pieces[:, 2]
-    dcf[:, 2] = 3.0 * traj.pieces[:, 3]
-    return sup_abs_pieces(traj.grid, dcf, lo, hi)
+    return sup_abs_pieces(traj.grid, derivative_coeffs(traj.pieces), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -280,7 +276,7 @@ def check_mild_solution(
         prefix.append(prefix[-1] + (g1 - g0) * float(np.dot(GAUSS4_WEIGHTS, L_at(sv))))
 
     def integral_to(r: float) -> float:
-        j = int(np.clip(np.searchsorted(grid, r, side="right") - 1, 0, len(grid) - 1))
+        j = int(piece_index(grid, len(grid), r))
         base = prefix[j]
         g0 = float(grid[j])
         if r <= g0:

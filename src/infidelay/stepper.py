@@ -47,7 +47,7 @@ from .coefficients import (
     n_index,
 )
 from .history import HistoryFunction, _atom_tail_search, p_seminorm, sup_norm_k
-from .numerics import QUAD_RULES, hermite_coeffs, phi1, sup_abs_pieces
+from .numerics import QUAD_RULES, eval_pieces, eval_pieces_derivative, hermite_coeffs, phi1, sup_abs_pieces
 
 
 class NotInPhaseSpaceError(Exception):
@@ -67,7 +67,7 @@ class ProblemSpec:
 class SolverConfig:
     """March parameters.  None means: resolve from the problem at solve time.
 
-    h: sub-step target (default tau_1/40, clamped to tau_1)
+    h: sub-step target, > 0 (default tau_1/40, clamped to tau_1)
     quad: "gauss4" or "simpson"
     eps_forcing: uniform bound on the discarded delayed-forcing tail
         (default 1e-10 * max(1, sup |phi| on [-1, 0]))
@@ -80,6 +80,8 @@ class SolverConfig:
     eps_tail_seminorm: float = 1e-10
 
     def __post_init__(self) -> None:
+        if self.h is not None and not self.h > 0.0:
+            raise ValueError(f"step size must be positive, got {self.h}")
         if self.quad not in QUAD_RULES:
             raise ValueError(f"unknown quadrature rule {self.quad!r}")
 
@@ -122,13 +124,7 @@ class Trajectory:
         if np.any(past):
             out[past] = self.problem.history.evaluate(th[past])
         if np.any(~past):
-            tt = th[~past]
-            idx = np.clip(
-                np.searchsorted(self.grid, tt, side="right") - 1, 0, len(self.pieces) - 1
-            )
-            u = tt - self.grid[idx]
-            c = self.pieces[idx]
-            out[~past] = c[:, 0] + u * (c[:, 1] + u * (c[:, 2] + u * c[:, 3]))
+            out[~past] = eval_pieces(self.grid, self.pieces, th[~past])
         return float(out[0]) if scalar else out
 
     def eval_derivative(self, t):
@@ -137,11 +133,7 @@ class Trajectory:
         th = np.atleast_1d(th)
         if np.any(th < -1e-12) or np.any(th > self.horizon + 1e-9):
             raise ValueError("derivative evaluation outside [0, horizon]")
-        th = np.clip(th, 0.0, self.horizon)
-        idx = np.clip(np.searchsorted(self.grid, th, side="right") - 1, 0, len(self.pieces) - 1)
-        u = th - self.grid[idx]
-        c = self.pieces[idx]
-        out = c[:, 1] + u * (2.0 * c[:, 2] + u * 3.0 * c[:, 3])
+        out = eval_pieces_derivative(self.grid, self.pieces, np.clip(th, 0.0, self.horizon))
         return float(out[0]) if scalar else out
 
     def sup_abs(self, lo: float, hi: float) -> float:
@@ -184,11 +176,7 @@ def _delayed_values(
     if np.any(neg):
         out[neg] = phi.evaluate(args[neg])
     if np.any(~neg):
-        tt = args[~neg]
-        idx = np.clip(np.searchsorted(grid, tt, side="right") - 1, 0, len(pieces) - 1)
-        u = tt - grid[idx]
-        c = pieces[idx]
-        out[~neg] = c[:, 0] + u * (c[:, 1] + u * (c[:, 2] + u * c[:, 3]))
+        out[~neg] = eval_pieces(grid, pieces, args[~neg])
     return out
 
 
@@ -199,15 +187,7 @@ def forcing(traj: Trajectory, t: float, eps: Optional[float] = None) -> float:
     explicit eps).  Valid for t in [0, horizon].
     """
     prob = traj.problem
-    if eps is None:
-        n = traj.n_forcing
-    else:
-        n, _ = _atom_tail_search(
-            prob.family,
-            prob.history.tail_atoms(),
-            _forcing_floor(prob, traj.horizon),
-            eps,
-        )
+    n = traj.n_forcing if eps is None else _forcing_index(prob, traj.horizon, eps)
     if n == 0:
         return 0.0
     taus = prob.family.delays.tau_array(n)
@@ -227,11 +207,17 @@ def _forcing_floor(problem: ProblemSpec, horizon: float) -> int:
     return max(d.first_index_at_least(horizon + problem.history.depth) - 1, 0)
 
 
+def _forcing_index(problem: ProblemSpec, horizon: float, eps: float) -> int:
+    """Truncation index N whose discarded delayed terms stay below eps on [0, horizon]."""
+    n, _ = _atom_tail_search(
+        problem.family, problem.history.tail_atoms(), _forcing_floor(problem, horizon), eps
+    )
+    return n
+
+
 def _certify_forcing(problem: ProblemSpec, horizon: float, eps: float) -> int:
     try:
-        n, _ = _atom_tail_search(
-            problem.family, problem.history.tail_atoms(), _forcing_floor(problem, horizon), eps
-        )
+        n = _forcing_index(problem, horizon, eps)
         # materialize the coefficient values now so explicit-list gaps fail here
         problem.family.b_array(n)
         return n
@@ -406,8 +392,6 @@ def _solve(problem: ProblemSpec, horizon: float, config: SolverConfig, certified
         raise ValueError(f"horizon must be positive, got {horizon}")
     tau1 = problem.family.delays.tau1
     h = min(config.h if config.h is not None else tau1 / 40.0, tau1)
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
     eps_f = (
         config.eps_forcing
         if config.eps_forcing is not None

@@ -12,6 +12,7 @@ from infidelay.numerics import (
     SIMPSON_NODES,
     SIMPSON_WEIGHTS,
     dedupe_knots,
+    derivative_coeffs,
     eval_pieces,
     eval_pieces_derivative,
     hermite_coeffs,
@@ -90,6 +91,16 @@ def test_eval_pieces_matches_manual_horner():
     # at an interior knot the right piece owns the point
     assert eval_pieces(breaks, coeffs, 1.0) == 3.0
     assert eval_pieces_derivative(breaks, coeffs, 0.25) == 2.0
+    # points outside the span clamp to the end pieces
+    assert eval_pieces(breaks, coeffs, -0.5) == 1.0 + 2.0 * -0.5
+    u = 4.0 - 1.0
+    assert eval_pieces(breaks, coeffs, 4.0) == 3.0 - u + 0.5 * u * u
+    # the derivative of c0 + c1 u + c2 u^2 + c3 u^3 is c1 + 2 c2 u + 3 c3 u^2
+    assert np.array_equal(
+        derivative_coeffs(coeffs), np.array([[2.0, 0.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0]])
+    )
+    cubic = np.array([[1.0, 2.0, 3.0, 4.0]])
+    assert np.array_equal(derivative_coeffs(cubic), np.array([[2.0, 6.0, 12.0, 0.0]]))
 
 
 @given(data=st.data())

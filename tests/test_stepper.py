@@ -120,8 +120,9 @@ def test_solve_step_refinement_agrees():
 
 
 def test_solver_config_validation_and_clamping():
-    with pytest.raises(ValueError):
-        SolverConfig(quad="midpoint")
+    for bad in ({"quad": "midpoint"}, {"h": 0.0}, {"h": -1.0}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
     traj = solve(classic_problem(), 2.0, SolverConfig(h=5.0))
     assert traj.h_used <= DS.tau1
     simpson = solve(classic_problem(), 2.0, SolverConfig(quad="simpson"))
