@@ -18,12 +18,15 @@ of the true series (not a failed bound), and :class:`UnknownTailError` is
 raised when the stored data decides neither way.  Downstream code relies on
 this trichotomy, so every branch below is a closed-form argument, never a
 sampled heuristic.
+
+:func:`_atom_tail_search` is the one certified truncation search;
+:func:`truncation_index` and every truncation in history and stepper call it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,7 +289,7 @@ def m_index(family: CoefficientFamily, k: int) -> int:
     least positive integer m with -m < mu.  It measures how far into the
     history the deepest sub-threshold delay reaches relative to window k.
     When n == 1 there is no sub-threshold delay and the value degenerates
-    to 1 (see :func:`m_index_is_vacuous`).
+    to 1.
     """
     if k < 2:
         raise ValueError(f"m_index is defined for k >= 2, got {k}")
@@ -295,22 +298,6 @@ def m_index(family: CoefficientFamily, k: int) -> int:
         return 1
     mu = (k - 1) * family.delays.tau1 - family.delays.tau(n - 1)
     return max(1, math.floor(-mu) + 1)
-
-
-def m_index_is_vacuous(family: CoefficientFamily, k: int) -> bool:
-    """True when n_index(family, k) == 1, i.e. no delay lies below k*tau_1."""
-    if k < 2:
-        raise ValueError(f"m_index is defined for k >= 2, got {k}")
-    return n_index(family, k) == 1
-
-
-def _normalize_weight(weight: WeightFunction) -> WeightFunction:
-    # Constructors already collapse gamma=0 / degree=0, but guard direct instances.
-    if weight.form == "exponential" and weight.gamma == 0.0:
-        return WeightFunction.constant(1.0)
-    if weight.form == "polynomial" and weight.degree == 0:
-        return WeightFunction.constant(1.0)
-    return weight
 
 
 def _ratio_cap(delays: DelaySchedule) -> float:
@@ -340,7 +327,7 @@ def tail_sum_bound(family: CoefficientFamily, weight: WeightFunction, n_start: i
     n = int(n_start)
     if n < 1:
         raise ValueError(f"tail start index must be >= 1, got {n}")
-    w = _normalize_weight(weight)
+    w = weight
     d = family.delays
 
     if family.kind == "finite-support" or (
@@ -419,6 +406,52 @@ def tail_sum_bound(family: CoefficientFamily, weight: WeightFunction, n_start: i
     return ab * c_tau**q * (float(n) ** (-s) + float(n) ** (1.0 - s) / (s - 1.0))
 
 
+def _atom_tail_search(
+    family: CoefficientFamily, atoms: list[tuple[float, WeightFunction]], n_floor: int, eps: float
+) -> tuple[int, float]:
+    """Least N >= n_floor with sum_s s * tail_sum_bound(family, w, N+1) <= eps over atoms (s, w).
+
+    Doubling, then bisection.  Returns (N, achieved_bound).  Raises
+    UnknownTailError when an atom bound is infinite or not certifiable, or
+    when an explicit list's recorded tail mass alone exceeds eps, and
+    TruncationDepthError past the cap.
+    """
+    live = [(s, w) for (s, w) in atoms if s != 0.0]
+
+    def tb(n: int) -> float:
+        total = 0.0
+        for s, w in live:
+            t = tail_sum_bound(family, w, n)
+            if math.isinf(t):
+                raise UnknownTailError("atom-weighted tail bound is infinite")
+            total += s * t
+        return total
+
+    first = tb(n_floor + 1)
+    if first <= eps:
+        return n_floor, first
+    if family.kind == "explicit-list":
+        # tb past the list, and its least value: live weights are constant here, or tb raised
+        floor = sum(s * (w.level * family.tail_abs_bound) for s, w in live)
+        if floor > eps:
+            raise UnknownTailError(f"recorded tail mass bound {floor} exceeds target {eps}; no truncation is certifiable")
+    lo, hi = n_floor, n_floor + 1
+    while tb(hi + 1) > eps:
+        lo = hi
+        hi *= 2
+        if hi > TRUNCATION_CAP:
+            raise TruncationDepthError(
+                f"no truncation index below {TRUNCATION_CAP} certifies tolerance {eps}"
+            )
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tb(mid + 1) <= eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi, tb(hi + 1)
+
+
 def truncation_index(family: CoefficientFamily, weight: WeightFunction, eps: float) -> int:
     """Least N >= 1 whose discarded weighted tail is certified <= eps.
 
@@ -429,34 +462,6 @@ def truncation_index(family: CoefficientFamily, weight: WeightFunction, eps: flo
     """
     if not (eps > 0.0):
         raise ValueError(f"truncation tolerance must be positive, got {eps}")
-
-    def bound(n: int) -> float:
-        return tail_sum_bound(family, weight, n)
-
-    first = bound(1)
-    if math.isinf(first):
+    if math.isinf(tail_sum_bound(family, weight, 1)):
         raise DivergentTailError("series is certified divergent; no truncation exists")
-    if family.kind == "explicit-list" and family.tail_abs_bound > 0.0:
-        w = _normalize_weight(weight)
-        floor = w.level * family.tail_abs_bound
-        if floor > eps:
-            raise UnknownTailError(
-                f"recorded tail mass bound {floor} exceeds target {eps}; no finite truncation is certifiable"
-            )
-    N = 1
-    while bound(N + 1) > eps:
-        N *= 2
-        if N > TRUNCATION_CAP:
-            raise TruncationDepthError(
-                f"no truncation index below {TRUNCATION_CAP} certifies tolerance {eps}"
-            )
-    if N == 1:
-        return 1
-    lo, hi = N // 2, N  # bound(lo+1) > eps held at the previous doubling step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bound(mid + 1) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _atom_tail_search(family, [(1.0, weight)], 1, eps)[0]

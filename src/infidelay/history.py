@@ -15,6 +15,9 @@ where n(k) is the first delay index reaching depth k*tau_1.  A history
 belongs to the solution phase space iff every p_k is finite.  p_seminorm
 returns a certified value/remainder pair, a certificate of divergence, or
 an explicit "inconclusive" verdict -- never a silent guess.
+
+Every delay series (p_k, L, the solver's forcing) is certified one way: the
+atom search from _tail_floor, and divergence only from _certified_divergent.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import (
-    TRUNCATION_CAP,
     CoefficientFamily,
     DivergentTailError,
     TruncationDepthError,
     UnknownTailError,
     WeightFunction,
+    _atom_tail_search,
     n_index,
     tail_sum_bound,
 )
@@ -708,57 +711,24 @@ def sup_norm_k(phi: HistoryFunction, k: int) -> float:
     return phi.sup_abs_interval(-float(k), 0.0)
 
 
-def _atom_tail_search(
-    family: CoefficientFamily, atoms: list[Atom], n_floor: int, eps: float
-) -> tuple[int, float]:
-    """Least N >= n_floor whose discarded atom-weighted tail is <= eps.
+def _tail_floor(phi: HistoryFunction, family: CoefficientFamily, reach: float) -> int:
+    """Last delay index whose arguments over [0, reach] may leave phi's tail.
 
-    Returns (N, achieved_bound).  Raises UnknownTailError when the atom
-    bound is infinite or not certifiable, TruncationDepthError past the cap.
+    Beyond it tau_i >= reach + depth, so every argument s - tau_i with s in
+    [0, reach] lies in the tail region, where the envelope atoms apply.
     """
-    live = [(s, w) for (s, w) in atoms if s != 0.0]
-
-    def tb(n: int) -> float:
-        total = 0.0
-        for s, w in live:
-            t = tail_sum_bound(family, w, n)
-            if math.isinf(t):
-                raise UnknownTailError("atom-weighted tail bound is infinite")
-            total += s * t
-        return total
-
-    n_floor = max(n_floor, 0)
-    first = tb(n_floor + 1)
-    if first <= eps:
-        return n_floor, first
-    lo = n_floor
-    hi = max(n_floor + 1, 1)
-    while tb(hi + 1) > eps:
-        lo = hi
-        hi *= 2
-        if hi > TRUNCATION_CAP:
-            raise TruncationDepthError(
-                f"atom tail search exceeded index cap {TRUNCATION_CAP} for eps={eps}"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tb(mid + 1) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi, tb(hi + 1)
+    return family.delays.first_index_at_least(reach + phi.depth) - 1
 
 
-def _certified_divergent(phi: HistoryFunction, family: CoefficientFamily, k: int) -> bool:
-    """True only with a proof that p_k(phi) = infinity.
+def _certified_divergent(phi: HistoryFunction, family: CoefficientFamily, reach: float) -> bool:
+    """True only with a proof that sum_i |b_i| sup_{s in [0, reach]} |phi(s - tau_i)| = infinity.
 
     Two routes: the tail is an exact nonzero multiple of a weight whose
     weighted coefficient series is certified divergent, or the tail's sup
-    over every window of length k*tau_1 is uniformly >= ell > 0 while the
-    plain coefficient series diverges.
+    over every window of length reach (p_k: k*tau_1; L: 0) is uniformly
+    >= ell > 0 while the plain coefficient series diverges.
     """
-    d = family.delays
-    start = d.first_index_at_least(k * d.tau1 + phi.depth)
+    start = _tail_floor(phi, family, reach) + 1
     ew = phi.tail.exact_weight()
     if ew is not None and ew[0] != 0.0:
         try:
@@ -766,7 +736,7 @@ def _certified_divergent(phi: HistoryFunction, family: CoefficientFamily, k: int
                 return True
         except UnknownTailError:
             pass
-    if phi.tail.sup_lower_uniform(k * d.tau1) > 0.0:
+    if phi.tail.sup_lower_uniform(reach) > 0.0:
         try:
             if math.isinf(tail_sum_bound(family, _CONST1, start)):
                 return True
@@ -789,13 +759,11 @@ def p_seminorm(
     d = family.delays
     n0 = n_index(family, k)
     ktau = k * d.tau1
-    # beyond n_floor every window [-tau_i, k*tau_1 - tau_i] lies in the tail region
-    n_floor = max(d.first_index_at_least(ktau + phi.depth) - 1, n0 - 1)
     try:
-        N, rem = _atom_tail_search(family, phi.tail_atoms(), n_floor, eps_tail)
+        N, rem = _atom_tail_search(family, phi.tail_atoms(), _tail_floor(phi, family, ktau), eps_tail)
         coeff = np.abs(family.b_array(N)) if N > 0 else np.zeros(0)
     except (UnknownTailError, TruncationDepthError):
-        verdict = "divergent" if _certified_divergent(phi, family, k) else "inconclusive"
+        verdict = "divergent" if _certified_divergent(phi, family, ktau) else "inconclusive"
         return SeminormValue(math.inf, math.inf, n0, 0, verdict)
     taus = d.tau_array(N)
     total = 0.0
@@ -1035,32 +1003,19 @@ def L_functional(
 ) -> LValue:
     """Evaluate the right-hand side functional at phi with a certified remainder.
 
-    Raises DivergentTailError when the coefficient series against the
-    tail's exact weight is certified divergent (phi is then outside the
-    functional's absolute-convergence domain), UnknownTailError when no
-    finite truncation can be certified.
+    Raises DivergentTailError when the delayed series is certified to
+    diverge absolutely (phi is then outside the functional's domain),
+    UnknownTailError when no finite truncation can be certified.
     """
-    d = family.delays
-    n_floor = max(d.first_index_at_least(phi.depth) - 1, 0)
     try:
-        N, rem = _atom_tail_search(family, phi.tail_atoms(), n_floor, eps)
+        N, rem = _atom_tail_search(family, phi.tail_atoms(), _tail_floor(phi, family, 0.0), eps)
     except (UnknownTailError, TruncationDepthError) as exc:
-        ew = phi.tail.exact_weight()
-        if ew is not None and ew[0] != 0.0:
-            start = d.first_index_at_least(phi.depth)
-            try:
-                if math.isinf(tail_sum_bound(family, ew[1], start)):
-                    raise DivergentTailError(
-                        "the delayed series diverges absolutely for this history"
-                    ) from exc
-            except UnknownTailError:
-                pass
-        raise UnknownTailError(
-            f"cannot certify a truncation of the delayed series to eps={eps}"
-        ) from exc
+        if _certified_divergent(phi, family, 0.0):
+            raise DivergentTailError("the delayed series diverges absolutely for this history") from exc
+        raise UnknownTailError(f"cannot certify a truncation of the delayed series to eps={eps}") from exc
     total = a * phi.value_at_zero()
     if N > 0:
         bs = family.b_array(N)
-        taus = d.tau_array(N)
+        taus = family.delays.tau_array(N)
         total += float(np.dot(bs, phi.evaluate(-taus)))
     return LValue(float(total), rem, N)

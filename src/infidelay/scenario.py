@@ -27,9 +27,10 @@ Schema (all floats unless noted):
       "checks": ["solve", {"name": "membership", "expect": "member"}, ...]
     }
 
-Schema problems raise ScenarioError with a file:line anchor; check failures
-are ordinary results.  Runners write one JSON report per check plus a
-summary, all deterministic (sorted keys, no timestamps, atomic replace).
+Schema problems, check parameters included, raise ScenarioError with a
+file:line anchor; check failures are ordinary results.  Runners write one
+JSON report per check plus a summary, all deterministic (sorted keys, no
+timestamps, atomic replace).
 """
 
 from __future__ import annotations
@@ -107,23 +108,27 @@ class _Anchored:
     def fail(self, message: str, key: str) -> ScenarioError:
         return ScenarioError(message, self.path, _line_of(self.raw, key))
 
-    def _typed(self, v, types, label: str, key: str):
+    def _typed(self, v, types, label: str, key: str, items=object):
+        """v must be of types and a list's entries of items; floats at any list depth must be finite."""
         if not isinstance(v, types):
             tn = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
             raise self.fail(f"{label} must be {tn}, got {type(v).__name__}", key)
         if isinstance(v, float) and not math.isfinite(v):
             raise self.fail(f"{label} must be finite, got {v}", key)
+        if isinstance(v, list):
+            for x in v:
+                self._typed(x, items, f"{label} entry", key)
         return v
 
-    def need(self, obj: dict, key: str, types, where: str):
+    def need(self, obj: dict, key: str, types, where: str, items=object):
         if key not in obj:
             raise self.fail(f"missing required key {key!r} in {where}", key if self.raw and f'"{key}"' in self.raw else where)
-        return self._typed(obj[key], types, f"{where}.{key}", key)
+        return self._typed(obj[key], types, f"{where}.{key}", key, items)
 
-    def opt(self, obj: dict, key: str, types, default):
+    def opt(self, obj: dict, key: str, types, default, items=object):
         if key not in obj:
             return default
-        return self._typed(obj[key], types, key, key)
+        return self._typed(obj[key], types, key, key, items)
 
 
 _NUM = (int, float)
@@ -246,11 +251,12 @@ def _build_solver(cfg: dict, anch: _Anchored) -> SolverConfig:
 class _Ctx:
     """Shared lazy state for one scenario run."""
 
-    def __init__(self, problem: ProblemSpec, horizon: float, solver: SolverConfig, tol_scale: float):
+    def __init__(self, problem: ProblemSpec, horizon: float, solver: SolverConfig, tol_scale: float, anch: _Anchored):
         self.problem = problem
         self.horizon = horizon
         self.solver = solver
         self.tol_scale = tol_scale
+        self.anch = anch  # check parameters are read through the scenario's anchors
         self._traj = None
 
     def traj(self):
@@ -271,18 +277,20 @@ def _sv_dict(sv) -> dict:
 
 
 def _run_solve(ctx: _Ctx, p: dict, outdir: str) -> dict:
+    anch = ctx.anch
+    expect = anch.opt(p, "expect", str, None)
+    pins = [(anch.need(pt, "t", _NUM, "expect_points"), anch.need(pt, "x", _NUM, "expect_points"), anch.opt(pt, "tol", _NUM, 1e-8))
+            for pt in anch.opt(p, "expect_points", list, [], items=dict)]
     try:
         traj = ctx.traj()
     except NotInPhaseSpaceError as exc:
-        ok = p.get("expect") == "not-in-phase-space"
-        return {"passed": ok, "error": str(exc), "expect": p.get("expect")}
+        return {"passed": expect == "not-in-phase-space", "error": str(exc), "expect": expect}
     traj.write_csv(os.path.join(outdir, "trajectory.csv"))
     _write_json(os.path.join(outdir, "trajectory.json"), traj.to_json_dict())
     points = []
     ok = True
-    for pt in p.get("expect_points", []):
-        t, want = float(pt["t"]), float(pt["x"])
-        tol = float(pt.get("tol", 1e-8)) * ctx.tol_scale
+    for t, want, tol in pins:
+        t, want, tol = float(t), float(want), float(tol) * ctx.tol_scale
         got = traj.eval(t)
         hit = abs(got - want) <= tol
         ok = ok and hit
@@ -297,7 +305,7 @@ def _run_solve(ctx: _Ctx, p: dict, outdir: str) -> dict:
 
 
 def _run_seminorms(ctx: _Ctx, p: dict, outdir: str) -> dict:
-    k_max = int(p.get("k_max", 3))
+    k_max = int(ctx.anch.opt(p, "k_max", _NUM, 3))
     eps = ctx.solver.eps_tail_seminorm
     rows = []
     for k in range(1, k_max + 1):
@@ -307,8 +315,8 @@ def _run_seminorms(ctx: _Ctx, p: dict, outdir: str) -> dict:
 
 
 def _run_membership(ctx: _Ctx, p: dict, outdir: str) -> dict:
-    k_max = int(p.get("k_max", 5))
-    expect = p.get("expect", "member")
+    k_max = int(ctx.anch.opt(p, "k_max", _NUM, 5))
+    expect = ctx.anch.opt(p, "expect", str, "member")
     rep = membership_in_F(ctx.problem.history, ctx.problem.family, k_max, ctx.solver.eps_tail_seminorm)
     return {
         "passed": rep.verdict == expect,
@@ -319,11 +327,11 @@ def _run_membership(ctx: _Ctx, p: dict, outdir: str) -> dict:
 
 
 def _run_semigroup_law(ctx: _Ctx, p: dict, outdir: str) -> dict:
-    tau1 = ctx.problem.family.delays.tau1
-    t = float(p.get("t", 0.75 * tau1))
-    s = float(p.get("s", 1.25 * tau1))
-    k_list = [int(k) for k in p.get("k_list", [1, 2, 3])]
-    tol = float(p.get("tolerance", 1e-6)) * ctx.tol_scale
+    anch, tau1 = ctx.anch, ctx.problem.family.delays.tau1
+    t = float(anch.opt(p, "t", _NUM, 0.75 * tau1))
+    s = float(anch.opt(p, "s", _NUM, 1.25 * tau1))
+    k_list = [int(k) for k in anch.opt(p, "k_list", list, [1, 2, 3], items=_NUM)]
+    tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
     rep = check_semigroup_law(ctx.problem, t, s, k_list, ctx.solver, ctx.solver.eps_tail_seminorm)
     out = rep.to_json_dict()
     out["tolerance"] = tol
@@ -332,10 +340,13 @@ def _run_semigroup_law(ctx: _Ctx, p: dict, outdir: str) -> dict:
 
 
 def _run_strong_continuity(ctx: _Ctx, p: dict, outdir: str) -> dict:
-    tau1 = ctx.problem.family.delays.tau1
-    k = int(p.get("k", 2))
-    times = [float(v) for v in p.get("times", p.get("t_sequence", [0.1 * tau1, 0.01 * tau1, 0.001 * tau1]))]
-    thr = p.get("threshold")
+    anch, tau1 = ctx.anch, ctx.problem.family.delays.tau1
+    k = int(anch.opt(p, "k", _NUM, 2))
+    default = [0.1 * tau1, 0.01 * tau1, 0.001 * tau1]
+    times = [float(v) for v in anch.opt(p, "times", list, anch.opt(p, "t_sequence", list, default, items=_NUM), items=_NUM)]
+    if not times or times[-1] <= 0.0 or any(b >= a for a, b in zip(times, times[1:])):
+        raise anch.fail(f"times must be strictly decreasing and positive, got {times}", "times")
+    thr = anch.opt(p, "threshold", _NUM, None)
     rep = check_strong_continuity(ctx.problem, k, times, ctx.solver, thr if thr is None else float(thr))
     out = rep.to_json_dict()
     out["passed"] = rep.passed
@@ -343,11 +354,11 @@ def _run_strong_continuity(ctx: _Ctx, p: dict, outdir: str) -> dict:
 
 
 def _run_mild_solution(ctx: _Ctx, p: dict, outdir: str) -> dict:
-    tau1 = ctx.problem.family.delays.tau1
+    anch, tau1 = ctx.anch, ctx.problem.family.delays.tau1
     span = min(ctx.horizon, 2.0 * tau1)
-    ts = [float(v) for v in p.get("t_grid", list(np.linspace(0.0, span, 5)))]
-    thetas = [float(v) for v in p.get("theta_grid", [-2.0 * tau1, -tau1, -0.5 * tau1, -0.1 * tau1, 0.0])]
-    tol = float(p.get("tolerance", 1e-6)) * ctx.tol_scale
+    ts = [float(v) for v in anch.opt(p, "t_grid", list, list(np.linspace(0.0, span, 5)), items=_NUM)]
+    thetas = [float(v) for v in anch.opt(p, "theta_grid", list, [-2.0 * tau1, -tau1, -0.5 * tau1, -0.1 * tau1, 0.0], items=_NUM)]
+    tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
     rep = check_mild_solution(ctx.problem, ts, thetas, ctx.solver, tol)
     out = rep.to_json_dict()
     out["passed"] = rep.passed
@@ -355,9 +366,9 @@ def _run_mild_solution(ctx: _Ctx, p: dict, outdir: str) -> dict:
 
 
 def _run_estimates(ctx: _Ctx, p: dict, outdir: str) -> dict:
-    tau1 = ctx.problem.family.delays.tau1
-    k_top = int(p.get("k", p.get("k_max", min(3, int(math.floor(ctx.horizon / tau1 + 1e-12))))))
-    k_list = [int(k) for k in p.get("k_list", range(1, k_top + 1))]
+    anch, tau1 = ctx.anch, ctx.problem.family.delays.tau1
+    k_top = int(anch.opt(p, "k", _NUM, anch.opt(p, "k_max", _NUM, min(3, int(math.floor(ctx.horizon / tau1 + 1e-12))))))
+    k_list = [int(k) for k in anch.opt(p, "k_list", list, range(1, k_top + 1), items=_NUM)]
     traj = ctx.traj()
     certs = [estimate_certificate(traj, k) for k in k_list]
     return {
@@ -367,12 +378,12 @@ def _run_estimates(ctx: _Ctx, p: dict, outdir: str) -> dict:
 
 
 def _run_cg_embedding(ctx: _Ctx, p: dict, outdir: str) -> dict:
-    anch = _Anchored({}, None, "<params>")
-    wcfg = p.get("weight", p.get("g", {"form": "exponential", "base": 2.0}))
+    anch = ctx.anch
+    wcfg = anch.opt(p, "weight", dict, anch.opt(p, "g", dict, {"form": "exponential", "base": 2.0}))
     g = _build_weight(wcfg, anch)
-    k_max = int(p.get("k", p.get("k_max", 3)))
-    tol = float(p.get("tolerance", 1e-8)) * ctx.tol_scale
-    expect = p.get("expect", "holds")
+    k_max = int(anch.opt(p, "k", _NUM, anch.opt(p, "k_max", _NUM, 3)))
+    tol = float(anch.opt(p, "tolerance", _NUM, 1e-8)) * ctx.tol_scale
+    expect = anch.opt(p, "expect", str, "holds")
     rep = check_cg_embedding(ctx.problem.history, ctx.problem.family, g, k_max, tol, ctx.solver.eps_tail_seminorm)
     if not rep.applicable:
         passed = expect == "not-applicable"
@@ -389,10 +400,11 @@ def _run_cg_embedding(ctx: _Ctx, p: dict, outdir: str) -> dict:
 
 
 def _run_oracle_compare(ctx: _Ctx, p: dict, outdir: str) -> dict:
-    tol = float(p.get("tolerance", 1e-6)) * ctx.tol_scale
+    anch = ctx.anch
+    tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
     ocfg = OracleConfig(
-        h_fine=p.get("h_fine"),
-        n_trunc=int(p.get("N_trunc", p.get("n_trunc", 40))),
+        h_fine=anch.opt(p, "h_fine", _NUM, None),
+        n_trunc=int(anch.opt(p, "N_trunc", _NUM, anch.opt(p, "n_trunc", _NUM, 40))),
     )
     traj = ctx.traj()
     ref = oracle_solve(ctx.problem, ctx.horizon, ocfg)
@@ -487,7 +499,7 @@ def run_scenario(
     for entry in checks_cfg:
         if isinstance(entry, str):
             cname, params = entry, {}
-        elif isinstance(entry, dict) and "name" in entry:
+        elif isinstance(entry, dict) and isinstance(entry.get("name"), str):
             cname = entry["name"]
             params = {k: v for k, v in entry.items() if k != "name"}
         else:
@@ -498,7 +510,7 @@ def run_scenario(
 
     outdir = os.path.join(out_root, _safe_name(name))
     os.makedirs(outdir, exist_ok=True)
-    ctx = _Ctx(ProblemSpec(a, family, history), horizon, solver, tolerance_scale)
+    ctx = _Ctx(ProblemSpec(a, family, history), horizon, solver, tolerance_scale, anch)
 
     results = []
     for idx, (cname, params) in enumerate(normalized, start=1):

@@ -46,7 +46,7 @@ from .coefficients import (
     m_index,
     n_index,
 )
-from .history import HistoryFunction, _atom_tail_search, p_seminorm, sup_norm_k
+from .history import HistoryFunction, _atom_tail_search, _tail_floor, p_seminorm, sup_norm_k
 from .numerics import QUAD_RULES, eval_pieces, eval_pieces_derivative, hermite_coeffs, phi1, sup_abs_pieces
 
 
@@ -196,23 +196,10 @@ def forcing(traj: Trajectory, t: float, eps: Optional[float] = None) -> float:
     return float(np.dot(bs, vals))
 
 
-def _forcing_floor(problem: ProblemSpec, horizon: float) -> int:
-    """Truncations below this index are not coverable by the tail atoms.
-
-    For i above the floor, tau_i >= horizon + depth, so every argument
-    t - tau_i with t in [0, horizon] stays in the history's tail region
-    where the envelope atoms apply (weights only shrink toward 0).
-    """
-    d = problem.family.delays
-    return max(d.first_index_at_least(horizon + problem.history.depth) - 1, 0)
-
-
 def _forcing_index(problem: ProblemSpec, horizon: float, eps: float) -> int:
     """Truncation index N whose discarded delayed terms stay below eps on [0, horizon]."""
-    n, _ = _atom_tail_search(
-        problem.family, problem.history.tail_atoms(), _forcing_floor(problem, horizon), eps
-    )
-    return n
+    phi = problem.history
+    return _atom_tail_search(problem.family, phi.tail_atoms(), _tail_floor(phi, problem.family, horizon), eps)[0]
 
 
 def _certify_forcing(problem: ProblemSpec, horizon: float, eps: float) -> int:

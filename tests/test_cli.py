@@ -7,9 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infidelay.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_SCHEMA_ERROR, bundled_scenario_names, main
 
@@ -162,8 +165,65 @@ def _set_h_zero(cfg):
     cfg["solver"] = {"h": 0}
 
 
+def _params(cfg, name):
+    """The parameter object of the named check, appended if the scenario lacks the check."""
+    cfg["checks"] = [c if isinstance(c, dict) else {"name": c} for c in cfg["checks"]]
+    for entry in cfg["checks"]:
+        if entry["name"] == name:
+            return entry
+    cfg["checks"].append({"name": name})
+    return cfg["checks"][-1]
+
+
+def _set_point_without_x(cfg):
+    _params(cfg, "solve")["expect_points"] = [{"t": 1.0}]
+
+
+def _set_points_string(cfg):
+    _params(cfg, "solve")["expect_points"] = "abc"
+
+
+def _set_k_list_null(cfg):
+    _params(cfg, "estimates")["k_list"] = [None]
+
+
+def _set_k_max_null(cfg):
+    _params(cfg, "seminorms")["k_max"] = None
+
+
+def _set_t_grid_null(cfg):
+    _params(cfg, "mild-solution")["t_grid"] = [None]
+
+
+def _set_times_increasing(cfg):
+    _params(cfg, "strong-continuity")["times"] = [0.1, 0.2]
+
+
+def _set_weight_string(cfg):
+    _params(cfg, "cg-embedding")["weight"] = "exp"
+
+
+def _set_coeffs_nan(cfg):
+    cfg["problem"]["family"]["coeffs"][0] = math.nan
+
+
 @pytest.mark.parametrize(
-    "mutate", [_set_tau_prefix, _set_coeff_null, _set_tau_delta, _set_a_nan, _set_h_zero]
+    "mutate",
+    [
+        _set_tau_prefix,
+        _set_coeff_null,
+        _set_tau_delta,
+        _set_a_nan,
+        _set_h_zero,
+        _set_point_without_x,
+        _set_points_string,
+        _set_k_list_null,
+        _set_k_max_null,
+        _set_t_grid_null,
+        _set_times_increasing,
+        _set_weight_string,
+        _set_coeffs_nan,
+    ],
 )
 def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
     import importlib.resources as res
@@ -176,7 +236,48 @@ def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
     captured = capsys.readouterr()
     assert code == EXIT_SCHEMA_ERROR
     assert f"{path}:" in captured.out
+    assert "<params>" not in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+def _bundled_cfg(name):
+    import importlib.resources as res
+
+    return json.loads((res.files("infidelay") / "scenarios" / f"{name}.json").read_text())
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaf_paths(child, path + (key,))]
+
+
+FUZZ_SITES = [(name, path) for name in sorted(BUNDLED) for path in _leaf_paths(_bundled_cfg(name))]
+
+
+@settings(max_examples=25)
+@given(
+    site=st.sampled_from(FUZZ_SITES),
+    value=st.sampled_from([None, "x", math.nan, -1, 0, [], {}]),
+)
+def test_fuzzed_bundled_scenarios_exit_with_a_code(site, value):
+    # one leaf of a bundled scenario replaced: a report, a check failure or a schema error
+    name, path = site
+    cfg = _bundled_cfg(name)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        scen = os.path.join(tmp, "fuzzed.json")
+        with open(scen, "w") as fh:
+            json.dump(cfg, fh, indent=2)
+        code = main(["run", scen, "--out", os.path.join(tmp, "out")])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_SCHEMA_ERROR)
 
 
 def test_unknown_scenario_name_lists_bundled(tmp_path, capsys):

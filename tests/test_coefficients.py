@@ -19,7 +19,6 @@ from infidelay import (
     tail_sum_bound,
     truncation_index,
 )
-from infidelay.coefficients import m_index_is_vacuous
 
 # ---------------------------------------------------------------------------
 # delay schedules
@@ -146,9 +145,6 @@ def test_m_index_frozen_cases():
     fam_half = CoefficientFamily.geometric(1.0, 0.5, DelaySchedule(c=0.5))
     # tau_i = i + 0.5: n(2) = 3, mu = 1.5 - 2.5 = -1, least m with -m < -1 is 2
     assert m_index(fam_half, 2) == 2
-    # n(k) = 1 would need tau_1 >= k*tau_1, impossible for k >= 2
-    assert not m_index_is_vacuous(fam_int, 2)
-    assert not m_index_is_vacuous(fam_half, 2)
 
 
 def test_m_index_requires_k_at_least_two():

@@ -390,6 +390,32 @@ def test_L_functional_error_paths():
         L_functional(phi, CoefficientFamily.explicit_list([0.5], 0.2, DelaySchedule()), 0.0)
 
 
+def test_L_functional_and_p_seminorm_agree_on_divergence():
+    # a shifted polynomial envelope has no exact weight; divergence comes from
+    # |phi| >= 1 on the tail against sum 1/i = infinity, for L as for p_1
+    tail = WeightEnvelopeTail(1.0, WeightFunction.polynomial(1), 0.5)
+    phi = history_from_core([-2.0, 0.0], [[2.5, -1.0, 0.0, 0.0]], tail)
+    assert p_seminorm(phi, HARMONIC, 1).verdict == "divergent"
+    with pytest.raises(DivergentTailError):
+        L_functional(phi, HARMONIC, 0.0)
+
+
+def test_explicit_list_search_stops_at_the_recorded_mass(monkeypatch):
+    # the recorded tail mass 0.2 exceeds eps = 0.1 at every truncation index
+    real, calls = fd.coefficients.tail_sum_bound, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fd.coefficients, "tail_sum_bound", counted)
+    monkeypatch.setattr(fd.history, "tail_sum_bound", counted)
+    fam = CoefficientFamily.explicit_list([0.5], 0.2, DelaySchedule())
+    sv = p_seminorm(history_preset("constant"), fam, 1, eps_tail=0.1)
+    assert sv.verdict == "inconclusive"
+    assert len(calls) <= 3
+
+
 @given(seed=st.integers(0, 40))
 def test_L_functional_is_linear(seed):
     rng = np.random.default_rng(seed)
