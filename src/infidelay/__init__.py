@@ -42,13 +42,11 @@ from .history import (
 from .oracle import OracleConfig, compare_trajectories, oracle_solve
 from .scenario import ScenarioError, list_checks, load_scenario, run_scenario
 from .semigroup import (
-    SemigroupOrbit,
     apply_semigroup,
     check_generator_domain,
     check_mild_solution,
     check_semigroup_law,
     check_strong_continuity,
-    orbit,
 )
 from .stepper import (
     EstimateCertificate,
@@ -79,7 +77,6 @@ __all__ = [
     "OracleConfig",
     "ProblemSpec",
     "ScenarioError",
-    "SemigroupOrbit",
     "SeminormValue",
     "SolverConfig",
     "Trajectory",
@@ -108,7 +105,6 @@ __all__ = [
     "membership_in_F",
     "n_index",
     "oracle_solve",
-    "orbit",
     "p_seminorm",
     "run_scenario",
     "scale_history",

@@ -1,31 +1,21 @@
 """Independent reference integrator used to cross-check the main stepper.
 
 Classical RK4 on x' = a x + F(t) with its own fixed truncation of the
-delayed sum.  It shares with the stepper the problem data types, the
-Trajectory container, the step boundaries, and the window-batched
-evaluation and Hermite storage of the delayed data; the update formula has
-no code in common with the variation-of-constants method, which is what
+delayed sum.  It runs the stepper's window march (stepper._march) with the
+stage points (0, 1/2) of each step, so it shares the step boundaries, the
+batched forcing evaluation and the Hermite storage; its update, _rk4_scan,
+has no code in common with the variation-of-constants scan, which is what
 makes agreement between the two meaningful.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .stepper import (
-    ProblemSpec,
-    SolverConfig,
-    Trajectory,
-    _buffers,
-    _delayed_values,
-    _forcing_index,
-    _store_window,
-    _substeps,
-    _window_forcing,
-)
+from .stepper import ProblemSpec, SolverConfig, Trajectory, _delayed_values, _forcing_index, _march, _start
 
 
 @dataclass(frozen=True)
@@ -52,6 +42,19 @@ def _oracle_truncation(problem: ProblemSpec, config: OracleConfig, horizon: floa
     return _forcing_index(problem, horizon, config.eps_trunc)
 
 
+def _rk4_scan(a: float, x: float, steps: np.ndarray, points: np.ndarray, f: np.ndarray) -> list:
+    """Node values of a window by classical RK4, F at each step's start, midpoint and end."""
+    out = []
+    for dt, g0, gm, g1 in zip(steps.tolist(), *f.T.tolist()):
+        k1 = a * x + g0
+        k2 = a * (x + 0.5 * dt * k1) + gm
+        k3 = a * (x + 0.5 * dt * k2) + gm
+        k4 = a * (x + dt * k3) + g1
+        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(x)
+    return out
+
+
 def oracle_solve(
     problem: ProblemSpec, horizon: float, config: Optional[OracleConfig] = None
 ) -> Trajectory:
@@ -60,53 +63,11 @@ def oracle_solve(
         config = OracleConfig()
     if not (horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
-    a = problem.a
-    phi = problem.history
-    fam = problem.family
-    tau1 = fam.delays.tau1
-    h = config.h_fine if config.h_fine is not None else tau1 / 200.0
-    h = min(h, tau1 / 2.0)
+    tau1 = problem.family.delays.tau1
+    h = min(config.h_fine if config.h_fine is not None else tau1 / 200.0, tau1 / 2.0)
     n = _oracle_truncation(problem, config, horizon)
-    taus = fam.delays.tau_array(n)
-    bs = fam.b_array(n)
-
-    # steps align with the kinks (the t=0 junction echoes at each delay and
-    # at the window boundaries); each window's RK4 stages read only data
-    # from before it, so their forcing is one batch
-    windows = _substeps(0.0, horizon, fam, h)
-    x_zero = phi.value_at_zero()
-    g_zero = _window_forcing(_delayed_values, phi, np.zeros(1), np.zeros((1, 4)), np.zeros(1), taus, bs)
-    start = Trajectory(
-        problem=problem,
-        config=SolverConfig(h=h),
-        grid=np.array([0.0]),
-        values=np.array([x_zero]),
-        derivs=np.array([a * x_zero + g_zero[0]]),
-        pieces=np.zeros((0, 4)),
-        n_forcing=n,
-        h_used=h,
-        eps_forcing_used=0.0,
-    )
-    grid, values, derivs, pieces = _buffers(start, windows)
-
-    m = 1
-    for ends in windows:
-        starts = np.concatenate(([grid[m - 1]], ends[:-1]))
-        dts = ends - starts
-        stages = np.column_stack((starts, starts + 0.5 * dts, ends))
-        g = _window_forcing(_delayed_values, phi, grid[:m], pieces[:m], stages.ravel(), taus, bs)
-        x0 = float(values[m - 1])
-        for r, (dt, g0, gm, g1) in enumerate(zip(dts.tolist(), *g.reshape(-1, 3).T.tolist()), start=m):
-            k1 = a * x0 + g0
-            k2 = a * (x0 + 0.5 * dt * k1) + gm
-            k3 = a * (x0 + 0.5 * dt * k2) + gm
-            k4 = a * (x0 + dt * k3) + g1
-            x0 = x0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            values[r] = x0
-            derivs[r] = a * x0 + g1
-        m = _store_window(grid, values, derivs, pieces, m, ends, dts)
-
-    return replace(start, grid=grid, values=values, derivs=derivs, pieces=pieces[: m - 1])
+    start = _start(problem, SolverConfig(h=h), n, h, 0.0)
+    return _march(start, horizon, _delayed_values, np.array([0.0, 0.5]), _rk4_scan)
 
 
 def compare_trajectories(

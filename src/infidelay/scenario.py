@@ -38,7 +38,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+import re
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -87,26 +88,46 @@ class ScenarioError(Exception):
         self.bare_message = message
 
 
-def _line_of(raw: Optional[str], key: str) -> int:
-    if not raw:
-        return 1
-    needle = f'"{key}"'
-    for i, ln in enumerate(raw.splitlines(), start=1):
-        if needle in ln:
-            return i
-    return 1
+def _line_of(raw: Optional[str], key: str, start: int = 0) -> int:
+    """Line of the first "key" in raw at or after character offset start (1 if none)."""
+    i = raw.find(f'"{key}"', start) if raw else -1
+    return raw.count("\n", 0, i) + 1 if i >= 0 else 1
+
+
+def _entry_offsets(raw: Optional[str], count: int) -> list[int]:
+    """Character offset in raw of each entry of the "checks" list (0 where unknown)."""
+    m = re.search(r'"checks"\s*:\s*\[', raw or "")
+    if m is None:
+        return [0] * count
+    offsets, pos = [], m.end()
+    try:
+        for _ in range(count):
+            pos = re.compile(r"[\s,]*").match(raw, pos).end()
+            offsets.append(pos)
+            pos = json.JSONDecoder().raw_decode(raw, pos)[1]
+    except json.JSONDecodeError:  # raw does not hold the parsed "checks" list
+        return [0] * count
+    return offsets
 
 
 class _Anchored:
-    """Field access over a parsed scenario with line-anchored errors."""
+    """Field access over a parsed scenario with line-anchored errors.
 
-    def __init__(self, data: dict, raw: Optional[str], path: str):
+    Keys are searched from character offset start onward, so a check's
+    parameters anchor inside that check's entry.
+    """
+
+    def __init__(self, data: dict, raw: Optional[str], path: str, start: int = 0):
         self.data = data
         self.raw = raw
         self.path = path
+        self.start = start
+
+    def at(self, start: int) -> "_Anchored":
+        return _Anchored(self.data, self.raw, self.path, start)
 
     def fail(self, message: str, key: str) -> ScenarioError:
-        return ScenarioError(message, self.path, _line_of(self.raw, key))
+        return ScenarioError(message, self.path, _line_of(self.raw, key, self.start))
 
     def _typed(self, v, types, label: str, key: str, items=object):
         """v must be of types and a list's entries of items; floats at any list depth must be finite."""
@@ -136,14 +157,17 @@ _NUM = (int, float)
 
 def _build_weight(cfg: dict, anch: _Anchored) -> WeightFunction:
     form = anch.need(cfg, "form", str, "weight")
-    if form == "constant":
-        return WeightFunction.constant(float(anch.opt(cfg, "level", _NUM, 1.0)))
-    if form == "exponential":
-        if "base" in cfg:
-            return WeightFunction.exponential(base=float(anch.need(cfg, "base", _NUM, "weight")))
-        return WeightFunction.exponential(gamma=float(anch.need(cfg, "gamma", _NUM, "weight")))
-    if form == "polynomial":
-        return WeightFunction.polynomial(int(anch.need(cfg, "degree", _NUM, "weight")))
+    try:
+        if form == "constant":
+            return WeightFunction.constant(float(anch.opt(cfg, "level", _NUM, 1.0)))
+        if form == "exponential":
+            if "base" in cfg:
+                return WeightFunction.exponential(base=float(anch.need(cfg, "base", _NUM, "weight")))
+            return WeightFunction.exponential(gamma=float(anch.need(cfg, "gamma", _NUM, "weight")))
+        if form == "polynomial":
+            return WeightFunction.polynomial(int(anch.need(cfg, "degree", _NUM, "weight")))
+    except ValueError as exc:
+        raise anch.fail(f"weight: {exc}", "form") from exc
     raise anch.fail(f"unknown weight form {form!r}", "form")
 
 
@@ -256,7 +280,8 @@ class _Ctx:
         self.horizon = horizon
         self.solver = solver
         self.tol_scale = tol_scale
-        self.anch = anch  # check parameters are read through the scenario's anchors
+        self.anch = anch  # check parameters are read through the scenario's anchors, at their entry
+        self.files: dict = {}  # report file name -> JSON data, or a writer taking the path
         self._traj = None
 
     def traj(self):
@@ -276,7 +301,7 @@ def _sv_dict(sv) -> dict:
     }
 
 
-def _run_solve(ctx: _Ctx, p: dict, outdir: str) -> dict:
+def _run_solve(ctx: _Ctx, p: dict) -> dict:
     anch = ctx.anch
     expect = anch.opt(p, "expect", str, None)
     pins = [(anch.need(pt, "t", _NUM, "expect_points"), anch.need(pt, "x", _NUM, "expect_points"), anch.opt(pt, "tol", _NUM, 1e-8))
@@ -285,8 +310,8 @@ def _run_solve(ctx: _Ctx, p: dict, outdir: str) -> dict:
         traj = ctx.traj()
     except NotInPhaseSpaceError as exc:
         return {"passed": expect == "not-in-phase-space", "error": str(exc), "expect": expect}
-    traj.write_csv(os.path.join(outdir, "trajectory.csv"))
-    _write_json(os.path.join(outdir, "trajectory.json"), traj.to_json_dict())
+    ctx.files["trajectory.csv"] = traj.write_csv
+    ctx.files["trajectory.json"] = traj.to_json_dict()
     points = []
     ok = True
     for t, want, tol in pins:
@@ -304,7 +329,7 @@ def _run_solve(ctx: _Ctx, p: dict, outdir: str) -> dict:
     }
 
 
-def _run_seminorms(ctx: _Ctx, p: dict, outdir: str) -> dict:
+def _run_seminorms(ctx: _Ctx, p: dict) -> dict:
     k_max = int(ctx.anch.opt(p, "k_max", _NUM, 3))
     eps = ctx.solver.eps_tail_seminorm
     rows = []
@@ -314,7 +339,7 @@ def _run_seminorms(ctx: _Ctx, p: dict, outdir: str) -> dict:
     return {"passed": True, "rows": rows}
 
 
-def _run_membership(ctx: _Ctx, p: dict, outdir: str) -> dict:
+def _run_membership(ctx: _Ctx, p: dict) -> dict:
     k_max = int(ctx.anch.opt(p, "k_max", _NUM, 5))
     expect = ctx.anch.opt(p, "expect", str, "member")
     rep = membership_in_F(ctx.problem.history, ctx.problem.family, k_max, ctx.solver.eps_tail_seminorm)
@@ -326,20 +351,20 @@ def _run_membership(ctx: _Ctx, p: dict, outdir: str) -> dict:
     }
 
 
-def _run_semigroup_law(ctx: _Ctx, p: dict, outdir: str) -> dict:
+def _run_semigroup_law(ctx: _Ctx, p: dict) -> dict:
     anch, tau1 = ctx.anch, ctx.problem.family.delays.tau1
     t = float(anch.opt(p, "t", _NUM, 0.75 * tau1))
     s = float(anch.opt(p, "s", _NUM, 1.25 * tau1))
     k_list = [int(k) for k in anch.opt(p, "k_list", list, [1, 2, 3], items=_NUM)]
     tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
     rep = check_semigroup_law(ctx.problem, t, s, k_list, ctx.solver, ctx.solver.eps_tail_seminorm)
-    out = rep.to_json_dict()
+    out = asdict(rep)
     out["tolerance"] = tol
     out["passed"] = rep.max_discrepancy <= tol
     return out
 
 
-def _run_strong_continuity(ctx: _Ctx, p: dict, outdir: str) -> dict:
+def _run_strong_continuity(ctx: _Ctx, p: dict) -> dict:
     anch, tau1 = ctx.anch, ctx.problem.family.delays.tau1
     k = int(anch.opt(p, "k", _NUM, 2))
     default = [0.1 * tau1, 0.01 * tau1, 0.001 * tau1]
@@ -348,24 +373,24 @@ def _run_strong_continuity(ctx: _Ctx, p: dict, outdir: str) -> dict:
         raise anch.fail(f"times must be strictly decreasing and positive, got {times}", "times")
     thr = anch.opt(p, "threshold", _NUM, None)
     rep = check_strong_continuity(ctx.problem, k, times, ctx.solver, thr if thr is None else float(thr))
-    out = rep.to_json_dict()
+    out = asdict(rep)
     out["passed"] = rep.passed
     return out
 
 
-def _run_mild_solution(ctx: _Ctx, p: dict, outdir: str) -> dict:
+def _run_mild_solution(ctx: _Ctx, p: dict) -> dict:
     anch, tau1 = ctx.anch, ctx.problem.family.delays.tau1
     span = min(ctx.horizon, 2.0 * tau1)
     ts = [float(v) for v in anch.opt(p, "t_grid", list, list(np.linspace(0.0, span, 5)), items=_NUM)]
     thetas = [float(v) for v in anch.opt(p, "theta_grid", list, [-2.0 * tau1, -tau1, -0.5 * tau1, -0.1 * tau1, 0.0], items=_NUM)]
     tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
     rep = check_mild_solution(ctx.problem, ts, thetas, ctx.solver, tol)
-    out = rep.to_json_dict()
+    out = asdict(rep)
     out["passed"] = rep.passed
     return out
 
 
-def _run_estimates(ctx: _Ctx, p: dict, outdir: str) -> dict:
+def _run_estimates(ctx: _Ctx, p: dict) -> dict:
     anch, tau1 = ctx.anch, ctx.problem.family.delays.tau1
     k_top = int(anch.opt(p, "k", _NUM, anch.opt(p, "k_max", _NUM, min(3, int(math.floor(ctx.horizon / tau1 + 1e-12))))))
     k_list = [int(k) for k in anch.opt(p, "k_list", list, range(1, k_top + 1), items=_NUM)]
@@ -377,7 +402,7 @@ def _run_estimates(ctx: _Ctx, p: dict, outdir: str) -> dict:
     }
 
 
-def _run_cg_embedding(ctx: _Ctx, p: dict, outdir: str) -> dict:
+def _run_cg_embedding(ctx: _Ctx, p: dict) -> dict:
     anch = ctx.anch
     wcfg = anch.opt(p, "weight", dict, anch.opt(p, "g", dict, {"form": "exponential", "base": 2.0}))
     g = _build_weight(wcfg, anch)
@@ -395,11 +420,11 @@ def _run_cg_embedding(ctx: _Ctx, p: dict, outdir: str) -> dict:
         "holds": rep.holds,
         "cg_norm": rep.cg,
         "expect": expect,
-        "rows": [{"k": r.k, "lhs": r.lhs, "rhs": r.rhs, "holds": r.holds} for r in rep.rows],
+        "rows": [asdict(r) for r in rep.rows],
     }
 
 
-def _run_oracle_compare(ctx: _Ctx, p: dict, outdir: str) -> dict:
+def _run_oracle_compare(ctx: _Ctx, p: dict) -> dict:
     anch = ctx.anch
     tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
     ocfg = OracleConfig(
@@ -480,8 +505,8 @@ def run_scenario(
 ) -> ScenarioResult:
     """Validate, run every listed check, and write the report tree.
 
-    Raises ScenarioError for schema problems; check failures only lower
-    the result's passed flag.
+    Raises ScenarioError for schema problems, before anything is written;
+    check failures only lower the result's passed flag.
     """
     anch = _Anchored(data, raw, path)
     name = anch.need(data, "name", str, "scenario")
@@ -496,7 +521,7 @@ def run_scenario(
     solver = _build_solver(anch.opt(data, "solver", dict, {}), anch)
 
     normalized = []
-    for entry in checks_cfg:
+    for entry, start in zip(checks_cfg, _entry_offsets(raw, len(checks_cfg))):
         if isinstance(entry, str):
             cname, params = entry, {}
         elif isinstance(entry, dict) and isinstance(entry.get("name"), str):
@@ -506,20 +531,18 @@ def run_scenario(
             raise anch.fail(f"check entries must be a name or an object with a name, got {entry!r}", "checks")
         if cname not in CHECK_RUNNERS:
             raise anch.fail(f"unknown check {cname!r}", "checks")
-        normalized.append((cname, params))
+        normalized.append((cname, params, start))
 
-    outdir = os.path.join(out_root, _safe_name(name))
-    os.makedirs(outdir, exist_ok=True)
     ctx = _Ctx(ProblemSpec(a, family, history), horizon, solver, tolerance_scale, anch)
-
     results = []
-    for idx, (cname, params) in enumerate(normalized, start=1):
+    for idx, (cname, params, start) in enumerate(normalized, start=1):
+        ctx.anch = anch.at(start)
         try:
-            res = CHECK_RUNNERS[cname](ctx, params, outdir)
+            res = CHECK_RUNNERS[cname](ctx, params)
         except (NotInPhaseSpaceError, DivergentTailError, UnknownTailError, TruncationDepthError, ValueError) as exc:
             res = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
         fname = f"{idx:02d}-{cname}.json"
-        _write_json(os.path.join(outdir, fname), res)
+        ctx.files[fname] = res
         results.append({"name": cname, "passed": bool(res.get("passed", False)), "file": fname})
 
     passed = all(r["passed"] for r in results)
@@ -531,5 +554,12 @@ def run_scenario(
         "tolerance_scale": tolerance_scale,
         "scenario": data,
     }
-    _write_json(os.path.join(outdir, "summary.json"), summary)
+    ctx.files["summary.json"] = summary
+    outdir = os.path.join(out_root, _safe_name(name))
+    os.makedirs(outdir, exist_ok=True)
+    for fname, content in ctx.files.items():
+        if callable(content):
+            content(os.path.join(outdir, fname))
+        else:
+            _write_json(os.path.join(outdir, fname), content)
     return ScenarioResult(name, passed, tuple(r["name"] for r in results), outdir)

@@ -33,21 +33,7 @@ from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, derivative_coeffs, piece_ind
 from .stepper import ProblemSpec, SolverConfig, Trajectory, solve
 
 
-@dataclass(frozen=True)
-class SemigroupOrbit:
-    """A problem together with its computed trajectory up to some horizon."""
-
-    problem: ProblemSpec
-    trajectory: Trajectory
-
-
-def orbit(
-    problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] = None
-) -> SemigroupOrbit:
-    return SemigroupOrbit(problem, solve(problem, horizon, config))
-
-
-def apply_semigroup(orb: SemigroupOrbit, t: float) -> HistoryFunction:
+def apply_semigroup(traj: Trajectory, t: float) -> HistoryFunction:
     """The shifted state S_t phi as a history function.
 
     t = 0 returns phi itself.  For t > 0 the new core is phi's core with
@@ -57,12 +43,11 @@ def apply_semigroup(orb: SemigroupOrbit, t: float) -> HistoryFunction:
     """
     if t < 0.0:
         raise ValueError(f"semigroup times must be >= 0, got {t}")
-    phi = orb.problem.history
-    traj = orb.trajectory
+    phi = traj.problem.history
     if t == 0.0:
         return phi
     if t > traj.horizon + 1e-9:
-        raise ValueError(f"orbit computed to {traj.horizon}, cannot shift by {t}")
+        raise ValueError(f"trajectory computed to {traj.horizon}, cannot shift by {t}")
     t = min(t, traj.horizon)
     inner = traj.grid[(traj.grid > 1e-15) & (traj.grid < t - 1e-15)]
     n_piece = len(inner) + 1  # pieces of the trajectory below t
@@ -92,15 +77,6 @@ class SemigroupLawReport:
     rows: tuple
     max_discrepancy: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "s": self.s,
-            "rows": [
-                {"k": r.k, "sup_diff": r.sup_diff, "p_diff": r.p_diff} for r in self.rows
-            ],
-            "max_discrepancy": self.max_discrepancy,
-        }
 
 
 def check_semigroup_law(
@@ -119,11 +95,10 @@ def check_semigroup_law(
     """
     if t < 0.0 or s < 0.0:
         raise ValueError("semigroup times must be >= 0")
-    orb = orbit(problem, t + s if t + s > 0 else problem.family.delays.tau1, config)
-    lhs = apply_semigroup(orb, t + s)
-    psi = apply_semigroup(orb, s)
-    orb2 = orbit(ProblemSpec(problem.a, problem.family, psi), max(t, 1e-12), config)
-    rhs = apply_semigroup(orb2, t)
+    traj = solve(problem, t + s if t + s > 0 else problem.family.delays.tau1, config)
+    lhs = apply_semigroup(traj, t + s)
+    psi = apply_semigroup(traj, s)
+    rhs = apply_semigroup(solve(ProblemSpec(problem.a, problem.family, psi), max(t, 1e-12), config), t)
     diff = history_difference(lhs, rhs)
     rows = []
     worst = 0.0
@@ -157,18 +132,6 @@ class StrongContinuityReport:
     final_ok: bool
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "times": list(self.times),
-            "distances": list(self.distances),
-            "p_distances": list(self.p_distances),
-            "lipschitz": self.lipschitz,
-            "threshold": self.threshold,
-            "monotone": self.monotone,
-            "final_ok": self.final_ok,
-            "passed": self.passed,
-        }
 
 
 def check_strong_continuity(
@@ -188,16 +151,16 @@ def check_strong_continuity(
     ts = [float(v) for v in t_sequence]
     if not ts or any(v <= 0.0 for v in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("need a strictly decreasing sequence of positive times")
-    orb = orbit(problem, ts[0], config)
+    traj = solve(problem, ts[0], config)
     phi = problem.history
     eps_tail = (config.eps_tail_seminorm if config is not None else 1e-10)
     dists = []
     p_dists = []
     for t in ts:
-        diff = history_difference(apply_semigroup(orb, t), phi)
+        diff = history_difference(apply_semigroup(traj, t), phi)
         dists.append(sup_norm_k(diff, k))
         p_dists.append(p_seminorm(diff, problem.family, k, eps_tail).upper())
-    lip = max(_traj_slope_sup(orb.trajectory, 0.0, ts[0]), phi.core_slope_sup())
+    lip = max(_traj_slope_sup(traj, 0.0, ts[0]), phi.core_slope_sup())
     thr = threshold if threshold is not None else 1e-2 * (1.0 + lip)
     monotone = all(b <= a + 1e-10 for a, b in zip(dists, dists[1:]))
     final_ok = dists[-1] <= thr
@@ -226,13 +189,6 @@ class MildSolutionReport:
     n_points: int
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "n_points": self.n_points,
-            "passed": self.passed,
-        }
 
 
 def check_mild_solution(
@@ -255,8 +211,7 @@ def check_mild_solution(
     thetas = [float(v) for v in theta_grid]
     if ts and ts[0] < 0.0:
         raise ValueError("t grid must be nonnegative")
-    orb = orbit(problem, max(ts[-1], problem.family.delays.tau1), config)
-    traj = orb.trajectory
+    traj = solve(problem, max(ts[-1], problem.family.delays.tau1), config)
     phi = problem.history
     phi0 = phi.value_at_zero()
     fam = problem.family
@@ -264,7 +219,7 @@ def check_mild_solution(
 
     def L_at(svals: np.ndarray) -> np.ndarray:
         return np.array(
-            [L_functional(apply_semigroup(orb, float(sv)), fam, a, eps_l).value for sv in svals]
+            [L_functional(apply_semigroup(traj, float(sv)), fam, a, eps_l).value for sv in svals]
         )
 
     r_max = max((t + th for t in ts for th in thetas), default=0.0)
@@ -287,7 +242,7 @@ def check_mild_solution(
     worst = 0.0
     count = 0
     for t in ts:
-        psi = apply_semigroup(orb, t)
+        psi = apply_semigroup(traj, t)
         for th in thetas:
             r = t + th
             count += 1
@@ -313,15 +268,6 @@ class GeneratorDomainReport:
     slope_at_zero: float
     derivative_membership: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "violation": self.violation,
-            "l_value": self.l_value,
-            "l_error_bound": self.l_error_bound,
-            "slope_at_zero": self.slope_at_zero,
-            "derivative_membership": self.derivative_membership,
-        }
 
 
 def check_generator_domain(

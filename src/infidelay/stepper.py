@@ -14,16 +14,18 @@ and slopes.
 Step boundaries are forced at every multiple of tau_1 and at every delay
 tau_i <= T, where the solution loses one order of smoothness.
 
-The march runs one window [k tau_1, (k+1) tau_1] at a time.  Every delay is
-at least tau_1, so F on the window reads x only on (-inf, k tau_1]: the
-forcing at all quadrature nodes and step ends of the window is one batched
-evaluation of a (points x N) argument matrix, taken in row chunks of at
-most _CHUNK_TERMS terms, after which the variation-of-constants update is
-a scalar scan.  While the batch is evaluated, the piece row after the last
-node holds the pending piece (x, x', 0, 0), so an argument at that node,
-or one rounding step past it, reads the node data exactly as a finished
-piece starting there would.  solve and step_interval share this march
-(_advance).
+The march (_march) runs one window [k tau_1, (k+1) tau_1] at a time.
+Every delay is at least tau_1, so F on the window reads x only on
+(-inf, k tau_1]: the forcing at every step's nodes starts + steps * nodes
+and at the step ends is one batched evaluation of a (points x N) argument
+matrix, taken in row chunks of at most _CHUNK_TERMS terms.  A scan then
+turns the batch into the window's node values: _voc_scan, the
+variation-of-constants update under the quadrature rule, for solve and
+step_interval; the oracle passes its RK4 scan.  The slopes are
+a x + F at the step ends.  While the batch is evaluated, the piece row
+after the last node holds the pending piece (x, x', 0, 0), so an argument
+at that node, or one rounding step past it, reads the node data exactly as
+a finished piece starting there would.
 
 A Trajectory records in certified_k how many leading windows have p_k
 certified finite under its config's eps_tail_seminorm; step_interval
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -346,11 +349,28 @@ def _store_window(grid, values, derivs, pieces, m: int, ends: np.ndarray, steps:
     return m_new
 
 
-def _advance(traj: Trajectory, t_end: float) -> Trajectory:
-    """traj marched on from its horizon to t_end, one tau_1-window at a time."""
+def _voc_scan(
+    weights: np.ndarray, a: float, x: float, steps: np.ndarray, points: np.ndarray, f: np.ndarray
+) -> list:
+    """Node values of a window by variation of constants, the integral by the quadrature weights."""
+    weighted = np.exp(a * (points[:, -1:] - points[:, :-1])) * f[:, :-1]
+    out = []
+    for step, row in zip(steps.tolist(), weighted):
+        x = x * math.exp(a * step) + step * float(np.dot(weights, row))
+        out.append(x)
+    return out
+
+
+def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, scan) -> Trajectory:
+    """traj marched on from its horizon to t_end, one tau_1-window at a time.
+
+    Each window's forcing is one batch at starts + steps * nodes and at the
+    step ends; scan(a, x, steps, points, f) returns the window's node values
+    from the last node value x.  delayed_values is the caller's
+    _delayed_values.
+    """
     problem = traj.problem
     a = problem.a
-    nodes, weights = QUAD_RULES[traj.config.quad]
     taus = problem.family.delays.tau_array(traj.n_forcing)
     bs = problem.family.b_array(traj.n_forcing)
     windows = _substeps(traj.horizon, t_end, problem.family, traj.h_used)
@@ -359,19 +379,44 @@ def _advance(traj: Trajectory, t_end: float) -> Trajectory:
     for ends in windows:
         starts = np.concatenate(([grid[m - 1]], ends[:-1]))
         steps = ends - starts
-        s_q = starts[:, None] + steps[:, None] * nodes
-        points = np.concatenate((s_q, ends[:, None]), axis=1)
+        points = np.concatenate((starts[:, None] + steps[:, None] * nodes, ends[:, None]), axis=1)
         f = _window_forcing(
-            _delayed_values, problem.history, grid[:m], pieces[:m], points.ravel(), taus, bs
+            delayed_values, problem.history, grid[:m], pieces[:m], points.ravel(), taus, bs
         ).reshape(points.shape)
-        weighted = np.exp(a * (ends[:, None] - s_q)) * f[:, :-1]
-        x = float(values[m - 1])
-        for r, (step, f1) in enumerate(zip(steps.tolist(), f[:, -1].tolist()), start=m):
-            x = x * math.exp(a * step) + step * float(np.dot(weights, weighted[r - m]))
-            values[r] = x
-            derivs[r] = a * x + f1
+        new = slice(m, m + len(ends))
+        values[new] = scan(a, float(values[m - 1]), steps, points, f)
+        derivs[new] = a * values[new] + f[:, -1]
         m = _store_window(grid, values, derivs, pieces, m, ends, steps)
     return replace(traj, grid=grid, values=values, derivs=derivs, pieces=pieces[: m - 1])
+
+
+def _advance(traj: Trajectory, t_end: float) -> Trajectory:
+    """traj marched on to t_end by variation of constants under its config's quadrature rule."""
+    nodes, weights = QUAD_RULES[traj.config.quad]
+    return _march(traj, t_end, _delayed_values, nodes, partial(_voc_scan, weights))
+
+
+def _start(
+    problem: ProblemSpec, config: SolverConfig, n_forcing: int, h: float, eps_f: float, certified_k: int = 0
+) -> Trajectory:
+    """The one-node trajectory at t = 0: x(0) = phi(0), x'(0) = a phi(0) + F(0)."""
+    phi0 = problem.history.value_at_zero()
+    f0 = 0.0
+    if n_forcing > 0:
+        taus = problem.family.delays.tau_array(n_forcing)
+        f0 = float(np.dot(problem.family.b_array(n_forcing), problem.history.evaluate(-taus)))
+    return Trajectory(
+        problem=problem,
+        config=config,
+        grid=np.array([0.0]),
+        values=np.array([phi0]),
+        derivs=np.array([problem.a * phi0 + f0]),
+        pieces=np.zeros((0, 4)),
+        n_forcing=n_forcing,
+        h_used=h,
+        eps_forcing_used=eps_f,
+        certified_k=certified_k,
+    )
 
 
 def _solve(problem: ProblemSpec, horizon: float, config: SolverConfig, certified_k: int) -> Trajectory:
@@ -386,27 +431,7 @@ def _solve(problem: ProblemSpec, horizon: float, config: SolverConfig, certified
     )
     certified_k = _check_membership(problem, horizon, config.eps_tail_seminorm, certified_k)
     n_forcing = _certify_forcing(problem, horizon, eps_f)
-
-    phi0 = problem.history.value_at_zero()
-    if n_forcing > 0:
-        taus = problem.family.delays.tau_array(n_forcing)
-        bs = problem.family.b_array(n_forcing)
-        f0 = float(np.dot(bs, problem.history.evaluate(-taus)))
-    else:
-        f0 = 0.0
-    start = Trajectory(
-        problem=problem,
-        config=config,
-        grid=np.array([0.0]),
-        values=np.array([phi0]),
-        derivs=np.array([problem.a * phi0 + f0]),
-        pieces=np.zeros((0, 4)),
-        n_forcing=n_forcing,
-        h_used=h,
-        eps_forcing_used=eps_f,
-        certified_k=certified_k,
-    )
-    return _advance(start, horizon)
+    return _advance(_start(problem, config, n_forcing, h, eps_f, certified_k), horizon)
 
 
 def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] = None) -> Trajectory:

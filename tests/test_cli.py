@@ -207,6 +207,23 @@ def _set_coeffs_nan(cfg):
     cfg["problem"]["family"]["coeffs"][0] = math.nan
 
 
+def _files_under(root):
+    return [os.path.join(d, f) for d, _, fs in os.walk(root) for f in fs]
+
+
+def _set_weight_base_zero(cfg):
+    _params(cfg, "cg-embedding")["weight"] = {"form": "exponential", "base": 0}
+
+
+def _set_weight_degree_negative(cfg):
+    _params(cfg, "cg-embedding")["weight"] = {"form": "polynomial", "degree": -1}
+
+
+def _set_oracle_tolerance_string(cfg):
+    # "tolerance" is also a key of the earlier mild-solution entry
+    _params(cfg, "oracle-compare")["tolerance"] = "x"
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -223,6 +240,9 @@ def _set_coeffs_nan(cfg):
         _set_times_increasing,
         _set_weight_string,
         _set_coeffs_nan,
+        _set_weight_base_zero,
+        _set_weight_degree_negative,
+        _set_oracle_tolerance_string,
     ],
 )
 def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
@@ -238,6 +258,12 @@ def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
     assert f"{path}:" in captured.out
     assert "<params>" not in captured.out
     assert "Traceback" not in captured.out + captured.err
+    assert _files_under(tmp_path / "out") == []
+    if mutate is _set_oracle_tolerance_string:
+        line = int(captured.out.split(f"{path}:")[1].split(":")[0])
+        lines = path.read_text().splitlines()
+        entry = next(i for i, ln in enumerate(lines, start=1) if '"oracle-compare"' in ln)
+        assert entry <= line and '"tolerance"' in lines[line - 1], (line, entry)
 
 
 def _bundled_cfg(name):
@@ -277,7 +303,10 @@ def test_fuzzed_bundled_scenarios_exit_with_a_code(site, value):
         with open(scen, "w") as fh:
             json.dump(cfg, fh, indent=2)
         code = main(["run", scen, "--out", os.path.join(tmp, "out")])
+        written = _files_under(os.path.join(tmp, "out"))
     assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_SCHEMA_ERROR)
+    if code == EXIT_SCHEMA_ERROR:
+        assert written == []
 
 
 def test_unknown_scenario_name_lists_bundled(tmp_path, capsys):

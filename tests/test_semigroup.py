@@ -1,5 +1,6 @@
 """Solution operator S_t: splicing, composition, continuity, mild form, generator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from infidelay import (
     history_from_callable,
     history_from_core,
     history_preset,
-    orbit,
+    solve,
     sup_norm_k,
 )
 from conftest import classic_problem, random_core_history
@@ -44,13 +45,13 @@ def geometric_problem() -> ProblemSpec:
 
 
 def test_time_zero_is_the_identity():
-    orb = orbit(classic_problem(), 1.0)
-    assert apply_semigroup(orb, 0.0) is orb.problem.history
+    traj = solve(classic_problem(), 1.0)
+    assert apply_semigroup(traj, 0.0) is traj.problem.history
 
 
 def test_classic_shift_by_one_is_minus_theta():
-    orb = orbit(classic_problem(), 2.0)
-    s1 = apply_semigroup(orb, 1.0)
+    traj = solve(classic_problem(), 2.0)
+    s1 = apply_semigroup(traj, 1.0)
     thetas = np.linspace(-1.0, 0.0, 101)
     assert np.max(np.abs(s1.evaluate(thetas) + thetas)) < 1e-9
     # beyond one unit into the past the shifted state replays the history
@@ -59,26 +60,26 @@ def test_classic_shift_by_one_is_minus_theta():
 
 
 def test_stationary_state_never_moves():
-    orb = orbit(stationary_problem(), 2.0)
+    traj = solve(stationary_problem(), 2.0)
     for t in (0.3, 0.7, 1.9):
-        st_phi = apply_semigroup(orb, t)
+        st_phi = apply_semigroup(traj, t)
         assert np.max(np.abs(st_phi.evaluate(np.linspace(-20, 0, 200)) - 5.0)) == 0.0
 
 
 def test_shift_beyond_orbit_horizon_raises():
-    orb = orbit(classic_problem(), 1.0)
+    traj = solve(classic_problem(), 1.0)
     with pytest.raises(ValueError):
-        apply_semigroup(orb, 1.5)
+        apply_semigroup(traj, 1.5)
     with pytest.raises(ValueError):
-        apply_semigroup(orb, -0.1)
+        apply_semigroup(traj, -0.1)
 
 
 def test_shift_replays_trajectory_values():
-    orb = orbit(classic_problem(), 2.0)
-    s = apply_semigroup(orb, 1.5)
+    traj = solve(classic_problem(), 2.0)
+    s = apply_semigroup(traj, 1.5)
     for theta in (-0.2, -0.7, -1.2):
         # same Hermite rows, re-anchored at translated knots: equal to rounding
-        assert abs(s.evaluate(theta) - orb.trajectory.eval(1.5 + theta)) < 1e-12
+        assert abs(s.evaluate(theta) - traj.eval(1.5 + theta)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +108,7 @@ def test_law_geometric_one_plus_one():
 def test_law_report_shape_and_json():
     rep = check_semigroup_law(classic_problem(), 0.75, 1.25, k_list=(1, 2, 3))
     assert [r.k for r in rep.rows] == [1, 2, 3]
-    d = rep.to_json_dict()
+    d = dataclasses.asdict(rep)
     assert d["t"] == 0.75 and d["s"] == 1.25
     assert len(d["rows"]) == 3
     assert d["max_discrepancy"] == rep.max_discrepancy
@@ -259,9 +260,9 @@ def test_semigroup_is_linear(alpha, beta, seed):
     a = -0.2
     t = 1.3
     combo = combine_histories(alpha, phi, beta, psi)
-    orb_c = orbit(ProblemSpec(a, fam, combo), t)
-    orb_1 = orbit(ProblemSpec(a, fam, phi), t)
-    orb_2 = orbit(ProblemSpec(a, fam, psi), t)
+    orb_c = solve(ProblemSpec(a, fam, combo), t)
+    orb_1 = solve(ProblemSpec(a, fam, phi), t)
+    orb_2 = solve(ProblemSpec(a, fam, psi), t)
     lhs = apply_semigroup(orb_c, t)
     rhs = combine_histories(alpha, apply_semigroup(orb_1, t), beta, apply_semigroup(orb_2, t))
     diff = fd.history_difference(lhs, rhs)

@@ -160,14 +160,15 @@ def test_step_interval_extends_bit_identically():
     assert compare_trajectories(extended, direct, (0.0, 3.0)) == 0.0
 
 
-@pytest.mark.parametrize("quad", ["gauss4", "simpson"])
-def test_node_slopes_match_the_forcing_exactly(quad):
+@pytest.mark.parametrize("run", ["gauss4", "simpson", "oracle"])
+def test_node_slopes_match_the_forcing_exactly(run):
     # every node slope comes from a window-batched forcing evaluation; it
     # must equal a single-point evaluation over the finished trajectory
     # bit for bit, including the step ends where t - tau_1 is the node the
-    # window started from
+    # window started from; the RK4 oracle shares that march
     for p in oracle_scenarios() + [classic_problem()]:
-        traj = solve(p, 10.0 * p.family.delays.tau1, SolverConfig(quad=quad))
+        horizon = 10.0 * p.family.delays.tau1
+        traj = fd.oracle_solve(p, horizon) if run == "oracle" else solve(p, horizon, SolverConfig(quad=run))
         for j in range(1, len(traj.grid)):
             assert traj.derivs[j] == p.a * traj.values[j] + forcing(traj, traj.grid[j]), (p, j)
 
