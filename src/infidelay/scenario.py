@@ -383,6 +383,10 @@ def _run_mild_solution(ctx: _Ctx, p: dict) -> dict:
     span = min(ctx.horizon, 2.0 * tau1)
     ts = [float(v) for v in anch.opt(p, "t_grid", list, list(np.linspace(0.0, span, 5)), items=_NUM)]
     thetas = [float(v) for v in anch.opt(p, "theta_grid", list, [-2.0 * tau1, -tau1, -0.5 * tau1, -0.1 * tau1, 0.0], items=_NUM)]
+    if not ts or min(ts) < 0.0:
+        raise anch.fail(f"t_grid must be a nonempty list of times >= 0, got {ts}", "t_grid")
+    if not thetas or max(thetas) > 0.0:
+        raise anch.fail(f"theta_grid must be a nonempty list of values <= 0, got {thetas}", "theta_grid")
     tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
     rep = check_mild_solution(ctx.problem, ts, thetas, ctx.solver, tol)
     out = asdict(rep)

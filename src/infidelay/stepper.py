@@ -183,20 +183,22 @@ def _delayed_values(
     return out
 
 
-def forcing(traj: Trajectory, t: float, eps: Optional[float] = None) -> float:
+def forcing(traj: Trajectory, t, eps: Optional[float] = None):
     """The delayed forcing F(t) = sum_{i<=N} b_i x(t - tau_i) along traj.
 
     N is the trajectory's certified truncation index (or a fresh one for an
-    explicit eps).  Valid for t in [0, horizon].
+    explicit eps).  Valid for t in [0, horizon].  t is a time (the result is
+    a float) or an array of times, evaluated as one (points x N) batch whose
+    entries equal the scalar results bit for bit.
     """
     prob = traj.problem
     n = traj.n_forcing if eps is None else _forcing_index(prob, traj.horizon, eps)
-    if n == 0:
-        return 0.0
-    taus = prob.family.delays.tau_array(n)
-    bs = prob.family.b_array(n)
-    vals = _delayed_values(prob.history, traj.grid, traj.pieces, float(t) - taus)
-    return float(np.dot(bs, vals))
+    ts = np.asarray(t, dtype=float)
+    out = _window_forcing(
+        _delayed_values, prob.history, traj.grid, traj.pieces, ts.ravel(),
+        prob.family.delays.tau_array(n), prob.family.b_array(n),
+    )
+    return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
 def _forcing_index(problem: ProblemSpec, horizon: float, eps: float) -> int:

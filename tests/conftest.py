@@ -124,3 +124,9 @@ def classic_exact(t: float) -> float:
     if t <= 3.0:
         return 1.0 - t + (t - 1.0) ** 2 / 2.0 - (t - 2.0) ** 3 / 6.0
     raise ValueError("analytic reference derived only through t = 3")
+
+
+def sweep_problems() -> list[fd.ProblemSpec]:
+    """oracle_scenarios(), semigroup_scenarios(), the classic problem and six random problems."""
+    rng = np.random.default_rng(6)
+    return oracle_scenarios() + semigroup_scenarios() + [classic_problem()] + [random_problem(rng) for _ in range(6)]

@@ -195,6 +195,22 @@ def _set_t_grid_null(cfg):
     _params(cfg, "mild-solution")["t_grid"] = [None]
 
 
+def _set_t_grid_empty(cfg):
+    _params(cfg, "mild-solution")["t_grid"] = []
+
+
+def _set_t_grid_negative(cfg):
+    _params(cfg, "mild-solution")["t_grid"] = [-1.0]
+
+
+def _set_theta_grid_empty(cfg):
+    _params(cfg, "mild-solution")["theta_grid"] = []
+
+
+def _set_theta_grid_positive(cfg):
+    _params(cfg, "mild-solution")["theta_grid"] = [0.5]
+
+
 def _set_times_increasing(cfg):
     _params(cfg, "strong-continuity")["times"] = [0.1, 0.2]
 
@@ -237,6 +253,10 @@ def _set_oracle_tolerance_string(cfg):
         _set_k_list_null,
         _set_k_max_null,
         _set_t_grid_null,
+        _set_t_grid_empty,
+        _set_t_grid_negative,
+        _set_theta_grid_empty,
+        _set_theta_grid_positive,
         _set_times_increasing,
         _set_weight_string,
         _set_coeffs_nan,

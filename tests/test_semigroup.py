@@ -25,7 +25,7 @@ from infidelay import (
     solve,
     sup_norm_k,
 )
-from conftest import classic_problem, random_core_history
+from conftest import classic_problem, random_core_history, sweep_problems
 
 DS = DelaySchedule()
 
@@ -181,6 +181,43 @@ def test_mild_identity_degenerate_region_is_structural():
     # t + theta <= 0 compares the splice against the history directly
     rep = check_mild_solution(classic_problem(), [0.25], [-2.0, -1.0, -0.5])
     assert rep.max_residual < 1e-12
+
+
+def test_mild_batch_agrees_with_L_on_the_splice():
+    # the batched integrand a x(t) + F(t) against L_functional(S_t phi) at
+    # every t of the grid, within the two truncation remainders and rounding
+    for p in sweep_problems():
+        tau1 = p.family.delays.tau1
+        rep = check_mild_solution(p, np.linspace(0.0, 2.0 * tau1, 5), [-2.0 * tau1, -tau1, -0.1 * tau1, 0.0])
+        assert rep.l_gap <= rep.l_bound, p
+        assert rep.l_bound >= rep.eps_l == 1e-10 and rep.quad == "gauss4" and rep.n_terms >= 1
+
+
+def test_mild_check_fails_on_a_perturbed_trajectory(monkeypatch):
+    # a trajectory that leaves the equation on one piece must fail: the
+    # residual has to depend on the integrand along the orbit
+    from infidelay import semigroup
+
+    def perturbed(problem, horizon, config=None):
+        # x raised by 1e-4 from the middle node on; a ramp on the piece
+        # before it keeps the pieces continuous, so the splices stay valid
+        traj = solve(problem, horizon, config)
+        pieces = traj.pieces.copy()
+        j = len(pieces) // 2
+        pieces[j - 1, 1] += 1e-4 / (traj.grid[j] - traj.grid[j - 1])
+        pieces[j:, 0] += 1e-4
+        return dataclasses.replace(traj, pieces=pieces)
+
+    args = (classic_problem(), np.linspace(0.0, 2.0, 9), [-1.0, -0.5, -0.25, 0.0])
+    assert check_mild_solution(*args).passed
+    monkeypatch.setattr(semigroup, "solve", perturbed)
+    assert not check_mild_solution(*args).passed
+
+
+@pytest.mark.parametrize("ts, thetas", [([], [0.0]), ([1.0], []), ([1.0], [0.5])])
+def test_mild_rejects_empty_grids_and_positive_theta(ts, thetas):
+    with pytest.raises(ValueError):
+        check_mild_solution(classic_problem(), ts, thetas)
 
 
 # ---------------------------------------------------------------------------

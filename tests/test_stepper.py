@@ -20,7 +20,7 @@ from infidelay import (
     solve,
     step_interval,
 )
-from conftest import classic_exact, classic_problem, oracle_scenarios
+from conftest import classic_exact, classic_problem, oracle_scenarios, sweep_problems
 
 DS = DelaySchedule()
 
@@ -60,6 +60,23 @@ def test_forcing_geometric_certified_sum():
     traj = solve(geometric_problem(), 1.0)
     # at t=0 every delayed value is phi(-tau_i)=1: F(0) = sum 2^-i = 1
     assert abs(forcing(traj, 0.0) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("eps", [None, 1e-12])
+def test_forcing_batch_equals_pointwise(monkeypatch, eps):
+    # an array of times is one (points x N) batch, taken in row chunks; each
+    # entry must equal the single-point evaluation bit for bit
+    rng = np.random.default_rng(11)
+    for p in sweep_problems():
+        horizon = 3.0 * p.family.delays.tau1
+        traj = solve(p, horizon)
+        ts = np.concatenate([traj.grid[::3], rng.uniform(0.0, horizon, 20)])
+        pointwise = [forcing(traj, t, eps) for t in ts]
+        assert isinstance(pointwise[0], float)
+        assert np.array_equal(forcing(traj, ts, eps), pointwise), p
+        with monkeypatch.context() as m:
+            m.setattr(fd.stepper, "_CHUNK_TERMS", 64)
+            assert np.array_equal(forcing(traj, ts, eps), pointwise), p
 
 
 # ---------------------------------------------------------------------------
