@@ -411,12 +411,16 @@ def _atom_tail_search(
 ) -> tuple[int, float]:
     """Least N >= n_floor with sum_s s * tail_sum_bound(family, w, N+1) <= eps over atoms (s, w).
 
-    Doubling, then bisection.  Returns (N, achieved_bound).  Raises
-    UnknownTailError when an atom bound is infinite or not certifiable, or
-    when an explicit list's recorded tail mass alone exceeds eps, and
-    TruncationDepthError past the cap.
+    Doubling, then bisection.  Returns (N, achieved_bound).  For a
+    finite-support family n_floor is first lowered to the last nonzero b_i,
+    where the remainder is exactly 0.  Raises UnknownTailError when an atom
+    bound is infinite or not certifiable, or when an explicit list's
+    recorded tail mass alone exceeds eps, and TruncationDepthError past the
+    cap.
     """
     live = [(s, w) for (s, w) in atoms if s != 0.0]
+    if family.kind == "finite-support":
+        n_floor = min(n_floor, max((i for i, b in enumerate(family.coeffs, 1) if b != 0.0), default=0))
 
     def tb(n: int) -> float:
         total = 0.0
@@ -453,7 +457,7 @@ def _atom_tail_search(
 
 
 def truncation_index(family: CoefficientFamily, weight: WeightFunction, eps: float) -> int:
-    """Least N >= 1 whose discarded weighted tail is certified <= eps.
+    """Least N >= 1 whose discarded weighted tail is certified <= eps (0 when every b_i is 0).
 
     That is, the smallest N with tail_sum_bound(family, weight, N+1) <= eps.
     Raises DivergentTailError when the series is certified divergent,

@@ -47,7 +47,27 @@ Atom = tuple[float, WeightFunction]
 
 # ---------------------------------------------------------------------------
 # tail models
+#
+# Every model takes sup_abs(lo, hi) over one window or over arrays of
+# windows.  moment(taus, bs) returns tail_sums(s, m) = sum_{j >= m} bs[j] *
+# tail(s - taus[j]) (0-based j, s and m arrays, m <= len(bs)) from suffix sums
+# over the delays, or None when the model has no closed-form moment.
 # ---------------------------------------------------------------------------
+
+#: ExpTail moments need e^{rate * tau_N} and e^{-rate * tau_N} as normal floats
+_EXP_MOMENT_REACH = 700.0
+
+
+def _per_window(lo, sups):
+    """sups as a float for one window, as an array shaped like lo otherwise."""
+    if np.ndim(lo) == 0:
+        return float(sups)
+    return np.broadcast_to(sups, np.shape(lo)).astype(float)
+
+
+def _suffix_sums(terms: np.ndarray) -> np.ndarray:
+    """out[m] = sum_{j >= m} terms[j], accumulated from the last term down; out[len] = 0."""
+    return np.concatenate((np.cumsum(terms[::-1])[::-1], np.zeros(1, dtype=terms.dtype)))
 
 
 @dataclass(frozen=True)
@@ -61,11 +81,15 @@ class ConstantTail:
         out = np.full_like(th, self.value)
         return float(out) if th.ndim == 0 else out
 
-    def sup_abs(self, lo: float, hi: float) -> float:
-        return abs(self.value)
+    def sup_abs(self, lo, hi):
+        return _per_window(lo, abs(self.value))
 
     def sup_lower_uniform(self, length: float) -> float:
         return abs(self.value)
+
+    def moment(self, taus: np.ndarray, bs: np.ndarray):
+        suffix = _suffix_sums(bs)
+        return lambda s, m: self.value * suffix[m]
 
     def atoms(self, depth: float) -> list[Atom]:
         return [(abs(self.value), _CONST1)]
@@ -100,19 +124,26 @@ class CosTail:
         out = self.amp * np.cos(self.omega * th + self.phase)
         return float(out) if th.ndim == 0 else out
 
-    def sup_abs(self, lo: float, hi: float) -> float:
-        # an extremum of cos sits at omega*theta + phase = j*pi
-        j_lo = math.ceil((self.omega * lo + self.phase) / math.pi)
-        j_hi = math.floor((self.omega * hi + self.phase) / math.pi)
-        if j_lo <= j_hi:
+    def sup_abs(self, lo, hi):
+        # an extremum of cos sits at omega*theta + phase = j*pi, and some j
+        # lies in [x_lo, x_hi] exactly when floor(x_hi) >= x_lo
+        x_lo = (self.omega * lo + self.phase) / math.pi
+        peak = (self.omega * hi + self.phase) / math.pi // 1 >= x_lo
+        if np.ndim(lo) == 0 and peak:
             return abs(self.amp)
-        return max(abs(self.evaluate(lo)), abs(self.evaluate(hi)))
+        ends = np.maximum(np.abs(self.evaluate(lo)), np.abs(self.evaluate(hi)))
+        return _per_window(lo, np.where(peak, abs(self.amp), ends))
 
     def sup_lower_uniform(self, length: float) -> float:
         # any window at least a half-period long contains an extremum
         if length * self.omega >= math.pi:
             return abs(self.amp)
         return 0.0
+
+    def moment(self, taus: np.ndarray, bs: np.ndarray):
+        # amp cos(omega (s - tau) + phase) = Re(amp e^{i(omega s + phase)} e^{-i omega tau})
+        suffix = _suffix_sums(bs * np.exp(-1j * self.omega * taus))
+        return lambda s, m: (self.amp * np.exp(1j * (self.omega * s + self.phase)) * suffix[m]).real
 
     def atoms(self, depth: float) -> list[Atom]:
         return [(abs(self.amp), _CONST1)]
@@ -146,11 +177,20 @@ class ExpTail:
         out = self.amp * np.exp(self.rate * th)
         return float(out) if th.ndim == 0 else out
 
-    def sup_abs(self, lo: float, hi: float) -> float:
-        return abs(self.amp) * math.exp(self.rate * hi)
+    def sup_abs(self, lo, hi):
+        return _per_window(lo, abs(self.amp) * np.exp(self.rate * np.asarray(hi)))
 
     def sup_lower_uniform(self, length: float) -> float:
         return 0.0
+
+    def moment(self, taus: np.ndarray, bs: np.ndarray):
+        # amp e^{rate (s - tau)} = amp e^{rate s} e^{-rate tau}; a tail argument has
+        # s < tau, so both factors stay normal floats while rate * tau_N is small
+        if len(taus) and self.rate * taus[-1] > _EXP_MOMENT_REACH:
+            return None
+        suffix = _suffix_sums(bs * np.exp(-self.rate * taus))
+        n = len(bs)
+        return lambda s, m: self.amp * np.exp(self.rate * np.where(m < n, s, 0.0)) * suffix[m]
 
     def atoms(self, depth: float) -> list[Atom]:
         return [(abs(self.amp) * math.exp(-self.rate * depth), _CONST1)]
@@ -194,15 +234,19 @@ class WeightEnvelopeTail:
         out = self.scale * np.asarray(self.weight(th + self.shift), dtype=float)
         return float(out) if th.ndim == 0 else out
 
-    def sup_abs(self, lo: float, hi: float) -> float:
+    def sup_abs(self, lo, hi):
         # weights are nondecreasing into the past
-        return abs(self.scale) * float(self.weight(lo + self.shift))
+        return _per_window(lo, abs(self.scale) * self.weight(np.asarray(lo) + self.shift))
 
     def sup_lower_uniform(self, length: float) -> float:
         # |phi| is nondecreasing into the past: every window's sup is at
         # least the value at the shallow end of the tail region, and that
         # value is at least |scale| * w(shift) >= |scale|.
         return abs(self.scale)
+
+    def moment(self, taus: np.ndarray, bs: np.ndarray):
+        # binomial moments sum b_i tau_i^j cancel badly at large tau
+        return None
 
     def _envelope_factor(self, depth: float) -> float:
         """sup over theta <= -depth of w(theta+shift)/w(theta)."""
@@ -258,7 +302,9 @@ class PairDifferenceTail:
     def evaluate(self, theta):
         return self.left.evaluate(theta) - self.right.evaluate(theta)
 
-    def sup_abs(self, lo: float, hi: float) -> float:
+    def sup_abs(self, lo, hi):
+        if np.ndim(lo):
+            return np.array([self.sup_abs(float(l), float(h)) for l, h in zip(lo, hi)])
         triangle = self.left.sup_abs_interval(lo, hi) + self.right.sup_abs_interval(lo, hi)
         if hi <= -self.depth + 1e-12 and self.bound_atoms:
             # the atoms certify |diff| <= sum scale*w below -depth, and every
@@ -269,6 +315,9 @@ class PairDifferenceTail:
 
     def sup_lower_uniform(self, length: float) -> float:
         return 0.0
+
+    def moment(self, taus: np.ndarray, bs: np.ndarray):
+        return None
 
     def atoms(self, depth: float) -> list[Atom]:
         return list(self.bound_atoms)
@@ -368,15 +417,13 @@ class HistoryFunction:
         if cf.shape != (len(bp) - 1, 4):
             raise ValueError(f"coefficient array must be {(len(bp) - 1, 4)}, got {cf.shape}")
         # continuity across interior breakpoints
-        for j in range(len(bp) - 2):
-            du = bp[j + 1] - bp[j]
-            v_end = cf[j, 0] + du * (cf[j, 1] + du * (cf[j, 2] + du * cf[j, 3]))
-            v_next = cf[j + 1, 0]
-            tol = max(_CONT_TOL, _CONT_TOL * abs(v_next))
-            if abs(v_end - v_next) > tol:
-                raise ValueError(
-                    f"core is discontinuous at theta={bp[j + 1]}: {v_end} vs {v_next}"
-                )
+        du = np.diff(bp)[:-1]
+        v_end = cf[:-1, 0] + du * (cf[:-1, 1] + du * (cf[:-1, 2] + du * cf[:-1, 3]))
+        v_next = cf[1:, 0]
+        bad = np.flatnonzero(np.abs(v_end - v_next) > np.maximum(_CONT_TOL, _CONT_TOL * np.abs(v_next)))
+        if len(bad):
+            j = bad[0]
+            raise ValueError(f"core is discontinuous at theta={bp[j + 1]}: {v_end[j]} vs {v_next[j]}")
         v_core = cf[0, 0]
         v_tail = float(self.tail.evaluate(float(bp[0])))
         tol = max(_CONT_TOL, _CONT_TOL * abs(v_core))
@@ -388,6 +435,24 @@ class HistoryFunction:
     @property
     def depth(self) -> float:
         return -float(self.breakpoints[0])
+
+    def head_counts(self, points: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """For each s in points, how many leading delays put s - tau_i at or above breakpoints[0].
+
+        Those are the arguments evaluate does not send to the tail; taus must
+        be increasing.  fl(s - tau) is monotone in tau, but it may round
+        across breakpoints[0] where fl(s - breakpoints[0]) does not, so the
+        sorted-search guess is corrected against the float arguments.
+        """
+        b0, n = self.breakpoints[0], len(taus)
+        m = np.searchsorted(taus, points - b0, side="right")
+        if n == 0:
+            return m
+        while np.any(up := (m < n) & (points - taus[np.minimum(m, n - 1)] >= b0)):
+            m = m + up
+        while np.any(down := (m > 0) & (points - taus[np.maximum(m - 1, 0)] < b0)):
+            m = m - down
+        return m
 
     def evaluate(self, theta):
         th = np.asarray(theta, dtype=float)
@@ -447,20 +512,18 @@ class HistoryFunction:
         cf = self.coeffs
         scale = max(1.0, float(np.max(np.abs(cf))))
         dcf = derivative_coeffs(cf)
-        for j in range(len(bp) - 2):
-            du = bp[j + 1] - bp[j]
-            s_end = dcf[j, 0] + du * (dcf[j, 1] + du * dcf[j, 2])
-            if abs(s_end - dcf[j + 1, 0]) > 1e-9 * scale:
-                return None
+        du = np.diff(bp)[:-1]
+        rise = du * (dcf[:-1, 1] + du * dcf[:-1, 2])
+        if np.any(np.abs(dcf[:-1, 0] + rise - dcf[1:, 0]) > 1e-9 * scale):
+            return None
         dtail = self.tail.derivative()
         if dtail is None:
             return None
         if abs(float(dtail.evaluate(float(bp[0]))) - dcf[0, 0]) > 1e-9 * scale:
             return None
-        # snap the tiny float defects so the constructor's strict check passes
-        for j in range(len(bp) - 2):
-            du = bp[j + 1] - bp[j]
-            dcf[j + 1, 0] = dcf[j, 0] + du * (dcf[j, 1] + du * dcf[j, 2])
+        # snap the tiny float defects so the constructor's strict check passes;
+        # the running sum adds left to right, as the piece-by-piece recurrence does
+        dcf[:, 0] = np.cumsum(np.concatenate(([dcf[0, 0]], rise)))
         try:
             return HistoryFunction(bp.copy(), dcf, dtail)
         except ValueError:
@@ -751,7 +814,8 @@ def p_seminorm(
     """Certified evaluation of p_k(phi) for the given coefficient family.
 
     The finitely many window sups up to a certified truncation index are
-    computed exactly; beyond it the contribution is bounded by the tail's
+    computed exactly, those of windows below the core in one array call to
+    the tail's sup_abs; beyond it the contribution is bounded by the tail's
     envelope atoms pushed through the family's weighted tail sums.
     """
     if k < 1:
@@ -766,10 +830,15 @@ def p_seminorm(
         verdict = "divergent" if _certified_divergent(phi, family, ktau) else "inconclusive"
         return SeminormValue(math.inf, math.inf, n0, 0, verdict)
     taus = d.tau_array(N)
+    # past the head every window lies below the core: one array call to the tail
+    head = max(n0 - 1, min(N, int(phi.head_counts(np.array([ktau]), taus)[0])))
     total = 0.0
-    for i in range(n0, N + 1):
+    for i in range(n0, head + 1):
         tau = float(taus[i - 1])
         total += float(coeff[i - 1]) * phi.sup_abs_interval(-tau, min(ktau - tau, 0.0))
+    deep = taus[head:]
+    products = coeff[head:] * phi.tail.sup_abs(-deep, ktau - deep)
+    total = float(np.cumsum(np.concatenate(([total], products)))[-1])
     return SeminormValue(total, rem, n0, N, "finite")
 
 

@@ -14,12 +14,27 @@ and slopes.
 Step boundaries are forced at every multiple of tau_1 and at every delay
 tau_i <= T, where the solution loses one order of smoothness.
 
+Each forcing point s splits the delays at m = phi.head_counts: the head
+i <= m, whose float arguments s - tau_i are at or above phi's first
+breakpoint, reads the trajectory or phi's core term by term.  The tail
+m < i <= N reads only phi's analytic tail, and its part is the tail
+model's moment from suffix sums over (m, N], built once per _march or
+forcing call:
+
+    ConstantTail  c sum b_i
+    CosTail       Re(amp e^{i(omega s + phase)} sum b_i e^{-i omega tau_i})
+    ExpTail       amp e^{rate s} sum b_i e^{-rate tau_i}
+
+Tails without a moment, and every tail below _MOMENT_MIN_TERMS delays,
+keep every delay in the head.  The split depends on s alone, so a point's
+F does not depend on the batch it is evaluated in.
+
 The march (_march) runs one window [k tau_1, (k+1) tau_1] at a time.
 Every delay is at least tau_1, so F on the window reads x only on
 (-inf, k tau_1]: the forcing at every step's nodes starts + steps * nodes
-and at the step ends is one batched evaluation of a (points x N) argument
-matrix, taken in row chunks of at most _CHUNK_TERMS terms.  A scan then
-turns the batch into the window's node values: _voc_scan, the
+and at the step ends is one batched evaluation of a (points x head)
+argument matrix, taken in row chunks of at most _CHUNK_TERMS terms.  A
+scan then turns the batch into the window's node values: _voc_scan, the
 variation-of-constants update under the quadrature rule, for solve and
 step_interval; the oracle passes its RK4 scan.  The slopes are
 a x + F at the step ends.  While the batch is evaluated, the piece row
@@ -166,8 +181,17 @@ class Trajectory:
         }
 
 
-#: largest (points x N) argument block _window_forcing evaluates at once
+#: largest (points x head) argument block _window_forcing evaluates at once
 _CHUNK_TERMS = 65536
+
+#: fewest delays for which the forcing uses tail moments: below about 50 the
+#: split costs more per window than the delayed evaluations it saves
+_MOMENT_MIN_TERMS = 64
+
+
+def _tail_sums(phi: HistoryFunction, taus: np.ndarray, bs: np.ndarray):
+    """phi's tail moment over the delays (see _window_forcing), or None."""
+    return phi.tail.moment(taus, bs) if len(taus) >= _MOMENT_MIN_TERMS else None
 
 
 def _delayed_values(
@@ -194,9 +218,10 @@ def forcing(traj: Trajectory, t, eps: Optional[float] = None):
     prob = traj.problem
     n = traj.n_forcing if eps is None else _forcing_index(prob, traj.horizon, eps)
     ts = np.asarray(t, dtype=float)
+    taus, bs = prob.family.delays.tau_array(n), prob.family.b_array(n)
     out = _window_forcing(
-        _delayed_values, prob.history, traj.grid, traj.pieces, ts.ravel(),
-        prob.family.delays.tau_array(n), prob.family.b_array(n),
+        _delayed_values, prob.history, traj.grid, traj.pieces, ts.ravel(), taus, bs,
+        _tail_sums(prob.history, taus, bs),
     )
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
@@ -300,22 +325,35 @@ def _window_forcing(
     points: np.ndarray,
     taus: np.ndarray,
     bs: np.ndarray,
+    tail_sums,
 ) -> np.ndarray:
     """F(s) = sum_i b_i x(s - tau_i) at every s in points, in one batch.
 
-    delayed_values is the caller's _delayed_values.  The (points x N)
-    argument matrix is evaluated in row chunks of at most _CHUNK_TERMS
-    terms; each row is summed by its own dot product, in the order a
-    single-point evaluation would use.
+    delayed_values is the caller's _delayed_values, and tail_sums is
+    _tail_sums(phi, taus, bs).  With a moment, the delays whose argument
+    s - tau_i lies below the core come from tail_sums; without one, every
+    delay is in the head.  The (points x head) argument matrix is evaluated
+    in row chunks of at most _CHUNK_TERMS terms; each row's head is summed by
+    its own dot product, so a point's value depends on s alone.
     """
+    heads = np.full(len(points), len(taus))
     out = np.zeros(len(points))
-    if len(taus) == 0:
-        return out
-    rows = max(1, _CHUNK_TERMS // len(taus))
+    if tail_sums is not None:
+        heads = phi.head_counts(points, taus)
+        out = tail_sums(points, heads)
+    rows = max(1, _CHUNK_TERMS // max(1, int(heads.max(initial=0))))
     for r0 in range(0, len(points), rows):
-        args = points[r0 : r0 + rows, None] - taus
+        m = heads[r0 : r0 + rows]
+        w = int(m.max())
+        args = points[r0 : r0 + rows, None] - taus[:w]
         vals = delayed_values(phi, grid, pieces, args.ravel()).reshape(args.shape)
-        out[r0 : r0 + rows] = [np.dot(bs, row) for row in vals]
+        if m.min() == w:  # one head length, as always without a moment: no regrouping
+            b = bs[:w]
+            out[r0 : r0 + rows] += [np.dot(b, row) for row in vals]
+        else:
+            for k in np.unique(m).tolist():
+                sel = r0 + np.flatnonzero(m == k)
+                out[sel] += [np.dot(bs[:k], row) for row in vals[sel - r0, :k]]
         del args, vals  # at large N one chunk is a row; free it before the next
     return out
 
@@ -375,6 +413,7 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
     a = problem.a
     taus = problem.family.delays.tau_array(traj.n_forcing)
     bs = problem.family.b_array(traj.n_forcing)
+    tail_sums = _tail_sums(problem.history, taus, bs)
     windows = _substeps(traj.horizon, t_end, problem.family, traj.h_used)
     grid, values, derivs, pieces = _buffers(traj, windows)
     m = len(traj.grid)
@@ -383,7 +422,7 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
         steps = ends - starts
         points = np.concatenate((starts[:, None] + steps[:, None] * nodes, ends[:, None]), axis=1)
         f = _window_forcing(
-            delayed_values, problem.history, grid[:m], pieces[:m], points.ravel(), taus, bs
+            delayed_values, problem.history, grid[:m], pieces[:m], points.ravel(), taus, bs, tail_sums
         ).reshape(points.shape)
         new = slice(m, m + len(ends))
         values[new] = scan(a, float(values[m - 1]), steps, points, f)
@@ -403,22 +442,20 @@ def _start(
 ) -> Trajectory:
     """The one-node trajectory at t = 0: x(0) = phi(0), x'(0) = a phi(0) + F(0)."""
     phi0 = problem.history.value_at_zero()
-    f0 = 0.0
-    if n_forcing > 0:
-        taus = problem.family.delays.tau_array(n_forcing)
-        f0 = float(np.dot(problem.family.b_array(n_forcing), problem.history.evaluate(-taus)))
-    return Trajectory(
+    traj = Trajectory(
         problem=problem,
         config=config,
         grid=np.array([0.0]),
         values=np.array([phi0]),
-        derivs=np.array([problem.a * phi0 + f0]),
+        derivs=np.zeros(1),
         pieces=np.zeros((0, 4)),
         n_forcing=n_forcing,
         h_used=h,
         eps_forcing_used=eps_f,
         certified_k=certified_k,
     )
+    traj.derivs[0] = problem.a * phi0 + forcing(traj, 0.0)
+    return traj
 
 
 def _solve(problem: ProblemSpec, horizon: float, config: SolverConfig, certified_k: int) -> Trajectory:

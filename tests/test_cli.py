@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import infidelay
 from infidelay.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_SCHEMA_ERROR, bundled_scenario_names, main
 
 BUNDLED = {
@@ -419,10 +420,14 @@ def test_out_env_override(tmp_path, capsys, monkeypatch):
 
 
 def test_console_entry_point_runs():
+    # the child imports infidelay from wherever this process found it
+    src = str(Path(infidelay.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "infidelay.cli", "version"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"

@@ -32,6 +32,7 @@ from infidelay import (
     scale_history,
     sup_norm_k,
 )
+from infidelay.numerics import derivative_coeffs
 from conftest import random_core_history
 
 GEO_HALF = CoefficientFamily.geometric(1.0, 0.5, DelaySchedule())
@@ -85,6 +86,13 @@ def test_core_must_be_continuous():
     bp = [-2.0, -1.0, 0.0]
     cf = [[0.0, 0.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0]]  # jumps 0 -> 5 at -1
     with pytest.raises(ValueError):
+        history_from_core(bp, cf, ConstantTail(0.0))
+
+
+def test_core_continuity_error_names_the_first_jump():
+    bp = [-3.0, -2.0, -1.0, 0.0]
+    cf = [[0.0, 0.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0], [7.0, 0.0, 0.0, 0.0]]
+    with pytest.raises(ValueError, match=r"theta=-2\.0: 0\.0 vs 5\.0$"):
         history_from_core(bp, cf, ConstantTail(0.0))
 
 
@@ -220,6 +228,57 @@ def test_p_seminorm_brute_force_bracket():
         # brute truncates at 60 and samples finitely, so it slightly undershoots
         assert brute <= sv.upper() + 1e-12
         assert brute >= sv.value - 1e-6 - abs(fam.b(60))
+
+
+def _scalar_p(phi, fam, k: int, n: int) -> float:
+    """The certified head of p_k summed one window sup at a time over n_index..n."""
+    coeff, taus = np.abs(fam.b_array(n)), fam.delays.tau_array(n)
+    ktau = k * fam.delays.tau1
+    total = 0.0
+    for i in range(fd.n_index(fam, k), n + 1):
+        tau = float(taus[i - 1])
+        total += float(coeff[i - 1]) * phi.sup_abs_interval(-tau, min(ktau - tau, 0.0))
+    return total
+
+
+SEMINORM_HISTORIES = {
+    "constant": scale_history(1.7, history_preset("constant")),
+    # k tau_1 omega < pi for the k below: a window sup need not reach the amplitude
+    "cos-short-window": history_from_callable(
+        lambda t: math.cos(0.5 * t + 0.3), 8.0, 0.05, tail=CosTail(1.0, 0.5, 0.3),
+        fn_prime=lambda t: -0.5 * math.sin(0.5 * t + 0.3),
+    ),
+    "exp": history_preset("exp-decay"),
+    "polynomial-envelope-negative-shift": history_from_callable(
+        lambda t: 0.5 * (2.5 - t) ** 2, 8.0, 0.05, tail=WeightEnvelopeTail(0.5, WeightFunction.polynomial(2), -1.5),
+        fn_prime=lambda t: -(2.5 - t),
+    ),
+    "pair-difference": history_difference(history_preset("cos"), history_preset("exp-decay")),
+}
+
+
+@pytest.mark.parametrize("name", list(SEMINORM_HISTORIES))
+@pytest.mark.parametrize(
+    "fam, eps",
+    [
+        (CoefficientFamily.geometric(0.7, -0.6, DelaySchedule(c=0.2, delta=0.9)), 1e-12),
+        (CoefficientFamily.power_law(1.0, 5.5, DelaySchedule()), 1e-9),
+    ],
+    ids=["geometric", "power-law"],
+)
+def test_p_seminorm_tail_windows_match_a_scalar_loop(name, fam, eps):
+    # the windows below the core are one array call to tail.sup_abs, summed
+    # in the same order as the scalar loop
+    phi = SEMINORM_HISTORIES[name]
+    for k in (1, 2, 3):
+        sv = p_seminorm(phi, fam, k, eps)
+        head = phi.head_counts(np.array([k * fam.delays.tau1]), fam.delays.tau_array(sv.index_last))[0]
+        assert sv.verdict == "finite" and sv.index_last > head
+        ref = _scalar_p(phi, fam, k, sv.index_last)
+        if name == "constant":
+            assert sv.value == ref
+        else:
+            assert abs(sv.value - ref) <= 1e-14 * ref, (k, sv.value, ref)
 
 
 def test_p_seminorm_eps_refinement_tightens_the_bracket():
@@ -481,6 +540,15 @@ def test_derivative_of_smooth_presets():
     dconst = const.derivative()
     assert dconst is not None
     assert np.max(np.abs(dconst.evaluate(np.linspace(-20, 0, 50)))) == 0.0
+
+
+def test_derivative_snaps_junctions_left_to_right():
+    phi = history_preset("cos")
+    bp, dcf = phi.breakpoints, derivative_coeffs(phi.coeffs)
+    for j in range(len(bp) - 2):
+        du = bp[j + 1] - bp[j]
+        dcf[j + 1, 0] = dcf[j, 0] + du * (dcf[j, 1] + du * dcf[j, 2])
+    assert np.array_equal(phi.derivative().coeffs, dcf)
 
 
 def test_derivative_absent_for_kinked_core():

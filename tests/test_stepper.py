@@ -79,6 +79,61 @@ def test_forcing_batch_equals_pointwise(monkeypatch, eps):
             assert np.array_equal(forcing(traj, ts, eps), pointwise), p
 
 
+def exp_history(rate: float) -> fd.HistoryFunction:
+    return fd.history_from_callable(
+        lambda t: math.exp(rate * t), 8.0, 0.05, tail=fd.ExpTail(1.0, rate), fn_prime=lambda t: rate * math.exp(rate * t)
+    )
+
+
+@pytest.mark.parametrize("phi", [history_preset("constant"), history_preset("cos"), exp_history(0.1)], ids=["constant", "cos", "exp"])
+@pytest.mark.parametrize(
+    "family",
+    [CoefficientFamily.power_law(0.8, 3.5, DelaySchedule(0.0, 0.5)), CoefficientFamily.geometric(0.6, -0.95, DelaySchedule(0.1, 0.3))],
+    ids=["power-law", "geometric"],
+)
+def test_forcing_tail_moments_match_a_term_by_term_sum(monkeypatch, phi, family):
+    # past the head every delayed argument is in the tail and comes from a
+    # suffix moment; the total must agree with the term-by-term sum within
+    # Higham's gamma_N times the sum of |terms|, and the split must not
+    # depend on the batch: node slopes and chunked batches match pointwise F
+    p = ProblemSpec(-0.2, family, phi)
+    traj = solve(p, 2.0)
+    n = traj.n_forcing
+    taus, bs = family.delays.tau_array(n), family.b_array(n)
+    assert fd.stepper._tail_sums(phi, taus, bs) is not None
+    ts = np.linspace(0.0, 2.0, 17)
+    assert n > 10 * phi.head_counts(ts, taus).max()
+    nu = n * 2.0**-53
+    pointwise = [forcing(traj, t) for t in ts]
+    for t, f in zip(ts, pointwise):
+        terms = bs * traj.eval(t - taus)
+        assert abs(f - math.fsum(terms)) <= nu / (1.0 - nu) * math.fsum(np.abs(terms)), t
+    monkeypatch.setattr(fd.stepper, "_CHUNK_TERMS", 64)
+    assert np.array_equal(forcing(traj, ts), pointwise)
+    for j in range(len(traj.grid)):
+        assert traj.derivs[j] == p.a * traj.values[j] + forcing(traj, traj.grid[j]), j
+
+
+def test_forcing_argument_on_the_core_edge_is_in_the_head():
+    # the tail differs from the core's edge value within the continuity
+    # tolerance, so b_10's term shows which side evaluated it; b_100 keeps N
+    # at 100, so the tail part comes from a moment
+    phi = fd.HistoryFunction(np.array([-8.0, 0.0]), np.array([[1.0, 0.0, 0.0, 0.0]]), fd.ConstantTail(1.0 + 2.0**-42))
+    coeffs = [0.0] * 100
+    coeffs[9] = coeffs[99] = 1.0
+    traj = solve(ProblemSpec(0.0, CoefficientFamily.finite_support(coeffs, DS), phi), 2.0)
+    assert traj.n_forcing == 100 >= fd.stepper._MOMENT_MIN_TERMS
+    assert phi.head_counts(np.array([2.0, 1.5]), DS.tau_array(100)).tolist() == [10, 9]
+    assert forcing(traj, 2.0) == 2.0 + 2.0**-42  # 2 - tau_10 == breakpoints[0]: the core
+    assert forcing(traj, 1.5) == 2.0 + 2.0**-41
+
+
+def test_finite_support_forcing_stops_at_the_last_coefficient():
+    assert solve(classic_problem(), 2.0).n_forcing == 1
+    fam = CoefficientFamily.finite_support([0.5, 0.0, -0.25, 0.0, 0.0], DS)
+    assert solve(ProblemSpec(0.0, fam, history_preset("cos")), 3.0).n_forcing == 3
+
+
 # ---------------------------------------------------------------------------
 # solve: frozen solutions
 # ---------------------------------------------------------------------------
@@ -104,6 +159,18 @@ def test_solve_classic_matches_piecewise_polynomial():
     assert np.max(np.abs(traj.eval(ts) - exact)) < 1e-8
     assert abs(traj.eval(1.0)) < 1e-10
     assert abs(traj.eval(2.0) + 0.5) < 1e-10
+
+
+def test_solve_deep_power_law_tail():
+    # b_i = i^-3 on tau_i = i from a constant history c: on [0, 1] every
+    # delayed argument is in the history, so F = c zeta(3) and
+    # x(1) = c e^a + c zeta(3) (e^a - 1) / a; the forcing needs N = 70,711
+    a, c, zeta3 = -0.5, 1.5, 1.2020569031595942854
+    fam = CoefficientFamily.power_law(1.0, 3.0, DS)
+    traj = solve(ProblemSpec(a, fam, fd.scale_history(c, history_preset("constant"))), 1.0)
+    assert traj.n_forcing == 70_711
+    ea = math.exp(a)
+    assert abs(traj.eval(1.0) - (c * ea + c * zeta3 * (ea - 1.0) / a)) < 1e-8
 
 
 def test_solve_geometric_against_independent_oracle():
