@@ -184,8 +184,8 @@ class Trajectory:
 #: largest (points x head) argument block _window_forcing evaluates at once
 _CHUNK_TERMS = 65536
 
-#: fewest delays for which the forcing uses tail moments: below about 50 the
-#: split costs more per window than the delayed evaluations it saves
+#: fewest delays for which the forcing uses tail moments: on 200-point windows
+#: the split was slower than the full head at N = 40 and faster at N = 80
 _MOMENT_MIN_TERMS = 64
 
 
@@ -347,13 +347,7 @@ def _window_forcing(
         w = int(m.max())
         args = points[r0 : r0 + rows, None] - taus[:w]
         vals = delayed_values(phi, grid, pieces, args.ravel()).reshape(args.shape)
-        if m.min() == w:  # one head length, as always without a moment: no regrouping
-            b = bs[:w]
-            out[r0 : r0 + rows] += [np.dot(b, row) for row in vals]
-        else:
-            for k in np.unique(m).tolist():
-                sel = r0 + np.flatnonzero(m == k)
-                out[sel] += [np.dot(bs[:k], row) for row in vals[sel - r0, :k]]
+        out[r0 : r0 + rows] += [np.dot(bs[:k], row[:k]) for k, row in zip(m.tolist(), vals)]
         del args, vals  # at large N one chunk is a row; free it before the next
     return out
 
