@@ -844,7 +844,11 @@ def p_seminorm(
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """Phase-space membership evidence across k = 1..k_max."""
+    """Phase-space membership verdict for all k, with the p_k for k = 1..k_max.
+
+    The verdict does not depend on k_max, which only chooses the reported
+    seminorms.
+    """
 
     seminorms: dict
     verdict: str  # "member" | "not-member" | "inconclusive"
@@ -853,21 +857,20 @@ class MembershipReport:
 def membership_in_F(
     phi: HistoryFunction, family: CoefficientFamily, k_max: int = 5, eps_tail: float = 1e-10
 ) -> MembershipReport:
-    """Evaluate p_k for k <= k_max and aggregate the verdicts.
+    """Whether every p_k(phi) is finite, with p_1..p_{k_max} as evidence.
 
-    Finiteness of every p_k (all k, not just k_max of them) is the actual
-    membership condition; the report is decisive only in the directions it
-    can certify: any divergent p_k refutes membership outright, while all
-    checked levels finite supports it for the examined range.
+    "member" when the atom tail sum past the floor at reach 0 is finite: it
+    bounds the tail of every p_k past that k's floor, and the terms below a
+    floor are finitely many finite ones.  "not-member" when a reported p_k
+    is certified divergent, "inconclusive" otherwise.  k_max only chooses
+    which values are reported.
     """
     per_k = {k: p_seminorm(phi, family, k, eps_tail) for k in range(1, k_max + 1)}
-    verdicts = {v.verdict for v in per_k.values()}
-    if "divergent" in verdicts:
-        overall = "not-member"
-    elif "inconclusive" in verdicts:
-        overall = "inconclusive"
-    else:
+    try:
+        _atom_tail_search(family, phi.tail_atoms(), _tail_floor(phi, family, 0.0), math.inf)
         overall = "member"
+    except UnknownTailError:
+        overall = "not-member" if any(v.divergent for v in per_k.values()) else "inconclusive"
     return MembershipReport(per_k, overall)
 
 

@@ -291,14 +291,7 @@ class _Ctx:
 
 
 def _sv_dict(sv) -> dict:
-    return {
-        "value": sv.value,
-        "truncation_bound": sv.truncation_bound,
-        "index_first": sv.index_first,
-        "index_last": sv.index_last,
-        "verdict": sv.verdict,
-        "upper": sv.upper(),
-    }
+    return {**asdict(sv), "upper": sv.upper()}
 
 
 def _run_solve(ctx: _Ctx, p: dict) -> dict:

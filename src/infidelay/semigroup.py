@@ -153,7 +153,7 @@ def check_strong_continuity(
         raise ValueError("need a strictly decreasing sequence of positive times")
     traj = solve(problem, ts[0], config)
     phi = problem.history
-    eps_tail = (config.eps_tail_seminorm if config is not None else 1e-10)
+    eps_tail = (config if config is not None else SolverConfig()).eps_tail_seminorm
     dists = []
     p_dists = []
     for t in ts:

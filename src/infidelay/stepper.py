@@ -42,9 +42,9 @@ after the last node holds the pending piece (x, x', 0, 0), so an argument
 at that node, or one rounding step past it, reads the node data exactly as
 a finished piece starting there would.
 
-A Trajectory records in certified_k how many leading windows have p_k
-certified finite under its config's eps_tail_seminorm; step_interval
-certifies only the windows beyond that.
+Admission is one certificate: solve and step_interval accept a history
+exactly when the forcing truncation N is certified (_certify_forcing).
+That also proves phi in F, every p_k finite, so no p_k is evaluated.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .coefficients import (
     m_index,
     n_index,
 )
-from .history import HistoryFunction, _atom_tail_search, _tail_floor, p_seminorm, sup_norm_k
+from .history import HistoryFunction, _atom_tail_search, _certified_divergent, _tail_floor, p_seminorm, sup_norm_k
 from .numerics import QUAD_RULES, eval_pieces, eval_pieces_derivative, hermite_coeffs, phi1, sup_abs_pieces
 
 
@@ -89,7 +89,9 @@ class SolverConfig:
     quad: "gauss4" or "simpson"
     eps_forcing: uniform bound on the discarded delayed-forcing tail
         (default 1e-10 * max(1, sup |phi| on [-1, 0]))
-    eps_tail_seminorm: certification tolerance for p_k evaluations
+    eps_tail_seminorm: certification tolerance of the p_k evaluated along a
+        trajectory (estimate_certificate, strong continuity, the scenario
+        checks); solve does not read it
     """
 
     h: Optional[float] = None
@@ -110,9 +112,7 @@ class Trajectory:
 
     grid/values/derivs hold the node data; pieces[j] are the local Hermite
     coefficients on [grid[j], grid[j+1]].  Evaluation at t <= 0 falls back
-    to the history, so x is usable on (-infty, horizon].  certified_k counts
-    the leading windows whose p_k are certified finite under
-    config.eps_tail_seminorm (0: nothing certified).
+    to the history, so x is usable on (-infty, horizon].
     """
 
     problem: ProblemSpec
@@ -124,7 +124,6 @@ class Trajectory:
     n_forcing: int
     h_used: float
     eps_forcing_used: float
-    certified_k: int = 0
 
     @property
     def horizon(self) -> float:
@@ -233,34 +232,29 @@ def _forcing_index(problem: ProblemSpec, horizon: float, eps: float) -> int:
 
 
 def _certify_forcing(problem: ProblemSpec, horizon: float, eps: float) -> int:
+    """Certified forcing truncation index on [0, horizon]: the solver's one admission test.
+
+    Success proves phi in F, p_k(phi) < inf for every k, so no p_k is
+    evaluated.  Past _tail_floor(phi, family, k tau_1) every window of p_k
+    lies in phi's tail, where the atoms (s, w) bound |phi(t - tau_i)| for
+    t >= 0 by sum s w(-tau_i) (weights do not decrease into the past); that
+    part of p_k is at most sum s tail_sum_bound(family, w, n) with n past
+    the floor.  Whether this is finite depends on neither n nor k, and each
+    of the finitely many terms below the floor is finite.
+    """
     try:
         n = _forcing_index(problem, horizon, eps)
         # materialize the coefficient values now so explicit-list gaps fail here
         problem.family.b_array(n)
         return n
     except (UnknownTailError, DivergentTailError, TruncationDepthError) as exc:
+        if _certified_divergent(problem.history, problem.family, horizon):
+            raise NotInPhaseSpaceError(
+                "the delayed series is certified divergent: the history is outside the phase space"
+            ) from exc
         raise NotInPhaseSpaceError(
             f"cannot certify the delayed forcing to eps={eps}: {exc}"
         ) from exc
-
-
-def _check_membership(problem: ProblemSpec, horizon: float, eps_tail: float, certified_k: int) -> int:
-    """Certify p_k finite for the windows certified_k < k <= k_max of [0, horizon].
-
-    Returns the number of leading windows now certified.
-    """
-    k_max = max(1, math.ceil(horizon / problem.family.delays.tau1 - 1e-12))
-    for k in range(certified_k + 1, k_max + 1):
-        sv = p_seminorm(problem.history, problem.family, k, eps_tail)
-        if sv.verdict == "divergent":
-            raise NotInPhaseSpaceError(
-                f"p_{k} is certified divergent: the history is outside the phase space"
-            )
-        if sv.verdict == "inconclusive":
-            raise NotInPhaseSpaceError(
-                f"p_{k} cannot be certified finite for this history/family pair"
-            )
-    return max(certified_k, k_max)
 
 
 def _knots_between(t_from: float, t_to: float, family: CoefficientFamily) -> list[float]:
@@ -431,9 +425,7 @@ def _advance(traj: Trajectory, t_end: float) -> Trajectory:
     return _march(traj, t_end, _delayed_values, nodes, partial(_voc_scan, weights))
 
 
-def _start(
-    problem: ProblemSpec, config: SolverConfig, n_forcing: int, h: float, eps_f: float, certified_k: int = 0
-) -> Trajectory:
+def _start(problem: ProblemSpec, config: SolverConfig, n_forcing: int, h: float, eps_f: float) -> Trajectory:
     """The one-node trajectory at t = 0: x(0) = phi(0), x'(0) = a phi(0) + F(0)."""
     phi0 = problem.history.value_at_zero()
     traj = Trajectory(
@@ -446,15 +438,16 @@ def _start(
         n_forcing=n_forcing,
         h_used=h,
         eps_forcing_used=eps_f,
-        certified_k=certified_k,
     )
     traj.derivs[0] = problem.a * phi0 + forcing(traj, 0.0)
     return traj
 
 
-def _solve(problem: ProblemSpec, horizon: float, config: SolverConfig, certified_k: int) -> Trajectory:
+def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] = None) -> Trajectory:
+    """Integrate the problem on [0, horizon] once its forcing truncation is certified."""
     if not (horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
+    config = config if config is not None else SolverConfig()
     tau1 = problem.family.delays.tau1
     h = min(config.h if config.h is not None else tau1 / 40.0, tau1)
     eps_f = (
@@ -462,37 +455,27 @@ def _solve(problem: ProblemSpec, horizon: float, config: SolverConfig, certified
         if config.eps_forcing is not None
         else 1e-10 * max(1.0, sup_norm_k(problem.history, 1))
     )
-    certified_k = _check_membership(problem, horizon, config.eps_tail_seminorm, certified_k)
     n_forcing = _certify_forcing(problem, horizon, eps_f)
-    return _advance(_start(problem, config, n_forcing, h, eps_f, certified_k), horizon)
+    return _advance(_start(problem, config, n_forcing, h, eps_f), horizon)
 
 
-def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] = None) -> Trajectory:
-    """Integrate the problem on [0, horizon] after certifying admissibility."""
-    return _solve(problem, horizon, config if config is not None else SolverConfig(), 0)
-
-
-def step_interval(traj: Trajectory, k: int, config: Optional[SolverConfig] = None) -> Trajectory:
+def step_interval(traj: Trajectory, k: int) -> Trajectory:
     """Trajectory extended through the window [k*tau_1, (k+1)*tau_1].
 
     Returns traj unchanged when it already covers the window.  Otherwise
-    certifies the windows traj has not certified yet and marches the
-    remaining span; when the longer horizon needs a deeper forcing
-    truncation, the march re-runs from t = 0 without certifying again.
+    certifies the forcing truncation for the longer horizon at traj's eps
+    and marches the remaining span; when that needs a deeper index, it
+    re-solves from t = 0 under traj.config instead.
     """
     if k < 0:
         raise ValueError(f"window index must be >= 0, got {k}")
-    cfg = config if config is not None else traj.config
-    target = (k + 1) * traj.problem.family.delays.tau1
+    problem = traj.problem
+    target = (k + 1) * problem.family.delays.tau1
     if target <= traj.horizon + 1e-12:
         return traj
-    problem = traj.problem
-    certified_k = traj.certified_k if cfg.eps_tail_seminorm == traj.config.eps_tail_seminorm else 0
-    certified_k = _check_membership(problem, target, cfg.eps_tail_seminorm, certified_k)
-    n_forcing = _certify_forcing(problem, target, traj.eps_forcing_used)
-    if n_forcing != traj.n_forcing:
-        return _solve(problem, target, cfg, certified_k)
-    return _advance(replace(traj, config=cfg, certified_k=certified_k), target)
+    if _certify_forcing(problem, target, traj.eps_forcing_used) != traj.n_forcing:
+        return solve(problem, target, traj.config)
+    return _advance(traj, target)
 
 
 # ---------------------------------------------------------------------------

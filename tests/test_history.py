@@ -334,8 +334,15 @@ def test_membership_verdicts():
     rep = membership_in_F(phi, HARMONIC, k_max=5)
     assert rep.verdict == "not-member"
     assert all(rep.seminorms[k].divergent for k in range(1, 6))
-    unc = CoefficientFamily.explicit_list([0.5], 0.2, DelaySchedule())
-    assert membership_in_F(phi, unc).verdict == "inconclusive"
+    # one recorded coefficient and tail mass 0.2: every p_k <= 0.7 sup |phi|,
+    # although no p_k reaches eps_tail; under a growing history nothing is certified
+    listed = CoefficientFamily.explicit_list([0.5], 0.2, DelaySchedule())
+    rep = membership_in_F(phi, listed)
+    assert rep.verdict == "member"
+    assert all(sv.verdict == "inconclusive" for sv in rep.seminorms.values())
+    assert membership_in_F(history_preset("g-weight"), listed).verdict == "inconclusive"
+    # b_i = i^-2: the tail sum is certified finite though p_k at eps 1e-10 is not
+    assert membership_in_F(phi, CoefficientFamily.power_law(1.0, 2.0, DelaySchedule())).verdict == "member"
 
 
 def test_membership_growing_history_against_matching_decay():

@@ -20,6 +20,7 @@ from infidelay import (
     solve,
     step_interval,
 )
+from infidelay.numerics import phi1
 from conftest import classic_exact, classic_problem, oracle_scenarios, sweep_problems
 
 DS = DelaySchedule()
@@ -183,8 +184,24 @@ def test_solve_geometric_against_independent_oracle():
 
 def test_solve_rejects_history_outside_phase_space():
     bad = ProblemSpec(0.0, CoefficientFamily.power_law(1.0, 1.0, DS), history_preset("constant"))
-    with pytest.raises(NotInPhaseSpaceError):
+    with pytest.raises(NotInPhaseSpaceError, match="outside the phase space"):
         solve(bad, 1.0)
+    # a recorded tail mass bounds no series under a growing history: neither verdict is provable
+    listed = CoefficientFamily.explicit_list([0.5], 0.2, DS)
+    with pytest.raises(NotInPhaseSpaceError, match="cannot certify"):
+        solve(ProblemSpec(0.0, listed, history_preset("g-weight")), 1.0)
+
+
+def test_solve_admits_a_member_whose_seminorms_are_inconclusive():
+    # b_i = i^-2 from the constant history: no p_k reaches eps_tail = 1e-10
+    # below the index cap, but the forcing certificate at eps 1e-4 proves
+    # membership; x(1) = e^a + zeta(2) (e^a - 1) / a up to the discarded forcing
+    a, eps = -0.5, 1e-4
+    fam = CoefficientFamily.power_law(1.0, 2.0, DS)
+    traj = solve(ProblemSpec(a, fam, history_preset("constant")), 1.0, SolverConfig(eps_forcing=eps))
+    assert traj.n_forcing == 10_000
+    ea = math.exp(a)
+    assert abs(traj.eval(1.0) - (ea + math.pi**2 / 6.0 * (ea - 1.0) / a)) <= eps * phi1(a, 1.0) + 1e-10
 
 
 def test_solve_is_deterministic():
@@ -296,28 +313,13 @@ def seminorm_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("problem", [slow_geometric_problem(), fast_geometric_problem()], ids=["march", "resolve"])
-def test_step_interval_certifies_only_the_new_window(seminorm_calls, problem):
-    traj = solve(problem, 2.0)
-    assert traj.certified_k == 2
-    seminorm_calls.clear()
-    extended = step_interval(traj, 2)
-    assert seminorm_calls == [3]
-    assert extended.certified_k == 3
-
-
-def test_step_interval_recertifies_under_a_new_tolerance(seminorm_calls):
-    traj = solve(classic_problem(), 2.0)
-    seminorm_calls.clear()
-    step_interval(traj, 2, SolverConfig(eps_tail_seminorm=1e-8))
-    assert seminorm_calls == [1, 2, 3]
-
-
-def test_step_interval_certifies_oracle_trajectories_from_p1(seminorm_calls):
-    traj = fd.oracle_solve(classic_problem(), 2.0)
-    assert traj.certified_k == 0
-    step_interval(traj, 2)
-    assert seminorm_calls == [1, 2, 3]
+def test_solver_evaluates_no_seminorm(seminorm_calls):
+    # the forcing certificate proves every p_k finite; none is evaluated
+    traj = solve(slow_geometric_problem(), 2.0)
+    assert step_interval(traj, 2).n_forcing == traj.n_forcing
+    traj = solve(fast_geometric_problem(), 2.0)
+    assert step_interval(traj, 2).n_forcing != traj.n_forcing
+    assert seminorm_calls == []
 
 
 def test_step_interval_short_circuits_when_covered():
