@@ -313,12 +313,20 @@ def seminorm_calls(monkeypatch):
     return calls
 
 
-def test_solver_evaluates_no_seminorm(seminorm_calls):
-    # the forcing certificate proves every p_k finite; none is evaluated
-    traj = solve(slow_geometric_problem(), 2.0)
-    assert step_interval(traj, 2).n_forcing == traj.n_forcing
-    traj = solve(fast_geometric_problem(), 2.0)
-    assert step_interval(traj, 2).n_forcing != traj.n_forcing
+@pytest.mark.parametrize(
+    "problem, resolves",
+    [(slow_geometric_problem(), False), (fast_geometric_problem(), True)],
+    ids=["march", "resolve"],
+)
+def test_step_interval_certifies_only_the_new_window(seminorm_calls, problem, resolves):
+    # the extension certifies the forcing truncation through the new window;
+    # that certificate proves every p_k finite, so neither solve nor the
+    # extension evaluates one
+    traj = solve(problem, 2.0)
+    extended = step_interval(traj, 2)
+    assert extended.horizon == 3.0
+    assert extended.n_forcing == solve(problem, 3.0).n_forcing
+    assert (extended.n_forcing != traj.n_forcing) == resolves
     assert seminorm_calls == []
 
 
