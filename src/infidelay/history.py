@@ -38,7 +38,7 @@ from .coefficients import (
     n_index,
     tail_sum_bound,
 )
-from .numerics import dedupe_knots, derivative_coeffs, eval_pieces, piece_index, sup_abs_pieces
+from .numerics import dedupe_knots, derivative_coeffs, eval_pieces, hermite_coeffs, piece_index, shift_coeffs, sup_abs_pieces
 
 _CONST1 = WeightFunction.constant(1.0)
 
@@ -417,8 +417,7 @@ class HistoryFunction:
         if cf.shape != (len(bp) - 1, 4):
             raise ValueError(f"coefficient array must be {(len(bp) - 1, 4)}, got {cf.shape}")
         # continuity across interior breakpoints
-        du = np.diff(bp)[:-1]
-        v_end = cf[:-1, 0] + du * (cf[:-1, 1] + du * (cf[:-1, 2] + du * cf[:-1, 3]))
+        v_end = shift_coeffs(cf[:-1], np.diff(bp)[:-1])[:, 0]
         v_next = cf[1:, 0]
         bad = np.flatnonzero(np.abs(v_end - v_next) > np.maximum(_CONT_TOL, _CONT_TOL * np.abs(v_next)))
         if len(bad):
@@ -483,20 +482,6 @@ class HistoryFunction:
         if lo < b0:
             best = max(best, self.tail.sup_abs(lo, min(hi, b0)))
         return best
-
-    def core_slope_sup(self) -> float:
-        """Exact sup of |phi'| over the core (ignores the tail)."""
-        return sup_abs_pieces(self.breakpoints, derivative_coeffs(self.coeffs), float(self.breakpoints[0]), 0.0)
-
-    def value_at_zero(self) -> float:
-        c = self.coeffs[-1]
-        du = -float(self.breakpoints[-2])
-        return float(c[0] + du * (c[1] + du * (c[2] + du * c[3])))
-
-    def slope_at_zero(self) -> float:
-        c = self.coeffs[-1]
-        du = -float(self.breakpoints[-2])
-        return float(c[1] + du * (2.0 * c[2] + du * 3.0 * c[3]))
 
     def tail_atoms(self) -> list[Atom]:
         return self.tail.atoms(self.depth)
@@ -569,12 +554,7 @@ def history_from_callable(
             r = min(t + hstep, 0.0)
             l = r - 2.0 * hstep
             slopes[j] = (float(fn(r)) - float(fn(l))) / (r - l)
-    cf = np.zeros((m, 4))
-    for j in range(m):
-        dt = bp[j + 1] - bp[j]
-        A = vals[j + 1] - vals[j] - slopes[j] * dt
-        B = slopes[j + 1] - slopes[j]
-        cf[j] = (vals[j], slopes[j], (3.0 * A - B * dt) / dt**2, (B * dt - 2.0 * A) / dt**3)
+    cf = np.column_stack(hermite_coeffs(vals[:-1], slopes[:-1], vals[1:], slopes[1:], np.diff(bp)))
     if tail is None:
         tail = ConstantTail(vals[0])
     return HistoryFunction(bp, cf, tail)
@@ -647,21 +627,6 @@ def combine_histories(
     return HistoryFunction(h1.breakpoints.copy(), alpha * h1.coeffs + beta * h2.coeffs, tail)
 
 
-def _taylor_shift(c: np.ndarray, du: float) -> np.ndarray:
-    """Re-center a cubic's local coordinates by du (exact polynomial identity)."""
-    if du == 0.0:
-        return c.copy()
-    c0, c1, c2, c3 = c
-    return np.array(
-        [
-            c0 + du * (c1 + du * (c2 + du * c3)),
-            c1 + du * (2.0 * c2 + du * 3.0 * c3),
-            c2 + 3.0 * c3 * du,
-            c3,
-        ]
-    )
-
-
 def _materialize_constant(phi: HistoryFunction, new_depth: float) -> HistoryFunction:
     """Extend a constant-tailed core to new_depth with one exact flat piece."""
     if not isinstance(phi.tail, ConstantTail):
@@ -697,18 +662,14 @@ def history_difference(h1: HistoryFunction, h2: HistoryFunction) -> HistoryFunct
         inner_a = a.breakpoints[(a.breakpoints > -depth + 1e-12) & (a.breakpoints < -1e-12)]
         inner_b = b.breakpoints[(b.breakpoints > -depth + 1e-12) & (b.breakpoints < -1e-12)]
         bp = np.concatenate([[-depth], dedupe_knots(np.concatenate([inner_a, inner_b])), [0.0]])
-        cf = np.zeros((len(bp) - 1, 4))
-        for j in range(len(bp) - 1):
-            s = bp[j]
-            # pick source pieces by the segment midpoint: union knots merged
-            # within 1e-12 may sit a few ulp before a side's own knot, and a
-            # left-endpoint lookup would then extrapolate the previous piece
-            mid = 0.5 * (bp[j] + bp[j + 1])
-            ia = int(piece_index(a.breakpoints, len(a.coeffs), mid))
-            ib = int(piece_index(b.breakpoints, len(b.coeffs), mid))
-            cf[j] = _taylor_shift(a.coeffs[ia], s - a.breakpoints[ia]) - _taylor_shift(
-                b.coeffs[ib], s - b.breakpoints[ib]
-            )
+        # pick source pieces by the segment midpoint: union knots merged
+        # within 1e-12 may sit a few ulp before a side's own knot, and a
+        # left-endpoint lookup would then extrapolate the previous piece
+        mid = 0.5 * (bp[:-1] + bp[1:])
+        ia, ib = (piece_index(h.breakpoints, len(h.coeffs), mid) for h in (a, b))
+        cf = shift_coeffs(a.coeffs[ia], bp[:-1] - a.breakpoints[ia]) - shift_coeffs(
+            b.coeffs[ib], bp[:-1] - b.breakpoints[ib]
+        )
 
     ta, tb = a.tail, b.tail
     if a.depth == b.depth:
@@ -1085,7 +1046,7 @@ def L_functional(
         if _certified_divergent(phi, family, 0.0):
             raise DivergentTailError("the delayed series diverges absolutely for this history") from exc
         raise UnknownTailError(f"cannot certify a truncation of the delayed series to eps={eps}") from exc
-    total = a * phi.value_at_zero()
+    total = a * phi.evaluate(0.0)
     if N > 0:
         bs = family.b_array(N)
         taus = family.delays.tau_array(N)

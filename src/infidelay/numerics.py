@@ -15,9 +15,15 @@ breakpoints leaves the coefficient array unchanged.  That property is what
 lets trajectory segments be spliced into shifted history functions without
 any refitting error.
 
-The convention is applied in this module only: piece_index finds the piece
-of a point and derivative_coeffs differentiates the pieces; the evaluators
-below build on them.
+The convention is applied in this module only.  piece_index finds the
+piece of a point, derivative_coeffs differentiates the pieces, shift_coeffs
+re-centres them, hermite_coeffs fits them from node values and slopes, and
+the evaluators (eval_pieces, eval_pieces_derivative, sup_abs_pieces) build
+on these.  Two uses of the format's arithmetic stay outside on purpose:
+history._core_weighted_sup, whose critical points depend on the weight g in
+sup |phi|/g, and the left-to-right junction snap in
+HistoryFunction.derivative, whose running sum makes the constructor's
+continuity check hold exactly.
 """
 
 from __future__ import annotations
@@ -104,6 +110,26 @@ def derivative_coeffs(coeffs: np.ndarray) -> np.ndarray:
     dcf[:, 1] = 2.0 * coeffs[:, 2]
     dcf[:, 2] = 3.0 * coeffs[:, 3]
     return dcf
+
+
+def shift_coeffs(coeffs: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Every row re-centred at its own u = du[j] (an exact polynomial identity).
+
+    Row j of the result holds the local coefficients of the cubic
+    u -> coeffs[j](u + du[j]).  Rows with du[j] == 0 are returned unchanged,
+    so signed zeros survive.
+    """
+    du = np.asarray(du, dtype=float)
+    c0, c1, c2, c3 = coeffs.T
+    shifted = np.column_stack(
+        (
+            c0 + du * (c1 + du * (c2 + du * c3)),
+            c1 + du * (2.0 * c2 + du * 3.0 * c3),
+            c2 + 3.0 * c3 * du,
+            c3,
+        )
+    )
+    return np.where((du == 0.0)[:, None], coeffs, shifted)
 
 
 def eval_pieces(breaks: np.ndarray, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -18,16 +18,18 @@ import numpy as np
 from .stepper import ProblemSpec, SolverConfig, Trajectory, _delayed_values, _forcing_index, _march, _start
 
 
+#: tolerance of the certified truncation index picked when n_trunc is None
+_EPS_TRUNC = 1e-10
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """h_fine: RK4 step target (default tau_1/200, clamped to tau_1/2).
     n_trunc: delayed-sum truncation for non-finite families; None picks the
-    certified index for a 1e-10 truncated tail against the history envelope.
-    eps_trunc: the tolerance used by that automatic choice."""
+    certified index for a 1e-10 truncated tail against the history envelope."""
 
     h_fine: Optional[float] = None
     n_trunc: Optional[int] = None
-    eps_trunc: float = 1e-10
 
 
 def _oracle_truncation(problem: ProblemSpec, config: OracleConfig, horizon: float) -> int:
@@ -39,7 +41,7 @@ def _oracle_truncation(problem: ProblemSpec, config: OracleConfig, horizon: floa
         return n
     if config.n_trunc is not None:
         return config.n_trunc
-    return _forcing_index(problem, horizon, config.eps_trunc)
+    return _forcing_index(problem, horizon, _EPS_TRUNC)
 
 
 def _rk4_scan(a: float, x: float, steps: np.ndarray, points: np.ndarray, f: np.ndarray) -> list:

@@ -29,7 +29,7 @@ from .history import (
     p_seminorm,
     sup_norm_k,
 )
-from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, derivative_coeffs, piece_index, sup_abs_pieces
+from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, derivative_coeffs, eval_pieces_derivative, piece_index, sup_abs_pieces
 from .stepper import ProblemSpec, SolverConfig, Trajectory, _forcing_index, forcing, solve
 
 
@@ -116,10 +116,6 @@ def check_semigroup_law(
 # ---------------------------------------------------------------------------
 
 
-def _traj_slope_sup(traj: Trajectory, lo: float, hi: float) -> float:
-    return sup_abs_pieces(traj.grid, derivative_coeffs(traj.pieces), lo, hi)
-
-
 @dataclass(frozen=True)
 class StrongContinuityReport:
     k: int
@@ -160,7 +156,10 @@ def check_strong_continuity(
         diff = history_difference(apply_semigroup(traj, t), phi)
         dists.append(sup_norm_k(diff, k))
         p_dists.append(p_seminorm(diff, problem.family, k, eps_tail).upper())
-    lip = max(_traj_slope_sup(traj, 0.0, ts[0]), phi.core_slope_sup())
+    lip = max(
+        sup_abs_pieces(traj.grid, derivative_coeffs(traj.pieces), 0.0, ts[0]),
+        sup_abs_pieces(phi.breakpoints, derivative_coeffs(phi.coeffs), float(phi.breakpoints[0]), 0.0),
+    )
     thr = threshold if threshold is not None else 1e-2 * (1.0 + lip)
     monotone = all(b <= a + 1e-10 for a, b in zip(dists, dists[1:]))
     final_ok = dists[-1] <= thr
@@ -235,7 +234,7 @@ def check_mild_solution(
         raise ValueError("need nonempty grids of times t >= 0 and of thetas <= 0")
     traj = solve(problem, max(ts[-1], problem.family.delays.tau1), config)
     phi = problem.history
-    phi0 = phi.value_at_zero()
+    phi0 = phi.evaluate(0.0)
     r = np.add.outer(ts, thetas)
     pos = r > 0.0
     grid = traj.grid[traj.grid <= r.max() + 1e-12]
@@ -302,7 +301,7 @@ def check_generator_domain(
     if dphi is None:
         return GeneratorDomainReport("not-applicable", math.nan, math.nan, math.nan, math.nan, "unknown")
     lv = L_functional(phi, family, a, eps=min(1e-12, tol * 1e-3))
-    slope = phi.slope_at_zero()
+    slope = float(eval_pieces_derivative(phi.breakpoints, phi.coeffs, 0.0))
     violation = abs(slope - lv.value)
     member = membership_in_F(dphi, family, k_max, eps_tail).verdict
     if member == "not-member":

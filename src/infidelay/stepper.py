@@ -87,9 +87,9 @@ class SolverConfig:
 
     h: sub-step target, > 0 (default tau_1/40, clamped to tau_1)
     quad: "gauss4" or "simpson"
-    eps_forcing: uniform bound on the discarded delayed-forcing tail
+    eps_forcing: uniform bound on the discarded delayed-forcing tail, > 0
         (default 1e-10 * max(1, sup |phi| on [-1, 0]))
-    eps_tail_seminorm: certification tolerance of the p_k evaluated along a
+    eps_tail_seminorm: certification tolerance, > 0, of the p_k evaluated along a
         trajectory (estimate_certificate, strong continuity, the scenario
         checks); solve does not read it
     """
@@ -102,6 +102,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.h is not None and not self.h > 0.0:
             raise ValueError(f"step size must be positive, got {self.h}")
+        if self.eps_forcing is not None and not self.eps_forcing > 0.0:
+            raise ValueError(f"forcing tolerance must be positive, got {self.eps_forcing}")
+        if not self.eps_tail_seminorm > 0.0:
+            raise ValueError(f"seminorm tolerance must be positive, got {self.eps_tail_seminorm}")
         if self.quad not in QUAD_RULES:
             raise ValueError(f"unknown quadrature rule {self.quad!r}")
 
@@ -427,7 +431,7 @@ def _advance(traj: Trajectory, t_end: float) -> Trajectory:
 
 def _start(problem: ProblemSpec, config: SolverConfig, n_forcing: int, h: float, eps_f: float) -> Trajectory:
     """The one-node trajectory at t = 0: x(0) = phi(0), x'(0) = a phi(0) + F(0)."""
-    phi0 = problem.history.value_at_zero()
+    phi0 = problem.history.evaluate(0.0)
     traj = Trajectory(
         problem=problem,
         config=config,
@@ -465,10 +469,14 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
     Returns traj unchanged when it already covers the window.  Otherwise
     certifies the forcing truncation for the longer horizon at traj's eps
     and marches the remaining span; when that needs a deeper index, it
-    re-solves from t = 0 under traj.config instead.
+    re-solves from t = 0 under traj.config instead.  An oracle_solve
+    trajectory records no forcing eps (0.0) and is refused: extending it
+    here would not be the RK4 reference.
     """
     if k < 0:
         raise ValueError(f"window index must be >= 0, got {k}")
+    if not traj.eps_forcing_used > 0.0:
+        raise ValueError("step_interval extends solve trajectories only, not oracle_solve ones")
     problem = traj.problem
     target = (k + 1) * problem.family.delays.tau1
     if target <= traj.horizon + 1e-12:

@@ -166,6 +166,18 @@ def _set_h_zero(cfg):
     cfg["solver"] = {"h": 0}
 
 
+def _set_eps_forcing_negative(cfg):
+    cfg["solver"] = {"eps_forcing": -1}
+
+
+def _set_eps_forcing_zero(cfg):
+    cfg["solver"] = {"eps_forcing": 0}
+
+
+def _set_eps_tail_seminorm_zero(cfg):
+    cfg["solver"] = {"eps_tail_seminorm": 0}
+
+
 def _params(cfg, name):
     """The parameter object of the named check, appended if the scenario lacks the check."""
     cfg["checks"] = [c if isinstance(c, dict) else {"name": c} for c in cfg["checks"]]
@@ -249,6 +261,9 @@ def _set_oracle_tolerance_string(cfg):
         _set_tau_delta,
         _set_a_nan,
         _set_h_zero,
+        _set_eps_forcing_negative,
+        _set_eps_forcing_zero,
+        _set_eps_tail_seminorm_zero,
         _set_point_without_x,
         _set_points_string,
         _set_k_list_null,

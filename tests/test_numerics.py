@@ -17,6 +17,7 @@ from infidelay.numerics import (
     eval_pieces_derivative,
     hermite_coeffs,
     phi1,
+    shift_coeffs,
     sup_abs_pieces,
 )
 
@@ -71,6 +72,38 @@ def test_hermite_roundtrip(x0, m0, x1, m1, dt):
     assert abs(p(dt) - x1) <= 1e-9 * scale
     assert abs(dp(0.0) - m0) <= 1e-12 * scale / dt
     assert abs(dp(dt) - m1) <= 1e-9 * scale / dt
+
+
+def _shift_row(c, du):
+    """One row re-centred by du, the scalar reference for shift_coeffs."""
+    if du == 0.0:
+        return c.copy()
+    c0, c1, c2, c3 = c
+    return np.array([c0 + du * (c1 + du * (c2 + du * c3)), c1 + du * (2.0 * c2 + du * 3.0 * c3), c2 + 3.0 * c3 * du, c3])
+
+
+def test_shift_coeffs_matches_the_per_row_formula_bitwise():
+    rng = np.random.default_rng(11)
+    coeffs = rng.normal(size=(200, 4))
+    coeffs[:5] = -0.0  # signed zeros must survive a zero shift
+    du = rng.uniform(-2.0, 2.0, size=200)
+    du[::7] = 0.0
+    got = shift_coeffs(coeffs, du)
+    want = np.array([_shift_row(c, d) for c, d in zip(coeffs, du)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_shifted_rows_evaluate_the_original_cubics():
+    rng = np.random.default_rng(12)
+    coeffs = rng.normal(size=(50, 4))
+    du = rng.uniform(0.0, 1.0, size=50)
+    shifted = shift_coeffs(coeffs, du)
+    breaks = 4.0 * np.arange(51.0)  # pieces wide enough that u + du stays inside each
+    scale = 1.0 + 8.0 * np.abs(coeffs).sum(axis=1)
+    for u in (0.0, 0.3, 0.9):
+        want = eval_pieces(breaks, coeffs, breaks[:-1] + (u + du))
+        got = eval_pieces(breaks, shifted, breaks[:-1] + u)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def test_hermite_rejects_bad_width():

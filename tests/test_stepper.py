@@ -221,7 +221,16 @@ def test_solve_step_refinement_agrees():
 
 
 def test_solver_config_validation_and_clamping():
-    for bad in ({"quad": "midpoint"}, {"h": 0.0}, {"h": -1.0}):
+    for bad in (
+        {"quad": "midpoint"},
+        {"h": 0.0},
+        {"h": -1.0},
+        {"eps_forcing": math.nan},
+        {"eps_forcing": -1.0},
+        {"eps_forcing": 0.0},
+        {"eps_tail_seminorm": math.nan},
+        {"eps_tail_seminorm": 0.0},
+    ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     traj = solve(classic_problem(), 2.0, SolverConfig(h=5.0))
@@ -341,6 +350,15 @@ def test_step_interval_rejects_bad_k():
     traj = solve(classic_problem(), 1.0)
     with pytest.raises(ValueError):
         step_interval(traj, -1)
+
+
+def test_step_interval_refuses_oracle_trajectories():
+    # the oracle records no forcing tolerance; extending it by variation of
+    # constants would silently swap the RK4 reference for a solve
+    power = ProblemSpec(-0.5, CoefficientFamily.power_law(1.0, 3.0, DS), history_preset("constant"))
+    for traj in (fd.oracle_solve(geometric_problem(), 2.0), fd.oracle_solve(power, 2.0, fd.OracleConfig(n_trunc=50))):
+        with pytest.raises(ValueError, match="oracle_solve"):
+            step_interval(traj, 2)
 
 
 # ---------------------------------------------------------------------------
