@@ -303,15 +303,14 @@ class PairDifferenceTail:
         return self.left.evaluate(theta) - self.right.evaluate(theta)
 
     def sup_abs(self, lo, hi):
-        if np.ndim(lo):
-            return np.array([self.sup_abs(float(l), float(h)) for l, h in zip(lo, hi)])
         triangle = self.left.sup_abs_interval(lo, hi) + self.right.sup_abs_interval(lo, hi)
-        if hi <= -self.depth + 1e-12 and self.bound_atoms:
-            # the atoms certify |diff| <= sum scale*w below -depth, and every
-            # weight form is nondecreasing into the past, so w peaks at lo
-            from_atoms = sum(s * w(lo) for s, w in self.bound_atoms)
-            return min(triangle, from_atoms)
-        return triangle
+        if not self.bound_atoms:
+            return triangle
+        # the atoms certify |diff| <= sum scale*w below -depth, and every
+        # weight form is nondecreasing into the past, so w peaks at lo
+        from_atoms = sum(s * w(lo) for s, w in self.bound_atoms)
+        below = np.asarray(hi) <= -self.depth + 1e-12
+        return _per_window(lo, np.where(below, np.minimum(triangle, from_atoms), triangle))
 
     def sup_lower_uniform(self, length: float) -> float:
         return 0.0
@@ -468,20 +467,23 @@ class HistoryFunction:
             out[~core] = np.asarray(self.tail.evaluate(th[~core]), dtype=float)
         return float(out[0]) if scalar else out
 
-    def sup_abs_interval(self, lo: float, hi: float) -> float:
-        """Sup of |phi| over [lo, hi] (hi <= 0); exact on the core."""
-        if hi > 1e-12:
-            raise ValueError(f"history intervals must end at <= 0, got {hi}")
-        hi = min(hi, 0.0)
-        if lo > hi:
-            return 0.0
-        b0 = float(self.breakpoints[0])
-        best = 0.0
-        if hi >= b0:
-            best = sup_abs_pieces(self.breakpoints, self.coeffs, max(lo, b0), hi)
-        if lo < b0:
-            best = max(best, self.tail.sup_abs(lo, min(hi, b0)))
-        return best
+    def sup_abs_interval(self, lo, hi):
+        """Sup of |phi| over [lo, hi] (hi <= 0, 0.0 if empty); exact on the core.
+
+        lo and hi are one window's ends (the result is a float) or equal-shape
+        arrays of windows, each part one array call: sup_abs_pieces on the
+        core, and the tail's sup_abs when some window reaches below the core.
+        """
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if np.any(hi > 1e-12):
+            raise ValueError(f"history intervals must end at <= 0, got {hi.max()}")
+        hi = np.minimum(hi, 0.0)
+        b0 = self.breakpoints[0]
+        best = sup_abs_pieces(self.breakpoints, self.coeffs, np.maximum(lo, b0), hi)
+        below = (lo < b0) & (lo <= hi)
+        if np.any(below):
+            best = np.where(below, np.maximum(best, self.tail.sup_abs(lo, np.minimum(hi, b0))), best)
+        return float(best) if lo.ndim == 0 else best
 
     def tail_atoms(self) -> list[Atom]:
         return self.tail.atoms(self.depth)
@@ -793,13 +795,13 @@ def p_seminorm(
     taus = d.tau_array(N)
     # past the head every window lies below the core: one array call to the tail
     head = max(n0 - 1, min(N, int(phi.head_counts(np.array([ktau]), taus)[0])))
-    total = 0.0
-    for i in range(n0, head + 1):
-        tau = float(taus[i - 1])
-        total += float(coeff[i - 1]) * phi.sup_abs_interval(-tau, min(ktau - tau, 0.0))
-    deep = taus[head:]
-    products = coeff[head:] * phi.tail.sup_abs(-deep, ktau - deep)
-    total = float(np.cumsum(np.concatenate(([total], products)))[-1])
+    near, deep = taus[n0 - 1 : head], taus[head:]
+    terms = np.concatenate(
+        ([0.0], phi.sup_abs_interval(-near, np.minimum(ktau - near, 0.0)), phi.tail.sup_abs(-deep, ktau - deep))
+    )
+    terms[1:] *= coeff[n0 - 1 :]
+    # summed left to right in index order from 0.0, as a scalar loop would
+    total = float(np.cumsum(terms)[-1])
     return SeminormValue(total, rem, n0, N, "finite")
 
 

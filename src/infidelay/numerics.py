@@ -19,9 +19,10 @@ The convention is applied in this module only.  piece_index finds the
 piece of a point, derivative_coeffs differentiates the pieces, shift_coeffs
 re-centres them, hermite_coeffs fits them from node values and slopes, and
 the evaluators (eval_pieces, eval_pieces_derivative, sup_abs_pieces) build
-on these.  Two uses of the format's arithmetic stay outside on purpose:
-history._core_weighted_sup, whose critical points depend on the weight g in
-sup |phi|/g, and the left-to-right junction snap in
+on these; sup_abs_pieces takes one interval or arrays of intervals, done in
+one array pass.  Two uses of the format's arithmetic stay outside on
+purpose: history._core_weighted_sup, whose critical points depend on the
+weight g in sup |phi|/g, and the left-to-right junction snap in
 HistoryFunction.derivative, whose running sum makes the constructor's
 continuity check hold exactly.
 """
@@ -98,9 +99,10 @@ def piece_index(breaks: np.ndarray, n_pieces: int, x):
     """Index of the piece whose [breaks[j], breaks[j+1]) holds x, clamped to [0, n_pieces - 1].
 
     A point on a breakpoint belongs to the piece starting there; points
-    left of breaks[0] or right of the last piece go to the end pieces.
+    left of breaks[0] or right of the last piece go to the end pieces.  The
+    index is the count of interior breakpoints at or left of x.
     """
-    return np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, n_pieces - 1)
+    return np.searchsorted(breaks[1:n_pieces], x, side="right")
 
 
 def derivative_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -154,53 +156,37 @@ def eval_pieces_derivative(breaks: np.ndarray, coeffs: np.ndarray, x: np.ndarray
     return c[..., 1] + u * (2.0 * c[..., 2] + u * 3.0 * c[..., 3])
 
 
-def _piece_sup_abs(c: np.ndarray, u_lo: float, u_hi: float) -> float:
-    """Exact sup of |cubic| on [u_lo, u_hi] in the local coordinate of one piece."""
-    c0, c1, c2, c3 = float(c[0]), float(c[1]), float(c[2]), float(c[3])
+def sup_abs_pieces(breaks: np.ndarray, coeffs: np.ndarray, lo, hi):
+    """Exact sup of |piecewise cubic| over [lo, hi] intersected with the span (0.0 if empty).
 
-    def val(u: float) -> float:
-        return abs(c0 + u * (c1 + u * (c2 + u * c3)))
-
-    best = max(val(u_lo), val(u_hi))
-    # interior critical points: roots of 3 c3 u^2 + 2 c2 u + c1
-    a2 = 3.0 * c3
-    a1 = 2.0 * c2
-    a0 = c1
-    if a2 == 0.0:
-        if a1 != 0.0:
-            u = -a0 / a1
-            if u_lo < u < u_hi:
-                best = max(best, val(u))
-    else:
-        disc = a1 * a1 - 4.0 * a2 * a0
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            for u in ((-a1 + sq) / (2.0 * a2), (-a1 - sq) / (2.0 * a2)):
-                if u_lo < u < u_hi:
-                    best = max(best, val(u))
-    return best
-
-
-def sup_abs_pieces(breaks: np.ndarray, coeffs: np.ndarray, lo: float, hi: float) -> float:
-    """Exact sup of |piecewise cubic| over [lo, hi] intersected with the span.
-
-    Uses endpoint values plus closed-form critical points of each cubic, so
-    the result is exact up to roundoff (no sampling grid).
+    lo and hi are one interval's ends (the result is a float) or equal-shape
+    arrays of intervals, all done in one array pass over the (interval,
+    piece) pairs they cover.  Each pair takes |cubic| at its two ends and at
+    the closed-form roots of the derivative 3 c3 u^2 + 2 c2 u + c1 strictly
+    inside, so the result is exact up to roundoff (no sampling grid).
     """
-    lo = max(lo, float(breaks[0]))
-    hi = min(hi, float(breaks[-1]))
-    if hi < lo:
-        return 0.0
-    j_lo = int(piece_index(breaks, len(coeffs), lo))
-    j_hi = int(piece_index(breaks, len(coeffs), hi))
-    best = 0.0
-    for j in range(j_lo, j_hi + 1):
-        u_lo = max(lo, float(breaks[j])) - float(breaks[j])
-        u_hi = min(hi, float(breaks[j + 1])) - float(breaks[j])
-        if u_hi < u_lo:
-            continue
-        best = max(best, _piece_sup_abs(coeffs[j], u_lo, u_hi))
-    return best
+    shape = np.shape(lo)
+    lo = np.maximum(np.ravel(lo), breaks[0])
+    hi = np.minimum(np.ravel(hi), breaks[-1])
+    j_lo = piece_index(breaks, len(coeffs), lo)
+    count = np.where(hi < lo, 0, piece_index(breaks, len(coeffs), hi) - j_lo + 1)
+    which = np.repeat(np.arange(len(lo)), count)
+    j = np.arange(len(which)) + np.repeat(j_lo - (np.cumsum(count) - count), count)
+    left = breaks[j]
+    u_lo = np.maximum(lo[which], left) - left
+    u_hi = np.minimum(hi[which], breaks[j + 1]) - left
+    c0, c1, c2, c3 = coeffs[j].T
+    a2, a1 = 3.0 * c3, 2.0 * c2
+    with np.errstate(all="ignore"):
+        # a linear derivative has one root; no root is a nan or an infinity
+        sq = np.sqrt(a1 * a1 - 4.0 * a2 * c1)
+        u = np.array((u_lo, u_hi, np.where(a2 == 0.0, -c1 / a1, np.nan), (-a1 + sq) / (2.0 * a2), (-a1 - sq) / (2.0 * a2)))
+        # a root outside (u_lo, u_hi) falls back to u_lo, already a candidate
+        u[2:] = np.where((u_lo < u[2:]) & (u[2:] < u_hi), u[2:], u_lo)
+        vals = np.abs(c0 + u * (c1 + u * (c2 + u * c3))).max(axis=0)
+    best = np.zeros(len(lo))
+    np.maximum.at(best, which, vals)
+    return float(best[0]) if shape == () else best.reshape(shape)
 
 
 def dedupe_knots(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:

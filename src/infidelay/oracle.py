@@ -78,11 +78,11 @@ def compare_trajectories(
     interval: Optional[tuple[float, float]] = None,
     n_samples: int = 2001,
 ) -> float:
-    """Max |ta - tb| over the interval, sampled densely plus at both grids."""
+    """Max |ta - tb| over the interval, sampled densely plus at both grids (repeats are harmless)."""
     if interval is None:
         interval = (0.0, min(ta.horizon, tb.horizon))
     lo, hi = interval
     ts = np.linspace(lo, hi, n_samples)
     extra = [g[(g >= lo) & (g <= hi)] for g in (ta.grid, tb.grid)]
-    ts = np.unique(np.concatenate([ts] + extra))
+    ts = np.concatenate([ts] + extra)
     return float(np.max(np.abs(ta.eval(ts) - tb.eval(ts))))

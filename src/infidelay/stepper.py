@@ -33,7 +33,10 @@ The march (_march) runs one window [k tau_1, (k+1) tau_1] at a time.
 Every delay is at least tau_1, so F on the window reads x only on
 (-inf, k tau_1]: the forcing at every step's nodes starts + steps * nodes
 and at the step ends is one batched evaluation of a (points x head)
-argument matrix, taken in row chunks of at most _CHUNK_TERMS terms.  A
+argument matrix, taken in row chunks of at most _CHUNK_TERMS terms.  The
+rows of a chunk are grouped by head count, and each group is summed by one
+np.vecdot against the leading coefficients; np.vecdot takes the same BLAS
+dot product per row as np.dot, so the grouping changes no bit.  A
 scan then turns the batch into the window's node values: _voc_scan, the
 variation-of-constants update under the quadrature rule, for solve and
 step_interval; the oracle passes its RK4 scan.  The slopes are
@@ -332,7 +335,7 @@ def _window_forcing(
     s - tau_i lies below the core come from tail_sums; without one, every
     delay is in the head.  The (points x head) argument matrix is evaluated
     in row chunks of at most _CHUNK_TERMS terms; each row's head is summed by
-    its own dot product, so a point's value depends on s alone.
+    the dot product np.dot would take, so a point's value depends on s alone.
     """
     heads = np.full(len(points), len(taus))
     out = np.zeros(len(points))
@@ -345,7 +348,9 @@ def _window_forcing(
         w = int(m.max())
         args = points[r0 : r0 + rows, None] - taus[:w]
         vals = delayed_values(phi, grid, pieces, args.ravel()).reshape(args.shape)
-        out[r0 : r0 + rows] += [np.dot(bs[:k], row[:k]) for k, row in zip(m.tolist(), vals)]
+        for k in set(m.tolist()):
+            rows_k = np.flatnonzero(m == k)
+            out[r0 + rows_k] += np.vecdot(vals[rows_k, :k], bs[:k])
         del args, vals  # at large N one chunk is a row; free it before the next
     return out
 

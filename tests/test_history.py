@@ -274,11 +274,32 @@ def test_p_seminorm_tail_windows_match_a_scalar_loop(name, fam, eps):
         sv = p_seminorm(phi, fam, k, eps)
         head = phi.head_counts(np.array([k * fam.delays.tau1]), fam.delays.tau_array(sv.index_last))[0]
         assert sv.verdict == "finite" and sv.index_last > head
-        ref = _scalar_p(phi, fam, k, sv.index_last)
-        if name == "constant":
-            assert sv.value == ref
-        else:
-            assert abs(sv.value - ref) <= 1e-14 * ref, (k, sv.value, ref)
+        assert sv.value == _scalar_p(phi, fam, k, sv.index_last), k
+
+
+@pytest.mark.parametrize("preset", ["constant", "linear", "cos", "exp-decay", "g-weight"])
+@pytest.mark.parametrize(
+    "fam",
+    [
+        CoefficientFamily.geometric(0.7, -0.6, DelaySchedule(c=0.2, delta=0.9)),
+        CoefficientFamily.geometric(1.0, 0.1, DelaySchedule(0.0, 0.3)),
+        CoefficientFamily.power_law(1.0, 5.5, DelaySchedule()),
+        CoefficientFamily.finite_support([0.3, -0.2, 0.0, 0.1], DelaySchedule(delta=0.7)),
+    ],
+    ids=["geometric", "geometric-short-delays", "power-law", "finite-support"],
+)
+def test_p_seminorm_equals_the_scalar_window_loop_bitwise(preset, fam):
+    # the head windows are one sup_abs_interval call and every window is
+    # summed by one cumsum from 0.0: the same additions as the scalar loop
+    phi = history_preset(preset)
+    verdicts = set()
+    for k in (1, 2, 3, 4):
+        sv = p_seminorm(phi, fam, k, 1e-10)
+        verdicts.add(sv.verdict)
+        if sv.verdict == "finite":
+            assert sv.value == _scalar_p(phi, fam, k, sv.index_last), (k, sv.value)
+    # g-weight grows like 2^tau_i, faster than two of the families decay
+    assert verdicts == {"finite"} or preset == "g-weight" and verdicts == {"divergent"}
 
 
 def test_p_seminorm_eps_refinement_tightens_the_bracket():
@@ -533,6 +554,32 @@ def test_history_difference_mismatched_grids_and_depths():
     np.testing.assert_allclose(diff.evaluate(thetas), direct, atol=1e-12)
     # the certified interval sup dominates the sampled sup
     assert np.max(np.abs(direct)) <= diff.sup_abs_interval(-30.0, 0.0) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (history_preset("cos"), history_preset("exp-decay")),
+        (history_preset("cos", depth=5.0), history_preset("g-weight")),
+        (history_from_callable(math.cos, depth=6.0, resolution=0.05), history_preset("cos", depth=8.0)),
+    ],
+    ids=["same-depth", "deeper-right", "grids-and-tails-differ"],
+)
+def test_sup_abs_on_window_arrays_matches_scalar_calls_bitwise(pair):
+    # HistoryFunction.sup_abs_interval and PairDifferenceTail.sup_abs take
+    # arrays of windows; each entry must be the one-window result
+    diff = history_difference(*pair)
+    assert isinstance(diff.tail, fd.history.PairDifferenceTail) and diff.tail.bound_atoms
+    rng = np.random.default_rng(8)
+    lo = rng.uniform(-30.0, 0.0, 200)
+    hi = np.minimum(lo + rng.uniform(-1.0, 6.0, 200), 0.0)
+    lo[:20] = -diff.depth - rng.uniform(0.0, 2.0, 20)  # windows across the core edge
+    lo[20:40] = hi[20:40] = -diff.depth + rng.uniform(-1e-12, 1e-12, 20)
+    below = hi <= -diff.depth  # where the tail model applies
+    for f, lo_f, hi_f in ((diff.sup_abs_interval, lo, hi), (diff.tail.sup_abs, lo[below], hi[below])):
+        want = [f(float(a), float(b)) for a, b in zip(lo_f, hi_f)]
+        assert isinstance(want[0], float)
+        assert f(lo_f, hi_f).tobytes() == np.array(want).tobytes()
 
 
 def test_derivative_of_smooth_presets():

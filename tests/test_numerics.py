@@ -166,6 +166,65 @@ def test_sup_abs_pieces_interior_max():
     assert abs(sup_abs_pieces(breaks, coeffs, 0.0, 0.25) - 0.25 * 0.75) < 1e-15
 
 
+def _loop_sup_abs_pieces(breaks, coeffs, lo, hi):
+    """The per-piece scalar loop sup_abs_pieces replaced, kept as its reference."""
+
+    def piece_sup(c, u_lo, u_hi):
+        c0, c1, c2, c3 = (float(v) for v in c)
+
+        def val(u):
+            return abs(c0 + u * (c1 + u * (c2 + u * c3)))
+
+        best = max(val(u_lo), val(u_hi))
+        a2, a1, a0 = 3.0 * c3, 2.0 * c2, c1
+        if a2 == 0.0:
+            if a1 != 0.0 and u_lo < -a0 / a1 < u_hi:
+                best = max(best, val(-a0 / a1))
+        else:
+            disc = a1 * a1 - 4.0 * a2 * a0
+            if disc >= 0.0:
+                sq = math.sqrt(disc)
+                for u in ((-a1 + sq) / (2.0 * a2), (-a1 - sq) / (2.0 * a2)):
+                    if u_lo < u < u_hi:
+                        best = max(best, val(u))
+        return best
+
+    lo, hi = max(lo, float(breaks[0])), min(hi, float(breaks[-1]))
+    if hi < lo:
+        return 0.0
+    n = len(coeffs)
+    j_lo = min(max(int(np.searchsorted(breaks, lo, side="right")) - 1, 0), n - 1)
+    j_hi = min(max(int(np.searchsorted(breaks, hi, side="right")) - 1, 0), n - 1)
+    best = 0.0
+    for j in range(j_lo, j_hi + 1):
+        b = float(breaks[j])
+        u_lo, u_hi = max(lo, b) - b, min(hi, float(breaks[j + 1])) - b
+        if u_hi >= u_lo:
+            best = max(best, piece_sup(coeffs[j], u_lo, u_hi))
+    return best
+
+
+def test_sup_abs_pieces_on_interval_arrays_matches_scalar_calls_and_the_piece_loop_bitwise():
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        breaks = np.cumsum(np.concatenate(([rng.uniform(-6.0, 0.0)], rng.uniform(0.05, 1.5, n))))
+        coeffs = rng.normal(size=(n, 4)) * rng.choice([1e-3, 1.0, 50.0], size=(n, 4))
+        coeffs[rng.random(n) < 0.3, 3] = 0.0  # quadratic pieces: one critical point
+        coeffs[rng.random(n) < 0.2, 2:] = 0.0  # linear pieces: none
+        lo = rng.uniform(breaks[0] - 2.0, breaks[-1] + 2.0, 40)  # some wholly outside the span
+        hi = lo + rng.uniform(-1.0, 4.0, 40)  # some reversed, hence empty
+        lo[:6] = rng.choice(breaks, 6)
+        hi[:3] = lo[:3]  # single points on breakpoints
+        got = sup_abs_pieces(breaks, coeffs, lo, hi)
+        scalar = [sup_abs_pieces(breaks, coeffs, float(a), float(b)) for a, b in zip(lo, hi)]
+        loop = [_loop_sup_abs_pieces(breaks, coeffs, float(a), float(b)) for a, b in zip(lo, hi)]
+        assert isinstance(scalar[0], float)
+        assert got.tobytes() == np.array(scalar).tobytes() == np.array(loop).tobytes()
+        assert np.all(got[hi < np.maximum(lo, breaks[0])] == 0.0)
+    assert sup_abs_pieces(breaks, coeffs, np.zeros(0), np.zeros(0)).shape == (0,)
+
+
 def test_dedupe_knots_merges_nearby():
     out = dedupe_knots(np.array([0.0, 1.0, 1.0 + 1e-15, 2.0]))
     assert len(out) == 3

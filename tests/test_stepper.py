@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,26 @@ def test_forcing_tail_moments_match_a_term_by_term_sum(monkeypatch, phi, family)
     assert np.array_equal(forcing(traj, ts), pointwise)
     for j in range(len(traj.grid)):
         assert traj.derivs[j] == p.a * traj.values[j] + forcing(traj, traj.grid[j]), j
+
+
+@pytest.mark.parametrize("phi", [history_preset("cos"), exp_history(0.1)], ids=["cos", "exp"])
+def test_batched_forcing_sums_each_head_as_one_dot_product(monkeypatch, phi):
+    # rows with equal head counts share one np.vecdot; each entry must still
+    # be the explicit np.dot of its head plus its tail moment, bit for bit
+    family = CoefficientFamily.power_law(0.8, 3.5, DelaySchedule(0.0, 0.5))
+    traj = solve(ProblemSpec(-0.2, family, phi), 2.0)
+    n = traj.n_forcing
+    taus, bs = family.delays.tau_array(n), family.b_array(n)
+    tail_sums = fd.stepper._tail_sums(phi, taus, bs)
+    ts = np.concatenate([np.linspace(0.0, 2.0, 41), traj.grid[::7]])
+    heads = phi.head_counts(ts, taus)
+    assert len(set(heads.tolist())) >= 4 and tail_sums is not None
+    monkeypatch.setattr(fd.stepper, "_CHUNK_TERMS", 64)
+    want = [
+        tail_sums(np.array([s]), np.array([m]))[0] + np.dot(bs[:m], traj.eval(s - taus[:m]))
+        for s, m in zip(ts, heads.tolist())
+    ]
+    assert forcing(traj, ts).tobytes() == np.array(want).tobytes()
 
 
 def test_forcing_argument_on_the_core_edge_is_in_the_head():
@@ -437,3 +461,22 @@ def test_trajectory_json_dict():
     assert set(d.keys()) == {"grid", "values", "derivs", "horizon"}
     assert d["horizon"] == 1.0
     assert len(d["grid"]) == len(d["values"]) == len(d["derivs"])
+
+
+def test_solve_compare_and_seminorms_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, memory and start-up time
+    # that none of these paths needs
+    code = (
+        "import sys\n"
+        "import infidelay as fd\n"
+        "p = fd.ProblemSpec(-0.5, fd.CoefficientFamily.geometric(0.5, 0.5, fd.DelaySchedule()), fd.history_preset('cos'))\n"
+        "t = fd.solve(p, 3.0)\n"
+        "fd.compare_trajectories(t, fd.oracle_solve(p, 3.0))\n"
+        "fd.p_seminorm(p.history, p.family, 2)\n"
+        "fd.membership_in_F(p.history, p.family)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(fd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
