@@ -16,8 +16,10 @@ belongs to the solution phase space iff every p_k is finite.  p_seminorm
 returns a certified value/remainder pair, a certificate of divergence, or
 an explicit "inconclusive" verdict -- never a silent guess.
 
-Every delay series (p_k, L, the solver's forcing) is certified one way: the
-atom search from _tail_floor, and divergence only from _certified_divergent.
+Every delay series (p_k, L, the solver's forcing) is certified by one call,
+_truncation(phi, family, reach, eps): the atom search from _tail_floor, and
+divergence only from _certified_divergent.  Every delayed sum (the forcing F,
+and L as a x(0) + F(0)) is evaluated by one function, _delayed_sums.
 """
 
 from __future__ import annotations
@@ -518,6 +520,67 @@ class HistoryFunction:
 
 
 # ---------------------------------------------------------------------------
+# delayed sums
+# ---------------------------------------------------------------------------
+
+#: largest (points x head) argument block _delayed_sums evaluates at once
+_CHUNK_TERMS = 65536
+
+#: fewest delays for which the delayed sums use tail moments: on 200-point
+#: windows the split was slower than the full head at N = 40 and faster at N = 80
+_MOMENT_MIN_TERMS = 64
+
+
+def _tail_sums(phi: HistoryFunction, taus: np.ndarray, bs: np.ndarray):
+    """phi's tail moment over the delays (see _delayed_sums), or None."""
+    return phi.tail.moment(taus, bs) if len(taus) >= _MOMENT_MIN_TERMS else None
+
+
+def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.ndarray, bs: np.ndarray, tail_sums) -> np.ndarray:
+    """F(s) = sum_i b_i x(s - tau_i) at every s in points, in one batch.
+
+    values_at maps an array of arguments to x there: the trajectory with
+    history phi (the solver's forcing), or phi.evaluate itself, which makes
+    L(phi) = a phi(0) + F(0).  tail_sums is _tail_sums(phi, taus, bs), built
+    once per march, forcing or L call.
+
+    Each point s splits the delays at m = phi.head_counts: the head i <= m,
+    whose float arguments s - tau_i are at or above phi's first breakpoint,
+    reads values_at term by term.  The tail m < i <= N reads only phi's
+    analytic tail, and its part is the tail model's moment from suffix sums
+    over (m, N]:
+
+        ConstantTail  c sum b_i
+        CosTail       Re(amp e^{i(omega s + phase)} sum b_i e^{-i omega tau_i})
+        ExpTail       amp e^{rate s} sum b_i e^{-rate tau_i}
+
+    Tails without a moment, and every tail below _MOMENT_MIN_TERMS delays,
+    keep every delay in the head.  The (points x head) argument matrix is
+    evaluated in row chunks of at most _CHUNK_TERMS terms; the rows of a chunk
+    are grouped by head count, and each group is summed by one np.vecdot
+    against the leading coefficients, which takes the same BLAS dot product
+    per row as np.dot.  The split depends on s alone, so a point's value does
+    not depend on the batch it is evaluated in.
+    """
+    heads = np.full(len(points), len(taus))
+    out = np.zeros(len(points))
+    if tail_sums is not None:
+        heads = phi.head_counts(points, taus)
+        out = tail_sums(points, heads)
+    rows = max(1, _CHUNK_TERMS // max(1, int(heads.max(initial=0))))
+    for r0 in range(0, len(points), rows):
+        m = heads[r0 : r0 + rows]
+        w = int(m.max())
+        args = points[r0 : r0 + rows, None] - taus[:w]
+        vals = values_at(args.ravel()).reshape(args.shape)
+        for k in set(m.tolist()):
+            rows_k = np.flatnonzero(m == k)
+            out[r0 + rows_k] += np.vecdot(vals[rows_k, :k], bs[:k])
+        del args, vals  # at large N one chunk is a row; free it before the next
+    return out
+
+
+# ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 
@@ -771,6 +834,25 @@ def _certified_divergent(phi: HistoryFunction, family: CoefficientFamily, reach:
     return False
 
 
+def _truncation(phi: HistoryFunction, family: CoefficientFamily, reach: float, eps: float) -> tuple[int, float]:
+    """Certified (N, remainder) of sum_i b_i phi(s - tau_i) over s in [0, reach] to eps.
+
+    The atom search from _tail_floor(phi, family, reach).  When it fails,
+    or N passes an explicit list's stored coefficients, raises
+    DivergentTailError if _certified_divergent holds, UnknownTailError
+    otherwise.
+    """
+    try:
+        N, rem = _atom_tail_search(family, phi.tail_atoms(), _tail_floor(phi, family, reach), eps)
+        if family.kind == "explicit-list":
+            family.b_array(N)
+        return N, rem
+    except (UnknownTailError, TruncationDepthError) as exc:
+        if _certified_divergent(phi, family, reach):
+            raise DivergentTailError("the delayed series diverges absolutely for this history") from exc
+        raise UnknownTailError(f"cannot certify a truncation of the delayed series to eps={eps}: {exc}") from exc
+
+
 def p_seminorm(
     phi: HistoryFunction, family: CoefficientFamily, k: int, eps_tail: float = 1e-10
 ) -> SeminormValue:
@@ -787,11 +869,12 @@ def p_seminorm(
     n0 = n_index(family, k)
     ktau = k * d.tau1
     try:
-        N, rem = _atom_tail_search(family, phi.tail_atoms(), _tail_floor(phi, family, ktau), eps_tail)
-        coeff = np.abs(family.b_array(N)) if N > 0 else np.zeros(0)
-    except (UnknownTailError, TruncationDepthError):
-        verdict = "divergent" if _certified_divergent(phi, family, ktau) else "inconclusive"
-        return SeminormValue(math.inf, math.inf, n0, 0, verdict)
+        N, rem = _truncation(phi, family, ktau, eps_tail)
+    except DivergentTailError:
+        return SeminormValue(math.inf, math.inf, n0, 0, "divergent")
+    except UnknownTailError:
+        return SeminormValue(math.inf, math.inf, n0, 0, "inconclusive")
+    coeff = np.abs(family.b_array(N)) if N > 0 else np.zeros(0)
     taus = d.tau_array(N)
     # past the head every window lies below the core: one array call to the tail
     head = max(n0 - 1, min(N, int(phi.head_counts(np.array([ktau]), taus)[0])))
@@ -1038,19 +1121,12 @@ def L_functional(
 ) -> LValue:
     """Evaluate the right-hand side functional at phi with a certified remainder.
 
-    Raises DivergentTailError when the delayed series is certified to
-    diverge absolutely (phi is then outside the functional's domain),
-    UnknownTailError when no finite truncation can be certified.
+    The delayed series is the forcing at s = 0, summed by _delayed_sums with
+    phi.evaluate as the solution.  Raises DivergentTailError when it is
+    certified to diverge absolutely (phi is then outside the functional's
+    domain), UnknownTailError when no finite truncation can be certified.
     """
-    try:
-        N, rem = _atom_tail_search(family, phi.tail_atoms(), _tail_floor(phi, family, 0.0), eps)
-    except (UnknownTailError, TruncationDepthError) as exc:
-        if _certified_divergent(phi, family, 0.0):
-            raise DivergentTailError("the delayed series diverges absolutely for this history") from exc
-        raise UnknownTailError(f"cannot certify a truncation of the delayed series to eps={eps}") from exc
-    total = a * phi.evaluate(0.0)
-    if N > 0:
-        bs = family.b_array(N)
-        taus = family.delays.tau_array(N)
-        total += float(np.dot(bs, phi.evaluate(-taus)))
-    return LValue(float(total), rem, N)
+    N, rem = _truncation(phi, family, 0.0, eps)
+    taus, bs = family.delays.tau_array(N), family.b_array(N)
+    f0 = _delayed_sums(phi.evaluate, phi, np.zeros(1), taus, bs, _tail_sums(phi, taus, bs))[0]
+    return LValue(float(a * phi.evaluate(0.0) + f0), rem, N)

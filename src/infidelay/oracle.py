@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .stepper import ProblemSpec, SolverConfig, Trajectory, _delayed_values, _forcing_index, _march, _start
+from .history import _truncation
+from .stepper import ProblemSpec, SolverConfig, Trajectory, _delayed_values, _march, _start
 
 
 #: tolerance of the certified truncation index picked when n_trunc is None
@@ -41,7 +42,7 @@ def _oracle_truncation(problem: ProblemSpec, config: OracleConfig, horizon: floa
         return n
     if config.n_trunc is not None:
         return config.n_trunc
-    return _forcing_index(problem, horizon, _EPS_TRUNC)
+    return _truncation(problem.history, fam, horizon, _EPS_TRUNC)[0]
 
 
 def _rk4_scan(a: float, x: float, steps: np.ndarray, points: np.ndarray, f: np.ndarray) -> list:

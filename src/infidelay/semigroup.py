@@ -20,17 +20,18 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import CoefficientFamily, TruncationDepthError, UnknownTailError
+from .coefficients import CoefficientFamily
 from .history import (
     HistoryFunction,
     L_functional,
+    _truncation,
     history_difference,
     membership_in_F,
     p_seminorm,
     sup_norm_k,
 )
 from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, derivative_coeffs, eval_pieces_derivative, piece_index, sup_abs_pieces
-from .stepper import ProblemSpec, SolverConfig, Trajectory, _forcing_index, forcing, solve
+from .stepper import ProblemSpec, SolverConfig, Trajectory, forcing, solve
 
 
 def apply_semigroup(traj: Trajectory, t: float) -> HistoryFunction:
@@ -243,11 +244,8 @@ def check_mild_solution(
     part = r[pos] - grid[j]
     nodes = np.concatenate([grid[:-1, None] + steps[:, None] * GAUSS4_NODES, grid[j][:, None] + part[:, None] * GAUSS4_NODES])
     points = np.concatenate([nodes.ravel(), ts])
-    try:
-        n_terms = _forcing_index(problem, traj.horizon, eps_l)
-        l_vals = problem.a * traj.eval(points) + forcing(traj, points, eps_l)
-    except TruncationDepthError as exc:
-        raise UnknownTailError(f"cannot certify a truncation of the delayed series to eps={eps_l}") from exc
+    n_terms = _truncation(phi, problem.family, traj.horizon, eps_l)[0]
+    l_vals = problem.a * traj.eval(points) + forcing(traj, points, eps_l)
     means = l_vals[: nodes.size].reshape(-1, 4) @ GAUSS4_WEIGHTS
     prefix = np.concatenate(([0.0], np.cumsum(steps * means[: len(steps)])))
     integral = np.zeros_like(r)

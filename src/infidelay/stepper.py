@@ -14,30 +14,12 @@ and slopes.
 Step boundaries are forced at every multiple of tau_1 and at every delay
 tau_i <= T, where the solution loses one order of smoothness.
 
-Each forcing point s splits the delays at m = phi.head_counts: the head
-i <= m, whose float arguments s - tau_i are at or above phi's first
-breakpoint, reads the trajectory or phi's core term by term.  The tail
-m < i <= N reads only phi's analytic tail, and its part is the tail
-model's moment from suffix sums over (m, N], built once per _march or
-forcing call:
-
-    ConstantTail  c sum b_i
-    CosTail       Re(amp e^{i(omega s + phase)} sum b_i e^{-i omega tau_i})
-    ExpTail       amp e^{rate s} sum b_i e^{-rate tau_i}
-
-Tails without a moment, and every tail below _MOMENT_MIN_TERMS delays,
-keep every delay in the head.  The split depends on s alone, so a point's
-F does not depend on the batch it is evaluated in.
-
 The march (_march) runs one window [k tau_1, (k+1) tau_1] at a time.
 Every delay is at least tau_1, so F on the window reads x only on
 (-inf, k tau_1]: the forcing at every step's nodes starts + steps * nodes
-and at the step ends is one batched evaluation of a (points x head)
-argument matrix, taken in row chunks of at most _CHUNK_TERMS terms.  The
-rows of a chunk are grouped by head count, and each group is summed by one
-np.vecdot against the leading coefficients; np.vecdot takes the same BLAS
-dot product per row as np.dot, so the grouping changes no bit.  A
-scan then turns the batch into the window's node values: _voc_scan, the
+and at the step ends is one batch through history._delayed_sums, which
+splits each point's delays into a head read term by term and a tail moment.
+A scan then turns the batch into the window's node values: _voc_scan, the
 variation-of-constants update under the quadrature rule, for solve and
 step_interval; the oracle passes its RK4 scan.  The slopes are
 a x + F at the step ends.  While the batch is evaluated, the piece row
@@ -59,15 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import (
-    CoefficientFamily,
-    DivergentTailError,
-    TruncationDepthError,
-    UnknownTailError,
-    m_index,
-    n_index,
-)
-from .history import HistoryFunction, _atom_tail_search, _certified_divergent, _tail_floor, p_seminorm, sup_norm_k
+from .coefficients import CoefficientFamily, DivergentTailError, UnknownTailError, m_index, n_index
+from .history import HistoryFunction, _delayed_sums, _tail_sums, _truncation, p_seminorm, sup_norm_k
 from .numerics import QUAD_RULES, eval_pieces, eval_pieces_derivative, hermite_coeffs, phi1, sup_abs_pieces
 
 
@@ -187,19 +162,6 @@ class Trajectory:
         }
 
 
-#: largest (points x head) argument block _window_forcing evaluates at once
-_CHUNK_TERMS = 65536
-
-#: fewest delays for which the forcing uses tail moments: on 200-point windows
-#: the split was slower than the full head at N = 40 and faster at N = 80
-_MOMENT_MIN_TERMS = 64
-
-
-def _tail_sums(phi: HistoryFunction, taus: np.ndarray, bs: np.ndarray):
-    """phi's tail moment over the delays (see _window_forcing), or None."""
-    return phi.tail.moment(taus, bs) if len(taus) >= _MOMENT_MIN_TERMS else None
-
-
 def _delayed_values(
     phi: HistoryFunction, grid: np.ndarray, pieces: np.ndarray, args: np.ndarray
 ) -> np.ndarray:
@@ -217,25 +179,22 @@ def forcing(traj: Trajectory, t, eps: Optional[float] = None):
     """The delayed forcing F(t) = sum_{i<=N} b_i x(t - tau_i) along traj.
 
     N is the trajectory's certified truncation index (or a fresh one for an
-    explicit eps).  Valid for t in [0, horizon].  t is a time (the result is
-    a float) or an array of times, evaluated as one (points x N) batch whose
-    entries equal the scalar results bit for bit.
+    explicit eps).  Valid for t in [0, horizon]; a later t raises ValueError,
+    as Trajectory.eval does.  t is a time (the result is a float) or an array
+    of times, evaluated as one (points x N) batch whose entries equal the
+    scalar results bit for bit.
     """
     prob = traj.problem
-    n = traj.n_forcing if eps is None else _forcing_index(prob, traj.horizon, eps)
     ts = np.asarray(t, dtype=float)
+    if np.any(ts > traj.horizon + 1e-9):
+        raise ValueError(f"forcing beyond horizon {traj.horizon}: max t={ts.max()}")
+    n = traj.n_forcing if eps is None else _truncation(prob.history, prob.family, traj.horizon, eps)[0]
     taus, bs = prob.family.delays.tau_array(n), prob.family.b_array(n)
-    out = _window_forcing(
-        _delayed_values, prob.history, traj.grid, traj.pieces, ts.ravel(), taus, bs,
+    out = _delayed_sums(
+        partial(_delayed_values, prob.history, traj.grid, traj.pieces), prob.history, ts.ravel(), taus, bs,
         _tail_sums(prob.history, taus, bs),
     )
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
-
-
-def _forcing_index(problem: ProblemSpec, horizon: float, eps: float) -> int:
-    """Truncation index N whose discarded delayed terms stay below eps on [0, horizon]."""
-    phi = problem.history
-    return _atom_tail_search(problem.family, phi.tail_atoms(), _tail_floor(phi, problem.family, horizon), eps)[0]
 
 
 def _certify_forcing(problem: ProblemSpec, horizon: float, eps: float) -> int:
@@ -250,18 +209,13 @@ def _certify_forcing(problem: ProblemSpec, horizon: float, eps: float) -> int:
     of the finitely many terms below the floor is finite.
     """
     try:
-        n = _forcing_index(problem, horizon, eps)
-        # materialize the coefficient values now so explicit-list gaps fail here
-        problem.family.b_array(n)
-        return n
-    except (UnknownTailError, DivergentTailError, TruncationDepthError) as exc:
-        if _certified_divergent(problem.history, problem.family, horizon):
-            raise NotInPhaseSpaceError(
-                "the delayed series is certified divergent: the history is outside the phase space"
-            ) from exc
+        return _truncation(problem.history, problem.family, horizon, eps)[0]
+    except DivergentTailError as exc:
         raise NotInPhaseSpaceError(
-            f"cannot certify the delayed forcing to eps={eps}: {exc}"
+            "the delayed series is certified divergent: the history is outside the phase space"
         ) from exc
+    except UnknownTailError as exc:
+        raise NotInPhaseSpaceError(str(exc)) from exc
 
 
 def _knots_between(t_from: float, t_to: float, family: CoefficientFamily) -> list[float]:
@@ -318,43 +272,6 @@ def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -
     return windows
 
 
-def _window_forcing(
-    delayed_values,
-    phi: HistoryFunction,
-    grid: np.ndarray,
-    pieces: np.ndarray,
-    points: np.ndarray,
-    taus: np.ndarray,
-    bs: np.ndarray,
-    tail_sums,
-) -> np.ndarray:
-    """F(s) = sum_i b_i x(s - tau_i) at every s in points, in one batch.
-
-    delayed_values is the caller's _delayed_values, and tail_sums is
-    _tail_sums(phi, taus, bs).  With a moment, the delays whose argument
-    s - tau_i lies below the core come from tail_sums; without one, every
-    delay is in the head.  The (points x head) argument matrix is evaluated
-    in row chunks of at most _CHUNK_TERMS terms; each row's head is summed by
-    the dot product np.dot would take, so a point's value depends on s alone.
-    """
-    heads = np.full(len(points), len(taus))
-    out = np.zeros(len(points))
-    if tail_sums is not None:
-        heads = phi.head_counts(points, taus)
-        out = tail_sums(points, heads)
-    rows = max(1, _CHUNK_TERMS // max(1, int(heads.max(initial=0))))
-    for r0 in range(0, len(points), rows):
-        m = heads[r0 : r0 + rows]
-        w = int(m.max())
-        args = points[r0 : r0 + rows, None] - taus[:w]
-        vals = delayed_values(phi, grid, pieces, args.ravel()).reshape(args.shape)
-        for k in set(m.tolist()):
-            rows_k = np.flatnonzero(m == k)
-            out[r0 + rows_k] += np.vecdot(vals[rows_k, :k], bs[:k])
-        del args, vals  # at large N one chunk is a row; free it before the next
-    return out
-
-
 def _buffers(traj: Trajectory, windows: list) -> tuple:
     """Node and piece buffers holding traj's data, sized for the new windows.
 
@@ -403,8 +320,8 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
 
     Each window's forcing is one batch at starts + steps * nodes and at the
     step ends; scan(a, x, steps, points, f) returns the window's node values
-    from the last node value x.  delayed_values is the caller's
-    _delayed_values.
+    from the last node value x.  delayed_values is the caller's own
+    _delayed_values, bound to each window's nodes with functools.partial.
     """
     problem = traj.problem
     a = problem.a
@@ -418,9 +335,8 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
         starts = np.concatenate(([grid[m - 1]], ends[:-1]))
         steps = ends - starts
         points = np.concatenate((starts[:, None] + steps[:, None] * nodes, ends[:, None]), axis=1)
-        f = _window_forcing(
-            delayed_values, problem.history, grid[:m], pieces[:m], points.ravel(), taus, bs, tail_sums
-        ).reshape(points.shape)
+        values_at = partial(delayed_values, problem.history, grid[:m], pieces[:m])
+        f = _delayed_sums(values_at, problem.history, points.ravel(), taus, bs, tail_sums).reshape(points.shape)
         new = slice(m, m + len(ends))
         values[new] = scan(a, float(values[m - 1]), steps, points, f)
         derivs[new] = a * values[new] + f[:, -1]

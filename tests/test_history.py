@@ -479,12 +479,43 @@ def test_L_functional_error_paths():
 
 def test_L_functional_and_p_seminorm_agree_on_divergence():
     # a shifted polynomial envelope has no exact weight; divergence comes from
-    # |phi| >= 1 on the tail against sum 1/i = infinity, for L as for p_1
+    # |phi| >= 1 on the tail against sum 1/i = infinity, for L as for p_1 and
+    # for the solver's forcing certificate
     tail = WeightEnvelopeTail(1.0, WeightFunction.polynomial(1), 0.5)
     phi = history_from_core([-2.0, 0.0], [[2.5, -1.0, 0.0, 0.0]], tail)
     assert p_seminorm(phi, HARMONIC, 1).verdict == "divergent"
     with pytest.raises(DivergentTailError):
         L_functional(phi, HARMONIC, 0.0)
+    with pytest.raises(fd.NotInPhaseSpaceError, match="outside the phase space"):
+        fd.solve(fd.ProblemSpec(0.0, HARMONIC, phi), 1.0)
+    # a recorded tail mass of 0.2 above eps = 0.1: neither verdict is provable
+    listed, const = CoefficientFamily.explicit_list([0.5], 0.2, DelaySchedule()), history_preset("constant")
+    assert p_seminorm(const, listed, 1, eps_tail=0.1).verdict == "inconclusive"
+    with pytest.raises(UnknownTailError):
+        L_functional(const, listed, 0.0, 0.1)
+    with pytest.raises(fd.NotInPhaseSpaceError, match="cannot certify"):
+        fd.solve(fd.ProblemSpec(0.0, listed, const), 1.0, fd.SolverConfig(eps_forcing=0.1))
+
+
+def test_L_functional_reads_only_its_head(monkeypatch):
+    # L(phi) is the forcing at s = 0: b_i = i^-3 needs N = 70,711 here, but
+    # past the 8 delays inside the core the constant tail's part is a moment,
+    # so evaluate sees those 8 arguments and phi(0)
+    c, a, zeta3 = 1.5, -0.5, 1.2020569031595942
+    phi = scale_history(c, history_preset("constant"))
+    fam = CoefficientFamily.power_law(1.0, 3.0, DelaySchedule())
+    real, seen = fd.HistoryFunction.evaluate, []
+
+    def counted(self, theta):
+        seen.append(np.size(theta))
+        return real(self, theta)
+
+    monkeypatch.setattr(fd.HistoryFunction, "evaluate", counted)
+    lv = L_functional(phi, fam, a, 1e-10 * c)
+    assert sum(seen) <= 9
+    # the certified remainder plus Higham's gamma_{N+2} times the sum of |terms|
+    nu = (lv.index_last + 2) * 2.0**-53
+    assert abs(lv.value - c * (a + zeta3)) <= lv.error_bound + nu / (1.0 - nu) * c * (abs(a) + zeta3)
 
 
 def test_explicit_list_search_stops_at_the_recorded_mass(monkeypatch):

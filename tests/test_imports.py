@@ -1,4 +1,4 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and each name it defines is used."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,8 @@ import pytest
 
 import infidelay
 
-MODULES = sorted(p for p in Path(infidelay.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(infidelay.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -35,3 +36,54 @@ def test_no_unused_imports(path):
 
 def test_the_check_sees_an_unused_import():
     assert _unused_imports("import math\nimport os\nprint(math.pi)\n") == ["os (line 2)"]
+
+
+def _dead_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions, classes and constants that no code outside their own definition names.
+
+    A name loaded in a module refers to that module's own definition, a
+    relative import ("from .history import x", into __init__ too) to the named
+    module's, and an attribute to every module's.  Dunder names such as
+    __all__ are exempt, and the strings listed in __all__ are not references.
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    defined = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(mod, name, node.lineno, node.end_lineno) for name in names if not name.startswith("__")]
+    refs = []  # (module whose definition is meant, None for any; name; module and line of the reference)
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.append((mod, node.id, mod, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((None, node.attr, mod, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                refs += [(f"{node.module}.py", alias.name, mod, node.lineno) for alias in node.names]
+    return [
+        f"{mod}:{first} {name}"
+        for mod, name, first, last in defined
+        if not any(
+            r == name and t in (None, mod) and not (m == mod and first <= line <= last) for t, r, m, line in refs
+        )
+    ]
+
+
+def test_every_definition_is_used():
+    assert _dead_definitions({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_the_check_sees_a_dead_definition():
+    sources = {
+        "a.py": "LIMIT = 3\n\ndef used():\n    return LIMIT\n\ndef dead():\n    return dead()\n",
+        "b.py": "from .a import used\n__all__ = ['dead']\nLIMIT = 4\n",
+    }
+    # b's LIMIT is a copy left behind: a's own use does not count for it
+    assert _dead_definitions(sources) == ["a.py:6 dead", "b.py:3 LIMIT"]

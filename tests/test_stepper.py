@@ -80,7 +80,7 @@ def test_forcing_batch_equals_pointwise(monkeypatch, eps):
         assert isinstance(pointwise[0], float)
         assert np.array_equal(forcing(traj, ts, eps), pointwise), p
         with monkeypatch.context() as m:
-            m.setattr(fd.stepper, "_CHUNK_TERMS", 64)
+            m.setattr(fd.history, "_CHUNK_TERMS", 64)
             assert np.array_equal(forcing(traj, ts, eps), pointwise), p
 
 
@@ -105,7 +105,7 @@ def test_forcing_tail_moments_match_a_term_by_term_sum(monkeypatch, phi, family)
     traj = solve(p, 2.0)
     n = traj.n_forcing
     taus, bs = family.delays.tau_array(n), family.b_array(n)
-    assert fd.stepper._tail_sums(phi, taus, bs) is not None
+    assert fd.history._tail_sums(phi, taus, bs) is not None
     ts = np.linspace(0.0, 2.0, 17)
     assert n > 10 * phi.head_counts(ts, taus).max()
     nu = n * 2.0**-53
@@ -113,7 +113,7 @@ def test_forcing_tail_moments_match_a_term_by_term_sum(monkeypatch, phi, family)
     for t, f in zip(ts, pointwise):
         terms = bs * traj.eval(t - taus)
         assert abs(f - math.fsum(terms)) <= nu / (1.0 - nu) * math.fsum(np.abs(terms)), t
-    monkeypatch.setattr(fd.stepper, "_CHUNK_TERMS", 64)
+    monkeypatch.setattr(fd.history, "_CHUNK_TERMS", 64)
     assert np.array_equal(forcing(traj, ts), pointwise)
     for j in range(len(traj.grid)):
         assert traj.derivs[j] == p.a * traj.values[j] + forcing(traj, traj.grid[j]), j
@@ -127,16 +127,27 @@ def test_batched_forcing_sums_each_head_as_one_dot_product(monkeypatch, phi):
     traj = solve(ProblemSpec(-0.2, family, phi), 2.0)
     n = traj.n_forcing
     taus, bs = family.delays.tau_array(n), family.b_array(n)
-    tail_sums = fd.stepper._tail_sums(phi, taus, bs)
+    tail_sums = fd.history._tail_sums(phi, taus, bs)
     ts = np.concatenate([np.linspace(0.0, 2.0, 41), traj.grid[::7]])
     heads = phi.head_counts(ts, taus)
     assert len(set(heads.tolist())) >= 4 and tail_sums is not None
-    monkeypatch.setattr(fd.stepper, "_CHUNK_TERMS", 64)
+    monkeypatch.setattr(fd.history, "_CHUNK_TERMS", 64)
     want = [
         tail_sums(np.array([s]), np.array([m]))[0] + np.dot(bs[:m], traj.eval(s - taus[:m]))
         for s, m in zip(ts, heads.tolist())
     ]
     assert forcing(traj, ts).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("t", [5.0, 50.0, np.array([0.5, 1.0, 2.5])], ids=["5", "50", "array"])
+def test_forcing_past_the_horizon_raises_as_eval_does(t):
+    # extrapolating the last cubic once gave F(5) = -1.5 and F(50) = -1104
+    traj = solve(classic_problem(), 2.0)
+    with pytest.raises(ValueError, match="beyond horizon"):
+        traj.eval(t)
+    with pytest.raises(ValueError, match="beyond horizon"):
+        forcing(traj, t)
+    assert forcing(traj, 2.0 + 1e-10) == forcing(traj, np.array([2.0 + 1e-10]))[0]
 
 
 def test_forcing_argument_on_the_core_edge_is_in_the_head():
@@ -147,7 +158,7 @@ def test_forcing_argument_on_the_core_edge_is_in_the_head():
     coeffs = [0.0] * 100
     coeffs[9] = coeffs[99] = 1.0
     traj = solve(ProblemSpec(0.0, CoefficientFamily.finite_support(coeffs, DS), phi), 2.0)
-    assert traj.n_forcing == 100 >= fd.stepper._MOMENT_MIN_TERMS
+    assert traj.n_forcing == 100 >= fd.history._MOMENT_MIN_TERMS
     assert phi.head_counts(np.array([2.0, 1.5]), DS.tau_array(100)).tolist() == [10, 9]
     assert forcing(traj, 2.0) == 2.0 + 2.0**-42  # 2 - tau_10 == breakpoints[0]: the core
     assert forcing(traj, 1.5) == 2.0 + 2.0**-41
