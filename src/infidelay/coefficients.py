@@ -176,8 +176,8 @@ class WeightFunction:
             out = np.full_like(th, self.level)
         elif self.form == "exponential":
             out = np.exp(-self.gamma * th)
-        else:
-            out = (1.0 - th) ** self.degree
+        else:  # a scalar takes the array pow too, so scalar and array calls agree bit for bit
+            out = ((1.0 - np.atleast_1d(th)) ** self.degree).reshape(th.shape)
         if np.isscalar(theta) or th.ndim == 0:
             return float(out)
         return out

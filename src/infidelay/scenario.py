@@ -27,6 +27,18 @@ Schema (all floats unless noted):
       "checks": ["solve", {"name": "membership", "expect": "member"}, ...]
     }
 
+Check parameters (all optional; any other key is a schema error):
+
+    solve              expect, expect_points [{"t", "x", "tol"}, ..]
+    seminorms          k_max (p_1..p_kmax)
+    membership         k_max, expect
+    semigroup-law      t, s (t + s <= horizon), k_list, tolerance
+    strong-continuity  k, times (strictly decreasing, in (0, horizon]), threshold
+    mild-solution      t_grid (in [0, horizon]), theta_grid (<= 0), tolerance
+    estimates          k_max, k_list
+    cg-embedding       weight {"form", ..}, k_max, tolerance, expect
+    oracle-compare     tolerance, h_fine, n_trunc
+
 Schema problems, check parameters included, raise ScenarioError with a
 file:line anchor; check failures are ordinary results.  Runners write one
 JSON report per check plus a summary, all deterministic (sorted keys, no
@@ -207,9 +219,6 @@ def _build_family(cfg: dict, anch: _Anchored) -> CoefficientFamily:
 
 def _build_tail(cfg: dict, anch: _Anchored):
     kind = anch.need(cfg, "kind", str, "tail")
-    if kind == "bounded":
-        # bounded oscillating / decaying tails carry an explicit formula
-        kind = anch.need(cfg, "form", str, "tail")
     if kind == "constant":
         return ConstantTail(float(anch.need(cfg, "value", _NUM, "tail")))
     if kind == "cos":
@@ -350,7 +359,9 @@ def _run_semigroup_law(ctx: _Ctx, p: dict) -> dict:
     s = float(anch.opt(p, "s", _NUM, 1.25 * tau1))
     k_list = [int(k) for k in anch.opt(p, "k_list", list, [1, 2, 3], items=_NUM)]
     tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
-    rep = check_semigroup_law(ctx.problem, t, s, k_list, ctx.solver, ctx.solver.eps_tail_seminorm)
+    if t + s > ctx.horizon:
+        raise anch.fail(f"t + s must be at most the horizon {ctx.horizon}, got {t + s}", "s" if "s" in p else "t")
+    rep = check_semigroup_law(ctx.traj(), t, s, k_list)
     out = asdict(rep)
     out["tolerance"] = tol
     out["passed"] = rep.max_discrepancy <= tol
@@ -361,11 +372,13 @@ def _run_strong_continuity(ctx: _Ctx, p: dict) -> dict:
     anch, tau1 = ctx.anch, ctx.problem.family.delays.tau1
     k = int(anch.opt(p, "k", _NUM, 2))
     default = [0.1 * tau1, 0.01 * tau1, 0.001 * tau1]
-    times = [float(v) for v in anch.opt(p, "times", list, anch.opt(p, "t_sequence", list, default, items=_NUM), items=_NUM)]
+    times = [float(v) for v in anch.opt(p, "times", list, default, items=_NUM)]
     if not times or times[-1] <= 0.0 or any(b >= a for a, b in zip(times, times[1:])):
         raise anch.fail(f"times must be strictly decreasing and positive, got {times}", "times")
+    if times[0] > ctx.horizon:
+        raise anch.fail(f"times must be at most the horizon {ctx.horizon}, got {times[0]}", "times")
     thr = anch.opt(p, "threshold", _NUM, None)
-    rep = check_strong_continuity(ctx.problem, k, times, ctx.solver, thr if thr is None else float(thr))
+    rep = check_strong_continuity(ctx.traj(), k, times, thr if thr is None else float(thr))
     out = asdict(rep)
     out["passed"] = rep.passed
     return out
@@ -376,12 +389,12 @@ def _run_mild_solution(ctx: _Ctx, p: dict) -> dict:
     span = min(ctx.horizon, 2.0 * tau1)
     ts = [float(v) for v in anch.opt(p, "t_grid", list, list(np.linspace(0.0, span, 5)), items=_NUM)]
     thetas = [float(v) for v in anch.opt(p, "theta_grid", list, [-2.0 * tau1, -tau1, -0.5 * tau1, -0.1 * tau1, 0.0], items=_NUM)]
-    if not ts or min(ts) < 0.0:
-        raise anch.fail(f"t_grid must be a nonempty list of times >= 0, got {ts}", "t_grid")
+    if not ts or min(ts) < 0.0 or max(ts) > ctx.horizon:
+        raise anch.fail(f"t_grid must be a nonempty list of times in [0, {ctx.horizon}], got {ts}", "t_grid")
     if not thetas or max(thetas) > 0.0:
         raise anch.fail(f"theta_grid must be a nonempty list of values <= 0, got {thetas}", "theta_grid")
     tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
-    rep = check_mild_solution(ctx.problem, ts, thetas, ctx.solver, tol)
+    rep = check_mild_solution(ctx.traj(), ts, thetas, tol)
     out = asdict(rep)
     out["passed"] = rep.passed
     return out
@@ -389,7 +402,7 @@ def _run_mild_solution(ctx: _Ctx, p: dict) -> dict:
 
 def _run_estimates(ctx: _Ctx, p: dict) -> dict:
     anch, tau1 = ctx.anch, ctx.problem.family.delays.tau1
-    k_top = int(anch.opt(p, "k", _NUM, anch.opt(p, "k_max", _NUM, min(3, int(math.floor(ctx.horizon / tau1 + 1e-12))))))
+    k_top = int(anch.opt(p, "k_max", _NUM, min(3, int(math.floor(ctx.horizon / tau1 + 1e-12)))))
     k_list = [int(k) for k in anch.opt(p, "k_list", list, range(1, k_top + 1), items=_NUM)]
     traj = ctx.traj()
     certs = [estimate_certificate(traj, k) for k in k_list]
@@ -401,9 +414,8 @@ def _run_estimates(ctx: _Ctx, p: dict) -> dict:
 
 def _run_cg_embedding(ctx: _Ctx, p: dict) -> dict:
     anch = ctx.anch
-    wcfg = anch.opt(p, "weight", dict, anch.opt(p, "g", dict, {"form": "exponential", "base": 2.0}))
-    g = _build_weight(wcfg, anch)
-    k_max = int(anch.opt(p, "k", _NUM, anch.opt(p, "k_max", _NUM, 3)))
+    g = _build_weight(anch.opt(p, "weight", dict, {"form": "exponential", "base": 2.0}), anch)
+    k_max = int(anch.opt(p, "k_max", _NUM, 3))
     tol = float(anch.opt(p, "tolerance", _NUM, 1e-8)) * ctx.tol_scale
     expect = anch.opt(p, "expect", str, "holds")
     rep = check_cg_embedding(ctx.problem.history, ctx.problem.family, g, k_max, tol, ctx.solver.eps_tail_seminorm)
@@ -426,7 +438,7 @@ def _run_oracle_compare(ctx: _Ctx, p: dict) -> dict:
     tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
     ocfg = OracleConfig(
         h_fine=anch.opt(p, "h_fine", _NUM, None),
-        n_trunc=int(anch.opt(p, "N_trunc", _NUM, anch.opt(p, "n_trunc", _NUM, 40))),
+        n_trunc=int(anch.opt(p, "n_trunc", _NUM, 40)),
     )
     traj = ctx.traj()
     ref = oracle_solve(ctx.problem, ctx.horizon, ocfg)
@@ -434,24 +446,25 @@ def _run_oracle_compare(ctx: _Ctx, p: dict) -> dict:
     return {"passed": diff <= tol, "max_difference": diff, "tolerance": tol, "oracle_h": ref.h_used, "oracle_n_trunc": ref.n_forcing}
 
 
-CHECKS = [
-    ("solve", "integrate the problem and pin optional reference points", _run_solve),
-    ("seminorms", "evaluate the sup and p seminorms of the history", _run_seminorms),
-    ("membership", "phase-space membership verdict for the history", _run_membership),
-    ("semigroup-law", "compare S_t S_s phi with S_{t+s} phi in the seminorms", _run_semigroup_law),
-    ("strong-continuity", "distance of S_t phi from phi as t decreases to 0", _run_strong_continuity),
-    ("mild-solution", "integral form of the equation driven by the functional L", _run_mild_solution),
-    ("estimates", "a-priori window bounds against observed sups", _run_estimates),
-    ("cg-embedding", "weighted-norm domination of the p seminorms", _run_cg_embedding),
-    ("oracle-compare", "agreement with the independent RK4 integrator", _run_oracle_compare),
+CHECKS = [  # (name, description, runner, its parameter names)
+    ("solve", "integrate the problem and pin optional reference points", _run_solve, "expect expect_points"),
+    ("seminorms", "evaluate the sup and p seminorms of the history", _run_seminorms, "k_max"),
+    ("membership", "phase-space membership verdict for the history", _run_membership, "k_max expect"),
+    ("semigroup-law", "compare S_t S_s phi with S_{t+s} phi in the seminorms", _run_semigroup_law, "t s k_list tolerance"),
+    ("strong-continuity", "distance of S_t phi from phi as t decreases to 0", _run_strong_continuity, "k times threshold"),
+    ("mild-solution", "integral form of the equation driven by the functional L", _run_mild_solution, "t_grid theta_grid tolerance"),
+    ("estimates", "a-priori window bounds against observed sups", _run_estimates, "k_max k_list"),
+    ("cg-embedding", "weighted-norm domination of the p seminorms", _run_cg_embedding, "weight k_max tolerance expect"),
+    ("oracle-compare", "agreement with the independent RK4 integrator", _run_oracle_compare, "tolerance h_fine n_trunc"),
 ]
 
-CHECK_RUNNERS = {name: fn for name, _, fn in CHECKS}
+CHECK_RUNNERS = {name: fn for name, _, fn, _ in CHECKS}
+CHECK_PARAMS = {name: params.split() for name, _, _, params in CHECKS}
 
 
 def list_checks() -> list[tuple[str, str]]:
     """The supported checks as (name, description) pairs."""
-    return [(name, desc) for name, desc, _ in CHECKS]
+    return [(name, desc) for name, desc, _, _ in CHECKS]
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +541,9 @@ def run_scenario(
             raise anch.fail(f"check entries must be a name or an object with a name, got {entry!r}", "checks")
         if cname not in CHECK_RUNNERS:
             raise anch.fail(f"unknown check {cname!r}", "checks")
+        for key in params:
+            if key not in CHECK_PARAMS[cname]:
+                raise anch.at(start).fail(f"unknown parameter {key!r} of check {cname!r}", key)
         normalized.append((cname, params, start))
 
     ctx = _Ctx(ProblemSpec(a, family, history), horizon, solver, tolerance_scale, anch)

@@ -9,7 +9,10 @@ the semigroup introduces no interpolation error beyond the solve itself.
 The checks in this module are the verification surface: the composition
 law S_t S_s = S_{t+s}, strong continuity at t -> 0+, the integral (mild)
 form of the equation driven by the right-hand-side functional, and the
-pointwise generator-domain condition phi'(0) = L(phi).
+pointwise generator-domain condition phi'(0) = L(phi).  The first three
+verify the orbit of the Trajectory they are given, S_t phi = x_t(phi), and
+read their seminorm and L tolerance from its config.eps_tail_seminorm; only
+the composition law solves, once, from S_s phi.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .history import (
     sup_norm_k,
 )
 from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, derivative_coeffs, eval_pieces_derivative, piece_index, sup_abs_pieces
-from .stepper import ProblemSpec, SolverConfig, Trajectory, forcing, solve
+from .stepper import ProblemSpec, Trajectory, forcing, solve
 
 
 def apply_semigroup(traj: Trajectory, t: float) -> HistoryFunction:
@@ -80,33 +83,26 @@ class SemigroupLawReport:
 
 
 
-def check_semigroup_law(
-    problem: ProblemSpec,
-    t: float,
-    s: float,
-    k_list=(1, 2, 3),
-    config: Optional[SolverConfig] = None,
-    eps_tail: float = 1e-10,
-) -> SemigroupLawReport:
+def check_semigroup_law(traj: Trajectory, t: float, s: float, k_list=(1, 2, 3)) -> SemigroupLawReport:
     """Compare S_{t+s} phi against S_t (S_s phi) in sup and p seminorms.
 
-    The left side comes from one solve to t+s; the right side re-solves
-    from the intermediate state S_s phi.  Agreement is limited only by the
-    integrator, so the discrepancy should sit at the solver-error scale.
+    The left side is traj's splice at t+s; the right side re-solves from
+    the intermediate state S_s phi under traj.config, the check's one solve.
+    Agreement is limited only by the integrator, so the discrepancy should
+    sit at the solver-error scale.
     """
     if t < 0.0 or s < 0.0:
         raise ValueError("semigroup times must be >= 0")
-    traj = solve(problem, t + s if t + s > 0 else problem.family.delays.tau1, config)
+    problem = traj.problem
     lhs = apply_semigroup(traj, t + s)
     psi = apply_semigroup(traj, s)
-    rhs = apply_semigroup(solve(ProblemSpec(problem.a, problem.family, psi), max(t, 1e-12), config), t)
+    rhs = apply_semigroup(solve(ProblemSpec(problem.a, problem.family, psi), max(t, 1e-12), traj.config), t)
     diff = history_difference(lhs, rhs)
     rows = []
     worst = 0.0
     for k in k_list:
         sd = sup_norm_k(diff, k)
-        pv = p_seminorm(diff, problem.family, k, eps_tail)
-        pd = pv.upper()
+        pd = p_seminorm(diff, problem.family, k, traj.config.eps_tail_seminorm).upper()
         rows.append(SemigroupLawRow(k, sd, pd))
         worst = max(worst, sd, pd)
     return SemigroupLawReport(t, s, tuple(rows), worst)
@@ -132,13 +128,9 @@ class StrongContinuityReport:
 
 
 def check_strong_continuity(
-    problem: ProblemSpec,
-    k: int,
-    t_sequence,
-    config: Optional[SolverConfig] = None,
-    threshold: Optional[float] = None,
+    traj: Trajectory, k: int, t_sequence, threshold: Optional[float] = None
 ) -> StrongContinuityReport:
-    """sup-norm distance of S_t phi from phi along t decreasing to 0.
+    """sup-norm distance of S_t phi from phi along t decreasing to 0, on traj's orbit.
 
     The distances d(t) = sup_{[-k,0]} |S_t phi - phi| must be non-increasing
     as t shrinks (tolerance 1e-10) and the final one must fall below the
@@ -148,15 +140,13 @@ def check_strong_continuity(
     ts = [float(v) for v in t_sequence]
     if not ts or any(v <= 0.0 for v in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("need a strictly decreasing sequence of positive times")
-    traj = solve(problem, ts[0], config)
-    phi = problem.history
-    eps_tail = (config if config is not None else SolverConfig()).eps_tail_seminorm
+    phi = traj.problem.history
     dists = []
     p_dists = []
     for t in ts:
         diff = history_difference(apply_semigroup(traj, t), phi)
         dists.append(sup_norm_k(diff, k))
-        p_dists.append(p_seminorm(diff, problem.family, k, eps_tail).upper())
+        p_dists.append(p_seminorm(diff, traj.problem.family, k, traj.config.eps_tail_seminorm).upper())
     lip = max(
         sup_abs_pieces(traj.grid, derivative_coeffs(traj.pieces), 0.0, ts[0]),
         sup_abs_pieces(phi.breakpoints, derivative_coeffs(phi.coeffs), float(phi.breakpoints[0]), 0.0),
@@ -210,15 +200,8 @@ def _rounding(traj: Trajectory, t: float, n: int) -> float:
     return nu / (1.0 - nu) * (abs(traj.problem.a * traj.eval(t)) + float(delayed))
 
 
-def check_mild_solution(
-    problem: ProblemSpec,
-    t_grid,
-    theta_grid,
-    config: Optional[SolverConfig] = None,
-    tolerance: float = 1e-6,
-    eps_l: float = 1e-10,
-) -> MildSolutionReport:
-    """Verify [S_t phi](theta) = phi(0) + integral_0^{t+theta} L(S_s phi) ds.
+def check_mild_solution(traj: Trajectory, t_grid, theta_grid, tolerance: float = 1e-6) -> MildSolutionReport:
+    """Verify [S_t phi](theta) = phi(0) + integral_0^{t+theta} L(S_s phi) ds on traj's orbit.
 
     For t+theta <= 0 the identity degenerates to [S_t phi](theta) =
     phi(t+theta), which the splicing makes structurally exact.  For
@@ -227,13 +210,14 @@ def check_mild_solution(
     every Gauss node of the trajectory's own grid (the integrand is smooth
     inside those intervals) and of each partial interval is one forcing
     batch, and the prefix integrals are one cumulative sum.  At each t of
-    t_grid, L_functional on the splice S_t phi cross-checks the batch.
+    t_grid, L_functional on the splice S_t phi cross-checks the batch.  The
+    forcing and L are truncated to eps_l = traj.config.eps_tail_seminorm.
     """
     ts = sorted(float(v) for v in t_grid)
     thetas = np.array([float(v) for v in theta_grid])
     if not ts or not len(thetas) or ts[0] < 0.0 or thetas.max() > 0.0:
         raise ValueError("need nonempty grids of times t >= 0 and of thetas <= 0")
-    traj = solve(problem, max(ts[-1], problem.family.delays.tau1), config)
+    problem, eps_l = traj.problem, traj.config.eps_tail_seminorm
     phi = problem.history
     phi0 = phi.evaluate(0.0)
     r = np.add.outer(ts, thetas)
@@ -245,7 +229,7 @@ def check_mild_solution(
     nodes = np.concatenate([grid[:-1, None] + steps[:, None] * GAUSS4_NODES, grid[j][:, None] + part[:, None] * GAUSS4_NODES])
     points = np.concatenate([nodes.ravel(), ts])
     n_terms = _truncation(phi, problem.family, traj.horizon, eps_l)[0]
-    l_vals = problem.a * traj.eval(points) + forcing(traj, points, eps_l)
+    l_vals = problem.a * traj.eval(points) + forcing(traj, points, n_terms)
     means = l_vals[: nodes.size].reshape(-1, 4) @ GAUSS4_WEIGHTS
     prefix = np.concatenate(([0.0], np.cumsum(steps * means[: len(steps)])))
     integral = np.zeros_like(r)

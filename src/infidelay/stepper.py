@@ -67,9 +67,9 @@ class SolverConfig:
     quad: "gauss4" or "simpson"
     eps_forcing: uniform bound on the discarded delayed-forcing tail, > 0
         (default 1e-10 * max(1, sup |phi| on [-1, 0]))
-    eps_tail_seminorm: certification tolerance, > 0, of the p_k evaluated along a
-        trajectory (estimate_certificate, strong continuity, the scenario
-        checks); solve does not read it
+    eps_tail_seminorm: certification tolerance, > 0, of the p_k and L evaluated
+        along a trajectory (estimate_certificate, the semigroup law, strong
+        continuity, the mild check, the scenario checks); solve does not read it
     """
 
     h: Optional[float] = None
@@ -175,20 +175,20 @@ def _delayed_values(
     return out
 
 
-def forcing(traj: Trajectory, t, eps: Optional[float] = None):
+def forcing(traj: Trajectory, t, n: Optional[int] = None):
     """The delayed forcing F(t) = sum_{i<=N} b_i x(t - tau_i) along traj.
 
-    N is the trajectory's certified truncation index (or a fresh one for an
-    explicit eps).  Valid for t in [0, horizon]; a later t raises ValueError,
-    as Trajectory.eval does.  t is a time (the result is a float) or an array
-    of times, evaluated as one (points x N) batch whose entries equal the
-    scalar results bit for bit.
+    N is n when given, else the trajectory's certified truncation index;
+    forcing evaluates and never certifies.  Valid for t in [0, horizon]; a
+    later t raises ValueError, as Trajectory.eval does.  t is a time (the
+    result is a float) or an array of times, evaluated as one (points x N)
+    batch whose entries equal the scalar results bit for bit.
     """
     prob = traj.problem
     ts = np.asarray(t, dtype=float)
     if np.any(ts > traj.horizon + 1e-9):
         raise ValueError(f"forcing beyond horizon {traj.horizon}: max t={ts.max()}")
-    n = traj.n_forcing if eps is None else _truncation(prob.history, prob.family, traj.horizon, eps)[0]
+    n = traj.n_forcing if n is None else n
     taus, bs = prob.family.delays.tau_array(n), prob.family.b_array(n)
     out = _delayed_sums(
         partial(_delayed_values, prob.history, traj.grid, traj.pieces), prob.history, ts.ravel(), taus, bs,

@@ -68,7 +68,7 @@ def test_criterion_03_semigroup_law():
     for problem in semigroup_scenarios():
         tau1 = problem.family.delays.tau1
         for (t, s) in ((0.5, 0.5), (1.0, 1.0), (0.3, 1.7)):
-            rep = check_semigroup_law(problem, t * tau1, s * tau1, k_list=(1, 2, 3))
+            rep = check_semigroup_law(solve(problem, t * tau1 + s * tau1), t * tau1, s * tau1, k_list=(1, 2, 3))
             worst = max(worst, rep.max_discrepancy)
     ok = worst <= 1e-6
     report(3, ok, f"5 scenarios x 3 (t,s) x k<=3, max seminorm discrepancy = {worst:.3e} (<= 1e-6)")
@@ -79,10 +79,10 @@ def test_criterion_04_strong_continuity():
     all_ok = True
     worst_final = 0.0
     for problem in semigroup_scenarios():
-        rep = check_strong_continuity(problem, 1, [0.1, 0.01, 0.001])
+        rep = check_strong_continuity(solve(problem, 0.1), 1, [0.1, 0.01, 0.001])
         all_ok = all_ok and rep.monotone and rep.final_ok
         worst_final = max(worst_final, rep.distances[-1] / rep.threshold)
-    classic = check_strong_continuity(classic_problem(), 1, [0.1, 0.01, 0.001])
+    classic = check_strong_continuity(solve(classic_problem(), 0.1), 1, [0.1, 0.01, 0.001])
     exact = max(abs(d - t) for d, t in zip(classic.distances, classic.times))
     all_ok = all_ok and exact <= 1e-9
     report(
@@ -115,7 +115,7 @@ def test_criterion_06_mild_solution_identity():
     for problem in semigroup_scenarios():
         tau1 = problem.family.delays.tau1
         rep = check_mild_solution(
-            problem,
+            solve(problem, 2.0 * tau1),
             np.linspace(0.0, 2.0 * tau1, 20),
             np.linspace(-2.0 * tau1, 0.0, 20),
             tolerance=1e-6,

@@ -253,6 +253,32 @@ def _set_oracle_tolerance_string(cfg):
     _params(cfg, "oracle-compare")["tolerance"] = "x"
 
 
+def _set_law_past_horizon(cfg):
+    _params(cfg, "semigroup-law")["s"] = 6.0  # t + s = 6.3, horizon 6
+
+
+def _set_times_past_horizon(cfg):
+    _params(cfg, "strong-continuity")["times"] = [7.0, 0.1]
+
+
+def _set_t_grid_past_horizon(cfg):
+    _params(cfg, "mild-solution")["t_grid"] = [0.0, 7.0]
+
+
+def _set_tolerence(cfg):
+    _params(cfg, "mild-solution")["tolerence"] = 1e-6
+
+
+# mutators whose error must be anchored at the named check's key
+_ANCHORS = {
+    _set_oracle_tolerance_string: ("oracle-compare", "tolerance"),
+    _set_law_past_horizon: ("semigroup-law", "s"),
+    _set_times_past_horizon: ("strong-continuity", "times"),
+    _set_t_grid_past_horizon: ("mild-solution", "t_grid"),
+    _set_tolerence: ("mild-solution", "tolerence"),
+}
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -279,6 +305,10 @@ def _set_oracle_tolerance_string(cfg):
         _set_weight_base_zero,
         _set_weight_degree_negative,
         _set_oracle_tolerance_string,
+        _set_law_past_horizon,
+        _set_times_past_horizon,
+        _set_t_grid_past_horizon,
+        _set_tolerence,
     ],
 )
 def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
@@ -295,11 +325,12 @@ def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
     assert "<params>" not in captured.out
     assert "Traceback" not in captured.out + captured.err
     assert _files_under(tmp_path / "out") == []
-    if mutate is _set_oracle_tolerance_string:
+    if mutate in _ANCHORS:
+        check, key = _ANCHORS[mutate]
         line = int(captured.out.split(f"{path}:")[1].split(":")[0])
         lines = path.read_text().splitlines()
-        entry = next(i for i, ln in enumerate(lines, start=1) if '"oracle-compare"' in ln)
-        assert entry <= line and '"tolerance"' in lines[line - 1], (line, entry)
+        entry = next(i for i, ln in enumerate(lines, start=1) if f'"{check}"' in ln)
+        assert entry <= line and f'"{key}"' in lines[line - 1], (line, entry)
 
 
 def _bundled_cfg(name):

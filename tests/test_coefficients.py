@@ -90,6 +90,14 @@ def test_weight_forms():
     assert q(-3.0) == 16.0 and q(0.0) == 1.0
 
 
+def test_polynomial_weight_scalar_equals_array():
+    # a scalar call must give the array entry bit for bit: float pow and
+    # numpy's array pow can differ by an ulp
+    w = WeightFunction.polynomial(3)
+    thetas = -np.random.default_rng(5).uniform(0.0, 50.0, 2000)
+    assert [w(t) for t in thetas] == list(w(thetas))
+
+
 def test_weight_validation():
     with pytest.raises(ValueError):
         WeightFunction.constant(0.5)  # weights never dip below one

@@ -88,17 +88,17 @@ def test_shift_replays_trajectory_values():
 
 
 def test_law_with_zero_leg_is_exact():
-    rep = check_semigroup_law(classic_problem(), 0.0, 0.5)
+    rep = check_semigroup_law(solve(classic_problem(), 0.5), 0.0, 0.5)
     assert rep.max_discrepancy <= 1e-10
 
 
 def test_law_classic_half_plus_half():
-    rep = check_semigroup_law(classic_problem(), 0.5, 0.5, k_list=(1,))
+    rep = check_semigroup_law(solve(classic_problem(), 1.0), 0.5, 0.5, k_list=(1,))
     assert rep.max_discrepancy < 1e-8
 
 
 def test_law_geometric_one_plus_one():
-    rep = check_semigroup_law(geometric_problem(), 1.0, 1.0, k_list=(1, 2))
+    rep = check_semigroup_law(solve(geometric_problem(), 2.0), 1.0, 1.0, k_list=(1, 2))
     assert rep.max_discrepancy < 1e-6
     for row in rep.rows:
         assert row.sup_diff < 1e-6
@@ -106,7 +106,7 @@ def test_law_geometric_one_plus_one():
 
 
 def test_law_report_shape_and_json():
-    rep = check_semigroup_law(classic_problem(), 0.75, 1.25, k_list=(1, 2, 3))
+    rep = check_semigroup_law(solve(classic_problem(), 2.0), 0.75, 1.25, k_list=(1, 2, 3))
     assert [r.k for r in rep.rows] == [1, 2, 3]
     d = dataclasses.asdict(rep)
     assert d["t"] == 0.75 and d["s"] == 1.25
@@ -116,7 +116,7 @@ def test_law_report_shape_and_json():
 
 def test_law_rejects_negative_times():
     with pytest.raises(ValueError):
-        check_semigroup_law(classic_problem(), -0.5, 1.0)
+        check_semigroup_law(solve(classic_problem(), 0.5), -0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +125,14 @@ def test_law_rejects_negative_times():
 
 
 def test_continuity_stationary_distances_vanish():
-    rep = check_strong_continuity(stationary_problem(), 2, [0.1, 0.01, 0.001])
+    rep = check_strong_continuity(solve(stationary_problem(), 0.1), 2, [0.1, 0.01, 0.001])
     assert rep.distances == (0.0, 0.0, 0.0)
     assert rep.passed
 
 
 def test_continuity_classic_distance_equals_t():
     # |S_t phi - phi| on [-2, 0]: phi = 1 and x(s) = 1 - s, so the sup is t
-    rep = check_strong_continuity(classic_problem(), 2, [0.1, 0.01, 0.001])
+    rep = check_strong_continuity(solve(classic_problem(), 0.1), 2, [0.1, 0.01, 0.001])
     for t, d in zip(rep.times, rep.distances):
         assert abs(d - t) < 1e-9
     assert rep.monotone and rep.final_ok and rep.passed
@@ -142,7 +142,7 @@ def test_continuity_classic_distance_equals_t():
 def test_continuity_distances_bounded_by_lipschitz_times_t():
     phi = history_from_callable(math.cos, 8.0, 0.02, fn_prime=lambda t: -math.sin(t))
     p = ProblemSpec(0.0, CoefficientFamily.finite_support([-1.0], DS), phi)
-    rep = check_strong_continuity(p, 1, [0.2, 0.05, 0.0125])
+    rep = check_strong_continuity(solve(p, 0.2), 1, [0.2, 0.05, 0.0125])
     assert rep.passed
     for t, d in zip(rep.times, rep.distances):
         assert d <= rep.lipschitz * t + 1e-9
@@ -150,7 +150,7 @@ def test_continuity_distances_bounded_by_lipschitz_times_t():
 
 def test_continuity_requires_decreasing_times():
     with pytest.raises(ValueError):
-        check_strong_continuity(classic_problem(), 1, [0.01, 0.1])
+        check_strong_continuity(solve(classic_problem(), 0.1), 1, [0.01, 0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -159,27 +159,25 @@ def test_continuity_requires_decreasing_times():
 
 
 def test_mild_identity_stationary_exact():
-    rep = check_mild_solution(stationary_problem(), [0.0, 0.5, 1.0], [-1.0, -0.5, 0.0])
+    rep = check_mild_solution(solve(stationary_problem(), 1.0), [0.0, 0.5, 1.0], [-1.0, -0.5, 0.0])
     assert rep.max_residual == 0.0
     assert rep.passed and rep.n_points == 9
 
 
 def test_mild_identity_classic_at_the_edge():
-    rep = check_mild_solution(classic_problem(), [1.0], [0.0])
+    rep = check_mild_solution(solve(classic_problem(), 1.0), [1.0], [0.0])
     assert rep.max_residual < 1e-9
 
 
 def test_mild_identity_geometric_grid():
-    rep = check_mild_solution(
-        geometric_problem(), np.linspace(0.0, 2.0, 5), [-1.0, -0.5, -0.1, 0.0]
-    )
+    rep = check_mild_solution(solve(geometric_problem(), 2.0), np.linspace(0.0, 2.0, 5), [-1.0, -0.5, -0.1, 0.0])
     assert rep.max_residual < 1e-6
     assert rep.passed
 
 
 def test_mild_identity_degenerate_region_is_structural():
     # t + theta <= 0 compares the splice against the history directly
-    rep = check_mild_solution(classic_problem(), [0.25], [-2.0, -1.0, -0.5])
+    rep = check_mild_solution(solve(classic_problem(), 1.0), [0.25], [-2.0, -1.0, -0.5])
     assert rep.max_residual < 1e-12
 
 
@@ -188,36 +186,74 @@ def test_mild_batch_agrees_with_L_on_the_splice():
     # every t of the grid, within the two truncation remainders and rounding
     for p in sweep_problems():
         tau1 = p.family.delays.tau1
-        rep = check_mild_solution(p, np.linspace(0.0, 2.0 * tau1, 5), [-2.0 * tau1, -tau1, -0.1 * tau1, 0.0])
+        traj = solve(p, 2.0 * tau1)
+        rep = check_mild_solution(traj, np.linspace(0.0, 2.0 * tau1, 5), [-2.0 * tau1, -tau1, -0.1 * tau1, 0.0])
         assert rep.l_gap <= rep.l_bound, p
         assert rep.l_bound >= rep.eps_l == 1e-10 and rep.quad == "gauss4" and rep.n_terms >= 1
 
 
-def test_mild_check_fails_on_a_perturbed_trajectory(monkeypatch):
+def test_mild_check_fails_on_a_perturbed_trajectory():
     # a trajectory that leaves the equation on one piece must fail: the
     # residual has to depend on the integrand along the orbit
-    from infidelay import semigroup
-
-    def perturbed(problem, horizon, config=None):
-        # x raised by 1e-4 from the middle node on; a ramp on the piece
-        # before it keeps the pieces continuous, so the splices stay valid
-        traj = solve(problem, horizon, config)
-        pieces = traj.pieces.copy()
-        j = len(pieces) // 2
-        pieces[j - 1, 1] += 1e-4 / (traj.grid[j] - traj.grid[j - 1])
-        pieces[j:, 0] += 1e-4
-        return dataclasses.replace(traj, pieces=pieces)
-
-    args = (classic_problem(), np.linspace(0.0, 2.0, 9), [-1.0, -0.5, -0.25, 0.0])
-    assert check_mild_solution(*args).passed
-    monkeypatch.setattr(semigroup, "solve", perturbed)
-    assert not check_mild_solution(*args).passed
+    traj = solve(classic_problem(), 2.0)
+    # x raised by 1e-4 from the middle node on; a ramp on the piece before it
+    # keeps the pieces continuous, so the splices stay valid
+    pieces = traj.pieces.copy()
+    j = len(pieces) // 2
+    pieces[j - 1, 1] += 1e-4 / (traj.grid[j] - traj.grid[j - 1])
+    pieces[j:, 0] += 1e-4
+    grids = (np.linspace(0.0, 2.0, 9), [-1.0, -0.5, -0.25, 0.0])
+    assert check_mild_solution(traj, *grids).passed
+    assert not check_mild_solution(dataclasses.replace(traj, pieces=pieces), *grids).passed
 
 
 @pytest.mark.parametrize("ts, thetas", [([], [0.0]), ([1.0], []), ([1.0], [0.5])])
 def test_mild_rejects_empty_grids_and_positive_theta(ts, thetas):
     with pytest.raises(ValueError):
-        check_mild_solution(classic_problem(), ts, thetas)
+        check_mild_solution(solve(classic_problem(), 1.0), ts, thetas)
+
+
+# ---------------------------------------------------------------------------
+# one solve per orbit
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Count calls of stepper.solve under every name it is imported as."""
+    import sys
+
+    calls = []
+    orig = fd.stepper.solve
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("infidelay") and getattr(mod, "solve", None) is orig:
+            monkeypatch.setattr(mod, "solve", counting)
+    return calls
+
+
+def test_checks_verify_the_given_trajectory(solve_calls):
+    traj = solve(classic_problem(), 2.0)
+    solve_calls.clear()
+    check_strong_continuity(traj, 2, [0.1, 0.01, 0.001])
+    check_mild_solution(traj, np.linspace(0.0, 2.0, 5), [-1.0, 0.0])
+    assert solve_calls == []
+    check_semigroup_law(traj, 0.75, 1.25)
+    assert solve_calls == [0.75]  # the right side, from S_s phi
+
+
+def test_classic_scenario_solves_twice(solve_calls, tmp_path):
+    import importlib.resources as res
+
+    from infidelay.scenario import load_scenario, run_scenario
+
+    data, raw = load_scenario(str(res.files("infidelay") / "scenarios" / "classic-delay.json"))
+    run_scenario(data, str(tmp_path), raw)
+    assert len(solve_calls) == 2  # the scenario's orbit and the semigroup law's right side
 
 
 # ---------------------------------------------------------------------------

@@ -70,18 +70,20 @@ def test_forcing_geometric_certified_sum():
 @pytest.mark.parametrize("eps", [None, 1e-12])
 def test_forcing_batch_equals_pointwise(monkeypatch, eps):
     # an array of times is one (points x N) batch, taken in row chunks; each
-    # entry must equal the single-point evaluation bit for bit
+    # entry must equal the single-point evaluation bit for bit, at the
+    # trajectory's own index and at the one certified to eps
     rng = np.random.default_rng(11)
     for p in sweep_problems():
         horizon = 3.0 * p.family.delays.tau1
         traj = solve(p, horizon)
+        n = None if eps is None else fd.history._truncation(p.history, p.family, horizon, eps)[0]
         ts = np.concatenate([traj.grid[::3], rng.uniform(0.0, horizon, 20)])
-        pointwise = [forcing(traj, t, eps) for t in ts]
+        pointwise = [forcing(traj, t, n) for t in ts]
         assert isinstance(pointwise[0], float)
-        assert np.array_equal(forcing(traj, ts, eps), pointwise), p
+        assert np.array_equal(forcing(traj, ts, n), pointwise), p
         with monkeypatch.context() as m:
             m.setattr(fd.history, "_CHUNK_TERMS", 64)
-            assert np.array_equal(forcing(traj, ts, eps), pointwise), p
+            assert np.array_equal(forcing(traj, ts, n), pointwise), p
 
 
 def exp_history(rate: float) -> fd.HistoryFunction:
