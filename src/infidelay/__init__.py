@@ -39,7 +39,7 @@ from .history import (
     scale_history,
     sup_norm_k,
 )
-from .oracle import OracleConfig, compare_trajectories, oracle_solve
+from .oracle import compare_trajectories, oracle_solve
 from .scenario import ScenarioError, list_checks, load_scenario, run_scenario
 from .semigroup import (
     apply_semigroup,
@@ -74,7 +74,6 @@ __all__ = [
     "L_functional",
     "MembershipReport",
     "NotInPhaseSpaceError",
-    "OracleConfig",
     "ProblemSpec",
     "ScenarioError",
     "SeminormValue",

@@ -1,8 +1,8 @@
 """Low-level numerical helpers shared across the package.
 
-Quadrature tables, the phi1 function (expm1(z)/z with a stable small-z
-branch), cubic Hermite coefficients, and evaluation / exact sup-norm of
-piecewise cubic polynomials stored in local coordinates.
+The 4-point Gauss-Legendre rule on [0, 1], the phi1 function (expm1(z)/z
+with a stable small-z branch), cubic Hermite coefficients, and evaluation /
+exact sup-norm of piecewise cubic polynomials stored in local coordinates.
 
 Piecewise convention used everywhere in this package: a function on
 [breaks[0], breaks[-1]] is stored as an (m, 4) array of local coefficients
@@ -53,15 +53,6 @@ GAUSS4_WEIGHTS = np.array(
         0.5 * _GL4_W[1],
     ]
 )
-
-SIMPSON_NODES = np.array([0.0, 0.5, 1.0])
-SIMPSON_WEIGHTS = np.array([1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0])
-
-#: name -> (nodes, weights) on the reference interval [0, 1]
-QUAD_RULES = {
-    "gauss4": (GAUSS4_NODES, GAUSS4_WEIGHTS),
-    "simpson": (SIMPSON_NODES, SIMPSON_WEIGHTS),
-}
 
 
 def phi1(a: float, d: float) -> float:

@@ -23,9 +23,15 @@ Schema (all floats unless noted):
                    #                "weight": {"form": "exponential", "base": 2.0}}}
       },
       "horizon": 10.0,
-      "solver": {"h": .., "quad": "gauss4", "eps_forcing": .., "eps_tail_seminorm": ..},
+      "solver": {"h": .., "eps_forcing": .., "eps_tail_seminorm": ..},
       "checks": ["solve", {"name": "membership", "expect": "member"}, ...]
     }
+
+Every object takes only the keys shown for it (a family, tail or weight
+only those of its kind or form; the weight forms are {"form": "constant",
+"level"}, {"form": "exponential", "base" or "gamma"} and {"form":
+"polynomial", "degree"}); any other key is a schema error at that key.  The
+solver keys are optional and default in SolverConfig.
 
 Check parameters (all optional; any other key is a schema error):
 
@@ -37,7 +43,7 @@ Check parameters (all optional; any other key is a schema error):
     mild-solution      t_grid (in [0, horizon]), theta_grid (<= 0), tolerance
     estimates          k_max, k_list
     cg-embedding       weight {"form", ..}, k_max, tolerance, expect
-    oracle-compare     tolerance, h_fine, n_trunc
+    oracle-compare     tolerance, h_fine
 
 Schema problems, check parameters included, raise ScenarioError with a
 file:line anchor; check failures are ordinary results.  Runners write one
@@ -75,7 +81,7 @@ from .history import (
     p_seminorm,
     sup_norm_k,
 )
-from .oracle import OracleConfig, compare_trajectories, oracle_solve
+from .oracle import compare_trajectories, oracle_solve
 from .semigroup import (
     check_mild_solution,
     check_semigroup_law,
@@ -163,29 +169,44 @@ class _Anchored:
             return default
         return self._typed(obj[key], types, key, key, items)
 
+    def only(self, obj: dict, keys: str, where: str) -> None:
+        """Every key of obj must be one of the space-separated keys: the ones read from obj."""
+        allowed = keys.split()
+        for key in obj:
+            if key not in allowed:
+                raise self.fail(f"unknown key {key!r} in {where}", key)
+
 
 _NUM = (int, float)
+
+# the keys each kind or form reads besides "kind" / "form"
+_WEIGHT_KEYS = {"constant": "level", "exponential": "base gamma", "polynomial": "degree"}
+_FAMILY_KEYS = {"finite-support": "coeffs", "geometric": "beta rho", "power-law": "beta p", "explicit-list": "coeffs tail_abs_bound"}
+_TAIL_KEYS = {"constant": "value", "cos": "amp omega phase", "exp-decay": "amp rate", "g-envelope": "scale weight shift"}
 
 
 def _build_weight(cfg: dict, anch: _Anchored) -> WeightFunction:
     form = anch.need(cfg, "form", str, "weight")
+    if form not in _WEIGHT_KEYS:
+        raise anch.fail(f"unknown weight form {form!r}", "form")
+    anch.only(cfg, "form " + _WEIGHT_KEYS[form], "weight")
     try:
         if form == "constant":
             return WeightFunction.constant(float(anch.opt(cfg, "level", _NUM, 1.0)))
         if form == "exponential":
-            if "base" in cfg:
-                return WeightFunction.exponential(base=float(anch.need(cfg, "base", _NUM, "weight")))
-            return WeightFunction.exponential(gamma=float(anch.need(cfg, "gamma", _NUM, "weight")))
-        if form == "polynomial":
-            return WeightFunction.polynomial(int(anch.need(cfg, "degree", _NUM, "weight")))
+            return WeightFunction.exponential(anch.opt(cfg, "gamma", _NUM, None), anch.opt(cfg, "base", _NUM, None))
+        return WeightFunction.polynomial(int(anch.need(cfg, "degree", _NUM, "weight")))
     except ValueError as exc:
         raise anch.fail(f"weight: {exc}", "form") from exc
-    raise anch.fail(f"unknown weight form {form!r}", "form")
 
 
 def _build_family(cfg: dict, anch: _Anchored) -> CoefficientFamily:
     kind = anch.need(cfg, "kind", str, "family")
+    if kind not in _FAMILY_KEYS:
+        raise anch.fail(f"unknown family kind {kind!r}", "kind")
+    anch.only(cfg, "kind tau " + _FAMILY_KEYS[kind], "family")
     tau_cfg = anch.need(cfg, "tau", dict, "family")
+    anch.only(tau_cfg, "c delta prefix", "tau")
     try:
         delays = DelaySchedule(
             c=float(anch.opt(tau_cfg, "c", _NUM, 0.0)),
@@ -206,19 +227,20 @@ def _build_family(cfg: dict, anch: _Anchored) -> CoefficientFamily:
                 float(anch.need(cfg, "p", _NUM, "family")),
                 delays,
             )
-        if kind == "explicit-list":
-            return CoefficientFamily.explicit_list(
-                anch.need(cfg, "coeffs", list, "family"),
-                float(anch.need(cfg, "tail_abs_bound", _NUM, "family")),
-                delays,
-            )
+        return CoefficientFamily.explicit_list(
+            anch.need(cfg, "coeffs", list, "family"),
+            float(anch.need(cfg, "tail_abs_bound", _NUM, "family")),
+            delays,
+        )
     except (TypeError, ValueError) as exc:
         raise anch.fail(str(exc), "family") from exc
-    raise anch.fail(f"unknown family kind {kind!r}", "kind")
 
 
 def _build_tail(cfg: dict, anch: _Anchored):
     kind = anch.need(cfg, "kind", str, "tail")
+    if kind not in _TAIL_KEYS:
+        raise anch.fail(f"unknown tail kind {kind!r}", "kind")
+    anch.only(cfg, "kind " + _TAIL_KEYS[kind], "tail")
     if kind == "constant":
         return ConstantTail(float(anch.need(cfg, "value", _NUM, "tail")))
     if kind == "cos":
@@ -232,19 +254,18 @@ def _build_tail(cfg: dict, anch: _Anchored):
             float(anch.need(cfg, "amp", _NUM, "tail")),
             float(anch.need(cfg, "rate", _NUM, "tail")),
         )
-    if kind == "g-envelope":
-        return WeightEnvelopeTail(
-            float(anch.need(cfg, "scale", _NUM, "tail")),
-            _build_weight(anch.need(cfg, "weight", dict, "tail"), anch),
-            float(anch.opt(cfg, "shift", _NUM, 0.0)),
-        )
-    raise anch.fail(f"unknown tail kind {kind!r}", "kind")
+    return WeightEnvelopeTail(
+        float(anch.need(cfg, "scale", _NUM, "tail")),
+        _build_weight(anch.need(cfg, "weight", dict, "tail"), anch),
+        float(anch.opt(cfg, "shift", _NUM, 0.0)),
+    )
 
 
 def _build_history(cfg: dict, anch: _Anchored) -> HistoryFunction:
     from .history import history_preset
 
     if "preset" in cfg:
+        anch.only(cfg, "preset depth resolution", "history")
         name = anch.need(cfg, "preset", str, "history")
         try:
             return history_preset(
@@ -254,7 +275,9 @@ def _build_history(cfg: dict, anch: _Anchored) -> HistoryFunction:
             )
         except ValueError as exc:
             raise anch.fail(str(exc), "preset") from exc
+    anch.only(cfg, "core tail", "history")
     core = anch.need(cfg, "core", dict, "history")
+    anch.only(core, "breakpoints coeffs", "history.core")
     tail_cfg = anch.need(cfg, "tail", dict, "history")
     bp = anch.need(core, "breakpoints", list, "history.core")
     coef = anch.need(core, "coeffs", list, "history.core")
@@ -265,13 +288,9 @@ def _build_history(cfg: dict, anch: _Anchored) -> HistoryFunction:
 
 
 def _build_solver(cfg: dict, anch: _Anchored) -> SolverConfig:
+    anch.only(cfg, "h eps_forcing eps_tail_seminorm", "solver")
     try:
-        return SolverConfig(
-            h=anch.opt(cfg, "h", _NUM, None),
-            quad=anch.opt(cfg, "quad", str, "gauss4"),
-            eps_forcing=anch.opt(cfg, "eps_forcing", _NUM, None),
-            eps_tail_seminorm=float(anch.opt(cfg, "eps_tail_seminorm", _NUM, 1e-10)),
-        )
+        return SolverConfig(**{key: float(anch.need(cfg, key, _NUM, "solver")) for key in cfg})
     except ValueError as exc:
         raise anch.fail(str(exc), "solver") from exc
 
@@ -306,8 +325,11 @@ def _sv_dict(sv) -> dict:
 def _run_solve(ctx: _Ctx, p: dict) -> dict:
     anch = ctx.anch
     expect = anch.opt(p, "expect", str, None)
+    points = anch.opt(p, "expect_points", list, [], items=dict)
+    for pt in points:
+        anch.only(pt, "t x tol", "expect_points")
     pins = [(anch.need(pt, "t", _NUM, "expect_points"), anch.need(pt, "x", _NUM, "expect_points"), anch.opt(pt, "tol", _NUM, 1e-8))
-            for pt in anch.opt(p, "expect_points", list, [], items=dict)]
+            for pt in points]
     try:
         traj = ctx.traj()
     except NotInPhaseSpaceError as exc:
@@ -436,12 +458,9 @@ def _run_cg_embedding(ctx: _Ctx, p: dict) -> dict:
 def _run_oracle_compare(ctx: _Ctx, p: dict) -> dict:
     anch = ctx.anch
     tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
-    ocfg = OracleConfig(
-        h_fine=anch.opt(p, "h_fine", _NUM, None),
-        n_trunc=int(anch.opt(p, "n_trunc", _NUM, 40)),
-    )
+    h_fine = anch.opt(p, "h_fine", _NUM, None)
     traj = ctx.traj()
-    ref = oracle_solve(ctx.problem, ctx.horizon, ocfg)
+    ref = oracle_solve(ctx.problem, ctx.horizon, h_fine)
     diff = compare_trajectories(traj, ref, (0.0, ctx.horizon))
     return {"passed": diff <= tol, "max_difference": diff, "tolerance": tol, "oracle_h": ref.h_used, "oracle_n_trunc": ref.n_forcing}
 
@@ -455,7 +474,7 @@ CHECKS = [  # (name, description, runner, its parameter names)
     ("mild-solution", "integral form of the equation driven by the functional L", _run_mild_solution, "t_grid theta_grid tolerance"),
     ("estimates", "a-priori window bounds against observed sups", _run_estimates, "k_max k_list"),
     ("cg-embedding", "weighted-norm domination of the p seminorms", _run_cg_embedding, "weight k_max tolerance expect"),
-    ("oracle-compare", "agreement with the independent RK4 integrator", _run_oracle_compare, "tolerance h_fine n_trunc"),
+    ("oracle-compare", "agreement with the independent RK4 integrator", _run_oracle_compare, "tolerance h_fine"),
 ]
 
 CHECK_RUNNERS = {name: fn for name, _, fn, _ in CHECKS}
@@ -519,8 +538,10 @@ def run_scenario(
     check failures only lower the result's passed flag.
     """
     anch = _Anchored(data, raw, path)
+    anch.only(data, "name problem horizon solver checks", "scenario")
     name = anch.need(data, "name", str, "scenario")
     prob_cfg = anch.need(data, "problem", dict, "scenario")
+    anch.only(prob_cfg, "a family history", "problem")
     horizon = float(anch.need(data, "horizon", _NUM, "scenario"))
     if not horizon > 0.0:
         raise anch.fail(f"horizon must be positive, got {horizon}", "horizon")

@@ -5,7 +5,7 @@ The march uses exact variation of constants on each sub-step,
     x(t1) = x(t0) e^{a dt} + integral_{t0}^{t1} e^{a(t1-s)} F(s) ds,
     F(s)  = sum_{i <= N} b_i x(s - tau_i),
 
-with the integral evaluated by a fixed quadrature rule and F truncated at a
+with the integral evaluated by 4-point Gauss-Legendre and F truncated at a
 certified index N: the discarded delayed terms are bounded through the
 history tail's envelope atoms by at most eps_forcing uniformly on [0, T].
 Dense output is the cubic Hermite interpolant of the stored node values
@@ -20,7 +20,7 @@ Every delay is at least tau_1, so F on the window reads x only on
 and at the step ends is one batch through history._delayed_sums, which
 splits each point's delays into a head read term by term and a tail moment.
 A scan then turns the batch into the window's node values: _voc_scan, the
-variation-of-constants update under the quadrature rule, for solve and
+variation-of-constants update under the Gauss-4 weights, for solve and
 step_interval; the oracle passes its RK4 scan.  The slopes are
 a x + F at the step ends.  While the batch is evaluated, the piece row
 after the last node holds the pending piece (x, x', 0, 0), so an argument
@@ -43,7 +43,7 @@ import numpy as np
 
 from .coefficients import CoefficientFamily, DivergentTailError, UnknownTailError, m_index, n_index
 from .history import HistoryFunction, _delayed_sums, _tail_sums, _truncation, p_seminorm, sup_norm_k
-from .numerics import QUAD_RULES, eval_pieces, eval_pieces_derivative, hermite_coeffs, phi1, sup_abs_pieces
+from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, eval_pieces, eval_pieces_derivative, hermite_coeffs, phi1, sup_abs_pieces
 
 
 class NotInPhaseSpaceError(Exception):
@@ -64,7 +64,6 @@ class SolverConfig:
     """March parameters.  None means: resolve from the problem at solve time.
 
     h: sub-step target, > 0 (default tau_1/40, clamped to tau_1)
-    quad: "gauss4" or "simpson"
     eps_forcing: uniform bound on the discarded delayed-forcing tail, > 0
         (default 1e-10 * max(1, sup |phi| on [-1, 0]))
     eps_tail_seminorm: certification tolerance, > 0, of the p_k and L evaluated
@@ -73,7 +72,6 @@ class SolverConfig:
     """
 
     h: Optional[float] = None
-    quad: str = "gauss4"
     eps_forcing: Optional[float] = None
     eps_tail_seminorm: float = 1e-10
 
@@ -84,8 +82,6 @@ class SolverConfig:
             raise ValueError(f"forcing tolerance must be positive, got {self.eps_forcing}")
         if not self.eps_tail_seminorm > 0.0:
             raise ValueError(f"seminorm tolerance must be positive, got {self.eps_tail_seminorm}")
-        if self.quad not in QUAD_RULES:
-            raise ValueError(f"unknown quadrature rule {self.quad!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,18 +130,6 @@ class Trajectory:
             raise ValueError("derivative evaluation outside [0, horizon]")
         out = eval_pieces_derivative(self.grid, self.pieces, np.clip(th, 0.0, self.horizon))
         return float(out[0]) if scalar else out
-
-    def sup_abs(self, lo: float, hi: float) -> float:
-        """Exact sup of |x| over [lo, hi] (may dip into the history)."""
-        if hi > self.horizon + 1e-9:
-            raise ValueError(f"interval end {hi} beyond horizon {self.horizon}")
-        hi = min(hi, self.horizon)
-        best = 0.0
-        if hi > 0.0:
-            best = sup_abs_pieces(self.grid, self.pieces, max(lo, 0.0), hi)
-        if lo < 0.0:
-            best = max(best, self.problem.history.sup_abs_interval(lo, min(hi, 0.0)))
-        return best
 
     def write_csv(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -303,14 +287,12 @@ def _store_window(grid, values, derivs, pieces, m: int, ends: np.ndarray, steps:
     return m_new
 
 
-def _voc_scan(
-    weights: np.ndarray, a: float, x: float, steps: np.ndarray, points: np.ndarray, f: np.ndarray
-) -> list:
-    """Node values of a window by variation of constants, the integral by the quadrature weights."""
+def _voc_scan(a: float, x: float, steps: np.ndarray, points: np.ndarray, f: np.ndarray) -> list:
+    """Node values of a window by variation of constants, the integral by the Gauss-4 weights."""
     weighted = np.exp(a * (points[:, -1:] - points[:, :-1])) * f[:, :-1]
     out = []
     for step, row in zip(steps.tolist(), weighted):
-        x = x * math.exp(a * step) + step * float(np.dot(weights, row))
+        x = x * math.exp(a * step) + step * float(np.dot(GAUSS4_WEIGHTS, row))
         out.append(x)
     return out
 
@@ -345,9 +327,8 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
 
 
 def _advance(traj: Trajectory, t_end: float) -> Trajectory:
-    """traj marched on to t_end by variation of constants under its config's quadrature rule."""
-    nodes, weights = QUAD_RULES[traj.config.quad]
-    return _march(traj, t_end, _delayed_values, nodes, partial(_voc_scan, weights))
+    """traj marched on to t_end by variation of constants under the Gauss-4 rule."""
+    return _march(traj, t_end, _delayed_values, GAUSS4_NODES, _voc_scan)
 
 
 def _start(problem: ProblemSpec, config: SolverConfig, n_forcing: int, h: float, eps_f: float) -> Trajectory:
@@ -498,7 +479,7 @@ def estimate_certificate(traj: Trajectory, k: int) -> EstimateCertificate:
         running = max(running, b_j)
 
     bound = running
-    observed = traj.sup_abs(0.0, k * tau1)
+    observed = sup_abs_pieces(traj.grid, traj.pieces, 0.0, k * tau1)
     q_value = max(v for (_, v) in levels)
     constant = bound / q_value if q_value > 0.0 else bound
     return EstimateCertificate(

@@ -13,7 +13,6 @@ import infidelay as fd
 from infidelay import (
     CoefficientFamily,
     DelaySchedule,
-    OracleConfig,
     ProblemSpec,
     SolverConfig,
     check_mild_solution,

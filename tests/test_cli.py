@@ -269,13 +269,70 @@ def _set_tolerence(cfg):
     _params(cfg, "mild-solution")["tolerence"] = 1e-6
 
 
-# mutators whose error must be anchored at the named check's key
+def _set_horizn(cfg):
+    cfg["horizn"] = 6.0
+
+
+def _set_drift(cfg):
+    cfg["problem"]["drift"] = 0.1
+
+
+def _set_delt(cfg):
+    cfg["problem"]["family"]["tau"]["delt"] = 0.5
+
+
+def _set_rho_on_finite_support(cfg):
+    cfg["problem"]["family"]["rho"] = 0.5
+
+
+def _set_depht(cfg):
+    cfg["problem"]["history"]["depht"] = 4.0
+
+
+def _set_core_tail_valu(cfg):
+    core = {"breakpoints": [-1.0, 0.0], "coeffs": [[1.0, 0.0, 0.0, 0.0]]}
+    cfg["problem"]["history"] = {"core": core, "tail": {"kind": "constant", "value": 1.0, "valu": 1.0}}
+
+
+def _set_eps_forcng(cfg):
+    cfg["solver"] = {"eps_forcng": 1e-9}
+
+
+def _set_solver_quad(cfg):
+    cfg["solver"] = {"quad": "simpson"}
+
+
+def _set_weight_bse(cfg):
+    _params(cfg, "cg-embedding")["weight"] = {"form": "exponential", "base": 2.0, "bse": 3.0}
+
+
+def _set_point_tl(cfg):
+    _params(cfg, "solve")["expect_points"] = [{"t": 1.0, "x": 0.0, "tl": 1e-8}]
+
+
+def _set_oracle_n_trunc(cfg):
+    _params(cfg, "oracle-compare")["n_trunc"] = 40
+
+
+# mutators whose error must be anchored at a line holding the key; with a
+# check name, at or after that check's entry
 _ANCHORS = {
     _set_oracle_tolerance_string: ("oracle-compare", "tolerance"),
     _set_law_past_horizon: ("semigroup-law", "s"),
     _set_times_past_horizon: ("strong-continuity", "times"),
     _set_t_grid_past_horizon: ("mild-solution", "t_grid"),
     _set_tolerence: ("mild-solution", "tolerence"),
+    _set_horizn: (None, "horizn"),
+    _set_drift: (None, "drift"),
+    _set_delt: (None, "delt"),
+    _set_rho_on_finite_support: (None, "rho"),
+    _set_depht: (None, "depht"),
+    _set_core_tail_valu: (None, "valu"),
+    _set_eps_forcng: (None, "eps_forcng"),
+    _set_solver_quad: (None, "quad"),
+    _set_weight_bse: ("cg-embedding", "bse"),
+    _set_point_tl: ("solve", "tl"),
+    _set_oracle_n_trunc: ("oracle-compare", "n_trunc"),
 }
 
 
@@ -309,6 +366,17 @@ _ANCHORS = {
         _set_times_past_horizon,
         _set_t_grid_past_horizon,
         _set_tolerence,
+        _set_horizn,
+        _set_drift,
+        _set_delt,
+        _set_rho_on_finite_support,
+        _set_depht,
+        _set_core_tail_valu,
+        _set_eps_forcng,
+        _set_solver_quad,
+        _set_weight_bse,
+        _set_point_tl,
+        _set_oracle_n_trunc,
     ],
 )
 def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
@@ -329,8 +397,29 @@ def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
         check, key = _ANCHORS[mutate]
         line = int(captured.out.split(f"{path}:")[1].split(":")[0])
         lines = path.read_text().splitlines()
-        entry = next(i for i, ln in enumerate(lines, start=1) if f'"{check}"' in ln)
+        entry = 1 if check is None else next(i for i, ln in enumerate(lines, start=1) if f'"{check}"' in ln)
         assert entry <= line and f'"{key}"' in lines[line - 1], (line, entry)
+
+
+def test_power_law_oracle_compare_passes_at_default_parameters(tmp_path, capsys):
+    # b_i = i^-3 from a constant history: the solve certifies N = 70,711, and
+    # the oracle must sum the same certified series, not a fixed head of it
+    cfg = {
+        "name": "power-law-oracle",
+        "problem": {
+            "a": -0.5,
+            "family": {"kind": "power-law", "beta": 1.0, "p": 3.0, "tau": {"delta": 1.0}},
+            "history": {"preset": "constant"},
+        },
+        "horizon": 1.0,
+        "checks": ["solve", "oracle-compare"],
+    }
+    path = tmp_path / "power-law-oracle.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    code, _ = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+    blob = json.loads((tmp_path / "out" / "power-law-oracle" / "02-oracle-compare.json").read_text())
+    assert code == EXIT_OK, blob
+    assert blob["oracle_n_trunc"] == 70_711 and blob["max_difference"] <= blob["tolerance"] == 1e-6
 
 
 def _bundled_cfg(name):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import infidelay as fd
 from infidelay import (
     CoefficientFamily,
     DelaySchedule,

@@ -1,4 +1,4 @@
-"""Every module of the package uses each name it imports, and each name it defines is used."""
+"""Every module of the package, the tests and the scripts uses each name it imports; each name the package defines is used."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,8 @@ import infidelay
 
 SOURCES = sorted(Path(infidelay.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+_ROOT = Path(__file__).resolve().parent.parent
+TESTS_AND_SCRIPTS = sorted(_ROOT.glob("tests/*.py")) + sorted(_ROOT.glob("scripts/*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -29,7 +31,7 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS_AND_SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from infidelay.numerics import (
     GAUSS4_NODES,
     GAUSS4_WEIGHTS,
-    SIMPSON_NODES,
-    SIMPSON_WEIGHTS,
     dedupe_knots,
     derivative_coeffs,
     eval_pieces,
@@ -26,13 +24,11 @@ finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 def test_quadrature_rules_normalized():
     assert abs(sum(GAUSS4_WEIGHTS) - 1.0) < 1e-15
-    assert abs(sum(SIMPSON_WEIGHTS) - 1.0) < 1e-15
     assert all(0.0 <= x <= 1.0 for x in GAUSS4_NODES)
-    assert list(SIMPSON_NODES) == [0.0, 0.5, 1.0]
 
 
 def test_gauss4_exact_on_cubics():
-    # the 2-point rule must integrate polynomials of degree <= 3 exactly
+    # the 4-point rule must integrate polynomials of degree <= 3 exactly
     for q in range(4):
         approx = sum(w * x**q for x, w in zip(GAUSS4_NODES, GAUSS4_WEIGHTS))
         assert abs(approx - 1.0 / (q + 1)) < 1e-14

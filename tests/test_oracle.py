@@ -9,7 +9,6 @@ import infidelay as fd
 from infidelay import (
     CoefficientFamily,
     DelaySchedule,
-    OracleConfig,
     ProblemSpec,
     compare_trajectories,
     history_preset,
@@ -50,11 +49,11 @@ def test_oracle_fourth_order_self_convergence():
     # transcendental solution (a=1 with an infinite delay family), so the
     # error actually scales; halving h must cut it by at least 2^3
     p = ProblemSpec(1.0, CoefficientFamily.geometric(1.0, 0.5, DS), history_preset("constant"))
-    ref = oracle_solve(p, 3.0, OracleConfig(h_fine=0.003125))
+    ref = oracle_solve(p, 3.0, h_fine=0.003125)
     ts = np.linspace(0.0, 3.0, 301)
     errs = []
     for h in (0.1, 0.05):
-        tr = oracle_solve(p, 3.0, OracleConfig(h_fine=h))
+        tr = oracle_solve(p, 3.0, h_fine=h)
         errs.append(float(np.max(np.abs(tr.eval(ts) - ref.eval(ts)))))
     assert errs[0] / errs[1] >= 8.0
 
@@ -79,15 +78,15 @@ def test_oracle_auto_truncation_is_certified():
     assert compare_trajectories(a, b) < 1e-6
 
 
-def test_oracle_explicit_truncation_override():
-    fam = CoefficientFamily.geometric(1.0, 0.5, DS)
-    p = ProblemSpec(0.0, fam, history_preset("constant"))
-    shallow = oracle_solve(p, 1.0, OracleConfig(n_trunc=3))
-    deep = oracle_solve(p, 1.0)
-    assert shallow.n_forcing == 3
-    assert deep.n_forcing > 3
-    # truncating at 3 drops a 2^-4 + ... = 0.125 mass: visibly different
-    assert compare_trajectories(shallow, deep) > 1e-3
+def test_oracle_refuses_what_solve_cannot_certify():
+    # the recorded tail mass 0.2 past the two listed coefficients never
+    # falls below eps: solve and the oracle share the one truncation rule,
+    # so neither returns a trajectory summed over the listed terms only
+    p = ProblemSpec(0.0, CoefficientFamily.explicit_list([0.5, 0.25], 0.2, DS), history_preset("constant"))
+    with pytest.raises(fd.NotInPhaseSpaceError, match="cannot certify"):
+        solve(p, 1.0)
+    with pytest.raises(fd.UnknownTailError, match="cannot certify"):
+        oracle_solve(p, 1.0)
 
 
 def test_oracle_matches_solver_on_infinite_family():

@@ -169,7 +169,8 @@ def test_forcing_argument_on_the_core_edge_is_in_the_head():
 def test_finite_support_forcing_stops_at_the_last_coefficient():
     assert solve(classic_problem(), 2.0).n_forcing == 1
     fam = CoefficientFamily.finite_support([0.5, 0.0, -0.25, 0.0, 0.0], DS)
-    assert solve(ProblemSpec(0.0, fam, history_preset("cos")), 3.0).n_forcing == 3
+    p = ProblemSpec(0.0, fam, history_preset("cos"))
+    assert solve(p, 3.0).n_forcing == fd.oracle_solve(p, 3.0).n_forcing == 3
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,7 @@ def test_solve_deep_power_law_tail():
 def test_solve_geometric_against_independent_oracle():
     problem = geometric_problem()
     traj = solve(problem, 3.0)
-    ref = fd.oracle_solve(problem, 3.0, fd.OracleConfig(h_fine=0.002))
+    ref = fd.oracle_solve(problem, 3.0, h_fine=0.002)
     ts = np.linspace(0.0, 3.0, 400)
     assert np.max(np.abs(traj.eval(ts) - ref.eval(ts))) < 1e-6
 
@@ -259,7 +260,6 @@ def test_solve_step_refinement_agrees():
 
 def test_solver_config_validation_and_clamping():
     for bad in (
-        {"quad": "midpoint"},
         {"h": 0.0},
         {"h": -1.0},
         {"eps_forcing": math.nan},
@@ -272,8 +272,6 @@ def test_solver_config_validation_and_clamping():
             SolverConfig(**bad)
     traj = solve(classic_problem(), 2.0, SolverConfig(h=5.0))
     assert traj.h_used <= DS.tau1
-    simpson = solve(classic_problem(), 2.0, SolverConfig(quad="simpson"))
-    assert abs(simpson.eval(2.0) + 0.5) < 1e-6
 
 
 def test_trajectory_eval_domain():
@@ -307,7 +305,7 @@ def test_step_interval_extends_bit_identically():
     assert compare_trajectories(extended, direct, (0.0, 3.0)) == 0.0
 
 
-@pytest.mark.parametrize("run", ["gauss4", "simpson", "oracle"])
+@pytest.mark.parametrize("run", ["gauss4", "oracle"])
 def test_node_slopes_match_the_forcing_exactly(run):
     # every node slope comes from a window-batched forcing evaluation; it
     # must equal a single-point evaluation over the finished trajectory
@@ -315,7 +313,7 @@ def test_node_slopes_match_the_forcing_exactly(run):
     # window started from; the RK4 oracle shares that march
     for p in oracle_scenarios() + [classic_problem()]:
         horizon = 10.0 * p.family.delays.tau1
-        traj = fd.oracle_solve(p, horizon) if run == "oracle" else solve(p, horizon, SolverConfig(quad=run))
+        traj = fd.oracle_solve(p, horizon) if run == "oracle" else solve(p, horizon)
         for j in range(1, len(traj.grid)):
             assert traj.derivs[j] == p.a * traj.values[j] + forcing(traj, traj.grid[j]), (p, j)
 
@@ -393,7 +391,7 @@ def test_step_interval_refuses_oracle_trajectories():
     # the oracle records no forcing tolerance; extending it by variation of
     # constants would silently swap the RK4 reference for a solve
     power = ProblemSpec(-0.5, CoefficientFamily.power_law(1.0, 3.0, DS), history_preset("constant"))
-    for traj in (fd.oracle_solve(geometric_problem(), 2.0), fd.oracle_solve(power, 2.0, fd.OracleConfig(n_trunc=50))):
+    for traj in (fd.oracle_solve(geometric_problem(), 2.0), fd.oracle_solve(power, 2.0)):
         with pytest.raises(ValueError, match="oracle_solve"):
             step_interval(traj, 2)
 
