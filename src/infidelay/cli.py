@@ -75,8 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_one(path: str, out_root: str, tol_scale: float) -> tuple[str, int]:
     """Returns (message, exit_code_contribution)."""
     try:
-        data, raw = load_scenario(path)
-        result = run_scenario(data, out_root, raw=raw, path=path, tolerance_scale=tol_scale)
+        data, lines = load_scenario(path)
+        result = run_scenario(data, out_root, lines=lines, path=path, tolerance_scale=tol_scale)
     except ScenarioError as exc:
         return (f"schema error: {exc}", EXIT_SCHEMA_ERROR)
     status = "PASS" if result.passed else "FAIL"

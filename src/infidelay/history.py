@@ -18,8 +18,9 @@ an explicit "inconclusive" verdict -- never a silent guess.
 
 Every delay series (p_k, L, the solver's forcing) is certified by one call,
 _truncation(phi, family, reach, eps): the atom search from _tail_floor, and
-divergence only from _certified_divergent.  Every delayed sum (the forcing F,
-and L as a x(0) + F(0)) is evaluated by one function, _delayed_sums.
+divergence only from _certified_divergent, through the tail's one lower
+envelope lower_atom(reach).  Every delayed sum (the forcing F, and L as
+a x(0) + F(0)) is evaluated by one function, _delayed_sums.
 """
 
 from __future__ import annotations
@@ -51,9 +52,11 @@ Atom = tuple[float, WeightFunction]
 # tail models
 #
 # Every model takes sup_abs(lo, hi) over one window or over arrays of
-# windows.  moment(taus, bs) returns tail_sums(s, m) = sum_{j >= m} bs[j] *
-# tail(s - taus[j]) (0-based j, s and m arrays, m <= len(bs)) from suffix sums
-# over the delays, or None when the model has no closed-form moment.
+# windows.  lower_atom(reach) returns (ell, w) with sup |tail| >= ell * w(-tau)
+# over every window [-tau, reach - tau] below the core, or None.  moment(taus,
+# bs) returns tail_sums(s, m) = sum_{j >= m} bs[j] * tail(s - taus[j])
+# (0-based j, s and m arrays, m <= len(bs)) from suffix sums over the delays,
+# or None when the model has no closed-form moment.
 # ---------------------------------------------------------------------------
 
 #: ExpTail moments need e^{rate * tau_N} and e^{-rate * tau_N} as normal floats
@@ -79,15 +82,13 @@ class ConstantTail:
     value: float
 
     def evaluate(self, theta):
-        th = np.asarray(theta, dtype=float)
-        out = np.full_like(th, self.value)
-        return float(out) if th.ndim == 0 else out
+        return np.full_like(np.asarray(theta, dtype=float), self.value)
 
     def sup_abs(self, lo, hi):
         return _per_window(lo, abs(self.value))
 
-    def sup_lower_uniform(self, length: float) -> float:
-        return abs(self.value)
+    def lower_atom(self, reach: float) -> Optional[Atom]:
+        return (abs(self.value), _CONST1)
 
     def moment(self, taus: np.ndarray, bs: np.ndarray):
         suffix = _suffix_sums(bs)
@@ -95,9 +96,6 @@ class ConstantTail:
 
     def atoms(self, depth: float) -> list[Atom]:
         return [(abs(self.value), _CONST1)]
-
-    def exact_weight(self) -> Optional[Atom]:
-        return (self.value, _CONST1)
 
     def derivative(self):
         return ConstantTail(0.0)
@@ -122,25 +120,19 @@ class CosTail:
             raise ValueError(f"oscillating tail needs omega > 0, got {self.omega}")
 
     def evaluate(self, theta):
-        th = np.asarray(theta, dtype=float)
-        out = self.amp * np.cos(self.omega * th + self.phase)
-        return float(out) if th.ndim == 0 else out
+        return self.amp * np.cos(self.omega * np.asarray(theta, dtype=float) + self.phase)
 
     def sup_abs(self, lo, hi):
         # an extremum of cos sits at omega*theta + phase = j*pi, and some j
         # lies in [x_lo, x_hi] exactly when floor(x_hi) >= x_lo
         x_lo = (self.omega * lo + self.phase) / math.pi
         peak = (self.omega * hi + self.phase) / math.pi // 1 >= x_lo
-        if np.ndim(lo) == 0 and peak:
-            return abs(self.amp)
         ends = np.maximum(np.abs(self.evaluate(lo)), np.abs(self.evaluate(hi)))
         return _per_window(lo, np.where(peak, abs(self.amp), ends))
 
-    def sup_lower_uniform(self, length: float) -> float:
+    def lower_atom(self, reach: float) -> Optional[Atom]:
         # any window at least a half-period long contains an extremum
-        if length * self.omega >= math.pi:
-            return abs(self.amp)
-        return 0.0
+        return (abs(self.amp), _CONST1) if reach * self.omega >= math.pi else None
 
     def moment(self, taus: np.ndarray, bs: np.ndarray):
         # amp cos(omega (s - tau) + phase) = Re(amp e^{i(omega s + phase)} e^{-i omega tau})
@@ -149,9 +141,6 @@ class CosTail:
 
     def atoms(self, depth: float) -> list[Atom]:
         return [(abs(self.amp), _CONST1)]
-
-    def exact_weight(self) -> Optional[Atom]:
-        return None
 
     def derivative(self):
         return CosTail(-self.amp * self.omega, self.omega, self.phase - 0.5 * math.pi)
@@ -175,15 +164,13 @@ class ExpTail:
             raise ValueError(f"decaying tail needs rate > 0, got {self.rate}")
 
     def evaluate(self, theta):
-        th = np.asarray(theta, dtype=float)
-        out = self.amp * np.exp(self.rate * th)
-        return float(out) if th.ndim == 0 else out
+        return self.amp * np.exp(self.rate * np.asarray(theta, dtype=float))
 
     def sup_abs(self, lo, hi):
         return _per_window(lo, abs(self.amp) * np.exp(self.rate * np.asarray(hi)))
 
-    def sup_lower_uniform(self, length: float) -> float:
-        return 0.0
+    def lower_atom(self, reach: float) -> Optional[Atom]:
+        return None
 
     def moment(self, taus: np.ndarray, bs: np.ndarray):
         # amp e^{rate (s - tau)} = amp e^{rate s} e^{-rate tau}; a tail argument has
@@ -196,9 +183,6 @@ class ExpTail:
 
     def atoms(self, depth: float) -> list[Atom]:
         return [(abs(self.amp) * math.exp(-self.rate * depth), _CONST1)]
-
-    def exact_weight(self) -> Optional[Atom]:
-        return None
 
     def derivative(self):
         return ExpTail(self.amp * self.rate, self.rate)
@@ -232,19 +216,19 @@ class WeightEnvelopeTail:
             object.__setattr__(self, "shift", 0.0)
 
     def evaluate(self, theta):
-        th = np.asarray(theta, dtype=float)
-        out = self.scale * np.asarray(self.weight(th + self.shift), dtype=float)
-        return float(out) if th.ndim == 0 else out
+        return self.scale * np.asarray(self.weight(np.asarray(theta, dtype=float) + self.shift), dtype=float)
 
     def sup_abs(self, lo, hi):
         # weights are nondecreasing into the past
         return _per_window(lo, abs(self.scale) * self.weight(np.asarray(lo) + self.shift))
 
-    def sup_lower_uniform(self, length: float) -> float:
-        # |phi| is nondecreasing into the past: every window's sup is at
-        # least the value at the shallow end of the tail region, and that
-        # value is at least |scale| * w(shift) >= |scale|.
-        return abs(self.scale)
+    def lower_atom(self, reach: float) -> Optional[Atom]:
+        # |phi| is nondecreasing into the past, so a window's sup is its value
+        # at -tau_i: exactly |scale| w(-tau_i) when w(theta + shift) is w(theta),
+        # and at least |scale| since every weight is >= 1
+        if self.shift == 0.0 or self.weight.form == "constant":
+            return (abs(self.scale), self.weight)
+        return (abs(self.scale), _CONST1)
 
     def moment(self, taus: np.ndarray, bs: np.ndarray):
         # binomial moments sum b_i tau_i^j cancel badly at large tau
@@ -263,11 +247,6 @@ class WeightEnvelopeTail:
 
     def atoms(self, depth: float) -> list[Atom]:
         return [(abs(self.scale) * self._envelope_factor(depth), self.weight)]
-
-    def exact_weight(self) -> Optional[Atom]:
-        if self.shift == 0.0 or self.weight.form == "constant":
-            return (self.scale, self.weight)
-        return None
 
     def derivative(self):
         w = self.weight
@@ -314,17 +293,14 @@ class PairDifferenceTail:
         below = np.asarray(hi) <= -self.depth + 1e-12
         return _per_window(lo, np.where(below, np.minimum(triangle, from_atoms), triangle))
 
-    def sup_lower_uniform(self, length: float) -> float:
-        return 0.0
+    def lower_atom(self, reach: float) -> Optional[Atom]:
+        return None
 
     def moment(self, taus: np.ndarray, bs: np.ndarray):
         return None
 
     def atoms(self, depth: float) -> list[Atom]:
         return list(self.bound_atoms)
-
-    def exact_weight(self) -> Optional[Atom]:
-        return None
 
     def derivative(self):
         return None
@@ -812,26 +788,17 @@ def _tail_floor(phi: HistoryFunction, family: CoefficientFamily, reach: float) -
 def _certified_divergent(phi: HistoryFunction, family: CoefficientFamily, reach: float) -> bool:
     """True only with a proof that sum_i |b_i| sup_{s in [0, reach]} |phi(s - tau_i)| = infinity.
 
-    Two routes: the tail is an exact nonzero multiple of a weight whose
-    weighted coefficient series is certified divergent, or the tail's sup
-    over every window of length reach (p_k: k*tau_1; L: 0) is uniformly
-    >= ell > 0 while the plain coefficient series diverges.
+    The tail's lower atom (ell, w) bounds each window sup past the tail floor
+    from below by ell * w(-tau_i) (p_k: reach k*tau_1; L: 0), so a nonzero
+    ell and a weighted coefficient series certified divergent prove it.
     """
-    start = _tail_floor(phi, family, reach) + 1
-    ew = phi.tail.exact_weight()
-    if ew is not None and ew[0] != 0.0:
-        try:
-            if math.isinf(tail_sum_bound(family, ew[1], start)):
-                return True
-        except UnknownTailError:
-            pass
-    if phi.tail.sup_lower_uniform(reach) > 0.0:
-        try:
-            if math.isinf(tail_sum_bound(family, _CONST1, start)):
-                return True
-        except UnknownTailError:
-            pass
-    return False
+    atom = phi.tail.lower_atom(reach)
+    if atom is None or atom[0] == 0.0:
+        return False
+    try:
+        return math.isinf(tail_sum_bound(family, atom[1], _tail_floor(phi, family, reach) + 1))
+    except UnknownTailError:
+        return False
 
 
 def _truncation(phi: HistoryFunction, family: CoefficientFamily, reach: float, eps: float) -> tuple[int, float]:

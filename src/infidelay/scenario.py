@@ -41,12 +41,12 @@ Check parameters (all optional; any other key is a schema error):
     semigroup-law      t, s (t + s <= horizon), k_list, tolerance
     strong-continuity  k, times (strictly decreasing, in (0, horizon]), threshold
     mild-solution      t_grid (in [0, horizon]), theta_grid (<= 0), tolerance
-    estimates          k_max, k_list
+    estimates          k_list (default 1..min(3, floor(horizon / tau_1)))
     cg-embedding       weight {"form", ..}, k_max, tolerance, expect
     oracle-compare     tolerance, h_fine
 
-Schema problems, check parameters included, raise ScenarioError with a
-file:line anchor; check failures are ordinary results.  Runners write one
+Schema problems, check parameters included, raise ScenarioError at the
+file:line of the key at fault; check failures are ordinary results.  Runners write one
 JSON report per check plus a summary, all deterministic (sorted keys, no
 timestamps, atomic replace).
 """
@@ -56,7 +56,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -106,75 +105,93 @@ class ScenarioError(Exception):
         self.bare_message = message
 
 
-def _line_of(raw: Optional[str], key: str, start: int = 0) -> int:
-    """Line of the first "key" in raw at or after character offset start (1 if none)."""
-    i = raw.find(f'"{key}"', start) if raw else -1
-    return raw.count("\n", 0, i) + 1 if i >= 0 else 1
+def _parse_with_lines(raw: str) -> tuple[object, dict]:
+    """json.loads(raw), and a map from id(container) to (container, line, {key or entry index: line}).
 
+    json.decoder.JSONObject and JSONArray run under the pure-Python scanner,
+    with the value scanner they are given wrapped to note where values start.
+    """
+    spots: dict = {}
 
-def _entry_offsets(raw: Optional[str], count: int) -> list[int]:
-    """Character offset in raw of each entry of the "checks" list (0 where unknown)."""
-    m = re.search(r'"checks"\s*:\s*\[', raw or "")
-    if m is None:
-        return [0] * count
-    offsets, pos = [], m.end()
-    try:
-        for _ in range(count):
-            pos = re.compile(r"[\s,]*").match(raw, pos).end()
-            offsets.append(pos)
-            pos = json.JSONDecoder().raw_decode(raw, pos)[1]
-    except json.JSONDecodeError:  # raw does not hold the parsed "checks" list
-        return [0] * count
-    return offsets
+    def line(pos: int) -> int:
+        return raw.count("\n", 0, pos) + 1
+
+    def noting(scan_once, starts: list):
+        def scan(s, idx):
+            starts.append(idx)
+            return scan_once(s, idx)
+
+        return scan
+
+    def parse_object(s_and_end, strict, scan_once, object_hook, object_pairs_hook, memo):
+        starts: list = []
+        pairs, end = json.decoder.JSONObject(s_and_end, strict, noting(scan_once, starts), None, list, memo)
+        obj = dict(pairs)
+        # a key's closing quote is the last one before its value; a repeated key keeps its last value and line
+        keys = {k: line(raw.rfind('"', 0, i)) for (k, _), i in zip(pairs, starts)}
+        spots[id(obj)] = (obj, line(s_and_end[1]), keys)
+        return obj, end
+
+    def parse_array(s_and_end, scan_once):
+        starts: list = []
+        values, end = json.decoder.JSONArray(s_and_end, noting(scan_once, starts))
+        spots[id(values)] = (values, line(s_and_end[1]), dict(enumerate(map(line, starts))))
+        return values, end
+
+    decoder = json.JSONDecoder()
+    decoder.parse_object, decoder.parse_array = parse_object, parse_array
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    return decoder.decode(raw), spots
 
 
 class _Anchored:
-    """Field access over a parsed scenario with line-anchored errors.
+    """Field access over a parsed scenario with errors anchored at the key at fault.
 
-    Keys are searched from character offset start onward, so a check's
-    parameters anchor inside that check's entry.
+    lines is load_scenario's map of every parsed object and list to its line
+    and those of its keys or entries; an object it does not hold (a default,
+    or data not read from a file) anchors at line 1.
     """
 
-    def __init__(self, data: dict, raw: Optional[str], path: str, start: int = 0):
-        self.data = data
-        self.raw = raw
+    def __init__(self, lines: Optional[dict], path: str):
+        self.lines = dict(lines or {})
         self.path = path
-        self.start = start
 
-    def at(self, start: int) -> "_Anchored":
-        return _Anchored(self.data, self.raw, self.path, start)
+    def line(self, obj, key=None) -> int:
+        """Line of obj[key], or of obj itself when key is None or not in obj."""
+        container, own, keys = self.lines.get(id(obj), (None, 1, {}))
+        return keys.get(key, own) if container is obj else 1
 
-    def fail(self, message: str, key: str) -> ScenarioError:
-        return ScenarioError(message, self.path, _line_of(self.raw, key, self.start))
+    def fail(self, message: str, obj, key=None) -> ScenarioError:
+        return ScenarioError(message, self.path, self.line(obj, key))
 
-    def _typed(self, v, types, label: str, key: str, items=object):
-        """v must be of types and a list's entries of items; floats at any list depth must be finite."""
+    def _typed(self, v, types, label: str, obj, key, items=object):
+        """v = obj[key] must be of types and a list's entries of items; floats at any list depth must be finite."""
         if not isinstance(v, types):
             tn = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-            raise self.fail(f"{label} must be {tn}, got {type(v).__name__}", key)
+            raise self.fail(f"{label} must be {tn}, got {type(v).__name__}", obj, key)
         if isinstance(v, float) and not math.isfinite(v):
-            raise self.fail(f"{label} must be finite, got {v}", key)
+            raise self.fail(f"{label} must be finite, got {v}", obj, key)
         if isinstance(v, list):
-            for x in v:
-                self._typed(x, items, f"{label} entry", key)
+            for i, x in enumerate(v):
+                self._typed(x, items, f"{label} entry", v, i)
         return v
 
     def need(self, obj: dict, key: str, types, where: str, items=object):
         if key not in obj:
-            raise self.fail(f"missing required key {key!r} in {where}", key if self.raw and f'"{key}"' in self.raw else where)
-        return self._typed(obj[key], types, f"{where}.{key}", key, items)
+            raise self.fail(f"missing required key {key!r} in {where}", obj)
+        return self._typed(obj[key], types, f"{where}.{key}", obj, key, items)
 
     def opt(self, obj: dict, key: str, types, default, items=object):
         if key not in obj:
             return default
-        return self._typed(obj[key], types, key, key, items)
+        return self._typed(obj[key], types, key, obj, key, items)
 
     def only(self, obj: dict, keys: str, where: str) -> None:
         """Every key of obj must be one of the space-separated keys: the ones read from obj."""
         allowed = keys.split()
         for key in obj:
             if key not in allowed:
-                raise self.fail(f"unknown key {key!r} in {where}", key)
+                raise self.fail(f"unknown key {key!r} in {where}", obj, key)
 
 
 _NUM = (int, float)
@@ -188,7 +205,7 @@ _TAIL_KEYS = {"constant": "value", "cos": "amp omega phase", "exp-decay": "amp r
 def _build_weight(cfg: dict, anch: _Anchored) -> WeightFunction:
     form = anch.need(cfg, "form", str, "weight")
     if form not in _WEIGHT_KEYS:
-        raise anch.fail(f"unknown weight form {form!r}", "form")
+        raise anch.fail(f"unknown weight form {form!r}", cfg, "form")
     anch.only(cfg, "form " + _WEIGHT_KEYS[form], "weight")
     try:
         if form == "constant":
@@ -197,13 +214,13 @@ def _build_weight(cfg: dict, anch: _Anchored) -> WeightFunction:
             return WeightFunction.exponential(anch.opt(cfg, "gamma", _NUM, None), anch.opt(cfg, "base", _NUM, None))
         return WeightFunction.polynomial(int(anch.need(cfg, "degree", _NUM, "weight")))
     except ValueError as exc:
-        raise anch.fail(f"weight: {exc}", "form") from exc
+        raise anch.fail(f"weight: {exc}", cfg) from exc
 
 
 def _build_family(cfg: dict, anch: _Anchored) -> CoefficientFamily:
     kind = anch.need(cfg, "kind", str, "family")
     if kind not in _FAMILY_KEYS:
-        raise anch.fail(f"unknown family kind {kind!r}", "kind")
+        raise anch.fail(f"unknown family kind {kind!r}", cfg, "kind")
     anch.only(cfg, "kind tau " + _FAMILY_KEYS[kind], "family")
     tau_cfg = anch.need(cfg, "tau", dict, "family")
     anch.only(tau_cfg, "c delta prefix", "tau")
@@ -233,13 +250,13 @@ def _build_family(cfg: dict, anch: _Anchored) -> CoefficientFamily:
             delays,
         )
     except (TypeError, ValueError) as exc:
-        raise anch.fail(str(exc), "family") from exc
+        raise anch.fail(str(exc), cfg) from exc
 
 
 def _build_tail(cfg: dict, anch: _Anchored):
     kind = anch.need(cfg, "kind", str, "tail")
     if kind not in _TAIL_KEYS:
-        raise anch.fail(f"unknown tail kind {kind!r}", "kind")
+        raise anch.fail(f"unknown tail kind {kind!r}", cfg, "kind")
     anch.only(cfg, "kind " + _TAIL_KEYS[kind], "tail")
     if kind == "constant":
         return ConstantTail(float(anch.need(cfg, "value", _NUM, "tail")))
@@ -274,7 +291,7 @@ def _build_history(cfg: dict, anch: _Anchored) -> HistoryFunction:
                 resolution=float(anch.opt(cfg, "resolution", _NUM, 0.05)),
             )
         except ValueError as exc:
-            raise anch.fail(str(exc), "preset") from exc
+            raise anch.fail(str(exc), cfg, "preset") from exc
     anch.only(cfg, "core tail", "history")
     core = anch.need(cfg, "core", dict, "history")
     anch.only(core, "breakpoints coeffs", "history.core")
@@ -284,7 +301,7 @@ def _build_history(cfg: dict, anch: _Anchored) -> HistoryFunction:
     try:
         return HistoryFunction(np.array(bp, dtype=float), np.array(coef, dtype=float), _build_tail(tail_cfg, anch))
     except ValueError as exc:
-        raise anch.fail(str(exc), "core") from exc
+        raise anch.fail(str(exc), cfg, "core") from exc
 
 
 def _build_solver(cfg: dict, anch: _Anchored) -> SolverConfig:
@@ -292,7 +309,7 @@ def _build_solver(cfg: dict, anch: _Anchored) -> SolverConfig:
     try:
         return SolverConfig(**{key: float(anch.need(cfg, key, _NUM, "solver")) for key in cfg})
     except ValueError as exc:
-        raise anch.fail(str(exc), "solver") from exc
+        raise anch.fail(str(exc), cfg) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +325,7 @@ class _Ctx:
         self.horizon = horizon
         self.solver = solver
         self.tol_scale = tol_scale
-        self.anch = anch  # check parameters are read through the scenario's anchors, at their entry
+        self.anch = anch
         self.files: dict = {}  # report file name -> JSON data, or a writer taking the path
         self._traj = None
 
@@ -382,7 +399,7 @@ def _run_semigroup_law(ctx: _Ctx, p: dict) -> dict:
     k_list = [int(k) for k in anch.opt(p, "k_list", list, [1, 2, 3], items=_NUM)]
     tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
     if t + s > ctx.horizon:
-        raise anch.fail(f"t + s must be at most the horizon {ctx.horizon}, got {t + s}", "s" if "s" in p else "t")
+        raise anch.fail(f"t + s must be at most the horizon {ctx.horizon}, got {t + s}", p, "s" if "s" in p else "t")
     rep = check_semigroup_law(ctx.traj(), t, s, k_list)
     out = asdict(rep)
     out["tolerance"] = tol
@@ -396,9 +413,9 @@ def _run_strong_continuity(ctx: _Ctx, p: dict) -> dict:
     default = [0.1 * tau1, 0.01 * tau1, 0.001 * tau1]
     times = [float(v) for v in anch.opt(p, "times", list, default, items=_NUM)]
     if not times or times[-1] <= 0.0 or any(b >= a for a, b in zip(times, times[1:])):
-        raise anch.fail(f"times must be strictly decreasing and positive, got {times}", "times")
+        raise anch.fail(f"times must be strictly decreasing and positive, got {times}", p, "times")
     if times[0] > ctx.horizon:
-        raise anch.fail(f"times must be at most the horizon {ctx.horizon}, got {times[0]}", "times")
+        raise anch.fail(f"times must be at most the horizon {ctx.horizon}, got {times[0]}", p, "times")
     thr = anch.opt(p, "threshold", _NUM, None)
     rep = check_strong_continuity(ctx.traj(), k, times, thr if thr is None else float(thr))
     out = asdict(rep)
@@ -412,9 +429,9 @@ def _run_mild_solution(ctx: _Ctx, p: dict) -> dict:
     ts = [float(v) for v in anch.opt(p, "t_grid", list, list(np.linspace(0.0, span, 5)), items=_NUM)]
     thetas = [float(v) for v in anch.opt(p, "theta_grid", list, [-2.0 * tau1, -tau1, -0.5 * tau1, -0.1 * tau1, 0.0], items=_NUM)]
     if not ts or min(ts) < 0.0 or max(ts) > ctx.horizon:
-        raise anch.fail(f"t_grid must be a nonempty list of times in [0, {ctx.horizon}], got {ts}", "t_grid")
+        raise anch.fail(f"t_grid must be a nonempty list of times in [0, {ctx.horizon}], got {ts}", p, "t_grid")
     if not thetas or max(thetas) > 0.0:
-        raise anch.fail(f"theta_grid must be a nonempty list of values <= 0, got {thetas}", "theta_grid")
+        raise anch.fail(f"theta_grid must be a nonempty list of values <= 0, got {thetas}", p, "theta_grid")
     tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
     rep = check_mild_solution(ctx.traj(), ts, thetas, tol)
     out = asdict(rep)
@@ -423,9 +440,8 @@ def _run_mild_solution(ctx: _Ctx, p: dict) -> dict:
 
 
 def _run_estimates(ctx: _Ctx, p: dict) -> dict:
-    anch, tau1 = ctx.anch, ctx.problem.family.delays.tau1
-    k_top = int(anch.opt(p, "k_max", _NUM, min(3, int(math.floor(ctx.horizon / tau1 + 1e-12)))))
-    k_list = [int(k) for k in anch.opt(p, "k_list", list, range(1, k_top + 1), items=_NUM)]
+    k_top = min(3, int(math.floor(ctx.horizon / ctx.problem.family.delays.tau1 + 1e-12)))
+    k_list = [int(k) for k in ctx.anch.opt(p, "k_list", list, range(1, k_top + 1), items=_NUM)]
     traj = ctx.traj()
     certs = [estimate_certificate(traj, k) for k in k_list]
     return {
@@ -472,7 +488,7 @@ CHECKS = [  # (name, description, runner, its parameter names)
     ("semigroup-law", "compare S_t S_s phi with S_{t+s} phi in the seminorms", _run_semigroup_law, "t s k_list tolerance"),
     ("strong-continuity", "distance of S_t phi from phi as t decreases to 0", _run_strong_continuity, "k times threshold"),
     ("mild-solution", "integral form of the equation driven by the functional L", _run_mild_solution, "t_grid theta_grid tolerance"),
-    ("estimates", "a-priori window bounds against observed sups", _run_estimates, "k_max k_list"),
+    ("estimates", "a-priori window bounds against observed sups", _run_estimates, "k_list"),
     ("cg-embedding", "weighted-norm domination of the p seminorms", _run_cg_embedding, "weight k_max tolerance expect"),
     ("oracle-compare", "agreement with the independent RK4 integrator", _run_oracle_compare, "tolerance h_fine"),
 ]
@@ -512,39 +528,40 @@ class ScenarioResult:
     out_dir: str
 
 
-def load_scenario(path: str) -> tuple[dict, str]:
-    """Parse a scenario file; raises ScenarioError with a line anchor."""
+def load_scenario(path: str) -> tuple[dict, dict]:
+    """Parse a scenario file into its data and the lines of its keys; raises ScenarioError with a line anchor."""
     with open(path) as fh:
         raw = fh.read()
     try:
-        data = json.loads(raw)
+        data, lines = _parse_with_lines(raw)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc.msg}", path, exc.lineno) from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object", path, 1)
-    return data, raw
+    return data, lines
 
 
 def run_scenario(
     data: dict,
     out_root: str,
-    raw: Optional[str] = None,
+    lines: Optional[dict] = None,
     path: str = "<scenario>",
     tolerance_scale: float = 1.0,
 ) -> ScenarioResult:
     """Validate, run every listed check, and write the report tree.
 
-    Raises ScenarioError for schema problems, before anything is written;
-    check failures only lower the result's passed flag.
+    Raises ScenarioError for schema problems, at the key's line from
+    load_scenario's lines (else line 1), before anything is written; check
+    failures only lower the result's passed flag.
     """
-    anch = _Anchored(data, raw, path)
+    anch = _Anchored(lines, path)
     anch.only(data, "name problem horizon solver checks", "scenario")
     name = anch.need(data, "name", str, "scenario")
     prob_cfg = anch.need(data, "problem", dict, "scenario")
     anch.only(prob_cfg, "a family history", "problem")
     horizon = float(anch.need(data, "horizon", _NUM, "scenario"))
     if not horizon > 0.0:
-        raise anch.fail(f"horizon must be positive, got {horizon}", "horizon")
+        raise anch.fail(f"horizon must be positive, got {horizon}", data, "horizon")
     checks_cfg = anch.need(data, "checks", list, "scenario")
     a = float(anch.need(prob_cfg, "a", _NUM, "problem"))
     family = _build_family(anch.need(prob_cfg, "family", dict, "problem"), anch)
@@ -552,25 +569,25 @@ def run_scenario(
     solver = _build_solver(anch.opt(data, "solver", dict, {}), anch)
 
     normalized = []
-    for entry, start in zip(checks_cfg, _entry_offsets(raw, len(checks_cfg))):
+    for i, entry in enumerate(checks_cfg):
         if isinstance(entry, str):
+            # the parameters of a bare name anchor at the name
             cname, params = entry, {}
+            anch.lines[id(params)] = (params, anch.line(checks_cfg, i), {})
         elif isinstance(entry, dict) and isinstance(entry.get("name"), str):
-            cname = entry["name"]
-            params = {k: v for k, v in entry.items() if k != "name"}
+            cname, params = entry["name"], entry
         else:
-            raise anch.fail(f"check entries must be a name or an object with a name, got {entry!r}", "checks")
+            raise anch.fail(f"check entries must be a name or an object with a name, got {entry!r}", checks_cfg, i)
         if cname not in CHECK_RUNNERS:
-            raise anch.fail(f"unknown check {cname!r}", "checks")
+            raise anch.fail(f"unknown check {cname!r}", checks_cfg, i)
         for key in params:
-            if key not in CHECK_PARAMS[cname]:
-                raise anch.at(start).fail(f"unknown parameter {key!r} of check {cname!r}", key)
-        normalized.append((cname, params, start))
+            if key != "name" and key not in CHECK_PARAMS[cname]:
+                raise anch.fail(f"unknown parameter {key!r} of check {cname!r}", params, key)
+        normalized.append((cname, params))
 
     ctx = _Ctx(ProblemSpec(a, family, history), horizon, solver, tolerance_scale, anch)
     results = []
-    for idx, (cname, params, start) in enumerate(normalized, start=1):
-        ctx.anch = anch.at(start)
+    for idx, (cname, params) in enumerate(normalized, start=1):
         try:
             res = CHECK_RUNNERS[cname](ctx, params)
         except (NotInPhaseSpaceError, DivergentTailError, UnknownTailError, TruncationDepthError, ValueError) as exc:

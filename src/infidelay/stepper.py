@@ -109,18 +109,10 @@ class Trajectory:
 
     def eval(self, t):
         th = np.asarray(t, dtype=float)
-        scalar = th.ndim == 0
-        th = np.atleast_1d(th)
         if np.any(th > self.horizon + 1e-9):
             raise ValueError(f"evaluation beyond horizon {self.horizon}: max t={th.max()}")
-        th = np.minimum(th, self.horizon)
-        out = np.empty_like(th)
-        past = th < 0.0
-        if np.any(past):
-            out[past] = self.problem.history.evaluate(th[past])
-        if np.any(~past):
-            out[~past] = eval_pieces(self.grid, self.pieces, th[~past])
-        return float(out[0]) if scalar else out
+        out = _delayed_values(self.problem.history, self.grid, self.pieces, np.minimum(np.atleast_1d(th), self.horizon))
+        return float(out[0]) if th.ndim == 0 else out
 
     def eval_derivative(self, t):
         th = np.asarray(t, dtype=float)

@@ -1,5 +1,6 @@
 """Command line: scenario running, exit codes, determinism, and output layout."""
 
+import copy
 import csv
 import filecmp
 import json
@@ -314,26 +315,86 @@ def _set_oracle_n_trunc(cfg):
     _params(cfg, "oracle-compare")["n_trunc"] = 40
 
 
-# mutators whose error must be anchored at a line holding the key; with a
-# check name, at or after that check's entry
+def _set_problem_kind(cfg):
+    # "kind" is also a key of the earlier family object
+    cfg["problem"]["kind"] = "x"
+
+
+def _set_second_point_tol(cfg):
+    # the first entry has a "tol" of its own
+    _params(cfg, "solve")["expect_points"] = [{"t": 1.0, "x": 0.0, "tol": 1e-8}, {"t": 2.0, "x": 0.0, "tol": "x"}]
+
+
+def _set_tail_without_kind(cfg):
+    core = {"breakpoints": [-1.0, 0.0], "coeffs": [[1.0, 0.0, 0.0, 0.0]]}
+    cfg["problem"]["history"] = {"core": core, "tail": {"value": 1.0}}
+
+
+def _set_estimates_k_max(cfg):
+    _params(cfg, "estimates")["k_max"] = 2
+
+
+def _problem(cfg):
+    return cfg["problem"]
+
+
+# each mutator's anchor: the (container, key) whose line the error must name,
+# a missing key being anchored at the object that lacks it
 _ANCHORS = {
-    _set_oracle_tolerance_string: ("oracle-compare", "tolerance"),
-    _set_law_past_horizon: ("semigroup-law", "s"),
-    _set_times_past_horizon: ("strong-continuity", "times"),
-    _set_t_grid_past_horizon: ("mild-solution", "t_grid"),
-    _set_tolerence: ("mild-solution", "tolerence"),
-    _set_horizn: (None, "horizn"),
-    _set_drift: (None, "drift"),
-    _set_delt: (None, "delt"),
-    _set_rho_on_finite_support: (None, "rho"),
-    _set_depht: (None, "depht"),
-    _set_core_tail_valu: (None, "valu"),
-    _set_eps_forcng: (None, "eps_forcng"),
-    _set_solver_quad: (None, "quad"),
-    _set_weight_bse: ("cg-embedding", "bse"),
-    _set_point_tl: ("solve", "tl"),
-    _set_oracle_n_trunc: ("oracle-compare", "n_trunc"),
+    _set_tau_prefix: lambda c: (_problem(c), "family"),
+    _set_coeff_null: lambda c: (_problem(c), "family"),
+    _set_tau_delta: lambda c: (_problem(c), "family"),
+    _set_a_nan: lambda c: (_problem(c), "a"),
+    _set_h_zero: lambda c: (c, "solver"),
+    _set_eps_forcing_negative: lambda c: (c, "solver"),
+    _set_eps_forcing_zero: lambda c: (c, "solver"),
+    _set_eps_tail_seminorm_zero: lambda c: (c, "solver"),
+    _set_point_without_x: lambda c: (_params(c, "solve")["expect_points"], 0),
+    _set_points_string: lambda c: (_params(c, "solve"), "expect_points"),
+    _set_k_list_null: lambda c: (_params(c, "estimates")["k_list"], 0),
+    _set_k_max_null: lambda c: (_params(c, "seminorms"), "k_max"),
+    _set_t_grid_null: lambda c: (_params(c, "mild-solution")["t_grid"], 0),
+    _set_t_grid_empty: lambda c: (_params(c, "mild-solution"), "t_grid"),
+    _set_t_grid_negative: lambda c: (_params(c, "mild-solution"), "t_grid"),
+    _set_theta_grid_empty: lambda c: (_params(c, "mild-solution"), "theta_grid"),
+    _set_theta_grid_positive: lambda c: (_params(c, "mild-solution"), "theta_grid"),
+    _set_times_increasing: lambda c: (_params(c, "strong-continuity"), "times"),
+    _set_weight_string: lambda c: (_params(c, "cg-embedding"), "weight"),
+    _set_coeffs_nan: lambda c: (_problem(c)["family"]["coeffs"], 0),
+    _set_weight_base_zero: lambda c: (_params(c, "cg-embedding"), "weight"),
+    _set_weight_degree_negative: lambda c: (_params(c, "cg-embedding"), "weight"),
+    _set_oracle_tolerance_string: lambda c: (_params(c, "oracle-compare"), "tolerance"),
+    _set_law_past_horizon: lambda c: (_params(c, "semigroup-law"), "s"),
+    _set_times_past_horizon: lambda c: (_params(c, "strong-continuity"), "times"),
+    _set_t_grid_past_horizon: lambda c: (_params(c, "mild-solution"), "t_grid"),
+    _set_tolerence: lambda c: (_params(c, "mild-solution"), "tolerence"),
+    _set_horizn: lambda c: (c, "horizn"),
+    _set_drift: lambda c: (_problem(c), "drift"),
+    _set_delt: lambda c: (_problem(c)["family"]["tau"], "delt"),
+    _set_rho_on_finite_support: lambda c: (_problem(c)["family"], "rho"),
+    _set_depht: lambda c: (_problem(c)["history"], "depht"),
+    _set_core_tail_valu: lambda c: (_problem(c)["history"]["tail"], "valu"),
+    _set_eps_forcng: lambda c: (c["solver"], "eps_forcng"),
+    _set_solver_quad: lambda c: (c["solver"], "quad"),
+    _set_weight_bse: lambda c: (_params(c, "cg-embedding")["weight"], "bse"),
+    _set_point_tl: lambda c: (_params(c, "solve")["expect_points"][0], "tl"),
+    _set_oracle_n_trunc: lambda c: (_params(c, "oracle-compare"), "n_trunc"),
+    _set_problem_kind: lambda c: (_problem(c), "kind"),
+    _set_second_point_tol: lambda c: (_params(c, "solve")["expect_points"][1], "tol"),
+    _set_tail_without_kind: lambda c: (_problem(c)["history"], "tail"),
+    _set_estimates_k_max: lambda c: (_params(c, "estimates"), "k_max"),
 }
+
+
+def _anchor_line(cfg, locate):
+    """The line json.dumps(cfg, indent=2) puts the anchored key or entry on.
+
+    A marker in place of its value leaves every line before it where it was.
+    """
+    probe = copy.deepcopy(cfg)
+    container, key = locate(probe)
+    container[key] = "@anchor@"
+    return next(i for i, ln in enumerate(json.dumps(probe, indent=2).splitlines(), start=1) if '"@anchor@"' in ln)
 
 
 @pytest.mark.parametrize(
@@ -377,6 +438,10 @@ _ANCHORS = {
         _set_weight_bse,
         _set_point_tl,
         _set_oracle_n_trunc,
+        _set_problem_kind,
+        _set_second_point_tol,
+        _set_tail_without_kind,
+        _set_estimates_k_max,
     ],
 )
 def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
@@ -393,12 +458,8 @@ def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
     assert "<params>" not in captured.out
     assert "Traceback" not in captured.out + captured.err
     assert _files_under(tmp_path / "out") == []
-    if mutate in _ANCHORS:
-        check, key = _ANCHORS[mutate]
-        line = int(captured.out.split(f"{path}:")[1].split(":")[0])
-        lines = path.read_text().splitlines()
-        entry = 1 if check is None else next(i for i, ln in enumerate(lines, start=1) if f'"{check}"' in ln)
-        assert entry <= line and f'"{key}"' in lines[line - 1], (line, entry)
+    line = int(captured.out.split(f"{path}:")[1].split(":")[0])
+    assert line == _anchor_line(cfg, _ANCHORS[mutate]), captured.out
 
 
 def test_power_law_oracle_compare_passes_at_default_parameters(tmp_path, capsys):

@@ -497,6 +497,68 @@ def test_L_functional_and_p_seminorm_agree_on_divergence():
         fd.solve(fd.ProblemSpec(0.0, listed, const), 1.0, fd.SolverConfig(eps_forcing=0.1))
 
 
+_HALF_PERIOD = 2.0  # pi / omega for the cos tails below
+_DIVERGENCE_TAILS = {
+    "constant": ConstantTail(1.0),
+    "constant-zero": ConstantTail(0.0),
+    "cos": CosTail(1.0, math.pi / _HALF_PERIOD),
+    "cos-zero": CosTail(0.0, math.pi / _HALF_PERIOD),
+    "exp": ExpTail(1.0, 1.0),
+    "envelope-exp": WeightEnvelopeTail(1.0, G2),
+    "envelope-exp-zero": WeightEnvelopeTail(0.0, G2),
+    "envelope-poly": WeightEnvelopeTail(1.0, WeightFunction.polynomial(2)),
+    "envelope-poly-shift-down": WeightEnvelopeTail(1.0, WeightFunction.polynomial(2), -0.5),
+    "envelope-poly-shift-up": WeightEnvelopeTail(1.0, WeightFunction.polynomial(2), 0.5),
+    "envelope-poly-shift-zero": WeightEnvelopeTail(0.0, WeightFunction.polynomial(2), 0.5),
+    "envelope-level-shift": WeightEnvelopeTail(1.0, WeightFunction.constant(2.0), 0.3),
+}
+_DIVERGENCE_FAMILIES = {
+    "harmonic": HARMONIC,
+    "geometric": GEO_HALF,
+    "listed": CoefficientFamily.explicit_list([0.5, 0.25], 0.25, DelaySchedule()),
+    "power-2.5": CoefficientFamily.power_law(1.0, 2.5, DelaySchedule()),
+}
+_DIVERGENCE_REACHES = {
+    "0": 0.0,
+    "below-half-period": math.nextafter(_HALF_PERIOD, 0.0),
+    "half-period": _HALF_PERIOD,
+    "3-tau1": 3.0,
+}
+_EVERY_REACH = tuple(_DIVERGENCE_REACHES)
+# (tail, family) -> the reaches at which divergence is certified; every other
+# combination of the tables above, pair-difference included, is not
+_CERTIFIED_DIVERGENT = {
+    ("constant", "harmonic"): _EVERY_REACH,
+    ("cos", "harmonic"): ("half-period", "3-tau1"),
+    ("envelope-exp", "harmonic"): _EVERY_REACH,
+    ("envelope-exp", "geometric"): _EVERY_REACH,
+    ("envelope-exp", "power-2.5"): _EVERY_REACH,
+    ("envelope-poly", "harmonic"): _EVERY_REACH,
+    ("envelope-poly", "power-2.5"): _EVERY_REACH,
+    ("envelope-poly-shift-down", "harmonic"): _EVERY_REACH,
+    ("envelope-poly-shift-up", "harmonic"): _EVERY_REACH,
+    ("envelope-level-shift", "harmonic"): _EVERY_REACH,
+}
+
+
+def test_divergence_certificate_verdict_table():
+    assert _DIVERGENCE_REACHES["below-half-period"] * CosTail(1.0, math.pi / _HALF_PERIOD).omega < math.pi
+    histories = {
+        name: history_from_core([-4.0, 0.0], [[float(tail.evaluate(-4.0)), 0.0, 0.0, 0.0]], tail)
+        for name, tail in _DIVERGENCE_TAILS.items()
+    }
+    histories["pair-difference"] = history_difference(history_preset("cos"), history_preset("exp-decay"))
+    assert isinstance(histories["pair-difference"].tail, fd.history.PairDifferenceTail)
+    got = {
+        (t, f, r)
+        for t, phi in histories.items()
+        for f, fam in _DIVERGENCE_FAMILIES.items()
+        for r, reach in _DIVERGENCE_REACHES.items()
+        if fd.history._certified_divergent(phi, fam, reach)
+    }
+    assert got == {(t, f, r) for (t, f), reaches in _CERTIFIED_DIVERGENT.items() for r in reaches}
+
+
 def test_L_functional_reads_only_its_head(monkeypatch):
     # L(phi) is the forcing at s = 0: b_i = i^-3 needs N = 70,711 here, but
     # past the 8 delays inside the core the constant tail's part is a moment,

@@ -1,4 +1,4 @@
-"""Every module of the package, the tests and the scripts uses each name it imports; each name the package defines is used."""
+"""Every module of the package, the tests and the scripts uses each name it imports; each name and method the package defines is used."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,7 @@ SOURCES = sorted(Path(infidelay.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 _ROOT = Path(__file__).resolve().parent.parent
 TESTS_AND_SCRIPTS = sorted(_ROOT.glob("tests/*.py")) + sorted(_ROOT.glob("scripts/*.py"))
+BENCH = sorted(_ROOT.glob("bench/*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -89,3 +90,33 @@ def test_the_check_sees_a_dead_definition():
     }
     # b's LIMIT is a copy left behind: a's own use does not count for it
     assert _dead_definitions(sources) == ["a.py:6 dead", "b.py:3 LIMIT"]
+
+
+def _unused_methods(defining: dict[str, str], using: list[str]) -> list[str]:
+    """Methods of the classes in defining whose name no source in using reads as an attribute.
+
+    Dunder methods are exempt: Python calls them itself.  A method left on one
+    class of a protocol the others dropped is found once no caller names it.
+    """
+    used = {n.attr for src in using for n in ast.walk(ast.parse(src)) if isinstance(n, ast.Attribute)}
+    return [
+        f"{mod}:{node.lineno} {cls.name}.{node.name}"
+        for mod, src in defining.items()
+        for cls in ast.walk(ast.parse(src))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__")) and node.name not in used
+    ]
+
+
+def test_every_method_is_used():
+    using = [p.read_text() for p in SOURCES + TESTS_AND_SCRIPTS + BENCH]
+    assert _unused_methods({p.name: p.read_text() for p in SOURCES}, using) == []
+
+
+def test_the_check_sees_an_unused_method():
+    source = (
+        "class A:\n    def __init__(self):\n        self.x = 1\n\n    def atoms(self):\n        return []\n\n"
+        "class B:\n    def atoms(self):\n        return []\n\n    def retired(self):\n        return None\n"
+    )
+    assert _unused_methods({"m.py": source}, [source, "print(A().atoms())\n"]) == ["m.py:12 B.retired"]

@@ -251,8 +251,8 @@ def test_classic_scenario_solves_twice(solve_calls, tmp_path):
 
     from infidelay.scenario import load_scenario, run_scenario
 
-    data, raw = load_scenario(str(res.files("infidelay") / "scenarios" / "classic-delay.json"))
-    run_scenario(data, str(tmp_path), raw)
+    data, lines = load_scenario(str(res.files("infidelay") / "scenarios" / "classic-delay.json"))
+    run_scenario(data, str(tmp_path), lines)
     assert len(solve_calls) == 2  # the scenario's orbit and the semigroup law's right side
 
 
