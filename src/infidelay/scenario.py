@@ -27,22 +27,22 @@ Schema (all floats unless noted):
       "checks": ["solve", {"name": "membership", "expect": "member"}, ...]
     }
 
-Every object takes only the keys shown for it (a family, tail or weight
-only those of its kind or form; the weight forms are {"form": "constant",
-"level"}, {"form": "exponential", "base" or "gamma"} and {"form":
-"polynomial", "degree"}); any other key is a schema error at that key.  The
-solver keys are optional and default in SolverConfig.
+Each object is read by its key table (_SCENARIO, _FAMILY, _TAU, _PRESET or
+_CORE, _TAIL, _WEIGHT, the solver's, each check's in CHECKS): every key's
+type, default or requiredness, and list entry type; "kind" or "form" picks a
+family, tail or weight row.  Any other key is a schema error at that key.
+A key with no default there is passed on only when given.
 
-Check parameters (all optional; any other key is a schema error):
+Check parameters (all optional, all type-checked before the first check runs):
 
-    solve              expect, expect_points [{"t", "x", "tol"}, ..]
+    solve              expect, expect_points [{t, x, tol}, ..]
     seminorms          k_max (p_1..p_kmax)
     membership         k_max, expect
     semigroup-law      t, s (t + s <= horizon), k_list, tolerance
-    strong-continuity  k, times (strictly decreasing, in (0, horizon]), threshold
+    strong-continuity  k, times (strictly decreasing, positive, <= horizon), threshold
     mild-solution      t_grid (in [0, horizon]), theta_grid (<= 0), tolerance
     estimates          k_list (default 1..min(3, floor(horizon / tau_1)))
-    cg-embedding       weight {"form", ..}, k_max, tolerance, expect
+    cg-embedding       weight (an object as in a g-envelope tail), k_max, tolerance, expect
     oracle-compare     tolerance, h_fine
 
 Schema problems, check parameters included, raise ScenarioError at the
@@ -76,6 +76,7 @@ from .history import (
     HistoryFunction,
     WeightEnvelopeTail,
     check_cg_embedding,
+    history_preset,
     membership_in_F,
     p_seminorm,
     sup_norm_k,
@@ -145,7 +146,7 @@ def _parse_with_lines(raw: str) -> tuple[object, dict]:
 
 
 class _Anchored:
-    """Field access over a parsed scenario with errors anchored at the key at fault.
+    """Reads a parsed scenario by key tables, with errors anchored at the key at fault.
 
     lines is load_scenario's map of every parsed object and list to its line
     and those of its keys or entries; an object it does not hold (a default,
@@ -156,160 +157,148 @@ class _Anchored:
         self.lines = dict(lines or {})
         self.path = path
 
-    def line(self, obj, key=None) -> int:
-        """Line of obj[key], or of obj itself when key is None or not in obj."""
-        container, own, keys = self.lines.get(id(obj), (None, 1, {}))
-        return keys.get(key, own) if container is obj else 1
+    def line(self, obj, *keys) -> int:
+        """Line of the first of obj[key] for keys that obj holds, else of obj itself."""
+        container, own, lines = self.lines.get(id(obj), (None, 1, {}))
+        if container is not obj:
+            return 1
+        return next((lines[key] for key in keys if key in lines), own)
 
-    def fail(self, message: str, obj, key=None) -> ScenarioError:
-        return ScenarioError(message, self.path, self.line(obj, key))
+    def fail(self, message: str, obj, *keys) -> ScenarioError:
+        return ScenarioError(message, self.path, self.line(obj, *keys))
 
-    def _typed(self, v, types, label: str, obj, key, items=object):
-        """v = obj[key] must be of types and a list's entries of items; floats at any list depth must be finite."""
-        if not isinstance(v, types):
-            tn = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-            raise self.fail(f"{label} must be {tn}, got {type(v).__name__}", obj, key)
+    def read(self, obj: dict, keys, where: str, ctx=None) -> dict:
+        """The values of obj by a key table; the result anchors like obj.
+
+        keys maps each key to (type, default, entry types by list depth..),
+        or is a pair (selector, {value: key table}) whose row obj[selector]
+        picks.  A default is _REQUIRED, None (an absent key is left out of the
+        result), a value, or a function of the run context ctx; it is checked
+        like a given value.  Unknown keys, missing required keys and values of
+        the wrong type raise ScenarioError.
+        """
+        if isinstance(keys, tuple):
+            pick, rows = keys
+            keys = {pick: (str, _REQUIRED)}
+            choice = self._entry(obj, pick, keys[pick], where, ctx)
+            if choice not in rows:
+                raise self.fail(f"unknown {where} {pick} {choice!r}", obj, pick)
+            keys.update(rows[choice])
+        for key in obj:
+            if key not in keys:
+                raise self.fail(f"unknown key {key!r} in {where}", obj, key)
+        out = {key: self._entry(obj, key, spec, where, ctx)
+               for key, spec in keys.items() if key in obj or spec[1] is not None}
+        self.lines[id(out)] = (out, *self.lines.get(id(obj), (None, 1, {}))[1:])
+        return out
+
+    def _entry(self, obj: dict, key: str, spec: tuple, where: str, ctx):
+        kind, default, *items = spec
+        if key in obj:
+            value = obj[key]
+        elif default is _REQUIRED:
+            raise self.fail(f"missing required key {key!r} in {where}", obj)
+        else:
+            value = default(ctx) if callable(default) else default
+        return self._typed(value, kind, f"{where}.{key}", obj, key, *items)
+
+    def _typed(self, v, kind, label: str, obj, key, items=object, *deeper):
+        """v = obj[key] checked against kind, a list's entries against items, theirs against deeper[0]..
+
+        kind is a class (float takes an int and gives a float), a key table
+        (read into a dict) or a builder(obj, anch) of an object, whose
+        ValueError anchors at that object.  Floats at any list depth must be
+        finite.
+        """
+        cls = kind if isinstance(kind, type) else dict
+        if not isinstance(v, (int, float) if cls is float else cls):
+            raise self.fail(f"{label} must be {cls.__name__}, got {type(v).__name__}", obj, key)
         if isinstance(v, float) and not math.isfinite(v):
             raise self.fail(f"{label} must be finite, got {v}", obj, key)
         if isinstance(v, list):
-            for i, x in enumerate(v):
-                self._typed(x, items, f"{label} entry", v, i)
-        return v
-
-    def need(self, obj: dict, key: str, types, where: str, items=object):
-        if key not in obj:
-            raise self.fail(f"missing required key {key!r} in {where}", obj)
-        return self._typed(obj[key], types, f"{where}.{key}", obj, key, items)
-
-    def opt(self, obj: dict, key: str, types, default, items=object):
-        if key not in obj:
-            return default
-        return self._typed(obj[key], types, key, obj, key, items)
-
-    def only(self, obj: dict, keys: str, where: str) -> None:
-        """Every key of obj must be one of the space-separated keys: the ones read from obj."""
-        allowed = keys.split()
-        for key in obj:
-            if key not in allowed:
-                raise self.fail(f"unknown key {key!r} in {where}", obj, key)
+            return [self._typed(x, items, f"{label} entry", v, i, *deeper) for i, x in enumerate(v)]
+        if isinstance(kind, (dict, tuple)):
+            return self.read(v, kind, label)
+        if not isinstance(kind, type):
+            try:
+                return kind(v, self)
+            except ValueError as exc:
+                raise self.fail(f"{label}: {exc}", v) from exc
+        return float(v) if kind is float else v
 
 
-_NUM = (int, float)
+_REQUIRED = object()
+_NUM = (float, _REQUIRED)
+_OPT_NUM = (float, None)  # passed on only when given, so the callee's default holds
+_NUMS = (list, _REQUIRED, float)
 
-# the keys each kind or form reads besides "kind" / "form"
-_WEIGHT_KEYS = {"constant": "level", "exponential": "base gamma", "polynomial": "degree"}
-_FAMILY_KEYS = {"finite-support": "coeffs", "geometric": "beta rho", "power-law": "beta p", "explicit-list": "coeffs tail_abs_bound"}
-_TAIL_KEYS = {"constant": "value", "cos": "amp omega phase", "exp-decay": "amp rate", "g-envelope": "scale weight shift"}
+_WEIGHT = ("form", {
+    "constant": {"level": _OPT_NUM},
+    "exponential": {"base": _OPT_NUM, "gamma": _OPT_NUM},
+    "polynomial": {"degree": (int, _REQUIRED)},
+})
 
 
 def _build_weight(cfg: dict, anch: _Anchored) -> WeightFunction:
-    form = anch.need(cfg, "form", str, "weight")
-    if form not in _WEIGHT_KEYS:
-        raise anch.fail(f"unknown weight form {form!r}", cfg, "form")
-    anch.only(cfg, "form " + _WEIGHT_KEYS[form], "weight")
-    try:
-        if form == "constant":
-            return WeightFunction.constant(float(anch.opt(cfg, "level", _NUM, 1.0)))
-        if form == "exponential":
-            return WeightFunction.exponential(anch.opt(cfg, "gamma", _NUM, None), anch.opt(cfg, "base", _NUM, None))
-        return WeightFunction.polynomial(int(anch.need(cfg, "degree", _NUM, "weight")))
-    except ValueError as exc:
-        raise anch.fail(f"weight: {exc}", cfg) from exc
+    v = anch.read(cfg, _WEIGHT, "weight")
+    # each form names the WeightFunction constructor that takes its keys
+    return getattr(WeightFunction, v.pop("form"))(**v)
 
 
-def _build_family(cfg: dict, anch: _Anchored) -> CoefficientFamily:
-    kind = anch.need(cfg, "kind", str, "family")
-    if kind not in _FAMILY_KEYS:
-        raise anch.fail(f"unknown family kind {kind!r}", cfg, "kind")
-    anch.only(cfg, "kind tau " + _FAMILY_KEYS[kind], "family")
-    tau_cfg = anch.need(cfg, "tau", dict, "family")
-    anch.only(tau_cfg, "c delta prefix", "tau")
-    try:
-        delays = DelaySchedule(
-            c=float(anch.opt(tau_cfg, "c", _NUM, 0.0)),
-            delta=float(anch.opt(tau_cfg, "delta", _NUM, 1.0)),
-            prefix=tuple(float(v) for v in anch.opt(tau_cfg, "prefix", list, [])),
-        )
-        if kind == "finite-support":
-            return CoefficientFamily.finite_support(anch.need(cfg, "coeffs", list, "family"), delays)
-        if kind == "geometric":
-            return CoefficientFamily.geometric(
-                float(anch.need(cfg, "beta", _NUM, "family")),
-                float(anch.need(cfg, "rho", _NUM, "family")),
-                delays,
-            )
-        if kind == "power-law":
-            return CoefficientFamily.power_law(
-                float(anch.need(cfg, "beta", _NUM, "family")),
-                float(anch.need(cfg, "p", _NUM, "family")),
-                delays,
-            )
-        return CoefficientFamily.explicit_list(
-            anch.need(cfg, "coeffs", list, "family"),
-            float(anch.need(cfg, "tail_abs_bound", _NUM, "family")),
-            delays,
-        )
-    except (TypeError, ValueError) as exc:
-        raise anch.fail(str(exc), cfg) from exc
+_TAIL = ("kind", {
+    "constant": {"value": _NUM},
+    "cos": {"amp": _NUM, "omega": _NUM, "phase": _OPT_NUM},
+    "exp-decay": {"amp": _NUM, "rate": _NUM},
+    "g-envelope": {"scale": _NUM, "weight": (_build_weight, _REQUIRED), "shift": _OPT_NUM},
+})
 
 
 def _build_tail(cfg: dict, anch: _Anchored):
-    kind = anch.need(cfg, "kind", str, "tail")
-    if kind not in _TAIL_KEYS:
-        raise anch.fail(f"unknown tail kind {kind!r}", cfg, "kind")
-    anch.only(cfg, "kind " + _TAIL_KEYS[kind], "tail")
-    if kind == "constant":
-        return ConstantTail(float(anch.need(cfg, "value", _NUM, "tail")))
-    if kind == "cos":
-        return CosTail(
-            float(anch.need(cfg, "amp", _NUM, "tail")),
-            float(anch.need(cfg, "omega", _NUM, "tail")),
-            float(anch.opt(cfg, "phase", _NUM, 0.0)),
-        )
-    if kind == "exp-decay":
-        return ExpTail(
-            float(anch.need(cfg, "amp", _NUM, "tail")),
-            float(anch.need(cfg, "rate", _NUM, "tail")),
-        )
-    return WeightEnvelopeTail(
-        float(anch.need(cfg, "scale", _NUM, "tail")),
-        _build_weight(anch.need(cfg, "weight", dict, "tail"), anch),
-        float(anch.opt(cfg, "shift", _NUM, 0.0)),
-    )
+    v = anch.read(cfg, _TAIL, "tail")
+    return {"constant": ConstantTail, "cos": CosTail, "exp-decay": ExpTail, "g-envelope": WeightEnvelopeTail}[v.pop("kind")](**v)
+
+
+_TAU = {"c": _OPT_NUM, "delta": _OPT_NUM, "prefix": (list, None, float)}
+_FAMILY = ("kind", {kind: {"tau": (_TAU, _REQUIRED), **row} for kind, row in {
+    "finite-support": {"coeffs": _NUMS},
+    "geometric": {"beta": _NUM, "rho": _NUM},
+    "power-law": {"beta": _NUM, "p": _NUM},
+    "explicit-list": {"coeffs": _NUMS, "tail_abs_bound": _NUM},
+}.items()})
+
+
+def _build_family(cfg: dict, anch: _Anchored) -> CoefficientFamily:
+    v = anch.read(cfg, _FAMILY, "family")
+    tau = v.pop("tau")
+    if "prefix" in tau:
+        tau["prefix"] = tuple(tau["prefix"])
+    # each kind names the CoefficientFamily constructor that takes its keys
+    return getattr(CoefficientFamily, v.pop("kind").replace("-", "_"))(**v, delays=DelaySchedule(**tau))
+
+
+_PRESET = {"preset": (str, _REQUIRED), "depth": _OPT_NUM, "resolution": _OPT_NUM}
+_CORE = {"core": ({"breakpoints": _NUMS, "coeffs": (list, _REQUIRED, list, float)}, _REQUIRED), "tail": (_build_tail, _REQUIRED)}
 
 
 def _build_history(cfg: dict, anch: _Anchored) -> HistoryFunction:
-    from .history import history_preset
-
     if "preset" in cfg:
-        anch.only(cfg, "preset depth resolution", "history")
-        name = anch.need(cfg, "preset", str, "history")
-        try:
-            return history_preset(
-                name,
-                depth=float(anch.opt(cfg, "depth", _NUM, 8.0)),
-                resolution=float(anch.opt(cfg, "resolution", _NUM, 0.05)),
-            )
-        except ValueError as exc:
-            raise anch.fail(str(exc), cfg, "preset") from exc
-    anch.only(cfg, "core tail", "history")
-    core = anch.need(cfg, "core", dict, "history")
-    anch.only(core, "breakpoints coeffs", "history.core")
-    tail_cfg = anch.need(cfg, "tail", dict, "history")
-    bp = anch.need(core, "breakpoints", list, "history.core")
-    coef = anch.need(core, "coeffs", list, "history.core")
-    try:
-        return HistoryFunction(np.array(bp, dtype=float), np.array(coef, dtype=float), _build_tail(tail_cfg, anch))
-    except ValueError as exc:
-        raise anch.fail(str(exc), cfg, "core") from exc
+        v = anch.read(cfg, _PRESET, "history")
+        return history_preset(v.pop("preset"), **v)
+    v = anch.read(cfg, _CORE, "history")
+    return HistoryFunction(np.array(v["core"]["breakpoints"]), np.array(v["core"]["coeffs"], dtype=float), v["tail"])
 
 
 def _build_solver(cfg: dict, anch: _Anchored) -> SolverConfig:
-    anch.only(cfg, "h eps_forcing eps_tail_seminorm", "solver")
-    try:
-        return SolverConfig(**{key: float(anch.need(cfg, key, _NUM, "solver")) for key in cfg})
-    except ValueError as exc:
-        raise anch.fail(str(exc), cfg) from exc
+    return SolverConfig(**anch.read(cfg, {"h": _OPT_NUM, "eps_forcing": _OPT_NUM, "eps_tail_seminorm": _OPT_NUM}, "solver"))
+
+
+_SCENARIO = {
+    "name": (str, _REQUIRED),
+    "problem": ({"a": _NUM, "family": (_build_family, _REQUIRED), "history": (_build_history, _REQUIRED)}, _REQUIRED),
+    "horizon": _NUM,
+    "solver": (_build_solver, {}),
+    "checks": (list, _REQUIRED),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +312,7 @@ class _Ctx:
     def __init__(self, problem: ProblemSpec, horizon: float, solver: SolverConfig, tol_scale: float, anch: _Anchored):
         self.problem = problem
         self.horizon = horizon
+        self.tau1 = problem.family.delays.tau1
         self.solver = solver
         self.tol_scale = tol_scale
         self.anch = anch
@@ -339,30 +329,20 @@ def _sv_dict(sv) -> dict:
     return {**asdict(sv), "upper": sv.upper()}
 
 
+# each runner takes the run context and its check's parameters as read by its key table in CHECKS
 def _run_solve(ctx: _Ctx, p: dict) -> dict:
-    anch = ctx.anch
-    expect = anch.opt(p, "expect", str, None)
-    points = anch.opt(p, "expect_points", list, [], items=dict)
-    for pt in points:
-        anch.only(pt, "t x tol", "expect_points")
-    pins = [(anch.need(pt, "t", _NUM, "expect_points"), anch.need(pt, "x", _NUM, "expect_points"), anch.opt(pt, "tol", _NUM, 1e-8))
-            for pt in points]
     try:
         traj = ctx.traj()
     except NotInPhaseSpaceError as exc:
-        return {"passed": expect == "not-in-phase-space", "error": str(exc), "expect": expect}
+        return {"passed": p.get("expect") == "not-in-phase-space", "error": str(exc), "expect": p.get("expect")}
     ctx.files["trajectory.csv"] = traj.write_csv
     ctx.files["trajectory.json"] = traj.to_json_dict()
     points = []
-    ok = True
-    for t, want, tol in pins:
-        t, want, tol = float(t), float(want), float(tol) * ctx.tol_scale
-        got = traj.eval(t)
-        hit = abs(got - want) <= tol
-        ok = ok and hit
-        points.append({"t": t, "want": want, "got": got, "tol": tol, "ok": hit})
+    for pt in p["expect_points"]:
+        got, tol = traj.eval(pt["t"]), pt["tol"] * ctx.tol_scale
+        points.append({"t": pt["t"], "want": pt["x"], "got": got, "tol": tol, "ok": abs(got - pt["x"]) <= tol})
     return {
-        "passed": ok,
+        "passed": all(pt["ok"] for pt in points),
         "horizon": traj.horizon,
         "n_nodes": int(len(traj.grid)),
         "n_forcing": traj.n_forcing,
@@ -371,79 +351,56 @@ def _run_solve(ctx: _Ctx, p: dict) -> dict:
 
 
 def _run_seminorms(ctx: _Ctx, p: dict) -> dict:
-    k_max = int(ctx.anch.opt(p, "k_max", _NUM, 3))
     eps = ctx.solver.eps_tail_seminorm
     rows = []
-    for k in range(1, k_max + 1):
+    for k in range(1, p["k_max"] + 1):
         sv = p_seminorm(ctx.problem.history, ctx.problem.family, k, eps)
         rows.append({"k": k, "sup_norm": sup_norm_k(ctx.problem.history, k), "p": _sv_dict(sv)})
     return {"passed": True, "rows": rows}
 
 
 def _run_membership(ctx: _Ctx, p: dict) -> dict:
-    k_max = int(ctx.anch.opt(p, "k_max", _NUM, 5))
-    expect = ctx.anch.opt(p, "expect", str, "member")
-    rep = membership_in_F(ctx.problem.history, ctx.problem.family, k_max, ctx.solver.eps_tail_seminorm)
+    rep = membership_in_F(ctx.problem.history, ctx.problem.family, p["k_max"], ctx.solver.eps_tail_seminorm)
     return {
-        "passed": rep.verdict == expect,
+        "passed": rep.verdict == p["expect"],
         "verdict": rep.verdict,
-        "expect": expect,
+        "expect": p["expect"],
         "per_k": {str(k): _sv_dict(v) for k, v in rep.seminorms.items()},
     }
 
 
 def _run_semigroup_law(ctx: _Ctx, p: dict) -> dict:
-    anch, tau1 = ctx.anch, ctx.problem.family.delays.tau1
-    t = float(anch.opt(p, "t", _NUM, 0.75 * tau1))
-    s = float(anch.opt(p, "s", _NUM, 1.25 * tau1))
-    k_list = [int(k) for k in anch.opt(p, "k_list", list, [1, 2, 3], items=_NUM)]
-    tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
+    t, s = p["t"], p["s"]
     if t + s > ctx.horizon:
-        raise anch.fail(f"t + s must be at most the horizon {ctx.horizon}, got {t + s}", p, "s" if "s" in p else "t")
-    rep = check_semigroup_law(ctx.traj(), t, s, k_list)
-    out = asdict(rep)
-    out["tolerance"] = tol
-    out["passed"] = rep.max_discrepancy <= tol
-    return out
+        raise ctx.anch.fail(f"t + s must be at most the horizon {ctx.horizon}, got {t + s}", p, "s", "t")
+    rep = check_semigroup_law(ctx.traj(), t, s, p["k_list"])
+    tol = p["tolerance"] * ctx.tol_scale
+    return {**asdict(rep), "tolerance": tol, "passed": rep.max_discrepancy <= tol}
 
 
 def _run_strong_continuity(ctx: _Ctx, p: dict) -> dict:
-    anch, tau1 = ctx.anch, ctx.problem.family.delays.tau1
-    k = int(anch.opt(p, "k", _NUM, 2))
-    default = [0.1 * tau1, 0.01 * tau1, 0.001 * tau1]
-    times = [float(v) for v in anch.opt(p, "times", list, default, items=_NUM)]
+    times = p["times"]
     if not times or times[-1] <= 0.0 or any(b >= a for a, b in zip(times, times[1:])):
-        raise anch.fail(f"times must be strictly decreasing and positive, got {times}", p, "times")
+        raise ctx.anch.fail(f"times must be strictly decreasing and positive, got {times}", p, "times")
     if times[0] > ctx.horizon:
-        raise anch.fail(f"times must be at most the horizon {ctx.horizon}, got {times[0]}", p, "times")
-    thr = anch.opt(p, "threshold", _NUM, None)
-    rep = check_strong_continuity(ctx.traj(), k, times, thr if thr is None else float(thr))
-    out = asdict(rep)
-    out["passed"] = rep.passed
-    return out
+        raise ctx.anch.fail(f"times must be at most the horizon {ctx.horizon}, got {times[0]}", p, "times")
+    rep = check_strong_continuity(ctx.traj(), p["k"], times, p.get("threshold"))
+    return {**asdict(rep), "passed": rep.passed}
 
 
 def _run_mild_solution(ctx: _Ctx, p: dict) -> dict:
-    anch, tau1 = ctx.anch, ctx.problem.family.delays.tau1
-    span = min(ctx.horizon, 2.0 * tau1)
-    ts = [float(v) for v in anch.opt(p, "t_grid", list, list(np.linspace(0.0, span, 5)), items=_NUM)]
-    thetas = [float(v) for v in anch.opt(p, "theta_grid", list, [-2.0 * tau1, -tau1, -0.5 * tau1, -0.1 * tau1, 0.0], items=_NUM)]
+    ts, thetas = p["t_grid"], p["theta_grid"]
     if not ts or min(ts) < 0.0 or max(ts) > ctx.horizon:
-        raise anch.fail(f"t_grid must be a nonempty list of times in [0, {ctx.horizon}], got {ts}", p, "t_grid")
+        raise ctx.anch.fail(f"t_grid must be a nonempty list of times in [0, {ctx.horizon}], got {ts}", p, "t_grid")
     if not thetas or max(thetas) > 0.0:
-        raise anch.fail(f"theta_grid must be a nonempty list of values <= 0, got {thetas}", p, "theta_grid")
-    tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
-    rep = check_mild_solution(ctx.traj(), ts, thetas, tol)
-    out = asdict(rep)
-    out["passed"] = rep.passed
-    return out
+        raise ctx.anch.fail(f"theta_grid must be a nonempty list of values <= 0, got {thetas}", p, "theta_grid")
+    rep = check_mild_solution(ctx.traj(), ts, thetas, p["tolerance"] * ctx.tol_scale)
+    return {**asdict(rep), "passed": rep.passed}
 
 
 def _run_estimates(ctx: _Ctx, p: dict) -> dict:
-    k_top = min(3, int(math.floor(ctx.horizon / ctx.problem.family.delays.tau1 + 1e-12)))
-    k_list = [int(k) for k in ctx.anch.opt(p, "k_list", list, range(1, k_top + 1), items=_NUM)]
     traj = ctx.traj()
-    certs = [estimate_certificate(traj, k) for k in k_list]
+    certs = [estimate_certificate(traj, k) for k in p["k_list"]]
     return {
         "passed": all(c.valid for c in certs),
         "certificates": [c.to_json_dict() for c in certs],
@@ -451,12 +408,8 @@ def _run_estimates(ctx: _Ctx, p: dict) -> dict:
 
 
 def _run_cg_embedding(ctx: _Ctx, p: dict) -> dict:
-    anch = ctx.anch
-    g = _build_weight(anch.opt(p, "weight", dict, {"form": "exponential", "base": 2.0}), anch)
-    k_max = int(anch.opt(p, "k_max", _NUM, 3))
-    tol = float(anch.opt(p, "tolerance", _NUM, 1e-8)) * ctx.tol_scale
-    expect = anch.opt(p, "expect", str, "holds")
-    rep = check_cg_embedding(ctx.problem.history, ctx.problem.family, g, k_max, tol, ctx.solver.eps_tail_seminorm)
+    tol, expect = p["tolerance"] * ctx.tol_scale, p["expect"]
+    rep = check_cg_embedding(ctx.problem.history, ctx.problem.family, p["weight"], p["k_max"], tol, ctx.solver.eps_tail_seminorm)
     if not rep.applicable:
         passed = expect == "not-applicable"
     else:
@@ -472,34 +425,60 @@ def _run_cg_embedding(ctx: _Ctx, p: dict) -> dict:
 
 
 def _run_oracle_compare(ctx: _Ctx, p: dict) -> dict:
-    anch = ctx.anch
-    tol = float(anch.opt(p, "tolerance", _NUM, 1e-6)) * ctx.tol_scale
-    h_fine = anch.opt(p, "h_fine", _NUM, None)
+    tol = p["tolerance"] * ctx.tol_scale
     traj = ctx.traj()
-    ref = oracle_solve(ctx.problem, ctx.horizon, h_fine)
+    ref = oracle_solve(ctx.problem, ctx.horizon, p.get("h_fine"))
     diff = compare_trajectories(traj, ref, (0.0, ctx.horizon))
     return {"passed": diff <= tol, "max_difference": diff, "tolerance": tol, "oracle_h": ref.h_used, "oracle_n_trunc": ref.n_forcing}
 
 
-CHECKS = [  # (name, description, runner, its parameter names)
-    ("solve", "integrate the problem and pin optional reference points", _run_solve, "expect expect_points"),
-    ("seminorms", "evaluate the sup and p seminorms of the history", _run_seminorms, "k_max"),
-    ("membership", "phase-space membership verdict for the history", _run_membership, "k_max expect"),
-    ("semigroup-law", "compare S_t S_s phi with S_{t+s} phi in the seminorms", _run_semigroup_law, "t s k_list tolerance"),
-    ("strong-continuity", "distance of S_t phi from phi as t decreases to 0", _run_strong_continuity, "k times threshold"),
-    ("mild-solution", "integral form of the equation driven by the functional L", _run_mild_solution, "t_grid theta_grid tolerance"),
-    ("estimates", "a-priori window bounds against observed sups", _run_estimates, "k_list"),
-    ("cg-embedding", "weighted-norm domination of the p seminorms", _run_cg_embedding, "weight k_max tolerance expect"),
-    ("oracle-compare", "agreement with the independent RK4 integrator", _run_oracle_compare, "tolerance h_fine"),
-]
+CHECKS = {  # name: (description, runner, parameter key table); a default may be a function of the run context
+    "solve": ("integrate the problem and pin optional reference points", _run_solve, {
+        "expect": (str, None),
+        "expect_points": (list, [], {"t": _NUM, "x": _NUM, "tol": (float, 1e-8)}),
+    }),
+    "seminorms": ("evaluate the sup and p seminorms of the history", _run_seminorms, {"k_max": (int, 3)}),
+    "membership": ("phase-space membership verdict for the history", _run_membership, {
+        "k_max": (int, 5),
+        "expect": (str, "member"),
+    }),
+    "semigroup-law": ("compare S_t S_s phi with S_{t+s} phi in the seminorms", _run_semigroup_law, {
+        "t": (float, lambda c: 0.75 * c.tau1),
+        "s": (float, lambda c: 1.25 * c.tau1),
+        "k_list": (list, [1, 2, 3], int),
+        "tolerance": (float, 1e-6),
+    }),
+    "strong-continuity": ("distance of S_t phi from phi as t decreases to 0", _run_strong_continuity, {
+        "k": (int, 2),
+        "times": (list, lambda c: [0.1 * c.tau1, 0.01 * c.tau1, 0.001 * c.tau1], float),
+        "threshold": (float, None),
+    }),
+    "mild-solution": ("integral form of the equation driven by the functional L", _run_mild_solution, {
+        "t_grid": (list, lambda c: list(np.linspace(0.0, min(c.horizon, 2.0 * c.tau1), 5)), float),
+        "theta_grid": (list, lambda c: [-2.0 * c.tau1, -c.tau1, -0.5 * c.tau1, -0.1 * c.tau1, 0.0], float),
+        "tolerance": (float, 1e-6),
+    }),
+    "estimates": ("a-priori window bounds against observed sups", _run_estimates, {
+        "k_list": (list, lambda c: list(range(1, min(3, int(math.floor(c.horizon / c.tau1 + 1e-12))) + 1)), int),
+    }),
+    "cg-embedding": ("weighted-norm domination of the p seminorms", _run_cg_embedding, {
+        "weight": (_build_weight, {"form": "exponential", "base": 2.0}),
+        "k_max": (int, 3),
+        "tolerance": (float, 1e-8),
+        "expect": (str, "holds"),
+    }),
+    "oracle-compare": ("agreement with the independent RK4 integrator", _run_oracle_compare, {
+        "tolerance": (float, 1e-6),
+        "h_fine": (float, None),
+    }),
+}
 
-CHECK_RUNNERS = {name: fn for name, _, fn, _ in CHECKS}
-CHECK_PARAMS = {name: params.split() for name, _, _, params in CHECKS}
+CHECK_RUNNERS = {name: fn for name, (_, fn, _) in CHECKS.items()}
 
 
 def list_checks() -> list[tuple[str, str]]:
     """The supported checks as (name, description) pairs."""
-    return [(name, desc) for name, desc, _, _ in CHECKS]
+    return [(name, desc) for name, (desc, _, _) in CHECKS.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -555,20 +534,13 @@ def run_scenario(
     failures only lower the result's passed flag.
     """
     anch = _Anchored(lines, path)
-    anch.only(data, "name problem horizon solver checks", "scenario")
-    name = anch.need(data, "name", str, "scenario")
-    prob_cfg = anch.need(data, "problem", dict, "scenario")
-    anch.only(prob_cfg, "a family history", "problem")
-    horizon = float(anch.need(data, "horizon", _NUM, "scenario"))
+    v = anch.read(data, _SCENARIO, "scenario")
+    name, horizon = v["name"], v["horizon"]
     if not horizon > 0.0:
         raise anch.fail(f"horizon must be positive, got {horizon}", data, "horizon")
-    checks_cfg = anch.need(data, "checks", list, "scenario")
-    a = float(anch.need(prob_cfg, "a", _NUM, "problem"))
-    family = _build_family(anch.need(prob_cfg, "family", dict, "problem"), anch)
-    history = _build_history(anch.need(prob_cfg, "history", dict, "problem"), anch)
-    solver = _build_solver(anch.opt(data, "solver", dict, {}), anch)
+    ctx = _Ctx(ProblemSpec(**v["problem"]), horizon, v["solver"], tolerance_scale, anch)
 
-    normalized = []
+    checks_cfg, checks = data["checks"], []
     for i, entry in enumerate(checks_cfg):
         if isinstance(entry, str):
             # the parameters of a bare name anchor at the name
@@ -578,16 +550,12 @@ def run_scenario(
             cname, params = entry["name"], entry
         else:
             raise anch.fail(f"check entries must be a name or an object with a name, got {entry!r}", checks_cfg, i)
-        if cname not in CHECK_RUNNERS:
+        if cname not in CHECKS:
             raise anch.fail(f"unknown check {cname!r}", checks_cfg, i)
-        for key in params:
-            if key != "name" and key not in CHECK_PARAMS[cname]:
-                raise anch.fail(f"unknown parameter {key!r} of check {cname!r}", params, key)
-        normalized.append((cname, params))
+        checks.append((cname, anch.read(params, {"name": (str, None), **CHECKS[cname][2]}, cname, ctx)))
 
-    ctx = _Ctx(ProblemSpec(a, family, history), horizon, solver, tolerance_scale, anch)
     results = []
-    for idx, (cname, params) in enumerate(normalized, start=1):
+    for idx, (cname, params) in enumerate(checks, start=1):
         try:
             res = CHECK_RUNNERS[cname](ctx, params)
         except (NotInPhaseSpaceError, DivergentTailError, UnknownTailError, TruncationDepthError, ValueError) as exc:

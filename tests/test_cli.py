@@ -6,6 +6,7 @@ import filecmp
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -334,6 +335,21 @@ def _set_estimates_k_max(cfg):
     _params(cfg, "estimates")["k_max"] = 2
 
 
+def _set_k_max_fraction(cfg):
+    # a whole-number key is not truncated
+    _params(cfg, "seminorms")["k_max"] = 2.5
+
+
+def _set_weight_degree_fraction(cfg):
+    _params(cfg, "cg-embedding")["weight"] = {"form": "polynomial", "degree": 2.5}
+
+
+def _set_core_coeff_null(cfg):
+    # a null core coefficient is an error, not a NaN in the history
+    core = {"breakpoints": [-1.0, 0.0], "coeffs": [[None, 0.0, 0.0, 0.0]]}
+    cfg["problem"]["history"] = {"core": core, "tail": {"kind": "constant", "value": 1.0}}
+
+
 def _problem(cfg):
     return cfg["problem"]
 
@@ -341,8 +357,8 @@ def _problem(cfg):
 # each mutator's anchor: the (container, key) whose line the error must name,
 # a missing key being anchored at the object that lacks it
 _ANCHORS = {
-    _set_tau_prefix: lambda c: (_problem(c), "family"),
-    _set_coeff_null: lambda c: (_problem(c), "family"),
+    _set_tau_prefix: lambda c: (_problem(c)["family"]["tau"]["prefix"], 0),
+    _set_coeff_null: lambda c: (_problem(c)["family"]["coeffs"], 0),
     _set_tau_delta: lambda c: (_problem(c), "family"),
     _set_a_nan: lambda c: (_problem(c), "a"),
     _set_h_zero: lambda c: (c, "solver"),
@@ -383,6 +399,9 @@ _ANCHORS = {
     _set_second_point_tol: lambda c: (_params(c, "solve")["expect_points"][1], "tol"),
     _set_tail_without_kind: lambda c: (_problem(c)["history"], "tail"),
     _set_estimates_k_max: lambda c: (_params(c, "estimates"), "k_max"),
+    _set_k_max_fraction: lambda c: (_params(c, "seminorms"), "k_max"),
+    _set_weight_degree_fraction: lambda c: (_params(c, "cg-embedding")["weight"], "degree"),
+    _set_core_coeff_null: lambda c: (_problem(c)["history"]["core"]["coeffs"][0], 0),
 }
 
 
@@ -442,6 +461,9 @@ def _anchor_line(cfg, locate):
         _set_second_point_tol,
         _set_tail_without_kind,
         _set_estimates_k_max,
+        _set_k_max_fraction,
+        _set_weight_degree_fraction,
+        _set_core_coeff_null,
     ],
 )
 def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
@@ -487,6 +509,42 @@ def _bundled_cfg(name):
     import importlib.resources as res
 
     return json.loads((res.files("infidelay") / "scenarios" / f"{name}.json").read_text())
+
+
+def test_a_type_error_in_the_last_check_stops_before_any_check_runs(tmp_path, capsys, monkeypatch):
+    from infidelay import scenario
+
+    solves = []
+    real_solve = scenario.solve
+    monkeypatch.setattr(scenario, "solve", lambda *args, **kwargs: solves.append(args) or real_solve(*args, **kwargs))
+    cfg = _bundled_cfg("affine-delays")
+    _set_oracle_tolerance_string(cfg)
+    assert cfg["checks"][-1]["name"] == "oracle-compare"
+    path = tmp_path / "late-type-error.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    code, out = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_SCHEMA_ERROR, out
+    assert solves == []
+
+
+def test_docstring_check_rows_name_the_keys_of_each_check():
+    # the "Check parameters" rows of the scenario module docstring restate CHECKS:
+    # each row names its check's keys and those of its entry tables, parentheses aside
+    from infidelay import scenario
+
+    rows = scenario.__doc__.split("Check parameters")[1].split("\n\n")[1].splitlines()
+    named = {}
+    for row in rows:
+        cname, rest = row.split(None, 1)
+        stripped = 1
+        while stripped:
+            rest, stripped = re.subn(r"\([^()]*\)", "", rest)
+        named[cname] = set(re.findall(r"[a-z_]+", rest))
+
+    def keys_of(table):
+        return set(table) | {key for spec in table.values() for t in spec[2:] if isinstance(t, dict) for key in t}
+
+    assert named == {name: keys_of(table) for name, (_, _, table) in scenario.CHECKS.items()}
 
 
 def _leaf_paths(node, path=()):
