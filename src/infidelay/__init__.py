@@ -16,7 +16,6 @@ from .coefficients import (
     m_index,
     n_index,
     tail_sum_bound,
-    truncation_index,
 )
 from .history import (
     ConstantTail,
@@ -32,7 +31,6 @@ from .history import (
     combine_histories,
     history_difference,
     history_from_callable,
-    history_from_core,
     history_preset,
     membership_in_F,
     p_seminorm,
@@ -96,7 +94,6 @@ __all__ = [
     "forcing",
     "history_difference",
     "history_from_callable",
-    "history_from_core",
     "history_preset",
     "list_checks",
     "load_scenario",
@@ -111,6 +108,5 @@ __all__ = [
     "step_interval",
     "sup_norm_k",
     "tail_sum_bound",
-    "truncation_index",
     "__version__",
 ]

@@ -19,8 +19,9 @@ raised when the stored data decides neither way.  Downstream code relies on
 this trichotomy, so every branch below is a closed-form argument, never a
 sampled heuristic.
 
-:func:`_atom_tail_search` is the one certified truncation search;
-:func:`truncation_index` and every truncation in history and stepper call it.
+:func:`_atom_tail_search` is the one certified truncation search, over a
+history's envelope atoms; history._truncation (the seminorms, L, the
+forcing and the oracle) and history.membership_in_F call it.
 """
 
 from __future__ import annotations
@@ -237,21 +238,6 @@ class CoefficientFamily:
             tail_abs_bound=float(tail_abs_bound),
         )
 
-    def b(self, i: int) -> float:
-        if i < 1:
-            raise ValueError(f"coefficient index must be >= 1, got {i}")
-        if self.kind == "finite-support":
-            return self.coeffs[i - 1] if i <= len(self.coeffs) else 0.0
-        if self.kind == "geometric":
-            return self.beta * self.rho**i
-        if self.kind == "power-law":
-            return self.beta * float(i) ** (-self.p_exponent)
-        if i <= len(self.coeffs):
-            return self.coeffs[i - 1]
-        raise UnknownTailError(
-            f"explicit-list family stores coefficients up to i={len(self.coeffs)}; b_{i} is not determined"
-        )
-
     def b_array(self, n: int) -> np.ndarray:
         """First n coefficients (b_1..b_n)."""
         if self.kind in ("finite-support", "explicit-list"):
@@ -454,18 +440,3 @@ def _atom_tail_search(
         else:
             lo = mid
     return hi, tb(hi + 1)
-
-
-def truncation_index(family: CoefficientFamily, weight: WeightFunction, eps: float) -> int:
-    """Least N >= 1 whose discarded weighted tail is certified <= eps (0 when every b_i is 0).
-
-    That is, the smallest N with tail_sum_bound(family, weight, N+1) <= eps.
-    Raises DivergentTailError when the series is certified divergent,
-    UnknownTailError when no finite truncation can be certified, and
-    TruncationDepthError past the hard index cap.
-    """
-    if not (eps > 0.0):
-        raise ValueError(f"truncation tolerance must be positive, got {eps}")
-    if math.isinf(tail_sum_bound(family, weight, 1)):
-        raise DivergentTailError("series is certified divergent; no truncation exists")
-    return _atom_tail_search(family, [(1.0, weight)], 1, eps)[0]

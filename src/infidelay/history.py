@@ -41,7 +41,7 @@ from .coefficients import (
     n_index,
     tail_sum_bound,
 )
-from .numerics import dedupe_knots, derivative_coeffs, eval_pieces, hermite_coeffs, piece_index, shift_coeffs, sup_abs_pieces
+from .numerics import dedupe_knots, derivative_coeffs, eval_pieces, hermite_coeffs, piece_index, shift_coeffs, sup_abs_pieces, sup_ratio_pieces
 
 _CONST1 = WeightFunction.constant(1.0)
 
@@ -463,9 +463,6 @@ class HistoryFunction:
             best = np.where(below, np.maximum(best, self.tail.sup_abs(lo, np.minimum(hi, b0))), best)
         return float(best) if lo.ndim == 0 else best
 
-    def tail_atoms(self) -> list[Atom]:
-        return self.tail.atoms(self.depth)
-
     def derivative(self) -> Optional["HistoryFunction"]:
         """Exact derivative history, or None when phi is not C^1.
 
@@ -559,15 +556,6 @@ def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
-
-
-def history_from_core(breakpoints, coeffs, tail=None) -> HistoryFunction:
-    """Wrap explicit core data; default tail extends the deepest value."""
-    bp = np.asarray(breakpoints, dtype=float)
-    cf = np.asarray(coeffs, dtype=float)
-    if tail is None:
-        tail = ConstantTail(float(cf[0, 0]))
-    return HistoryFunction(bp, cf, tail)
 
 
 def history_from_callable(
@@ -682,11 +670,11 @@ def _materialize_constant(phi: HistoryFunction, new_depth: float) -> HistoryFunc
 def history_difference(h1: HistoryFunction, h2: HistoryFunction) -> HistoryFunction:
     """The history h1 - h2, exact on the common core.
 
-    When the grids coincide the coefficients subtract directly (bitwise
-    exact); otherwise both cores are re-centered onto the union grid via
-    exact Taylor shifts.  Depth mismatches are removed exactly when the
-    shallower tail is constant; any remaining tail pair is wrapped in a
-    PairDifferenceTail carrying certified envelope atoms.
+    Both cores are re-centered onto the union grid via exact Taylor shifts
+    (on equal grids every shift is 0 and the coefficients subtract
+    directly).  Depth mismatches are removed exactly when the shallower tail
+    is constant; any remaining tail pair is wrapped in a PairDifferenceTail
+    carrying certified envelope atoms.
     """
     a, b = h1, h2
     if a.depth != b.depth:
@@ -696,21 +684,17 @@ def history_difference(h1: HistoryFunction, h2: HistoryFunction) -> HistoryFunct
             b = _materialize_constant(b, a.depth)
 
     depth = min(a.depth, b.depth)
-    if np.array_equal(a.breakpoints, b.breakpoints):
-        bp = a.breakpoints.copy()
-        cf = a.coeffs - b.coeffs
-    else:
-        inner_a = a.breakpoints[(a.breakpoints > -depth + 1e-12) & (a.breakpoints < -1e-12)]
-        inner_b = b.breakpoints[(b.breakpoints > -depth + 1e-12) & (b.breakpoints < -1e-12)]
-        bp = np.concatenate([[-depth], dedupe_knots(np.concatenate([inner_a, inner_b])), [0.0]])
-        # pick source pieces by the segment midpoint: union knots merged
-        # within 1e-12 may sit a few ulp before a side's own knot, and a
-        # left-endpoint lookup would then extrapolate the previous piece
-        mid = 0.5 * (bp[:-1] + bp[1:])
-        ia, ib = (piece_index(h.breakpoints, len(h.coeffs), mid) for h in (a, b))
-        cf = shift_coeffs(a.coeffs[ia], bp[:-1] - a.breakpoints[ia]) - shift_coeffs(
-            b.coeffs[ib], bp[:-1] - b.breakpoints[ib]
-        )
+    inner_a = a.breakpoints[(a.breakpoints > -depth + 1e-12) & (a.breakpoints < -1e-12)]
+    inner_b = b.breakpoints[(b.breakpoints > -depth + 1e-12) & (b.breakpoints < -1e-12)]
+    bp = np.concatenate([[-depth], dedupe_knots(np.concatenate([inner_a, inner_b])), [0.0]])
+    # pick source pieces by the segment midpoint: union knots merged
+    # within 1e-12 may sit a few ulp before a side's own knot, and a
+    # left-endpoint lookup would then extrapolate the previous piece
+    mid = 0.5 * (bp[:-1] + bp[1:])
+    ia, ib = (piece_index(h.breakpoints, len(h.coeffs), mid) for h in (a, b))
+    cf = shift_coeffs(a.coeffs[ia], bp[:-1] - a.breakpoints[ia]) - shift_coeffs(
+        b.coeffs[ib], bp[:-1] - b.breakpoints[ib]
+    )
 
     ta, tb = a.tail, b.tail
     if a.depth == b.depth:
@@ -721,11 +705,15 @@ def history_difference(h1: HistoryFunction, h2: HistoryFunction) -> HistoryFunct
         else:
             tail = PairDifferenceTail(a, b, depth, tail_difference_atoms(ta, tb, depth))
     else:
-        deep = a if a.depth > b.depth else b
-        shallow = b if a.depth > b.depth else a
-        strip = deep.sup_abs_interval(-deep.depth, -depth) + shallow.tail.sup_abs(
-            -deep.depth, -depth
-        )
+        # the strip [-deep.depth, -depth] between the cores: deep's core against shallow's tail
+        deep, shallow = (a, b) if a.depth > b.depth else (b, a)
+        strip = deep.sup_abs_interval(-deep.depth, -depth) + shallow.tail.sup_abs(-deep.depth, -depth)
+        dtail = shallow.tail.derivative()
+        if dtail is not None:
+            # mean-value bound from the gap at -depth, tight on a thin strip
+            gap = abs(deep.evaluate(-depth) - float(shallow.tail.evaluate(-depth)))
+            slope = sup_abs_pieces(deep.breakpoints, derivative_coeffs(deep.coeffs), -deep.depth, -depth)
+            strip = min(strip, gap + (deep.depth - depth) * (slope + dtail.sup_abs(-deep.depth, -depth)))
         atoms: tuple[Atom, ...] = tail_difference_atoms(ta, tb, deep.depth)
         if strip != 0.0:
             atoms = ((strip, _CONST1),) + atoms
@@ -763,10 +751,6 @@ class SeminormValue:
         if self.index_last < self.index_first:
             return range(self.index_first, self.index_first)
         return range(self.index_first, self.index_last + 1)
-
-    @property
-    def divergent(self) -> bool:
-        return self.verdict == "divergent"
 
 
 def sup_norm_k(phi: HistoryFunction, k: int) -> float:
@@ -810,7 +794,7 @@ def _truncation(phi: HistoryFunction, family: CoefficientFamily, reach: float, e
     otherwise.
     """
     try:
-        N, rem = _atom_tail_search(family, phi.tail_atoms(), _tail_floor(phi, family, reach), eps)
+        N, rem = _atom_tail_search(family, phi.tail.atoms(phi.depth), _tail_floor(phi, family, reach), eps)
         if family.kind == "explicit-list":
             family.b_array(N)
         return N, rem
@@ -880,73 +864,16 @@ def membership_in_F(
     """
     per_k = {k: p_seminorm(phi, family, k, eps_tail) for k in range(1, k_max + 1)}
     try:
-        _atom_tail_search(family, phi.tail_atoms(), _tail_floor(phi, family, 0.0), math.inf)
+        _atom_tail_search(family, phi.tail.atoms(phi.depth), _tail_floor(phi, family, 0.0), math.inf)
         overall = "member"
     except UnknownTailError:
-        overall = "not-member" if any(v.divergent for v in per_k.values()) else "inconclusive"
+        overall = "not-member" if any(v.verdict == "divergent" for v in per_k.values()) else "inconclusive"
     return MembershipReport(per_k, overall)
 
 
 # ---------------------------------------------------------------------------
 # weighted sup norms and the embedding test
 # ---------------------------------------------------------------------------
-
-
-def _real_roots_in(coeffs_desc: list[float], lo: float, hi: float) -> list[float]:
-    """Real roots of a polynomial (descending coeffs) inside (lo, hi)."""
-    c = np.array(coeffs_desc, dtype=float)
-    nz = np.flatnonzero(np.abs(c) > 0.0)
-    if len(nz) == 0:
-        return []
-    c = c[nz[0] :]
-    if len(c) <= 1:
-        return []
-    roots = np.roots(c)
-    out = []
-    scale = max(1.0, float(np.max(np.abs(roots))) if len(roots) else 1.0)
-    for r in roots:
-        if abs(r.imag) <= 1e-10 * scale and lo < r.real < hi:
-            out.append(float(r.real))
-    return out
-
-
-def _core_weighted_sup(phi: HistoryFunction, g: WeightFunction) -> float:
-    """Exact sup of |phi(theta)|/g(theta) over the core via critical points."""
-    bp = phi.breakpoints
-    best = 0.0
-    for j in range(len(bp) - 1):
-        s = float(bp[j])
-        du = float(bp[j + 1] - bp[j])
-        c0, c1, c2, c3 = (float(v) for v in phi.coeffs[j])
-
-        def ratio(u: float) -> float:
-            val = c0 + u * (c1 + u * (c2 + u * c3))
-            return abs(val) / float(g(s + u))
-
-        cands = [0.0, du]
-        if g.form == "constant":
-            # critical points of the cubic itself
-            cands += _real_roots_in([3.0 * c3, 2.0 * c2, c1], 0.0, du)
-        elif g.form == "exponential":
-            gm = g.gamma
-            cands += _real_roots_in(
-                [gm * c3, 3.0 * c3 + gm * c2, 2.0 * c2 + gm * c1, c1 + gm * c0], 0.0, du
-            )
-        else:
-            q = float(g.degree)
-            A = 1.0 - s
-            cands += _real_roots_in(
-                [
-                    (q - 3.0) * c3,
-                    3.0 * A * c3 + (q - 2.0) * c2,
-                    2.0 * A * c2 + (q - 1.0) * c1,
-                    A * c1 + q * c0,
-                ],
-                0.0,
-                du,
-            )
-        best = max(best, max(ratio(u) for u in cands))
-    return best
 
 
 def _tail_weighted_sup(tail, g: WeightFunction, depth: float) -> float:
@@ -1012,7 +939,9 @@ def cg_norm(phi: HistoryFunction, g: WeightFunction) -> float:
     tail_part = _tail_weighted_sup(phi.tail, g, phi.depth)
     if math.isinf(tail_part):
         return math.inf
-    return max(_core_weighted_sup(phi, g), tail_part)
+    # g'/g = -beta / (1 - delta theta) (see sup_ratio_pieces)
+    delta, beta = {"constant": (0.0, 0.0), "exponential": (0.0, g.gamma)}.get(g.form, (1.0, float(g.degree)))
+    return max(sup_ratio_pieces(phi.breakpoints, phi.coeffs, g, delta, beta), tail_part)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 The 4-point Gauss-Legendre rule on [0, 1], the phi1 function (expm1(z)/z
 with a stable small-z branch), cubic Hermite coefficients, and evaluation /
-exact sup-norm of piecewise cubic polynomials stored in local coordinates.
+exact (weighted) sup-norm of piecewise cubic polynomials stored in local
+coordinates.
 
 Piecewise convention used everywhere in this package: a function on
 [breaks[0], breaks[-1]] is stored as an (m, 4) array of local coefficients
@@ -18,13 +19,13 @@ any refitting error.
 The convention is applied in this module only.  piece_index finds the
 piece of a point, derivative_coeffs differentiates the pieces, shift_coeffs
 re-centres them, hermite_coeffs fits them from node values and slopes, and
-the evaluators (eval_pieces, eval_pieces_derivative, sup_abs_pieces) build
-on these; sup_abs_pieces takes one interval or arrays of intervals, done in
-one array pass.  Two uses of the format's arithmetic stay outside on
-purpose: history._core_weighted_sup, whose critical points depend on the
-weight g in sup |phi|/g, and the left-to-right junction snap in
-HistoryFunction.derivative, whose running sum makes the constructor's
-continuity check hold exactly.
+the evaluators build on these: eval_pieces evaluates (a derivative is
+eval_pieces of derivative_coeffs), sup_abs_pieces takes the exact sup of
+|p| over one interval or arrays of intervals in one array pass, and
+sup_ratio_pieces the exact sup of |p|/w under a weight w.  One use of the
+format's arithmetic stays outside on purpose: the left-to-right junction
+snap in HistoryFunction.derivative, whose running sum makes the
+constructor's continuity check hold exactly.
 """
 
 from __future__ import annotations
@@ -138,15 +139,6 @@ def eval_pieces(breaks: np.ndarray, coeffs: np.ndarray, x: np.ndarray) -> np.nda
     return c[..., 0] + u * (c[..., 1] + u * (c[..., 2] + u * c[..., 3]))
 
 
-def eval_pieces_derivative(breaks: np.ndarray, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the derivative of a piecewise cubic at points x."""
-    x = np.asarray(x, dtype=float)
-    idx = piece_index(breaks, len(coeffs), x)
-    u = x - breaks[idx]
-    c = coeffs[idx]
-    return c[..., 1] + u * (2.0 * c[..., 2] + u * 3.0 * c[..., 3])
-
-
 def sup_abs_pieces(breaks: np.ndarray, coeffs: np.ndarray, lo, hi):
     """Exact sup of |piecewise cubic| over [lo, hi] intersected with the span (0.0 if empty).
 
@@ -178,6 +170,32 @@ def sup_abs_pieces(breaks: np.ndarray, coeffs: np.ndarray, lo, hi):
     best = np.zeros(len(lo))
     np.maximum.at(best, which, vals)
     return float(best[0]) if shape == () else best.reshape(shape)
+
+
+def sup_ratio_pieces(breaks: np.ndarray, coeffs: np.ndarray, weight, delta: float, beta: float) -> float:
+    """Exact sup of |p(x)| / weight(x) over the span, for a positive weight with weight'/weight = -beta / (1 - delta x).
+
+    On piece j, with u = x - breaks[j] and alpha = 1 - delta breaks[j], the
+    ratio's critical points are the real roots of the cubic
+    (alpha - delta u) p'(u) + beta p(u).  Each piece takes the ratio at its
+    two ends and at those roots strictly inside, so the result is exact up to
+    roundoff.  (delta, beta) is (0, 0) for a constant weight, (0, gamma) for
+    exp(-gamma x) and (1, q) for (1 - x)**q.
+    """
+    best = 0.0
+    for j, (c0, c1, c2, c3) in enumerate(coeffs.tolist()):
+        s, du = float(breaks[j]), float(breaks[j + 1] - breaks[j])
+        alpha = 1.0 - delta * s
+        roots = np.roots([
+            (beta - 3.0 * delta) * c3,
+            3.0 * alpha * c3 + (beta - 2.0 * delta) * c2,
+            2.0 * alpha * c2 + (beta - delta) * c1,
+            alpha * c1 + beta * c0,
+        ])
+        scale = max(1.0, float(np.max(np.abs(roots), initial=0.0)))
+        cands = [0.0, du] + [float(r.real) for r in roots if abs(r.imag) <= 1e-10 * scale and 0.0 < r.real < du]
+        best = max(best, max(abs(c0 + u * (c1 + u * (c2 + u * c3))) / float(weight(s + u)) for u in cands))
+    return best
 
 
 def dedupe_knots(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -33,7 +33,7 @@ type, default or requiredness, and list entry type; "kind" or "form" picks a
 family, tail or weight row.  Any other key is a schema error at that key.
 A key with no default there is passed on only when given.
 
-Check parameters (all optional, all type-checked before the first check runs):
+Check parameters (all optional, all type- and range-checked before the first check runs):
 
     solve              expect, expect_points [{t, x, tol}, ..]
     seminorms          k_max (p_1..p_kmax)
@@ -370,32 +370,38 @@ def _run_membership(ctx: _Ctx, p: dict) -> dict:
 
 
 def _run_semigroup_law(ctx: _Ctx, p: dict) -> dict:
-    t, s = p["t"], p["s"]
-    if t + s > ctx.horizon:
-        raise ctx.anch.fail(f"t + s must be at most the horizon {ctx.horizon}, got {t + s}", p, "s", "t")
-    rep = check_semigroup_law(ctx.traj(), t, s, p["k_list"])
+    rep = check_semigroup_law(ctx.traj(), p["t"], p["s"], p["k_list"])
     tol = p["tolerance"] * ctx.tol_scale
     return {**asdict(rep), "tolerance": tol, "passed": rep.max_discrepancy <= tol}
 
 
 def _run_strong_continuity(ctx: _Ctx, p: dict) -> dict:
-    times = p["times"]
-    if not times or times[-1] <= 0.0 or any(b >= a for a, b in zip(times, times[1:])):
-        raise ctx.anch.fail(f"times must be strictly decreasing and positive, got {times}", p, "times")
-    if times[0] > ctx.horizon:
-        raise ctx.anch.fail(f"times must be at most the horizon {ctx.horizon}, got {times[0]}", p, "times")
-    rep = check_strong_continuity(ctx.traj(), p["k"], times, p.get("threshold"))
+    rep = check_strong_continuity(ctx.traj(), p["k"], p["times"], p.get("threshold"))
     return {**asdict(rep), "passed": rep.passed}
 
 
 def _run_mild_solution(ctx: _Ctx, p: dict) -> dict:
-    ts, thetas = p["t_grid"], p["theta_grid"]
-    if not ts or min(ts) < 0.0 or max(ts) > ctx.horizon:
-        raise ctx.anch.fail(f"t_grid must be a nonempty list of times in [0, {ctx.horizon}], got {ts}", p, "t_grid")
-    if not thetas or max(thetas) > 0.0:
-        raise ctx.anch.fail(f"theta_grid must be a nonempty list of values <= 0, got {thetas}", p, "theta_grid")
-    rep = check_mild_solution(ctx.traj(), ts, thetas, p["tolerance"] * ctx.tol_scale)
+    rep = check_mild_solution(ctx.traj(), p["t_grid"], p["theta_grid"], p["tolerance"] * ctx.tol_scale)
     return {**asdict(rep), "passed": rep.passed}
+
+
+def _check_ranges(ctx: _Ctx, cname: str, p: dict) -> None:
+    """Raise ScenarioError at the key at fault when a check's times leave what the horizon allows."""
+    H, fail = ctx.horizon, ctx.anch.fail
+    if cname == "semigroup-law" and p["t"] + p["s"] > H:
+        raise fail(f"t + s must be at most the horizon {H}, got {p['t'] + p['s']}", p, "s", "t")
+    if cname == "strong-continuity":
+        times = p["times"]
+        if not times or times[-1] <= 0.0 or any(b >= a for a, b in zip(times, times[1:])):
+            raise fail(f"times must be strictly decreasing and positive, got {times}", p, "times")
+        if times[0] > H:
+            raise fail(f"times must be at most the horizon {H}, got {times[0]}", p, "times")
+    if cname == "mild-solution":
+        ts, thetas = p["t_grid"], p["theta_grid"]
+        if not ts or min(ts) < 0.0 or max(ts) > H:
+            raise fail(f"t_grid must be a nonempty list of times in [0, {H}], got {ts}", p, "t_grid")
+        if not thetas or max(thetas) > 0.0:
+            raise fail(f"theta_grid must be a nonempty list of values <= 0, got {thetas}", p, "theta_grid")
 
 
 def _run_estimates(ctx: _Ctx, p: dict) -> dict:
@@ -553,6 +559,7 @@ def run_scenario(
         if cname not in CHECKS:
             raise anch.fail(f"unknown check {cname!r}", checks_cfg, i)
         checks.append((cname, anch.read(params, {"name": (str, None), **CHECKS[cname][2]}, cname, ctx)))
+        _check_ranges(ctx, cname, checks[-1][1])
 
     results = []
     for idx, (cname, params) in enumerate(checks, start=1):

@@ -34,7 +34,7 @@ from .history import (
     p_seminorm,
     sup_norm_k,
 )
-from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, derivative_coeffs, eval_pieces_derivative, piece_index, sup_abs_pieces
+from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, derivative_coeffs, eval_pieces, piece_index, sup_abs_pieces
 from .stepper import ProblemSpec, Trajectory, forcing, solve
 
 
@@ -293,7 +293,7 @@ def check_generator_domain(
     if dphi is None:
         return GeneratorDomainReport("not-applicable", math.nan, math.nan, math.nan, math.nan, "unknown")
     lv = L_functional(phi, family, a, eps=min(1e-12, tol * 1e-3))
-    slope = float(eval_pieces_derivative(phi.breakpoints, phi.coeffs, 0.0))
+    slope = float(eval_pieces(phi.breakpoints, derivative_coeffs(phi.coeffs), 0.0))
     violation = abs(slope - lv.value)
     member = membership_in_F(dphi, family, k_max, eps_tail).verdict
     if member == "not-member":

@@ -43,7 +43,7 @@ import numpy as np
 
 from .coefficients import CoefficientFamily, DivergentTailError, UnknownTailError, m_index, n_index
 from .history import HistoryFunction, _delayed_sums, _tail_sums, _truncation, p_seminorm, sup_norm_k
-from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, eval_pieces, eval_pieces_derivative, hermite_coeffs, phi1, sup_abs_pieces
+from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, eval_pieces, hermite_coeffs, phi1, sup_abs_pieces
 
 
 class NotInPhaseSpaceError(Exception):
@@ -113,15 +113,6 @@ class Trajectory:
             raise ValueError(f"evaluation beyond horizon {self.horizon}: max t={th.max()}")
         out = _delayed_values(self.problem.history, self.grid, self.pieces, np.minimum(np.atleast_1d(th), self.horizon))
         return float(out[0]) if th.ndim == 0 else out
-
-    def eval_derivative(self, t):
-        th = np.asarray(t, dtype=float)
-        scalar = th.ndim == 0
-        th = np.atleast_1d(th)
-        if np.any(th < -1e-12) or np.any(th > self.horizon + 1e-9):
-            raise ValueError("derivative evaluation outside [0, horizon]")
-        out = eval_pieces_derivative(self.grid, self.pieces, np.clip(th, 0.0, self.horizon))
-        return float(out[0]) if scalar else out
 
     def write_csv(self, path: str) -> None:
         with open(path, "w") as fh:

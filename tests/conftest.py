@@ -35,7 +35,7 @@ def random_core_history(rng: np.random.Generator, depth: float = 6.0, res: float
             for j in range(len(bps) - 1)
         ]
     )
-    return fd.history_from_core(bps, coeffs, fd.ConstantTail(vals[0]))
+    return fd.HistoryFunction(bps, coeffs, fd.ConstantTail(vals[0]))
 
 
 def random_family(rng: np.random.Generator) -> fd.CoefficientFamily:

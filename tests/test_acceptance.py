@@ -130,7 +130,7 @@ def test_criterion_07_phase_space_membership():
     harmonic = CoefficientFamily.power_law(1.0, 1.0, DelaySchedule())
     rep = membership_in_F(phi, harmonic, k_max=5)
     divergent_ok = rep.verdict == "not-member" and all(
-        rep.seminorms[k].divergent for k in range(1, 6)
+        rep.seminorms[k].verdict == "divergent" for k in range(1, 6)
     )
     eps = 1e-10
     geo = CoefficientFamily.geometric(1.0, 0.5, DelaySchedule())

@@ -511,20 +511,41 @@ def _bundled_cfg(name):
     return json.loads((res.files("infidelay") / "scenarios" / f"{name}.json").read_text())
 
 
-def test_a_type_error_in_the_last_check_stops_before_any_check_runs(tmp_path, capsys, monkeypatch):
+def _solves_before_exit(cfg, tmp_path, capsys, monkeypatch) -> list:
+    """Run cfg through the CLI, assert it exits 2, and return the scenario.solve calls made first."""
     from infidelay import scenario
 
     solves = []
     real_solve = scenario.solve
     monkeypatch.setattr(scenario, "solve", lambda *args, **kwargs: solves.append(args) or real_solve(*args, **kwargs))
-    cfg = _bundled_cfg("affine-delays")
-    _set_oracle_tolerance_string(cfg)
-    assert cfg["checks"][-1]["name"] == "oracle-compare"
-    path = tmp_path / "late-type-error.json"
+    path = tmp_path / "late-error.json"
     path.write_text(json.dumps(cfg, indent=2))
     code, out = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
     assert code == EXIT_SCHEMA_ERROR, out
-    assert solves == []
+    return solves
+
+
+def test_a_type_error_in_the_last_check_stops_before_any_check_runs(tmp_path, capsys, monkeypatch):
+    cfg = _bundled_cfg("affine-delays")
+    _set_oracle_tolerance_string(cfg)
+    assert cfg["checks"][-1]["name"] == "oracle-compare"
+    assert _solves_before_exit(cfg, tmp_path, capsys, monkeypatch) == []
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"name": "semigroup-law", "t": 5.0, "s": 5.0},
+        {"name": "strong-continuity", "times": [99.0, 0.1]},
+        {"name": "mild-solution", "t_grid": [0.0, 99.0]},
+    ],
+    ids=["law-t-plus-s", "continuity-times", "mild-t-grid"],
+)
+def test_a_horizon_range_error_in_the_last_check_stops_before_any_check_runs(extra, tmp_path, capsys, monkeypatch):
+    # geometric-l1 has horizon 8 and runs solve first; each extra check asks past it
+    cfg = _bundled_cfg("geometric-l1")
+    cfg["checks"].append(extra)
+    assert _solves_before_exit(cfg, tmp_path, capsys, monkeypatch) == []
 
 
 def test_docstring_check_rows_name_the_keys_of_each_check():

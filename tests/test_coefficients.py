@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from infidelay import (
     CoefficientFamily,
     DelaySchedule,
-    DivergentTailError,
+    TruncationDepthError,
     UnknownTailError,
     WeightFunction,
     m_index,
     n_index,
     tail_sum_bound,
-    truncation_index,
 )
+from infidelay.coefficients import TRUNCATION_CAP, _atom_tail_search
 
 # ---------------------------------------------------------------------------
 # delay schedules
@@ -178,18 +178,18 @@ def test_family_validation():
 def test_b_values():
     ds = DelaySchedule()
     geo = CoefficientFamily.geometric(1.0, 0.5, ds)
-    assert geo.b(3) == 0.125
+    assert geo.b_array(3)[2] == 0.125
     assert np.allclose(geo.b_array(4), [0.5, 0.25, 0.125, 0.0625])
     alt = CoefficientFamily.geometric(2.0, -0.5, ds)
-    assert alt.b(1) == -1.0 and alt.b(2) == 0.5
+    assert alt.b_array(2).tolist() == [-1.0, 0.5]
     pl = CoefficientFamily.power_law(3.0, 2.0, ds)
-    assert pl.b(2) == 0.75
+    assert pl.b_array(2)[1] == 0.75
     fin = CoefficientFamily.finite_support([0.3, -0.2], ds)
-    assert fin.b(1) == 0.3 and fin.b(2) == -0.2 and fin.b(3) == 0.0
+    assert fin.b_array(3).tolist() == [0.3, -0.2, 0.0]
     ex = CoefficientFamily.explicit_list([0.1, 0.2], 0.05, ds)
-    assert ex.b(2) == 0.2
+    assert ex.b_array(2)[1] == 0.2
     with pytest.raises(UnknownTailError):
-        ex.b(3)
+        ex.b_array(3)
 
 
 def test_head_abs_sum():
@@ -334,38 +334,50 @@ def test_tail_bound_geometric_tight(beta, rho, n):
 
 
 # ---------------------------------------------------------------------------
-# truncation indices
+# the truncation search for one weight: one atom (1, w) from the floor 1
 # ---------------------------------------------------------------------------
 
 
-def test_truncation_index_frozen_cases():
+def _search(fam, w, eps):
+    return _atom_tail_search(fam, [(1.0, w)], 1, eps)[0]
+
+
+def test_atom_tail_search_frozen_cases():
     geo = CoefficientFamily.geometric(1.0, 0.5, DelaySchedule())
-    assert truncation_index(geo, W1, 0.1) == 4
+    assert _search(geo, W1, 0.1) == 4
     fin = CoefficientFamily.finite_support([0.7, -0.3], DelaySchedule())
-    assert truncation_index(fin, G2, 1e-30) == 2
+    assert _search(fin, G2, 1e-30) == 2
     quarter = CoefficientFamily.geometric(1.0, 0.25, DelaySchedule())
-    assert truncation_index(quarter, G2, 0.05) == 5
+    assert _search(quarter, G2, 0.05) == 5
 
 
-def test_truncation_index_divergent():
+def test_atom_tail_search_divergent():
+    # the search reports no truncation; divergence is certified by tail_sum_bound
+    # (and, for a history, by history._certified_divergent)
     fam = CoefficientFamily.power_law(1.0, 1.0, DelaySchedule())
-    with pytest.raises(DivergentTailError):
-        truncation_index(fam, W1, 0.1)
+    assert tail_sum_bound(fam, W1, 1) == math.inf
+    with pytest.raises(UnknownTailError):
+        _search(fam, W1, 0.1)
 
 
-def test_truncation_index_unknown_for_uncertified_list():
+def test_atom_tail_search_unknown_for_uncertified_list():
     fam = CoefficientFamily.explicit_list([0.5], 0.2, DelaySchedule())
     with pytest.raises(UnknownTailError):
-        truncation_index(fam, W1, 0.1)  # floor 0.2 can never reach 0.1
-    assert truncation_index(fam, W1, 0.25) >= 1
+        _search(fam, W1, 0.1)  # floor 0.2 can never reach 0.1
+    assert _search(fam, W1, 0.25) >= 1
 
 
 @given(fw=family_weight(), eps=st.floats(min_value=1e-9, max_value=0.5))
-def test_truncation_index_is_least(fw, eps):
+def test_atom_tail_search_is_least(fw, eps):
     fam, w = fw
     if tail_sum_bound(fam, w, 1) == math.inf:
         return
-    n = truncation_index(fam, w, eps)
+    try:
+        n = _search(fam, w, eps)
+    except TruncationDepthError:
+        # doubling from 1 gives up past the cap, after a power of two at least cap / 2 failed
+        assert tail_sum_bound(fam, w, TRUNCATION_CAP // 2 + 1) > eps
+        return
     assert tail_sum_bound(fam, w, n + 1) <= eps
     if n > 1:
         assert tail_sum_bound(fam, w, n) > eps

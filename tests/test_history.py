@@ -24,7 +24,6 @@ from infidelay import (
     combine_histories,
     history_difference,
     history_from_callable,
-    history_from_core,
     history_preset,
     L_functional,
     membership_in_F,
@@ -43,7 +42,7 @@ W1 = WeightFunction.constant(1.0)
 
 def linear_history(depth: float = 10.0) -> fd.HistoryFunction:
     """phi(theta) = theta on [-depth, 0], frozen at -depth beyond."""
-    return history_from_core(
+    return fd.HistoryFunction(
         [-depth, 0.0], [[-depth, 1.0, 0.0, 0.0]], ConstantTail(-depth)
     )
 
@@ -86,21 +85,21 @@ def test_core_must_be_continuous():
     bp = [-2.0, -1.0, 0.0]
     cf = [[0.0, 0.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0]]  # jumps 0 -> 5 at -1
     with pytest.raises(ValueError):
-        history_from_core(bp, cf, ConstantTail(0.0))
+        fd.HistoryFunction(bp, cf, ConstantTail(0.0))
 
 
 def test_core_continuity_error_names_the_first_jump():
     bp = [-3.0, -2.0, -1.0, 0.0]
     cf = [[0.0, 0.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0], [7.0, 0.0, 0.0, 0.0]]
     with pytest.raises(ValueError, match=r"theta=-2\.0: 0\.0 vs 5\.0$"):
-        history_from_core(bp, cf, ConstantTail(0.0))
+        fd.HistoryFunction(bp, cf, ConstantTail(0.0))
 
 
 def test_tail_must_match_core_at_the_seam():
     bp = [-2.0, 0.0]
     cf = [[1.0, 0.0, 0.0, 0.0]]
     with pytest.raises(ValueError):
-        history_from_core(bp, cf, ConstantTail(3.0))
+        fd.HistoryFunction(bp, cf, ConstantTail(3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +192,7 @@ def test_p_seminorm_geometric_brackets_closed_form():
         assert sv.value <= target <= sv.value + sv.truncation_bound + 1e-15
         assert abs(sv.upper() - target) <= 1e-9
         assert sv.index_first == k
-        assert not sv.divergent
+        assert sv.verdict != "divergent"
 
 
 def test_p_seminorm_linear_history_exact():
@@ -208,7 +207,6 @@ def test_p_seminorm_harmonic_is_certified_divergent():
     for k in range(1, 6):
         sv = p_seminorm(history_preset("constant"), HARMONIC, k)
         assert sv.verdict == "divergent"
-        assert sv.divergent
         assert sv.upper() == math.inf
 
 
@@ -221,13 +219,14 @@ def test_p_seminorm_brute_force_bracket():
         n0 = fd.n_index(fam, k)
         ktau = k * fam.delays.tau1
         brute = 0.0
+        b = fam.b_array(60)
         for i in range(n0, 61):
             tau = fam.delays.tau(i)
             ss = np.linspace(-tau, ktau - tau, 600)
-            brute += abs(fam.b(i)) * float(np.max(np.abs(phi.evaluate(ss))))
+            brute += abs(b[i - 1]) * float(np.max(np.abs(phi.evaluate(ss))))
         # brute truncates at 60 and samples finitely, so it slightly undershoots
         assert brute <= sv.upper() + 1e-12
-        assert brute >= sv.value - 1e-6 - abs(fam.b(60))
+        assert brute >= sv.value - 1e-6 - abs(b[59])
 
 
 def _scalar_p(phi, fam, k: int, n: int) -> float:
@@ -338,10 +337,10 @@ def test_p_seminorm_triangle_inequality(seed):
 def test_seminorm_value_accessors():
     sv = SeminormValue(1.0, 0.5, 3, 7, "finite")
     assert list(sv.indices_used) == [3, 4, 5, 6, 7]
-    assert not sv.divergent
+    assert sv.verdict != "divergent"
     empty = SeminormValue(math.inf, math.inf, 2, 0, "divergent")
     assert len(empty.indices_used) == 0
-    assert empty.divergent and empty.upper() == math.inf
+    assert empty.verdict == "divergent" and empty.upper() == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +353,7 @@ def test_membership_verdicts():
     assert membership_in_F(phi, GEO_HALF).verdict == "member"
     rep = membership_in_F(phi, HARMONIC, k_max=5)
     assert rep.verdict == "not-member"
-    assert all(rep.seminorms[k].divergent for k in range(1, 6))
+    assert all(rep.seminorms[k].verdict == "divergent" for k in range(1, 6))
     # one recorded coefficient and tail mass 0.2: every p_k <= 0.7 sup |phi|,
     # although no p_k reaches eps_tail; under a growing history nothing is certified
     listed = CoefficientFamily.explicit_list([0.5], 0.2, DelaySchedule())
@@ -429,7 +428,7 @@ def test_cg_embedding_brute_force_both_sides():
     assert cg_brute <= rep.cg + 1e-10
     for row in rep.rows:
         n0 = fd.n_index(fam, row.k)
-        rhs_brute = rep.cg * sum(abs(fam.b(i)) * G2(-fam.delays.tau(i)) for i in range(n0, 61))
+        rhs_brute = rep.cg * sum(abs(fam.b_array(60)[n0 - 1 :]) * G2(-fam.delays.tau_array(60)[n0 - 1 :]))
         assert rhs_brute <= row.rhs + 1e-10
         assert row.lhs <= row.rhs + 1e-8
 
@@ -458,7 +457,7 @@ def test_L_functional_finite_support_exact():
     classic = CoefficientFamily.finite_support([-1.0], DelaySchedule())
     lv = L_functional(history_preset("constant"), classic, 0.0)
     assert lv.value == -1.0 and lv.error_bound == 0.0
-    two = history_from_core([-8.0, 0.0], [[2.0, 0.0, 0.0, 0.0]], ConstantTail(2.0))
+    two = fd.HistoryFunction([-8.0, 0.0], [[2.0, 0.0, 0.0, 0.0]], ConstantTail(2.0))
     lv2 = L_functional(two, CoefficientFamily.finite_support([1.0], DelaySchedule()), 2.0)
     assert lv2.value == 6.0 and lv2.error_bound == 0.0
 
@@ -482,7 +481,7 @@ def test_L_functional_and_p_seminorm_agree_on_divergence():
     # |phi| >= 1 on the tail against sum 1/i = infinity, for L as for p_1 and
     # for the solver's forcing certificate
     tail = WeightEnvelopeTail(1.0, WeightFunction.polynomial(1), 0.5)
-    phi = history_from_core([-2.0, 0.0], [[2.5, -1.0, 0.0, 0.0]], tail)
+    phi = fd.HistoryFunction([-2.0, 0.0], [[2.5, -1.0, 0.0, 0.0]], tail)
     assert p_seminorm(phi, HARMONIC, 1).verdict == "divergent"
     with pytest.raises(DivergentTailError):
         L_functional(phi, HARMONIC, 0.0)
@@ -544,7 +543,7 @@ _CERTIFIED_DIVERGENT = {
 def test_divergence_certificate_verdict_table():
     assert _DIVERGENCE_REACHES["below-half-period"] * CosTail(1.0, math.pi / _HALF_PERIOD).omega < math.pi
     histories = {
-        name: history_from_core([-4.0, 0.0], [[float(tail.evaluate(-4.0)), 0.0, 0.0, 0.0]], tail)
+        name: fd.HistoryFunction([-4.0, 0.0], [[float(tail.evaluate(-4.0)), 0.0, 0.0, 0.0]], tail)
         for name, tail in _DIVERGENCE_TAILS.items()
     }
     histories["pair-difference"] = history_difference(history_preset("cos"), history_preset("exp-decay"))
@@ -649,6 +648,36 @@ def test_history_difference_mismatched_grids_and_depths():
     assert np.max(np.abs(direct)) <= diff.sup_abs_interval(-30.0, 0.0) + 1e-12
 
 
+_W = 0.5 * math.pi
+
+
+@pytest.mark.parametrize(
+    "deep, shallow",
+    [
+        (history_preset("cos"), history_preset("cos", depth=float(np.nextafter(8.0, 0.0)))),
+        (
+            history_preset("cos"),
+            history_from_callable(
+                lambda t: math.cos(_W * t + 0.3), 7.9, tail=CosTail(1.0, _W, 0.3), fn_prime=lambda t: -_W * math.sin(_W * t + 0.3)
+            ),
+        ),
+        (history_preset("g-weight"), history_preset("g-weight", depth=7.5)),
+        (history_preset("g-weight"), history_preset("cos", depth=5.0)),
+    ],
+    ids=["one-ulp", "phase-shift", "envelope", "cos-under-envelope"],
+)
+def test_history_difference_strip_atom_bounds_the_strip(deep, shallow):
+    # between the core depths the difference is deep's core minus shallow's tail
+    thetas = np.linspace(-deep.depth, -shallow.depth, 2001)
+    for h1, h2 in ((deep, shallow), (shallow, deep)):
+        atoms = history_difference(h1, h2).tail.bound_atoms
+        bound = sum(s * w(thetas) for s, w in atoms)
+        assert np.all(np.abs(h1.evaluate(thetas) - h2.evaluate(thetas)) <= bound)
+    if deep.tail == shallow.tail and deep.depth - shallow.depth < 1e-14:
+        # a one-ulp strip is bounded by its gap and slopes, not by sup|core| + sup|tail| = 2
+        assert atoms[0][0] < 1e-12
+
+
 @pytest.mark.parametrize(
     "pair",
     [
@@ -702,5 +731,5 @@ def test_derivative_absent_for_kinked_core():
     # |theta+1| has a corner at -1: slopes disagree across the knot
     bp = [-2.0, -1.0, 0.0]
     cf = [[1.0, -1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
-    phi = history_from_core(bp, cf, ConstantTail(1.0))
+    phi = fd.HistoryFunction(bp, cf, ConstantTail(1.0))
     assert phi.derivative() is None

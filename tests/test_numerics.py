@@ -12,11 +12,11 @@ from infidelay.numerics import (
     dedupe_knots,
     derivative_coeffs,
     eval_pieces,
-    eval_pieces_derivative,
     hermite_coeffs,
     phi1,
     shift_coeffs,
     sup_abs_pieces,
+    sup_ratio_pieces,
 )
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -119,7 +119,7 @@ def test_eval_pieces_matches_manual_horner():
     assert eval_pieces(breaks, coeffs, 2.5) == 3.0 - u + 0.5 * u * u
     # at an interior knot the right piece owns the point
     assert eval_pieces(breaks, coeffs, 1.0) == 3.0
-    assert eval_pieces_derivative(breaks, coeffs, 0.25) == 2.0
+    assert eval_pieces(breaks, derivative_coeffs(coeffs), 0.25) == 2.0
     # points outside the span clamp to the end pieces
     assert eval_pieces(breaks, coeffs, -0.5) == 1.0 + 2.0 * -0.5
     u = 4.0 - 1.0
@@ -219,6 +219,27 @@ def test_sup_abs_pieces_on_interval_arrays_matches_scalar_calls_and_the_piece_lo
         assert got.tobytes() == np.array(scalar).tobytes() == np.array(loop).tobytes()
         assert np.all(got[hi < np.maximum(lo, breaks[0])] == 0.0)
     assert sup_abs_pieces(breaks, coeffs, np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+def test_sup_ratio_pieces_matches_dense_sampling_under_each_weight_form():
+    # (delta, beta) with w'/w = -beta / (1 - delta x): constant, exp(-0.7 x), (1 - x)**3;
+    # piece by piece, so that interior critical points decide most of the sups
+    rng = np.random.default_rng(21)
+    breaks = np.concatenate([np.sort(rng.uniform(-6.0, -0.1, 19)), [0.0]])
+    vals, slopes = rng.uniform(-2.0, 2.0, (2, 20)) * [[1.0], [8.0]]
+    coeffs = np.column_stack(hermite_coeffs(vals[:-1], slopes[:-1], vals[1:], slopes[1:], np.diff(breaks)))
+    for weight, delta, beta in (
+        (lambda x: np.full_like(np.asarray(x, dtype=float), 2.0), 0.0, 0.0),
+        (lambda x: np.exp(-0.7 * np.asarray(x)), 0.0, 0.7),
+        (lambda x: (1.0 - np.asarray(x)) ** 3, 1.0, 3.0),
+    ):
+        for j in range(len(coeffs)):
+            piece = (breaks[j : j + 2], coeffs[j : j + 1])
+            got = sup_ratio_pieces(*piece, weight, delta, beta)
+            xs = np.linspace(breaks[j], breaks[j + 1], 20001)
+            sampled = float(np.max(np.abs(eval_pieces(*piece, xs)) / weight(xs)))
+            assert sampled <= got * (1.0 + 1e-12)
+            assert got <= sampled * (1.0 + 1e-8)
 
 
 def test_dedupe_knots_merges_nearby():

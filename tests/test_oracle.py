@@ -39,7 +39,7 @@ def test_oracle_pure_exponential():
 
 
 def test_oracle_constant_is_exact():
-    phi5 = fd.history_from_core([-8.0, 0.0], [[5.0, 0, 0, 0]], fd.ConstantTail(5.0))
+    phi5 = fd.HistoryFunction([-8.0, 0.0], [[5.0, 0, 0, 0]], fd.ConstantTail(5.0))
     p = ProblemSpec(0.0, CoefficientFamily.finite_support([0.0], DS), phi5)
     traj = oracle_solve(p, 2.0)
     assert traj.eval(1.3) == 5.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from infidelay import (
     check_strong_continuity,
     combine_histories,
     history_from_callable,
-    history_from_core,
     history_preset,
     solve,
     sup_norm_k,
@@ -31,7 +31,7 @@ DS = DelaySchedule()
 
 
 def stationary_problem() -> ProblemSpec:
-    phi5 = fd.history_from_core([-8.0, 0.0], [[5.0, 0, 0, 0]], fd.ConstantTail(5.0))
+    phi5 = fd.HistoryFunction([-8.0, 0.0], [[5.0, 0, 0, 0]], fd.ConstantTail(5.0))
     return ProblemSpec(0.0, CoefficientFamily.finite_support([0.0], DS), phi5)
 
 
@@ -103,6 +103,35 @@ def test_law_geometric_one_plus_one():
     for row in rep.rows:
         assert row.sup_diff < 1e-6
         assert row.p_diff < 1e-6
+
+
+@pytest.mark.parametrize("t, s", [(0.7, 0.1), (1.3, 0.4)])
+def test_law_across_a_one_ulp_depth_mismatch(t, s):
+    # the splices' core depths differ by one ulp; the strip between them must be bounded
+    # from its own gap and slopes, not by sup|core| + sup|tail| = 2 under every window
+    fam = CoefficientFamily.geometric(1.0, 0.5, DS)
+    traj = solve(ProblemSpec(-0.5, fam, history_preset("cos")), 6.0)
+    lhs, psi = apply_semigroup(traj, t + s), apply_semigroup(traj, s)
+    rhs = apply_semigroup(solve(ProblemSpec(-0.5, fam, psi), t), t)
+    assert lhs.depth != rhs.depth
+    assert check_semigroup_law(traj, t, s).max_discrepancy < 1e-12
+
+
+#: pairs of sweep_problems() whose law discrepancy exceeds 1e-6 (a ratchet: lower it, never raise it)
+LAW_SWEEP_FAILURES = 76
+
+
+def test_law_sweep_ratchet():
+    # each problem solved to 2.5 tau_1, ten (t, s) pairs drawn uniformly from [0.02, 1.2] tau_1
+    failures = 0
+    for index, problem in enumerate(sweep_problems()):
+        tau1 = problem.family.delays.tau1
+        traj = solve(problem, 2.5 * tau1)
+        rng = random.Random(1000 + index)
+        for _ in range(10):
+            t, s = rng.uniform(0.02, 1.2) * tau1, rng.uniform(0.02, 1.2) * tau1
+            failures += check_semigroup_law(traj, t, s).max_discrepancy > 1e-6
+    assert failures <= LAW_SWEEP_FAILURES
 
 
 def test_law_report_shape_and_json():
@@ -306,11 +335,11 @@ def test_generator_violations_detected():
 def test_generator_not_applicable_without_c1_structure():
     bp = [-2.0, -1.0, 0.0]
     cf = [[1.0, -1.0, 0, 0], [0.0, 1.0, 0, 0]]
-    kink = history_from_core(bp, cf, fd.ConstantTail(1.0))
+    kink = fd.HistoryFunction(bp, cf, fd.ConstantTail(1.0))
     rep = check_generator_domain(kink, CoefficientFamily.finite_support([-1.0], DS), 0.0)
     assert rep.verdict == "not-applicable"
     # core-tail seam with mismatched slopes is equally non-differentiable
-    lin = history_from_core([-10.0, 0.0], [[-10.0, 1.0, 0, 0]], fd.ConstantTail(-10.0))
+    lin = fd.HistoryFunction([-10.0, 0.0], [[-10.0, 1.0, 0, 0]], fd.ConstantTail(-10.0))
     rep2 = check_generator_domain(lin, CoefficientFamily.finite_support([0.0], DS), 1.0)
     assert rep2.verdict == "not-applicable"
 

@@ -24,7 +24,7 @@ from infidelay import (
     solve,
     step_interval,
 )
-from infidelay.numerics import phi1
+from infidelay.numerics import derivative_coeffs, eval_pieces, phi1
 from conftest import classic_exact, classic_problem, oracle_scenarios, sweep_problems
 
 DS = DelaySchedule()
@@ -179,7 +179,7 @@ def test_finite_support_forcing_stops_at_the_last_coefficient():
 
 
 def test_solve_constant_is_stationary():
-    phi5 = fd.history_from_core([-8.0, 0.0], [[5.0, 0, 0, 0]], fd.ConstantTail(5.0))
+    phi5 = fd.HistoryFunction([-8.0, 0.0], [[5.0, 0, 0, 0]], fd.ConstantTail(5.0))
     traj = solve(ProblemSpec(0.0, CoefficientFamily.finite_support([0.0], DS), phi5), 3.0)
     ts = np.linspace(0.0, 3.0, 301)
     assert np.max(np.abs(traj.eval(ts) - 5.0)) == 0.0
@@ -287,7 +287,7 @@ def test_trajectory_derivative_satisfies_the_equation():
     p = geometric_problem(a=-0.3)
     traj = solve(p, 2.0)
     for t in np.linspace(0.05, 1.95, 23):
-        resid = traj.eval_derivative(t) - (p.a * traj.eval(t) + forcing(traj, t))
+        resid = eval_pieces(traj.grid, derivative_coeffs(traj.pieces), t) - (p.a * traj.eval(t) + forcing(traj, t))
         assert abs(resid) < 1e-7
 
 
