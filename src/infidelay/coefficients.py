@@ -22,6 +22,7 @@ sampled heuristic.
 :func:`_atom_tail_search` is the one certified truncation search, over a
 history's envelope atoms; history._truncation (the seminorms, L, the
 forcing and the oracle) and history.membership_in_F call it.
+:func:`hurwitz_zeta` encloses the one exact tail value, zeta(p, n).
 """
 
 from __future__ import annotations
@@ -392,6 +393,38 @@ def tail_sum_bound(family: CoefficientFamily, weight: WeightFunction, n_start: i
     return ab * c_tau**q * (float(n) ** (-s) + float(n) ** (1.0 - s) / (s - 1.0))
 
 
+#: B_2j / (2j)! for j = 1..7 (DLMF Table 24.2.1)
+_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000, 1 / 74724249600)
+
+
+def hurwitz_zeta(p: float, n: int) -> tuple[float, float]:
+    """Outward-rounded enclosure (lo, hi) of zeta(p, n) = sum_{i >= n} i^-p, for p > 1 and n >= 1.
+
+    Euler-Maclaurin at m >= n (DLMF 2.10.1): the head sum_{n <= i < m} i^-p,
+    the integral m^(1-p)/(p-1), the half term m^-p/2 and six corrections
+    T_j = B_2j/(2j)! (p)_(2j-1) m^(1-p-2j).  x^-p is completely monotone, so
+    the remainder lies between 0 and the first omitted term T_7 (DLMF 25.11,
+    2.10.iii).  math.fsum rounds the sum once; a term computed with k
+    roundings (a pow counts two, and 1 - p, p - 1 are exact) is off by at
+    most gamma_k ~ k u times its size.  The allowance adds these up, with
+    2^-1000 for underflow, and both ends then move one ulp outward, which
+    also covers the O(u^2) rest of gamma_k.
+    """
+    if not p > 1.0:
+        raise ValueError(f"zeta(p, n) needs p > 1, got {p}")
+    # from m = 2p + 24, T_7 is below 2^-53 of the sum for p <= 12; past n + 4096 every term underflows
+    m = max(n, math.ceil(min(2.0 * p + 24.0, n + 4096.0)))
+    x = float(m) ** -p
+    main = [float(i) ** -p for i in range(n, m)] + [float(m) ** (1.0 - p) / (p - 1.0), 0.5 * x]
+    corr, g = [], p * x / m  # (p)_(2j-1) m^(1-p-2j), its factors below 1 unless it underflowed
+    for j, bc in enumerate(_BERNOULLI, 1):  # T_j takes 6j roundings
+        corr.append(bc * g)
+        g = g * ((p + (2 * j - 1)) / m) * ((p + 2 * j) / m)
+    s = math.fsum(main + corr[:-1])
+    err = 2.0**-53 * (abs(s) + 3.0 * math.fsum(main) + math.fsum(6 * j * abs(t) for j, t in enumerate(corr, 1))) + 2.0**-1000
+    return max(0.0, math.nextafter(s - err, -math.inf)), math.nextafter(s + corr[-1] + err, math.inf)
+
+
 def _atom_tail_search(
     family: CoefficientFamily, atoms: list[tuple[float, WeightFunction]], n_floor: int, eps: float
 ) -> tuple[int, float]:
@@ -427,12 +460,11 @@ def _atom_tail_search(
             raise UnknownTailError(f"recorded tail mass bound {floor} exceeds target {eps}; no truncation is certifiable")
     lo, hi = n_floor, n_floor + 1
     while tb(hi + 1) > eps:
-        lo = hi
-        hi *= 2
-        if hi > TRUNCATION_CAP:
+        if hi >= TRUNCATION_CAP:
             raise TruncationDepthError(
                 f"no truncation index below {TRUNCATION_CAP} certifies tolerance {eps}"
             )
+        lo, hi = hi, min(2 * hi, TRUNCATION_CAP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if tb(mid + 1) <= eps:

@@ -20,11 +20,16 @@ Every delay series (p_k, L, the solver's forcing) is certified by one call,
 _truncation(phi, family, reach, eps): the atom search from _tail_floor, and
 divergence only from _certified_divergent, through the tail's one lower
 envelope lower_atom(reach).  Every delayed sum (the forcing F, and L as
-a x(0) + F(0)) is evaluated by one function, _delayed_sums.
+a x(0) + F(0)) is evaluated by one function, _delayed_sums.  A constant
+tail c under a power law b_i = beta i^-p with p > 1 (_zeta_tail) has its
+deep part in closed form, c beta zeta(p, n), enclosed by
+coefficients.hurwitz_zeta: _truncation then stops at the tail floor, and
+p_k and the delayed sums add that part past their heads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -38,6 +43,7 @@ from .coefficients import (
     UnknownTailError,
     WeightFunction,
     _atom_tail_search,
+    hurwitz_zeta,
     n_index,
     tail_sum_bound,
 )
@@ -504,8 +510,24 @@ _CHUNK_TERMS = 65536
 _MOMENT_MIN_TERMS = 64
 
 
-def _tail_sums(phi: HistoryFunction, taus: np.ndarray, bs: np.ndarray):
+def _zeta_tail(phi: HistoryFunction, family: CoefficientFamily) -> Optional[tuple[float, float]]:
+    """(c beta, p) when the deep sums are c beta zeta(p, n): a constant tail c under a power law with p > 1."""
+    if isinstance(phi.tail, ConstantTail) and family.kind == "power-law" and family.p_exponent > 1.0:
+        return phi.tail.value * family.beta, family.p_exponent
+    return None
+
+
+def _zeta_moment(cb: float, p: float):
+    """tail_sums(s, m) = cb zeta(p, m + 1), the lower end of each enclosure, one evaluation per m."""
+    zeta = functools.cache(lambda j: hurwitz_zeta(p, j + 1)[0])
+    return lambda s, m: cb * np.array([zeta(j) for j in m.tolist()])
+
+
+def _tail_sums(phi: HistoryFunction, family: CoefficientFamily, taus: np.ndarray, bs: np.ndarray):
     """phi's tail moment over the delays (see _delayed_sums), or None."""
+    closed = _zeta_tail(phi, family)
+    if closed is not None:
+        return _zeta_moment(*closed)
     return phi.tail.moment(taus, bs) if len(taus) >= _MOMENT_MIN_TERMS else None
 
 
@@ -527,12 +549,14 @@ def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.
         CosTail       Re(amp e^{i(omega s + phase)} sum b_i e^{-i omega tau_i})
         ExpTail       amp e^{rate s} sum b_i e^{-rate tau_i}
 
-    Tails without a moment, and every tail below _MOMENT_MIN_TERMS delays,
-    keep every delay in the head.  The (points x head) argument matrix is
-    evaluated in row chunks of at most _CHUNK_TERMS terms; the rows of a chunk
-    are grouped by head count, and each group is summed by one np.vecdot
-    against the leading coefficients, which takes the same BLAS dot product
-    per row as np.dot.  The split depends on s alone, so a point's value does
+    A constant tail under a power law with p > 1 (_zeta_tail) instead takes
+    c beta zeta(p, m + 1), the whole series over (m, infinity), at every N:
+    no suffix sums.  Other tails without a moment, and every other tail
+    below _MOMENT_MIN_TERMS delays, keep every delay in the head.  The
+    (points x head) argument matrix is evaluated in row chunks of at most
+    _CHUNK_TERMS terms; the rows of a chunk are grouped by head count, and
+    each group is summed by one np.vecdot against the leading coefficients,
+    which takes the same BLAS dot product per row as np.dot.  The split depends on s alone, so a point's value does
     not depend on the batch it is evaluated in.
     """
     heads = np.full(len(points), len(taus))
@@ -788,16 +812,25 @@ def _certified_divergent(phi: HistoryFunction, family: CoefficientFamily, reach:
 def _truncation(phi: HistoryFunction, family: CoefficientFamily, reach: float, eps: float) -> tuple[int, float]:
     """Certified (N, remainder) of sum_i b_i phi(s - tau_i) over s in [0, reach] to eps.
 
-    The atom search from _tail_floor(phi, family, reach).  When it fails,
-    or N passes an explicit list's stored coefficients, raises
-    DivergentTailError if _certified_divergent holds, UnknownTailError
-    otherwise.
+    The atom search from _tail_floor(phi, family, reach).  When the deep
+    sums have a closed form (_zeta_tail) whose enclosure of
+    c beta zeta(p, floor + 1) is within eps wide, the callers add the deep
+    part past the head themselves, so no atom is left to search: N is the
+    floor and the remainder that width.  When the search fails, or N passes
+    an explicit list's stored coefficients, raises DivergentTailError if
+    _certified_divergent holds, UnknownTailError otherwise.
     """
+    floor, atoms, width = _tail_floor(phi, family, reach), phi.tail.atoms(phi.depth), 0.0
+    closed = _zeta_tail(phi, family)
+    if closed is not None:
+        lo, hi = hurwitz_zeta(closed[1], floor + 1)
+        if abs(closed[0]) * (hi - lo) <= eps:
+            atoms, width = [], abs(closed[0]) * (hi - lo)
     try:
-        N, rem = _atom_tail_search(family, phi.tail.atoms(phi.depth), _tail_floor(phi, family, reach), eps)
+        N, rem = _atom_tail_search(family, atoms, floor, eps)
         if family.kind == "explicit-list":
             family.b_array(N)
-        return N, rem
+        return N, rem + width
     except (UnknownTailError, TruncationDepthError) as exc:
         if _certified_divergent(phi, family, reach):
             raise DivergentTailError("the delayed series diverges absolutely for this history") from exc
@@ -836,6 +869,9 @@ def p_seminorm(
     terms[1:] *= coeff[n0 - 1 :]
     # summed left to right in index order from 0.0, as a scalar loop would
     total = float(np.cumsum(terms)[-1])
+    closed = _zeta_tail(phi, family)
+    if closed is not None:  # every window past N sees the constant c
+        total += abs(closed[0]) * hurwitz_zeta(closed[1], N + 1)[0]
     return SeminormValue(total, rem, n0, N, "finite")
 
 
@@ -1024,5 +1060,5 @@ def L_functional(
     """
     N, rem = _truncation(phi, family, 0.0, eps)
     taus, bs = family.delays.tau_array(N), family.b_array(N)
-    f0 = _delayed_sums(phi.evaluate, phi, np.zeros(1), taus, bs, _tail_sums(phi, taus, bs))[0]
+    f0 = _delayed_sums(phi.evaluate, phi, np.zeros(1), taus, bs, _tail_sums(phi, family, taus, bs))[0]
     return LValue(float(a * phi.evaluate(0.0) + f0), rem, N)

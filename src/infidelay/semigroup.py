@@ -29,6 +29,8 @@ from .history import (
     L_functional,
     _delayed_sums,
     _truncation,
+    _zeta_moment,
+    _zeta_tail,
     history_difference,
     membership_in_F,
     p_seminorm,
@@ -196,11 +198,15 @@ class MildSolutionReport:
 def _rounding(traj: Trajectory, ts: np.ndarray, n: int) -> np.ndarray:
     """Higham's gamma_{n+2} = (n+2)u / (1 - (n+2)u) times |a x(t)| + sum_{i<=n} |b_i x(t - tau_i)|, at every t in ts.
 
-    The delayed sum is one _delayed_sums batch of |x| against |b_i|, with no tail moment.
+    The delayed sum is one _delayed_sums batch of |x| against |b_i|.  It has
+    no tail moment, except the closed-form deep part |c beta| zeta(p, m + 1)
+    that the sums it covers add past each head m (history._zeta_tail).
     """
     prob, fam = traj.problem, traj.problem.family
+    closed = _zeta_tail(prob.history, fam)
     delayed = _delayed_sums(
-        lambda args: np.abs(traj.eval(args)), prob.history, ts, fam.delays.tau_array(n), np.abs(fam.b_array(n)), None
+        lambda args: np.abs(traj.eval(args)), prob.history, ts, fam.delays.tau_array(n), np.abs(fam.b_array(n)),
+        None if closed is None else _zeta_moment(abs(closed[0]), closed[1]),
     )
     nu = (n + 2) * 2.0**-53
     return nu / (1.0 - nu) * (np.abs(prob.a * traj.eval(ts)) + delayed)

@@ -146,7 +146,9 @@ def forcing(traj: Trajectory, t, n: Optional[int] = None):
     """The delayed forcing F(t) = sum_{i<=N} b_i x(t - tau_i) along traj.
 
     N is n when given, else the trajectory's certified truncation index;
-    forcing evaluates and never certifies.  Valid for t in [0, horizon]; a
+    forcing evaluates and never certifies.  Under a closed-form tail
+    (history._zeta_tail) every delay past n must reach phi's tail from t,
+    as it does past an index certified for t's reach.  Valid for t in [0, horizon]; a
     later t raises ValueError, as Trajectory.eval does.  t is a time (the
     result is a float) or an array of times, evaluated as one (points x N)
     batch whose entries equal the scalar results bit for bit.
@@ -159,7 +161,7 @@ def forcing(traj: Trajectory, t, n: Optional[int] = None):
     taus, bs = prob.family.delays.tau_array(n), prob.family.b_array(n)
     out = _delayed_sums(
         partial(_delayed_values, prob.history, traj.grid, traj.pieces), prob.history, ts.ravel(), taus, bs,
-        _tail_sums(prob.history, taus, bs),
+        _tail_sums(prob.history, prob.family, taus, bs),
     )
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
@@ -292,7 +294,7 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
     a = problem.a
     taus = problem.family.delays.tau_array(traj.n_forcing)
     bs = problem.family.b_array(traj.n_forcing)
-    tail_sums = _tail_sums(problem.history, taus, bs)
+    tail_sums = _tail_sums(problem.history, problem.family, taus, bs)
     windows = _substeps(traj.horizon, t_end, problem.family, traj.h_used)
     grid, values, derivs, pieces = _buffers(traj, windows)
     m = len(traj.grid)

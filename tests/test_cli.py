@@ -25,6 +25,7 @@ BUNDLED = {
     "geometric-l1",
     "cg-embedding",
     "affine-delays",
+    "power-law-slow",
 }
 
 
@@ -65,7 +66,7 @@ def test_all_bundled_scenarios_pass(tmp_path, capsys):
     code, out = run_cli(["run", *sorted(BUNDLED), "--out", str(tmp_path)], capsys)
     assert code == EXIT_OK
     lines = [l for l in out.strip().splitlines() if l]
-    assert len(lines) == 5
+    assert len(lines) == len(BUNDLED)
     assert all(l.startswith("PASS") for l in lines)
 
 
@@ -485,8 +486,9 @@ def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
 
 
 def test_power_law_oracle_compare_passes_at_default_parameters(tmp_path, capsys):
-    # b_i = i^-3 from a constant history: the solve certifies N = 70,711, and
-    # the oracle must sum the same certified series, not a fixed head of it
+    # b_i = i^-3 from a constant history: the solve certifies N = 8, the tail
+    # floor, with the closed-form part past it, and the oracle must sum the
+    # same certified series, not a fixed head of it
     cfg = {
         "name": "power-law-oracle",
         "problem": {
@@ -502,7 +504,7 @@ def test_power_law_oracle_compare_passes_at_default_parameters(tmp_path, capsys)
     code, _ = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
     blob = json.loads((tmp_path / "out" / "power-law-oracle" / "02-oracle-compare.json").read_text())
     assert code == EXIT_OK, blob
-    assert blob["oracle_n_trunc"] == 70_711 and blob["max_difference"] <= blob["tolerance"] == 1e-6
+    assert blob["oracle_n_trunc"] == 8 and blob["max_difference"] <= blob["tolerance"] == 1e-6
 
 
 def _bundled_cfg(name):

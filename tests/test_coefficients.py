@@ -351,6 +351,17 @@ def test_atom_tail_search_frozen_cases():
     assert _search(quarter, G2, 0.05) == 5
 
 
+@pytest.mark.parametrize("floor", [1, 5_000_000])
+def test_atom_tail_search_bisects_below_the_cap(floor):
+    # doubling passes the cap (from 1 at 2^24, from 5e6 at 1e7 + 2); the
+    # least N = 9e6 lies below it and is found by bisecting up to the cap
+    fam = CoefficientFamily.power_law(1.0, 3.0, DelaySchedule())
+    eps = tail_sum_bound(fam, W1, 9_000_001)
+    assert _atom_tail_search(fam, [(1.0, W1)], floor, eps) == (9_000_000, eps)
+    with pytest.raises(TruncationDepthError, match="below 10000000"):
+        _atom_tail_search(fam, [(1.0, W1)], floor, tail_sum_bound(fam, W1, TRUNCATION_CAP + 2))
+
+
 def test_atom_tail_search_divergent():
     # the search reports no truncation; divergence is certified by tail_sum_bound
     # (and, for a history, by history._certified_divergent)
@@ -375,8 +386,8 @@ def test_atom_tail_search_is_least(fw, eps):
     try:
         n = _search(fam, w, eps)
     except TruncationDepthError:
-        # doubling from 1 gives up past the cap, after a power of two at least cap / 2 failed
-        assert tail_sum_bound(fam, w, TRUNCATION_CAP // 2 + 1) > eps
+        # the search gives up only when the cap itself fails
+        assert tail_sum_bound(fam, w, TRUNCATION_CAP + 1) > eps
         return
     assert tail_sum_bound(fam, w, n + 1) <= eps
     if n > 1:

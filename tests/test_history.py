@@ -31,6 +31,7 @@ from infidelay import (
     scale_history,
     sup_norm_k,
 )
+from infidelay.coefficients import hurwitz_zeta
 from infidelay.numerics import derivative_coeffs
 from conftest import random_core_history
 
@@ -230,13 +231,18 @@ def test_p_seminorm_brute_force_bracket():
 
 
 def _scalar_p(phi, fam, k: int, n: int) -> float:
-    """The certified head of p_k summed one window sup at a time over n_index..n."""
+    """The certified head of p_k summed one window sup at a time over n_index..n.
+
+    A constant tail under a power law adds its closed-form part past n, |c beta| zeta(p, n + 1).
+    """
     coeff, taus = np.abs(fam.b_array(n)), fam.delays.tau_array(n)
     ktau = k * fam.delays.tau1
     total = 0.0
     for i in range(fd.n_index(fam, k), n + 1):
         tau = float(taus[i - 1])
         total += float(coeff[i - 1]) * phi.sup_abs_interval(-tau, min(ktau - tau, 0.0))
+    if isinstance(phi.tail, ConstantTail) and fam.kind == "power-law":
+        total += abs(phi.tail.value * fam.beta) * hurwitz_zeta(fam.p_exponent, n + 1)[0]
     return total
 
 
@@ -267,12 +273,14 @@ SEMINORM_HISTORIES = {
 )
 def test_p_seminorm_tail_windows_match_a_scalar_loop(name, fam, eps):
     # the windows below the core are one array call to tail.sup_abs, summed
-    # in the same order as the scalar loop
+    # in the same order as the scalar loop; under a power law a constant
+    # tail has none, its part past the head is the closed form
     phi = SEMINORM_HISTORIES[name]
+    closed = name == "constant" and fam.kind == "power-law"
     for k in (1, 2, 3):
         sv = p_seminorm(phi, fam, k, eps)
         head = phi.head_counts(np.array([k * fam.delays.tau1]), fam.delays.tau_array(sv.index_last))[0]
-        assert sv.verdict == "finite" and sv.index_last > head
+        assert sv.verdict == "finite" and (sv.index_last == head if closed else sv.index_last > head)
         assert sv.value == _scalar_p(phi, fam, k, sv.index_last), k
 
 

@@ -24,6 +24,7 @@ from infidelay import (
     solve,
     step_interval,
 )
+from infidelay.coefficients import hurwitz_zeta
 from infidelay.numerics import derivative_coeffs, eval_pieces, phi1
 from conftest import classic_exact, classic_problem, oracle_scenarios, sweep_problems
 
@@ -100,20 +101,28 @@ def exp_history(rate: float) -> fd.HistoryFunction:
 )
 def test_forcing_tail_moments_match_a_term_by_term_sum(monkeypatch, phi, family):
     # past the head every delayed argument is in the tail and comes from a
-    # suffix moment; the total must agree with the term-by-term sum within
-    # Higham's gamma_N times the sum of |terms|, and the split must not
-    # depend on the batch: node slopes and chunked batches match pointwise F
+    # suffix moment, or for a constant tail under a power law from the closed
+    # form c beta zeta(p, m + 1) at N on its floor; the total must agree with
+    # the term-by-term sum (plus the term c beta zeta(p, N + 1) for the closed
+    # form) within Higham's gamma of the term count times the sum of |terms|,
+    # and the split must not depend on the batch: node slopes and chunked
+    # batches match pointwise F
     p = ProblemSpec(-0.2, family, phi)
     traj = solve(p, 2.0)
     n = traj.n_forcing
     taus, bs = family.delays.tau_array(n), family.b_array(n)
-    assert fd.history._tail_sums(phi, taus, bs) is not None
+    assert fd.history._tail_sums(phi, family, taus, bs) is not None
     ts = np.linspace(0.0, 2.0, 17)
-    assert n > 10 * phi.head_counts(ts, taus).max()
-    nu = n * 2.0**-53
+    closed = fd.history._zeta_tail(phi, family)
+    if closed is None:
+        assert n > 10 * phi.head_counts(ts, taus).max()
+    else:
+        assert n == fd.history._tail_floor(phi, family, 2.0)
+    deep = [] if closed is None else [closed[0] * hurwitz_zeta(closed[1], n + 1)[0]]
     pointwise = [forcing(traj, t) for t in ts]
     for t, f in zip(ts, pointwise):
-        terms = bs * traj.eval(t - taus)
+        terms = np.append(bs * traj.eval(t - taus), deep)
+        nu = len(terms) * 2.0**-53
         assert abs(f - math.fsum(terms)) <= nu / (1.0 - nu) * math.fsum(np.abs(terms)), t
     monkeypatch.setattr(fd.history, "_CHUNK_TERMS", 64)
     assert np.array_equal(forcing(traj, ts), pointwise)
@@ -129,7 +138,7 @@ def test_batched_forcing_sums_each_head_as_one_dot_product(monkeypatch, phi):
     traj = solve(ProblemSpec(-0.2, family, phi), 2.0)
     n = traj.n_forcing
     taus, bs = family.delays.tau_array(n), family.b_array(n)
-    tail_sums = fd.history._tail_sums(phi, taus, bs)
+    tail_sums = fd.history._tail_sums(phi, family, taus, bs)
     ts = np.concatenate([np.linspace(0.0, 2.0, 41), traj.grid[::7]])
     heads = phi.head_counts(ts, taus)
     assert len(set(heads.tolist())) >= 4 and tail_sums is not None
@@ -203,11 +212,12 @@ def test_solve_classic_matches_piecewise_polynomial():
 def test_solve_deep_power_law_tail():
     # b_i = i^-3 on tau_i = i from a constant history c: on [0, 1] every
     # delayed argument is in the history, so F = c zeta(3) and
-    # x(1) = c e^a + c zeta(3) (e^a - 1) / a; the forcing needs N = 70,711
+    # x(1) = c e^a + c zeta(3) (e^a - 1) / a; the part past each head m is
+    # the closed form c zeta(3, m + 1), and N = 8 is the tail floor
     a, c, zeta3 = -0.5, 1.5, 1.2020569031595942854
     fam = CoefficientFamily.power_law(1.0, 3.0, DS)
     traj = solve(ProblemSpec(a, fam, fd.scale_history(c, history_preset("constant"))), 1.0)
-    assert traj.n_forcing == 70_711
+    assert traj.n_forcing == 8
     ea = math.exp(a)
     assert abs(traj.eval(1.0) - (c * ea + c * zeta3 * (ea - 1.0) / a)) < 1e-8
 
@@ -231,15 +241,25 @@ def test_solve_rejects_history_outside_phase_space():
 
 
 def test_solve_admits_a_member_whose_seminorms_are_inconclusive():
-    # b_i = i^-2 from the constant history: no p_k reaches eps_tail = 1e-10
-    # below the index cap, but the forcing certificate at eps 1e-4 proves
-    # membership; x(1) = e^a + zeta(2) (e^a - 1) / a up to the discarded forcing
-    a, eps = -0.5, 1e-4
+    # b_i = i^-2 from the cos history: no p_k reaches eps_tail = 1e-10 below
+    # the index cap, but the forcing certificate at eps 1e-4 proves
+    # membership.  With sum_i i^-2 e^{-i pi i / 2} = -pi^2/48 - i G (G is
+    # Catalan's constant) the forcing on [0, 1] is
+    # F(s) = -pi^2/48 cos(pi s / 2) + G sin(pi s / 2), so x(1) is e^a plus
+    # the integral of e^{a(1 - s)} F(s), up to the discarded forcing and the
+    # Hermite core's O(0.05^4) interpolation error
+    a, eps, catalan = -0.5, 1e-4, 0.91596559417721901505
     fam = CoefficientFamily.power_law(1.0, 2.0, DS)
-    traj = solve(ProblemSpec(a, fam, history_preset("constant")), 1.0, SolverConfig(eps_forcing=eps))
+    phi = history_preset("cos")
+    assert fd.p_seminorm(phi, fam, 1).verdict == "inconclusive"
+    assert fd.membership_in_F(phi, fam).verdict == "member"
+    traj = solve(ProblemSpec(a, fam, phi), 1.0, SolverConfig(eps_forcing=eps))
     assert traj.n_forcing == 10_000
-    ea = math.exp(a)
-    assert abs(traj.eval(1.0) - (ea + math.pi**2 / 6.0 * (ea - 1.0) / a)) <= eps * phi1(a, 1.0) + 1e-10
+    s, w = np.polynomial.legendre.leggauss(20)
+    s, w = 0.5 * (s + 1.0), 0.5 * w
+    f = -math.pi**2 / 48.0 * np.cos(0.5 * math.pi * s) + catalan * np.sin(0.5 * math.pi * s)
+    want = math.exp(a) + float(np.dot(w, np.exp(a * (1.0 - s)) * f))
+    assert abs(traj.eval(1.0) - want) <= eps * phi1(a, 1.0) + 2e-7
 
 
 def test_solve_is_deterministic():
