@@ -518,52 +518,55 @@ def _zeta_tail(phi: HistoryFunction, family: CoefficientFamily) -> Optional[tupl
 
 
 def _zeta_moment(cb: float, p: float):
-    """tail_sums(s, m) = cb zeta(p, m + 1), the lower end of each enclosure, one evaluation per m."""
+    """tail_sums(s, m, cap) = cb zeta(p, m + 1), the lower end of each enclosure, one evaluation per m; no cap."""
     zeta = functools.cache(lambda j: hurwitz_zeta(p, j + 1)[0])
-    return lambda s, m: cb * np.array([zeta(j) for j in m.tolist()])
+    return lambda s, m, cap: cb * np.array([zeta(j) for j in m.tolist()])
 
 
 def _tail_sums(phi: HistoryFunction, family: CoefficientFamily, taus: np.ndarray, bs: np.ndarray):
-    """phi's tail moment over the delays (see _delayed_sums), or None."""
+    """phi's tail moment tail_sums(s, m, cap) over the delays (see _delayed_sums), or None."""
     closed = _zeta_tail(phi, family)
     if closed is not None:
         return _zeta_moment(*closed)
-    return phi.tail.moment(taus, bs) if len(taus) >= _MOMENT_MIN_TERMS else None
+    moment = phi.tail.moment(taus, bs) if len(taus) >= _MOMENT_MIN_TERMS else None
+    return None if moment is None else lambda s, m, cap: moment(s, m) - moment(s, cap)
 
 
-def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.ndarray, bs: np.ndarray, tail_sums) -> np.ndarray:
-    """F(s) = sum_i b_i x(s - tau_i) at every s in points, in one batch.
+def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.ndarray, bs: np.ndarray, tail_sums, caps) -> np.ndarray:
+    """F(s) = sum_{i <= cap} b_i x(s - tau_i) at every s in points, in one batch.
 
     values_at maps an array of arguments to x there: the trajectory with
     history phi (the solver's forcing), or phi.evaluate itself, which makes
-    L(phi) = a phi(0) + F(0).  tail_sums is _tail_sums(phi, taus, bs), built
-    once per march, forcing or L call.
+    L(phi) = a phi(0) + F(0).  tail_sums is _tail_sums(phi, family, taus,
+    bs), built once per march, forcing or L call.  caps <= len(taus) is each
+    point's last delay index (stepper._caps), or one int for every point.
 
-    Each point s splits the delays at m = phi.head_counts: the head i <= m,
-    whose float arguments s - tau_i are at or above phi's first breakpoint,
-    reads values_at term by term.  The tail m < i <= N reads only phi's
-    analytic tail, and its part is the tail model's moment from suffix sums
-    over (m, N]:
+    Each point s splits its delays at m = min(phi.head_counts, cap): the
+    head i <= m, whose float arguments s - tau_i are at or above phi's first
+    breakpoint, reads values_at term by term.  The tail m < i <= cap reads
+    only phi's analytic tail, and its part is the tail model's moment from
+    suffix sums over (m, cap], the suffix at m less the suffix at cap:
 
         ConstantTail  c sum b_i
         CosTail       Re(amp e^{i(omega s + phase)} sum b_i e^{-i omega tau_i})
         ExpTail       amp e^{rate s} sum b_i e^{-rate tau_i}
 
     A constant tail under a power law with p > 1 (_zeta_tail) instead takes
-    c beta zeta(p, m + 1), the whole series over (m, infinity), at every N:
+    c beta zeta(p, m + 1), the whole series over (m, infinity), at every cap:
     no suffix sums.  Other tails without a moment, and every other tail
-    below _MOMENT_MIN_TERMS delays, keep every delay in the head.  The
-    (points x head) argument matrix is evaluated in row chunks of at most
-    _CHUNK_TERMS terms; the rows of a chunk are grouped by head count, and
-    each group is summed by one np.vecdot against the leading coefficients,
-    which takes the same BLAS dot product per row as np.dot.  The split depends on s alone, so a point's value does
-    not depend on the batch it is evaluated in.
+    below _MOMENT_MIN_TERMS delays, keep every delay up to the cap in the
+    head.  The (points x head) argument matrix is evaluated in row chunks of
+    at most _CHUNK_TERMS terms; the rows of a chunk are grouped by head
+    count, and each group is summed by one np.vecdot against the leading
+    coefficients, which takes the same BLAS dot product per row as np.dot.
+    The split depends on s and its cap alone, so a point's value does not
+    depend on the batch it is evaluated in.
     """
-    heads = np.full(len(points), len(taus))
+    heads = np.full(len(points), caps)
     out = np.zeros(len(points))
     if tail_sums is not None:
-        heads = phi.head_counts(points, taus)
-        out = tail_sums(points, heads)
+        heads = np.minimum(phi.head_counts(points, taus), heads)
+        out = tail_sums(points, heads, caps)
     rows = max(1, _CHUNK_TERMS // max(1, int(heads.max(initial=0))))
     for r0 in range(0, len(points), rows):
         m = heads[r0 : r0 + rows]
@@ -1060,5 +1063,5 @@ def L_functional(
     """
     N, rem = _truncation(phi, family, 0.0, eps)
     taus, bs = family.delays.tau_array(N), family.b_array(N)
-    f0 = _delayed_sums(phi.evaluate, phi, np.zeros(1), taus, bs, _tail_sums(phi, family, taus, bs))[0]
+    f0 = _delayed_sums(phi.evaluate, phi, np.zeros(1), taus, bs, _tail_sums(phi, family, taus, bs), N)[0]
     return LValue(float(a * phi.evaluate(0.0) + f0), rem, N)

@@ -1,8 +1,9 @@
 """Independent reference integrator used to cross-check the main stepper.
 
-Classical RK4 on x' = a x + F(t), the delayed sum truncated at the index
-that history._truncation, the one truncation rule, certifies to _EPS_TRUNC
-on [0, horizon].  It runs the stepper's window march (stepper._march) with
+Classical RK4 on x' = a x + F(t), the delayed sum truncated per point by
+the solver's rule (stepper._caps) with the indices that history._truncation,
+the one truncation rule, certifies to _EPS_TRUNC at reach 0 and on
+[0, horizon].  It runs the stepper's window march (stepper._march) with
 the stage points (0, 1/2) of each step, so it shares the step boundaries,
 the batched forcing evaluation and the Hermite storage; its update, _rk4_scan,
 has no code in common with the variation-of-constants scan, which is what
@@ -48,7 +49,8 @@ def oracle_solve(problem: ProblemSpec, horizon: float, h_fine: Optional[float] =
     tau1 = problem.family.delays.tau1
     h = min(h_fine if h_fine is not None else tau1 / 200.0, tau1 / 2.0)
     n = _truncation(problem.history, problem.family, horizon, _EPS_TRUNC)[0]
-    start = _start(problem, SolverConfig(h=h), n, h, 0.0)
+    n_origin = _truncation(problem.history, problem.family, 0.0, _EPS_TRUNC)[0]
+    start = _start(problem, SolverConfig(h=h), n, n_origin, h, 0.0)
     return _march(start, horizon, _delayed_values, np.array([0.0, 0.5]), _rk4_scan)
 
 

@@ -206,7 +206,7 @@ def _rounding(traj: Trajectory, ts: np.ndarray, n: int) -> np.ndarray:
     closed = _zeta_tail(prob.history, fam)
     delayed = _delayed_sums(
         lambda args: np.abs(traj.eval(args)), prob.history, ts, fam.delays.tau_array(n), np.abs(fam.b_array(n)),
-        None if closed is None else _zeta_moment(abs(closed[0]), closed[1]),
+        None if closed is None else _zeta_moment(abs(closed[0]), closed[1]), n,
     )
     nu = (n + 2) * 2.0**-53
     return nu / (1.0 - nu) * (np.abs(prob.a * traj.eval(ts)) + delayed)

@@ -5,9 +5,11 @@ The march uses exact variation of constants on each sub-step,
     x(t1) = x(t0) e^{a dt} + integral_{t0}^{t1} e^{a(t1-s)} F(s) ds,
     F(s)  = sum_{i <= N} b_i x(s - tau_i),
 
-with the integral evaluated by 4-point Gauss-Legendre and F truncated at a
-certified index N: the discarded delayed terms are bounded through the
-history tail's envelope atoms by at most eps_forcing uniformly on [0, T].
+with the integral evaluated by 4-point Gauss-Legendre and F truncated per
+point at max(N_0, _tail_floor(s)), N_0 certified at reach 0: past the floor
+every argument reads the history's tail, whose envelope atoms bound the
+terms discarded past N_0 by eps_forcing, uniformly on [0, T].  F(s)
+depends on s alone, not on T, so an extension past T marches on.
 Dense output is the cubic Hermite interpolant of the stored node values
 and slopes.
 
@@ -30,6 +32,8 @@ a finished piece starting there would.
 Admission is one certificate: solve and step_interval accept a history
 exactly when the forcing truncation N is certified (_certify_forcing).
 That also proves phi in F, every p_k finite, so no p_k is evaluated.
+solve also certifies N_0; that fails only where a closed-form tail's
+enclosure fits eps at the horizon's floor but not at F(0)'s.
 """
 
 from __future__ import annotations
@@ -90,7 +94,8 @@ class Trajectory:
 
     grid/values/derivs hold the node data; pieces[j] are the local Hermite
     coefficients on [grid[j], grid[j+1]].  Evaluation at t <= 0 falls back
-    to the history, so x is usable on (-infty, horizon].
+    to the history, so x is usable on (-infty, horizon].  n_forcing is the
+    forcing index certified on [0, horizon], n_origin the one at reach 0.
     """
 
     problem: ProblemSpec
@@ -100,6 +105,7 @@ class Trajectory:
     derivs: np.ndarray
     pieces: np.ndarray
     n_forcing: int
+    n_origin: int
     h_used: float
     eps_forcing_used: float
 
@@ -142,26 +148,36 @@ def _delayed_values(
     return out
 
 
+def _caps(traj: Trajectory, points: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Each point's forcing index max(n_origin, _tail_floor(s)), clipped at len(taus) >= n_origin.
+
+    That is history._truncation's index for reach s; the clip drops only the
+    zero b_i past a finite support's last nonzero one.
+    """
+    return np.maximum(traj.n_origin, np.searchsorted(taus, points + traj.problem.history.depth, side="left"))
+
+
 def forcing(traj: Trajectory, t, n: Optional[int] = None):
     """The delayed forcing F(t) = sum_{i<=N} b_i x(t - tau_i) along traj.
 
-    N is n when given, else the trajectory's certified truncation index;
-    forcing evaluates and never certifies.  Under a closed-form tail
-    (history._zeta_tail) every delay past n must reach phi's tail from t,
-    as it does past an index certified for t's reach.  Valid for t in [0, horizon]; a
-    later t raises ValueError, as Trajectory.eval does.  t is a time (the
-    result is a float) or an array of times, evaluated as one (points x N)
-    batch whose entries equal the scalar results bit for bit.
+    N is each t's own index max(n_origin, _tail_floor(t)) (_caps), the one
+    the march used, or n for every t when given; forcing evaluates and never
+    certifies.  Under a closed-form tail (history._zeta_tail) every delay
+    past n must reach phi's tail from t, as it does past an index certified
+    for t's reach.  Valid for t in [0, horizon]; a later t raises
+    ValueError, as Trajectory.eval does.  t is a time (the result is a
+    float) or an array of times, evaluated as one (points x N) batch whose
+    entries equal the scalar results bit for bit.
     """
     prob = traj.problem
     ts = np.asarray(t, dtype=float)
     if np.any(ts > traj.horizon + 1e-9):
         raise ValueError(f"forcing beyond horizon {traj.horizon}: max t={ts.max()}")
-    n = traj.n_forcing if n is None else n
-    taus, bs = prob.family.delays.tau_array(n), prob.family.b_array(n)
+    n_max = traj.n_forcing if n is None else n
+    taus, bs = prob.family.delays.tau_array(n_max), prob.family.b_array(n_max)
     out = _delayed_sums(
         partial(_delayed_values, prob.history, traj.grid, traj.pieces), prob.history, ts.ravel(), taus, bs,
-        _tail_sums(prob.history, prob.family, taus, bs),
+        _tail_sums(prob.history, prob.family, taus, bs), _caps(traj, ts.ravel(), taus) if n is None else n,
     )
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
@@ -303,7 +319,8 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
         steps = ends - starts
         points = np.concatenate((starts[:, None] + steps[:, None] * nodes, ends[:, None]), axis=1)
         values_at = partial(delayed_values, problem.history, grid[:m], pieces[:m])
-        f = _delayed_sums(values_at, problem.history, points.ravel(), taus, bs, tail_sums).reshape(points.shape)
+        f = _delayed_sums(values_at, problem.history, points.ravel(), taus, bs, tail_sums, _caps(traj, points.ravel(), taus))
+        f = f.reshape(points.shape)
         new = slice(m, m + len(ends))
         values[new] = scan(a, float(values[m - 1]), steps, points, f)
         derivs[new] = a * values[new] + f[:, -1]
@@ -316,7 +333,7 @@ def _advance(traj: Trajectory, t_end: float) -> Trajectory:
     return _march(traj, t_end, _delayed_values, GAUSS4_NODES, _voc_scan)
 
 
-def _start(problem: ProblemSpec, config: SolverConfig, n_forcing: int, h: float, eps_f: float) -> Trajectory:
+def _start(problem: ProblemSpec, config: SolverConfig, n_forcing: int, n_origin: int, h: float, eps_f: float) -> Trajectory:
     """The one-node trajectory at t = 0: x(0) = phi(0), x'(0) = a phi(0) + F(0)."""
     phi0 = problem.history.evaluate(0.0)
     traj = Trajectory(
@@ -327,6 +344,7 @@ def _start(problem: ProblemSpec, config: SolverConfig, n_forcing: int, h: float,
         derivs=np.zeros(1),
         pieces=np.zeros((0, 4)),
         n_forcing=n_forcing,
+        n_origin=n_origin,
         h_used=h,
         eps_forcing_used=eps_f,
     )
@@ -347,7 +365,8 @@ def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] =
         else 1e-10 * max(1.0, sup_norm_k(problem.history, 1))
     )
     n_forcing = _certify_forcing(problem, horizon, eps_f)
-    return _advance(_start(problem, config, n_forcing, h, eps_f), horizon)
+    n_origin = _certify_forcing(problem, 0.0, eps_f)
+    return _advance(_start(problem, config, n_forcing, n_origin, h, eps_f), horizon)
 
 
 def step_interval(traj: Trajectory, k: int) -> Trajectory:
@@ -355,10 +374,10 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
 
     Returns traj unchanged when it already covers the window.  Otherwise
     certifies the forcing truncation for the longer horizon at traj's eps
-    and marches the remaining span; when that needs a deeper index, it
-    re-solves from t = 0 under traj.config instead.  An oracle_solve
-    trajectory records no forcing eps (0.0) and is refused: extending it
-    here would not be the RK4 reference.
+    and marches the remaining span with that index; where it deepens, the
+    nodes already computed stand, as each point's index is its own (_caps).
+    An oracle_solve trajectory records no forcing eps (0.0) and is refused:
+    extending it here would not be the RK4 reference.
     """
     if k < 0:
         raise ValueError(f"window index must be >= 0, got {k}")
@@ -368,9 +387,8 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
     target = (k + 1) * problem.family.delays.tau1
     if target <= traj.horizon + 1e-12:
         return traj
-    if _certify_forcing(problem, target, traj.eps_forcing_used) != traj.n_forcing:
-        return solve(problem, target, traj.config)
-    return _advance(traj, target)
+    n_forcing = _certify_forcing(problem, target, traj.eps_forcing_used)
+    return _advance(replace(traj, n_forcing=n_forcing), target)
 
 
 # ---------------------------------------------------------------------------

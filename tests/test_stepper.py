@@ -50,6 +50,20 @@ def fast_geometric_problem() -> ProblemSpec:
     return ProblemSpec(-0.5, CoefficientFamily.geometric(0.5, 0.1, DS), history_preset("cos"))
 
 
+def cos_history(amp: float = 1.5, phase: float = 0.3) -> fd.HistoryFunction:
+    """amp cos(pi t / 2 + phase) on a depth-8 core with its exact cosine tail."""
+    w = 0.5 * math.pi
+    return fd.history_from_callable(
+        lambda t: amp * math.cos(w * t + phase), 8.0, 0.05,
+        tail=fd.CosTail(amp, w, phase), fn_prime=lambda t: -amp * w * math.sin(w * t + phase),
+    )
+
+
+def march_long_problem() -> ProblemSpec:
+    """b_i = 0.5^i on tau_i = i from a cosine history: N = 34 from reach 0, the floor 39 at H = 32."""
+    return ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.5, DS), cos_history())
+
+
 # ---------------------------------------------------------------------------
 # forcing
 # ---------------------------------------------------------------------------
@@ -133,10 +147,12 @@ def test_forcing_tail_moments_match_a_term_by_term_sum(monkeypatch, phi, family)
 @pytest.mark.parametrize("phi", [history_preset("cos"), exp_history(0.1)], ids=["cos", "exp"])
 def test_batched_forcing_sums_each_head_as_one_dot_product(monkeypatch, phi):
     # rows with equal head counts share one np.vecdot; each entry must still
-    # be the explicit np.dot of its head plus its tail moment, bit for bit
+    # be the explicit np.dot of its head plus its tail moment over (m, n],
+    # bit for bit; n is certified at reach 0 already, so it caps every point
     family = CoefficientFamily.power_law(0.8, 3.5, DelaySchedule(0.0, 0.5))
     traj = solve(ProblemSpec(-0.2, family, phi), 2.0)
     n = traj.n_forcing
+    assert traj.n_origin == n
     taus, bs = family.delays.tau_array(n), family.b_array(n)
     tail_sums = fd.history._tail_sums(phi, family, taus, bs)
     ts = np.concatenate([np.linspace(0.0, 2.0, 41), traj.grid[::7]])
@@ -144,7 +160,7 @@ def test_batched_forcing_sums_each_head_as_one_dot_product(monkeypatch, phi):
     assert len(set(heads.tolist())) >= 4 and tail_sums is not None
     monkeypatch.setattr(fd.history, "_CHUNK_TERMS", 64)
     want = [
-        tail_sums(np.array([s]), np.array([m]))[0] + np.dot(bs[:m], traj.eval(s - taus[:m]))
+        tail_sums(np.array([s]), np.array([m]), n)[0] + np.dot(bs[:m], traj.eval(s - taus[:m]))
         for s, m in zip(ts, heads.tolist())
     ]
     assert forcing(traj, ts).tobytes() == np.array(want).tobytes()
@@ -238,6 +254,19 @@ def test_solve_rejects_history_outside_phase_space():
     listed = CoefficientFamily.explicit_list([0.5], 0.2, DS)
     with pytest.raises(NotInPhaseSpaceError, match="cannot certify"):
         solve(ProblemSpec(0.0, listed, history_preset("g-weight")), 1.0)
+
+
+def test_solve_refuses_a_closed_form_tail_whose_enclosure_fits_only_deeper():
+    # zeta(p, 8) ~ 131,072.26 and zeta(p, 16) ~ 131,071.53 straddle 2^17, so
+    # the enclosure at the horizon's floor is narrower than at reach 0's:
+    # N = 15 certifies, but F(0) is not within eps, and N_0 fails
+    fam = CoefficientFamily.power_law(0.6, 1.0000076292621705, DS)
+    p = ProblemSpec(-0.5, fam, history_preset("constant"))
+    assert fd.history._truncation(p.history, fam, 8.0, 1e-10)[0] == 15
+    lo, hi = hurwitz_zeta(fam.p_exponent, 8)
+    assert 0.6 * (hi - lo) > 1e-10
+    with pytest.raises(NotInPhaseSpaceError, match="cannot certify"):
+        solve(p, 8.0)
 
 
 def test_solve_admits_a_member_whose_seminorms_are_inconclusive():
@@ -354,8 +383,9 @@ def test_step_interval_from_inside_a_window_is_bit_identical():
 
 
 def test_step_interval_resolve_is_bit_identical():
-    # the truncation index grows with the horizon here, so the extension
-    # re-runs the march from t = 0 with the deeper index
+    # the truncation index grows with the horizon here: the extension takes
+    # the deeper index and marches on, and the nodes it keeps are those of
+    # the one-shot solve, because each point's index depends on the point alone
     p = fast_geometric_problem()
     base = solve(p, 2.0)
     chained = step_interval(base, 3)
@@ -383,7 +413,8 @@ def seminorm_calls(monkeypatch):
     ids=["march", "resolve"],
 )
 def test_step_interval_certifies_only_the_new_window(seminorm_calls, problem, resolves):
-    # the extension certifies the forcing truncation through the new window;
+    # the extension certifies the forcing truncation through the new window
+    # and marches on, with the deeper index where it deepens ("resolve");
     # that certificate proves every p_k finite, so neither solve nor the
     # extension evaluates one
     traj = solve(problem, 2.0)
@@ -392,6 +423,113 @@ def test_step_interval_certifies_only_the_new_window(seminorm_calls, problem, re
     assert extended.n_forcing == solve(problem, 3.0).n_forcing
     assert (extended.n_forcing != traj.n_forcing) == resolves
     assert seminorm_calls == []
+
+
+def _chain(problem: ProblemSpec, horizon: float, windows, monkeypatch) -> tuple:
+    """solve to horizon, then step_interval through each window; (trajectory, _start calls, stored windows)."""
+    starts, stored = [], []
+    start, store = fd.stepper._start, fd.stepper._store_window
+
+    def counted_start(*args):
+        starts.append(args)
+        return start(*args)
+
+    def counted_store(grid, values, derivs, pieces, m, ends, steps):
+        stored.append(float(grid[m - 1]))
+        return store(grid, values, derivs, pieces, m, ends, steps)
+
+    with monkeypatch.context() as m:
+        m.setattr(fd.stepper, "_start", counted_start)
+        m.setattr(fd.stepper, "_store_window", counted_store)
+        traj = solve(problem, horizon)
+        for k in windows:
+            traj = step_interval(traj, k)
+    return traj, len(starts), stored
+
+
+@pytest.mark.parametrize(
+    "problem, start, ns, tol",
+    [
+        # N is 34 from reach 0 up to H = 27 and the floor H + 7 beyond, so
+        # the last five extensions deepen it
+        (march_long_problem(), 16, (34, 39), 0.0),
+        # b_i = i^-3 from the constant history: N is the floor H + 7, deeper
+        # at every extension.  At s = 4, tau_12 = s + depth exactly, so
+        # head_counts there reaches past the shorter run's delays: the head
+        # must stop at the point's own index in both runs
+        (ProblemSpec(-0.5, CoefficientFamily.power_law(1.0, 3.0, DS), history_preset("constant")), 4, (7, 15), 0.0),
+        # tau_i = i/10: N is the floor, at least 79 >= _MOMENT_MIN_TERMS, so
+        # the cos tail enters through suffix moments over (m, cap]; those
+        # start from the array's last delay, so they round by array length.
+        # A moment over (m, N] instead would differ by b_90..b_99, ~1e-12
+        (ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.72, DelaySchedule(0.0, 0.1)), cos_history()), 10, (79, 99), 1e-14),
+    ],
+    ids=["march-long", "closed-form", "moments"],
+)
+def test_step_interval_chain_marches_on_to_the_one_shot_nodes(monkeypatch, problem, start, ns, tol):
+    # solve to start tau_1, then one window per extension to 2 start tau_1:
+    # no extension starts over from t = 0, and the nodes are the one-shot's
+    tau1 = problem.family.delays.tau1
+    chained, starts, _ = _chain(problem, start * tau1, range(start, 2 * start), monkeypatch)
+    direct = solve(problem, 2 * start * tau1)
+    assert starts == 1
+    assert (chained.n_origin, chained.n_forcing) == (direct.n_origin, direct.n_forcing) == ns
+    if tol == 0.0:
+        _assert_same_nodes(chained, direct)
+    assert np.array_equal(chained.grid, direct.grid)
+    for name in ("values", "derivs"):
+        assert np.max(np.abs(getattr(chained, name) - getattr(direct, name))) <= tol, name
+
+
+def test_step_interval_chain_stores_each_window_once(monkeypatch):
+    # one _store_window call per tau_1-window of [0, 32]: the solve stores
+    # [0, 16] and each extension only its own window
+    _, _, stored = _chain(march_long_problem(), 16.0, range(16, 32), monkeypatch)
+    assert stored == [float(k) for k in range(32)]
+
+
+def test_per_point_forcing_stays_within_eps_of_a_deep_sum():
+    # every node's forcing sums max(N_0, floor(s)) delays; against 200 delays
+    # the discarded part is within the certified eps_forcing
+    traj = solve(march_long_problem(), 32.0)
+    full = forcing(traj, traj.grid, 200)
+    assert np.max(np.abs(forcing(traj, traj.grid) - full)) <= traj.eps_forcing_used
+
+
+@pytest.mark.parametrize(
+    "family, config, horizon",
+    [
+        (CoefficientFamily.geometric(1.0, 0.5, DS), SolverConfig(), 40.0),
+        (CoefficientFamily.power_law(1.0, 4.0, DS), SolverConfig(eps_forcing=1e-6), 90.0),
+        (CoefficientFamily.geometric(0.8, 0.7, DelaySchedule(0.05, 0.5, (0.3, 0.7))), SolverConfig(), 40.0),
+    ],
+    ids=["geometric", "power-law", "affine-prefix"],
+)
+def test_caps_equal_the_truncation_at_each_points_reach(family, config, horizon):
+    # the vectorised index of every point s is history._truncation's for
+    # reach s, including where s + depth is a delay exactly
+    phi = cos_history()
+    traj = solve(ProblemSpec(-0.5, family, phi), family.delays.tau1, config)
+    eps = traj.eps_forcing_used
+    assert traj.n_origin == fd.history._truncation(phi, family, 0.0, eps)[0]
+    taus = family.delays.tau_array(fd.history._truncation(phi, family, horizon, eps)[0])
+    on_delay = taus[(taus >= phi.depth) & (taus <= horizon + phi.depth)] - phi.depth
+    assert np.sum(on_delay + phi.depth == taus[np.searchsorted(taus, on_delay + phi.depth)]) >= 5
+    points = np.concatenate([[0.0, horizon], on_delay, np.random.default_rng(3).uniform(0.0, horizon, 20)])
+    caps = fd.stepper._caps(traj, points, taus)
+    want = [fd.history._truncation(phi, family, s, eps)[0] for s in points]
+    assert caps.tolist() == want
+    assert min(want) == traj.n_origin < max(want)
+
+
+def test_caps_of_a_finite_support_stop_at_its_index():
+    # past the last nonzero b_i the floors would add only zero terms
+    fam = CoefficientFamily.finite_support([0.5, 0.0, -0.25], DS)
+    traj = solve(ProblemSpec(-0.5, fam, cos_history()), 3.0)
+    taus = DS.tau_array(traj.n_forcing)
+    points = np.linspace(0.0, 3.0, 13)
+    assert traj.n_forcing == traj.n_origin == 3 < fd.history._tail_floor(traj.problem.history, fam, 0.0)
+    assert fd.stepper._caps(traj, points, taus).tolist() == [3] * 13
 
 
 def test_step_interval_short_circuits_when_covered():
