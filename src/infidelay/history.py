@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -206,8 +206,8 @@ class WeightEnvelopeTail:
 
     This is the tail that grows into the past (geometrically for an
     exponential weight, polynomially otherwise).  Exponential shifts are
-    normalized into the scale at construction, so shift != 0 only occurs
-    for polynomial weights.
+    normalized into the scale at construction and a constant weight ignores
+    its shift, so shift != 0 only occurs for polynomial weights.
     """
 
     scale: float
@@ -215,10 +215,9 @@ class WeightEnvelopeTail:
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.weight.form == "exponential" and self.shift != 0.0:
-            object.__setattr__(
-                self, "scale", self.scale * math.exp(-self.weight.gamma * self.shift)
-            )
+        if self.weight.form != "polynomial" and self.shift != 0.0:
+            if self.weight.form == "exponential":
+                object.__setattr__(self, "scale", self.scale * math.exp(-self.weight.gamma * self.shift))
             object.__setattr__(self, "shift", 0.0)
 
     def evaluate(self, theta):
@@ -232,24 +231,17 @@ class WeightEnvelopeTail:
         # |phi| is nondecreasing into the past, so a window's sup is its value
         # at -tau_i: exactly |scale| w(-tau_i) when w(theta + shift) is w(theta),
         # and at least |scale| since every weight is >= 1
-        if self.shift == 0.0 or self.weight.form == "constant":
-            return (abs(self.scale), self.weight)
-        return (abs(self.scale), _CONST1)
+        return (abs(self.scale), self.weight if self.shift == 0.0 else _CONST1)
 
     def moment(self, taus: np.ndarray, bs: np.ndarray):
         # binomial moments sum b_i tau_i^j cancel badly at large tau
         return None
 
     def _envelope_factor(self, depth: float) -> float:
-        """sup over theta <= -depth of w(theta+shift)/w(theta)."""
-        w = self.weight
-        if w.form == "constant" or self.shift == 0.0:
-            return 1.0
-        if w.form == "exponential":
-            return math.exp(-w.gamma * self.shift)
+        """sup over theta <= -depth of w(theta+shift)/w(theta): 1 unless a polynomial weight is shifted back."""
         if self.shift >= 0.0:
             return 1.0
-        return ((1.0 + depth - self.shift) / (1.0 + depth)) ** w.degree
+        return ((1.0 + depth - self.shift) / (1.0 + depth)) ** self.weight.degree
 
     def atoms(self, depth: float) -> list[Atom]:
         return [(abs(self.scale) * self._envelope_factor(depth), self.weight)]
@@ -318,49 +310,48 @@ class PairDifferenceTail:
         raise ValueError("difference tails cannot be rescaled")
 
 
-def tail_difference_atoms(t1, t2, depth: float) -> tuple[Atom, ...]:
-    """Certified atoms bounding |t1(theta) - t2(theta)| for theta <= -depth.
+#: each structured tail model's amplitude field, the one that enters linearly
+_AMPLITUDE = {ConstantTail: "value", CosTail: "amp", ExpTail: "amp", WeightEnvelopeTail: "scale"}
 
-    Structured pairs get tight (often exact) one- or two-atom envelopes;
-    anything else falls back to the triangle inequality over the two
-    tails' own envelopes.
+
+def _combine_tails(alpha: float, t1, beta: float, t2):
+    """alpha*t1 + beta*t2 as one tail of their kind, or None.
+
+    Two tails combine when they differ only in their amplitude field; a
+    PairDifferenceTail never does.  With alpha = 1 and beta = -1 the new
+    amplitude is exactly the difference of the two.
     """
-    if t1 == t2:
-        return ()
-    if isinstance(t1, ConstantTail) and isinstance(t2, ConstantTail):
-        d = abs(t1.value - t2.value)
-        return ((d, _CONST1),) if d != 0.0 else ()
-    if isinstance(t1, CosTail) and isinstance(t2, CosTail) and t1.omega == t2.omega:
+    field = _AMPLITUDE.get(type(t1))
+    if field is None or type(t2) is not type(t1) or replace(t2, **{field: getattr(t1, field)}) != t1:
+        return None
+    return replace(t1, **{field: alpha * getattr(t1, field) + beta * getattr(t2, field)})
+
+
+def tail_difference_atoms(t1, t2, depth: float) -> tuple[Atom, ...]:
+    """Certified nonzero atoms bounding |t1(theta) - t2(theta)| for theta <= -depth.
+
+    Tails that combine (_combine_tails: one kind, differing only in
+    amplitude) take their difference tail's own atoms.  Cosine tails of one
+    omega and different phases, and envelopes of one polynomial weight with
+    different nonnegative shifts, split off the amplitude difference.
+    Anything else falls back to the triangle inequality over both tails' atoms.
+    """
+    diff = _combine_tails(1.0, t1, -1.0, t2)
+    if diff is not None:
+        atoms = diff.atoms(depth)
+    elif isinstance(t1, CosTail) and isinstance(t2, CosTail) and t1.omega == t2.omega:
         # a1 cos(x+p1) - a2 cos(x+p2) = (a1-a2) cos(x+p1) + a2 (cos(x+p1)-cos(x+p2))
-        d = abs(t1.amp - t2.amp) + abs(t2.amp) * abs(t1.phase - t2.phase)
-        return ((d, _CONST1),) if d != 0.0 else ()
-    if isinstance(t1, ExpTail) and isinstance(t2, ExpTail) and t1.rate == t2.rate:
-        d = abs(t1.amp - t2.amp) * math.exp(-t1.rate * depth)
-        return ((d, _CONST1),) if d != 0.0 else ()
-    if (
-        isinstance(t1, WeightEnvelopeTail)
-        and isinstance(t2, WeightEnvelopeTail)
-        and t1.weight == t2.weight
-    ):
-        w = t1.weight
-        if w.form in ("constant", "exponential") or t1.shift == t2.shift:
-            # exponential shifts were normalized away, so the difference is
-            # an exact multiple of the common weight
-            d = abs(t1.scale - t2.scale)
-            return ((d, w),) if d != 0.0 else ()
-        if t1.shift >= 0.0 and t2.shift >= 0.0:
-            # split off the scale difference, then a mean-value bound on the
-            # shift difference: |(1-th-s1)^q - (1-th-s2)^q| <= q (1-th)^{q-1} |s1-s2|
-            q = w.degree
-            out = []
-            if t1.scale != t2.scale:
-                out.append((abs(t1.scale - t2.scale), w))
-            ds = abs(t1.shift - t2.shift)
-            if ds != 0.0 and t2.scale != 0.0:
-                out.append((abs(t2.scale) * q * ds, WeightFunction.polynomial(q - 1)))
-            return tuple(out)
-    atoms = [(s, w) for (s, w) in t1.atoms(depth) + t2.atoms(depth) if s != 0.0]
-    return tuple(atoms)
+        atoms = [(abs(t1.amp - t2.amp) + abs(t2.amp) * abs(t1.phase - t2.phase), _CONST1)]
+    elif (isinstance(t1, WeightEnvelopeTail) and isinstance(t2, WeightEnvelopeTail)
+          and t1.weight == t2.weight and min(t1.shift, t2.shift) >= 0.0):
+        # shifts differ only under a polynomial weight; a mean-value bound on the
+        # shift difference: |(1-th-s1)^q - (1-th-s2)^q| <= q (1-th)^{q-1} |s1-s2|
+        q = t1.weight.degree
+        atoms = [(abs(t1.scale - t2.scale), t1.weight),
+                 (abs(t2.scale) * q * abs(t1.shift - t2.shift), WeightFunction.polynomial(q - 1))]
+    else:
+        atoms = t1.atoms(depth) + t2.atoms(depth)
+    return tuple((s, w) for (s, w) in atoms if s != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -670,25 +661,21 @@ def scale_history(alpha: float, phi: HistoryFunction) -> HistoryFunction:
 def combine_histories(
     alpha: float, h1: HistoryFunction, beta: float, h2: HistoryFunction
 ) -> HistoryFunction:
-    """alpha*h1 + beta*h2 for histories sharing a breakpoint grid."""
+    """alpha*h1 + beta*h2 for histories sharing a breakpoint grid.
+
+    The tails must combine (_combine_tails): two tails of one kind that
+    differ only in amplitude, for example two ExpTails of one rate.
+    """
     if not np.array_equal(h1.breakpoints, h2.breakpoints):
         raise ValueError("combine_histories needs identical breakpoint grids")
-    t1, t2 = h1.tail, h2.tail
-    if isinstance(t1, ConstantTail) and isinstance(t2, ConstantTail):
-        tail = ConstantTail(alpha * t1.value + beta * t2.value)
-    elif t1 == t2:
-        tail = t1.scaled(alpha + beta)
-    else:
-        raise ValueError("combine_histories needs matching tail models")
+    tail = _combine_tails(alpha, h1.tail, beta, h2.tail)
+    if tail is None:
+        raise ValueError("combine_histories needs tails that differ only in amplitude")
     return HistoryFunction(h1.breakpoints.copy(), alpha * h1.coeffs + beta * h2.coeffs, tail)
 
 
 def _materialize_constant(phi: HistoryFunction, new_depth: float) -> HistoryFunction:
-    """Extend a constant-tailed core to new_depth with one exact flat piece."""
-    if not isinstance(phi.tail, ConstantTail):
-        raise ValueError("only constant tails can be materialized exactly")
-    if new_depth <= phi.depth:
-        return phi
+    """Extend a constant-tailed core to new_depth > its depth with one exact flat piece."""
     bp = np.concatenate([[-new_depth], phi.breakpoints])
     row = np.array([[phi.tail.value, 0.0, 0.0, 0.0]])
     return HistoryFunction(bp, np.concatenate([row, phi.coeffs]), phi.tail)
@@ -700,8 +687,9 @@ def history_difference(h1: HistoryFunction, h2: HistoryFunction) -> HistoryFunct
     Both cores are re-centered onto the union grid via exact Taylor shifts
     (on equal grids every shift is 0 and the coefficients subtract
     directly).  Depth mismatches are removed exactly when the shallower tail
-    is constant; any remaining tail pair is wrapped in a PairDifferenceTail
-    carrying certified envelope atoms.
+    is constant.  At equal depths, tails that combine (_combine_tails)
+    subtract into one tail; any remaining tail pair is wrapped in a
+    PairDifferenceTail carrying certified envelope atoms.
     """
     a, b = h1, h2
     if a.depth != b.depth:
@@ -725,11 +713,8 @@ def history_difference(h1: HistoryFunction, h2: HistoryFunction) -> HistoryFunct
 
     ta, tb = a.tail, b.tail
     if a.depth == b.depth:
-        if ta == tb:
-            tail = ConstantTail(0.0)
-        elif isinstance(ta, ConstantTail) and isinstance(tb, ConstantTail):
-            tail = ConstantTail(ta.value - tb.value)
-        else:
+        tail = _combine_tails(1.0, ta, -1.0, tb)
+        if tail is None:
             tail = PairDifferenceTail(a, b, depth, tail_difference_atoms(ta, tb, depth))
     else:
         # the strip [-deep.depth, -depth] between the cores: deep's core against shallow's tail
@@ -918,28 +903,23 @@ def membership_in_F(
 def _tail_weighted_sup(tail, g: WeightFunction, depth: float) -> float:
     """Certified sup of |tail(theta)|/g(theta) over theta <= -depth.
 
-    Exact for constant, decaying, and envelope tails; a tight upper bound
-    for oscillating tails.  math.inf certifies genuine unboundedness.
+    Where the tail's nonzero atoms all have constant weights, |tail| is at
+    most their sum there and g is least at -depth: exact for constant,
+    decaying and constant-weight envelope tails, an upper bound for
+    oscillating and difference tails.  Growing envelopes take the exact
+    ratio rules below.  math.inf certifies genuine unboundedness.
     """
     gD = float(g(-depth))
-    if isinstance(tail, ConstantTail):
-        return abs(tail.value) / gD
-    if isinstance(tail, CosTail):
-        return abs(tail.amp) / gD
-    if isinstance(tail, ExpTail):
-        # numerator decays into the past while g does not: sup at the junction
-        return abs(tail.amp) * math.exp(-tail.rate * depth) / gD
+    atoms = [(s, w) for s, w in tail.atoms(depth) if s != 0.0]
+    if all(w.form == "constant" for _, w in atoms):
+        return sum(s * w.level for s, w in atoms) / gD
     if isinstance(tail, WeightEnvelopeTail):
         w = tail.weight
         sc = abs(tail.scale)
-        if sc == 0.0:
-            return 0.0
 
         def ratio_at(th: float) -> float:
             return sc * float(w(th + tail.shift)) / float(g(th))
 
-        if w.form == "constant":
-            return ratio_at(-depth) if g.form != "constant" else sc * w.level / g.level
         if w.form == "exponential":
             if g.form == "constant":
                 return math.inf

@@ -198,13 +198,17 @@ def sup_ratio_pieces(breaks: np.ndarray, coeffs: np.ndarray, weight, delta: floa
     return best
 
 
-def dedupe_knots(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Sort and merge knots closer than tol (keeping the first of each cluster)."""
+#: knots at most this far apart are one knot
+_KNOT_TOL = 1e-12
+
+
+def dedupe_knots(values: np.ndarray) -> np.ndarray:
+    """Sort and merge knots within _KNOT_TOL (keeping the first of each cluster)."""
     v = np.sort(np.asarray(values, dtype=float))
     if len(v) == 0:
         return v
     keep = [v[0]]
     for x in v[1:]:
-        if x - keep[-1] > tol:
+        if x - keep[-1] > _KNOT_TOL:
             keep.append(x)
     return np.array(keep)

@@ -23,6 +23,9 @@ from .stepper import ProblemSpec, SolverConfig, Trajectory, _delayed_values, _ma
 #: remainder to which the oracle's truncation of the delayed sum is certified
 _EPS_TRUNC = 1e-10
 
+#: evenly spaced times at which compare_trajectories samples, besides both grids
+_COMPARE_SAMPLES = 2001
+
 
 def _rk4_scan(a: float, x: float, steps: np.ndarray, points: np.ndarray, f: np.ndarray) -> list:
     """Node values of a window by classical RK4, F at each step's start, midpoint and end."""
@@ -54,17 +57,12 @@ def oracle_solve(problem: ProblemSpec, horizon: float, h_fine: Optional[float] =
     return _march(start, horizon, _delayed_values, np.array([0.0, 0.5]), _rk4_scan)
 
 
-def compare_trajectories(
-    ta: Trajectory,
-    tb: Trajectory,
-    interval: Optional[tuple[float, float]] = None,
-    n_samples: int = 2001,
-) -> float:
+def compare_trajectories(ta: Trajectory, tb: Trajectory, interval: Optional[tuple[float, float]] = None) -> float:
     """Max |ta - tb| over the interval, sampled densely plus at both grids (repeats are harmless)."""
     if interval is None:
         interval = (0.0, min(ta.horizon, tb.horizon))
     lo, hi = interval
-    ts = np.linspace(lo, hi, n_samples)
+    ts = np.linspace(lo, hi, _COMPARE_SAMPLES)
     extra = [g[(g >= lo) & (g <= hi)] for g in (ta.grid, tb.grid)]
     ts = np.concatenate([ts] + extra)
     return float(np.max(np.abs(ta.eval(ts) - tb.eval(ts))))

@@ -409,7 +409,7 @@ def _run_estimates(ctx: _Ctx, p: dict) -> dict:
     certs = [estimate_certificate(traj, k) for k in p["k_list"]]
     return {
         "passed": all(c.valid for c in certs),
-        "certificates": [c.to_json_dict() for c in certs],
+        "certificates": [{**asdict(c), "levels": [{"name": n, "value": v} for n, v in c.levels]} for c in certs],
     }
 
 

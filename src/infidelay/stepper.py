@@ -14,7 +14,9 @@ Dense output is the cubic Hermite interpolant of the stored node values
 and slopes.
 
 Step boundaries are forced at every multiple of tau_1 and at every delay
-tau_i <= T, where the solution loses one order of smoothness.
+tau_i <= T, where the solution loses one order of smoothness.  _substeps
+is the one routine that places them: it merges knots within 1e-12 of
+each other and cuts the march into tau_1-windows of sub-steps.
 
 The march (_march) runs one window [k tau_1, (k+1) tau_1] at a time.
 Every delay is at least tau_1, so F on the window reads x only on
@@ -203,48 +205,29 @@ def _certify_forcing(problem: ProblemSpec, horizon: float, eps: float) -> int:
         raise NotInPhaseSpaceError(str(exc)) from exc
 
 
-def _knots_between(t_from: float, t_to: float, family: CoefficientFamily) -> list[float]:
-    """Forced step boundaries in (t_from, t_to]: multiples of tau_1, delays, t_to."""
-    tau1 = family.delays.tau1
-    out = []
-    j = math.floor(t_from / tau1 + 1e-12) + 1
-    while j * tau1 < t_to - 1e-12:
-        if j * tau1 > t_from + 1e-12:
-            out.append(j * tau1)
-        j += 1
-    d = family.delays
-    i = 1
-    while True:
-        tau = d.tau(i)
-        if tau >= t_to - 1e-12:
-            break
-        if tau > t_from + 1e-12:
-            out.append(tau)
-        i += 1
-    out.append(t_to)
-    out = sorted(set(out))
-    merged = []
-    for v in out:
-        if not merged or v - merged[-1] > 1e-12:
-            merged.append(v)
-        else:
-            merged[-1] = v  # keep the later point (t_to wins ties)
-    return merged
-
-
 def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -> list[np.ndarray]:
     """Sub-step end times in (t_from, t_to], one array per tau_1-window.
 
-    Each knot interval is cut into equal sub-steps of at most h.  A window
-    closes at every multiple of tau_1 and at t_to, so with h <= tau_1 no
-    delayed argument of a window reaches past the node it starts from.
+    The knots are the multiples of tau_1 and the delays tau_i strictly
+    inside (t_from, t_to) by more than 1e-12, sorted, then t_to; a knot is
+    kept only when the next one lies more than 1e-12 past it, so of a
+    cluster the last point stays (t_to wins ties).  Each knot interval is
+    cut into equal sub-steps of at most h.  A window closes at every
+    multiple of tau_1 and at t_to, so with h <= tau_1 no delayed argument of
+    a window reaches past the node it starts from.
     """
-    tau1 = family.delays.tau1
+    d = family.delays
+    tau1 = d.tau1
     j = math.floor(t_from / tau1 + 1e-12) + 1
+    lo, hi = t_from + 1e-12, t_to - 1e-12
+    cands = [k * tau1 for k in range(j, math.ceil(hi / tau1) + 1)]
+    cands += d.tau_array(d.first_index_at_least(hi) - 1).tolist()
+    knots = sorted(v for v in cands if lo < v < hi) + [t_to]
+    knots = [v for v, nxt in zip(knots, knots[1:]) if nxt - v > 1e-12] + [t_to]
     windows = []
     ends: list = []
     t_cur = t_from
-    for t_next in _knots_between(t_from, t_to, family):
+    for t_next in knots:
         nsub = max(1, math.ceil((t_next - t_cur) / h - 1e-12))
         dt = (t_next - t_cur) / nsub
         ends.extend(t_cur + (i + 1) * dt for i in range(nsub - 1))
@@ -420,18 +403,6 @@ class EstimateCertificate:
     q_value: float
     levels: tuple
     b_chain: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "bound": self.bound,
-            "observed": self.observed,
-            "valid": self.valid,
-            "constant": self.constant,
-            "q_value": self.q_value,
-            "levels": [{"name": n, "value": v} for (n, v) in self.levels],
-            "b_chain": list(self.b_chain),
-        }
 
 
 def estimate_certificate(traj: Trajectory, k: int) -> EstimateCertificate:

@@ -507,6 +507,42 @@ def test_power_law_oracle_compare_passes_at_default_parameters(tmp_path, capsys)
     assert blob["oracle_n_trunc"] == 8 and blob["max_difference"] <= blob["tolerance"] == 1e-6
 
 
+_G2 = {"form": "exponential", "base": 2.0}
+# an explicit core per tail kind, each meeting its tail at the core's first breakpoint
+_EXPLICIT_CORES = {
+    "constant": ([-1.0, 0.0], [[1.0, 0.0, 0.0, 0.0]], {"kind": "constant", "value": 1.0}),
+    "cos": ([-2.0, 0.0], [[-1.0, 1.0, 0.0, 0.0]], {"kind": "cos", "amp": 1.0, "omega": 0.5 * math.pi}),
+    "exp-decay": ([-1.0, 0.0], [[math.exp(-1.0), 1.0 - math.exp(-1.0), 0.0, 0.0]], {"kind": "exp-decay", "amp": 1.0, "rate": 1.0}),
+    "g-envelope": ([-1.0, 0.0], [[2.0, -1.0, 0.0, 0.0]], {"kind": "g-envelope", "scale": 1.0, "weight": _G2}),
+}
+
+
+@pytest.mark.parametrize("kind", list(_EXPLICIT_CORES))
+def test_explicit_core_scenarios_run(tmp_path, capsys, kind):
+    breakpoints, coeffs, tail = _EXPLICIT_CORES[kind]
+    cfg = {
+        "name": "explicit-core",
+        "problem": {
+            "a": 0.1,
+            "family": {"kind": "geometric", "beta": 1.0, "rho": 0.25, "tau": {"c": 0.0, "delta": 1.0}},
+            "history": {"core": {"breakpoints": breakpoints, "coeffs": coeffs}, "tail": tail},
+        },
+        "horizon": 2.0,
+        "checks": [
+            "solve",
+            {"name": "membership", "expect": "member"},
+            {"name": "cg-embedding", "weight": _G2, "expect": "holds"},
+        ],
+    }
+    path = tmp_path / "explicit-core.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    code, out = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_OK, out
+    scen = tmp_path / "out" / "explicit-core"
+    assert json.loads((scen / "02-membership.json").read_text())["verdict"] == "member"
+    assert json.loads((scen / "03-cg-embedding.json").read_text())["holds"] is True
+
+
 def _bundled_cfg(name):
     import importlib.resources as res
 

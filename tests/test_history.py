@@ -686,6 +686,73 @@ def test_history_difference_strip_atom_bounds_the_strip(deep, shallow):
         assert atoms[0][0] < 1e-12
 
 
+def test_shifted_polynomial_envelope_difference_keeps_the_shift_factor():
+    # below the core the difference is 0.2 (2.5 - theta)^2, which exceeds
+    # 0.2 w(theta) = 0.2 (1 - theta)^2: its atom must carry the envelope's
+    # shift factor w(theta - 1.5) / w(theta), or the bounds read 33.80 and 4.4265
+    w2 = WeightFunction.polynomial(2)
+    h1, h2 = (
+        history_from_callable(lambda t, c=c: c * (2.5 - t) ** 2, 8.0, tail=WeightEnvelopeTail(c, w2, -1.5))
+        for c in (0.7, 0.5)
+    )
+    diff = history_difference(h1, h2)
+    sampled = np.max(np.abs(diff.evaluate(np.linspace(-12.0, -10.0, 2001))))
+    assert sampled > 42.0 and diff.sup_abs_interval(-12.0, -10.0) >= sampled
+    p1_sampled = sum(0.5**i * np.max(np.abs(diff.evaluate(np.linspace(-i, 1.0 - i, 101)))) for i in range(1, 201))
+    assert p1_sampled > 4.44 and p_seminorm(diff, GEO_HALF, 1).upper() >= p1_sampled
+
+
+_ENVELOPE_WEIGHTS = [WeightFunction.constant(1.5), WeightFunction.exponential(gamma=0.3), WeightFunction.polynomial(1),
+                     WeightFunction.polynomial(2), WeightFunction.polynomial(3)]
+_SHIFTS = (-1.5, 0.0, 0.7)
+_TAIL_PAIRS = [
+    (ConstantTail(1.5), ConstantTail(-0.25)),
+    (ConstantTail(2.0), ConstantTail(2.0)),
+    (CosTail(0.7, 2.0, 0.3), CosTail(-0.4, 2.0, 1.1)),
+    (CosTail(0.7, 2.0, 0.3), CosTail(0.2, 2.0, 0.3)),
+    (ExpTail(2.0, 0.5), ExpTail(-1.0, 0.5)),
+    (CosTail(0.7, 2.0, 0.3), ExpTail(2.0, 0.5)),
+] + [
+    (WeightEnvelopeTail(0.7, w, s1), WeightEnvelopeTail(s, w, s2))
+    for w in _ENVELOPE_WEIGHTS
+    for s1 in _SHIFTS
+    for s2 in _SHIFTS
+    for s in (0.5, -0.3)
+]
+
+
+@pytest.mark.parametrize("t1, t2", _TAIL_PAIRS)
+def test_tail_difference_atoms_bound_every_structured_pair(t1, t2):
+    depth = 6.0
+    thetas = -depth - np.concatenate((np.linspace(0.0, 40.0, 2001), np.geomspace(40.0, 1000.0, 400)))
+    v1, v2 = (np.asarray(t.evaluate(thetas), dtype=float) for t in (t1, t2))
+    bound = sum((s * w(thetas) for s, w in fd.history.tail_difference_atoms(t1, t2, depth)), np.zeros_like(thetas))
+    assert np.all(np.abs(v1 - v2) <= bound + 1e-12 * (np.abs(v1) + np.abs(v2)))
+
+
+def test_combine_histories_combines_tails_that_differ_in_amplitude():
+    phi = history_preset("exp-decay")
+    combo = combine_histories(0.7, phi, -1.3, scale_history(2.0, phi))
+    assert combo.tail == ExpTail(0.7 - 2.6, 1.0)
+    with pytest.raises(ValueError, match="differ only in amplitude"):
+        combine_histories(1.0, phi, 1.0, history_preset("cos"))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("shift", [-3.0, -1.5, 0.0, 0.7, 2.5])
+def test_cg_norm_bounds_polynomial_envelopes_against_dense_samples(q, shift):
+    depth = 8.0
+    tail = WeightEnvelopeTail(0.6, WeightFunction.polynomial(q), shift)
+    phi = history_from_callable(lambda t: float(tail.evaluate(t)), depth, 1.0, tail=tail)
+    thetas = -depth - np.concatenate((np.linspace(0.0, 100.0, 2001), np.geomspace(100.0, 1e7, 2000)))
+    weights = [WeightFunction.constant(1.0), WeightFunction.constant(3.0), WeightFunction.exponential(gamma=0.05),
+               G2] + [WeightFunction.polynomial(d) for d in (1, 2, 3, 4)]
+    for g in weights:
+        with np.errstate(over="ignore"):
+            ratio = np.max(np.abs(phi.evaluate(thetas)) / g(thetas))
+        assert ratio <= cg_norm(phi, g) * (1.0 + 1e-12)
+
+
 @pytest.mark.parametrize(
     "pair",
     [

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from infidelay import (
 )
 from infidelay.coefficients import hurwitz_zeta
 from infidelay.numerics import derivative_coeffs, eval_pieces, phi1
+from infidelay.scenario import _run_estimates
 from conftest import classic_exact, classic_problem, oracle_scenarios, sweep_problems
 
 DS = DelaySchedule()
@@ -600,9 +602,11 @@ def test_estimate_levels_track_deeper_sup_norm_when_needed():
 
 
 def test_estimate_json_round_trip():
+    # the estimates check's report row, written as the CLI writes it
     traj = solve(classic_problem(), 2.0)
-    d = estimate_certificate(traj, 2).to_json_dict()
-    blob = json.loads(json.dumps(d))
+    report = _run_estimates(SimpleNamespace(traj=lambda: traj), {"k_list": [2]})
+    blob = json.loads(json.dumps(report))["certificates"][0]
+    assert blob.keys() == {"k", "bound", "observed", "valid", "constant", "q_value", "levels", "b_chain"}
     assert blob["valid"] is True
     assert blob["b_chain"] == [2.0, 6.0]
     assert {row["name"] for row in blob["levels"]} == {"sup_norm[1]", "p[1]", "p[2]"}
