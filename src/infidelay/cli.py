@@ -98,6 +98,9 @@ def main(argv=None) -> int:
             print(f"{name:18s} {desc}")
         return EXIT_OK
 
+    if not 0.0 < args.tolerance_scale < float("inf"):
+        print(f"error: --tolerance-scale must be finite and positive, got {args.tolerance_scale}")
+        return EXIT_SCHEMA_ERROR
     out_root = os.environ.get("INFIDELAY_OUT", args.out)
     paths: list[str] = []
     worst = EXIT_OK

@@ -81,6 +81,26 @@ def _suffix_sums(terms: np.ndarray) -> np.ndarray:
     return np.concatenate((np.cumsum(terms[::-1])[::-1], np.zeros(1, dtype=terms.dtype)))
 
 
+def _ratio_sup(scale: float, w: WeightFunction, shift: float, g: WeightFunction, depth: float) -> float:
+    """sup over theta <= -depth of scale * w(theta + shift) / g(theta) in closed form; math.inf when unbounded.
+
+    With y = 1 - theta every weight is level e^{gamma (y - 1)} y^degree (gamma
+    or degree 0), and only a polynomial w is shifted.  The log-ratio grows
+    like dgamma y + dq ln y, so the ratio is unbounded exactly when
+    (dgamma, dq) > (0, 0) and scale != 0.  Otherwise its sup is the largest
+    of the value at -depth, the value at the log-ratio's one critical point
+    when that lies below -depth, and, at (dgamma, dq) = (0, 0), the limit.
+    """
+    dgamma, dq = w.gamma - g.gamma, w.degree - g.degree
+    if (dgamma, dq) > (0.0, 0):
+        return math.inf if scale != 0.0 else 0.0
+    if (dgamma, dq) == (0.0, 0):
+        return max(scale * w(shift - depth) / g(-depth), scale * w.level / g.level)
+    # the log-ratio's slope dgamma + w.degree/(y - shift) - g.degree/y vanishes only at y = 1 - theta_star
+    theta_star = 1.0 - shift + dq / dgamma if dgamma != 0.0 else 1.0 + g.degree * shift / dq
+    return max(scale * w(th + shift) / g(th) for th in (-depth, min(theta_star, -depth)))
+
+
 @dataclass(frozen=True)
 class ConstantTail:
     """phi(theta) = value for theta below the core."""
@@ -207,7 +227,8 @@ class WeightEnvelopeTail:
     This is the tail that grows into the past (geometrically for an
     exponential weight, polynomially otherwise).  Exponential shifts are
     normalized into the scale at construction and a constant weight ignores
-    its shift, so shift != 0 only occurs for polynomial weights.
+    its shift, so shift != 0 only occurs for polynomial weights.  _ratio_sup
+    gives its atom's shift factor and its sup against any weight.
     """
 
     scale: float
@@ -237,14 +258,8 @@ class WeightEnvelopeTail:
         # binomial moments sum b_i tau_i^j cancel badly at large tau
         return None
 
-    def _envelope_factor(self, depth: float) -> float:
-        """sup over theta <= -depth of w(theta+shift)/w(theta): 1 unless a polynomial weight is shifted back."""
-        if self.shift >= 0.0:
-            return 1.0
-        return ((1.0 + depth - self.shift) / (1.0 + depth)) ** self.weight.degree
-
     def atoms(self, depth: float) -> list[Atom]:
-        return [(abs(self.scale) * self._envelope_factor(depth), self.weight)]
+        return [(abs(self.scale) * _ratio_sup(1.0, self.weight, self.shift, self.weight, depth), self.weight)]
 
     def derivative(self):
         w = self.weight
@@ -760,9 +775,7 @@ class SeminormValue:
 
     @property
     def indices_used(self) -> range:
-        if self.index_last < self.index_first:
-            return range(self.index_first, self.index_first)
-        return range(self.index_first, self.index_last + 1)
+        return range(self.index_first, self.index_last + 1)  # empty when index_last < index_first
 
 
 def sup_norm_k(phi: HistoryFunction, k: int) -> float:
@@ -903,64 +916,29 @@ def membership_in_F(
 def _tail_weighted_sup(tail, g: WeightFunction, depth: float) -> float:
     """Certified sup of |tail(theta)|/g(theta) over theta <= -depth.
 
-    Where the tail's nonzero atoms all have constant weights, |tail| is at
-    most their sum there and g is least at -depth: exact for constant,
-    decaying and constant-weight envelope tails, an upper bound for
-    oscillating and difference tails.  Growing envelopes take the exact
-    ratio rules below.  math.inf certifies genuine unboundedness.
+    An envelope tail takes _ratio_sup of its weight and shift, exact, so
+    math.inf certifies unboundedness.  Any other tail sums _ratio_sup over
+    its atoms, an upper bound (exact for constant, decaying and
+    constant-weight tails); an infinite sum certifies nothing and raises
+    UnknownTailError.
     """
-    gD = float(g(-depth))
-    atoms = [(s, w) for s, w in tail.atoms(depth) if s != 0.0]
-    if all(w.form == "constant" for _, w in atoms):
-        return sum(s * w.level for s, w in atoms) / gD
     if isinstance(tail, WeightEnvelopeTail):
-        w = tail.weight
-        sc = abs(tail.scale)
-
-        def ratio_at(th: float) -> float:
-            return sc * float(w(th + tail.shift)) / float(g(th))
-
-        if w.form == "exponential":
-            if g.form == "constant":
-                return math.inf
-            if g.form == "exponential":
-                if w.gamma > g.gamma:
-                    return math.inf
-                if w.gamma == g.gamma:
-                    return sc  # shifts are normalized into the scale
-                return ratio_at(-depth)
-            return math.inf  # exponential growth against a polynomial weight
-        # polynomial envelope
-        if g.form == "constant":
-            return math.inf
-        if g.form == "exponential":
-            # log-ratio q*ln(1-th-shift) + gamma*th peaks at th* below
-            th_star = 1.0 - tail.shift - w.degree / g.gamma
-            cands = [-depth] + ([th_star] if th_star < -depth else [])
-            return max(ratio_at(t) for t in cands)
-        if w.degree > g.degree:
-            return math.inf
-        if w.degree == g.degree:
-            if tail.shift >= 0.0:
-                return sc  # ratio climbs toward 1 into the past
-            return ratio_at(-depth)
-        cands = [-depth]
-        if g.degree > w.degree and tail.shift != 0.0:
-            th_star = 1.0 - g.degree * tail.shift / (g.degree - w.degree)
-            if th_star < -depth:
-                cands.append(th_star)
-        return max(ratio_at(t) for t in cands)
-    raise UnknownTailError(f"no weighted-sup rule for tail {type(tail).__name__}")
+        return _ratio_sup(abs(tail.scale), tail.weight, tail.shift, g, depth)
+    total = sum((_ratio_sup(s, w, 0.0, g, depth) for s, w in tail.atoms(depth)), 0.0)
+    if math.isinf(total):
+        raise UnknownTailError(f"the atoms of tail {type(tail).__name__} bound no finite weighted sup")
+    return total
 
 
 def cg_norm(phi: HistoryFunction, g: WeightFunction) -> float:
-    """sup over theta <= 0 of |phi(theta)|/g(theta); math.inf when unbounded."""
+    """sup over theta <= 0 of |phi(theta)|/g(theta); math.inf when unbounded.
+
+    The larger of sup_ratio_pieces on the core and _tail_weighted_sup.
+    """
     tail_part = _tail_weighted_sup(phi.tail, g, phi.depth)
     if math.isinf(tail_part):
         return math.inf
-    # g'/g = -beta / (1 - delta theta) (see sup_ratio_pieces)
-    delta, beta = {"constant": (0.0, 0.0), "exponential": (0.0, g.gamma)}.get(g.form, (1.0, float(g.degree)))
-    return max(sup_ratio_pieces(phi.breakpoints, phi.coeffs, g, delta, beta), tail_part)
+    return max(sup_ratio_pieces(phi.breakpoints, phi.coeffs, g), tail_part)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,11 @@ re-centres them, hermite_coeffs fits them from node values and slopes, and
 the evaluators build on these: eval_pieces evaluates (a derivative is
 eval_pieces of derivative_coeffs), sup_abs_pieces takes the exact sup of
 |p| over one interval or arrays of intervals in one array pass, and
-sup_ratio_pieces the exact sup of |p|/w under a weight w.  One use of the
-format's arithmetic stays outside on purpose: the left-to-right junction
-snap in HistoryFunction.derivative, whose running sum makes the
-constructor's continuity check hold exactly.
+sup_ratio_pieces the exact sup of |p|/w under a WeightFunction w, whose
+shape it reads from w's own fields.  One use of the format's arithmetic
+stays outside on purpose: the left-to-right junction snap in
+HistoryFunction.derivative, whose running sum makes the constructor's
+continuity check hold exactly.
 """
 
 from __future__ import annotations
@@ -172,16 +173,18 @@ def sup_abs_pieces(breaks: np.ndarray, coeffs: np.ndarray, lo, hi):
     return float(best[0]) if shape == () else best.reshape(shape)
 
 
-def sup_ratio_pieces(breaks: np.ndarray, coeffs: np.ndarray, weight, delta: float, beta: float) -> float:
-    """Exact sup of |p(x)| / weight(x) over the span, for a positive weight with weight'/weight = -beta / (1 - delta x).
+def sup_ratio_pieces(breaks: np.ndarray, coeffs: np.ndarray, weight) -> float:
+    """Exact sup of |p(x)| / weight(x) over the span, for a WeightFunction weight.
 
-    On piece j, with u = x - breaks[j] and alpha = 1 - delta breaks[j], the
-    ratio's critical points are the real roots of the cubic
-    (alpha - delta u) p'(u) + beta p(u).  Each piece takes the ratio at its
-    two ends and at those roots strictly inside, so the result is exact up to
-    roundoff.  (delta, beta) is (0, 0) for a constant weight, (0, gamma) for
-    exp(-gamma x) and (1, q) for (1 - x)**q.
+    Every weight has weight'/weight = -beta / (1 - delta x), with
+    (delta, beta) = (1, q) for (1 - x)**q and (0, gamma) for exp(-gamma x)
+    (and (0, 0) for a constant), read from its own fields.  On piece j, with
+    u = x - breaks[j] and alpha = 1 - delta breaks[j], the ratio's critical
+    points are the real roots of the cubic (alpha - delta u) p'(u) + beta p(u).
+    Each piece takes the ratio at its two ends and at those roots strictly
+    inside, so the result is exact up to roundoff.
     """
+    delta, beta = float(weight.degree > 0), weight.gamma + weight.degree
     best = 0.0
     for j, (c0, c1, c2, c3) in enumerate(coeffs.tolist()):
         s, du = float(breaks[j]), float(breaks[j + 1] - breaks[j])

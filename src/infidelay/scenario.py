@@ -537,8 +537,11 @@ def run_scenario(
 
     Raises ScenarioError for schema problems, at the key's line from
     load_scenario's lines (else line 1), before anything is written; check
-    failures only lower the result's passed flag.
+    failures only lower the result's passed flag.  ValueError unless
+    tolerance_scale is finite and positive (inf would pass every check).
     """
+    if not 0.0 < tolerance_scale < math.inf:
+        raise ValueError(f"tolerance scale must be finite and positive, got {tolerance_scale}")
     anch = _Anchored(lines, path)
     v = anch.read(data, _SCENARIO, "scenario")
     name, horizon = v["name"], v["horizon"]

@@ -696,6 +696,41 @@ def test_tolerance_scale_rescues_tight_pins(tmp_path, capsys):
     assert code2 == EXIT_OK
 
 
+def _wrong_pin_scenario(tmp_path) -> Path:
+    """classic-delay's problem with one check that pins x(1) = 5.0; the solve gives 0.0."""
+    cfg = {
+        "name": "wrong-pin",
+        "problem": {
+            "a": 0.0,
+            "family": {"kind": "finite-support", "coeffs": [-1.0], "tau": {"delta": 1.0}},
+            "history": {"preset": "constant"},
+        },
+        "horizon": 2.0,
+        "checks": [{"name": "solve", "expect_points": [{"t": 1.0, "x": 5.0, "tol": 1e-8}]}],
+    }
+    path = tmp_path / "wrong-pin.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    return path
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+def test_tolerance_scale_must_be_finite_and_positive(tmp_path, capsys, scale):
+    # inf would pass every tolerance check, nan or a scale <= 0 fail every one
+    from infidelay.scenario import load_scenario, run_scenario
+
+    path = _wrong_pin_scenario(tmp_path)
+    code, out = run_cli(["run", str(path), "--out", str(tmp_path / "ok")], capsys)
+    assert code == EXIT_CHECK_FAILED and out.startswith("FAIL")
+    code, out = run_cli(["run", str(path), "--out", str(tmp_path / "out"), "--tolerance-scale", scale], capsys)
+    assert code == EXIT_SCHEMA_ERROR
+    assert "--tolerance-scale must be finite and positive" in out
+    assert not (tmp_path / "out").exists()
+    data, lines = load_scenario(str(path))
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        run_scenario(data, str(tmp_path / "lib"), lines, str(path), tolerance_scale=float(scale))
+    assert not (tmp_path / "lib").exists()
+
+
 def test_directory_batch_and_jobs(tmp_path, capsys):
     import importlib.resources as res
 

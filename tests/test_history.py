@@ -753,6 +753,99 @@ def test_cg_norm_bounds_polynomial_envelopes_against_dense_samples(q, shift):
         assert ratio <= cg_norm(phi, g) * (1.0 + 1e-12)
 
 
+#: the weights of the dense-sample test above, and 4^-theta
+_G_ALL = [WeightFunction.constant(1.0), WeightFunction.constant(3.0), WeightFunction.exponential(gamma=0.05), G2,
+          WeightFunction.exponential(base=4.0)] + [WeightFunction.polynomial(d) for d in (1, 2, 3, 4)]
+
+_ENVELOPES = [(WeightFunction.constant(2.0), 0.0)] + [
+    (WeightFunction.exponential(gamma=g), 0.0) for g in (0.05, math.log(2.0), math.log(4.0))
+] + [(WeightFunction.polynomial(q), s) for q in (1, 2, 3) for s in (-3.0, -1.5, 0.0, 0.7, 2.5)]
+
+
+def _log_weight(w: WeightFunction, theta):
+    """log w(theta) with y = 1 - theta: log level + gamma (y - 1) + degree log y, never overflowing."""
+    return math.log(w.level) - w.gamma * theta + w.degree * np.log(1.0 - theta)
+
+
+#: shifts at most the core depth (past 1 + depth a polynomial envelope turns negative below the core)
+_ENVELOPE_CASES = [(w, s, d) for d in (0.5, 8.0, 30.0) for w, s in _ENVELOPES if s <= d]
+
+
+@pytest.mark.parametrize(
+    "w, shift, depth", _ENVELOPE_CASES, ids=[f"{w.form}-{w.gamma:.3g}-{w.degree}-{s}-{d}" for w, s, d in _ENVELOPE_CASES]
+)
+def test_cg_norm_of_every_envelope_form_pair_against_dense_samples(w, shift, depth):
+    # the ratio |phi|/g over [-depth - 1e7, 0], in log space below the core
+    # so that no exponential overflows: cg_norm bounds every sample, and
+    # where finite it is within 0.1% of the largest sample or of the limit
+    # 0.6 w.level / g.level of equal shapes; where infinite the samples grow
+    # without bound
+    tail = WeightEnvelopeTail(0.6, w, shift)
+    phi = history_from_callable(lambda t: float(tail.evaluate(t)), depth, 1.0, tail=tail)
+    core = np.linspace(-depth, 0.0, 2001)
+    below = -depth - np.concatenate((np.linspace(0.0, 100.0, 2001), np.geomspace(100.0, 1e7, 2000)))
+    for g in _G_ALL:
+        log_ratio = math.log(0.6) + _log_weight(w, below + shift) - _log_weight(g, below)
+        with np.errstate(over="ignore"):
+            samples = np.concatenate((np.abs(phi.evaluate(core)) / g(core), np.exp(log_ratio)))
+        cg = cg_norm(phi, g)
+        assert np.all(samples <= cg * (1.0 + 1e-12)), g
+        if math.isinf(cg):
+            far = log_ratio[-200:]  # log_ratio[2000] is at theta = -depth - 100
+            assert np.all(np.diff(far) > 0.0) and far[-1] - log_ratio[2000] > math.log(1e3), g
+        else:
+            limit = 0.6 * w.level / g.level if (w.gamma, w.degree) == (g.gamma, g.degree) else 0.0
+            assert cg <= 1.001 * max(samples.max(), limit), g
+
+
+def _cos_less_g_weight() -> fd.HistoryFunction:
+    """The cos preset at depth 5 less the g-weight preset at depth 8: a difference tail with growing atoms."""
+    return history_difference(history_preset("cos", depth=5.0), history_preset("g-weight"))
+
+
+@pytest.mark.parametrize("g", [G2, WeightFunction.exponential(base=4.0)], ids=["2^-theta", "4^-theta"])
+def test_cg_norm_of_a_difference_tail_bounds_its_samples(g):
+    # the atoms (strip, 1), (1, 2^-theta) and (1, 1) sum to a finite weighted
+    # sup under a weight at least as fast as 2^-theta
+    diff = _cos_less_g_weight()
+    assert isinstance(diff.tail, fd.history.PairDifferenceTail)
+    thetas = np.concatenate((np.linspace(-5.0, 0.0, 2001), -5.0 - np.geomspace(1e-6, 1000.0, 4000)))
+    with np.errstate(over="ignore"):
+        samples = np.abs(diff.evaluate(thetas)) / g(thetas)
+    cg = cg_norm(diff, g)
+    assert math.isfinite(cg) and np.all(samples <= cg * (1.0 + 1e-12))
+
+
+def test_cg_embedding_of_a_difference_tail():
+    # under 2^-theta with b_i = 4^-i the embedding applies and holds; under a
+    # constant or polynomial weight the 2^-theta atom has no finite weighted
+    # sup, which certifies nothing, so cg_norm raises and the check does not apply
+    diff = _cos_less_g_weight()
+    fam = CoefficientFamily.geometric(1.0, 0.25, DelaySchedule())
+    rep = check_cg_embedding(diff, fam, G2)
+    assert rep.applicable and rep.holds and rep.cg == cg_norm(diff, G2)
+    for g in (W1, WeightFunction.polynomial(2)):
+        with pytest.raises(UnknownTailError):
+            cg_norm(diff, g)
+        assert not check_cg_embedding(diff, fam, g).applicable
+
+
+_DERIVATIVE_TAILS = [ConstantTail(1.3), CosTail(0.7, 1.3, 0.4), ExpTail(-2.0, 0.3),
+                     WeightEnvelopeTail(0.8, WeightFunction.constant(2.0)), WeightEnvelopeTail(-0.6, G2)] + [
+    WeightEnvelopeTail(0.6, WeightFunction.polynomial(q), s) for q in (1, 2, 3) for s in (-1.5, 0.0, 0.7)
+]
+
+
+@pytest.mark.parametrize("tail", _DERIVATIVE_TAILS, ids=repr)
+def test_tail_derivative_matches_a_central_difference(tail):
+    # below a depth-8 core; the polynomial envelope's derivative feeds the
+    # mean-value strip bound in history_difference
+    thetas, h = np.linspace(-40.0, -8.0, 321), 1e-5
+    slope = (tail.evaluate(thetas + h) - tail.evaluate(thetas - h)) / (2.0 * h)
+    got = np.asarray(tail.derivative().evaluate(thetas), dtype=float)
+    assert np.allclose(got, slope, rtol=1e-7, atol=1e-8)
+
+
 @pytest.mark.parametrize(
     "pair",
     [

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from infidelay.coefficients import WeightFunction
 from infidelay.numerics import (
     GAUSS4_NODES,
     GAUSS4_WEIGHTS,
@@ -222,20 +223,16 @@ def test_sup_abs_pieces_on_interval_arrays_matches_scalar_calls_and_the_piece_lo
 
 
 def test_sup_ratio_pieces_matches_dense_sampling_under_each_weight_form():
-    # (delta, beta) with w'/w = -beta / (1 - delta x): constant, exp(-0.7 x), (1 - x)**3;
+    # constant 2, exp(-0.7 x) and (1 - x)**3, each read through its own fields;
     # piece by piece, so that interior critical points decide most of the sups
     rng = np.random.default_rng(21)
     breaks = np.concatenate([np.sort(rng.uniform(-6.0, -0.1, 19)), [0.0]])
     vals, slopes = rng.uniform(-2.0, 2.0, (2, 20)) * [[1.0], [8.0]]
     coeffs = np.column_stack(hermite_coeffs(vals[:-1], slopes[:-1], vals[1:], slopes[1:], np.diff(breaks)))
-    for weight, delta, beta in (
-        (lambda x: np.full_like(np.asarray(x, dtype=float), 2.0), 0.0, 0.0),
-        (lambda x: np.exp(-0.7 * np.asarray(x)), 0.0, 0.7),
-        (lambda x: (1.0 - np.asarray(x)) ** 3, 1.0, 3.0),
-    ):
+    for weight in (WeightFunction.constant(2.0), WeightFunction.exponential(gamma=0.7), WeightFunction.polynomial(3)):
         for j in range(len(coeffs)):
             piece = (breaks[j : j + 2], coeffs[j : j + 1])
-            got = sup_ratio_pieces(*piece, weight, delta, beta)
+            got = sup_ratio_pieces(*piece, weight)
             xs = np.linspace(breaks[j], breaks[j + 1], 20001)
             sampled = float(np.max(np.abs(eval_pieces(*piece, xs)) / weight(xs)))
             assert sampled <= got * (1.0 + 1e-12)

@@ -293,6 +293,51 @@ def test_solve_admits_a_member_whose_seminorms_are_inconclusive():
     assert abs(traj.eval(1.0) - want) <= eps * phi1(a, 1.0) + 2e-7
 
 
+def test_explicit_list_solves_as_its_geometric_family():
+    # b_i = 2^-i stored for i <= 60 with the exact mass 2^-60 past the list:
+    # N = 34 lies inside the list, so the stored-length guard passes and every
+    # node, L and p_2 equal the geometric family's
+    phi = history_preset("constant")
+    geo = CoefficientFamily.geometric(1.0, 0.5, DS)
+    listed = CoefficientFamily.explicit_list([2.0**-i for i in range(1, 61)], 2.0**-60, DS)
+    want, got = (solve(ProblemSpec(1.0, fam, phi), 4.0) for fam in (geo, listed))
+    assert got.n_forcing == want.n_forcing == 34
+    assert np.array_equal(got.grid, want.grid) and np.array_equal(got.values, want.values)
+    assert fd.L_functional(phi, listed, 1.0) == fd.L_functional(phi, geo, 1.0)
+    assert fd.p_seminorm(phi, listed, 2) == fd.p_seminorm(phi, geo, 2)
+
+
+def test_explicit_list_shorter_than_its_truncation_is_refused():
+    # five stored coefficients with mass 1e-12 past them: the search wants
+    # N = 11, past the list, so solve refuses and p_1 is inconclusive, while
+    # the membership search at eps = inf stops inside the list
+    phi = history_preset("constant")
+    short = CoefficientFamily.explicit_list([2.0**-i for i in range(1, 6)], 1e-12, DS)
+    with pytest.raises(NotInPhaseSpaceError, match="explicit-list family stores 5 coefficients, asked for 11"):
+        solve(ProblemSpec(1.0, short, phi), 4.0)
+    assert fd.p_seminorm(phi, short, 1).verdict == "inconclusive"
+    assert fd.membership_in_F(phi, short).verdict == "member"
+
+
+def test_exp_tail_past_the_moment_reach_sums_term_by_term():
+    # rate * tau_N = 815.5 > 700: ExpTail.moment has no moment, so every delay
+    # up to the cap is summed in the head; it must agree with a correctly
+    # rounded sum of b_i x(t - tau_i) within Higham's gamma of the term count
+    # (the gap measured 2.2e-16)
+    fam = CoefficientFamily.power_law(0.8, 3.5, DelaySchedule(0.0, 0.5))
+    phi = history_preset("exp-decay")
+    traj = solve(ProblemSpec(-0.5, fam, phi), 2.0, SolverConfig(eps_forcing=1e-12))
+    n = traj.n_forcing
+    taus, bs = fam.delays.tau_array(n), fam.b_array(n)
+    assert n == 1631 and phi.tail.rate * taus[-1] == 815.5
+    assert fd.history._tail_sums(phi, fam, taus, bs) is None
+    for t in (0.3, 1.1, 2.0):
+        cap = int(fd.stepper._caps(traj, np.array([t]), taus)[0])
+        terms = bs[:cap] * traj.eval(t - taus[:cap])
+        nu = cap * 2.0**-53
+        assert abs(forcing(traj, t) - math.fsum(terms)) <= nu / (1.0 - nu) * math.fsum(np.abs(terms)), t
+
+
 def test_solve_is_deterministic():
     a = solve(geometric_problem(), 3.0)
     b = solve(geometric_problem(), 3.0)
