@@ -129,9 +129,6 @@ class ConstantTail:
     def shifted(self, s: float) -> "ConstantTail":
         return self
 
-    def scaled(self, alpha: float) -> "ConstantTail":
-        return ConstantTail(alpha * self.value)
-
 
 @dataclass(frozen=True)
 class CosTail:
@@ -174,9 +171,6 @@ class CosTail:
     def shifted(self, s: float) -> "CosTail":
         return CosTail(self.amp, self.omega, self.phase + self.omega * s)
 
-    def scaled(self, alpha: float) -> "CosTail":
-        return CosTail(alpha * self.amp, self.omega, self.phase)
-
 
 @dataclass(frozen=True)
 class ExpTail:
@@ -216,9 +210,6 @@ class ExpTail:
     def shifted(self, s: float) -> "ExpTail":
         return ExpTail(self.amp * math.exp(self.rate * s), self.rate)
 
-    def scaled(self, alpha: float) -> "ExpTail":
-        return ExpTail(alpha * self.amp, self.rate)
-
 
 @dataclass(frozen=True)
 class WeightEnvelopeTail:
@@ -227,8 +218,10 @@ class WeightEnvelopeTail:
     This is the tail that grows into the past (geometrically for an
     exponential weight, polynomially otherwise).  Exponential shifts are
     normalized into the scale at construction and a constant weight ignores
-    its shift, so shift != 0 only occurs for polynomial weights.  _ratio_sup
-    gives its atom's shift factor and its sup against any weight.
+    its shift, so shift != 0 only occurs for polynomial weights, and at
+    most the core depth (HistoryFunction rejects more): below the core
+    |phi| >= |scale| and grows into the past.  _ratio_sup gives its atom's
+    shift factor and its sup against any weight.
     """
 
     scale: float
@@ -274,9 +267,6 @@ class WeightEnvelopeTail:
     def shifted(self, s: float) -> "WeightEnvelopeTail":
         return WeightEnvelopeTail(self.scale, self.weight, self.shift + s)
 
-    def scaled(self, alpha: float) -> "WeightEnvelopeTail":
-        return WeightEnvelopeTail(alpha * self.scale, self.weight, self.shift)
-
 
 @dataclass(frozen=True, eq=False)
 class PairDifferenceTail:
@@ -320,9 +310,6 @@ class PairDifferenceTail:
 
     def shifted(self, s: float):
         raise ValueError("difference tails cannot be time-shifted")
-
-    def scaled(self, alpha: float):
-        raise ValueError("difference tails cannot be rescaled")
 
 
 #: each structured tail model's amplitude field, the one that enters linearly
@@ -412,6 +399,8 @@ class HistoryFunction:
         if len(bad):
             j = bad[0]
             raise ValueError(f"core is discontinuous at theta={bp[j + 1]}: {v_end[j]} vs {v_next[j]}")
+        if isinstance(self.tail, WeightEnvelopeTail) and self.tail.shift > -bp[0]:
+            raise ValueError(f"envelope shift {self.tail.shift} exceeds the core depth {-bp[0]}")
         v_core = cf[0, 0]
         v_tail = float(self.tail.evaluate(float(bp[0])))
         tol = max(_CONT_TOL, _CONT_TOL * abs(v_core))
@@ -423,24 +412,6 @@ class HistoryFunction:
     @property
     def depth(self) -> float:
         return -float(self.breakpoints[0])
-
-    def head_counts(self, points: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """For each s in points, how many leading delays put s - tau_i at or above breakpoints[0].
-
-        Those are the arguments evaluate does not send to the tail; taus must
-        be increasing.  fl(s - tau) is monotone in tau, but it may round
-        across breakpoints[0] where fl(s - breakpoints[0]) does not, so the
-        sorted-search guess is corrected against the float arguments.
-        """
-        b0, n = self.breakpoints[0], len(taus)
-        m = np.searchsorted(taus, points - b0, side="right")
-        if n == 0:
-            return m
-        while np.any(up := (m < n) & (points - taus[np.minimum(m, n - 1)] >= b0)):
-            m = m + up
-        while np.any(down := (m > 0) & (points - taus[np.maximum(m - 1, 0)] < b0)):
-            m = m - down
-        return m
 
     def evaluate(self, theta):
         th = np.asarray(theta, dtype=float)
@@ -547,11 +518,14 @@ def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.
     bs), built once per march, forcing or L call.  caps <= len(taus) is each
     point's last delay index (stepper._caps), or one int for every point.
 
-    Each point s splits its delays at m = min(phi.head_counts, cap): the
-    head i <= m, whose float arguments s - tau_i are at or above phi's first
-    breakpoint, reads values_at term by term.  The tail m < i <= cap reads
-    only phi's analytic tail, and its part is the tail model's moment from
-    suffix sums over (m, cap], the suffix at m less the suffix at cap:
+    Each point s splits its delays at m = min(#{i : tau_i <= s + depth},
+    cap), one sorted search: the head i <= m, whose arguments s - tau_i
+    reach phi's core or the solution, reads values_at term by term.  The
+    tail m < i <= cap reads only phi's analytic tail, and its part is the
+    tail model's moment from suffix sums over (m, cap], the suffix at m
+    less the suffix at cap (an argument that rounds across the core's edge
+    is read on the other side, where tail and core agree within the
+    continuity tolerance):
 
         ConstantTail  c sum b_i
         CosTail       Re(amp e^{i(omega s + phase)} sum b_i e^{-i omega tau_i})
@@ -571,7 +545,7 @@ def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.
     heads = np.full(len(points), caps)
     out = np.zeros(len(points))
     if tail_sums is not None:
-        heads = np.minimum(phi.head_counts(points, taus), heads)
+        heads = np.minimum(np.searchsorted(taus, points + phi.depth, side="right"), heads)
         out = tail_sums(points, heads, caps)
     rows = max(1, _CHUNK_TERMS // max(1, int(heads.max(initial=0))))
     for r0 in range(0, len(points), rows):
@@ -668,9 +642,12 @@ def history_preset(name: str, depth: float = 8.0, resolution: float = 0.05) -> H
 
 
 def scale_history(alpha: float, phi: HistoryFunction) -> HistoryFunction:
-    return HistoryFunction(
-        phi.breakpoints.copy(), float(alpha) * phi.coeffs, phi.tail.scaled(float(alpha))
-    )
+    """alpha*phi: the core's coefficients and the tail's amplitude field (_AMPLITUDE) times alpha."""
+    field = _AMPLITUDE.get(type(phi.tail))
+    if field is None:
+        raise ValueError("difference tails cannot be rescaled")
+    tail = replace(phi.tail, **{field: float(alpha) * getattr(phi.tail, field)})
+    return HistoryFunction(phi.breakpoints.copy(), float(alpha) * phi.coeffs, tail)
 
 
 def combine_histories(
@@ -817,9 +794,13 @@ def _truncation(phi: HistoryFunction, family: CoefficientFamily, reach: float, e
     sums have a closed form (_zeta_tail) whose enclosure of
     c beta zeta(p, floor + 1) is within eps wide, the callers add the deep
     part past the head themselves, so no atom is left to search: N is the
-    floor and the remainder that width.  When the search fails, or N passes
-    an explicit list's stored coefficients, raises DivergentTailError if
-    _certified_divergent holds, UnknownTailError otherwise.
+    floor and the remainder that width.  When the search's N passes an
+    explicit list's L stored coefficients and tau_{L+1} >= reach, the
+    unstored terms read phi, where sum_{i > L} |b_i| <= the recorded mass
+    bounds them by mass * sup |phi|: N is L and the remainder that bound,
+    once it is within eps.  When the search fails, or N still passes the
+    stored coefficients, raises DivergentTailError if _certified_divergent
+    holds, UnknownTailError otherwise.
     """
     floor, atoms, width = _tail_floor(phi, family, reach), phi.tail.atoms(phi.depth), 0.0
     closed = _zeta_tail(phi, family)
@@ -829,6 +810,12 @@ def _truncation(phi: HistoryFunction, family: CoefficientFamily, reach: float, e
             atoms, width = [], abs(closed[0]) * (hi - lo)
     try:
         N, rem = _atom_tail_search(family, atoms, floor, eps)
+        L, mass = len(family.coeffs), family.tail_abs_bound
+        if family.kind == "explicit-list" and N > L and family.delays.tau(L + 1) >= reach:
+            # every unstored argument s - tau_i <= reach - tau_{L+1} reads phi
+            unstored = mass * cg_norm(phi, _CONST1) if mass else 0.0
+            if unstored <= eps:
+                N, rem = L, unstored
         if family.kind == "explicit-list":
             family.b_array(N)
         return N, rem + width
@@ -843,10 +830,11 @@ def p_seminorm(
 ) -> SeminormValue:
     """Certified evaluation of p_k(phi) for the given coefficient family.
 
-    The finitely many window sups up to a certified truncation index are
-    computed exactly, those of windows below the core in one array call to
-    the tail's sup_abs; beyond it the contribution is bounded by the tail's
-    envelope atoms pushed through the family's weighted tail sums.
+    The finitely many window sups [-tau_i, min(k tau_1 - tau_i, 0)] up to a
+    certified truncation index are one sup_abs_interval call, exact on the
+    core and the tail's sup_abs below it, summed in index order; beyond it
+    the contribution is bounded by the tail's envelope atoms pushed through
+    the family's weighted tail sums.
     """
     if k < 1:
         raise ValueError(f"window index k must be >= 1, got {k}")
@@ -859,15 +847,9 @@ def p_seminorm(
         return SeminormValue(math.inf, math.inf, n0, 0, "divergent")
     except UnknownTailError:
         return SeminormValue(math.inf, math.inf, n0, 0, "inconclusive")
-    coeff = np.abs(family.b_array(N)) if N > 0 else np.zeros(0)
-    taus = d.tau_array(N)
-    # past the head every window lies below the core: one array call to the tail
-    head = max(n0 - 1, min(N, int(phi.head_counts(np.array([ktau]), taus)[0])))
-    near, deep = taus[n0 - 1 : head], taus[head:]
-    terms = np.concatenate(
-        ([0.0], phi.sup_abs_interval(-near, np.minimum(ktau - near, 0.0)), phi.tail.sup_abs(-deep, ktau - deep))
-    )
-    terms[1:] *= coeff[n0 - 1 :]
+    taus = d.tau_array(N)[n0 - 1 :]
+    terms = np.concatenate(([0.0], phi.sup_abs_interval(-taus, np.minimum(ktau - taus, 0.0))))
+    terms[1:] *= np.abs(family.b_array(N))[n0 - 1 :]
     # summed left to right in index order from 0.0, as a scalar loop would
     total = float(np.cumsum(terms)[-1])
     closed = _zeta_tail(phi, family)

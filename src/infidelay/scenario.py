@@ -19,7 +19,7 @@ Schema (all floats unless noted):
                    #     "tail": {"kind": "constant", "value": ..}
                    #             | {"kind": "cos", "amp": .., "omega": .., "phase": ..}
                    #             | {"kind": "exp-decay", "amp": .., "rate": ..}
-                   #             | {"kind": "g-envelope", "scale": .., "shift": ..,
+                   #             | {"kind": "g-envelope", "scale": .., "shift": .. (<= core depth),
                    #                "weight": {"form": "exponential", "base": 2.0}}}
       },
       "horizon": 10.0,

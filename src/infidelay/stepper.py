@@ -22,7 +22,8 @@ The march (_march) runs one window [k tau_1, (k+1) tau_1] at a time.
 Every delay is at least tau_1, so F on the window reads x only on
 (-inf, k tau_1]: the forcing at every step's nodes starts + steps * nodes
 and at the step ends is one batch through history._delayed_sums, which
-splits each point's delays into a head read term by term and a tail moment.
+splits each point's delays with one sorted search into a head read term
+by term and a tail moment.
 A scan then turns the batch into the window's node values: _voc_scan, the
 variation-of-constants update under the Gauss-4 weights, for solve and
 step_interval; the oracle passes its RK4 scan.  The slopes are

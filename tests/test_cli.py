@@ -543,6 +543,30 @@ def test_explicit_core_scenarios_run(tmp_path, capsys, kind):
     assert json.loads((scen / "03-cg-embedding.json").read_text())["holds"] is True
 
 
+@pytest.mark.parametrize("q", [1, 2])
+def test_envelope_shifted_past_the_core_is_a_schema_error(tmp_path, capsys, q):
+    # 0.6 (1 - theta - 3)^q turns negative below a core of depth 0.5; accepted,
+    # p_1 read 0.75 (q = 1) and 1.575 (q = 2) against sampled sums 0.90 and 1.725
+    cfg = {
+        "name": "deep-shift",
+        "problem": {
+            "a": 0.0,
+            "family": {"kind": "geometric", "beta": 1.0, "rho": 0.5, "tau": {"c": 0.0, "delta": 1.0}},
+            "history": {
+                "core": {"breakpoints": [-0.5, 0.0], "coeffs": [[0.6 * (-1.5) ** q, 0.0, 0.0, 0.0]]},
+                "tail": {"kind": "g-envelope", "scale": 0.6, "shift": 3.0, "weight": {"form": "polynomial", "degree": q}},
+            },
+        },
+        "horizon": 1.0,
+        "checks": ["seminorms"],
+    }
+    path = tmp_path / "deep-shift.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    code, out = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_SCHEMA_ERROR
+    assert re.search(rf"{re.escape(str(path))}:\d+: scenario\.problem\.history: envelope shift 3\.0 exceeds the core depth 0\.5", out)
+
+
 def _bundled_cfg(name):
     import importlib.resources as res
 

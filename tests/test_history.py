@@ -141,16 +141,22 @@ def test_tail_sup_abs_dominates_samples(tail):
 
 
 def test_tail_shift_and_scale_consistency():
+    # scale_history multiplies the tail's amplitude field alone, and keeps its kind
     for tail in TAILS:
         sh = tail.shifted(-0.7)
-        sc = tail.scaled(-2.5)
+        phi = fd.HistoryFunction(np.array([-7.0, 0.0]), np.array([[float(tail.evaluate(-7.0)), 0.0, 0.0, 0.0]]), tail)
+        sc = scale_history(-2.5, phi).tail
         ts = np.linspace(-40.0, -7.0, 97)
         np.testing.assert_allclose(
             np.asarray(sh.evaluate(ts)), np.asarray(tail.evaluate(ts - 0.7)), atol=1e-12
         )
+        assert type(sc) is type(tail)
         np.testing.assert_allclose(
             np.asarray(sc.evaluate(ts)), -2.5 * np.asarray(tail.evaluate(ts)), atol=1e-12
         )
+    diff = history_difference(history_preset("cos"), history_preset("exp-decay"))
+    with pytest.raises(ValueError, match="difference tails cannot be rescaled"):
+        scale_history(2.0, diff)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +278,15 @@ SEMINORM_HISTORIES = {
     ids=["geometric", "power-law"],
 )
 def test_p_seminorm_tail_windows_match_a_scalar_loop(name, fam, eps):
-    # the windows below the core are one array call to tail.sup_abs, summed
-    # in the same order as the scalar loop; under a power law a constant
-    # tail has none, its part past the head is the closed form
+    # the windows are one sup_abs_interval call, those below the core read
+    # tail.sup_abs, summed in the same order as the scalar loop; under a
+    # power law a constant tail has none, its part past the head is the
+    # closed form
     phi = SEMINORM_HISTORIES[name]
     closed = name == "constant" and fam.kind == "power-law"
     for k in (1, 2, 3):
         sv = p_seminorm(phi, fam, k, eps)
-        head = phi.head_counts(np.array([k * fam.delays.tau1]), fam.delays.tau_array(sv.index_last))[0]
+        head = np.searchsorted(fam.delays.tau_array(sv.index_last), k * fam.delays.tau1 + phi.depth, side="right")
         assert sv.verdict == "finite" and (sv.index_last == head if closed else sv.index_last > head)
         assert sv.value == _scalar_p(phi, fam, k, sv.index_last), k
 
@@ -753,6 +760,30 @@ def test_cg_norm_bounds_polynomial_envelopes_against_dense_samples(q, shift):
         assert ratio <= cg_norm(phi, g) * (1.0 + 1e-12)
 
 
+def test_envelope_shift_past_the_core_is_rejected_and_p1_bounds_its_samples():
+    # below the core a polynomial envelope's base 1 - theta - shift stays >= 1
+    # exactly when shift <= depth.  A deeper shift turns it negative there,
+    # where sup_abs reads each window at its deep end: accepted, 18 of these
+    # 288 histories had a p_1 bound below their dense samples (worst gap 0.525)
+    taus = GEO_HALF.delays.tau_array(60)
+    windows = np.minimum(-taus[:, None] + np.linspace(0.0, 1.0, 401), 0.0)
+    accepted = rejected = 0
+    for depth in (0.5, 1.0, 2.0, 4.0, 8.0):
+        for q in (1, 2, 3):
+            for shift in np.arange(-3.0, depth + 3.25, 0.5).tolist():
+                tail = WeightEnvelopeTail(0.6, WeightFunction.polynomial(q), shift)
+                if shift > depth:
+                    with pytest.raises(ValueError, match=f"envelope shift {shift} exceeds the core depth {depth}"):
+                        history_from_callable(lambda t: float(tail.evaluate(t)), depth, tail=tail)
+                    rejected += 1
+                    continue
+                phi = history_from_callable(lambda t: float(tail.evaluate(t)), depth, tail=tail)
+                sampled = float(np.sum(np.abs(GEO_HALF.b_array(60)) * np.abs(phi.evaluate(windows)).max(axis=1)))
+                assert sampled <= p_seminorm(phi, GEO_HALF, 1).upper() * (1.0 + 1e-12), (depth, q, shift)
+                accepted += 1
+    assert (accepted, rejected) == (198, 90)
+
+
 #: the weights of the dense-sample test above, and 4^-theta
 _G_ALL = [WeightFunction.constant(1.0), WeightFunction.constant(3.0), WeightFunction.exponential(gamma=0.05), G2,
           WeightFunction.exponential(base=4.0)] + [WeightFunction.polynomial(d) for d in (1, 2, 3, 4)]
@@ -767,7 +798,7 @@ def _log_weight(w: WeightFunction, theta):
     return math.log(w.level) - w.gamma * theta + w.degree * np.log(1.0 - theta)
 
 
-#: shifts at most the core depth (past 1 + depth a polynomial envelope turns negative below the core)
+#: shifts at most the core depth, the most a HistoryFunction accepts
 _ENVELOPE_CASES = [(w, s, d) for d in (0.5, 8.0, 30.0) for w, s in _ENVELOPES if s <= d]
 
 

@@ -109,41 +109,54 @@ def exp_history(rate: float) -> fd.HistoryFunction:
     )
 
 
-@pytest.mark.parametrize("phi", [history_preset("constant"), history_preset("cos"), exp_history(0.1)], ids=["constant", "cos", "exp"])
-@pytest.mark.parametrize(
-    "family",
-    [CoefficientFamily.power_law(0.8, 3.5, DelaySchedule(0.0, 0.5)), CoefficientFamily.geometric(0.6, -0.95, DelaySchedule(0.1, 0.3))],
-    ids=["power-law", "geometric"],
-)
+#: b_i = 0.72^i on tau_i = i/10: N = 99 at H = 2, and at the nodes 1.2 and
+#: 1.7 fl(s - tau_i) rounds across the core's edge where fl(s + depth) does not
+TENTH = CoefficientFamily.geometric(1.0, 0.72, DelaySchedule(0.0, 0.1))
+_MOMENT_PHIS = {"constant": history_preset("constant"), "cos": history_preset("cos"), "exp": exp_history(0.1)}
+_MOMENT_FAMILIES = {
+    "power-law": CoefficientFamily.power_law(0.8, 3.5, DelaySchedule(0.0, 0.5)),
+    "geometric": CoefficientFamily.geometric(0.6, -0.95, DelaySchedule(0.1, 0.3)),
+}
+_MOMENT_CASES = {f"{fk}-{pk}": (phi, fam) for fk, fam in _MOMENT_FAMILIES.items() for pk, phi in _MOMENT_PHIS.items()}
+_MOMENT_CASES["tenth-delays-cos"] = (history_preset("cos"), TENTH)
+
+
+@pytest.mark.parametrize("phi, family", list(_MOMENT_CASES.values()), ids=list(_MOMENT_CASES))
 def test_forcing_tail_moments_match_a_term_by_term_sum(monkeypatch, phi, family):
     # past the head every delayed argument is in the tail and comes from a
     # suffix moment, or for a constant tail under a power law from the closed
-    # form c beta zeta(p, m + 1) at N on its floor; the total must agree with
-    # the term-by-term sum (plus the term c beta zeta(p, N + 1) for the closed
-    # form) within Higham's gamma of the term count times the sum of |terms|,
-    # and the split must not depend on the batch: node slopes and chunked
-    # batches match pointwise F
+    # form c beta zeta(p, m + 1) at N on its floor; the total must agree at
+    # every node with the term-by-term sum (plus the term c beta zeta(p, N + 1)
+    # for the closed form) within Higham's gamma of the term count times the
+    # sum of |terms|, and the split must not depend on the batch: node slopes
+    # and chunked batches match pointwise F
     p = ProblemSpec(-0.2, family, phi)
     traj = solve(p, 2.0)
     n = traj.n_forcing
     taus, bs = family.delays.tau_array(n), family.b_array(n)
     assert fd.history._tail_sums(phi, family, taus, bs) is not None
-    ts = np.linspace(0.0, 2.0, 17)
+    ts = traj.grid
+    heads = np.searchsorted(taus, ts + phi.depth, side="right")
     closed = fd.history._zeta_tail(phi, family)
-    if closed is None:
-        assert n > 10 * phi.head_counts(ts, taus).max()
+    if family is TENTH:
+        # the sorted split and the float arguments disagree at two nodes
+        core_args = ts[:, None] - taus >= -phi.depth
+        assert np.flatnonzero((core_args != (np.arange(1, n + 1) <= heads[:, None])).any(axis=1)).size == 2
+    elif closed is None:
+        assert n > 10 * heads.max()
     else:
         assert n == fd.history._tail_floor(phi, family, 2.0)
     deep = [] if closed is None else [closed[0] * hurwitz_zeta(closed[1], n + 1)[0]]
+    # each point sums to its own cap; the closed form's head stops at the search
+    caps = [n] * len(ts) if closed else fd.stepper._caps(traj, ts, taus).tolist()
     pointwise = [forcing(traj, t) for t in ts]
-    for t, f in zip(ts, pointwise):
-        terms = np.append(bs * traj.eval(t - taus), deep)
+    for t, cap, f in zip(ts, caps, pointwise):
+        terms = np.append(bs[:cap] * traj.eval(t - taus[:cap]), deep)
         nu = len(terms) * 2.0**-53
         assert abs(f - math.fsum(terms)) <= nu / (1.0 - nu) * math.fsum(np.abs(terms)), t
     monkeypatch.setattr(fd.history, "_CHUNK_TERMS", 64)
     assert np.array_equal(forcing(traj, ts), pointwise)
-    for j in range(len(traj.grid)):
-        assert traj.derivs[j] == p.a * traj.values[j] + forcing(traj, traj.grid[j]), j
+    assert np.array_equal(traj.derivs, p.a * traj.values + np.array(pointwise))
 
 
 @pytest.mark.parametrize("phi", [history_preset("cos"), exp_history(0.1)], ids=["cos", "exp"])
@@ -158,7 +171,7 @@ def test_batched_forcing_sums_each_head_as_one_dot_product(monkeypatch, phi):
     taus, bs = family.delays.tau_array(n), family.b_array(n)
     tail_sums = fd.history._tail_sums(phi, family, taus, bs)
     ts = np.concatenate([np.linspace(0.0, 2.0, 41), traj.grid[::7]])
-    heads = phi.head_counts(ts, taus)
+    heads = np.searchsorted(taus, ts + phi.depth, side="right")
     assert len(set(heads.tolist())) >= 4 and tail_sums is not None
     monkeypatch.setattr(fd.history, "_CHUNK_TERMS", 64)
     want = [
@@ -188,7 +201,7 @@ def test_forcing_argument_on_the_core_edge_is_in_the_head():
     coeffs[9] = coeffs[99] = 1.0
     traj = solve(ProblemSpec(0.0, CoefficientFamily.finite_support(coeffs, DS), phi), 2.0)
     assert traj.n_forcing == 100 >= fd.history._MOMENT_MIN_TERMS
-    assert phi.head_counts(np.array([2.0, 1.5]), DS.tau_array(100)).tolist() == [10, 9]
+    assert np.searchsorted(DS.tau_array(100), np.array([2.0, 1.5]) + phi.depth, side="right").tolist() == [10, 9]
     assert forcing(traj, 2.0) == 2.0 + 2.0**-42  # 2 - tau_10 == breakpoints[0]: the core
     assert forcing(traj, 1.5) == 2.0 + 2.0**-41
 
@@ -307,16 +320,29 @@ def test_explicit_list_solves_as_its_geometric_family():
     assert fd.p_seminorm(phi, listed, 2) == fd.p_seminorm(phi, geo, 2)
 
 
-def test_explicit_list_shorter_than_its_truncation_is_refused():
-    # five stored coefficients with mass 1e-12 past them: the search wants
-    # N = 11, past the list, so solve refuses and p_1 is inconclusive, while
-    # the membership search at eps = inf stops inside the list
+def test_explicit_list_shorter_than_its_truncation_is_bracketed():
+    # five stored coefficients with mass 1e-12 past them: the search wants an
+    # N past the list.  While tau_6 >= the reach, every unstored term reads
+    # phi, so mass * sup |phi| bounds them: N = 5, each p_k brackets its
+    # stored windows, and solve is admitted up to H = tau_6 = 6
     phi = history_preset("constant")
     short = CoefficientFamily.explicit_list([2.0**-i for i in range(1, 6)], 1e-12, DS)
-    with pytest.raises(NotInPhaseSpaceError, match="explicit-list family stores 5 coefficients, asked for 11"):
-        solve(ProblemSpec(1.0, short, phi), 4.0)
-    assert fd.p_seminorm(phi, short, 1).verdict == "inconclusive"
+    for k, head in ((1, 0.96875), (2, 0.46875), (3, 0.21875)):
+        sv = fd.p_seminorm(phi, short, k)
+        assert (sv.verdict, sv.value, sv.truncation_bound, sv.index_last) == ("finite", head, 1e-12, 5), k
     assert fd.membership_in_F(phi, short).verdict == "member"
+    for horizon in (4.0, 6.0):
+        traj = solve(ProblemSpec(1.0, short, phi), horizon)
+        assert traj.n_forcing == traj.n_origin == 5
+    # on [0, 1] every argument reads phi = 1: x(t) = e^t (1 + B) - B, B = sum b_i
+    B = 0.96875
+    assert traj.eval(1.0) == pytest.approx(math.e * (1.0 + B) - B, rel=1e-12, abs=0.0)
+    # past tau_6 some unknown b_i multiply the solution, not phi
+    with pytest.raises(NotInPhaseSpaceError, match="explicit-list family stores 5 coefficients, asked for 14"):
+        solve(ProblemSpec(1.0, short, phi), 7.0)
+    # a zero mass gives a zero remainder
+    exact = fd.p_seminorm(phi, CoefficientFamily.explicit_list(short.coeffs, 0.0, DS), 1)
+    assert (exact.verdict, exact.value, exact.truncation_bound, exact.index_last) == ("finite", 0.96875, 0.0, 5)
 
 
 def test_exp_tail_past_the_moment_reach_sums_term_by_term():
@@ -502,7 +528,7 @@ def _chain(problem: ProblemSpec, horizon: float, windows, monkeypatch) -> tuple:
         (march_long_problem(), 16, (34, 39), 0.0),
         # b_i = i^-3 from the constant history: N is the floor H + 7, deeper
         # at every extension.  At s = 4, tau_12 = s + depth exactly, so
-        # head_counts there reaches past the shorter run's delays: the head
+        # the sorted search there reaches past the shorter run's delays: the head
         # must stop at the point's own index in both runs
         (ProblemSpec(-0.5, CoefficientFamily.power_law(1.0, 3.0, DS), history_preset("constant")), 4, (7, 15), 0.0),
         # tau_i = i/10: N is the floor, at least 79 >= _MOMENT_MIN_TERMS, so
