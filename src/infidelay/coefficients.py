@@ -431,14 +431,14 @@ def _atom_tail_search(
     """Least N >= n_floor with sum_s s * tail_sum_bound(family, w, N+1) <= eps over atoms (s, w).
 
     Doubling, then bisection.  Returns (N, achieved_bound).  For a
-    finite-support family n_floor is first lowered to the last nonzero b_i,
-    where the remainder is exactly 0.  Raises UnknownTailError when an atom
-    bound is infinite or not certifiable, or when an explicit list's
-    recorded tail mass alone exceeds eps, and TruncationDepthError past the
-    cap.
+    finite-support family, or an explicit list with zero recorded mass,
+    n_floor is first lowered to the last nonzero b_i, where the remainder
+    is exactly 0.  Raises UnknownTailError when an atom bound is infinite
+    or not certifiable, or when an explicit list's recorded tail mass alone
+    exceeds eps, and TruncationDepthError past the cap.
     """
     live = [(s, w) for (s, w) in atoms if s != 0.0]
-    if family.kind == "finite-support":
+    if family.kind == "finite-support" or (family.kind == "explicit-list" and family.tail_abs_bound == 0.0):
         n_floor = min(n_floor, max((i for i, b in enumerate(family.coeffs, 1) if b != 0.0), default=0))
 
     def tb(n: int) -> float:

@@ -415,18 +415,20 @@ class HistoryFunction:
 
     def evaluate(self, theta):
         th = np.asarray(theta, dtype=float)
-        scalar = th.ndim == 0
-        th = np.atleast_1d(th)
         if np.any(th > 1e-12):
             raise ValueError(f"history arguments must be <= 0, got max {th.max()}")
-        th = np.minimum(th, 0.0)
-        out = np.empty_like(th)
-        core = th >= self.breakpoints[0]
-        if np.any(core):
-            out[core] = eval_pieces(self.breakpoints, self.coeffs, th[core])
-        if np.any(~core):
-            out[~core] = np.asarray(self.tail.evaluate(th[~core]), dtype=float)
-        return float(out[0]) if scalar else out
+        out = self.read(self.breakpoints, self.coeffs, np.minimum(np.atleast_1d(th), 0.0))
+        return float(out[0]) if th.ndim == 0 else out
+
+    def read(self, breaks: np.ndarray, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Values at the 1-d array x of a table that starts with this core: one eval_pieces, the tail below."""
+        below = x < breaks[0]
+        if not np.any(below):
+            return eval_pieces(breaks, coeffs, x)
+        out = np.empty_like(x)
+        out[~below] = eval_pieces(breaks, coeffs, x[~below])
+        out[below] = self.tail.evaluate(x[below])
+        return out
 
     def sup_abs_interval(self, lo, hi):
         """Sup of |phi| over [lo, hi] (hi <= 0, 0.0 if empty); exact on the core.

@@ -131,13 +131,13 @@ def eval_pieces(breaks: np.ndarray, coeffs: np.ndarray, x: np.ndarray) -> np.nda
     """Evaluate a piecewise cubic at points x (assumed inside [breaks[0], breaks[-1]]).
 
     Points outside the span are clamped to the nearest piece; callers are
-    responsible for domain checks.  Vectorized Horner evaluation.
+    responsible for domain checks.  Vectorized Horner on one gather per column.
     """
     x = np.asarray(x, dtype=float)
     idx = piece_index(breaks, len(coeffs), x)
     u = x - breaks[idx]
-    c = coeffs[idx]
-    return c[..., 0] + u * (c[..., 1] + u * (c[..., 2] + u * c[..., 3]))
+    c0, c1, c2, c3 = (coeffs[:, k][idx] for k in range(4))
+    return c0 + u * (c1 + u * (c2 + u * c3))
 
 
 def sup_abs_pieces(breaks: np.ndarray, coeffs: np.ndarray, lo, hi):

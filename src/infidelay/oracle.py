@@ -5,9 +5,10 @@ the solver's rule (stepper._caps) with the indices that history._truncation,
 the one truncation rule, certifies to _EPS_TRUNC at reach 0 and on
 [0, horizon].  It runs the stepper's window march (stepper._march) with
 the stage points (0, 1/2) of each step, so it shares the step boundaries,
-the batched forcing evaluation and the Hermite storage; its update, _rk4_scan,
-has no code in common with the variation-of-constants scan, which is what
-makes agreement between the two meaningful.
+the batched forcing evaluation (stage 0 is the previous step's end, read
+once) and the Hermite storage; its update, _rk4_scan, has no code in
+common with the variation-of-constants scan, which is what makes
+agreement between the two meaningful.
 """
 
 from __future__ import annotations

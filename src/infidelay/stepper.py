@@ -20,17 +20,17 @@ each other and cuts the march into tau_1-windows of sub-steps.
 
 The march (_march) runs one window [k tau_1, (k+1) tau_1] at a time.
 Every delay is at least tau_1, so F on the window reads x only on
-(-inf, k tau_1]: the forcing at every step's nodes starts + steps * nodes
-and at the step ends is one batch through history._delayed_sums, which
-splits each point's delays with one sorted search into a head read term
-by term and a tail moment.
-A scan then turns the batch into the window's node values: _voc_scan, the
-variation-of-constants update under the Gauss-4 weights, for solve and
-step_interval; the oracle passes its RK4 scan.  The slopes are
-a x + F at the step ends.  While the batch is evaluated, the piece row
-after the last node holds the pending piece (x, x', 0, 0), so an argument
-at that node, or one rounding step past it, reads the node data exactly as
-a finished piece starting there would.
+(-inf, k tau_1]: the forcing at each distinct point of starts + steps *
+nodes and the step ends is one batch through history._delayed_sums, which
+splits each point's delays with one sorted search into a head, read from
+one table of phi's core rows and the pieces (_delayed_values), and a tail
+moment.  A scan turns the batch into the window's node values: _voc_scan,
+the variation-of-constants update under the Gauss-4 weights, for solve and
+step_interval; the oracle passes its RK4 scan.  The slopes are a x + F at
+the step ends.  While the batch is evaluated, the piece row after the last
+node holds the pending piece (x, x', 0, 0), so an argument at that node,
+or one rounding step past it, reads the node data exactly as a finished
+piece starting there would.
 
 Admission is one certificate: solve and step_interval accept a history
 exactly when the forcing truncation N is certified (_certify_forcing).
@@ -50,7 +50,7 @@ import numpy as np
 
 from .coefficients import CoefficientFamily, DivergentTailError, UnknownTailError, m_index, n_index
 from .history import HistoryFunction, _delayed_sums, _tail_sums, _truncation, p_seminorm, sup_norm_k
-from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, eval_pieces, hermite_coeffs, phi1, sup_abs_pieces
+from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, hermite_coeffs, phi1, sup_abs_pieces
 
 
 class NotInPhaseSpaceError(Exception):
@@ -138,17 +138,10 @@ class Trajectory:
         }
 
 
-def _delayed_values(
-    phi: HistoryFunction, grid: np.ndarray, pieces: np.ndarray, args: np.ndarray
-) -> np.ndarray:
-    """x at delayed arguments: history for args <= 0, pieces otherwise."""
-    out = np.empty_like(args)
-    neg = args <= 0.0
-    if np.any(neg):
-        out[neg] = phi.evaluate(args[neg])
-    if np.any(~neg):
-        out[~neg] = eval_pieces(grid, pieces, args[~neg])
-    return out
+def _delayed_values(phi: HistoryFunction, grid: np.ndarray, pieces: np.ndarray, args: np.ndarray) -> np.ndarray:
+    """x at the 1-d array args, read (phi.read) from one table: phi's core rows, then the pieces on grid."""
+    breaks = np.concatenate((phi.breakpoints[:-1], grid))
+    return phi.read(breaks, np.concatenate((phi.coeffs, pieces)), args)
 
 
 def _caps(traj: Trajectory, points: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -274,10 +267,10 @@ def _store_window(grid, values, derivs, pieces, m: int, ends: np.ndarray, steps:
 
 def _voc_scan(a: float, x: float, steps: np.ndarray, points: np.ndarray, f: np.ndarray) -> list:
     """Node values of a window by variation of constants, the integral by the Gauss-4 weights."""
-    weighted = np.exp(a * (points[:, -1:] - points[:, :-1])) * f[:, :-1]
+    quad = np.vecdot(np.exp(a * (points[:, -1:] - points[:, :-1])) * f[:, :-1], GAUSS4_WEIGHTS)
     out = []
-    for step, row in zip(steps.tolist(), weighted):
-        x = x * math.exp(a * step) + step * float(np.dot(GAUSS4_WEIGHTS, row))
+    for step, q in zip(steps.tolist(), quad.tolist()):
+        x = x * math.exp(a * step) + step * q
         out.append(x)
     return out
 
@@ -285,9 +278,11 @@ def _voc_scan(a: float, x: float, steps: np.ndarray, points: np.ndarray, f: np.n
 def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, scan) -> Trajectory:
     """traj marched on from its horizon to t_end, one tau_1-window at a time.
 
-    Each window's forcing is one batch at starts + steps * nodes and at the
-    step ends; scan(a, x, steps, points, f) returns the window's node values
-    from the last node value x.  delayed_values is the caller's own
+    Each window's forcing is one batch at the distinct points of starts +
+    steps * nodes and the step ends.  The points are sorted, so a repeat (the
+    oracle's node 0 is the previous step's end) is its neighbour's twin, found
+    without a sort.  scan(a, x, steps, points, f) returns the window's node
+    values from the last node value x.  delayed_values is the caller's own
     _delayed_values, bound to each window's nodes with functools.partial.
     """
     problem = traj.problem
@@ -303,8 +298,10 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
         steps = ends - starts
         points = np.concatenate((starts[:, None] + steps[:, None] * nodes, ends[:, None]), axis=1)
         values_at = partial(delayed_values, problem.history, grid[:m], pieces[:m])
-        f = _delayed_sums(values_at, problem.history, points.ravel(), taus, bs, tail_sums, _caps(traj, points.ravel(), taus))
-        f = f.reshape(points.shape)
+        flat = points.ravel()
+        first = np.concatenate(([True], flat[1:] != flat[:-1]))
+        f = _delayed_sums(values_at, problem.history, flat[first], taus, bs, tail_sums, _caps(traj, flat[first], taus))
+        f = f[np.cumsum(first) - 1].reshape(points.shape)
         new = slice(m, m + len(ends))
         values[new] = scan(a, float(values[m - 1]), steps, points, f)
         derivs[new] = a * values[new] + f[:, -1]

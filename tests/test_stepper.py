@@ -345,6 +345,17 @@ def test_explicit_list_shorter_than_its_truncation_is_bracketed():
     assert (exact.verdict, exact.value, exact.truncation_bound, exact.index_last) == ("finite", 0.96875, 0.0, 5)
 
 
+def test_explicit_list_with_zero_mass_solves_as_its_finite_support():
+    # a zero recorded mass makes every b_i past the list 0, so the search
+    # starts at the last nonzero stored b_i, as for a finite support: past
+    # tau_6 = 6 no unknown b_i is left, and H = 7 solves with N = 5
+    phi, coeffs = history_preset("constant"), [2.0**-i for i in range(1, 6)]
+    listed = solve(ProblemSpec(1.0, CoefficientFamily.explicit_list(coeffs, 0.0, DS), phi), 7.0)
+    finite = solve(ProblemSpec(1.0, CoefficientFamily.finite_support(coeffs, DS), phi), 7.0)
+    assert listed.n_forcing == listed.n_origin == finite.n_forcing == 5
+    _assert_same_nodes(listed, finite)
+
+
 def test_exp_tail_past_the_moment_reach_sums_term_by_term():
     # rate * tau_N = 815.5 > 700: ExpTail.moment has no moment, so every delay
     # up to the cap is summed in the head; it must agree with a correctly
@@ -438,6 +449,109 @@ def test_node_slopes_match_the_forcing_exactly(run):
         traj = fd.oracle_solve(p, horizon) if run == "oracle" else solve(p, horizon)
         for j in range(1, len(traj.grid)):
             assert traj.derivs[j] == p.a * traj.values[j] + forcing(traj, traj.grid[j]), (p, j)
+
+
+def _row_gather_eval(breaks, coeffs, x):
+    """eval_pieces before the column gathers: one (n, 4) row gather, then strided column reads."""
+    idx = np.searchsorted(breaks[1 : len(coeffs)], x, side="right")
+    u = x - breaks[idx]
+    c = coeffs[idx]
+    return c[..., 0] + u * (c[..., 1] + u * (c[..., 2] + u * c[..., 3]))
+
+
+def _three_way_read(phi, grid, pieces, args):
+    """The delayed read before the one table: phi at args <= 0, split again at its core; the pieces past 0."""
+    out = np.empty_like(args)
+    neg = args <= 0.0
+    th = np.minimum(args[neg], 0.0)
+    core = th >= phi.breakpoints[0]
+    hist = np.empty_like(th)
+    hist[core] = _row_gather_eval(phi.breakpoints, phi.coeffs, th[core])
+    hist[~core] = phi.tail.evaluate(th[~core])
+    out[neg] = hist
+    out[~neg] = _row_gather_eval(grid, pieces, args[~neg])
+    return out
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _edge_arguments(phi, grid) -> np.ndarray:
+    """0 and -0, the core's edge b0 and its float neighbours, deep tail points, the last node and one ulp past it."""
+    b0, end = phi.breakpoints[0], grid[-1]
+    edges = [0.0, -0.0, b0, np.nextafter(b0, -np.inf), np.nextafter(b0, np.inf), b0 - 0.3, b0 - 40.0, -1e4]
+    return np.array(edges + [phi.breakpoints[-2], 0.5 * b0, 0.5 * end, end, np.nextafter(end, np.inf)])
+
+
+_READ_PROBLEMS = {
+    "cos-tail": march_long_problem(),
+    "constant-tail": geometric_problem(-0.5),
+    "exp-tail": ProblemSpec(-0.5, CoefficientFamily.geometric(0.5, 0.5, DS), exp_history(0.1)),
+    # the tail meets the core 2^-44 below it, inside the continuity tolerance: b0 must read the core
+    "offset-tail": ProblemSpec(
+        -0.5,
+        CoefficientFamily.geometric(0.5, 0.5, DS),
+        fd.HistoryFunction(np.array([-8.0, -4.0, 0.0]), np.array([[1.0 + 2.0**-44, 0.1, 0.0, 0.0], [1.4 + 2.0**-44, 0.0, 0.0, 0.0]]), fd.ConstantTail(1.0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("run", ["gauss4", "oracle"])
+@pytest.mark.parametrize("p", list(_READ_PROBLEMS.values()), ids=list(_READ_PROBLEMS))
+def test_one_table_read_matches_the_three_way_split(monkeypatch, run, p):
+    # _delayed_values reads phi's core rows and the pieces as one table (a
+    # zero argument reads the first piece, which starts at phi(0)); it must
+    # give the bits of the old split on the march's own arguments and at the
+    # edges, in mid-march buffers, whose last row is the pending piece, and
+    # on the finished trajectory
+    real, buffers = fd.stepper._delayed_values, []
+
+    def checked(phi, grid, pieces, args):
+        edges = _edge_arguments(phi, grid)  # F(0) at the start has no piece past 0
+        for x in (args, edges if len(pieces) else edges[edges <= 0.0]):
+            assert _same_bits(real(phi, grid, pieces, x), _three_way_read(phi, grid, pieces, x)), len(grid)
+        buffers.append(len(pieces) == len(grid))
+        return real(phi, grid, pieces, args)
+
+    monkeypatch.setattr(fd.stepper, "_delayed_values", checked)
+    monkeypatch.setattr(fd.oracle, "_delayed_values", checked)
+    traj = fd.oracle_solve(p, 3.0) if run == "oracle" else solve(p, 3.0)
+    assert sum(buffers) >= 3  # the windows of [0, 3], each with its pending row
+    monkeypatch.undo()
+    ts = np.concatenate((_edge_arguments(p.history, traj.grid), np.linspace(-20.0, 3.0, 2001), traj.grid))
+    assert _same_bits(real(p.history, traj.grid, traj.pieces, ts), _three_way_read(p.history, traj.grid, traj.pieces, ts))
+    clamped = np.minimum(ts, traj.horizon)
+    assert _same_bits(traj.eval(ts), _three_way_read(p.history, traj.grid, traj.pieces, clamped))
+    assert _same_bits(p.history.evaluate(clamped[clamped <= 0.0]), _three_way_read(p.history, traj.grid[:1], traj.pieces[:0], clamped[clamped <= 0.0]))
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)], ids=["0-d", "1-d", "2-d"])
+def test_eval_pieces_gathers_columns_with_the_row_gather_bits(shape):
+    traj = solve(march_long_problem(), 3.0)
+    x = np.random.default_rng(3).uniform(-0.5, 3.5, shape)
+    got, want = eval_pieces(traj.grid, traj.pieces, x), _row_gather_eval(traj.grid, traj.pieces, x)
+    assert np.shape(got) == shape and _same_bits(got, want)
+
+
+@pytest.mark.parametrize("run, per_step, per_window", [("gauss4", 5, 0), ("oracle", 2, 1)])
+def test_each_distinct_forcing_point_is_evaluated_once(monkeypatch, run, per_step, per_window):
+    # a window's points are sorted, so the oracle's stage node 0, the previous
+    # step's end, is its neighbour's twin: n RK4 steps evaluate 2n + 1
+    # points; the Gauss points never repeat, so a solve window evaluates 5n.
+    # The first call is F(0) at the start.
+    real, counts = fd.stepper._delayed_sums, []
+
+    def counted(values_at, phi, points, *rest):
+        counts.append(len(points))
+        return real(values_at, phi, points, *rest)
+
+    monkeypatch.setattr(fd.stepper, "_delayed_sums", counted)
+    p = slow_geometric_problem()
+    traj = fd.oracle_solve(p, 4.0) if run == "oracle" else solve(p, 4.0)
+    windows = fd.stepper._substeps(0.0, 4.0, p.family, traj.h_used)
+    assert len(windows) == 4 and counts == [1] + [per_step * len(w) + per_window for w in windows]
 
 
 def _assert_same_nodes(a, b):
