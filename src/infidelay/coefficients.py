@@ -151,6 +151,11 @@ class WeightFunction:
                 raise ValueError(f"polynomial weight needs degree >= 1, got {self.degree}")
         else:
             raise ValueError(f"unknown weight form {self.form!r}")
+        # the bounds read every field as level e^{gamma (y - 1)} y^degree, w(theta) only its form's own
+        stray = {"level": 1.0, "gamma": 0.0, "degree": 0}
+        del stray[{"constant": "level", "exponential": "gamma", "polynomial": "degree"}[self.form]]
+        if any(getattr(self, key) != value for key, value in stray.items()):
+            raise ValueError(f"a {self.form} weight sets only its own field, got {self}")
 
     @classmethod
     def constant(cls, level: float = 1.0) -> "WeightFunction":
@@ -309,13 +314,20 @@ def tail_sum_bound(family: CoefficientFamily, weight: WeightFunction, n_start: i
     Returns math.inf exactly when the true series is provably divergent.
     Raises UnknownTailError when the stored data certifies neither a finite
     bound nor divergence (only possible for explicit-list families under
-    unbounded weights).
+    unbounded weights).  With y = 1 + tau_i every weight is
+    level e^{gamma (y - 1)} y^q (gamma or q zero), and the rule reads those
+    fields, level joining |beta| first.  A geometric family sums its prefix
+    delays term by term and its arithmetic continuation in closed form
+    under q = 0, and is dominated by a slower geometric under q > 0.  A
+    power law diverges under gamma > 0 or p - q <= 1, and is otherwise
+    bounded by its first term plus an integral.
     """
     n = int(n_start)
     if n < 1:
         raise ValueError(f"tail start index must be >= 1, got {n}")
     w = weight
     d = family.delays
+    q = w.degree
 
     if family.kind == "finite-support" or (
         family.kind == "explicit-list" and family.tail_abs_bound == 0.0
@@ -328,7 +340,7 @@ def tail_sum_bound(family: CoefficientFamily, weight: WeightFunction, n_start: i
         return float(np.sum(vals))
 
     if family.kind == "explicit-list":
-        if w.form != "constant":
+        if (w.gamma, q) != (0.0, 0):
             raise UnknownTailError(
                 "explicit-list tail mass is only an unweighted bound; cannot certify it under an unbounded weight"
             )
@@ -340,56 +352,36 @@ def tail_sum_bound(family: CoefficientFamily, weight: WeightFunction, n_start: i
 
     if family.beta == 0.0:
         return 0.0
+    ab = w.level * abs(family.beta)
 
     if family.kind == "geometric":
         r0 = abs(family.rho)
         if r0 == 0.0:
             return 0.0
-        ab = abs(family.beta)
-        if w.form == "constant":
-            return w.level * ab * r0**n / (1.0 - r0)
-        P = len(d.prefix)
-        if w.form == "exponential":
+        if q == 0:
+            P = len(d.prefix)
             total = 0.0
             for i in range(n, P + 1):
                 total += ab * r0**i * math.exp(w.gamma * d.tau(i))
-            m = max(n, P + 1)
             r = r0 * math.exp(w.gamma * d.delta)
             if r >= 1.0:
                 # terms do not even tend to zero along the continuation
                 return math.inf
-            off = d._offset()
-            total += ab * math.exp(w.gamma * off) * r**m / (1.0 - r)
-            return total
-        # polynomial weight: (1+tau_i)^q <= (C_tau * i)^q, then dominate
-        # i^q r0^i by C_star * r'^i with r' = (1+r0)/2 < 1.
-        q = w.degree
-        c_tau = _ratio_cap(d)
+            return total + ab * math.exp(w.gamma * d._offset()) * r ** max(n, P + 1) / (1.0 - r)
+        # (1+tau_i)^q <= (C_tau * i)^q, then dominate i^q r0^i by
+        # C_star * r'^i with r' = (1+r0)/2 < 1
         r_prime = 0.5 * (1.0 + r0)
         rho_star = r0 / r_prime
         x_star = q / (-math.log(rho_star))
-        if x_star <= 1.0:
-            c_star = rho_star
-        else:
-            c_star = x_star**q * math.exp(-q)
-        return ab * c_tau**q * c_star * r_prime**n / (1.0 - r_prime)
+        c_star = rho_star if x_star <= 1.0 else x_star**q * math.exp(-q)
+        return ab * _ratio_cap(d) ** q * c_star * r_prime**n / (1.0 - r_prime)
 
-    # power-law: b_i = beta * i^{-p}
-    p = family.p_exponent
-    ab = abs(family.beta)
-    if w.form == "constant":
-        if p <= 1.0:
-            return math.inf
-        return w.level * ab * (float(n) ** (-p) + float(n) ** (1.0 - p) / (p - 1.0))
-    if w.form == "exponential":
-        # exp(gamma*tau_i) outgrows any polynomial decay of i^{-p}
+    # power-law: b_i = beta * i^{-p}; e^{gamma tau_i} outgrows any i^{-p}, and
+    # (1+tau_i)^q ~ (delta i)^q leaves terms ~ i^{q-p}
+    s = family.p_exponent - q
+    if w.gamma > 0.0 or s <= 1.0:
         return math.inf
-    q = w.degree
-    if p - q <= 1.0:
-        # (1+tau_i)^q grows like (delta*i)^q, so terms ~ i^{q-p} with q-p >= -1
-        return math.inf
-    c_tau = _ratio_cap(d)
-    s = p - q
+    c_tau = _ratio_cap(d) if q else 1.0
     return ab * c_tau**q * (float(n) ** (-s) + float(n) ** (1.0 - s) / (s - 1.0))
 
 

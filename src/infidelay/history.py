@@ -59,14 +59,8 @@ Atom = tuple[float, WeightFunction]
 #
 # Every model takes sup_abs(lo, hi) over one window or over arrays of
 # windows.  lower_atom(reach) returns (ell, w) with sup |tail| >= ell * w(-tau)
-# over every window [-tau, reach - tau] below the core, or None.  moment(taus,
-# bs) returns tail_sums(s, m) = sum_{j >= m} bs[j] * tail(s - taus[j])
-# (0-based j, s and m arrays, m <= len(bs)) from suffix sums over the delays,
-# or None when the model has no closed-form moment.
+# over every window [-tau, reach - tau] below the core, or None.
 # ---------------------------------------------------------------------------
-
-#: ExpTail moments need e^{rate * tau_N} and e^{-rate * tau_N} as normal floats
-_EXP_MOMENT_REACH = 700.0
 
 
 def _per_window(lo, sups):
@@ -74,11 +68,6 @@ def _per_window(lo, sups):
     if np.ndim(lo) == 0:
         return float(sups)
     return np.broadcast_to(sups, np.shape(lo)).astype(float)
-
-
-def _suffix_sums(terms: np.ndarray) -> np.ndarray:
-    """out[m] = sum_{j >= m} terms[j], accumulated from the last term down; out[len] = 0."""
-    return np.concatenate((np.cumsum(terms[::-1])[::-1], np.zeros(1, dtype=terms.dtype)))
 
 
 def _ratio_sup(scale: float, w: WeightFunction, shift: float, g: WeightFunction, depth: float) -> float:
@@ -115,10 +104,6 @@ class ConstantTail:
 
     def lower_atom(self, reach: float) -> Optional[Atom]:
         return (abs(self.value), _CONST1)
-
-    def moment(self, taus: np.ndarray, bs: np.ndarray):
-        suffix = _suffix_sums(bs)
-        return lambda s, m: self.value * suffix[m]
 
     def atoms(self, depth: float) -> list[Atom]:
         return [(abs(self.value), _CONST1)]
@@ -157,11 +142,6 @@ class CosTail:
         # any window at least a half-period long contains an extremum
         return (abs(self.amp), _CONST1) if reach * self.omega >= math.pi else None
 
-    def moment(self, taus: np.ndarray, bs: np.ndarray):
-        # amp cos(omega (s - tau) + phase) = Re(amp e^{i(omega s + phase)} e^{-i omega tau})
-        suffix = _suffix_sums(bs * np.exp(-1j * self.omega * taus))
-        return lambda s, m: (self.amp * np.exp(1j * (self.omega * s + self.phase)) * suffix[m]).real
-
     def atoms(self, depth: float) -> list[Atom]:
         return [(abs(self.amp), _CONST1)]
 
@@ -191,15 +171,6 @@ class ExpTail:
 
     def lower_atom(self, reach: float) -> Optional[Atom]:
         return None
-
-    def moment(self, taus: np.ndarray, bs: np.ndarray):
-        # amp e^{rate (s - tau)} = amp e^{rate s} e^{-rate tau}; a tail argument has
-        # s < tau, so both factors stay normal floats while rate * tau_N is small
-        if len(taus) and self.rate * taus[-1] > _EXP_MOMENT_REACH:
-            return None
-        suffix = _suffix_sums(bs * np.exp(-self.rate * taus))
-        n = len(bs)
-        return lambda s, m: self.amp * np.exp(self.rate * np.where(m < n, s, 0.0)) * suffix[m]
 
     def atoms(self, depth: float) -> list[Atom]:
         return [(abs(self.amp) * math.exp(-self.rate * depth), _CONST1)]
@@ -247,10 +218,6 @@ class WeightEnvelopeTail:
         # and at least |scale| since every weight is >= 1
         return (abs(self.scale), self.weight if self.shift == 0.0 else _CONST1)
 
-    def moment(self, taus: np.ndarray, bs: np.ndarray):
-        # binomial moments sum b_i tau_i^j cancel badly at large tau
-        return None
-
     def atoms(self, depth: float) -> list[Atom]:
         return [(abs(self.scale) * _ratio_sup(1.0, self.weight, self.shift, self.weight, depth), self.weight)]
 
@@ -297,9 +264,6 @@ class PairDifferenceTail:
         return _per_window(lo, np.where(below, np.minimum(triangle, from_atoms), triangle))
 
     def lower_atom(self, reach: float) -> Optional[Atom]:
-        return None
-
-    def moment(self, taus: np.ndarray, bs: np.ndarray):
         return None
 
     def atoms(self, depth: float) -> list[Atom]:
@@ -502,13 +466,39 @@ def _zeta_moment(cb: float, p: float):
     return lambda s, m, cap: cb * np.array([zeta(j) for j in m.tolist()])
 
 
+def _exponential_form(tail) -> Optional[tuple[float, complex, complex]]:
+    """(amp, kappa, i phase) with tail(theta) = Re(amp e^{kappa theta + i phase}), or None.
+
+    Constant (value, 0, 0), cosine (amp, i omega, i phase) and decaying
+    (amp, rate, 0) tails have this form; kappa and i phase are real floats
+    unless the tail is a cosine, so the other two take real exponentials.  Envelope
+    tails do not (their binomial moments sum b_i tau_i^j would cancel badly
+    at large tau), nor do difference tails.
+    """
+    if isinstance(tail, ConstantTail):
+        return tail.value, 0.0, 0.0
+    if isinstance(tail, CosTail):
+        return tail.amp, 1j * tail.omega, 1j * tail.phase
+    if isinstance(tail, ExpTail):
+        return tail.amp, tail.rate, 0.0
+    return None
+
+
 def _tail_sums(phi: HistoryFunction, family: CoefficientFamily, taus: np.ndarray, bs: np.ndarray):
     """phi's tail moment tail_sums(s, m, cap) over the delays (see _delayed_sums), or None."""
     closed = _zeta_tail(phi, family)
     if closed is not None:
         return _zeta_moment(*closed)
-    moment = phi.tail.moment(taus, bs) if len(taus) >= _MOMENT_MIN_TERMS else None
-    return None if moment is None else lambda s, m, cap: moment(s, m) - moment(s, cap)
+    form = _exponential_form(phi.tail) if len(taus) >= _MOMENT_MIN_TERMS else None
+    # e^{kappa tau_N} and e^{-kappa tau_N} must stay normal floats
+    if form is None or form[1].real * taus[-1] > 700.0:
+        return None
+    amp, kappa, i_phase = form
+    # suffix[j] = sum_{i > j} b_i e^{-kappa tau_i}, accumulated from the last delay down; suffix[N] = 0
+    terms = bs * np.exp(-kappa * taus)
+    suffix = np.concatenate((np.cumsum(terms[::-1])[::-1], np.zeros(1, dtype=terms.dtype)))
+    # a point with tail terms has s < tau_N; one without takes e^0 times 0
+    return lambda s, m, cap: (amp * np.exp(kappa * np.where(m < cap, s, 0.0) + i_phase) * (suffix[m] - suffix[cap])).real
 
 
 def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.ndarray, bs: np.ndarray, tail_sums, caps) -> np.ndarray:
@@ -523,22 +513,20 @@ def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.
     Each point s splits its delays at m = min(#{i : tau_i <= s + depth},
     cap), one sorted search: the head i <= m, whose arguments s - tau_i
     reach phi's core or the solution, reads values_at term by term.  The
-    tail m < i <= cap reads only phi's analytic tail, and its part is the
-    tail model's moment from suffix sums over (m, cap], the suffix at m
-    less the suffix at cap (an argument that rounds across the core's edge
-    is read on the other side, where tail and core agree within the
-    continuity tolerance):
+    tail m < i <= cap reads only phi's analytic tail (an argument that
+    rounds across the core's edge is read on the other side, where tail and
+    core agree within the continuity tolerance).  A constant, cosine or
+    decaying tail is Re(amp e^{kappa theta + i phase}) (_exponential_form),
+    so its part is one moment from suffix sums over the delays:
 
-        ConstantTail  c sum b_i
-        CosTail       Re(amp e^{i(omega s + phase)} sum b_i e^{-i omega tau_i})
-        ExpTail       amp e^{rate s} sum b_i e^{-rate tau_i}
+        Re(amp e^{kappa s + i phase} (S[m] - S[cap])),  S[j] = sum_{i > j} b_i e^{-kappa tau_i}
 
     A constant tail under a power law with p > 1 (_zeta_tail) instead takes
     c beta zeta(p, m + 1), the whole series over (m, infinity), at every cap:
-    no suffix sums.  Other tails without a moment, and every other tail
-    below _MOMENT_MIN_TERMS delays, keep every delay up to the cap in the
-    head.  The (points x head) argument matrix is evaluated in row chunks of
-    at most _CHUNK_TERMS terms; the rows of a chunk are grouped by head
+    no suffix sums.  Every other tail, every tail below _MOMENT_MIN_TERMS
+    delays and every kappa with Re kappa tau_N > 700 keep every delay up to
+    the cap in the head.  The (points x head) argument matrix is evaluated
+    in row chunks of at most _CHUNK_TERMS terms; the rows of a chunk are grouped by head
     count, and each group is summed by one np.vecdot against the leading
     coefficients, which takes the same BLAS dot product per row as np.dot.
     The split depends on s and its cap alone, so a point's value does not
@@ -576,8 +564,8 @@ def history_from_callable(
     differences when fn_prime is missing), so the core is the standard
     Hermite interpolant with O(resolution^4) error.
     """
-    if depth <= 0.0:
-        raise ValueError(f"core depth must be positive, got {depth}")
+    if depth <= 0.0 or resolution <= 0.0:
+        raise ValueError(f"core depth and resolution must be positive, got {depth} and {resolution}")
     m = max(2, int(math.ceil(depth / resolution)))
     bp = np.linspace(-depth, 0.0, m + 1)
     bp[-1] = 0.0

@@ -33,17 +33,18 @@ type, default or requiredness, and list entry type; "kind" or "form" picks a
 family, tail or weight row.  Any other key is a schema error at that key.
 A key with no default there is passed on only when given.
 
-Check parameters (all optional, all type- and range-checked before the first check runs):
+Check parameters (all optional, all type- and range-checked before the first check runs;
+every k, k_max and k_list entry is >= 1, every t, s, tolerance and threshold >= 0):
 
-    solve              expect, expect_points [{t, x, tol}, ..]
+    solve              expect (not-in-phase-space), expect_points [{t, x, tol}, ..]
     seminorms          k_max (p_1..p_kmax)
-    membership         k_max, expect
+    membership         k_max, expect (member, not-member or inconclusive)
     semigroup-law      t, s (t + s <= horizon), k_list, tolerance
     strong-continuity  k, times (strictly decreasing, positive, <= horizon), threshold
     mild-solution      t_grid (in [0, horizon]), theta_grid (<= 0), tolerance
     estimates          k_list (default 1..min(3, floor(horizon / tau_1)))
-    cg-embedding       weight (an object as in a g-envelope tail), k_max, tolerance, expect
-    oracle-compare     tolerance, h_fine
+    cg-embedding       weight (an object as in a g-envelope tail), k_max, tolerance, expect (holds, not-applicable or any)
+    oracle-compare     tolerance, h_fine (> 0)
 
 Schema problems, check parameters included, raise ScenarioError at the
 file:line of the key at fault; check failures are ordinary results.  Runners write one
@@ -342,7 +343,7 @@ def _run_solve(ctx: _Ctx, p: dict) -> dict:
         got, tol = traj.eval(pt["t"]), pt["tol"] * ctx.tol_scale
         points.append({"t": pt["t"], "want": pt["x"], "got": got, "tol": tol, "ok": abs(got - pt["x"]) <= tol})
     return {
-        "passed": all(pt["ok"] for pt in points),
+        "passed": "expect" not in p and all(pt["ok"] for pt in points),
         "horizon": traj.horizon,
         "n_nodes": int(len(traj.grid)),
         "n_forcing": traj.n_forcing,
@@ -385,9 +386,26 @@ def _run_mild_solution(ctx: _Ctx, p: dict) -> dict:
     return {**asdict(rep), "passed": rep.passed}
 
 
+#: check keys whose value, or each entry of whose list, must be at least this
+_LEAST = {"k": 1, "k_list": 1, "k_max": 1, "t": 0.0, "s": 0.0, "tolerance": 0.0, "threshold": 0.0}
+#: the expect values of each check that takes one
+_EXPECT = {
+    "solve": ("not-in-phase-space",),
+    "membership": ("member", "not-member", "inconclusive"),
+    "cg-embedding": ("holds", "not-applicable", "any"),
+}
+
+
 def _check_ranges(ctx: _Ctx, cname: str, p: dict) -> None:
-    """Raise ScenarioError at the key at fault when a check's times leave what the horizon allows."""
+    """Raise ScenarioError at the key at fault when a check parameter leaves its range or what the horizon allows."""
     H, fail = ctx.horizon, ctx.anch.fail
+    for key, least in _LEAST.items():
+        if any(v < least for v in np.atleast_1d(p.get(key, []))):
+            raise fail(f"{key} must be at least {least}, got {p[key]}", p, key)
+    if p.get("h_fine", 1.0) <= 0.0:
+        raise fail(f"h_fine must be positive, got {p['h_fine']}", p, "h_fine")
+    if "expect" in p and p["expect"] not in _EXPECT[cname]:
+        raise fail(f"expect must be one of {', '.join(_EXPECT[cname])}, got {p['expect']!r}", p, "expect")
     if cname == "semigroup-law" and p["t"] + p["s"] > H:
         raise fail(f"t + s must be at most the horizon {H}, got {p['t'] + p['s']}", p, "s", "t")
     if cname == "strong-continuity":

@@ -351,6 +351,58 @@ def _set_core_coeff_null(cfg):
     cfg["problem"]["history"] = {"core": core, "tail": {"kind": "constant", "value": 1.0}}
 
 
+def _set_resolution_zero(cfg):
+    # once a ZeroDivisionError traceback
+    cfg["problem"]["history"]["resolution"] = 0
+
+
+def _set_resolution_negative(cfg):
+    # once a silent 2-piece core
+    cfg["problem"]["history"]["resolution"] = -0.05
+
+
+def _set_continuity_k_zero(cfg):
+    _params(cfg, "strong-continuity")["k"] = 0
+
+
+def _set_continuity_threshold_negative(cfg):
+    _params(cfg, "strong-continuity")["threshold"] = -0.1
+
+
+def _set_estimates_k_list_zero(cfg):
+    _params(cfg, "estimates")["k_list"] = [0]
+
+
+def _set_law_k_list_zero(cfg):
+    _params(cfg, "semigroup-law")["k_list"] = [0]
+
+
+def _set_law_t_negative(cfg):
+    _params(cfg, "semigroup-law")["t"] = -0.5  # t + s = 0 is within the horizon
+
+
+def _set_oracle_h_fine_negative(cfg):
+    _params(cfg, "oracle-compare")["h_fine"] = -0.1
+
+
+def _set_mild_tolerance_negative(cfg):
+    _params(cfg, "mild-solution")["tolerance"] = -1
+
+
+def _set_seminorms_k_max_zero(cfg):
+    # once a passing check with no rows
+    _params(cfg, "seminorms")["k_max"] = 0
+
+
+def _set_membership_expect_unknown(cfg):
+    _params(cfg, "membership")["expect"] = "banana"
+
+
+def _set_solve_expect_unknown(cfg):
+    # once passed: a successful solve read no expect
+    _params(cfg, "solve")["expect"] = "banana"
+
+
 def _problem(cfg):
     return cfg["problem"]
 
@@ -403,6 +455,18 @@ _ANCHORS = {
     _set_k_max_fraction: lambda c: (_params(c, "seminorms"), "k_max"),
     _set_weight_degree_fraction: lambda c: (_params(c, "cg-embedding")["weight"], "degree"),
     _set_core_coeff_null: lambda c: (_problem(c)["history"]["core"]["coeffs"][0], 0),
+    _set_resolution_zero: lambda c: (_problem(c), "history"),
+    _set_resolution_negative: lambda c: (_problem(c), "history"),
+    _set_continuity_k_zero: lambda c: (_params(c, "strong-continuity"), "k"),
+    _set_continuity_threshold_negative: lambda c: (_params(c, "strong-continuity"), "threshold"),
+    _set_estimates_k_list_zero: lambda c: (_params(c, "estimates"), "k_list"),
+    _set_law_k_list_zero: lambda c: (_params(c, "semigroup-law"), "k_list"),
+    _set_law_t_negative: lambda c: (_params(c, "semigroup-law"), "t"),
+    _set_oracle_h_fine_negative: lambda c: (_params(c, "oracle-compare"), "h_fine"),
+    _set_mild_tolerance_negative: lambda c: (_params(c, "mild-solution"), "tolerance"),
+    _set_seminorms_k_max_zero: lambda c: (_params(c, "seminorms"), "k_max"),
+    _set_membership_expect_unknown: lambda c: (_params(c, "membership"), "expect"),
+    _set_solve_expect_unknown: lambda c: (_params(c, "solve"), "expect"),
 }
 
 
@@ -465,6 +529,18 @@ def _anchor_line(cfg, locate):
         _set_k_max_fraction,
         _set_weight_degree_fraction,
         _set_core_coeff_null,
+        _set_resolution_zero,
+        _set_resolution_negative,
+        _set_continuity_k_zero,
+        _set_continuity_threshold_negative,
+        _set_estimates_k_list_zero,
+        _set_law_k_list_zero,
+        _set_law_t_negative,
+        _set_oracle_h_fine_negative,
+        _set_mild_tolerance_negative,
+        _set_seminorms_k_max_zero,
+        _set_membership_expect_unknown,
+        _set_solve_expect_unknown,
     ],
 )
 def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
@@ -600,14 +676,26 @@ def test_a_type_error_in_the_last_check_stops_before_any_check_runs(tmp_path, ca
         {"name": "semigroup-law", "t": 5.0, "s": 5.0},
         {"name": "strong-continuity", "times": [99.0, 0.1]},
         {"name": "mild-solution", "t_grid": [0.0, 99.0]},
+        {"name": "oracle-compare", "h_fine": -0.1},
     ],
-    ids=["law-t-plus-s", "continuity-times", "mild-t-grid"],
+    ids=["law-t-plus-s", "continuity-times", "mild-t-grid", "oracle-h-fine"],
 )
 def test_a_horizon_range_error_in_the_last_check_stops_before_any_check_runs(extra, tmp_path, capsys, monkeypatch):
     # geometric-l1 has horizon 8 and runs solve first; each extra check asks past it
     cfg = _bundled_cfg("geometric-l1")
     cfg["checks"].append(extra)
     assert _solves_before_exit(cfg, tmp_path, capsys, monkeypatch) == []
+
+
+@pytest.mark.parametrize("name, code", [("harmonic-divergent", EXIT_OK), ("classic-delay", EXIT_CHECK_FAILED)])
+def test_solve_expecting_refusal_passes_only_when_refused(tmp_path, capsys, name, code):
+    # b_i = 1/i diverges from the constant history, so the solve is refused;
+    # classic-delay solves, and a refusal that did not happen is a failure
+    cfg = _bundled_cfg(name)
+    cfg["checks"] = [{"name": "solve", "expect": "not-in-phase-space"}]
+    path = tmp_path / "refusal.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    assert run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)[0] == code
 
 
 def test_docstring_check_rows_name_the_keys_of_each_check():

@@ -1,10 +1,11 @@
 """Delay schedules, coefficient families, weights, and tail certificates."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from infidelay import (
@@ -104,6 +105,12 @@ def test_weight_validation():
         WeightFunction.exponential(gamma=-1.0)
     with pytest.raises(ValueError):
         WeightFunction.exponential(base=2.0, gamma=1.0)  # exactly one spelling
+    # w(theta) reads only its form's field, and tail_sum_bound reads all three:
+    # a stray level 0.5 would halve a bound, a stray gamma certify divergence
+    for stray in ({"form": "exponential", "level": 0.5, "gamma": 0.5}, {"form": "constant", "gamma": 0.5},
+                  {"form": "polynomial", "degree": 2, "gamma": 0.1}, {"form": "exponential", "gamma": 0.5, "degree": 1}):
+        with pytest.raises(ValueError, match="sets only its own field"):
+            WeightFunction(**stray)
     assert WeightFunction.exponential(gamma=0.0).form == "constant"
     assert WeightFunction.polynomial(0).form == "constant"
 
@@ -265,9 +272,12 @@ def test_tail_bound_power_law_cases():
 
 @st.composite
 def family_weight(draw):
+    # an optional increasing prefix of 1 to 3 delays, each gap at least 0.05
+    gaps = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), max_size=3))
     ds = DelaySchedule(
         c=draw(st.floats(min_value=0.0, max_value=1.0)),
         delta=draw(st.floats(min_value=0.2, max_value=1.5)),
+        prefix=tuple(itertools.accumulate(gaps)),
     )
     which = draw(st.integers(min_value=0, max_value=2))
     if which == 0:
@@ -295,7 +305,13 @@ def family_weight(draw):
     return fam, w
 
 
+#: a geometric family under a constant weight from inside its delay prefix:
+#: the prefix is summed term by term, then the continuation in closed form
+_PREFIX_GEOMETRIC = (CoefficientFamily.geometric(0.6, -0.95, DelaySchedule(0.05, 0.5, (0.3, 0.7))), WeightFunction.constant(2.5))
+
+
 @given(fw=family_weight(), n=st.integers(min_value=1, max_value=30))
+@example(fw=_PREFIX_GEOMETRIC, n=1)
 def test_tail_bound_sound_against_partial_sums(fw, n):
     fam, w = fw
     bound = tail_sum_bound(fam, w, n)
@@ -314,6 +330,7 @@ def test_tail_bound_sound_against_partial_sums(fw, n):
 
 
 @given(fw=family_weight(), n=st.integers(min_value=1, max_value=20))
+@example(fw=_PREFIX_GEOMETRIC, n=1)
 def test_tail_bound_monotone_in_start(fw, n):
     fam, w = fw
     b1 = tail_sum_bound(fam, w, n)

@@ -74,6 +74,13 @@ def test_evaluate_sampled_callable_matches_function():
     assert np.max(np.abs(phi.evaluate(thetas) - np.cos(thetas))) < 1e-6
 
 
+@pytest.mark.parametrize("depth, resolution", [(8.0, 0.0), (8.0, -0.05), (0.0, 0.05)])
+def test_sampled_core_needs_positive_depth_and_resolution(depth, resolution):
+    # resolution 0 once divided by zero, and -0.05 silently gave a 2-piece core
+    with pytest.raises(ValueError, match="core depth and resolution must be positive"):
+        history_from_callable(math.cos, depth=depth, resolution=resolution)
+
+
 def test_evaluate_rejects_future_arguments():
     phi = history_preset("constant")
     with pytest.raises(ValueError):

@@ -356,17 +356,26 @@ def test_explicit_list_with_zero_mass_solves_as_its_finite_support():
     _assert_same_nodes(listed, finite)
 
 
-def test_exp_tail_past_the_moment_reach_sums_term_by_term():
-    # rate * tau_N = 815.5 > 700: ExpTail.moment has no moment, so every delay
-    # up to the cap is summed in the head; it must agree with a correctly
+@pytest.mark.parametrize(
+    "phi, fam, eps, n_want",
+    [
+        # rate * tau_N = 815.5 > 700: e^{-rate tau_N} would leave the normal floats
+        (history_preset("exp-decay"), CoefficientFamily.power_law(0.8, 3.5, DelaySchedule(0.0, 0.5)), 1e-12, 1631),
+        # neither an envelope tail nor a difference tail has an exponential form
+        (history_preset("g-weight"), TENTH, None, 99),
+        (fd.history_difference(history_preset("cos"), history_preset("exp-decay")), TENTH, None, 99),
+    ],
+    ids=["exp-past-reach", "envelope", "difference"],
+)
+def test_tails_without_a_moment_sum_term_by_term(phi, fam, eps, n_want):
+    # N >= _MOMENT_MIN_TERMS, yet the tail has no moment, so every delay up
+    # to the cap is summed in the head; it must agree with a correctly
     # rounded sum of b_i x(t - tau_i) within Higham's gamma of the term count
     # (the gap measured 2.2e-16)
-    fam = CoefficientFamily.power_law(0.8, 3.5, DelaySchedule(0.0, 0.5))
-    phi = history_preset("exp-decay")
-    traj = solve(ProblemSpec(-0.5, fam, phi), 2.0, SolverConfig(eps_forcing=1e-12))
+    traj = solve(ProblemSpec(-0.5, fam, phi), 2.0, SolverConfig(eps_forcing=eps))
     n = traj.n_forcing
     taus, bs = fam.delays.tau_array(n), fam.b_array(n)
-    assert n == 1631 and phi.tail.rate * taus[-1] == 815.5
+    assert n == n_want >= fd.history._MOMENT_MIN_TERMS
     assert fd.history._tail_sums(phi, fam, taus, bs) is None
     for t in (0.3, 1.1, 2.0):
         cap = int(fd.stepper._caps(traj, np.array([t]), taus)[0])
