@@ -20,8 +20,8 @@ this trichotomy, so every branch below is a closed-form argument, never a
 sampled heuristic.
 
 :func:`_atom_tail_search` is the one certified truncation search, over a
-history's envelope atoms; history._truncation (the seminorms, L, the
-forcing and the oracle) and history.membership_in_F call it.
+history's envelope atoms; history._truncation (the seminorms, membership,
+L, the forcing and the oracle) is its one caller.
 :func:`hurwitz_zeta` encloses the one exact tail value, zeta(p, n).
 """
 
@@ -55,7 +55,7 @@ class DelaySchedule:
 
     * pure arithmetic: tau_i = c + i*delta (prefix empty), or
     * an explicit positive increasing prefix (tau_1..tau_P) continued
-      arithmetically with gap delta beyond the last listed delay.
+      arithmetically with gap delta beyond the last listed delay (c = 0).
     """
 
     c: float = 0.0
@@ -66,6 +66,8 @@ class DelaySchedule:
         if not (self.delta > 0.0):
             raise ValueError(f"delay gap must be positive, got delta={self.delta}")
         if self.prefix:
+            if self.c != 0.0:
+                raise ValueError(f"a delay prefix fixes the continuation, so c must be 0, got c={self.c}")
             vals = self.prefix
             if vals[0] <= 0.0:
                 raise ValueError(f"delays must be positive, got tau_1={vals[0]}")
@@ -124,67 +126,46 @@ class DelaySchedule:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """A weight w on (-infty, 0] used for tail sums and weighted sup norms.
+    """A weight w(theta) = level * exp(-gamma*theta) * (1 - theta)**degree on (-infty, 0].
 
-    Forms:
-      * "constant":   w(theta) = level, with level >= 1
-      * "exponential": w(theta) = exp(-gamma*theta), gamma > 0
-      * "polynomial":  w(theta) = (1 - theta)**degree, integer degree >= 1
-
-    All three are >= 1 on theta <= 0 and nondecreasing into the past.
+    At most one field leaves its identity value (1, 0, 0), so every weight
+    is a constant level >= 1, an exponential with gamma > 0 or a polynomial
+    with integer degree >= 1: all are >= 1 on theta <= 0 and nondecreasing
+    into the past.
     """
 
-    form: str
     level: float = 1.0
     gamma: float = 0.0
     degree: int = 0
 
     def __post_init__(self) -> None:
-        if self.form == "constant":
-            if not (self.level >= 1.0):
-                raise ValueError(f"constant weight level must be >= 1, got {self.level}")
-        elif self.form == "exponential":
-            if not (self.gamma > 0.0):
-                raise ValueError(f"exponential weight needs gamma > 0, got {self.gamma}")
-        elif self.form == "polynomial":
-            if self.degree < 1:
-                raise ValueError(f"polynomial weight needs degree >= 1, got {self.degree}")
-        else:
-            raise ValueError(f"unknown weight form {self.form!r}")
-        # the bounds read every field as level e^{gamma (y - 1)} y^degree, w(theta) only its form's own
-        stray = {"level": 1.0, "gamma": 0.0, "degree": 0}
-        del stray[{"constant": "level", "exponential": "gamma", "polynomial": "degree"}[self.form]]
-        if any(getattr(self, key) != value for key, value in stray.items()):
-            raise ValueError(f"a {self.form} weight sets only its own field, got {self}")
+        ranges = self.level >= 1.0 and self.gamma >= 0.0 and self.degree >= 0 and float(self.degree).is_integer()
+        if not ranges or (self.level != 1.0) + (self.gamma != 0.0) + (self.degree != 0) > 1:
+            raise ValueError(f"a weight needs level >= 1, gamma >= 0, an integer degree >= 0 and at most one away from (1, 0, 0), got {self}")
 
     @classmethod
     def constant(cls, level: float = 1.0) -> "WeightFunction":
-        return cls(form="constant", level=float(level))
+        return cls(level=float(level))
 
     @classmethod
     def exponential(cls, gamma: float | None = None, base: float | None = None) -> "WeightFunction":
         """exp(-gamma*theta); equivalently base**(-theta) when base is given."""
         if (gamma is None) == (base is None):
             raise ValueError("give exactly one of gamma or base")
-        g = math.log(base) if base is not None else float(gamma)
-        if g == 0.0:
-            return cls.constant(1.0)
-        return cls(form="exponential", gamma=g)
+        return cls(gamma=math.log(base) if base is not None else float(gamma))
 
     @classmethod
     def polynomial(cls, degree: int) -> "WeightFunction":
-        if degree == 0:
-            return cls.constant(1.0)
-        return cls(form="polynomial", degree=int(degree))
+        return cls(degree=int(degree))
 
     def __call__(self, theta):
         th = np.asarray(theta, dtype=float)
-        if self.form == "constant":
-            out = np.full_like(th, self.level)
-        elif self.form == "exponential":
+        if self.gamma != 0.0:
             out = np.exp(-self.gamma * th)
-        else:  # a scalar takes the array pow too, so scalar and array calls agree bit for bit
+        elif self.degree != 0:  # a scalar takes the array pow too, so scalar and array calls agree bit for bit
             out = ((1.0 - np.atleast_1d(th)) ** self.degree).reshape(th.shape)
+        else:
+            out = np.full_like(th, self.level)
         if np.isscalar(theta) or th.ndim == 0:
             return float(out)
         return out
@@ -422,6 +403,7 @@ def _atom_tail_search(
 ) -> tuple[int, float]:
     """Least N >= n_floor with sum_s s * tail_sum_bound(family, w, N+1) <= eps over atoms (s, w).
 
+    Called by history._truncation only (eps = inf asks for membership).
     Doubling, then bisection.  Returns (N, achieved_bound).  For a
     finite-support family, or an explicit list with zero recorded mass,
     n_floor is first lowered to the last nonzero b_i, where the remainder

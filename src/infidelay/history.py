@@ -16,15 +16,15 @@ belongs to the solution phase space iff every p_k is finite.  p_seminorm
 returns a certified value/remainder pair, a certificate of divergence, or
 an explicit "inconclusive" verdict -- never a silent guess.
 
-Every delay series (p_k, L, the solver's forcing) is certified by one call,
-_truncation(phi, family, reach, eps): the atom search from _tail_floor, and
-divergence only from _certified_divergent, through the tail's one lower
-envelope lower_atom(reach).  Every delayed sum (the forcing F, and L as
-a x(0) + F(0)) is evaluated by one function, _delayed_sums.  A constant
-tail c under a power law b_i = beta i^-p with p > 1 (_zeta_tail) has its
-deep part in closed form, c beta zeta(p, n), enclosed by
-coefficients.hurwitz_zeta: _truncation then stops at the tail floor, and
-p_k and the delayed sums add that part past their heads.
+Every delay series (p_k, membership, L, the solver's forcing) is certified
+by one call, _truncation(phi, family, reach, eps): the atom search from
+_tail_floor, and divergence only from _certified_divergent, through the
+tail's one lower envelope lower_atom(reach).  Every delayed sum (the
+forcing F, and L as a x(0) + F(0)) is evaluated by one function,
+_delayed_sums.  A constant tail c under a power law b_i = beta i^-p with
+p > 1 (_zeta_tail) has its deep part in closed form, c beta zeta(p, n),
+enclosed by coefficients.hurwitz_zeta: _truncation then stops at the tail
+floor, and p_k and the delayed sums add that part past their heads.
 """
 
 from __future__ import annotations
@@ -200,9 +200,8 @@ class WeightEnvelopeTail:
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.weight.form != "polynomial" and self.shift != 0.0:
-            if self.weight.form == "exponential":
-                object.__setattr__(self, "scale", self.scale * math.exp(-self.weight.gamma * self.shift))
+        if self.weight.degree == 0 and self.shift != 0.0:
+            object.__setattr__(self, "scale", self.scale * math.exp(-self.weight.gamma * self.shift))
             object.__setattr__(self, "shift", 0.0)
 
     def evaluate(self, theta):
@@ -223,13 +222,9 @@ class WeightEnvelopeTail:
 
     def derivative(self):
         w = self.weight
-        if w.form == "constant":
-            return ConstantTail(0.0)
-        if w.form == "exponential":
-            return WeightEnvelopeTail(-w.gamma * self.scale, w, self.shift)
-        return WeightEnvelopeTail(
-            -w.degree * self.scale, WeightFunction.polynomial(w.degree - 1), self.shift
-        )
+        if w.degree:
+            return WeightEnvelopeTail(-w.degree * self.scale, WeightFunction.polynomial(w.degree - 1), self.shift)
+        return WeightEnvelopeTail(-w.gamma * self.scale, w) if w.gamma else ConstantTail(0.0)
 
     def shifted(self, s: float) -> "WeightEnvelopeTail":
         return WeightEnvelopeTail(self.scale, self.weight, self.shift + s)
@@ -865,17 +860,17 @@ def membership_in_F(
 ) -> MembershipReport:
     """Whether every p_k(phi) is finite, with p_1..p_{k_max} as evidence.
 
-    "member" when the atom tail sum past the floor at reach 0 is finite: it
-    bounds the tail of every p_k past that k's floor, and the terms below a
-    floor are finitely many finite ones.  "not-member" when a reported p_k
-    is certified divergent, "inconclusive" otherwise.  k_max only chooses
-    which values are reported.
+    "member" when _truncation at reach 0 succeeds for eps = inf: the tail
+    sum past that floor bounds the tail of every p_k past that k's floor,
+    and the terms below a floor are finitely many finite ones.
+    "not-member" when a reported p_k is certified divergent, "inconclusive"
+    otherwise.  k_max only chooses which values are reported.
     """
     per_k = {k: p_seminorm(phi, family, k, eps_tail) for k in range(1, k_max + 1)}
     try:
-        _atom_tail_search(family, phi.tail.atoms(phi.depth), _tail_floor(phi, family, 0.0), math.inf)
+        _truncation(phi, family, 0.0, math.inf)
         overall = "member"
-    except UnknownTailError:
+    except (UnknownTailError, DivergentTailError):
         overall = "not-member" if any(v.verdict == "divergent" for v in per_k.values()) else "inconclusive"
     return MembershipReport(per_k, overall)
 

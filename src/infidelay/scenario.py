@@ -12,7 +12,7 @@ Schema (all floats unless noted):
           "beta": .., "rho": ..,     # geometric
           "p": ..,                   # power-law
           "tail_abs_bound": ..,      # explicit-list
-          "tau": {"c": 0.0, "delta": 1.0, "prefix": [..]}
+          "tau": {"c": 0.0, "delta": 1.0, "prefix": [..]}   # c stays 0 with a prefix
         },
         "history": {"preset": "constant", "depth": 8.0, "resolution": 0.05}
                    # or {"core": {"breakpoints": [...], "coeffs": [[c0,c1,c2,c3],..]},
@@ -34,7 +34,7 @@ family, tail or weight row.  Any other key is a schema error at that key.
 A key with no default there is passed on only when given.
 
 Check parameters (all optional, all type- and range-checked before the first check runs;
-every k, k_max and k_list entry is >= 1, every t, s, tolerance and threshold >= 0):
+every k, k_max and k_list entry is >= 1, every t, s, tolerance, threshold and point tol >= 0):
 
     solve              expect (not-in-phase-space), expect_points [{t, x, tol}, ..]
     seminorms          k_max (p_1..p_kmax)
@@ -402,6 +402,9 @@ def _check_ranges(ctx: _Ctx, cname: str, p: dict) -> None:
     for key, least in _LEAST.items():
         if any(v < least for v in np.atleast_1d(p.get(key, []))):
             raise fail(f"{key} must be at least {least}, got {p[key]}", p, key)
+    for pt in p.get("expect_points", []):
+        if pt["tol"] < 0.0:
+            raise fail(f"tol must be at least 0, got {pt['tol']}", pt, "tol")
     if p.get("h_fine", 1.0) <= 0.0:
         raise fail(f"h_fine must be positive, got {p['h_fine']}", p, "h_fine")
     if "expect" in p and p["expect"] not in _EXPECT[cname]:

@@ -3,6 +3,7 @@
 import copy
 import csv
 import filecmp
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -403,6 +405,16 @@ def _set_solve_expect_unknown(cfg):
     _params(cfg, "solve")["expect"] = "banana"
 
 
+def _set_tau_c_with_prefix(cfg):
+    # once silently ignored beside the prefix
+    cfg["problem"]["family"]["tau"]["c"] = 5.0
+
+
+def _set_point_tol_negative(cfg):
+    # once a check that could never pass, exiting 1
+    _params(cfg, "solve")["expect_points"] = [{"t": 1.0, "x": 0.0, "tol": 1e-8}, {"t": 2.0, "x": 0.0, "tol": -1.0}]
+
+
 def _problem(cfg):
     return cfg["problem"]
 
@@ -467,6 +479,8 @@ _ANCHORS = {
     _set_seminorms_k_max_zero: lambda c: (_params(c, "seminorms"), "k_max"),
     _set_membership_expect_unknown: lambda c: (_params(c, "membership"), "expect"),
     _set_solve_expect_unknown: lambda c: (_params(c, "solve"), "expect"),
+    _set_tau_c_with_prefix: lambda c: (_problem(c), "family"),
+    _set_point_tol_negative: lambda c: (_params(c, "solve")["expect_points"][1], "tol"),
 }
 
 
@@ -541,6 +555,8 @@ def _anchor_line(cfg, locate):
         _set_seminorms_k_max_zero,
         _set_membership_expect_unknown,
         _set_solve_expect_unknown,
+        _set_tau_c_with_prefix,
+        _set_point_tol_negative,
     ],
 )
 def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
@@ -868,6 +884,15 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     match, mismatch, errors = filecmp.cmpfiles(d1, d2, files, shallow=False)
     assert mismatch == [] and errors == []
     assert set(match) == set(files)
+    # every bundled report, byte for byte, as recorded in report_digests.json
+    pinned = json.loads((Path(__file__).parent / "report_digests.json").read_text())
+    if pinned["numpy"] != np.__version__:
+        pytest.skip(f"report digests were recorded under numpy {pinned['numpy']}, not {np.__version__}")
+    code, _ = run_cli(["run", str(Path(infidelay.__file__).parent / "scenarios"), "--out", str(tmp_path / "all")], capsys)
+    assert code == EXIT_OK
+    reports = sorted(p for p in (tmp_path / "all").rglob("*") if p.is_file())
+    got = {p.relative_to(tmp_path / "all").as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in reports}
+    assert got == pinned["sha256"]
 
 
 def test_out_env_override(tmp_path, capsys, monkeypatch):

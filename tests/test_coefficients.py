@@ -48,6 +48,8 @@ def test_schedule_validation():
         DelaySchedule(prefix=(-0.5,))
     with pytest.raises(ValueError):
         DelaySchedule(c=-1.0, delta=1.0)  # tau_1 = c + delta must be positive
+    with pytest.raises(ValueError, match="c must be 0"):
+        DelaySchedule(c=5.0, delta=1.0, prefix=(0.5,))  # once silently the schedule of c = 0
 
 
 @given(
@@ -78,6 +80,20 @@ def test_first_index_at_least_scans_prefix():
 # ---------------------------------------------------------------------------
 
 
+def _per_form_weight(form: str, w: WeightFunction, theta):
+    """w(theta) by the per-form formulas of a weight that stored its form by name."""
+    th = np.asarray(theta, dtype=float)
+    if form == "constant":
+        out = np.full_like(th, w.level)
+    elif form == "exponential":
+        out = np.exp(-w.gamma * th)
+    else:
+        out = ((1.0 - np.atleast_1d(th)) ** w.degree).reshape(th.shape)
+    if np.isscalar(theta) or th.ndim == 0:
+        return float(out)
+    return out
+
+
 def test_weight_forms():
     w1 = WeightFunction.constant(2.0)
     assert w1(-5.0) == 2.0 and w1(0.0) == 2.0
@@ -88,6 +104,16 @@ def test_weight_forms():
     assert abs(g2(-3.0) - 8.0) < 1e-12
     q = WeightFunction.polynomial(2)
     assert q(-3.0) == 16.0 and q(0.0) == 1.0
+    # the fields pick the per-form formula's numpy operation, so every value keeps its bits
+    thetas = np.concatenate((np.linspace(-60.0, 0.0, 5001), [-0.0, -1e-300]))
+    cases = [("constant", WeightFunction.constant()), ("constant", w1), ("exponential", g), ("exponential", g2),
+             ("exponential", WeightFunction.exponential(gamma=0.37)), ("polynomial", WeightFunction.polynomial(1)),
+             ("polynomial", q), ("polynomial", WeightFunction.polynomial(3))]
+    for form, w in cases:
+        assert w(thetas).tobytes() == _per_form_weight(form, w, thetas).tobytes()
+        scalars = [w(t) for t in thetas]
+        assert all(type(v) is float for v in scalars)
+        assert scalars == [_per_form_weight(form, w, t) for t in thetas]
 
 
 def test_polynomial_weight_scalar_equals_array():
@@ -105,14 +131,20 @@ def test_weight_validation():
         WeightFunction.exponential(gamma=-1.0)
     with pytest.raises(ValueError):
         WeightFunction.exponential(base=2.0, gamma=1.0)  # exactly one spelling
-    # w(theta) reads only its form's field, and tail_sum_bound reads all three:
-    # a stray level 0.5 would halve a bound, a stray gamma certify divergence
-    for stray in ({"form": "exponential", "level": 0.5, "gamma": 0.5}, {"form": "constant", "gamma": 0.5},
-                  {"form": "polynomial", "degree": 2, "gamma": 0.1}, {"form": "exponential", "gamma": 0.5, "degree": 1}):
-        with pytest.raises(ValueError, match="sets only its own field"):
-            WeightFunction(**stray)
-    assert WeightFunction.exponential(gamma=0.0).form == "constant"
-    assert WeightFunction.polynomial(0).form == "constant"
+    with pytest.raises(ValueError):
+        WeightFunction.polynomial(-1)
+    with pytest.raises(ValueError):
+        WeightFunction(degree=1.5)
+    with pytest.raises(ValueError):
+        WeightFunction(level=0.5, gamma=0.5)
+    # every rule reads a weight as level e^{-gamma theta} (1 - theta)^degree,
+    # with at most one field away from (1, 0, 0)
+    for mixed in ({"level": 2.0, "gamma": 0.5}, {"degree": 2, "gamma": 0.1}, {"gamma": 0.5, "degree": 1},
+                  {"level": 1.5, "degree": 1}):
+        with pytest.raises(ValueError, match=r"at most one away from \(1, 0, 0\)"):
+            WeightFunction(**mixed)
+    assert WeightFunction.exponential(gamma=0.0) == WeightFunction.constant() == WeightFunction.polynomial(0)
+    assert WeightFunction() == WeightFunction.exponential(base=1.0)
 
 
 def test_weights_nondecreasing_into_past():
@@ -272,10 +304,11 @@ def test_tail_bound_power_law_cases():
 
 @st.composite
 def family_weight(draw):
-    # an optional increasing prefix of 1 to 3 delays, each gap at least 0.05
+    # an optional increasing prefix of 1 to 3 delays, each gap at least 0.05;
+    # an offset c only without one
     gaps = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), max_size=3))
     ds = DelaySchedule(
-        c=draw(st.floats(min_value=0.0, max_value=1.0)),
+        c=0.0 if gaps else draw(st.floats(min_value=0.0, max_value=1.0)),
         delta=draw(st.floats(min_value=0.2, max_value=1.5)),
         prefix=tuple(itertools.accumulate(gaps)),
     )
@@ -307,7 +340,7 @@ def family_weight(draw):
 
 #: a geometric family under a constant weight from inside its delay prefix:
 #: the prefix is summed term by term, then the continuation in closed form
-_PREFIX_GEOMETRIC = (CoefficientFamily.geometric(0.6, -0.95, DelaySchedule(0.05, 0.5, (0.3, 0.7))), WeightFunction.constant(2.5))
+_PREFIX_GEOMETRIC = (CoefficientFamily.geometric(0.6, -0.95, DelaySchedule(0.0, 0.5, (0.3, 0.7))), WeightFunction.constant(2.5))
 
 
 @given(fw=family_weight(), n=st.integers(min_value=1, max_value=30))

@@ -805,12 +805,18 @@ def _log_weight(w: WeightFunction, theta):
     return math.log(w.level) - w.gamma * theta + w.degree * np.log(1.0 - theta)
 
 
+def _shape(w: WeightFunction) -> str:
+    return "polynomial" if w.degree else "exponential" if w.gamma else "constant"
+
+
 #: shifts at most the core depth, the most a HistoryFunction accepts
 _ENVELOPE_CASES = [(w, s, d) for d in (0.5, 8.0, 30.0) for w, s in _ENVELOPES if s <= d]
 
 
 @pytest.mark.parametrize(
-    "w, shift, depth", _ENVELOPE_CASES, ids=[f"{w.form}-{w.gamma:.3g}-{w.degree}-{s}-{d}" for w, s, d in _ENVELOPE_CASES]
+    "w, shift, depth",
+    _ENVELOPE_CASES,
+    ids=[f"{_shape(w)}-{w.gamma:.3g}-{w.degree}-{s}-{d}" for w, s, d in _ENVELOPE_CASES],
 )
 def test_cg_norm_of_every_envelope_form_pair_against_dense_samples(w, shift, depth):
     # the ratio |phi|/g over [-depth - 1e7, 0], in log space below the core

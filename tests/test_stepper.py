@@ -697,7 +697,7 @@ def test_per_point_forcing_stays_within_eps_of_a_deep_sum():
     [
         (CoefficientFamily.geometric(1.0, 0.5, DS), SolverConfig(), 40.0),
         (CoefficientFamily.power_law(1.0, 4.0, DS), SolverConfig(eps_forcing=1e-6), 90.0),
-        (CoefficientFamily.geometric(0.8, 0.7, DelaySchedule(0.05, 0.5, (0.3, 0.7))), SolverConfig(), 40.0),
+        (CoefficientFamily.geometric(0.8, 0.7, DelaySchedule(0.0, 0.5, (0.3, 0.7))), SolverConfig(), 40.0),
     ],
     ids=["geometric", "power-law", "affine-prefix"],
 )
