@@ -1,7 +1,8 @@
 """History functions on (-infty, 0] and the phase-space seminorm machinery.
 
 A history is stored as an exact piecewise cubic core on [-depth, 0] plus a
-structured analytic tail model for theta <= -depth.  Tail models carry
+structured analytic tail model for theta <= -depth, one per shape: constant,
+cosine, exponential of either sign, polynomial envelope.  Tail models carry
 enough structure to certify sup bounds, weighted envelopes ("atoms"), and
 in favorable cases exact pointwise lower bounds; that is what turns the
 infinite sums below into finitely checkable quantities.
@@ -14,7 +15,7 @@ Seminorms:
 where n(k) is the first delay index reaching depth k*tau_1.  A history
 belongs to the solution phase space iff every p_k is finite.  p_seminorm
 returns a certified value/remainder pair, a certificate of divergence, or
-an explicit "inconclusive" verdict -- never a silent guess.
+an explicit "inconclusive" verdict -- never a silent guess, nor a NaN.
 
 Every delay series (p_k, membership, L, the solver's forcing) is certified
 by one call, _truncation(phi, family, reach, eps): the atom search from
@@ -154,26 +155,29 @@ class CosTail:
 
 @dataclass(frozen=True)
 class ExpTail:
-    """phi(theta) = amp * exp(rate*theta), rate > 0 (decays into the past)."""
+    """phi(theta) = amp * exp(rate*theta), rate != 0: decays into the past for rate > 0, grows for rate < 0."""
 
     amp: float
     rate: float
 
     def __post_init__(self) -> None:
-        if not (self.rate > 0.0):
-            raise ValueError(f"decaying tail needs rate > 0, got {self.rate}")
+        if not abs(self.rate) > 0.0:
+            raise ValueError(f"exponential tail needs rate != 0, got {self.rate}")
 
     def evaluate(self, theta):
         return self.amp * np.exp(self.rate * np.asarray(theta, dtype=float))
 
     def sup_abs(self, lo, hi):
-        return _per_window(lo, abs(self.amp) * np.exp(self.rate * np.asarray(hi)))
+        return _per_window(lo, abs(self.amp) * np.exp(self.rate * np.asarray(hi if self.rate > 0.0 else lo)))
 
     def lower_atom(self, reach: float) -> Optional[Atom]:
-        return None
+        # a growing tail is exactly |amp| e^{-gamma theta}, so a window's sup is at least its value at -tau_i
+        return None if self.rate > 0.0 else (abs(self.amp), WeightFunction(gamma=-self.rate))
 
     def atoms(self, depth: float) -> list[Atom]:
-        return [(abs(self.amp) * math.exp(-self.rate * depth), _CONST1)]
+        if self.rate > 0.0:
+            return [(abs(self.amp) * math.exp(-self.rate * depth), _CONST1)]
+        return [self.lower_atom(depth)]
 
     def derivative(self):
         return ExpTail(self.amp * self.rate, self.rate)
@@ -184,15 +188,11 @@ class ExpTail:
 
 @dataclass(frozen=True)
 class WeightEnvelopeTail:
-    """phi(theta) = scale * w(theta + shift) for a weight function w.
+    """phi(theta) = scale * w(theta + shift) for a polynomial weight w.
 
-    This is the tail that grows into the past (geometrically for an
-    exponential weight, polynomially otherwise).  Exponential shifts are
-    normalized into the scale at construction and a constant weight ignores
-    its shift, so shift != 0 only occurs for polynomial weights, and at
-    most the core depth (HistoryFunction rejects more): below the core
-    |phi| >= |scale| and grows into the past.  _ratio_sup gives its atom's
-    shift factor and its sup against any weight.
+    The shift is at most the core depth (HistoryFunction rejects more):
+    below the core |phi| >= |scale| and grows into the past.  _ratio_sup
+    gives its atom's shift factor and its sup against any weight.
     """
 
     scale: float
@@ -200,9 +200,8 @@ class WeightEnvelopeTail:
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.weight.degree == 0 and self.shift != 0.0:
-            object.__setattr__(self, "scale", self.scale * math.exp(-self.weight.gamma * self.shift))
-            object.__setattr__(self, "shift", 0.0)
+        if self.weight.degree == 0:
+            raise ValueError(f"an envelope tail needs a polynomial weight (ExpTail or ConstantTail otherwise), got {self.weight}")
 
     def evaluate(self, theta):
         return self.scale * np.asarray(self.weight(np.asarray(theta, dtype=float) + self.shift), dtype=float)
@@ -213,18 +212,18 @@ class WeightEnvelopeTail:
 
     def lower_atom(self, reach: float) -> Optional[Atom]:
         # |phi| is nondecreasing into the past, so a window's sup is its value
-        # at -tau_i: exactly |scale| w(-tau_i) when w(theta + shift) is w(theta),
-        # and at least |scale| since every weight is >= 1
+        # at -tau_i: exactly |scale| w(-tau_i) when unshifted, and at least
+        # |scale| since every weight is >= 1
         return (abs(self.scale), self.weight if self.shift == 0.0 else _CONST1)
 
     def atoms(self, depth: float) -> list[Atom]:
         return [(abs(self.scale) * _ratio_sup(1.0, self.weight, self.shift, self.weight, depth), self.weight)]
 
     def derivative(self):
-        w = self.weight
-        if w.degree:
-            return WeightEnvelopeTail(-w.degree * self.scale, WeightFunction.polynomial(w.degree - 1), self.shift)
-        return WeightEnvelopeTail(-w.gamma * self.scale, w) if w.gamma else ConstantTail(0.0)
+        q = self.weight.degree
+        if q == 1:
+            return ConstantTail(-self.scale)
+        return WeightEnvelopeTail(-q * self.scale, WeightFunction.polynomial(q - 1), self.shift)
 
     def shifted(self, s: float) -> "WeightEnvelopeTail":
         return WeightEnvelopeTail(self.scale, self.weight, self.shift + s)
@@ -305,8 +304,7 @@ def tail_difference_atoms(t1, t2, depth: float) -> tuple[Atom, ...]:
         atoms = [(abs(t1.amp - t2.amp) + abs(t2.amp) * abs(t1.phase - t2.phase), _CONST1)]
     elif (isinstance(t1, WeightEnvelopeTail) and isinstance(t2, WeightEnvelopeTail)
           and t1.weight == t2.weight and min(t1.shift, t2.shift) >= 0.0):
-        # shifts differ only under a polynomial weight; a mean-value bound on the
-        # shift difference: |(1-th-s1)^q - (1-th-s2)^q| <= q (1-th)^{q-1} |s1-s2|
+        # a mean-value bound on the shift difference: |(1-th-s1)^q - (1-th-s2)^q| <= q (1-th)^{q-1} |s1-s2|
         q = t1.weight.degree
         atoms = [(abs(t1.scale - t2.scale), t1.weight),
                  (abs(t2.scale) * q * abs(t1.shift - t2.shift), WeightFunction.polynomial(q - 1))]
@@ -464,11 +462,11 @@ def _zeta_moment(cb: float, p: float):
 def _exponential_form(tail) -> Optional[tuple[float, complex, complex]]:
     """(amp, kappa, i phase) with tail(theta) = Re(amp e^{kappa theta + i phase}), or None.
 
-    Constant (value, 0, 0), cosine (amp, i omega, i phase) and decaying
-    (amp, rate, 0) tails have this form; kappa and i phase are real floats
-    unless the tail is a cosine, so the other two take real exponentials.  Envelope
-    tails do not (their binomial moments sum b_i tau_i^j would cancel badly
-    at large tau), nor do difference tails.
+    Constant (value, 0, 0), cosine (amp, i omega, i phase) and exponential
+    (amp, rate, 0) tails of either sign have this form; kappa and i phase
+    are real floats unless the tail is a cosine, so the other two take real
+    exponentials.  Polynomial envelope tails do not (their binomial moments
+    sum b_i tau_i^j would cancel badly at large tau), nor do difference tails.
     """
     if isinstance(tail, ConstantTail):
         return tail.value, 0.0, 0.0
@@ -486,7 +484,7 @@ def _tail_sums(phi: HistoryFunction, family: CoefficientFamily, taus: np.ndarray
         return _zeta_moment(*closed)
     form = _exponential_form(phi.tail) if len(taus) >= _MOMENT_MIN_TERMS else None
     # e^{kappa tau_N} and e^{-kappa tau_N} must stay normal floats
-    if form is None or form[1].real * taus[-1] > 700.0:
+    if form is None or abs(form[1].real) * taus[-1] > 700.0:
         return None
     amp, kappa, i_phase = form
     # suffix[j] = sum_{i > j} b_i e^{-kappa tau_i}, accumulated from the last delay down; suffix[N] = 0
@@ -511,7 +509,7 @@ def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.
     tail m < i <= cap reads only phi's analytic tail (an argument that
     rounds across the core's edge is read on the other side, where tail and
     core agree within the continuity tolerance).  A constant, cosine or
-    decaying tail is Re(amp e^{kappa theta + i phase}) (_exponential_form),
+    exponential tail is Re(amp e^{kappa theta + i phase}) (_exponential_form),
     so its part is one moment from suffix sums over the delays:
 
         Re(amp e^{kappa s + i phase} (S[m] - S[cap])),  S[j] = sum_{i > j} b_i e^{-kappa tau_i}
@@ -519,13 +517,14 @@ def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.
     A constant tail under a power law with p > 1 (_zeta_tail) instead takes
     c beta zeta(p, m + 1), the whole series over (m, infinity), at every cap:
     no suffix sums.  Every other tail, every tail below _MOMENT_MIN_TERMS
-    delays and every kappa with Re kappa tau_N > 700 keep every delay up to
+    delays and every kappa with |Re kappa| tau_N > 700 keep every delay up to
     the cap in the head.  The (points x head) argument matrix is evaluated
     in row chunks of at most _CHUNK_TERMS terms; the rows of a chunk are grouped by head
     count, and each group is summed by one np.vecdot against the leading
     coefficients, which takes the same BLAS dot product per row as np.dot.
     The split depends on s and its cap alone, so a point's value does not
-    depend on the batch it is evaluated in.
+    depend on the batch it is evaluated in.  A sum that is not finite in
+    floating point raises UnknownTailError.
     """
     heads = np.full(len(points), caps)
     out = np.zeros(len(points))
@@ -542,6 +541,8 @@ def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.
             rows_k = np.flatnonzero(m == k)
             out[r0 + rows_k] += np.vecdot(vals[rows_k, :k], bs[:k])
         del args, vals  # at large N one chunk is a row; free it before the next
+    if not np.all(np.isfinite(out)):
+        raise UnknownTailError("a delayed sum is not finite in floating point")
     return out
 
 
@@ -588,7 +589,7 @@ def history_preset(name: str, depth: float = 8.0, resolution: float = 0.05) -> H
     linear     phi = 1 + theta on the core, frozen at 1 - depth below (exact)
     cos        phi = cos(pi*theta/2), matching oscillating tail
     exp-decay  phi = exp(theta), matching decaying tail
-    g-weight   phi = 2**(-theta), matching growing envelope tail
+    g-weight   phi = 2**(-theta), matching growing exponential tail
     """
     if name == "constant":
         return HistoryFunction(
@@ -614,13 +615,12 @@ def history_preset(name: str, depth: float = 8.0, resolution: float = 0.05) -> H
             math.exp, depth, resolution, tail=ExpTail(1.0, 1.0), fn_prime=math.exp
         )
     if name == "g-weight":
-        g = WeightFunction.exponential(base=2.0)
         ln2 = math.log(2.0)
         return history_from_callable(
             lambda t: math.exp(-ln2 * t),
             depth,
             resolution,
-            tail=WeightEnvelopeTail(1.0, g, 0.0),
+            tail=ExpTail(1.0, -ln2),
             fn_prime=lambda t: -ln2 * math.exp(-ln2 * t),
         )
     raise ValueError(f"unknown history preset {name!r}")
@@ -819,7 +819,8 @@ def p_seminorm(
     certified truncation index are one sup_abs_interval call, exact on the
     core and the tail's sup_abs below it, summed in index order; beyond it
     the contribution is bounded by the tail's envelope atoms pushed through
-    the family's weighted tail sums.
+    the family's weighted tail sums.  A sum that is not finite in floating
+    point is "inconclusive".
     """
     if k < 1:
         raise ValueError(f"window index k must be >= 1, got {k}")
@@ -840,6 +841,8 @@ def p_seminorm(
     closed = _zeta_tail(phi, family)
     if closed is not None:  # every window past N sees the constant c
         total += abs(closed[0]) * hurwitz_zeta(closed[1], N + 1)[0]
+    if not math.isfinite(total):
+        return SeminormValue(math.inf, math.inf, n0, 0, "inconclusive")
     return SeminormValue(total, rem, n0, N, "finite")
 
 
@@ -885,14 +888,14 @@ def _tail_weighted_sup(tail, g: WeightFunction, depth: float) -> float:
 
     An envelope tail takes _ratio_sup of its weight and shift, exact, so
     math.inf certifies unboundedness.  Any other tail sums _ratio_sup over
-    its atoms, an upper bound (exact for constant, decaying and
-    constant-weight tails); an infinite sum certifies nothing and raises
-    UnknownTailError.
+    its atoms, an upper bound (exact for constant and exponential tails); an
+    infinite sum certifies nothing and raises UnknownTailError, except for a
+    growing exponential tail, whose one atom is exactly |tail|.
     """
     if isinstance(tail, WeightEnvelopeTail):
         return _ratio_sup(abs(tail.scale), tail.weight, tail.shift, g, depth)
     total = sum((_ratio_sup(s, w, 0.0, g, depth) for s, w in tail.atoms(depth)), 0.0)
-    if math.isinf(total):
+    if math.isinf(total) and not isinstance(tail, ExpTail):
         raise UnknownTailError(f"the atoms of tail {type(tail).__name__} bound no finite weighted sup")
     return total
 
@@ -984,7 +987,8 @@ def L_functional(
     The delayed series is the forcing at s = 0, summed by _delayed_sums with
     phi.evaluate as the solution.  Raises DivergentTailError when it is
     certified to diverge absolutely (phi is then outside the functional's
-    domain), UnknownTailError when no finite truncation can be certified.
+    domain), UnknownTailError when no finite truncation can be certified
+    or the delayed sum is not finite in floating point.
     """
     N, rem = _truncation(phi, family, 0.0, eps)
     taus, bs = family.delays.tau_array(N), family.b_array(N)

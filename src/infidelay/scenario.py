@@ -18,9 +18,10 @@ Schema (all floats unless noted):
                    # or {"core": {"breakpoints": [...], "coeffs": [[c0,c1,c2,c3],..]},
                    #     "tail": {"kind": "constant", "value": ..}
                    #             | {"kind": "cos", "amp": .., "omega": .., "phase": ..}
-                   #             | {"kind": "exp-decay", "amp": .., "rate": ..}
+                   #             | {"kind": "exp-decay", "amp": .., "rate": .. (> 0)}
                    #             | {"kind": "g-envelope", "scale": .., "shift": .. (<= core depth),
                    #                "weight": {"form": "exponential", "base": 2.0}}}
+                   # a polynomial weight gives a WeightEnvelopeTail, others the ExpTail or ConstantTail they equal
       },
       "horizon": 10.0,
       "solver": {"h": .., "eps_forcing": .., "eps_tail_seminorm": ..},
@@ -102,9 +103,6 @@ class ScenarioError(Exception):
 
     def __init__(self, message: str, path: str = "<scenario>", line: int = 1):
         super().__init__(f"{path}:{line}: {message}")
-        self.path = path
-        self.line = line
-        self.bare_message = message
 
 
 def _parse_with_lines(raw: str) -> tuple[object, dict]:
@@ -254,9 +252,21 @@ _TAIL = ("kind", {
 })
 
 
+def _envelope(scale: float, weight: WeightFunction, shift: float = 0.0):
+    """scale * weight(theta + shift) as the one tail model of its shape: an envelope only for a polynomial weight."""
+    if weight.degree:
+        return WeightEnvelopeTail(scale, weight, shift)
+    if weight.gamma:
+        return ExpTail(scale * math.exp(-weight.gamma * shift), -weight.gamma)
+    return ConstantTail(scale * weight.level)
+
+
 def _build_tail(cfg: dict, anch: _Anchored):
     v = anch.read(cfg, _TAIL, "tail")
-    return {"constant": ConstantTail, "cos": CosTail, "exp-decay": ExpTail, "g-envelope": WeightEnvelopeTail}[v.pop("kind")](**v)
+    kind = v.pop("kind")
+    if kind == "exp-decay" and not v["rate"] > 0.0:
+        raise ValueError(f"decaying tail needs rate > 0, got {v['rate']}")
+    return {"constant": ConstantTail, "cos": CosTail, "exp-decay": ExpTail, "g-envelope": _envelope}[kind](**v)
 
 
 _TAU = {"c": _OPT_NUM, "delta": _OPT_NUM, "prefix": (list, None, float)}

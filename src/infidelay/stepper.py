@@ -36,7 +36,9 @@ Admission is one certificate: solve and step_interval accept a history
 exactly when the forcing truncation N is certified (_certify_forcing).
 That also proves phi in F, every p_k finite, so no p_k is evaluated.
 solve also certifies N_0; that fails only where a closed-form tail's
-enclosure fits eps at the horizon's floor but not at F(0)'s.
+enclosure fits eps at the horizon's floor but not at F(0)'s.  A forcing
+that is not finite in floating point (a term overflows where its b_i
+underflows) is refused with the same NotInPhaseSpaceError.
 """
 
 from __future__ import annotations
@@ -347,7 +349,10 @@ def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] =
     )
     n_forcing = _certify_forcing(problem, horizon, eps_f)
     n_origin = _certify_forcing(problem, 0.0, eps_f)
-    return _advance(_start(problem, config, n_forcing, n_origin, h, eps_f), horizon)
+    try:
+        return _advance(_start(problem, config, n_forcing, n_origin, h, eps_f), horizon)
+    except UnknownTailError as exc:  # a delayed sum that is not finite in floating point
+        raise NotInPhaseSpaceError(str(exc)) from exc
 
 
 def step_interval(traj: Trajectory, k: int) -> Trajectory:
@@ -369,7 +374,10 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
     if target <= traj.horizon + 1e-12:
         return traj
     n_forcing = _certify_forcing(problem, target, traj.eps_forcing_used)
-    return _advance(replace(traj, n_forcing=n_forcing), target)
+    try:
+        return _advance(replace(traj, n_forcing=n_forcing), target)
+    except UnknownTailError as exc:  # a delayed sum that is not finite in floating point
+        raise NotInPhaseSpaceError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -659,6 +659,46 @@ def test_envelope_shifted_past_the_core_is_a_schema_error(tmp_path, capsys, q):
     assert re.search(rf"{re.escape(str(path))}:\d+: scenario\.problem\.history: envelope shift 3\.0 exceeds the core depth 0\.5", out)
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0])
+def test_exp_decay_tail_without_a_positive_rate_is_a_schema_error(tmp_path, capsys, rate):
+    # ExpTail takes either sign, but a scenario's exp-decay tail stays decaying
+    cfg = {
+        "name": "growing-exp-decay",
+        "problem": {
+            "a": 0.0,
+            "family": {"kind": "geometric", "beta": 1.0, "rho": 0.25, "tau": {"c": 0.0, "delta": 1.0}},
+            "history": {
+                "core": {"breakpoints": [-1.0, 0.0], "coeffs": [[math.exp(-rate), 0.0, 0.0, 0.0]]},
+                "tail": {"kind": "exp-decay", "amp": 1.0, "rate": rate},
+            },
+        },
+        "horizon": 1.0,
+        "checks": ["seminorms"],
+    }
+    path = tmp_path / "growing-exp-decay.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    code, out = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_SCHEMA_ERROR
+    assert re.search(rf"{re.escape(str(path))}:\d+: .*tail: decaying tail needs rate > 0, got {rate}", out), out
+
+
+def test_g_envelope_of_a_constant_or_exponential_weight_keeps_its_values():
+    # a shifted envelope of these weights was scale e^{-gamma shift} w(theta);
+    # it now loads as the ConstantTail or growing ExpTail it equals, bit for bit
+    from infidelay.scenario import _Anchored, _build_tail
+
+    thetas = np.linspace(-40.0, -8.0, 33)
+    for weight, tail, values in [
+        ({"form": "constant", "level": 2.0}, infidelay.ConstantTail(0.6 * 2.0), 0.6 * np.full_like(thetas, 2.0)),
+        (
+            {"form": "exponential", "gamma": 0.3},
+            infidelay.ExpTail(0.6 * math.exp(-0.3 * 0.7), -0.3),
+            0.6 * math.exp(-0.3 * 0.7) * np.exp(-0.3 * thetas),
+        ),
+    ]:
+        got = _build_tail({"kind": "g-envelope", "scale": 0.6, "shift": 0.7, "weight": weight}, _Anchored(None, "<test>"))
+        assert got == tail and np.array_equal(got.evaluate(thetas), values)
+
 def _bundled_cfg(name):
     import importlib.resources as res
 

@@ -1,6 +1,7 @@
 """Histories, tail models, seminorms, membership, weighted norms, and L."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,12 +34,14 @@ from infidelay import (
 )
 from infidelay.coefficients import hurwitz_zeta
 from infidelay.numerics import derivative_coeffs
+from infidelay.scenario import _envelope
 from conftest import random_core_history
 
 GEO_HALF = CoefficientFamily.geometric(1.0, 0.5, DelaySchedule())
 HARMONIC = CoefficientFamily.power_law(1.0, 1.0, DelaySchedule())
 G2 = WeightFunction.exponential(base=2.0)
 W1 = WeightFunction.constant(1.0)
+LN2 = math.log(2.0)
 
 
 def linear_history(depth: float = 10.0) -> fd.HistoryFunction:
@@ -118,9 +121,20 @@ TAILS = [
     ConstantTail(1.5),
     CosTail(0.7, 2.0, 0.3),
     ExpTail(2.0, 0.5),
-    WeightEnvelopeTail(0.8, WeightFunction.exponential(base=2.0)),
+    ExpTail(0.8, -LN2),
     WeightEnvelopeTail(1.2, WeightFunction.polynomial(2), shift=1.0),
 ]
+
+
+def test_one_model_per_tail_shape():
+    # amp e^{rate theta} is an ExpTail of either sign; an envelope takes polynomial weights only
+    assert history_preset("g-weight").tail == ExpTail(1.0, -LN2)
+    for w in (G2, WeightFunction.constant(2.0), W1):
+        with pytest.raises(ValueError, match="needs a polynomial weight"):
+            WeightEnvelopeTail(1.0, w)
+    for rate in (0.0, math.nan):
+        with pytest.raises(ValueError, match="needs rate != 0"):
+            ExpTail(1.0, rate)
 
 
 @pytest.mark.parametrize("tail", TAILS, ids=lambda t: type(t).__name__ + str(TAILS.index(t) if t in TAILS else ""))
@@ -412,7 +426,7 @@ def test_cg_norm_frozen_values():
         lambda t: 4.0 ** (-t),
         8.0,
         0.05,
-        tail=WeightEnvelopeTail(1.0, WeightFunction.exponential(base=4.0)),
+        tail=ExpTail(1.0, -math.log(4.0)),
     )
     assert cg_norm(fast, G2) == math.inf
 
@@ -463,7 +477,7 @@ def test_cg_embedding_not_applicable_cases():
         lambda t: 4.0 ** (-t),
         8.0,
         0.05,
-        tail=WeightEnvelopeTail(1.0, WeightFunction.exponential(base=4.0)),
+        tail=ExpTail(1.0, -math.log(4.0)),
     )
     fam = CoefficientFamily.geometric(1.0, 0.25, DelaySchedule())
     rep2 = check_cg_embedding(fast, fam, G2)
@@ -518,6 +532,35 @@ def test_L_functional_and_p_seminorm_agree_on_divergence():
         fd.solve(fd.ProblemSpec(0.0, listed, const), 1.0, fd.SolverConfig(eps_forcing=0.1))
 
 
+# numpy warns where 2^tau_i overflows and where inf meets b_i = 0.0; the
+# warnings stay, since each sum they spoil is refused rather than returned
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_sums_that_are_not_finite_in_floating_point_are_refused():
+    # 2^-theta under b_i = 0.8 0.7^i on tau = (0.3, 0.7, then gaps of 0.5): the
+    # terms fall like (0.7 sqrt 2)^i ~ 0.99^i, so N = 2,692 is certified, but at
+    # tau_N ~ 1,346 the window sup 2^tau_N overflows where b_N underflows to
+    # 0.0, and inf * 0.0 is NaN in p_k, L and the forcing at t = 0
+    phi = history_preset("g-weight")
+    fam = CoefficientFamily.geometric(0.8, 0.7, DelaySchedule(0.0, 0.5, (0.3, 0.7)))
+    n0 = fd.history._truncation(phi, fam, 0.0, 1e-10)[0]
+    assert n0 == 2692
+    for k in (1, 2, 3):
+        sv = p_seminorm(phi, fam, k)
+        assert (sv.verdict, sv.value, sv.upper()) == ("inconclusive", math.inf, math.inf)
+    with pytest.raises(UnknownTailError, match="not finite in floating point"):
+        L_functional(phi, fam, -1.0)
+    with pytest.raises(fd.NotInPhaseSpaceError, match="not finite in floating point"):
+        fd.solve(fd.ProblemSpec(-1.0, fam, phi), 2.0)
+    # step_interval refuses alike: a coarse-eps trajectory given the index that
+    # solve at eps 1e-10 would have started from
+    coarse = fd.solve(fd.ProblemSpec(-1.0, fam, phi), 1.0, fd.SolverConfig(eps_forcing=1e-3))
+    with pytest.raises(fd.NotInPhaseSpaceError, match="not finite in floating point"):
+        fd.step_interval(replace(coarse, n_origin=n0, eps_forcing_used=1e-10), 4)
+    # the membership verdict reads the atoms alone, and the series is finite
+    assert membership_in_F(phi, fam).verdict == "member"
+
+
 _HALF_PERIOD = 2.0  # pi / omega for the cos tails below
 _DIVERGENCE_TAILS = {
     "constant": ConstantTail(1.0),
@@ -525,13 +568,13 @@ _DIVERGENCE_TAILS = {
     "cos": CosTail(1.0, math.pi / _HALF_PERIOD),
     "cos-zero": CosTail(0.0, math.pi / _HALF_PERIOD),
     "exp": ExpTail(1.0, 1.0),
-    "envelope-exp": WeightEnvelopeTail(1.0, G2),
-    "envelope-exp-zero": WeightEnvelopeTail(0.0, G2),
+    "exp-growing": ExpTail(1.0, -LN2),
+    "exp-growing-zero": ExpTail(0.0, -LN2),
     "envelope-poly": WeightEnvelopeTail(1.0, WeightFunction.polynomial(2)),
     "envelope-poly-shift-down": WeightEnvelopeTail(1.0, WeightFunction.polynomial(2), -0.5),
     "envelope-poly-shift-up": WeightEnvelopeTail(1.0, WeightFunction.polynomial(2), 0.5),
     "envelope-poly-shift-zero": WeightEnvelopeTail(0.0, WeightFunction.polynomial(2), 0.5),
-    "envelope-level-shift": WeightEnvelopeTail(1.0, WeightFunction.constant(2.0), 0.3),
+    "constant-level": _envelope(1.0, WeightFunction.constant(2.0), 0.3),
 }
 _DIVERGENCE_FAMILIES = {
     "harmonic": HARMONIC,
@@ -551,14 +594,14 @@ _EVERY_REACH = tuple(_DIVERGENCE_REACHES)
 _CERTIFIED_DIVERGENT = {
     ("constant", "harmonic"): _EVERY_REACH,
     ("cos", "harmonic"): ("half-period", "3-tau1"),
-    ("envelope-exp", "harmonic"): _EVERY_REACH,
-    ("envelope-exp", "geometric"): _EVERY_REACH,
-    ("envelope-exp", "power-2.5"): _EVERY_REACH,
+    ("exp-growing", "harmonic"): _EVERY_REACH,
+    ("exp-growing", "geometric"): _EVERY_REACH,
+    ("exp-growing", "power-2.5"): _EVERY_REACH,
     ("envelope-poly", "harmonic"): _EVERY_REACH,
     ("envelope-poly", "power-2.5"): _EVERY_REACH,
     ("envelope-poly-shift-down", "harmonic"): _EVERY_REACH,
     ("envelope-poly-shift-up", "harmonic"): _EVERY_REACH,
-    ("envelope-level-shift", "harmonic"): _EVERY_REACH,
+    ("constant-level", "harmonic"): _EVERY_REACH,
 }
 
 
@@ -727,7 +770,7 @@ _TAIL_PAIRS = [
     (ExpTail(2.0, 0.5), ExpTail(-1.0, 0.5)),
     (CosTail(0.7, 2.0, 0.3), ExpTail(2.0, 0.5)),
 ] + [
-    (WeightEnvelopeTail(0.7, w, s1), WeightEnvelopeTail(s, w, s2))
+    (_envelope(0.7, w, s1), _envelope(s, w, s2))
     for w in _ENVELOPE_WEIGHTS
     for s1 in _SHIFTS
     for s2 in _SHIFTS
@@ -824,7 +867,7 @@ def test_cg_norm_of_every_envelope_form_pair_against_dense_samples(w, shift, dep
     # where finite it is within 0.1% of the largest sample or of the limit
     # 0.6 w.level / g.level of equal shapes; where infinite the samples grow
     # without bound
-    tail = WeightEnvelopeTail(0.6, w, shift)
+    tail = _envelope(0.6, w, shift)
     phi = history_from_callable(lambda t: float(tail.evaluate(t)), depth, 1.0, tail=tail)
     core = np.linspace(-depth, 0.0, 2001)
     below = -depth - np.concatenate((np.linspace(0.0, 100.0, 2001), np.geomspace(100.0, 1e7, 2000)))
@@ -875,7 +918,7 @@ def test_cg_embedding_of_a_difference_tail():
 
 
 _DERIVATIVE_TAILS = [ConstantTail(1.3), CosTail(0.7, 1.3, 0.4), ExpTail(-2.0, 0.3),
-                     WeightEnvelopeTail(0.8, WeightFunction.constant(2.0)), WeightEnvelopeTail(-0.6, G2)] + [
+                     ConstantTail(0.8 * 2.0), ExpTail(-0.6, -LN2)] + [
     WeightEnvelopeTail(0.6, WeightFunction.polynomial(q), s) for q in (1, 2, 3) for s in (-1.5, 0.0, 0.7)
 ]
 

@@ -119,6 +119,8 @@ _MOMENT_FAMILIES = {
 }
 _MOMENT_CASES = {f"{fk}-{pk}": (phi, fam) for fk, fam in _MOMENT_FAMILIES.items() for pk, phi in _MOMENT_PHIS.items()}
 _MOMENT_CASES["tenth-delays-cos"] = (history_preset("cos"), TENTH)
+# 2^-theta grows into the past: its moment has kappa = -ln 2, suffix terms b_i 2^tau_i
+_MOMENT_CASES["tenth-delays-g-weight"] = (history_preset("g-weight"), TENTH)
 
 
 @pytest.mark.parametrize("phi, family", list(_MOMENT_CASES.values()), ids=list(_MOMENT_CASES))
@@ -361,11 +363,21 @@ def test_explicit_list_with_zero_mass_solves_as_its_finite_support():
     [
         # rate * tau_N = 815.5 > 700: e^{-rate tau_N} would leave the normal floats
         (history_preset("exp-decay"), CoefficientFamily.power_law(0.8, 3.5, DelaySchedule(0.0, 0.5)), 1e-12, 1631),
-        # neither an envelope tail nor a difference tail has an exponential form
-        (history_preset("g-weight"), TENTH, None, 99),
+        # e^{-10 theta} under b_i = 1e-300 on tau_i = 0.99 i, i <= 71: |rate| * tau_N
+        # = 702.9 > 700, so the guard keeps every delay in the head, though the
+        # largest term, 1e-300 e^{702.9} = 1.3e5, is finite
+        (exp_history(-10.0), CoefficientFamily.finite_support([1e-300] * 71, DelaySchedule(0.0, 0.99)), None, 71),
+        # neither a polynomial envelope tail nor a difference tail has an exponential form
+        (
+            fd.history_from_callable(
+                lambda t: (1.0 - t) ** 2, 8.0, 0.05,
+                tail=fd.WeightEnvelopeTail(1.0, fd.WeightFunction.polynomial(2)), fn_prime=lambda t: -2.0 * (1.0 - t),
+            ),
+            TENTH, None, 176,
+        ),
         (fd.history_difference(history_preset("cos"), history_preset("exp-decay")), TENTH, None, 99),
     ],
-    ids=["exp-past-reach", "envelope", "difference"],
+    ids=["exp-past-reach", "exp-growing-past-reach", "envelope", "difference"],
 )
 def test_tails_without_a_moment_sum_term_by_term(phi, fam, eps, n_want):
     # N >= _MOMENT_MIN_TERMS, yet the tail has no moment, so every delay up
