@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -325,22 +325,32 @@ _CONT_TOL = 1e-12
 class HistoryFunction:
     """Piecewise cubic core on [breakpoints[0], 0] plus an analytic tail.
 
-    breakpoints: strictly increasing, last entry exactly 0.0.
-    coeffs: shape (len(breakpoints)-1, 4), local coefficients per piece
-            (value(x) = c0 + c1 u + ... with u = x - left breakpoint).
+    breakpoints: strictly increasing, finite, last entry exactly 0.0.
+    coeffs: shape (len(breakpoints)-1, 4), finite local coefficients per
+            piece (value(x) = c0 + c1 u + ... with u = x - left breakpoint).
     tail:   model valid for theta <= breakpoints[0]; must agree with the
             core value at the junction to within the continuity tolerance.
+
+    Both arrays are stored as read-only copies, so a history never changes
+    after construction.  That is what lets sup_norm_k and p_seminorm keep
+    each value they compute in the history's own memo, keyed by their
+    arguments, and return it on a repeated call; nothing is shared between
+    history objects.
     """
 
     breakpoints: np.ndarray
     coeffs: np.ndarray
     tail: object
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        bp = np.asarray(self.breakpoints, dtype=float)
-        cf = np.asarray(self.coeffs, dtype=float)
+        bp = np.array(self.breakpoints, dtype=float)
+        cf = np.array(self.coeffs, dtype=float)
+        bp.flags.writeable = cf.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coeffs", cf)
+        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(cf))):
+            raise ValueError("breakpoints and coefficients must be finite")
         if bp.ndim != 1 or len(bp) < 2:
             raise ValueError("need at least two breakpoints")
         if bp[-1] != 0.0:
@@ -429,7 +439,7 @@ class HistoryFunction:
         # the running sum adds left to right, as the piece-by-piece recurrence does
         dcf[:, 0] = np.cumsum(np.concatenate(([dcf[0, 0]], rise)))
         try:
-            return HistoryFunction(bp.copy(), dcf, dtail)
+            return HistoryFunction(bp, dcf, dtail)
         except ValueError:
             return None
 
@@ -741,10 +751,13 @@ class SeminormValue:
 
 
 def sup_norm_k(phi: HistoryFunction, k: int) -> float:
-    """Exact sup of |phi| over [-k, 0]."""
+    """Exact sup of |phi| over [-k, 0], memoized on phi under ("sup", k)."""
     if k < 1:
         raise ValueError(f"window index k must be >= 1, got {k}")
-    return phi.sup_abs_interval(-float(k), 0.0)
+    key = ("sup", k)
+    if key not in phi._memo:
+        phi._memo[key] = phi.sup_abs_interval(-float(k), 0.0)
+    return phi._memo[key]
 
 
 def _tail_floor(phi: HistoryFunction, family: CoefficientFamily, reach: float) -> int:
@@ -820,10 +833,19 @@ def p_seminorm(
     core and the tail's sup_abs below it, summed in index order; beyond it
     the contribution is bounded by the tail's envelope atoms pushed through
     the family's weighted tail sums.  A sum that is not finite in floating
-    point is "inconclusive".
+    point is "inconclusive".  The result is memoized on phi under
+    ("p", family, k, eps_tail): a repeated call returns the same object.
     """
     if k < 1:
         raise ValueError(f"window index k must be >= 1, got {k}")
+    key = ("p", family, k, eps_tail)
+    if key not in phi._memo:
+        phi._memo[key] = _seminorm(phi, family, k, eps_tail)
+    return phi._memo[key]
+
+
+def _seminorm(phi: HistoryFunction, family: CoefficientFamily, k: int, eps_tail: float) -> SeminormValue:
+    """p_seminorm's computation, run once per memo key."""
     d = family.delays
     n0 = n_index(family, k)
     ktau = k * d.tau1

@@ -23,7 +23,9 @@ the evaluators build on these: eval_pieces evaluates (a derivative is
 eval_pieces of derivative_coeffs), sup_abs_pieces takes the exact sup of
 |p| over one interval or arrays of intervals in one array pass, and
 sup_ratio_pieces the exact sup of |p|/w under a WeightFunction w, whose
-shape it reads from w's own fields.  One use of the format's arithmetic
+shape it reads from w's own fields, also in one array pass (np.roots of each
+piece's critical cubic, reproduced bit for bit by one np.linalg.eigvals call
+per group of companion matrices).  One use of the format's arithmetic
 stays outside on purpose: the left-to-right junction snap in
 HistoryFunction.derivative, whose running sum makes the constructor's
 continuity check hold exactly.
@@ -182,23 +184,41 @@ def sup_ratio_pieces(breaks: np.ndarray, coeffs: np.ndarray, weight) -> float:
     u = x - breaks[j] and alpha = 1 - delta breaks[j], the ratio's critical
     points are the real roots of the cubic (alpha - delta u) p'(u) + beta p(u).
     Each piece takes the ratio at its two ends and at those roots strictly
-    inside, so the result is exact up to roundoff.
+    inside, so the result is exact up to roundoff.  All pieces are one array
+    pass: the cubics' rows are grouped by their count of leading and trailing
+    zero coefficients, and each group's companion matrices go through one
+    np.linalg.eigvals call, so every root equals np.roots of its own row bit
+    for bit; a root counts as real when |Im r| <= 1e-10 max(1, max |r|).
     """
     delta, beta = float(weight.degree > 0), weight.gamma + weight.degree
-    best = 0.0
-    for j, (c0, c1, c2, c3) in enumerate(coeffs.tolist()):
-        s, du = float(breaks[j]), float(breaks[j + 1] - breaks[j])
-        alpha = 1.0 - delta * s
-        roots = np.roots([
-            (beta - 3.0 * delta) * c3,
-            3.0 * alpha * c3 + (beta - 2.0 * delta) * c2,
-            2.0 * alpha * c2 + (beta - delta) * c1,
-            alpha * c1 + beta * c0,
-        ])
-        scale = max(1.0, float(np.max(np.abs(roots), initial=0.0)))
-        cands = [0.0, du] + [float(r.real) for r in roots if abs(r.imag) <= 1e-10 * scale and 0.0 < r.real < du]
-        best = max(best, max(abs(c0 + u * (c1 + u * (c2 + u * c3))) / float(weight(s + u)) for u in cands))
-    return best
+    s, du = breaks[:-1], np.diff(breaks)
+    alpha = 1.0 - delta * s
+    c0, c1, c2, c3 = coeffs.T
+    cubic = np.column_stack((
+        (beta - 3.0 * delta) * c3,
+        3.0 * alpha * c3 + (beta - 2.0 * delta) * c2,
+        2.0 * alpha * c2 + (beta - delta) * c1,
+        alpha * c1 + beta * c0,
+    ))
+    nonzero = cubic != 0.0
+    first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), 4)
+    last = 4 - nonzero[:, ::-1].argmax(axis=1)
+    u = np.zeros((len(coeffs), 5))  # both ends, then up to three roots; a rejected root falls back to u = 0
+    u[:, 1] = du
+    for i, j in set(zip(first.tolist(), last.tolist())):
+        n = j - i - 1  # the degree left once the zero ends are stripped
+        if n < 1:
+            continue
+        rows = np.flatnonzero((first == i) & (last == j))
+        companion = np.zeros((len(rows), n, n))
+        companion[:, 1:, :-1] = np.eye(n - 1)
+        companion[:, 0, :] = -cubic[rows, i + 1 : j] / cubic[rows, i : i + 1]
+        roots = np.linalg.eigvals(companion)
+        scale = np.maximum(1.0, np.abs(roots).max(axis=1))[:, None]
+        real = (np.abs(roots.imag) <= 1e-10 * scale) & (0.0 < roots.real) & (roots.real < du[rows, None])
+        u[rows, 2 : 2 + n] = np.where(real, roots.real, 0.0)
+    c0, c1, c2, c3 = coeffs.T[:, :, None]
+    return float(np.max(np.abs(c0 + u * (c1 + u * (c2 + u * c3))) / weight(s[:, None] + u)))
 
 
 #: knots at most this far apart are one knot

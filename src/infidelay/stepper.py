@@ -38,7 +38,8 @@ That also proves phi in F, every p_k finite, so no p_k is evaluated.
 solve also certifies N_0; that fails only where a closed-form tail's
 enclosure fits eps at the horizon's floor but not at F(0)'s.  A forcing
 that is not finite in floating point (a term overflows where its b_i
-underflows) is refused with the same NotInPhaseSpaceError.
+underflows) is refused with the same NotInPhaseSpaceError; a solution that
+itself leaves the floating-point range raises OverflowError with the time.
 """
 
 from __future__ import annotations
@@ -305,9 +306,15 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
         f = _delayed_sums(values_at, problem.history, flat[first], taus, bs, tail_sums, _caps(traj, flat[first], taus))
         f = f[np.cumsum(first) - 1].reshape(points.shape)
         new = slice(m, m + len(ends))
-        values[new] = scan(a, float(values[m - 1]), steps, points, f)
-        derivs[new] = a * values[new] + f[:, -1]
-        m = _store_window(grid, values, derivs, pieces, m, ends, steps)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, with its time
+            values[new] = scan(a, float(values[m - 1]), steps, points, f)
+            derivs[new] = a * values[new] + f[:, -1]
+            m_new = _store_window(grid, values, derivs, pieces, m, ends, steps)
+        # each new piece holds its node's value and slope and, in c2 and c3, the next node's
+        finite = np.isfinite(pieces[m - 1 : m_new]).all(axis=1)
+        if not finite.all():
+            raise OverflowError(f"the solution leaves the floating-point range after t = {grid[m - 1 + finite.argmin()]}")
+        m = m_new
     return replace(traj, grid=grid, values=values, derivs=derivs, pieces=pieces[: m - 1])
 
 

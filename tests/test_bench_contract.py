@@ -2,9 +2,13 @@
 
 One pass of every workload in bench/workloads.py at the benchmark's seed; a
 library change that makes an op raise, or a check fail, shows here rather
-than as failed ops in a benchmark run.
+than as failed ops in a benchmark run.  One traced pass of each shows a
+renamed or bypassed traced function, which would leave a per-layer metric
+absent from the traced run.
 """
 
+import json
+import math
 import os
 import sys
 
@@ -13,7 +17,10 @@ import pytest
 pytest.importorskip("mpmath")  # the deep-tail checks compare against mpmath's zeta
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+import tracer  # noqa: E402
 import workloads  # noqa: E402
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -32,3 +39,27 @@ def test_one_pass_has_no_failed_op(name, tmp_path):
         getattr(wl, "close", lambda: None)()
     assert raised == {}
     assert fails == {}
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_one_traced_pass_reports_every_layer_metric(name, tmp_path):
+    wl = workloads.WORKLOADS[name](733, str(tmp_path))
+    tr = tracer.Tracer()
+    try:
+        inputs = wl.build()
+        state = {}
+        tr.install()
+        try:
+            for op_name, op in wl.ops(inputs):
+                tr.op = op_name
+                state[op_name] = op(state)
+        finally:
+            tr.uninstall()
+    finally:
+        getattr(wl, "close", lambda: None)()
+    values, absent = tracer.pass_metrics(tr.spans, tr.present)
+    assert absent == []
+    assert all(math.isfinite(v) for v in values.values())
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        per_layer = {m["name"] for m in json.load(fh)["per_layer"]}
+    assert per_layer - set(tracer.CHECK_COUNTS) - {"trace_overhead_frac"} <= set(values)

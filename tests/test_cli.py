@@ -840,6 +840,29 @@ def test_check_failure_exits_one(tmp_path, capsys):
     assert out.startswith("FAIL")
 
 
+def test_an_overflowing_solution_fails_its_checks(tmp_path, capsys):
+    # the solution passes 1.8e308 before t = 1: each check that solves
+    # reports the OverflowError, and no report holds an infinite node
+    cfg = {
+        "name": "overflow",
+        "problem": {
+            "a": 800.0,
+            "family": {"kind": "finite-support", "coeffs": [1.0], "tau": {"delta": 1.0}},
+            "history": {"preset": "constant"},
+        },
+        "horizon": 1.5,
+        "checks": ["solve", "oracle-compare"],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    code, out = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_CHECK_FAILED and out.startswith("FAIL")
+    for name in ("01-solve.json", "02-oracle-compare.json"):
+        report = json.loads((tmp_path / "out" / "overflow" / name).read_text())
+        assert report["passed"] is False
+        assert report["error"].startswith("OverflowError: the solution leaves the floating-point range after t = ")
+
+
 def test_tolerance_scale_rescues_tight_pins(tmp_path, capsys):
     cfg = {
         "name": "tight",

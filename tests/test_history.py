@@ -113,6 +113,51 @@ def test_tail_must_match_core_at_the_seam():
         fd.HistoryFunction(bp, cf, ConstantTail(3.0))
 
 
+def test_history_holds_finite_numbers():
+    # a NaN fails the continuity comparison silently, and an infinite core
+    # meets ConstantTail(inf); both are refused before either check
+    bp, cf = [-2.0, -1.0, 0.0], [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+    for bad_cf, tail in (([[1.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0]], ConstantTail(1.0)),
+                         ([[math.inf, 0.0, 0.0, 0.0]] * 2, ConstantTail(math.inf))):
+        with pytest.raises(ValueError, match="must be finite"):
+            fd.HistoryFunction(bp, bad_cf, tail)
+    with pytest.raises(ValueError, match="must be finite"):
+        fd.HistoryFunction([-math.inf, -1.0, 0.0], cf, ConstantTail(1.0))
+
+
+def test_history_arrays_are_read_only_copies():
+    bp, cf = np.array([-2.0, -1.0, 0.0]), np.ones((2, 4)) * [1.0, 0.0, 0.0, 0.0]
+    phi = fd.HistoryFunction(bp, cf, ConstantTail(1.0))
+    cf[0, 0] = bp[0] = 5.0  # the caller's arrays stay the caller's
+    assert phi.coeffs[0, 0] == 1.0 and phi.breakpoints[0] == -2.0
+    with pytest.raises(ValueError):
+        phi.coeffs[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        phi.breakpoints[0] = -3.0
+
+
+def test_seminorms_are_computed_once_per_history(monkeypatch):
+    truncation, sup_abs = fd.history._truncation, fd.HistoryFunction.sup_abs_interval
+    searches, sups = [], []
+    monkeypatch.setattr(fd.history, "_truncation", lambda *a: searches.append(a[2:]) or truncation(*a))
+    monkeypatch.setattr(fd.HistoryFunction, "sup_abs_interval", lambda *a: sups.append(a[1:]) or sup_abs(*a))
+    phi = history_preset("cos")
+    p2 = p_seminorm(phi, GEO_HALF, 2)
+    assert p_seminorm(phi, GEO_HALF, 2) is p2 and p_seminorm(phi, GEO_HALF, 2, 1e-10) is p2
+    assert len(searches) == 1
+    # a different k, eps or family, or another history object, computes again
+    other = CoefficientFamily.geometric(1.0, 0.25, DelaySchedule())
+    again = [p_seminorm(phi, GEO_HALF, 3), p_seminorm(phi, GEO_HALF, 2, 1e-8), p_seminorm(phi, other, 2)]
+    again.append(p_seminorm(history_preset("cos"), GEO_HALF, 2))
+    assert len(searches) == 5 and all(v is not p2 for v in again)
+    assert again[3] == p2
+    n_sups = len(sups)
+    s1 = sup_norm_k(phi, 1)
+    assert sup_norm_k(phi, 1) is s1 and len(sups) == n_sups + 1
+    sup_norm_k(phi, 2)
+    assert len(sups) == n_sups + 2
+
+
 # ---------------------------------------------------------------------------
 # tail models
 # ---------------------------------------------------------------------------

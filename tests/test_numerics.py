@@ -239,6 +239,47 @@ def test_sup_ratio_pieces_matches_dense_sampling_under_each_weight_form():
             assert got <= sampled * (1.0 + 1e-8)
 
 
+def _loop_sup_ratio_pieces(breaks, coeffs, weight):
+    """The per-piece np.roots loop sup_ratio_pieces replaced, kept as its reference."""
+    delta, beta = float(weight.degree > 0), weight.gamma + weight.degree
+    best = 0.0
+    for j, (c0, c1, c2, c3) in enumerate(coeffs.tolist()):
+        s, du = float(breaks[j]), float(breaks[j + 1] - breaks[j])
+        alpha = 1.0 - delta * s
+        roots = np.roots([
+            (beta - 3.0 * delta) * c3,
+            3.0 * alpha * c3 + (beta - 2.0 * delta) * c2,
+            2.0 * alpha * c2 + (beta - delta) * c1,
+            alpha * c1 + beta * c0,
+        ])
+        scale = max(1.0, float(np.max(np.abs(roots), initial=0.0)))
+        cands = [0.0, du] + [float(r.real) for r in roots if abs(r.imag) <= 1e-10 * scale and 0.0 < r.real < du]
+        best = max(best, max(abs(c0 + u * (c1 + u * (c2 + u * c3))) / float(weight(s + u)) for u in cands))
+    return best
+
+
+def test_sup_ratio_pieces_equals_the_per_piece_roots_loop_bit_for_bit():
+    # random cores whose zero coefficients lower a piece's critical cubic at
+    # either end (c3 = 0, c0 = c1 = 0, whole pieces 0; a degree-3 weight
+    # cancels the leading term of every piece), under every weight shape
+    rng = np.random.default_rng(28)
+    weights = [WeightFunction.constant(1.0), WeightFunction.constant(2.5)]
+    weights += [WeightFunction.exponential(gamma=g) for g in (0.3, 1.7)]
+    weights += [WeightFunction.polynomial(q) for q in (1, 2, 3, 4)]
+    for _ in range(60):
+        n = int(rng.integers(1, 13))
+        breaks = np.concatenate([np.sort(rng.uniform(-8.0, -0.05, n)), [0.0]])
+        coeffs = rng.normal(0.0, 2.0, (n, 4)) * (rng.random((n, 4)) < 0.7)
+        coeffs[rng.random(n) < 0.15] = 0.0
+        for weight in weights:
+            want = _loop_sup_ratio_pieces(breaks, coeffs, weight)
+            assert sup_ratio_pieces(breaks, coeffs, weight).hex() == want.hex()
+            # piece by piece too, so that no piece's value hides behind the max
+            for j in range(n):
+                piece = (breaks[j : j + 2], coeffs[j : j + 1], weight)
+                assert sup_ratio_pieces(*piece).hex() == _loop_sup_ratio_pieces(*piece).hex()
+
+
 def test_dedupe_knots_merges_nearby():
     out = dedupe_knots(np.array([0.0, 1.0, 1.0 + 1e-15, 2.0]))
     assert len(out) == 3

@@ -396,6 +396,18 @@ def test_tails_without_a_moment_sum_term_by_term(phi, fam, eps, n_want):
         assert abs(forcing(traj, t) - math.fsum(terms)) <= nu / (1.0 - nu) * math.fsum(np.abs(terms)), t
 
 
+@pytest.mark.parametrize("horizon", [1.5, 3.0])
+def test_an_overflowing_solution_is_named(horizon):
+    # x' = 800 x + x(t - 1) from phi = 1 passes 1.8e308 before t = 1: both horizons
+    # stop in that window, and neither stores an infinite node or reads one
+    # back as a delayed sum that is not finite
+    problem = ProblemSpec(800.0, CoefficientFamily.finite_support([1.0], DS), history_preset("constant"))
+    with pytest.raises(OverflowError, match=r"floating-point range after t = 0\.8"):
+        solve(problem, horizon)
+    with pytest.raises(OverflowError, match=r"floating-point range after t = 0\.9"):
+        fd.oracle_solve(problem, horizon)
+
+
 def test_solve_is_deterministic():
     a = solve(geometric_problem(), 3.0)
     b = solve(geometric_problem(), 3.0)
@@ -788,6 +800,17 @@ def test_estimate_classic_chain_frozen():
     assert c2.q_value == 1.0
     assert c2.constant == 6.0
     assert [n for (n, _) in c2.levels] == ["sup_norm[1]", "p[1]", "p[2]"]
+
+
+def test_estimate_certificates_share_the_history_seminorms(monkeypatch):
+    # p_1 and p_2 are memoized on the history, so k = 3 computes p_3 alone
+    traj = solve(classic_problem(), 3.0)
+    real, reaches = fd.history._truncation, []
+    monkeypatch.setattr(fd.history, "_truncation", lambda *a: reaches.append(a[2]) or real(*a))
+    estimate_certificate(traj, 2)
+    assert reaches == [1.0, 2.0]
+    estimate_certificate(traj, 3)
+    assert reaches == [1.0, 2.0, 3.0]
 
 
 def test_estimate_requires_covering_trajectory():
