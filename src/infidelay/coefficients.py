@@ -47,6 +47,13 @@ class TruncationDepthError(Exception):
     """No truncation index below the hard cap achieves the target accuracy."""
 
 
+def _require_finite(obj, names: tuple[str, ...]) -> None:
+    """ValueError naming the first field of obj (a number or a tuple of numbers) that is not finite."""
+    for name in names:
+        if not np.all(np.isfinite(getattr(obj, name))):
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {getattr(obj, name)}")
+
+
 @dataclass(frozen=True)
 class DelaySchedule:
     """Strictly increasing positive delays tau_1 < tau_2 < ... -> infinity.
@@ -63,6 +70,7 @@ class DelaySchedule:
     prefix: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("c", "delta", "prefix"))
         if not (self.delta > 0.0):
             raise ValueError(f"delay gap must be positive, got delta={self.delta}")
         if self.prefix:
@@ -171,7 +179,7 @@ class WeightFunction:
         return out
 
 
-KINDS = ("finite-support", "geometric", "power-law", "explicit-list")
+KINDS = ("geometric", "power-law", "explicit-list")
 
 
 @dataclass(frozen=True)
@@ -179,11 +187,11 @@ class CoefficientFamily:
     """The coefficient sequence (b_i) attached to a delay schedule.
 
     Kinds:
-      * finite-support: b_i = coeffs[i-1] for i <= len(coeffs), then exactly 0
       * geometric:      b_i = beta * rho**i with |rho| < 1
       * power-law:      b_i = beta * i**(-p_exponent), p_exponent > 0
       * explicit-list:  b_i = coeffs[i-1] for i <= len(coeffs); beyond the list
-        only the unweighted mass bound sum_{i>L}|b_i| <= tail_abs_bound is known
+        only the unweighted mass bound sum_{i>L}|b_i| <= tail_abs_bound is known;
+        a finite support is the list whose mass is 0 (finite_support)
     """
 
     kind: str
@@ -197,6 +205,7 @@ class CoefficientFamily:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        _require_finite(self, ("coeffs", "beta", "rho", "p_exponent", "tail_abs_bound"))
         if self.kind == "geometric" and not (abs(self.rho) < 1.0):
             raise ValueError(f"geometric family needs |rho| < 1, got {self.rho}")
         if self.kind == "power-law" and not (self.p_exponent > 0.0):
@@ -206,7 +215,7 @@ class CoefficientFamily:
 
     @classmethod
     def finite_support(cls, coeffs, delays: DelaySchedule) -> "CoefficientFamily":
-        return cls(kind="finite-support", delays=delays, coeffs=tuple(float(v) for v in coeffs))
+        return cls.explicit_list(coeffs, 0.0, delays)
 
     @classmethod
     def geometric(cls, beta: float, rho: float, delays: DelaySchedule) -> "CoefficientFamily":
@@ -226,9 +235,9 @@ class CoefficientFamily:
         )
 
     def b_array(self, n: int) -> np.ndarray:
-        """First n coefficients (b_1..b_n)."""
-        if self.kind in ("finite-support", "explicit-list"):
-            if self.kind == "explicit-list" and n > len(self.coeffs):
+        """First n coefficients (b_1..b_n); a zero-mass list pads exact zeros past its end."""
+        if self.kind == "explicit-list":
+            if self.tail_abs_bound > 0.0 and n > len(self.coeffs):
                 raise UnknownTailError(
                     f"explicit-list family stores {len(self.coeffs)} coefficients, asked for {n}"
                 )
@@ -294,14 +303,14 @@ def tail_sum_bound(family: CoefficientFamily, weight: WeightFunction, n_start: i
 
     Returns math.inf exactly when the true series is provably divergent.
     Raises UnknownTailError when the stored data certifies neither a finite
-    bound nor divergence (only possible for explicit-list families under
-    unbounded weights).  With y = 1 + tau_i every weight is
-    level e^{gamma (y - 1)} y^q (gamma or q zero), and the rule reads those
-    fields, level joining |beta| first.  A geometric family sums its prefix
-    delays term by term and its arithmetic continuation in closed form
-    under q = 0, and is dominated by a slower geometric under q > 0.  A
-    power law diverges under gamma > 0 or p - q <= 1, and is otherwise
-    bounded by its first term plus an integral.
+    bound nor divergence (only for an explicit list of positive mass under
+    an unbounded weight; a zero-mass list sums exactly).  With y = 1 + tau_i
+    every weight is level e^{gamma (y - 1)} y^q (gamma or q zero), and the
+    rule reads those fields, level joining |beta| first.  A geometric family
+    sums its prefix delays term by term and its arithmetic continuation in
+    closed form under q = 0, and is dominated by a slower geometric under
+    q > 0.  A power law diverges under gamma > 0 or p - q <= 1, and is
+    otherwise bounded by its first term plus an integral.
     """
     n = int(n_start)
     if n < 1:
@@ -310,9 +319,7 @@ def tail_sum_bound(family: CoefficientFamily, weight: WeightFunction, n_start: i
     d = family.delays
     q = w.degree
 
-    if family.kind == "finite-support" or (
-        family.kind == "explicit-list" and family.tail_abs_bound == 0.0
-    ):
+    if family.kind == "explicit-list" and family.tail_abs_bound == 0.0:
         L = len(family.coeffs)
         if n > L:
             return 0.0
@@ -404,15 +411,15 @@ def _atom_tail_search(
     """Least N >= n_floor with sum_s s * tail_sum_bound(family, w, N+1) <= eps over atoms (s, w).
 
     Called by history._truncation only (eps = inf asks for membership).
-    Doubling, then bisection.  Returns (N, achieved_bound).  For a
-    finite-support family, or an explicit list with zero recorded mass,
-    n_floor is first lowered to the last nonzero b_i, where the remainder
-    is exactly 0.  Raises UnknownTailError when an atom bound is infinite
-    or not certifiable, or when an explicit list's recorded tail mass alone
+    Doubling, then bisection.  Returns (N, achieved_bound).  For an
+    explicit list with zero recorded mass (a finite support), n_floor is
+    first lowered to the last nonzero b_i, where the remainder is exactly
+    0.  Raises UnknownTailError when an atom bound is infinite or not
+    certifiable, or when an explicit list's recorded tail mass alone
     exceeds eps, and TruncationDepthError past the cap.
     """
     live = [(s, w) for (s, w) in atoms if s != 0.0]
-    if family.kind == "finite-support" or (family.kind == "explicit-list" and family.tail_abs_bound == 0.0):
+    if family.kind == "explicit-list" and family.tail_abs_bound == 0.0:
         n_floor = min(n_floor, max((i for i, b in enumerate(family.coeffs, 1) if b != 0.0), default=0))
 
     def tb(n: int) -> float:

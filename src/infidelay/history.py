@@ -792,11 +792,11 @@ def _truncation(phi: HistoryFunction, family: CoefficientFamily, reach: float, e
     sums have a closed form (_zeta_tail) whose enclosure of
     c beta zeta(p, floor + 1) is within eps wide, the callers add the deep
     part past the head themselves, so no atom is left to search: N is the
-    floor and the remainder that width.  When the search's N passes an
-    explicit list's L stored coefficients and tau_{L+1} >= reach, the
-    unstored terms read phi, where sum_{i > L} |b_i| <= the recorded mass
-    bounds them by mass * sup |phi|: N is L and the remainder that bound,
-    once it is within eps.  When the search fails, or N still passes the
+    floor and the remainder that width.  When the search's N passes a
+    positive-mass list's L stored coefficients (a zero-mass list's never
+    does) and tau_{L+1} >= reach, the unstored terms read phi and sum to
+    at most mass * sup |phi|: N is L and the remainder that bound, once it
+    is within eps.  When the search fails, or N still passes the
     stored coefficients, raises DivergentTailError if _certified_divergent
     holds, UnknownTailError otherwise.
     """
@@ -811,7 +811,7 @@ def _truncation(phi: HistoryFunction, family: CoefficientFamily, reach: float, e
         L, mass = len(family.coeffs), family.tail_abs_bound
         if family.kind == "explicit-list" and N > L and family.delays.tau(L + 1) >= reach:
             # every unstored argument s - tau_i <= reach - tau_{L+1} reads phi
-            unstored = mass * cg_norm(phi, _CONST1) if mass else 0.0
+            unstored = mass * cg_norm(phi, _CONST1)
             if unstored <= eps:
                 N, rem = L, unstored
         if family.kind == "explicit-list":

@@ -48,8 +48,8 @@ def oracle_solve(problem: ProblemSpec, horizon: float, h_fine: Optional[float] =
     DivergentTailError or UnknownTailError, as _truncation does, when the
     delayed sum has no certified truncation.
     """
-    if not (horizon > 0.0):
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (0.0 < horizon < np.inf):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     tau1 = problem.family.delays.tau1
     h = min(h_fine if h_fine is not None else tau1 / 200.0, tau1 / 2.0)
     n = _truncation(problem.history, problem.family, horizon, _EPS_TRUNC)[0]

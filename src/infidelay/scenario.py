@@ -8,7 +8,7 @@ Schema (all floats unless noted):
         "a": 0.0,
         "family": {
           "kind": "finite-support" | "geometric" | "power-law" | "explicit-list",
-          "coeffs": [..],            # finite-support / explicit-list
+          "coeffs": [..],            # finite-support (loads as explicit-list, tail_abs_bound 0) / explicit-list
           "beta": .., "rho": ..,     # geometric
           "p": ..,                   # power-law
           "tail_abs_bound": ..,      # explicit-list

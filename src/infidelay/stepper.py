@@ -151,7 +151,7 @@ def _caps(traj: Trajectory, points: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Each point's forcing index max(n_origin, _tail_floor(s)), clipped at len(taus) >= n_origin.
 
     That is history._truncation's index for reach s; the clip drops only the
-    zero b_i past a finite support's last nonzero one.
+    zero b_i past a zero-mass list's last nonzero one.
     """
     return np.maximum(traj.n_origin, np.searchsorted(taus, points + traj.problem.history.depth, side="left"))
 
@@ -344,8 +344,8 @@ def _start(problem: ProblemSpec, config: SolverConfig, n_forcing: int, n_origin:
 
 def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] = None) -> Trajectory:
     """Integrate the problem on [0, horizon] once its forcing truncation is certified."""
-    if not (horizon > 0.0):
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (0.0 < horizon < math.inf):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     config = config if config is not None else SolverConfig()
     tau1 = problem.family.delays.tau1
     h = min(config.h if config.h is not None else tau1 / 40.0, tau1)

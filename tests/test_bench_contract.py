@@ -4,12 +4,14 @@ One pass of every workload in bench/workloads.py at the benchmark's seed; a
 library change that makes an op raise, or a check fail, shows here rather
 than as failed ops in a benchmark run.  One traced pass of each shows a
 renamed or bypassed traced function, which would leave a per-layer metric
-absent from the traced run.
+absent from the traced run.  One traced deep-tail run of bench/run.py
+shows that the line it prints last is a strict-JSON result.
 """
 
 import json
 import math
 import os
+import subprocess
 import sys
 
 import pytest
@@ -63,3 +65,24 @@ def test_one_traced_pass_reports_every_layer_metric(name, tmp_path):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         per_layer = {m["name"] for m in json.load(fh)["per_layer"]}
     assert per_layer - set(tracer.CHECK_COUNTS) - {"trace_overhead_frac"} <= set(values)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_traced_deep_tail_run_ends_in_a_strict_json_result(tmp_path):
+    # run from a root of symlinks, so the run's .bench_out/ lands in tmp_path
+    for name in ("src", "bench"):
+        os.symlink(os.path.abspath(os.path.join(ROOT, name)), tmp_path / name)
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "deep-tail", "--trace", "1", "--seconds", "0.3"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_refuse_constant)
+    assert result["correct"] is True
+    assert result["failed"] == 0

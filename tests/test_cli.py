@@ -958,6 +958,22 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     assert got == pinned["sha256"]
 
 
+def test_classic_delay_as_a_zero_mass_list_reports_the_same(tmp_path, capsys):
+    # a finite support is the explicit list with tail_abs_bound 0, so the
+    # twin's reports match byte for byte; only summary.json echoes the family
+    cfg = json.loads((Path(infidelay.__file__).parent / "scenarios" / "classic-delay.json").read_text())
+    cfg["problem"]["family"].update(kind="explicit-list", tail_abs_bound=0.0)
+    twin = tmp_path / "twin.json"
+    twin.write_text(json.dumps(cfg))
+    assert run_cli(["run", "classic-delay", "--out", str(tmp_path / "finite")], capsys)[0] == EXIT_OK
+    assert run_cli(["run", str(twin), "--out", str(tmp_path / "listed")], capsys)[0] == EXIT_OK
+    d1, d2 = tmp_path / "finite" / "classic-delay", tmp_path / "listed" / "classic-delay"
+    files = sorted(p.name for p in d1.iterdir())
+    assert files == sorted(p.name for p in d2.iterdir())
+    _, mismatch, errors = filecmp.cmpfiles(d1, d2, files, shallow=False)
+    assert (mismatch, errors) == (["summary.json"], [])
+
+
 def test_out_env_override(tmp_path, capsys, monkeypatch):
     target = tmp_path / "env-dir"
     monkeypatch.setenv("INFIDELAY_OUT", str(target))

@@ -18,7 +18,7 @@ from infidelay import (
     n_index,
     tail_sum_bound,
 )
-from infidelay.coefficients import TRUNCATION_CAP, _atom_tail_search
+from infidelay.coefficients import KINDS, TRUNCATION_CAP, _atom_tail_search
 
 # ---------------------------------------------------------------------------
 # delay schedules
@@ -229,6 +229,16 @@ def test_b_values():
     assert ex.b_array(2)[1] == 0.2
     with pytest.raises(UnknownTailError):
         ex.b_array(3)
+
+
+def test_a_finite_support_is_the_zero_mass_list():
+    ds = DelaySchedule(delta=0.7)
+    fin = CoefficientFamily.finite_support([0.3, -0.2], ds)
+    assert fin == CoefficientFamily.explicit_list([0.3, -0.2], 0.0, ds)
+    assert fin.kind == "explicit-list"
+    assert KINDS == ("geometric", "power-law", "explicit-list")
+    with pytest.raises(ValueError, match="unknown family kind 'finite-support'"):
+        CoefficientFamily(kind="finite-support", delays=ds, coeffs=(0.3, -0.2))
 
 
 def test_head_abs_sum():

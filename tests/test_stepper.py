@@ -358,6 +358,41 @@ def test_explicit_list_with_zero_mass_solves_as_its_finite_support():
     _assert_same_nodes(listed, finite)
 
 
+def test_a_zero_mass_list_reads_zeros_past_its_end():
+    # classic-delay's family as an explicit list: b_array pads b_i = 0 past
+    # b_1, so both calls read n past the list; the pinned values are those
+    # of x'(t) = -x(t - 1) from phi = 1, to rounding
+    listed = CoefficientFamily.explicit_list([-1.0], 0.0, DS)
+    traj = solve(ProblemSpec(0.0, listed, history_preset("constant")), 3.0)
+    cert = estimate_certificate(traj, 3)
+    assert (cert.bound, cert.observed, cert.valid, cert.b_chain) == (24.0, 1.0, True, (2.0, 6.0, 24.0))
+    assert cert.levels == (("sup_norm[1]", 1.0), ("p[1]", 1.0), ("p[2]", 0.0), ("p[3]", 0.0))
+    assert forcing(traj, np.array([0.5, 1.5, 2.5]), 3).tolist() == [-1.0, -0.49999999999999983, 0.37500000000000006]
+    assert forcing(traj, 2.5, 3) == forcing(traj, 2.5) == 0.37500000000000006
+
+
+_NONFINITE = {
+    "coeffs": lambda: CoefficientFamily.finite_support([0.5, math.nan], DS),
+    "beta": lambda: CoefficientFamily.geometric(math.inf, 0.5, DS),
+    "rho": lambda: CoefficientFamily.geometric(1.0, -math.inf, DS),
+    "p_exponent": lambda: CoefficientFamily.power_law(1.0, math.inf, DS),
+    "tail_abs_bound": lambda: CoefficientFamily.explicit_list([0.5], math.inf, DS),
+    "c": lambda: DelaySchedule(c=math.nan),
+    "delta": lambda: DelaySchedule(delta=math.inf),
+    "prefix": lambda: DelaySchedule(prefix=(0.5, math.inf)),
+    "horizon": lambda: solve(classic_problem(), math.inf),
+    "oracle-horizon": lambda: fd.oracle_solve(classic_problem(), math.inf),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_NONFINITE))
+def test_non_finite_numbers_are_refused_at_the_python_boundary(field):
+    # an infinite mass or beta would otherwise read as a certificate of
+    # divergence, and an infinite horizon or delay fail deep in the solver
+    with pytest.raises(ValueError, match=rf"\b{field.split('-')[-1]} must be (positive and )?finite"):
+        _NONFINITE[field]()
+
+
 @pytest.mark.parametrize(
     "phi, fam, eps, n_want",
     [
