@@ -303,8 +303,9 @@ def tail_sum_bound(family: CoefficientFamily, weight: WeightFunction, n_start: i
 
     Returns math.inf exactly when the true series is provably divergent.
     Raises UnknownTailError when the stored data certifies neither a finite
-    bound nor divergence (only for an explicit list of positive mass under
-    an unbounded weight; a zero-mass list sums exactly).  With y = 1 + tau_i
+    bound nor divergence: an explicit list of positive mass under an
+    unbounded weight, or a zero-mass list (summed over its nonzero b_i)
+    with a term that overflows in floating point.  With y = 1 + tau_i
     every weight is level e^{gamma (y - 1)} y^q (gamma or q zero), and the
     rule reads those fields, level joining |beta| first.  A geometric family
     sums its prefix delays term by term and its arithmetic continuation in
@@ -324,8 +325,13 @@ def tail_sum_bound(family: CoefficientFamily, weight: WeightFunction, n_start: i
         if n > L:
             return 0.0
         taus = d.tau_array(L)[n - 1 :]
-        vals = np.abs(np.array(family.coeffs[n - 1 :])) * np.asarray(w(-taus))
-        return float(np.sum(vals))
+        b = np.abs(np.array(family.coeffs[n - 1 :]))
+        # only the nonzero b_i: a zero one times a weight that overflows is 0 * inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(np.where(b != 0.0, b * np.asarray(w(-taus)), 0.0)))
+        if not math.isfinite(total):
+            raise UnknownTailError("a nonzero term b_i w(-tau_i) of the finite support overflows in floating point")
+        return total
 
     if family.kind == "explicit-list":
         if (w.gamma, q) != (0.0, 0):

@@ -528,13 +528,17 @@ def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.
     c beta zeta(p, m + 1), the whole series over (m, infinity), at every cap:
     no suffix sums.  Every other tail, every tail below _MOMENT_MIN_TERMS
     delays and every kappa with |Re kappa| tau_N > 700 keep every delay up to
-    the cap in the head.  The (points x head) argument matrix is evaluated
-    in row chunks of at most _CHUNK_TERMS terms; the rows of a chunk are grouped by head
-    count, and each group is summed by one np.vecdot against the leading
-    coefficients, which takes the same BLAS dot product per row as np.dot.
-    The split depends on s and its cap alone, so a point's value does not
-    depend on the batch it is evaluated in.  A sum that is not finite in
-    floating point raises UnknownTailError.
+    the cap in the head.  The head's arguments are evaluated in chunks of
+    points of at most _CHUNK_TERMS terms, each read as one delay-major block
+    (one row per delay, so neighbouring arguments are neighbouring points
+    and numerics.piece_index's guess search is O(1) per argument), then
+    transposed into a C-contiguous (points x delays) block.  A chunk whose
+    points share one head count is summed by one np.vecdot against the
+    leading coefficients, which takes the same BLAS dot product per row as
+    np.dot; a mixed chunk takes one np.vecdot per head count.  The split
+    depends on s and its cap alone, so a point's value does not depend on
+    the batch it is evaluated in.  A sum that is not finite in floating
+    point raises UnknownTailError.
     """
     heads = np.full(len(points), caps)
     out = np.zeros(len(points))
@@ -542,15 +546,20 @@ def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.
         heads = np.minimum(np.searchsorted(taus, points + phi.depth, side="right"), heads)
         out = tail_sums(points, heads, caps)
     rows = max(1, _CHUNK_TERMS // max(1, int(heads.max(initial=0))))
-    for r0 in range(0, len(points), rows):
-        m = heads[r0 : r0 + rows]
-        w = int(m.max())
-        args = points[r0 : r0 + rows, None] - taus[:w]
-        vals = values_at(args.ravel()).reshape(args.shape)
-        for k in set(m.tolist()):
-            rows_k = np.flatnonzero(m == k)
-            out[r0 + rows_k] += np.vecdot(vals[rows_k, :k], bs[:k])
-        del args, vals  # at large N one chunk is a row; free it before the next
+    with np.errstate(over="ignore", invalid="ignore"):  # a spoiled sum is named below
+        for r0 in range(0, len(points), rows):
+            m = heads[r0 : r0 + rows]
+            w = int(m.max())
+            args = points[None, r0 : r0 + rows] - taus[:w, None]
+            # each row's dot must read a contiguous row: a strided one sums in another order
+            vals = np.ascontiguousarray(values_at(args.ravel()).reshape(args.shape).T)
+            if m.min() == w:
+                out[r0 : r0 + rows] += np.vecdot(vals, bs[:w])
+            else:
+                for k in set(m.tolist()):
+                    rows_k = np.flatnonzero(m == k)
+                    out[r0 + rows_k] += np.vecdot(vals[rows_k, :k], bs[:k])
+            del args, vals  # at large N one chunk is a row; free it before the next
     if not np.all(np.isfinite(out)):
         raise UnknownTailError("a delayed sum is not finite in floating point")
     return out
@@ -856,10 +865,11 @@ def _seminorm(phi: HistoryFunction, family: CoefficientFamily, k: int, eps_tail:
     except UnknownTailError:
         return SeminormValue(math.inf, math.inf, n0, 0, "inconclusive")
     taus = d.tau_array(N)[n0 - 1 :]
-    terms = np.concatenate(([0.0], phi.sup_abs_interval(-taus, np.minimum(ktau - taus, 0.0))))
-    terms[1:] *= np.abs(family.b_array(N))[n0 - 1 :]
-    # summed left to right in index order from 0.0, as a scalar loop would
-    total = float(np.cumsum(terms)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # a spoiled sum is named below
+        terms = np.concatenate(([0.0], phi.sup_abs_interval(-taus, np.minimum(ktau - taus, 0.0))))
+        terms[1:] *= np.abs(family.b_array(N))[n0 - 1 :]
+        # summed left to right in index order from 0.0, as a scalar loop would
+        total = float(np.cumsum(terms)[-1])
     closed = _zeta_tail(phi, family)
     if closed is not None:  # every window past N sees the constant c
         total += abs(closed[0]) * hurwitz_zeta(closed[1], N + 1)[0]

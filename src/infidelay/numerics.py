@@ -95,9 +95,19 @@ def piece_index(breaks: np.ndarray, n_pieces: int, x):
 
     A point on a breakpoint belongs to the piece starting there; points
     left of breaks[0] or right of the last piece go to the end pieces.  The
-    index is the count of interior breakpoints at or left of x.
+    index is the count of interior breakpoints at or left of x, as
+    np.searchsorted(breaks[1:n_pieces], x, side="right") gives it (NaN last).
+    A guess search finds it: np.interp tries the previous key's piece before
+    it bisects, so a key next to the last one costs O(1); its interpolated
+    index is truncated, and corrected where it rounded up onto the next piece.
     """
-    return np.searchsorted(breaks[1:n_pieces], x, side="right")
+    x = np.asarray(x, dtype=float)
+    if n_pieces < 2:
+        return np.zeros(x.shape, dtype=np.intp)
+    # fmin sends NaN, and only NaN, to the last piece
+    idx = np.fmin(np.interp(x, breaks[1:n_pieces], np.arange(1.0, n_pieces), left=0.0), n_pieces - 1).astype(np.intp)
+    idx -= (idx > 0) & (x < breaks[idx])
+    return idx
 
 
 def derivative_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -133,13 +143,18 @@ def eval_pieces(breaks: np.ndarray, coeffs: np.ndarray, x: np.ndarray) -> np.nda
     """Evaluate a piecewise cubic at points x (assumed inside [breaks[0], breaks[-1]]).
 
     Points outside the span are clamped to the nearest piece; callers are
-    responsible for domain checks.  Vectorized Horner on one gather per column.
+    responsible for domain checks.  Vectorized Horner on one gather per column,
+    in place on the c3 gather; a float sum or product does not depend on the
+    order of its two operands, so the bits are those of c0 + u*(c1 + u*(c2 + u*c3)).
     """
     x = np.asarray(x, dtype=float)
     idx = piece_index(breaks, len(coeffs), x)
     u = x - breaks[idx]
-    c0, c1, c2, c3 = (coeffs[:, k][idx] for k in range(4))
-    return c0 + u * (c1 + u * (c2 + u * c3))
+    out = coeffs[:, 3][idx]
+    for k in (2, 1, 0):
+        out *= u
+        out += coeffs[:, k][idx]
+    return out
 
 
 def sup_abs_pieces(breaks: np.ndarray, coeffs: np.ndarray, lo, hi):

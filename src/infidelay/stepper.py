@@ -22,10 +22,11 @@ The march (_march) runs one window [k tau_1, (k+1) tau_1] at a time.
 Every delay is at least tau_1, so F on the window reads x only on
 (-inf, k tau_1]: the forcing at each distinct point of starts + steps *
 nodes and the step ends is one batch through history._delayed_sums, which
-splits each point's delays with one sorted search into a head, read from
-one table of phi's core rows and the pieces (_delayed_values), and a tail
-moment.  A scan turns the batch into the window's node values: _voc_scan,
-the variation-of-constants update under the Gauss-4 weights, for solve and
+splits each point's delays with one sorted search into a head and a tail
+moment.  The head is read (_delayed_values) from a prefix of the march's
+one append-only table: phi's core rows, then a row per node (_buffers).
+A scan turns the batch into the window's node values: _voc_scan, the
+variation-of-constants update under the Gauss-4 weights, for solve and
 step_interval; the oracle passes its RK4 scan.  The slopes are a x + F at
 the step ends.  While the batch is evaluated, the piece row after the last
 node holds the pending piece (x, x', 0, 0), so an argument at that node,
@@ -123,28 +124,32 @@ class Trajectory:
         th = np.asarray(t, dtype=float)
         if np.any(th > self.horizon + 1e-9):
             raise ValueError(f"evaluation beyond horizon {self.horizon}: max t={th.max()}")
-        out = _delayed_values(self.problem.history, self.grid, self.pieces, np.minimum(np.atleast_1d(th), self.horizon))
+        phi = self.problem.history
+        out = _delayed_values(phi, *_table(phi, self.grid, self.pieces), np.minimum(np.atleast_1d(th), self.horizon))
         return float(out[0]) if th.ndim == 0 else out
 
     def write_csv(self, path: str) -> None:
+        rows = zip(self.grid.tolist(), self.values.tolist(), self.derivs.tolist())
         with open(path, "w") as fh:
-            fh.write("t,x,xprime\n")
-            for t, x, d in zip(self.grid, self.values, self.derivs):
-                fh.write(f"{t:.11e},{x:.11e},{d:.11e}\n")
+            fh.write("t,x,xprime\n" + "".join("%.11e,%.11e,%.11e\n" % row for row in rows))
 
     def to_json_dict(self) -> dict:
         return {
             "horizon": self.horizon,
-            "grid": [float(v) for v in self.grid],
-            "values": [float(v) for v in self.values],
-            "derivs": [float(v) for v in self.derivs],
+            "grid": self.grid.tolist(),
+            "values": self.values.tolist(),
+            "derivs": self.derivs.tolist(),
         }
 
 
-def _delayed_values(phi: HistoryFunction, grid: np.ndarray, pieces: np.ndarray, args: np.ndarray) -> np.ndarray:
-    """x at the 1-d array args, read (phi.read) from one table: phi's core rows, then the pieces on grid."""
-    breaks = np.concatenate((phi.breakpoints[:-1], grid))
-    return phi.read(breaks, np.concatenate((phi.coeffs, pieces)), args)
+def _table(phi: HistoryFunction, grid: np.ndarray, pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The read table of a trajectory: phi's core rows, then the pieces on grid (breaks, coeffs)."""
+    return np.concatenate((phi.breakpoints[:-1], grid)), np.concatenate((phi.coeffs, pieces))
+
+
+def _delayed_values(phi: HistoryFunction, breaks: np.ndarray, coeffs: np.ndarray, args: np.ndarray) -> np.ndarray:
+    """x at the 1-d array args, read (phi.read) from _table's table or a prefix of the march's (_buffers)."""
+    return phi.read(breaks, coeffs, args)
 
 
 def _caps(traj: Trajectory, points: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -168,15 +173,15 @@ def forcing(traj: Trajectory, t, n: Optional[int] = None):
     float) or an array of times, evaluated as one (points x N) batch whose
     entries equal the scalar results bit for bit.
     """
-    prob = traj.problem
+    prob, phi = traj.problem, traj.problem.history
     ts = np.asarray(t, dtype=float)
     if np.any(ts > traj.horizon + 1e-9):
         raise ValueError(f"forcing beyond horizon {traj.horizon}: max t={ts.max()}")
     n_max = traj.n_forcing if n is None else n
     taus, bs = prob.family.delays.tau_array(n_max), prob.family.b_array(n_max)
     out = _delayed_sums(
-        partial(_delayed_values, prob.history, traj.grid, traj.pieces), prob.history, ts.ravel(), taus, bs,
-        _tail_sums(prob.history, prob.family, taus, bs), _caps(traj, ts.ravel(), taus) if n is None else n,
+        partial(_delayed_values, phi, *_table(phi, traj.grid, traj.pieces)), phi, ts.ravel(), taus, bs,
+        _tail_sums(phi, prob.family, taus, bs), _caps(traj, ts.ravel(), taus) if n is None else n,
     )
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
@@ -238,20 +243,25 @@ def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -
 
 
 def _buffers(traj: Trajectory, windows: list) -> tuple:
-    """Node and piece buffers holding traj's data, sized for the new windows.
+    """The march's append-only read table and node buffers, holding traj's data, sized for the new windows.
 
-    pieces has one row per node: the row of the last node holds the pending
-    piece (x, x', 0, 0) while a window's forcing is evaluated, so delayed
-    arguments at or just past that node read the node data exactly.
+    The table (breaks, coeffs) is _table's, phi's core rows and then one row
+    per node, whose node part grid and pieces view.  The row of the last node
+    holds the pending piece (x, x', 0, 0) while a window's forcing is
+    evaluated, so delayed arguments at or just past that node read the node
+    data exactly.
     """
-    n0 = len(traj.grid)
+    phi = traj.problem.history
+    c, n0 = len(phi.coeffs), len(traj.grid)
     total = n0 + sum(len(w) for w in windows)
-    grid, values, derivs = np.empty(total), np.empty(total), np.empty(total)
-    pieces = np.empty((total, 4))
+    breaks, coeffs = np.empty(c + total), np.empty((c + total, 4))
+    breaks[:c], coeffs[:c] = phi.breakpoints[:-1], phi.coeffs
+    grid, pieces = breaks[c:], coeffs[c:]
+    values, derivs = np.empty(total), np.empty(total)
     grid[:n0], values[:n0], derivs[:n0] = traj.grid, traj.values, traj.derivs
     pieces[: n0 - 1] = traj.pieces
     pieces[n0 - 1] = (values[n0 - 1], derivs[n0 - 1], 0.0, 0.0)
-    return grid, values, derivs, pieces
+    return breaks, coeffs, grid, values, derivs, pieces
 
 
 def _store_window(grid, values, derivs, pieces, m: int, ends: np.ndarray, steps: np.ndarray) -> int:
@@ -263,7 +273,8 @@ def _store_window(grid, values, derivs, pieces, m: int, ends: np.ndarray, steps:
     m_new = m + len(ends)
     grid[m:m_new] = ends
     lo, hi = slice(m - 1, m_new - 1), slice(m, m_new)
-    pieces[lo] = np.column_stack(hermite_coeffs(values[lo], derivs[lo], values[hi], derivs[hi], steps))
+    for k, column in enumerate(hermite_coeffs(values[lo], derivs[lo], values[hi], derivs[hi], steps)):
+        pieces[lo, k] = column
     pieces[m_new - 1] = (values[m_new - 1], derivs[m_new - 1], 0.0, 0.0)
     return m_new
 
@@ -284,9 +295,11 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
     Each window's forcing is one batch at the distinct points of starts +
     steps * nodes and the step ends.  The points are sorted, so a repeat (the
     oracle's node 0 is the previous step's end) is its neighbour's twin, found
-    without a sort.  scan(a, x, steps, points, f) returns the window's node
-    values from the last node value x.  delayed_values is the caller's own
-    _delayed_values, bound to each window's nodes with functools.partial.
+    without a sort; a window without one (Gauss-4) is read as it stands.
+    scan(a, x, steps, points, f) returns the window's node values from the
+    last node value x.  delayed_values is the caller's own _delayed_values,
+    bound with functools.partial to the prefix of the one append-only table
+    (_buffers) that holds each window's nodes.
     """
     problem = traj.problem
     a = problem.a
@@ -294,26 +307,27 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
     bs = problem.family.b_array(traj.n_forcing)
     tail_sums = _tail_sums(problem.history, problem.family, taus, bs)
     windows = _substeps(traj.horizon, t_end, problem.family, traj.h_used)
-    grid, values, derivs, pieces = _buffers(traj, windows)
-    m = len(traj.grid)
+    breaks, coeffs, grid, values, derivs, pieces = _buffers(traj, windows)
+    c, m = len(breaks) - len(grid), len(traj.grid)
     for ends in windows:
         starts = np.concatenate(([grid[m - 1]], ends[:-1]))
         steps = ends - starts
         points = np.concatenate((starts[:, None] + steps[:, None] * nodes, ends[:, None]), axis=1)
-        values_at = partial(delayed_values, problem.history, grid[:m], pieces[:m])
+        values_at = partial(delayed_values, problem.history, breaks[: c + m], coeffs[: c + m])
         flat = points.ravel()
         first = np.concatenate(([True], flat[1:] != flat[:-1]))
-        f = _delayed_sums(values_at, problem.history, flat[first], taus, bs, tail_sums, _caps(traj, flat[first], taus))
-        f = f[np.cumsum(first) - 1].reshape(points.shape)
+        distinct = flat if first.all() else flat[first]
+        f = _delayed_sums(values_at, problem.history, distinct, taus, bs, tail_sums, _caps(traj, distinct, taus))
+        f = (f if distinct is flat else f[np.cumsum(first) - 1]).reshape(points.shape)
         new = slice(m, m + len(ends))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, with its time
             values[new] = scan(a, float(values[m - 1]), steps, points, f)
             derivs[new] = a * values[new] + f[:, -1]
             m_new = _store_window(grid, values, derivs, pieces, m, ends, steps)
         # each new piece holds its node's value and slope and, in c2 and c3, the next node's
-        finite = np.isfinite(pieces[m - 1 : m_new]).all(axis=1)
-        if not finite.all():
-            raise OverflowError(f"the solution leaves the floating-point range after t = {grid[m - 1 + finite.argmin()]}")
+        if not np.isfinite(pieces[m - 1 : m_new]).all():
+            row = np.isfinite(pieces[m - 1 : m_new]).all(axis=1).argmin()
+            raise OverflowError(f"the solution leaves the floating-point range after t = {grid[m - 1 + row]}")
         m = m_new
     return replace(traj, grid=grid, values=values, derivs=derivs, pieces=pieces[: m - 1])
 

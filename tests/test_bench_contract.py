@@ -4,8 +4,9 @@ One pass of every workload in bench/workloads.py at the benchmark's seed; a
 library change that makes an op raise, or a check fail, shows here rather
 than as failed ops in a benchmark run.  One traced pass of each shows a
 renamed or bypassed traced function, which would leave a per-layer metric
-absent from the traced run.  One traced deep-tail run of bench/run.py
-shows that the line it prints last is a strict-JSON result.
+absent from the traced run.  One traced run of bench/run.py per workload
+shows that the line it prints last is a strict-JSON result: a per-layer
+ratio that turns NaN or inf would spoil it.
 """
 
 import json
@@ -71,12 +72,14 @@ def _refuse_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 
 
-def test_traced_deep_tail_run_ends_in_a_strict_json_result(tmp_path):
-    # run from a root of symlinks, so the run's .bench_out/ lands in tmp_path
-    for name in ("src", "bench"):
-        os.symlink(os.path.abspath(os.path.join(ROOT, name)), tmp_path / name)
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_deep_tail_run_ends_in_a_strict_json_result(name, tmp_path):
+    # every workload (the name is deep-tail's, the first); run from a root
+    # of symlinks, so the run's .bench_out/ lands in tmp_path
+    for sub in ("src", "bench"):
+        os.symlink(os.path.abspath(os.path.join(ROOT, sub)), tmp_path / sub)
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "deep-tail", "--trace", "1", "--seconds", "0.3"],
+        [sys.executable, "bench/run.py", "--workload", name, "--trace", "1", "--seconds", "0.3"],
         cwd=tmp_path,
         capture_output=True,
         text=True,
@@ -86,3 +89,4 @@ def test_traced_deep_tail_run_ends_in_a_strict_json_result(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_refuse_constant)
     assert result["correct"] is True
     assert result["failed"] == 0
+    assert [line for line in proc.stdout.splitlines() if line.endswith(" absent")] == []

@@ -283,6 +283,27 @@ def test_tail_bound_finite_support_exact_zero():
     assert abs(tail_sum_bound(fam, W1, 2) - 0.2) < 1e-15
 
 
+def test_tail_bound_finite_support_skips_zero_b_where_the_weight_overflows():
+    # e^{800 tau} overflows from tau = 1 on: a zero b_i there adds nothing
+    # (it gave 0 * inf = NaN), past the last nonzero b_i the bound is 0
+    w = WeightFunction(gamma=800.0)
+    fam = CoefficientFamily.finite_support([1e-200, 0.0], DelaySchedule(0.0, 0.5))
+    assert tail_sum_bound(fam, w, 1) == 1e-200 * float(np.exp(400.0))
+    assert tail_sum_bound(CoefficientFamily.finite_support([1e-300, 0.0], DelaySchedule()), w, 2) == 0.0
+
+
+def test_tail_bound_finite_support_refuses_a_nonzero_term_that_overflows():
+    # 1.0 * e^{1600} is finite but has no float value: no certificate, not
+    # NaN (n = 1) nor an inf that would read as divergence (n = 2)
+    w = WeightFunction(gamma=800.0)
+    for coeffs, starts in (([0.0, 1.0], (1, 2)), ([1e-300, 0.0], (1,))):
+        fam = CoefficientFamily.finite_support(coeffs, DelaySchedule())
+        for n in starts:
+            with pytest.raises(UnknownTailError, match="overflows in floating point"):
+                tail_sum_bound(fam, w, n)
+    assert tail_sum_bound(CoefficientFamily.finite_support([0.0, 1.0], DelaySchedule()), w, 3) == 0.0
+
+
 def test_tail_bound_explicit_list():
     fam = CoefficientFamily.explicit_list([0.1, 0.2], 0.05, DelaySchedule())
     w3 = WeightFunction.constant(3.0)

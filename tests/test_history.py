@@ -577,10 +577,8 @@ def test_L_functional_and_p_seminorm_agree_on_divergence():
         fd.solve(fd.ProblemSpec(0.0, listed, const), 1.0, fd.SolverConfig(eps_forcing=0.1))
 
 
-# numpy warns where 2^tau_i overflows and where inf meets b_i = 0.0; the
-# warnings stay, since each sum they spoil is refused rather than returned
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# 2^tau_i overflows and inf meets b_i = 0.0 without a numpy warning: each
+# sum they spoil is named by its finiteness gate and refused
 def test_sums_that_are_not_finite_in_floating_point_are_refused():
     # 2^-theta under b_i = 0.8 0.7^i on tau = (0.3, 0.7, then gaps of 0.5): the
     # terms fall like (0.7 sqrt 2)^i ~ 0.99^i, so N = 2,692 is certified, but at

@@ -15,6 +15,7 @@ from infidelay.numerics import (
     eval_pieces,
     hermite_coeffs,
     phi1,
+    piece_index,
     shift_coeffs,
     sup_abs_pieces,
     sup_ratio_pieces,
@@ -131,6 +132,32 @@ def test_eval_pieces_matches_manual_horner():
     )
     cubic = np.array([[1.0, 2.0, 3.0, 4.0]])
     assert np.array_equal(derivative_coeffs(cubic), np.array([[2.0, 6.0, 12.0, 0.0]]))
+
+
+#: piece widths down to the narrowest a merged knot can leave
+_PIECE_WIDTHS = st.sampled_from([1e-12, 2.0**-40, 1e-3, 0.025, 0.3, 1.0, 7.5])
+
+
+@given(data=st.data())
+def test_piece_index_is_the_searchsorted_index(data):
+    # the guess search (np.interp, truncated, corrected once) must give
+    # searchsorted's index on every key: random keys in any order, each
+    # breakpoint and its float neighbours, keys far outside the span, +-inf,
+    # NaN and +-0, for breaks with one entry per piece (the read table) or
+    # one more, and for 0-d, 1-d and 2-d keys
+    breaks = data.draw(st.floats(-50.0, 50.0)) + np.cumsum([0.0] + data.draw(st.lists(_PIECE_WIDTHS, min_size=1, max_size=40)))
+    n = len(breaks) - data.draw(st.integers(0, 1))
+    drawn = data.draw(st.lists(st.floats(breaks[0] - 2.0, breaks[-1] + 2.0), max_size=30))
+    near = np.concatenate((breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf)))
+    keys = np.concatenate((drawn, near, [np.inf, -np.inf, np.nan, 0.0, -0.0, breaks[0] - 1e3, breaks[-1] + 1e3]))
+    keys = data.draw(st.permutations(keys.tolist()))
+    keys = np.array(keys if len(keys) % 2 == 0 else keys + [breaks[0]])
+    for x in (keys, keys.reshape(2, -1)):
+        got, want = piece_index(breaks, n, x), np.searchsorted(breaks[1:n], x, side="right")
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+    for v in keys[:8].tolist():
+        assert piece_index(breaks, n, v) == np.searchsorted(breaks[1:n], v, side="right")
+        assert np.shape(piece_index(breaks, n, np.float64(v))) == ()
 
 
 @given(data=st.data())

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -181,6 +182,42 @@ def test_batched_forcing_sums_each_head_as_one_dot_product(monkeypatch, phi):
         for s, m in zip(ts, heads.tolist())
     ]
     assert forcing(traj, ts).tobytes() == np.array(want).tobytes()
+
+
+def _row_major_sums(values_at, phi, points, taus, bs, tail_sums, caps):
+    """_delayed_sums before its delay-major blocks: each point's head read as one row, summed by np.dot."""
+    heads = np.full(len(points), caps)
+    out = np.zeros(len(points))
+    if tail_sums is not None:
+        heads = np.minimum(np.searchsorted(taus, points + phi.depth, side="right"), heads)
+        out = tail_sums(points, heads, caps)
+    for r, (s, m) in enumerate(zip(points, heads.tolist())):
+        out[r] += np.dot(values_at(s - taus[:m]), bs[:m])
+    return out, heads
+
+
+@pytest.mark.parametrize("chunk", [512, 65536])
+@pytest.mark.parametrize("moment", [False, True], ids=["head-only", "moment"])
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "mixed"])
+def test_delay_major_sums_have_the_row_major_bits(monkeypatch, chunk, moment, uniform):
+    # each chunk is read delay-major and transposed back, so every row's dot
+    # reads the contiguous operands of a row-major read: the sums keep their
+    # bits whether a chunk's head counts are one (one dot) or several
+    phi = history_preset("cos")
+    traj = solve(ProblemSpec(-0.2, TENTH, phi), 2.0)
+    n = traj.n_forcing
+    taus, bs = TENTH.delays.tau_array(n), TENTH.b_array(n)
+    tail_sums = fd.history._tail_sums(phi, TENTH, taus, bs) if moment else None
+    assert n >= fd.history._MOMENT_MIN_TERMS and (tail_sums is not None) == moment
+    # s + depth between two delays gives every point one sorted search
+    points = np.linspace(0.31, 0.39, 40) if uniform else np.concatenate((np.linspace(0.0, 2.0, 97), traj.grid[::5]))
+    caps = n if uniform else fd.stepper._caps(traj, points, taus)
+    values_at = partial(fd.stepper._delayed_values, phi, *fd.stepper._table(phi, traj.grid, traj.pieces))
+    want, heads = _row_major_sums(values_at, phi, points, taus, bs, tail_sums, caps)
+    assert (len(set(heads.tolist())) == 1) == uniform
+    monkeypatch.setattr(fd.history, "_CHUNK_TERMS", chunk)
+    got = fd.history._delayed_sums(values_at, phi, points, taus, bs, tail_sums, caps)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("t", [5.0, 50.0, np.array([0.5, 1.0, 2.5])], ids=["5", "50", "array"])
@@ -572,16 +609,19 @@ def test_one_table_read_matches_the_three_way_split(monkeypatch, run, p):
     # _delayed_values reads phi's core rows and the pieces as one table (a
     # zero argument reads the first piece, which starts at phi(0)); it must
     # give the bits of the old split on the march's own arguments and at the
-    # edges, in mid-march buffers, whose last row is the pending piece, and
-    # on the finished trajectory
+    # edges, in mid-march prefixes of the append-only table, whose last row
+    # is the pending piece, and on the finished trajectory
     real, buffers = fd.stepper._delayed_values, []
 
-    def checked(phi, grid, pieces, args):
+    def checked(phi, breaks, coeffs, args):
+        c = len(phi.coeffs)
+        grid, pieces = breaks[c:], coeffs[c:]
+        assert _same_bits(breaks[:c], phi.breakpoints[:-1]) and _same_bits(coeffs[:c], phi.coeffs)
         edges = _edge_arguments(phi, grid)  # F(0) at the start has no piece past 0
         for x in (args, edges if len(pieces) else edges[edges <= 0.0]):
-            assert _same_bits(real(phi, grid, pieces, x), _three_way_read(phi, grid, pieces, x)), len(grid)
+            assert _same_bits(real(phi, breaks, coeffs, x), _three_way_read(phi, grid, pieces, x)), len(grid)
         buffers.append(len(pieces) == len(grid))
-        return real(phi, grid, pieces, args)
+        return real(phi, breaks, coeffs, args)
 
     monkeypatch.setattr(fd.stepper, "_delayed_values", checked)
     monkeypatch.setattr(fd.oracle, "_delayed_values", checked)
@@ -589,7 +629,8 @@ def test_one_table_read_matches_the_three_way_split(monkeypatch, run, p):
     assert sum(buffers) >= 3  # the windows of [0, 3], each with its pending row
     monkeypatch.undo()
     ts = np.concatenate((_edge_arguments(p.history, traj.grid), np.linspace(-20.0, 3.0, 2001), traj.grid))
-    assert _same_bits(real(p.history, traj.grid, traj.pieces, ts), _three_way_read(p.history, traj.grid, traj.pieces, ts))
+    table = fd.stepper._table(p.history, traj.grid, traj.pieces)
+    assert _same_bits(real(p.history, *table, ts), _three_way_read(p.history, traj.grid, traj.pieces, ts))
     clamped = np.minimum(ts, traj.horizon)
     assert _same_bits(traj.eval(ts), _three_way_read(p.history, traj.grid, traj.pieces, clamped))
     assert _same_bits(p.history.evaluate(clamped[clamped <= 0.0]), _three_way_read(p.history, traj.grid[:1], traj.pieces[:0], clamped[clamped <= 0.0]))
