@@ -328,7 +328,13 @@ def tail_sum_bound(family: CoefficientFamily, weight: WeightFunction, n_start: i
         b = np.abs(np.array(family.coeffs[n - 1 :]))
         # only the nonzero b_i: a zero one times a weight that overflows is 0 * inf
         with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.sum(np.where(b != 0.0, b * np.asarray(w(-taus)), 0.0)))
+            terms = b * np.asarray(w(-taus))
+            big = (b != 0.0) & np.isinf(terms)
+            # where the weight alone overflows, exp(log|b_i| + log w(-tau_i)), widened by
+            # 1e-12 for the exponent's rounding (below 1e-12 while the product is finite)
+            log_w = math.log(w.level) + w.gamma * taus[big] + q * np.log1p(taus[big])
+            terms[big] = np.exp(np.log(b[big]) + log_w) * (1.0 + 1e-12)
+            total = float(np.sum(np.where(b != 0.0, terms, 0.0)))
         if not math.isfinite(total):
             raise UnknownTailError("a nonzero term b_i w(-tau_i) of the finite support overflows in floating point")
         return total

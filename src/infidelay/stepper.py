@@ -33,6 +33,29 @@ node holds the pending piece (x, x', 0, 0), so an argument at that node,
 or one rounding step past it, reads the node data exactly as a finished
 piece starting there would.
 
+The one-period recursion (_recursion, the discrete linear chain trick)
+replaces that batch where it is exact: b_i = beta rho^i on tau_i = c + i
+delta with no prefix and delta = P tau_1 for an integer P (_period), and
+every point of the window one period delta after a stored point (within
+1e-12), which holds from the (P+1)-th window on and across step_interval,
+whose trajectory carries the last period's points, F and caps.  There
+
+    F(s) = b_1 x(s - tau_1) + rho F(s - delta) - [c(s) = c(s - delta)] b_{c+1} x(s - tau_{c+1}),
+
+c the caps, sums the head's own terms i <= c(s) in another order, so
+the truncation, N, N_0 and eps_forcing are those of the head, and the
+certificate is unchanged.  It reads at most two arguments per point, so
+a window costs O(points) rather than O(points * N).  Per point it adds
+at most 4u (|b_1 x| + |rho F(s - delta)| + |correction|) of rounding and
+3u sum |b_i x| for b_{i+1} != rho b_i in floating point, plus rho times
+the read mismatch of a point that recurs within 1e-12 rather than
+exactly; each period damps the error carried in by |rho|, so it stays of
+order u (|b_1 x| + |rho F| + |correction|) / (1 - |rho|) per point on
+top of the first period's head rounding.  The first period, every other
+family, a window whose points do not recur and a recursion whose F is not
+finite (a growing tail's correction can be 0 * inf) read the head, so no
+problem the head admits is refused.  forcing() always reads the head.
+
 Admission is one certificate: solve and step_interval accept a history
 exactly when the forcing truncation N is certified (_certify_forcing).
 That also proves phi in F, every p_k finite, so no p_k is evaluated.
@@ -46,7 +69,7 @@ itself leaves the floating-point range raises OverflowError with the time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
 
@@ -103,6 +126,9 @@ class Trajectory:
     coefficients on [grid[j], grid[j+1]].  Evaluation at t <= 0 falls back
     to the history, so x is usable on (-infty, horizon].  n_forcing is the
     forcing index certified on [0, horizon], n_origin the one at reach 0.
+    _period_state holds the march's (points, F, caps) of the last period,
+    from which an extension continues the recursion (_recursion); it is
+    march state and reaches no report.
     """
 
     problem: ProblemSpec
@@ -115,6 +141,7 @@ class Trajectory:
     n_origin: int
     h_used: float
     eps_forcing_used: float
+    _period_state: tuple = field(default=(), repr=False)
 
     @property
     def horizon(self) -> float:
@@ -196,6 +223,12 @@ def _certify_forcing(problem: ProblemSpec, horizon: float, eps: float) -> int:
     part of p_k is at most sum s tail_sum_bound(family, w, n) with n past
     the floor.  Whether this is finite depends on neither n nor k, and each
     of the finitely many terms below the floor is finite.
+
+    The one-period recursion (_recursion) sums exactly the head's terms
+    i <= max(N_0, _tail_floor(s)), so this index certifies its F too:
+    the discarded part is the same and no second certificate exists.  Its
+    rounding, of order u (|b_1 x| + |rho F| + |correction|) / (1 - |rho|)
+    per point, is bounded in the module docstring, outside eps_forcing.
     """
     try:
         return _truncation(problem.history, problem.family, horizon, eps)[0]
@@ -289,6 +322,59 @@ def _voc_scan(a: float, x: float, steps: np.ndarray, points: np.ndarray, f: np.n
     return out
 
 
+def _period(family: CoefficientFamily) -> int:
+    """P when F obeys the one-period recursion: b_i = beta rho^i on tau_i = c + i delta, delta = P tau_1; else 0."""
+    d = family.delays
+    if family.kind != "geometric" or d.prefix:
+        return 0
+    p = round(d.delta / d.tau1)
+    return p if p >= 1 and abs(p * d.tau1 - d.delta) <= 1e-12 else 0
+
+
+def _recursion(values_at, family: CoefficientFamily, points: np.ndarray, caps: np.ndarray, state: tuple, taus, bs):
+    """F at points from F one period delta earlier (state), or None where the head must read it.
+
+    With c the caps and s' the stored point s - delta,
+
+        F(s) = b_1 x(s - tau_1) + rho F(s') - [c(s) = c(s')] b_{c+1} x(s - tau_{c+1}),
+
+    the head's own terms i <= c(s): rho F(s') sums b_{i+1} x(s - tau_{i+1})
+    for i <= c(s'), and c(s) - c(s') is 0 or 1.  points - delta must be a
+    run of the stored points within 1e-12, c(s) - c(s') in {0, 1} at every
+    point and the result finite; taus and bs reach index N + 1.  One read.
+    """
+    old, f_old, c_old = state
+    i0 = int(np.searchsorted(old, points[0] - family.delays.delta - 1e-12))
+    run = slice(i0, i0 + len(points))
+    if i0 + len(points) > len(old) or np.abs(old[run] + family.delays.delta - points).max() > 1e-12:
+        return None
+    rise = caps - c_old[run]
+    if not np.all((rise == 0) | (rise == 1)):
+        return None
+    same = np.flatnonzero(rise == 0)
+    deep = caps[same]  # index of tau_{c+1} and b_{c+1}
+    x = values_at(np.concatenate((points - taus[0], points[same] - taus[deep])))
+    with np.errstate(over="ignore", invalid="ignore"):  # a growing tail can give 0 * inf here
+        f = bs[0] * x[: len(points)] + family.rho * f_old[run]
+        f[same] -= bs[deep] * x[len(points) :]
+    return f if np.isfinite(f).all() else None
+
+
+def _keep(state: tuple, points: np.ndarray, f: np.ndarray, caps: np.ndarray, since: float) -> tuple:
+    """state (points, F, caps) with a window's appended, cut to the points from since - 1e-9 on.
+
+    A window's first point that repeats the last stored one (the oracle's
+    window start) is stored once.
+    """
+    if state:
+        skip = int(points[0] == state[0][-1])
+        points = np.concatenate((state[0], points[skip:]))
+        f = np.concatenate((state[1], f[skip:]))
+        caps = np.concatenate((state[2], caps[skip:]))
+    i = int(np.searchsorted(points, since - 1e-9))
+    return points[i:], f[i:], caps[i:]
+
+
 def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, scan) -> Trajectory:
     """traj marched on from its horizon to t_end, one tau_1-window at a time.
 
@@ -296,6 +382,10 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
     steps * nodes and the step ends.  The points are sorted, so a repeat (the
     oracle's node 0 is the previous step's end) is its neighbour's twin, found
     without a sort; a window without one (Gauss-4) is read as it stands.
+    The batch is the one-period recursion (_recursion) where the family has a
+    period (_period) and its points recur one period after stored ones, and
+    the head (_delayed_sums) everywhere else; the points, F and caps of the
+    last period ride on the trajectory as _period_state.
     scan(a, x, steps, points, f) returns the window's node values from the
     last node value x.  delayed_values is the caller's own _delayed_values,
     bound with functools.partial to the prefix of the one append-only table
@@ -303,12 +393,16 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
     """
     problem = traj.problem
     a = problem.a
-    taus = problem.family.delays.tau_array(traj.n_forcing)
-    bs = problem.family.b_array(traj.n_forcing)
-    tail_sums = _tail_sums(problem.history, problem.family, taus, bs)
+    n, period = traj.n_forcing, _period(problem.family)
+    taus = problem.family.delays.tau_array(n + (period > 0))
+    bs = problem.family.b_array(n + (period > 0))
+    tail_sums = _tail_sums(problem.history, problem.family, taus[:n], bs[:n])
     windows = _substeps(traj.horizon, t_end, problem.family, traj.h_used)
     breaks, coeffs, grid, values, derivs, pieces = _buffers(traj, windows)
     c, m = len(breaks) - len(grid), len(traj.grid)
+    state = traj._period_state
+    if not period or (state and state[0][-1] != traj.horizon):  # no period, or another trajectory's state
+        state = ()
     for ends in windows:
         starts = np.concatenate(([grid[m - 1]], ends[:-1]))
         steps = ends - starts
@@ -317,7 +411,12 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
         flat = points.ravel()
         first = np.concatenate(([True], flat[1:] != flat[:-1]))
         distinct = flat if first.all() else flat[first]
-        f = _delayed_sums(values_at, problem.history, distinct, taus, bs, tail_sums, _caps(traj, distinct, taus))
+        caps = _caps(traj, distinct, taus[:n])
+        f = _recursion(values_at, problem.family, distinct, caps, state, taus, bs) if state else None
+        if f is None:
+            f = _delayed_sums(values_at, problem.history, distinct, taus[:n], bs[:n], tail_sums, caps)
+        if period:
+            state = _keep(state, distinct, f, caps, ends[-1] - problem.family.delays.delta)
         f = (f if distinct is flat else f[np.cumsum(first) - 1]).reshape(points.shape)
         new = slice(m, m + len(ends))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, with its time
@@ -329,7 +428,7 @@ def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, sc
             row = np.isfinite(pieces[m - 1 : m_new]).all(axis=1).argmin()
             raise OverflowError(f"the solution leaves the floating-point range after t = {grid[m - 1 + row]}")
         m = m_new
-    return replace(traj, grid=grid, values=values, derivs=derivs, pieces=pieces[: m - 1])
+    return replace(traj, grid=grid, values=values, derivs=derivs, pieces=pieces[: m - 1], _period_state=state)
 
 
 def _advance(traj: Trajectory, t_end: float) -> Trajectory:
@@ -383,6 +482,8 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
     certifies the forcing truncation for the longer horizon at traj's eps
     and marches the remaining span with that index; where it deepens, the
     nodes already computed stand, as each point's index is its own (_caps).
+    The one-period recursion continues from traj's _period_state, so the
+    nodes are those of one solve to the end.
     An oracle_solve trajectory records no forcing eps (0.0) and is refused:
     extending it here would not be the RK4 reference.
     """

@@ -130,3 +130,80 @@ def sweep_problems() -> list[fd.ProblemSpec]:
     """oracle_scenarios(), semigroup_scenarios(), the classic problem and six random problems."""
     rng = np.random.default_rng(6)
     return oracle_scenarios() + semigroup_scenarios() + [classic_problem()] + [random_problem(rng) for _ in range(6)]
+
+
+#: unit roundoff of IEEE double precision
+U = 2.0**-53
+
+
+def recorded_march(monkeypatch, run) -> tuple:
+    """run() with the march's windows recorded: (its result, [(points, F, caps, head), ...]).
+
+    One entry per window of a family with a period (stepper._period), in
+    march order; head tells whether F came from the head (_delayed_sums) or
+    the one-period recursion.  A first point that repeats the last window's
+    end (the oracle's window start) is dropped, as the march keeps it once.
+    """
+    windows, heads = [], []
+    keep, sums = fd.stepper._keep, fd.stepper._delayed_sums
+
+    def recorded_sums(values_at, phi, points, *rest):
+        heads.append(points)
+        return sums(values_at, phi, points, *rest)
+
+    def recorded_keep(state, points, f, caps, since):
+        skip = int(bool(windows) and points[0] == windows[-1][0][-1])
+        head = bool(heads) and heads[-1] is points
+        windows.append((points[skip:].copy(), f[skip:].copy(), caps[skip:].copy(), head))
+        return keep(state, points, f, caps, since)
+
+    with monkeypatch.context() as m:
+        m.setattr(fd.stepper, "_delayed_sums", recorded_sums)
+        m.setattr(fd.stepper, "_keep", recorded_keep)
+        out = run()
+    return out, windows
+
+
+def forcing_bounds(traj: fd.Trajectory, windows: list) -> dict:
+    """Each recorded march point's F with the stepper's bound on |F - S| (stepper._recursion).
+
+    S is the exact sum of the point's head terms b_i x(s - tau_i), i <= cap,
+    at the float arguments.  On a head point the bound is the dot product's
+    gamma_{cap+2} sum |b_i x|.  On a recursion point with stored point s' it is
+
+        |rho| (bound(s') + read mismatch) + 4u (|b_1 x_1| + |rho F(s')| + |corr|) + 3u (sum |b_i x| + |corr|):
+
+    the mismatch sums |b_i| |x(s' - tau_i) - x(s - tau_{i+1})| over
+    i <= cap(s'), and 3u bounds |b_{i+1} - rho b_i| / |b_{i+1}|.  Returns
+    the arrays points, f, bound, mag (sum |b_i x|) and head over all points.
+    """
+    fam = traj.problem.family
+    rho, delta = fam.rho, fam.delays.delta
+    n = max(int(w[2].max()) for w in windows) + 1
+    taus, bs = fam.delays.tau_array(n), fam.b_array(n)
+    idx = np.arange(1, n + 1)
+    cols = {"points": [], "f": [], "caps": [], "bound": [], "mag": [], "head": []}
+
+    def masked_sum(terms, upto):
+        return np.where(idx[: terms.shape[1]] <= upto[:, None], terms, 0.0).sum(axis=1)
+
+    for points, f, caps, head in windows:
+        with np.errstate(over="ignore", invalid="ignore"):  # masked entries may be 0 * inf
+            mag = masked_sum(np.abs(bs) * np.abs(traj.eval(points[:, None] - taus)), caps)
+        if head:
+            nu = (caps + 2) * U
+            bound = nu / (1.0 - nu) * mag
+        else:
+            old = {k: np.concatenate(v) for k, v in cols.items()}
+            j = np.searchsorted(old["points"], points - delta - 1e-12)
+            assert np.abs(old["points"][j] + delta - points).max() <= 1e-12
+            c_old = old["caps"][j]
+            corr = np.where(caps == c_old, np.abs(bs[caps] * traj.eval(points - taus[caps])), 0.0)
+            step = np.abs(bs[0] * traj.eval(points - taus[0])) + np.abs(rho * old["f"][j]) + corr
+            with np.errstate(over="ignore", invalid="ignore"):
+                shifted = np.abs(traj.eval(old["points"][j][:, None] - taus[:-1]) - traj.eval(points[:, None] - taus[1:]))
+                mismatch = masked_sum(np.abs(bs[:-1]) * shifted, c_old)
+            bound = abs(rho) * (old["bound"][j] + mismatch) + 4.001 * U * step + 3.001 * U * (mag + corr)
+        for k, v in zip(cols, (points, f, caps, bound, mag, np.full(len(points), head))):
+            cols[k].append(v)
+    return {k: np.concatenate(v) for k, v in cols.items()}

@@ -293,15 +293,26 @@ def test_tail_bound_finite_support_skips_zero_b_where_the_weight_overflows():
 
 
 def test_tail_bound_finite_support_refuses_a_nonzero_term_that_overflows():
-    # 1.0 * e^{1600} is finite but has no float value: no certificate, not
-    # NaN (n = 1) nor an inf that would read as divergence (n = 2)
+    # 1.0 * e^{1600} and 1.0 * e^{800} are finite but have no float value: no
+    # certificate, not NaN (n = 1) nor an inf that would read as divergence (n = 2)
     w = WeightFunction(gamma=800.0)
-    for coeffs, starts in (([0.0, 1.0], (1, 2)), ([1e-300, 0.0], (1,))):
+    for coeffs, starts in (([0.0, 1.0], (1, 2)), ([1.0, 0.0], (1,))):
         fam = CoefficientFamily.finite_support(coeffs, DelaySchedule())
         for n in starts:
             with pytest.raises(UnknownTailError, match="overflows in floating point"):
                 tail_sum_bound(fam, w, n)
     assert tail_sum_bound(CoefficientFamily.finite_support([0.0, 1.0], DelaySchedule()), w, 3) == 0.0
+
+
+def test_tail_bound_finite_support_takes_a_product_whose_weight_alone_overflows():
+    # e^{800} overflows, 1e-300 e^{800} ~ 2.7e47 does not: the bound is the
+    # product from logs, above it by at most 2e-12 relative (a finite
+    # product keeps its bits, as the test above pins)
+    mpmath = pytest.importorskip("mpmath")
+    w = WeightFunction(gamma=800.0)
+    got = tail_sum_bound(CoefficientFamily.finite_support([1e-300, 0.0], DelaySchedule()), w, 1)
+    exact = mpmath.mpf(1e-300) * mpmath.exp(800)
+    assert exact <= got <= exact * (1 + mpmath.mpf(2e-12))
 
 
 def test_tail_bound_explicit_list():

@@ -29,7 +29,7 @@ from infidelay import (
 from infidelay.coefficients import hurwitz_zeta
 from infidelay.numerics import derivative_coeffs, eval_pieces, phi1
 from infidelay.scenario import _run_estimates
-from conftest import classic_exact, classic_problem, oracle_scenarios, sweep_problems
+from conftest import U, classic_exact, classic_problem, forcing_bounds, oracle_scenarios, recorded_march, sweep_problems
 
 DS = DelaySchedule()
 
@@ -65,6 +65,11 @@ def cos_history(amp: float = 1.5, phase: float = 0.3) -> fd.HistoryFunction:
 def march_long_problem() -> ProblemSpec:
     """b_i = 0.5^i on tau_i = i from a cosine history: N = 34 from reach 0, the floor 39 at H = 32."""
     return ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.5, DS), cos_history())
+
+
+def odd_delays_problem() -> ProblemSpec:
+    """b_i = 0.5^i on tau_i = 2i - 1 from a cosine history: the period delta is 2 tau_1, N = 34 to H = 32."""
+    return ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.5, DelaySchedule(-1.0, 2.0)), cos_history())
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +139,7 @@ def test_forcing_tail_moments_match_a_term_by_term_sum(monkeypatch, phi, family)
     # sum of |terms|, and the split must not depend on the batch: node slopes
     # and chunked batches match pointwise F
     p = ProblemSpec(-0.2, family, phi)
-    traj = solve(p, 2.0)
+    traj, windows = recorded_march(monkeypatch, partial(solve, p, 2.0))
     n = traj.n_forcing
     taus, bs = family.delays.tau_array(n), family.b_array(n)
     assert fd.history._tail_sums(phi, family, taus, bs) is not None
@@ -159,7 +164,8 @@ def test_forcing_tail_moments_match_a_term_by_term_sum(monkeypatch, phi, family)
         assert abs(f - math.fsum(terms)) <= nu / (1.0 - nu) * math.fsum(np.abs(terms)), t
     monkeypatch.setattr(fd.history, "_CHUNK_TERMS", 64)
     assert np.array_equal(forcing(traj, ts), pointwise)
-    assert np.array_equal(traj.derivs, p.a * traj.values + np.array(pointwise))
+    # tau_i = i/10 recurs from the second window on
+    assert _assert_node_slopes(traj, windows, p.a * traj.values + np.array(pointwise)) == (0 if family is not TENTH else 760)
 
 
 @pytest.mark.parametrize("phi", [history_preset("cos"), exp_history(0.1)], ids=["cos", "exp"])
@@ -543,17 +549,42 @@ def test_step_interval_extends_bit_identically():
     assert compare_trajectories(extended, direct, (0.0, 3.0)) == 0.0
 
 
+def _assert_node_slopes(traj, windows, want) -> int:
+    """derivs against want, a x + forcing at each node: bit for bit where the head read F.
+
+    At a node of a recursion window the slopes may differ by the
+    recursion's bound (forcing_bounds), the head's own gamma_{cap+2} sum
+    |b_i x| and one rounding of each slope.  Returns the number of such nodes.
+    """
+    on = np.zeros(len(traj.grid), dtype=bool)
+    if windows:
+        b = forcing_bounds(traj, windows)
+        on = np.isin(traj.grid, b["points"][~b["head"]])
+        k = np.searchsorted(b["points"], traj.grid[on])
+        nu = (b["caps"][k] + 2) * U
+        slack = b["bound"][k] + nu / (1.0 - nu) * b["mag"][k] + U * (np.abs(traj.derivs[on]) + np.abs(want[on]))
+        assert np.all(np.abs(traj.derivs[on] - want[on]) <= slack)
+    assert np.array_equal(traj.derivs[~on], want[~on])
+    return int(on.sum())
+
+
 @pytest.mark.parametrize("run", ["gauss4", "oracle"])
-def test_node_slopes_match_the_forcing_exactly(run):
-    # every node slope comes from a window-batched forcing evaluation; it
-    # must equal a single-point evaluation over the finished trajectory
-    # bit for bit, including the step ends where t - tau_1 is the node the
-    # window started from; the RK4 oracle shares that march
+def test_node_slopes_match_the_forcing_exactly(monkeypatch, run):
+    # every node slope comes from a window-batched forcing evaluation; where
+    # the head read it, it must equal a single-point evaluation over the
+    # finished trajectory bit for bit, including the step ends where
+    # t - tau_1 is the node the window started from; where the one-period
+    # recursion read it, within the recursion's bound.  The RK4 oracle
+    # shares that march
+    recursive = []
     for p in oracle_scenarios() + [classic_problem()]:
         horizon = 10.0 * p.family.delays.tau1
-        traj = fd.oracle_solve(p, horizon) if run == "oracle" else solve(p, horizon)
-        for j in range(1, len(traj.grid)):
-            assert traj.derivs[j] == p.a * traj.values[j] + forcing(traj, traj.grid[j]), (p, j)
+        march = partial(fd.oracle_solve if run == "oracle" else solve, p, horizon)
+        traj, windows = recorded_march(monkeypatch, march)
+        want = np.array([p.a * v + forcing(traj, t) for v, t in zip(traj.values.tolist(), traj.grid.tolist())])
+        recursive.append(_assert_node_slopes(traj, windows, want))
+    # the five geometric problems on tau_i = c + i delta with c = 0 recur from the second window
+    assert sum(n > 0 for n in recursive) == 5
 
 
 def _row_gather_eval(breaks, coeffs, x):
@@ -759,8 +790,10 @@ def _chain(problem: ProblemSpec, horizon: float, windows, monkeypatch) -> tuple:
         # start from the array's last delay, so they round by array length.
         # A moment over (m, N] instead would differ by b_90..b_99, ~1e-12
         (ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.72, DelaySchedule(0.0, 0.1)), cos_history()), 10, (79, 99), 1e-14),
+        # tau_i = 2i - 1: the recursion reads F two windows back, across extensions
+        (odd_delays_problem(), 16, (34, 34), 0.0),
     ],
-    ids=["march-long", "closed-form", "moments"],
+    ids=["march-long", "closed-form", "moments", "period-2"],
 )
 def test_step_interval_chain_marches_on_to_the_one_shot_nodes(monkeypatch, problem, start, ns, tol):
     # solve to start tau_1, then one window per extension to 2 start tau_1:
@@ -775,6 +808,91 @@ def test_step_interval_chain_marches_on_to_the_one_shot_nodes(monkeypatch, probl
     assert np.array_equal(chained.grid, direct.grid)
     for name in ("values", "derivs"):
         assert np.max(np.abs(getattr(chained, name) - getattr(direct, name))) <= tol, name
+
+
+@pytest.mark.parametrize("problem", [march_long_problem(), odd_delays_problem()], ids=["period-1", "period-2"])
+def test_step_interval_chain_from_inside_a_window_marches_on_to_the_one_shot_nodes(monkeypatch, problem):
+    # solve stops at t = 16.5, a step end of the one-shot grid; the partial
+    # window [16, 16.5] and the extension's [16.5, 17] recur one period after
+    # points the march stored, so they read the recursion as the one-shot does
+    chained, starts, stored = _chain(problem, 16.5, range(16, 24), monkeypatch)
+    direct = solve(problem, 24.0)
+    assert starts == 1 and stored[16:18] == [16.0, 16.5]
+    _assert_same_nodes(chained, direct)
+
+
+def _reads(monkeypatch, march) -> list:
+    """The number of arguments of each read march() makes through stepper._delayed_values."""
+    sizes, real = [], fd.stepper._delayed_values
+
+    def counted(phi, breaks, coeffs, args):
+        sizes.append(len(args))
+        return real(phi, breaks, coeffs, args)
+
+    with monkeypatch.context() as m:
+        m.setattr(fd.stepper, "_delayed_values", counted)
+        march()
+    return sizes
+
+
+@pytest.mark.parametrize("problem, period", [(march_long_problem(), 1), (odd_delays_problem(), 2)], ids=["period-1", "period-2"])
+def test_recursion_reads_at_most_two_arguments_per_point(monkeypatch, problem, period):
+    # F(0) is one read and each window one more; past the first period a
+    # window reads x(s - tau_1) at each of its 5 points per step, and
+    # x(s - tau_{c+1}) where the cap stays; so the reads per node do not
+    # grow with the horizon as the head's do
+    per_node = {}
+    for horizon in (32.0, 256.0):
+        sizes = _reads(monkeypatch, partial(solve, problem, horizon))
+        windows = fd.stepper._substeps(0.0, horizon, problem.family, problem.family.delays.tau1 / 40.0)
+        assert len(sizes) == 1 + len(windows)
+        for k, (w, n) in enumerate(zip(windows, sizes[1:])):
+            assert k < period or n <= 2 * 5 * len(w), (horizon, k)
+        per_node[horizon] = sum(sizes) / (1 + sum(len(w) for w in windows))
+    assert per_node[256.0] <= 1.5 * per_node[32.0]
+
+
+_HEAD_ONLY = {
+    "power-law": (ProblemSpec(-0.5, CoefficientFamily.power_law(1.0, 3.0, DS), cos_history()), 8.0),
+    "prefix": (slow_geometric_problem(), 8.0),
+    "half-period": (ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.5, DelaySchedule(0.5, 0.5)), cos_history()), 8.0),
+}
+
+
+@pytest.mark.parametrize("problem, horizon", list(_HEAD_ONLY.values()), ids=list(_HEAD_ONLY))
+def test_families_without_a_period_read_the_head(monkeypatch, problem, horizon):
+    # a power law, a delay prefix and delta = tau_1 / 2 have no period: every
+    # window reads the head, argument for argument
+    assert fd.stepper._period(problem.family) == 0
+    sizes = _reads(monkeypatch, partial(solve, problem, horizon))
+    monkeypatch.setattr(fd.stepper, "_period", lambda family: 0)
+    assert sizes == _reads(monkeypatch, partial(solve, problem, horizon))
+
+
+@pytest.mark.parametrize("horizon, recurs", [(8.31, False), (8.5, True)])
+def test_a_partial_last_window_recurs_only_on_the_stored_points(monkeypatch, horizon, recurs):
+    # [8, 8.31] takes 13 steps of 0.31/13, which recur nowhere one period
+    # back, so it reads the head; [8, 8.5] takes the 20 steps of [7, 7.5]
+    problem = march_long_problem()
+    sizes = _reads(monkeypatch, partial(solve, problem, horizon))
+    monkeypatch.setattr(fd.stepper, "_period", lambda family: 0)
+    heads = _reads(monkeypatch, partial(solve, problem, horizon))
+    assert sizes[:2] == heads[:2] and all(n < h for n, h in zip(sizes[2:-1], heads[2:-1]))
+    assert (sizes[-1] < heads[-1]) == recurs and (sizes[-1] == heads[-1]) != recurs
+
+
+def test_a_recursion_that_is_not_finite_leaves_the_window_to_the_head():
+    # b_4 underflows to 0 where a growing tail overflows: the correction
+    # 0 * inf gives no value, so the window reads the head (which sums to c = 3 only)
+    fam = CoefficientFamily.geometric(1.0, 0.5, DS)
+    points, caps = np.array([1.5, 2.0]), np.array([3, 3])
+    taus, bs = DS.tau_array(4), fam.b_array(4)
+    bs[3] = 0.0
+    state = (points - 1.0, np.ones(2), caps)
+    reads = lambda args: np.where(args < -1.5, np.inf, 1.0)
+    assert fd.stepper._recursion(reads, fam, points, caps, state, taus, bs) is None
+    f = fd.stepper._recursion(lambda args: np.ones_like(args), fam, points, caps, state, taus, bs)
+    assert np.array_equal(f, [1.0, 1.0])  # 0.5 + 0.5 * 1 - 0 * 1
 
 
 def test_step_interval_chain_stores_each_window_once(monkeypatch):
