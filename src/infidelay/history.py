@@ -390,8 +390,10 @@ class HistoryFunction:
     def read(self, breaks: np.ndarray, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Values at the 1-d array x of a table that starts with this core: one eval_pieces, the tail below."""
         below = x < breaks[0]
-        if not np.any(below):
+        if not below.any():
             return eval_pieces(breaks, coeffs, x)
+        if below.all():
+            return self.tail.evaluate(x)
         out = np.empty_like(x)
         out[~below] = eval_pieces(breaks, coeffs, x[~below])
         out[below] = self.tail.evaluate(x[below])

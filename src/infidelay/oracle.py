@@ -55,7 +55,7 @@ def oracle_solve(problem: ProblemSpec, horizon: float, h_fine: Optional[float] =
     n = _truncation(problem.history, problem.family, horizon, _EPS_TRUNC)[0]
     n_origin = _truncation(problem.history, problem.family, 0.0, _EPS_TRUNC)[0]
     start = _start(problem, SolverConfig(h=h), n, n_origin, h, 0.0)
-    return _march(start, horizon, _delayed_values, np.array([0.0, 0.5]), _rk4_scan)
+    return _march(start, horizon, n, _delayed_values, np.array([0.0, 0.5]), _rk4_scan)
 
 
 def compare_trajectories(ta: Trajectory, tb: Trajectory, interval: Optional[tuple[float, float]] = None) -> float:

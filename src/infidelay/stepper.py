@@ -18,43 +18,51 @@ tau_i <= T, where the solution loses one order of smoothness.  _substeps
 is the one routine that places them: it merges knots within 1e-12 of
 each other and cuts the march into tau_1-windows of sub-steps.
 
-The march (_march) runs one window [k tau_1, (k+1) tau_1] at a time.
-Every delay is at least tau_1, so F on the window reads x only on
-(-inf, k tau_1]: the forcing at each distinct point of starts + steps *
-nodes and the step ends is one batch through history._delayed_sums, which
-splits each point's delays with one sorted search into a head and a tail
-moment.  The head is read (_delayed_values) from a prefix of the march's
-one append-only table: phi's core rows, then a row per node (_buffers).
-A scan turns the batch into the window's node values: _voc_scan, the
-variation-of-constants update under the Gauss-4 weights, for solve and
-step_interval; the oracle passes its RK4 scan.  The slopes are a x + F at
-the step ends.  While the batch is evaluated, the piece row after the last
-node holds the pending piece (x, x', 0, 0), so an argument at that node,
-or one rounding step past it, reads the node data exactly as a finished
-piece starting there would.
+The march (_march) is a plan and a sweep.  The mesh is fixed before any
+value of x is known and the delays are constant, so the plan (_plan) does
+the march's grid-only work in one batch: it writes the step ends into the
+march's one append-only table (phi's core rows, then a row per node;
+_buffers) and gives each tau_1-window its points (start + step * nodes and
+the step ends), their distinct points and caps (_caps).  The sweep runs the
+windows in order and does the work that needs x.  Every delay is at least
+tau_1, so F on the window [k tau_1, (k+1) tau_1] reads x only on
+(-inf, k tau_1]; a scan turns F into the window's node values (_voc_scan,
+variation of constants under the Gauss-4 weights, for solve and
+step_interval; the oracle passes its RK4 scan), and the slopes are a x + F
+at the step ends.  While a window's F is evaluated, the table's row after
+the last node holds the pending piece (x, x', 0, 0), so an argument at that
+node, or one rounding step past it, reads the node data exactly as a
+finished piece would.
 
-The one-period recursion (_recursion, the discrete linear chain trick)
-replaces that batch where it is exact: b_i = beta rho^i on tau_i = c + i
-delta with no prefix and delta = P tau_1 for an integer P (_period), and
-every point of the window one period delta after a stored point (within
-1e-12), which holds from the (P+1)-th window on and across step_interval,
-whose trajectory carries the last period's points, F and caps.  There
+A window's F is the head (history._delayed_sums: one sorted search per
+point splits its delays into a head, read from the table's prefix that
+holds the window's nodes by _delayed_values, and a tail moment) or, where
+it is exact, the one-period recursion (the discrete linear chain trick):
+b_i = beta rho^i on tau_i = c + i delta with no prefix and delta = P tau_1
+for an integer P (_period), and every point of the window one period delta
+after a stored point (within 1e-12), which holds from the (P+1)-th window
+on and across step_interval, whose trajectory carries the last period's
+points, F and caps.  There
 
     F(s) = b_1 x(s - tau_1) + rho F(s - delta) - [c(s) = c(s - delta)] b_{c+1} x(s - tau_{c+1}),
 
 c the caps, sums the head's own terms i <= c(s) in another order, so
 the truncation, N, N_0 and eps_forcing are those of the head, and the
-certificate is unchanged.  It reads at most two arguments per point, so
-a window costs O(points) rather than O(points * N).  Per point it adds
-at most 4u (|b_1 x| + |rho F(s - delta)| + |correction|) of rounding and
-3u sum |b_i x| for b_{i+1} != rho b_i in floating point, plus rho times
-the read mismatch of a point that recurs within 1e-12 rather than
-exactly; each period damps the error carried in by |rho|, so it stays of
-order u (|b_1 x| + |rho F| + |correction|) / (1 - |rho|) per point on
-top of the first period's head rounding.  The first period, every other
-family, a window whose points do not recur and a recursion whose F is not
-finite (a growing tail's correction can be 0 * inf) read the head, so no
-problem the head admits is refused.  forcing() always reads the head.
+certificate is unchanged.  The plan admits the window, locates each
+x(s - tau_1) in the table and reads the whole correction, whose argument
+lies at or below -depth, in phi alone (c >= _tail_floor(s), so tau_{c+1} >=
+s + depth); the sweep reads one solution argument per point, one
+eval_located gather, so a window costs O(points), not O(points * N).  Per
+point the recursion adds at most 4u (|b_1 x| + |rho F(s - delta)| +
+|correction|) of rounding and 3u sum |b_i x| for b_{i+1} != rho b_i in
+floating point, plus rho times the read mismatch of a point that recurs
+within 1e-12 rather than exactly; each period damps the error carried in
+by |rho|, so it stays of order u (|b_1 x| + |rho F| + |correction|) /
+(1 - |rho|) per point on top of the first period's head rounding.  The
+first period, every other family, a window whose points do not recur and a
+recursion whose F is not finite (a growing tail's correction can be
+0 * inf) read the head, so no problem the head admits is refused.
+forcing() always reads the head.
 
 Admission is one certificate: solve and step_interval accept a history
 exactly when the forcing truncation N is certified (_certify_forcing).
@@ -71,13 +79,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from .coefficients import CoefficientFamily, DivergentTailError, UnknownTailError, m_index, n_index
 from .history import HistoryFunction, _delayed_sums, _tail_sums, _truncation, p_seminorm, sup_norm_k
-from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, hermite_coeffs, phi1, sup_abs_pieces
+from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, eval_located, hermite_coeffs, phi1, piece_index, sup_abs_pieces
 
 
 class NotInPhaseSpaceError(Exception):
@@ -127,7 +136,7 @@ class Trajectory:
     to the history, so x is usable on (-infty, horizon].  n_forcing is the
     forcing index certified on [0, horizon], n_origin the one at reach 0.
     _period_state holds the march's (points, F, caps) of the last period,
-    from which an extension continues the recursion (_recursion); it is
+    from which an extension continues the one-period recursion; it is
     march state and reaches no report.
     """
 
@@ -185,7 +194,7 @@ def _caps(traj: Trajectory, points: np.ndarray, taus: np.ndarray) -> np.ndarray:
     That is history._truncation's index for reach s; the clip drops only the
     zero b_i past a zero-mass list's last nonzero one.
     """
-    return np.maximum(traj.n_origin, np.searchsorted(taus, points + traj.problem.history.depth, side="left"))
+    return np.maximum(traj.n_origin, taus.searchsorted(points + traj.problem.history.depth, side="left"))
 
 
 def forcing(traj: Trajectory, t, n: Optional[int] = None):
@@ -224,7 +233,7 @@ def _certify_forcing(problem: ProblemSpec, horizon: float, eps: float) -> int:
     the floor.  Whether this is finite depends on neither n nor k, and each
     of the finitely many terms below the floor is finite.
 
-    The one-period recursion (_recursion) sums exactly the head's terms
+    The one-period recursion (_plan_recursion) sums exactly the head's terms
     i <= max(N_0, _tail_floor(s)), so this index certifies its F too:
     the discarded part is the same and no second certificate exists.  Its
     rounding, of order u (|b_1 x| + |rho F| + |correction|) / (1 - |rho|)
@@ -247,16 +256,17 @@ def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -
     inside (t_from, t_to) by more than 1e-12, sorted, then t_to; a knot is
     kept only when the next one lies more than 1e-12 past it, so of a
     cluster the last point stays (t_to wins ties).  Each knot interval is
-    cut into equal sub-steps of at most h.  A window closes at every
-    multiple of tau_1 and at t_to, so with h <= tau_1 no delayed argument of
-    a window reaches past the node it starts from.
+    cut into equal sub-steps of at most h, the i-th ending at t_cur + i dt
+    and the last at the knot.  A window closes at every multiple of tau_1
+    and at t_to, so with h <= tau_1 no delayed argument of a window reaches
+    past the node it starts from.
     """
     d = family.delays
     tau1 = d.tau1
     j = math.floor(t_from / tau1 + 1e-12) + 1
     lo, hi = t_from + 1e-12, t_to - 1e-12
     cands = [k * tau1 for k in range(j, math.ceil(hi / tau1) + 1)]
-    cands += d.tau_array(d.first_index_at_least(hi) - 1).tolist()
+    cands += [d.tau(i) for i in range(d.first_index_at_least(lo), d.first_index_at_least(hi))]
     knots = sorted(v for v in cands if lo < v < hi) + [t_to]
     knots = [v for v, nxt in zip(knots, knots[1:]) if nxt - v > 1e-12] + [t_to]
     windows = []
@@ -264,47 +274,47 @@ def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -
     t_cur = t_from
     for t_next in knots:
         nsub = max(1, math.ceil((t_next - t_cur) / h - 1e-12))
-        dt = (t_next - t_cur) / nsub
-        ends.extend(t_cur + (i + 1) * dt for i in range(nsub - 1))
-        ends.append(t_next)
+        ends.append(t_cur + np.arange(1.0, nsub + 1) * ((t_next - t_cur) / nsub))
+        ends[-1][-1] = t_next
         t_cur = t_next
         if t_next >= j * tau1 - 1e-12 or t_next == t_to:
-            windows.append(np.array(ends))
+            windows.append(np.concatenate(ends))
             ends = []
             j += 1
     return windows
 
 
-def _buffers(traj: Trajectory, windows: list) -> tuple:
-    """The march's append-only read table and node buffers, holding traj's data, sized for the new windows.
+def _buffers(traj: Trajectory, ends: np.ndarray) -> tuple:
+    """The march's append-only read table and node buffers: traj's data, then the step ends of the march.
 
     The table (breaks, coeffs) is _table's, phi's core rows and then one row
-    per node, whose node part grid and pieces view.  The row of the last node
-    holds the pending piece (x, x', 0, 0) while a window's forcing is
-    evaluated, so delayed arguments at or just past that node read the node
-    data exactly.
+    per node, whose node part grid and pieces view; every step end is in
+    grid from the start, and the rows are filled window by window.  The row
+    of the last node holds the pending piece (x, x', 0, 0) while a window's
+    forcing is evaluated, so delayed arguments at or just past that node read
+    the node data exactly.
     """
     phi = traj.problem.history
     c, n0 = len(phi.coeffs), len(traj.grid)
-    total = n0 + sum(len(w) for w in windows)
+    total = n0 + len(ends)
     breaks, coeffs = np.empty(c + total), np.empty((c + total, 4))
     breaks[:c], coeffs[:c] = phi.breakpoints[:-1], phi.coeffs
     grid, pieces = breaks[c:], coeffs[c:]
     values, derivs = np.empty(total), np.empty(total)
     grid[:n0], values[:n0], derivs[:n0] = traj.grid, traj.values, traj.derivs
+    grid[n0:] = ends
     pieces[: n0 - 1] = traj.pieces
     pieces[n0 - 1] = (values[n0 - 1], derivs[n0 - 1], 0.0, 0.0)
     return breaks, coeffs, grid, values, derivs, pieces
 
 
-def _store_window(grid, values, derivs, pieces, m: int, ends: np.ndarray, steps: np.ndarray) -> int:
-    """Write a window's step ends, its Hermite pieces and the next pending piece.
+def _store_window(values, derivs, pieces, m: int, steps: np.ndarray) -> int:
+    """Write a window's Hermite pieces and the next pending piece.
 
     The window's node values and slopes must already fill rows m onward.
     Returns the new node count.
     """
-    m_new = m + len(ends)
-    grid[m:m_new] = ends
+    m_new = m + len(steps)
     lo, hi = slice(m - 1, m_new - 1), slice(m, m_new)
     for k, column in enumerate(hermite_coeffs(values[lo], derivs[lo], values[hi], derivs[hi], steps)):
         pieces[lo, k] = column
@@ -331,109 +341,171 @@ def _period(family: CoefficientFamily) -> int:
     return p if p >= 1 and abs(p * d.tau1 - d.delta) <= 1e-12 else 0
 
 
-def _recursion(values_at, family: CoefficientFamily, points: np.ndarray, caps: np.ndarray, state: tuple, taus, bs):
-    """F at points from F one period delta earlier (state), or None where the head must read it.
+def _plan(traj: Trajectory, windows: list, ends: np.ndarray, nodes: np.ndarray, breaks: np.ndarray, taus, bs, n: int) -> tuple:
+    """The grid-only work of every window of a march, in one batch: (entries, state, since).
 
-    With c the caps and s' the stored point s - delta,
-
-        F(s) = b_1 x(s - tau_1) + rho F(s') - [c(s) = c(s')] b_{c+1} x(s - tau_{c+1}),
-
-    the head's own terms i <= c(s): rho F(s') sums b_{i+1} x(s - tau_{i+1})
-    for i <= c(s'), and c(s) - c(s') is 0 or 1.  points - delta must be a
-    run of the stored points within 1e-12, c(s) - c(s') in {0, 1} at every
-    point and the result finite; taus and bs reach index N + 1.  One read.
+    A window's entry is (m, steps, points, distinct, caps, expand, store,
+    recursion): its first node row m; each step's points, start + step *
+    nodes and its end; the distinct ones, less a point equal to the one
+    before it (the oracle's node 0 is the previous step's end), to which
+    expand maps the points (None where all are distinct); and their caps
+    (_caps).  store, recursion, state and since are _plan_recursion's, or
+    None, None, None and 0 without a period (taus holds n delays, not n + 1).
     """
-    old, f_old, c_old = state
-    i0 = int(np.searchsorted(old, points[0] - family.delays.delta - 1e-12))
-    run = slice(i0, i0 + len(points))
-    if i0 + len(points) > len(old) or np.abs(old[run] + family.delays.delta - points).max() > 1e-12:
-        return None
-    rise = caps - c_old[run]
-    if not np.all((rise == 0) | (rise == 1)):
-        return None
-    same = np.flatnonzero(rise == 0)
-    deep = caps[same]  # index of tau_{c+1} and b_{c+1}
-    x = values_at(np.concatenate((points - taus[0], points[same] - taus[deep])))
-    with np.errstate(over="ignore", invalid="ignore"):  # a growing tail can give 0 * inf here
-        f = bs[0] * x[: len(points)] + family.rho * f_old[run]
-        f[same] -= bs[deep] * x[len(points) :]
-    return f if np.isfinite(f).all() else None
+    rows = list(accumulate(map(len, windows), initial=0))
+    starts = np.concatenate((traj.grid[-1:], ends[:-1]))
+    steps = ends - starts
+    points = np.concatenate((starts[:, None] + steps[:, None] * nodes, ends[:, None]), axis=1)
+    width = points.shape[1]
+    flat = points.ravel()
+    new = flat[1:] != flat[:-1]
+    for r in rows[1:-1]:
+        new[r * width - 1] = True  # a window's first point is its own
+    if new.all():
+        distinct, expand, first = flat, None, [r * width for r in rows]
+    else:
+        keys = np.concatenate(([0], new.cumsum()))
+        distinct = flat[np.concatenate(([True], new))]
+        first = keys[[r * width for r in rows[:-1]]].tolist() + [len(distinct)]
+        expand = keys - np.repeat(first[:-1], np.diff(rows) * width)
+    caps = _caps(traj, distinct, taus[:n])
+    stores = recursions = [None] * len(windows)
+    state, since = None, 0
+    if len(taus) > n:
+        stores, recursions, state, since = _plan_recursion(traj, rows, distinct, first, caps, breaks, taus, bs)
+    entries = [
+        (len(traj.grid) + r0, steps[r0:r1], points[r0:r1], distinct[d0:d1], caps[d0:d1], None if expand is None else expand[r0 * width : r1 * width], st, rc)
+        for r0, r1, d0, d1, st, rc in zip(rows, rows[1:], first, first[1:], stores, recursions)
+    ]
+    return entries, state, since
 
 
-def _keep(state: tuple, points: np.ndarray, f: np.ndarray, caps: np.ndarray, since: float) -> tuple:
-    """state (points, F, caps) with a window's appended, cut to the points from since - 1e-9 on.
+def _plan_recursion(traj: Trajectory, rows: list, distinct, first: list, caps, breaks, taus, bs) -> tuple:
+    """The one-period recursion's part of the plan: (stores, recursions, state, since).
 
-    A window's first point that repeats the last stored one (the oracle's
-    window start) is stored once.
+    The state arrays (points, F, caps) hold traj's last period, then each
+    window's distinct points and caps, a first point that repeats the last
+    one stored only once; the sweep writes window w's F, less its first skip
+    entries, at stores[w] = (slice, skip), and the last period starts at
+    since, one period (less 1e-9) before the end.  A window's run is the
+    stored points from the first at or past its first point - delta - 1e-12
+    on.  recursions[w] is None, so the head reads the window, unless the run
+    was stored before the window, each run point lies within 1e-12 of its
+    point - delta, each cap rose by 0 or 1 and each x(s - tau_1) lies in the
+    table.  Else it is (idx, u, corr, run): each x(s - tau_1)'s piece (no
+    later than the window's pending row, as a read of the table's prefix)
+    and local coordinate, the correction b_{c+1} x(s - tau_{c+1}) where the
+    cap stayed (0 where it rose), read from phi alone, and the run's slice.
     """
-    if state:
-        skip = int(points[0] == state[0][-1])
-        points = np.concatenate((state[0], points[skip:]))
-        f = np.concatenate((state[1], f[skip:]))
-        caps = np.concatenate((state[2], caps[skip:]))
-    i = int(np.searchsorted(points, since - 1e-9))
-    return points[i:], f[i:], caps[i:]
+    phi, delta = traj.problem.history, traj.problem.family.delays.delta
+    state = traj._period_state
+    if not state or state[0][-1] != traj.horizon:  # no state, or another trajectory's
+        state = (np.empty(0), np.empty(0), np.empty(0, dtype=caps.dtype))
+    held, count = len(state[0]), len(rows) - 1
+    counts = [d1 - d0 for d0, d1 in zip(first, first[1:])]
+    # each window's first and last distinct point
+    marks = distinct[first[:-1] + [d - 1 for d in first[1:]]]
+    heads, lasts = marks[:count].tolist(), marks[count:].tolist()
+    skip = [int(held > 0 and heads[0] == state[0][-1])] + [int(h == t) for h, t in zip(heads[1:], lasts)]
+    dropped = [d for d, sk in zip(first, skip) if sk]
+    new_points, new_caps = (np.delete(distinct, dropped), np.delete(caps, dropped)) if dropped else (distinct, caps)
+    # a solve starts without state: its stored points and caps are the new ones, not copies
+    stored = np.concatenate((state[0], new_points)) if held else new_points
+    c_stored = np.concatenate((state[2], new_caps)) if held else new_caps
+    state = (stored, np.concatenate((state[1], np.empty(len(stored) - held))), c_stored)
+    runs = stored.searchsorted(marks[:count] - delta - 1e-12).tolist()
+    stores, done = [], held
+    for k, sk in zip(counts, skip):
+        stores.append((slice(done, done + k - sk), sk))
+        done += k - sk
+    run = np.arange(len(distinct)) + np.array([r - d for r, d in zip(runs, first)]).repeat(counts)
+    rise = caps - c_stored.take(run, mode="clip")
+    ok = (np.abs(stored.take(run, mode="clip") + delta - distinct) <= 1e-12) & ((rise == 0) | (rise == 1))
+    ok = np.logical_and.reduceat(ok, first[:-1]).tolist()
+    rose = rise != 0
+    del run, rise  # the plan's arrays are O(points): free each as soon as it is done with
+    # a window's points increase, so its first x(s - tau_1) is its least
+    tau1, b0 = float(taus[0]), float(breaks[0])
+    recur = [g and r + k <= st[0].start and h - tau1 >= b0 for g, r, k, st, h in zip(ok, runs, counts, stores, heads)]
+    since = int(stored.searchsorted(lasts[-1] - delta - 1e-9))
+    if not any(recur):
+        return stores, [None] * count, state, since
+    u = distinct - taus[0]
+    idx = piece_index(breaks, len(breaks), u)
+    np.minimum(idx, np.array([len(phi.coeffs) + len(traj.grid) - 1 + r for r in rows[:-1]]).repeat(counts), out=idx)
+    u -= breaks[idx]
+    corr = np.zeros(len(distinct))
+    if not rose.all():
+        corr = phi.read(phi.breakpoints, phi.coeffs, distinct - taus[caps])
+        corr *= bs[caps]  # a growing tail can overflow here and give 0 * inf: that window reads the head
+        corr[rose] = 0.0
+    recursions = [
+        (idx[d0:d1], u[d0:d1], corr[d0:d1], slice(r, r + d1 - d0)) if rec else None
+        for rec, d0, d1, r in zip(recur, first, first[1:], runs)
+    ]
+    return stores, recursions, state, since
 
 
-def _march(traj: Trajectory, t_end: float, delayed_values, nodes: np.ndarray, scan) -> Trajectory:
-    """traj marched on from its horizon to t_end, one tau_1-window at a time.
+def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes: np.ndarray, scan) -> Trajectory:
+    """traj marched on from its horizon to t_end at forcing index n_forcing: a plan, then a sweep.
 
-    Each window's forcing is one batch at the distinct points of starts +
-    steps * nodes and the step ends.  The points are sorted, so a repeat (the
-    oracle's node 0 is the previous step's end) is its neighbour's twin, found
-    without a sort; a window without one (Gauss-4) is read as it stands.
-    The batch is the one-period recursion (_recursion) where the family has a
-    period (_period) and its points recur one period after stored ones, and
-    the head (_delayed_sums) everywhere else; the points, F and caps of the
-    last period ride on the trajectory as _period_state.
-    scan(a, x, steps, points, f) returns the window's node values from the
-    last node value x.  delayed_values is the caller's own _delayed_values,
-    bound with functools.partial to the prefix of the one append-only table
-    (_buffers) that holds each window's nodes.
+    The plan (_plan) does the grid-only work of every window at once.  The
+    sweep does the work that needs x, a window at a time: F at its distinct
+    points, by the recursion from one eval_located gather where the plan
+    admits it and F is finite, else by the head (_delayed_sums) on the
+    prefix of the table (_buffers) that holds the window's nodes, read by
+    the caller's own delayed_values; then scan(a, x, steps, points, f), the
+    node values from the last one x, the slopes and the Hermite pieces.
+    The last period's points, F and caps ride on the trajectory as
+    _period_state.
     """
     problem = traj.problem
-    a = problem.a
-    n, period = traj.n_forcing, _period(problem.family)
+    a, rho = problem.a, problem.family.rho
+    n, period = n_forcing, _period(problem.family)
     taus = problem.family.delays.tau_array(n + (period > 0))
     bs = problem.family.b_array(n + (period > 0))
     tail_sums = _tail_sums(problem.history, problem.family, taus[:n], bs[:n])
     windows = _substeps(traj.horizon, t_end, problem.family, traj.h_used)
-    breaks, coeffs, grid, values, derivs, pieces = _buffers(traj, windows)
-    c, m = len(breaks) - len(grid), len(traj.grid)
-    state = traj._period_state
-    if not period or (state and state[0][-1] != traj.horizon):  # no period, or another trajectory's state
-        state = ()
-    for ends in windows:
-        starts = np.concatenate(([grid[m - 1]], ends[:-1]))
-        steps = ends - starts
-        points = np.concatenate((starts[:, None] + steps[:, None] * nodes, ends[:, None]), axis=1)
-        values_at = partial(delayed_values, problem.history, breaks[: c + m], coeffs[: c + m])
-        flat = points.ravel()
-        first = np.concatenate(([True], flat[1:] != flat[:-1]))
-        distinct = flat if first.all() else flat[first]
-        caps = _caps(traj, distinct, taus[:n])
-        f = _recursion(values_at, problem.family, distinct, caps, state, taus, bs) if state else None
-        if f is None:
-            f = _delayed_sums(values_at, problem.history, distinct, taus[:n], bs[:n], tail_sums, caps)
-        if period:
-            state = _keep(state, distinct, f, caps, ends[-1] - problem.family.delays.delta)
-        f = (f if distinct is flat else f[np.cumsum(first) - 1]).reshape(points.shape)
-        new = slice(m, m + len(ends))
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, with its time
+    ends = np.concatenate(windows)
+    breaks, coeffs, grid, values, derivs, pieces = _buffers(traj, ends)
+    c = len(breaks) - len(grid)
+    # every value that is not finite is named: a recursion's F (a growing tail's correction can be
+    # 0 * inf) goes to the head, the head raises UnknownTailError and an overflow below names its time
+    with np.errstate(over="ignore", invalid="ignore"):
+        plan, state, since = _plan(traj, windows, ends, nodes, breaks, taus, bs, n)
+        for m, steps, points, distinct, caps, expand, store, located in plan:
+            f = None
+            if located is not None:
+                idx, u, corr, run = located
+                f = eval_located(coeffs, idx, u)
+                f *= bs[0]
+                f += rho * state[1][run]
+                f -= corr
+                if not np.isfinite(f).all():
+                    f = None
+            if f is None:
+                values_at = partial(delayed_values, problem.history, breaks[: c + m], coeffs[: c + m])
+                f = _delayed_sums(values_at, problem.history, distinct, taus[:n], bs[:n], tail_sums, caps)
+            if store is not None:
+                state[1][store[0]] = f[store[1] :]
+            f = (f if expand is None else f[expand]).reshape(points.shape)
+            new = slice(m, m + len(steps))
             values[new] = scan(a, float(values[m - 1]), steps, points, f)
             derivs[new] = a * values[new] + f[:, -1]
-            m_new = _store_window(grid, values, derivs, pieces, m, ends, steps)
-        # each new piece holds its node's value and slope and, in c2 and c3, the next node's
-        if not np.isfinite(pieces[m - 1 : m_new]).all():
-            row = np.isfinite(pieces[m - 1 : m_new]).all(axis=1).argmin()
-            raise OverflowError(f"the solution leaves the floating-point range after t = {grid[m - 1 + row]}")
-        m = m_new
-    return replace(traj, grid=grid, values=values, derivs=derivs, pieces=pieces[: m - 1], _period_state=state)
+            m_new = _store_window(values, derivs, pieces, m, steps)
+            # each new piece holds its node's value and slope and, in c2 and c3, the next node's
+            if not np.isfinite(pieces[m - 1 : m_new]).all():
+                row = np.isfinite(pieces[m - 1 : m_new]).all(axis=1).argmin()
+                raise OverflowError(f"the solution leaves the floating-point range after t = {grid[m - 1 + row]}")
+    state = (state[0][since:].copy(), state[1][since:].copy(), state[2][since:].copy()) if state else ()
+    return replace(
+        traj, grid=grid, values=values, derivs=derivs, pieces=pieces[:-1], n_forcing=n_forcing, _period_state=state
+    )
 
 
-def _advance(traj: Trajectory, t_end: float) -> Trajectory:
-    """traj marched on to t_end by variation of constants under the Gauss-4 rule."""
-    return _march(traj, t_end, _delayed_values, GAUSS4_NODES, _voc_scan)
+def _advance(traj: Trajectory, t_end: float, n_forcing: int) -> Trajectory:
+    """traj marched on to t_end at forcing index n_forcing by variation of constants under the Gauss-4 rule."""
+    return _march(traj, t_end, n_forcing, _delayed_values, GAUSS4_NODES, _voc_scan)
 
 
 def _start(problem: ProblemSpec, config: SolverConfig, n_forcing: int, n_origin: int, h: float, eps_f: float) -> Trajectory:
@@ -470,7 +542,7 @@ def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] =
     n_forcing = _certify_forcing(problem, horizon, eps_f)
     n_origin = _certify_forcing(problem, 0.0, eps_f)
     try:
-        return _advance(_start(problem, config, n_forcing, n_origin, h, eps_f), horizon)
+        return _advance(_start(problem, config, n_forcing, n_origin, h, eps_f), horizon, n_forcing)
     except UnknownTailError as exc:  # a delayed sum that is not finite in floating point
         raise NotInPhaseSpaceError(str(exc)) from exc
 
@@ -497,7 +569,7 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
         return traj
     n_forcing = _certify_forcing(problem, target, traj.eps_forcing_used)
     try:
-        return _advance(replace(traj, n_forcing=n_forcing), target)
+        return _advance(traj, target, n_forcing)
     except UnknownTailError as exc:  # a delayed sum that is not finite in floating point
         raise NotInPhaseSpaceError(str(exc)) from exc
 

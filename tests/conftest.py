@@ -140,27 +140,33 @@ def recorded_march(monkeypatch, run) -> tuple:
     """run() with the march's windows recorded: (its result, [(points, F, caps, head), ...]).
 
     One entry per window of a family with a period (stepper._period), in
-    march order; head tells whether F came from the head (_delayed_sums) or
-    the one-period recursion.  A first point that repeats the last window's
-    end (the oracle's window start) is dropped, as the march keeps it once.
+    march order, read from the plan's state arrays (stepper._plan) once the
+    sweep has filled them; head tells whether F came from the head
+    (_delayed_sums) or the one-period recursion.  A first point that repeats
+    the last window's end (the oracle's window start) is dropped, as the
+    march stores it once.
     """
-    windows, heads = [], []
-    keep, sums = fd.stepper._keep, fd.stepper._delayed_sums
+    plans, heads = [], []
+    plan, sums = fd.stepper._plan, fd.stepper._delayed_sums
 
     def recorded_sums(values_at, phi, points, *rest):
         heads.append(points)
         return sums(values_at, phi, points, *rest)
 
-    def recorded_keep(state, points, f, caps, since):
-        skip = int(bool(windows) and points[0] == windows[-1][0][-1])
-        head = bool(heads) and heads[-1] is points
-        windows.append((points[skip:].copy(), f[skip:].copy(), caps[skip:].copy(), head))
-        return keep(state, points, f, caps, since)
+    def recorded_plan(*args):
+        plans.append(plan(*args))
+        return plans[-1]
 
     with monkeypatch.context() as m:
         m.setattr(fd.stepper, "_delayed_sums", recorded_sums)
-        m.setattr(fd.stepper, "_keep", recorded_keep)
+        m.setattr(fd.stepper, "_plan", recorded_plan)
         out = run()
+    windows = []
+    for entries, state, _ in plans:
+        for _, _, _, distinct, _, _, (at, skip), _ in entries if state else ():
+            head = any(points is distinct for points in heads)
+            windows.append(tuple(column[at].copy() for column in state) + (head,))
+            assert np.array_equal(windows[-1][0], distinct[skip:])
     return out, windows
 
 

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from infidelay import numerics as fd_numerics
 from infidelay.coefficients import WeightFunction
 from infidelay.numerics import (
     GAUSS4_NODES,
@@ -140,11 +141,11 @@ _PIECE_WIDTHS = st.sampled_from([1e-12, 2.0**-40, 1e-3, 0.025, 0.3, 1.0, 7.5])
 
 @given(data=st.data())
 def test_piece_index_is_the_searchsorted_index(data):
-    # the guess search (np.interp, truncated, corrected once) must give
-    # searchsorted's index on every key: random keys in any order, each
-    # breakpoint and its float neighbours, keys far outside the span, +-inf,
-    # NaN and +-0, for breaks with one entry per piece (the read table) or
-    # one more, and for 0-d, 1-d and 2-d keys
+    # the bisection and the guess search (np.interp, truncated, corrected
+    # once) must give searchsorted's index on every key: random keys in any
+    # order, each breakpoint and its float neighbours, keys far outside the
+    # span, +-inf, NaN and +-0, for breaks with one entry per piece (the read
+    # table) or one more, and for 0-d, 1-d and 2-d keys
     breaks = data.draw(st.floats(-50.0, 50.0)) + np.cumsum([0.0] + data.draw(st.lists(_PIECE_WIDTHS, min_size=1, max_size=40)))
     n = len(breaks) - data.draw(st.integers(0, 1))
     drawn = data.draw(st.lists(st.floats(breaks[0] - 2.0, breaks[-1] + 2.0), max_size=30))
@@ -152,7 +153,10 @@ def test_piece_index_is_the_searchsorted_index(data):
     keys = np.concatenate((drawn, near, [np.inf, -np.inf, np.nan, 0.0, -0.0, breaks[0] - 1e3, breaks[-1] + 1e3]))
     keys = data.draw(st.permutations(keys.tolist()))
     keys = np.array(keys if len(keys) % 2 == 0 else keys + [breaks[0]])
-    for x in (keys, keys.reshape(2, -1)):
+    # tiled past _BISECT_KEYS, the keys take the guess search
+    tiled = np.tile(keys, fd_numerics._BISECT_KEYS // len(keys) + 1)
+    assert tiled.size > fd_numerics._BISECT_KEYS >= keys.size
+    for x in (keys, keys.reshape(2, -1), tiled, tiled.reshape(2, -1)):
         got, want = piece_index(breaks, n, x), np.searchsorted(breaks[1:n], x, side="right")
         assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
     for v in keys[:8].tolist():

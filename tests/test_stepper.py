@@ -641,8 +641,11 @@ def test_one_table_read_matches_the_three_way_split(monkeypatch, run, p):
     # zero argument reads the first piece, which starts at phi(0)); it must
     # give the bits of the old split on the march's own arguments and at the
     # edges, in mid-march prefixes of the append-only table, whose last row
-    # is the pending piece, and on the finished trajectory
+    # is the pending piece, and on the finished trajectory.  A recursion
+    # window's gather (eval_located at the pieces the plan found in the
+    # whole table) must give them on its x(s - tau_1), read in its prefix
     real, buffers = fd.stepper._delayed_values, []
+    plan, gather, planned = fd.stepper._plan, fd.stepper.eval_located, {}
 
     def checked(phi, breaks, coeffs, args):
         c = len(phi.coeffs)
@@ -654,10 +657,27 @@ def test_one_table_read_matches_the_three_way_split(monkeypatch, run, p):
         buffers.append(len(pieces) == len(grid))
         return real(phi, breaks, coeffs, args)
 
+    def recorded_plan(traj, windows, ends, nodes, breaks, taus, bs, n):
+        out = plan(traj, windows, ends, nodes, breaks, taus, bs, n)
+        for m, _, _, distinct, _, _, _, located in out[0]:
+            if located is not None:
+                planned[id(located[0])] = (breaks, m, distinct - taus[0])
+        return out
+
+    def checked_gather(coeffs, idx, u):
+        breaks, m, args = planned[id(idx)]
+        c = len(p.history.coeffs)
+        got = gather(coeffs, idx, u)
+        assert _same_bits(got, _three_way_read(p.history, breaks[c : c + m], coeffs[c : c + m], args)), m
+        buffers.append(True)
+        return got
+
+    monkeypatch.setattr(fd.stepper, "_plan", recorded_plan)
+    monkeypatch.setattr(fd.stepper, "eval_located", checked_gather)
     monkeypatch.setattr(fd.stepper, "_delayed_values", checked)
     monkeypatch.setattr(fd.oracle, "_delayed_values", checked)
     traj = fd.oracle_solve(p, 3.0) if run == "oracle" else solve(p, 3.0)
-    assert sum(buffers) >= 3  # the windows of [0, 3], each with its pending row
+    assert sum(buffers) >= 3 and len(planned) >= 2  # the windows of [0, 3], each with its pending row
     monkeypatch.undo()
     ts = np.concatenate((_edge_arguments(p.history, traj.grid), np.linspace(-20.0, 3.0, 2001), traj.grid))
     table = fd.stepper._table(p.history, traj.grid, traj.pieces)
@@ -753,7 +773,7 @@ def test_step_interval_certifies_only_the_new_window(seminorm_calls, problem, re
 
 
 def _chain(problem: ProblemSpec, horizon: float, windows, monkeypatch) -> tuple:
-    """solve to horizon, then step_interval through each window; (trajectory, _start calls, stored windows)."""
+    """solve to horizon, then step_interval through each window; (trajectory, _start calls, stored windows' starts)."""
     starts, stored = [], []
     start, store = fd.stepper._start, fd.stepper._store_window
 
@@ -761,9 +781,9 @@ def _chain(problem: ProblemSpec, horizon: float, windows, monkeypatch) -> tuple:
         starts.append(args)
         return start(*args)
 
-    def counted_store(grid, values, derivs, pieces, m, ends, steps):
-        stored.append(float(grid[m - 1]))
-        return store(grid, values, derivs, pieces, m, ends, steps)
+    def counted_store(values, derivs, pieces, m, steps):
+        stored.append(m - 1)  # the row of the window's first node, the same in every later trajectory
+        return store(values, derivs, pieces, m, steps)
 
     with monkeypatch.context() as m:
         m.setattr(fd.stepper, "_start", counted_start)
@@ -771,7 +791,7 @@ def _chain(problem: ProblemSpec, horizon: float, windows, monkeypatch) -> tuple:
         traj = solve(problem, horizon)
         for k in windows:
             traj = step_interval(traj, k)
-    return traj, len(starts), stored
+    return traj, len(starts), traj.grid[stored].tolist()
 
 
 @pytest.mark.parametrize(
@@ -822,32 +842,38 @@ def test_step_interval_chain_from_inside_a_window_marches_on_to_the_one_shot_nod
 
 
 def _reads(monkeypatch, march) -> list:
-    """The number of arguments of each read march() makes through stepper._delayed_values."""
-    sizes, real = [], fd.stepper._delayed_values
+    """The number of solution arguments of each read march() makes: a head read through
+    stepper._delayed_values, or a recursion window's one stepper.eval_located gather."""
+    sizes, real, gather = [], fd.stepper._delayed_values, fd.stepper.eval_located
 
     def counted(phi, breaks, coeffs, args):
         sizes.append(len(args))
         return real(phi, breaks, coeffs, args)
 
+    def gathered(coeffs, idx, u):
+        sizes.append(len(idx))
+        return gather(coeffs, idx, u)
+
     with monkeypatch.context() as m:
         m.setattr(fd.stepper, "_delayed_values", counted)
+        m.setattr(fd.stepper, "eval_located", gathered)
         march()
     return sizes
 
 
 @pytest.mark.parametrize("problem, period", [(march_long_problem(), 1), (odd_delays_problem(), 2)], ids=["period-1", "period-2"])
-def test_recursion_reads_at_most_two_arguments_per_point(monkeypatch, problem, period):
+def test_recursion_reads_one_solution_argument_per_point(monkeypatch, problem, period):
     # F(0) is one read and each window one more; past the first period a
-    # window reads x(s - tau_1) at each of its 5 points per step, and
-    # x(s - tau_{c+1}) where the cap stays; so the reads per node do not
-    # grow with the horizon as the head's do
+    # window reads x(s - tau_1) once at each of its 5 points per step, and
+    # the correction x(s - tau_{c+1}) from phi alone, in the plan; so the
+    # reads per node do not grow with the horizon as the head's do
     per_node = {}
     for horizon in (32.0, 256.0):
         sizes = _reads(monkeypatch, partial(solve, problem, horizon))
         windows = fd.stepper._substeps(0.0, horizon, problem.family, problem.family.delays.tau1 / 40.0)
         assert len(sizes) == 1 + len(windows)
         for k, (w, n) in enumerate(zip(windows, sizes[1:])):
-            assert k < period or n <= 2 * 5 * len(w), (horizon, k)
+            assert k < period or n == 5 * len(w), (horizon, k)
         per_node[horizon] = sum(sizes) / (1 + sum(len(w) for w in windows))
     assert per_node[256.0] <= 1.5 * per_node[32.0]
 
@@ -881,18 +907,52 @@ def test_a_partial_last_window_recurs_only_on_the_stored_points(monkeypatch, hor
     assert (sizes[-1] < heads[-1]) == recurs and (sizes[-1] == heads[-1]) != recurs
 
 
-def test_a_recursion_that_is_not_finite_leaves_the_window_to_the_head():
-    # b_4 underflows to 0 where a growing tail overflows: the correction
-    # 0 * inf gives no value, so the window reads the head (which sums to c = 3 only)
-    fam = CoefficientFamily.geometric(1.0, 0.5, DS)
-    points, caps = np.array([1.5, 2.0]), np.array([3, 3])
-    taus, bs = DS.tau_array(4), fam.b_array(4)
-    bs[3] = 0.0
-    state = (points - 1.0, np.ones(2), caps)
-    reads = lambda args: np.where(args < -1.5, np.inf, 1.0)
-    assert fd.stepper._recursion(reads, fam, points, caps, state, taus, bs) is None
-    f = fd.stepper._recursion(lambda args: np.ones_like(args), fam, points, caps, state, taus, bs)
-    assert np.array_equal(f, [1.0, 1.0])  # 0.5 + 0.5 * 1 - 0 * 1
+def test_a_recursion_that_is_not_finite_leaves_the_window_to_the_head(monkeypatch):
+    # a growing tail's correction can be 0 * inf: a window whose recursion F
+    # is not finite reads the head instead.  With the correction at each
+    # window's first point spoiled, every window reads the head: the nodes
+    # and the stored (points, F, caps) are those of a plan without the
+    # recursion, and the nodes those of a family without a period
+    problem, real = march_long_problem(), fd.stepper._plan
+
+    def spoiled(*args):
+        entries, state, since = real(*args)
+        for *_, recursion in entries[1:]:
+            _, _, corr, _ = recursion  # every window past the first recurs
+            corr[0] = np.nan
+        return entries, state, since
+
+    def head_only(*args):
+        entries, state, since = real(*args)
+        return [entry[:7] + (None,) for entry in entries], state, since
+
+    runs = []
+    for plan in (spoiled, head_only):
+        monkeypatch.setattr(fd.stepper, "_plan", plan)
+        runs.append(solve(problem, 4.0))
+    monkeypatch.setattr(fd.stepper, "_plan", real)
+    monkeypatch.setattr(fd.stepper, "_period", lambda family: 0)
+    runs.append(solve(problem, 4.0))
+    _assert_same_nodes(runs[0], runs[1])
+    _assert_same_nodes(runs[0], runs[2])
+    assert len(runs[0]._period_state[0]) > 0 and runs[2]._period_state == ()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(runs[0]._period_state, runs[1]._period_state))
+
+
+def test_a_cap_that_rises_by_two_leaves_the_window_to_the_head(monkeypatch):
+    # over one period the recursion adds one delay, b_{c(s)} x(s - tau_{c(s)})
+    # when c(s) = c(s - delta) + 1; a cap that fell, or rose by 2 (s + depth
+    # within rounding of a delay), would sum other terms, so that window
+    # reads the head
+    problem, real = march_long_problem(), fd.stepper._caps
+
+    def lowered(traj, points, taus):
+        caps = real(traj, points, taus)
+        return caps - 2 * ((points > 1.5) & (points < 1.6))  # a rise of -2 over [0.5, 0.6], then of 2
+
+    monkeypatch.setattr(fd.stepper, "_caps", lowered)
+    _, windows = recorded_march(monkeypatch, partial(solve, problem, 4.0))
+    assert [head for *_, head in windows] == [True, True, True, False]
 
 
 def test_step_interval_chain_stores_each_window_once(monkeypatch):
