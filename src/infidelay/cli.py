@@ -16,6 +16,7 @@ The INFIDELAY_OUT environment variable overrides --out.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from importlib import resources
@@ -54,7 +55,9 @@ def _resolve_scenarios(arg: str) -> list[str]:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then kept: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="infidelay",
         description="Method-of-steps solver and semigroup checks for scalar "

@@ -48,7 +48,7 @@ from .coefficients import (
     n_index,
     tail_sum_bound,
 )
-from .numerics import dedupe_knots, derivative_coeffs, eval_pieces, hermite_coeffs, piece_index, shift_coeffs, sup_abs_pieces, sup_ratio_pieces
+from .numerics import dedupe_knots, derivative_coeffs, eval_located, eval_pieces, hermite_coeffs, piece_index, shift_coeffs, sup_abs_pieces, sup_ratio_pieces
 
 _CONST1 = WeightFunction.constant(1.0)
 
@@ -360,7 +360,7 @@ class HistoryFunction:
         if cf.shape != (len(bp) - 1, 4):
             raise ValueError(f"coefficient array must be {(len(bp) - 1, 4)}, got {cf.shape}")
         # continuity across interior breakpoints
-        v_end = shift_coeffs(cf[:-1], np.diff(bp)[:-1])[:, 0]
+        v_end = eval_located(cf, np.arange(len(cf) - 1), np.diff(bp)[:-1])
         v_next = cf[1:, 0]
         bad = np.flatnonzero(np.abs(v_end - v_next) > np.maximum(_CONT_TOL, _CONT_TOL * np.abs(v_next)))
         if len(bad):

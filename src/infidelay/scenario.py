@@ -35,9 +35,10 @@ family, tail or weight row.  Any other key is a schema error at that key.
 A key with no default there is passed on only when given.
 
 Check parameters (all optional, all type- and range-checked before the first check runs;
-every k, k_max and k_list entry is >= 1, every t, s, tolerance, threshold and point tol >= 0):
+every k, k_max and k_list entry is >= 1, every t, s, tolerance, threshold and point tol >= 0;
+a point's t may be <= 0, where x = phi(t), but not past the horizon):
 
-    solve              expect (not-in-phase-space), expect_points [{t, x, tol}, ..]
+    solve              expect (not-in-phase-space), expect_points [{t (<= horizon), x, tol}, ..]
     seminorms          k_max (p_1..p_kmax)
     membership         k_max, expect (member, not-member or inconclusive)
     semigroup-law      t, s (t + s <= horizon), k_list, tolerance
@@ -49,8 +50,11 @@ every k, k_max and k_list entry is >= 1, every t, s, tolerance, threshold and po
 
 Schema problems, check parameters included, raise ScenarioError at the
 file:line of the key at fault; check failures are ordinary results.  Runners write one
-JSON report per check plus a summary, all deterministic (sorted keys, no
-timestamps, atomic replace).
+JSON report per check plus a summary, all deterministic and with no timestamps.
+Each report's bytes are those of json.dumps(report, indent=2, sort_keys=True,
+allow_nan=True) and a trailing newline (NaN and Infinity as those tokens); each
+file is encoded whole before it is opened, written in one piece to a temp file
+and atomically replaced (_write_json).
 """
 
 from __future__ import annotations
@@ -413,6 +417,8 @@ def _check_ranges(ctx: _Ctx, cname: str, p: dict) -> None:
         if any(v < least for v in np.atleast_1d(p.get(key, []))):
             raise fail(f"{key} must be at least {least}, got {p[key]}", p, key)
     for pt in p.get("expect_points", []):
+        if pt["t"] > H:
+            raise fail(f"t must be at most the horizon {H}, got {pt['t']}", pt, "t")
         if pt["tol"] < 0.0:
             raise fail(f"tol must be at least 0, got {pt['tol']}", pt, "tol")
     if p.get("h_fine", 1.0) <= 0.0:
@@ -523,11 +529,38 @@ def list_checks() -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 
+def _is_float_list(v) -> bool:
+    """A nonempty list of exact Python floats, the one value _encode hands to json's C encoder."""
+    return type(v) is list and len(v) > 0 and set(map(type, v)) == {float}
+
+
+def _encode(data) -> str:
+    """json.dumps(data, indent=2, sort_keys=True, allow_nan=True), byte for byte.
+
+    Only a dict with str keys and a top-level float list (a trajectory's grid,
+    values and derivs) is encoded by parts: each such list by the C encoder,
+    whose item separator carries indent=2's line break and indentation, and
+    every other value by json.dumps, re-indented one level (a JSON string
+    holds no raw newline).  Anything else is dumped whole.
+    """
+    if not (type(data) is dict and any(map(_is_float_list, data.values())) and all(type(k) is str for k in data)):
+        return json.dumps(data, indent=2, sort_keys=True, allow_nan=True)
+    parts = []
+    for key, v in sorted(data.items()):
+        if _is_float_list(v):
+            body = "[\n    " + json.dumps(v, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
+        else:
+            body = json.dumps(v, indent=2, sort_keys=True, allow_nan=True).replace("\n", "\n  ")
+        parts.append(f"{json.dumps(key)}: {body}")
+    return "{\n  " + ",\n  ".join(parts) + "\n}"
+
+
 def _write_json(path: str, data) -> None:
+    """Encode data whole (_encode, then a newline), write it in one piece to a temp file, and replace path."""
+    text = _encode(data) + "\n"
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=True)
-        fh.write("\n")
+        fh.write(text)
     os.replace(tmp, path)
 
 

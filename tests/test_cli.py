@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import infidelay
@@ -70,6 +70,7 @@ def test_all_bundled_scenarios_pass(tmp_path, capsys):
     lines = [l for l in out.strip().splitlines() if l]
     assert len(lines) == len(BUNDLED)
     assert all(l.startswith("PASS") for l in lines)
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_classic_scenario_outputs(tmp_path, capsys):
@@ -415,6 +416,11 @@ def _set_point_tol_negative(cfg):
     _params(cfg, "solve")["expect_points"] = [{"t": 1.0, "x": 0.0, "tol": 1e-8}, {"t": 2.0, "x": 0.0, "tol": -1.0}]
 
 
+def _set_point_past_horizon(cfg):
+    # once a solve that ran and failed with "evaluation beyond horizon", exiting 1
+    _params(cfg, "solve")["expect_points"] = [{"t": 1.0, "x": 0.0, "tol": 1e-8}, {"t": 7.0, "x": 0.0}]
+
+
 def _problem(cfg):
     return cfg["problem"]
 
@@ -481,6 +487,7 @@ _ANCHORS = {
     _set_solve_expect_unknown: lambda c: (_params(c, "solve"), "expect"),
     _set_tau_c_with_prefix: lambda c: (_problem(c), "family"),
     _set_point_tol_negative: lambda c: (_params(c, "solve")["expect_points"][1], "tol"),
+    _set_point_past_horizon: lambda c: (_params(c, "solve")["expect_points"][1], "t"),
 }
 
 
@@ -557,6 +564,7 @@ def _anchor_line(cfg, locate):
         _set_solve_expect_unknown,
         _set_tau_c_with_prefix,
         _set_point_tol_negative,
+        _set_point_past_horizon,
     ],
 )
 def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
@@ -953,6 +961,7 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
         pytest.skip(f"report digests were recorded under numpy {pinned['numpy']}, not {np.__version__}")
     code, _ = run_cli(["run", str(Path(infidelay.__file__).parent / "scenarios"), "--out", str(tmp_path / "all")], capsys)
     assert code == EXIT_OK
+    assert list((tmp_path / "all").rglob("*.tmp")) == []
     reports = sorted(p for p in (tmp_path / "all").rglob("*") if p.is_file())
     got = {p.relative_to(tmp_path / "all").as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in reports}
     assert got == pinned["sha256"]
@@ -995,3 +1004,108 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_a_pin_at_or_before_zero_reads_the_history(tmp_path, capsys):
+    # x(t) = phi(t) for t <= 0, so such a pin is legal; classic-delay's history is the constant 1
+    cfg = _bundled_cfg("classic-delay")
+    cfg["checks"] = [{"name": "solve", "expect_points": [{"t": 0.0, "x": 1.0}, {"t": -2.5, "x": 1.0}]}]
+    path = tmp_path / "pins.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    code, out = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_OK, out
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, -1e-300]
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(_EDGE_FLOATS)
+_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=6) | st.sampled_from(
+    ["", "\x00\x1f\n\t\"\\", "\u00e9t\u00e9", "\u2603\U0001f600", "\x7f\u0085"]
+)
+_scalars = st.none() | st.booleans() | st.integers(-(10**20), 10**20) | _floats | _text
+_float_lists = st.lists(_floats, max_size=4)
+_np_float_lists = st.lists(_floats.map(np.float64), min_size=1, max_size=3)
+
+
+def _keyed(values):
+    """Dicts whose keys are all str, int, float or bool (json sorts keys of one type)."""
+    return (
+        st.dictionaries(_text, values, max_size=4)
+        | st.dictionaries(st.integers(-5, 5), values, max_size=3)
+        | st.dictionaries(st.floats(allow_nan=False), values, max_size=3)
+        | st.dictionaries(st.booleans(), values, max_size=2)
+    )
+
+
+_values = st.recursive(
+    _scalars | _float_lists | _np_float_lists,
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple) | _keyed(inner),
+    max_leaves=12,
+)
+# a report-like dict: str keys, top-level float lists (one-element ones among them) beside anything else
+_reports = st.dictionaries(_text, _float_lists | st.lists(_floats, min_size=1, max_size=1) | _np_float_lists | _values, max_size=6)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_reports | _values)
+@example(
+    {
+        "grid": _EDGE_FLOATS,
+        "one": [2.5],
+        "np": [np.float64(0.5), np.float64(-0.0)],
+        "nested": {"\u00e9\x01": [(), {}, [], None, True, 3, (1.0, math.inf)]},
+        "horizon": 10.0,
+    }
+)
+@example({1: [1.0], 2: [-0.0]})
+def test_report_encoding_is_json_dumps_byte_for_byte(x):
+    from infidelay.scenario import _encode
+
+    assert _encode(x) + "\n" == json.dumps(x, indent=2, sort_keys=True, allow_nan=True) + "\n"
+
+
+def test_only_exact_float_lists_take_the_c_encoder():
+    from infidelay.scenario import _is_float_list
+
+    assert _is_float_list([1.0]) and _is_float_list([math.nan, -0.0, 5e-324])
+    for v in ([], [np.float64(1.0)], [1.0, np.float64(2.0)], [1.0, 2], [True], (1.0, 2.0), np.array([1.0])):
+        assert not _is_float_list(v)
+
+
+def test_a_failed_report_write_leaves_no_file(tmp_path):
+    from infidelay.scenario import _write_json
+
+    p = tmp_path / "r.json"
+    for data in ({"a": 1.0, "n": np.int64(3)}, {"grid": [0.0, 1.0], "n": np.int64(3)}):
+        with pytest.raises(TypeError):
+            _write_json(str(p), data)
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_the_cached_parser_answers_as_a_fresh_one(tmp_path, capsys):
+    from infidelay.cli import _build_parser
+
+    calls = [
+        ["run", "classic-delay", "--out", str(tmp_path)],
+        ["checks"],
+        ["version"],
+        ["run", "classic-delay", "--no-such-flag"],
+        ["run", "classic-delay", "--out", str(tmp_path)],
+    ]
+
+    def outcomes(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                _build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    fresh, cached = outcomes(True), outcomes(False)
+    assert cached == fresh
+    assert [g[0] for g in cached] == [EXIT_OK, EXIT_OK, EXIT_OK, ("exit", EXIT_SCHEMA_ERROR), EXIT_OK]
+    assert _build_parser() is _build_parser()
