@@ -52,9 +52,10 @@ Schema problems, check parameters included, raise ScenarioError at the
 file:line of the key at fault; check failures are ordinary results.  Runners write one
 JSON report per check plus a summary, all deterministic and with no timestamps.
 Each report's bytes are those of json.dumps(report, indent=2, sort_keys=True,
-allow_nan=True) and a trailing newline (NaN and Infinity as those tokens); each
-file is encoded whole before it is opened, written in one piece to a temp file
-and atomically replaced (_write_json).
+allow_nan=True) and a trailing newline (NaN and Infinity as those tokens); the
+trajectory CSV's are Trajectory.write_csv's.  Every file, the CSV included, is
+encoded whole before it is opened, written in one piece to a temp file and
+atomically replaced (_write_report).
 """
 
 from __future__ import annotations
@@ -331,7 +332,7 @@ class _Ctx:
         self.solver = solver
         self.tol_scale = tol_scale
         self.anch = anch
-        self.files: dict = {}  # report file name -> JSON data, or a writer taking the path
+        self.files: dict = {}  # report file name -> JSON data, or the file's text (the trajectory CSV)
         self._traj = None
 
     def traj(self):
@@ -350,7 +351,7 @@ def _run_solve(ctx: _Ctx, p: dict) -> dict:
         traj = ctx.traj()
     except NotInPhaseSpaceError as exc:
         return {"passed": p.get("expect") == "not-in-phase-space", "error": str(exc), "expect": p.get("expect")}
-    ctx.files["trajectory.csv"] = traj.write_csv
+    ctx.files["trajectory.csv"] = traj.to_csv_text()
     ctx.files["trajectory.json"] = traj.to_json_dict()
     points = []
     for pt in p["expect_points"]:
@@ -555,12 +556,12 @@ def _encode(data) -> str:
     return "{\n  " + ",\n  ".join(parts) + "\n}"
 
 
-def _write_json(path: str, data) -> None:
-    """Encode data whole (_encode, then a newline), write it in one piece to a temp file, and replace path."""
-    text = _encode(data) + "\n"
+def _write_report(path: str, content) -> None:
+    """Encode one report whole (a str as it is, else _encode and a newline), then write a temp file that replaces path."""
+    data = (content if type(content) is str else _encode(content) + "\n").encode()
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
 
 
@@ -651,8 +652,5 @@ def run_scenario(
     outdir = os.path.join(out_root, _safe_name(name))
     os.makedirs(outdir, exist_ok=True)
     for fname, content in ctx.files.items():
-        if callable(content):
-            content(os.path.join(outdir, fname))
-        else:
-            _write_json(os.path.join(outdir, fname), content)
+        _write_report(os.path.join(outdir, fname), content)
     return ScenarioResult(name, passed, tuple(r["name"] for r in results), outdir)

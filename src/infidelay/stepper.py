@@ -23,12 +23,13 @@ value of x is known and the delays are constant, so the plan (_plan) does
 the march's grid-only work in one batch: it writes the step ends into the
 march's one append-only table (phi's core rows, then a row per node;
 _buffers) and gives each tau_1-window its points (start + step * nodes and
-the step ends), their distinct points and caps (_caps).  The sweep runs the
-windows in order and does the work that needs x.  Every delay is at least
-tau_1, so F on the window [k tau_1, (k+1) tau_1] reads x only on
-(-inf, k tau_1]; a scan turns F into the window's node values (_voc_scan,
-variation of constants under the Gauss-4 weights, for solve and
-step_interval; the oracle passes its RK4 scan), and the slopes are a x + F
+the step ends, interior nodes only, so no point repeats) and their caps
+(_caps).  The sweep runs the windows in order and does the work that needs
+x, one F per point.  Every delay is at least tau_1, so F on the window
+[k tau_1, (k+1) tau_1] reads x only on (-inf, k tau_1]; a scan turns F into
+the window's node values (_voc_scan, variation of constants under the
+Gauss-4 weights, for solve and step_interval; the oracle passes its RK4
+scan, whose first stage reads the node's slope), and the slopes are a x + F
 at the step ends.  While a window's F is evaluated, the table's row after
 the last node holds the pending piece (x, x', 0, 0), so an argument at that
 node, or one rounding step past it, reads the node data exactly as a
@@ -164,10 +165,14 @@ class Trajectory:
         out = _delayed_values(phi, *_table(phi, self.grid, self.pieces), np.minimum(np.atleast_1d(th), self.horizon))
         return float(out[0]) if th.ndim == 0 else out
 
-    def write_csv(self, path: str) -> None:
+    def to_csv_text(self) -> str:
+        """The nodes as CSV text: a t,x,xprime header, then t, x and x' in %.11e, one row per node."""
         rows = zip(self.grid.tolist(), self.values.tolist(), self.derivs.tolist())
+        return "t,x,xprime\n" + "".join("%.11e,%.11e,%.11e\n" % row for row in rows)
+
+    def write_csv(self, path: str) -> None:
         with open(path, "w") as fh:
-            fh.write("t,x,xprime\n" + "".join("%.11e,%.11e,%.11e\n" % row for row in rows))
+            fh.write(self.to_csv_text())
 
     def to_json_dict(self) -> dict:
         return {
@@ -322,8 +327,8 @@ def _store_window(values, derivs, pieces, m: int, steps: np.ndarray) -> int:
     return m_new
 
 
-def _voc_scan(a: float, x: float, steps: np.ndarray, points: np.ndarray, f: np.ndarray) -> list:
-    """Node values of a window by variation of constants, the integral by the Gauss-4 weights."""
+def _voc_scan(a: float, x: float, dx: float, steps: np.ndarray, points: np.ndarray, f: np.ndarray) -> list:
+    """Node values of a window by variation of constants, the integral by the Gauss-4 weights (dx is unused)."""
     quad = np.vecdot(np.exp(a * (points[:, -1:] - points[:, :-1])) * f[:, :-1], GAUSS4_WEIGHTS)
     out = []
     for step, q in zip(steps.tolist(), quad.tolist()):
@@ -344,53 +349,39 @@ def _period(family: CoefficientFamily) -> int:
 def _plan(traj: Trajectory, windows: list, ends: np.ndarray, nodes: np.ndarray, breaks: np.ndarray, taus, bs, n: int) -> tuple:
     """The grid-only work of every window of a march, in one batch: (entries, state, since).
 
-    A window's entry is (m, steps, points, distinct, caps, expand, store,
-    recursion): its first node row m; each step's points, start + step *
-    nodes and its end; the distinct ones, less a point equal to the one
-    before it (the oracle's node 0 is the previous step's end), to which
-    expand maps the points (None where all are distinct); and their caps
-    (_caps).  store, recursion, state and since are _plan_recursion's, or
-    None, None, None and 0 without a period (taus holds n delays, not n + 1).
+    A window's entry is (m, steps, points, caps, store, recursion): its
+    first node row m; each step's points, start + step * nodes and its end,
+    which never repeat; and the caps (_caps) of points.ravel().  store,
+    recursion, state and since are _plan_recursion's, or None, None, None
+    and 0 without a period (taus holds n delays, not n + 1).
     """
     rows = list(accumulate(map(len, windows), initial=0))
     starts = np.concatenate((traj.grid[-1:], ends[:-1]))
     steps = ends - starts
     points = np.concatenate((starts[:, None] + steps[:, None] * nodes, ends[:, None]), axis=1)
     width = points.shape[1]
-    flat = points.ravel()
-    new = flat[1:] != flat[:-1]
-    for r in rows[1:-1]:
-        new[r * width - 1] = True  # a window's first point is its own
-    if new.all():
-        distinct, expand, first = flat, None, [r * width for r in rows]
-    else:
-        keys = np.concatenate(([0], new.cumsum()))
-        distinct = flat[np.concatenate(([True], new))]
-        first = keys[[r * width for r in rows[:-1]]].tolist() + [len(distinct)]
-        expand = keys - np.repeat(first[:-1], np.diff(rows) * width)
-    caps = _caps(traj, distinct, taus[:n])
+    caps = _caps(traj, points.ravel(), taus[:n])
     stores = recursions = [None] * len(windows)
     state, since = None, 0
     if len(taus) > n:
-        stores, recursions, state, since = _plan_recursion(traj, rows, distinct, first, caps, breaks, taus, bs)
+        stores, recursions, state, since = _plan_recursion(traj, rows, points, caps, breaks, taus, bs)
     entries = [
-        (len(traj.grid) + r0, steps[r0:r1], points[r0:r1], distinct[d0:d1], caps[d0:d1], None if expand is None else expand[r0 * width : r1 * width], st, rc)
-        for r0, r1, d0, d1, st, rc in zip(rows, rows[1:], first, first[1:], stores, recursions)
+        (len(traj.grid) + r0, steps[r0:r1], points[r0:r1], caps[r0 * width : r1 * width], st, rc)
+        for r0, r1, st, rc in zip(rows, rows[1:], stores, recursions)
     ]
     return entries, state, since
 
 
-def _plan_recursion(traj: Trajectory, rows: list, distinct, first: list, caps, breaks, taus, bs) -> tuple:
+def _plan_recursion(traj: Trajectory, rows: list, points: np.ndarray, caps, breaks, taus, bs) -> tuple:
     """The one-period recursion's part of the plan: (stores, recursions, state, since).
 
     The state arrays (points, F, caps) hold traj's last period, then each
-    window's distinct points and caps, a first point that repeats the last
-    one stored only once; the sweep writes window w's F, less its first skip
-    entries, at stores[w] = (slice, skip), and the last period starts at
-    since, one period (less 1e-9) before the end.  A window's run is the
-    stored points from the first at or past its first point - delta - 1e-12
-    on.  recursions[w] is None, so the head reads the window, unless the run
-    was stored before the window, each run point lies within 1e-12 of its
+    window's points (points.ravel()) and caps; the sweep writes window w's
+    F at the slice stores[w], and the last period starts at since, one
+    period (less 1e-9) before the end.  A window's run is the stored points
+    from the first at or past its first point - delta - 1e-12 on.
+    recursions[w] is None, so the head reads the window, unless the run was
+    stored before the window, each run point lies within 1e-12 of its
     point - delta, each cap rose by 0 or 1 and each x(s - tau_1) lies in the
     table.  Else it is (idx, u, corr, run): each x(s - tau_1)'s piece (no
     later than the window's pending row, as a read of the table's prefix)
@@ -398,45 +389,37 @@ def _plan_recursion(traj: Trajectory, rows: list, distinct, first: list, caps, b
     cap stayed (0 where it rose), read from phi alone, and the run's slice.
     """
     phi, delta = traj.problem.history, traj.problem.family.delays.delta
+    flat, width = points.ravel(), points.shape[1]
     state = traj._period_state
     if not state or state[0][-1] != traj.horizon:  # no state, or another trajectory's
         state = (np.empty(0), np.empty(0), np.empty(0, dtype=caps.dtype))
-    held, count = len(state[0]), len(rows) - 1
-    counts = [d1 - d0 for d0, d1 in zip(first, first[1:])]
-    # each window's first and last distinct point
-    marks = distinct[first[:-1] + [d - 1 for d in first[1:]]]
-    heads, lasts = marks[:count].tolist(), marks[count:].tolist()
-    skip = [int(held > 0 and heads[0] == state[0][-1])] + [int(h == t) for h, t in zip(heads[1:], lasts)]
-    dropped = [d for d, sk in zip(first, skip) if sk]
-    new_points, new_caps = (np.delete(distinct, dropped), np.delete(caps, dropped)) if dropped else (distinct, caps)
-    # a solve starts without state: its stored points and caps are the new ones, not copies
-    stored = np.concatenate((state[0], new_points)) if held else new_points
-    c_stored = np.concatenate((state[2], new_caps)) if held else new_caps
-    state = (stored, np.concatenate((state[1], np.empty(len(stored) - held))), c_stored)
-    runs = stored.searchsorted(marks[:count] - delta - 1e-12).tolist()
-    stores, done = [], held
-    for k, sk in zip(counts, skip):
-        stores.append((slice(done, done + k - sk), sk))
-        done += k - sk
-    run = np.arange(len(distinct)) + np.array([r - d for r, d in zip(runs, first)]).repeat(counts)
+    held, first = len(state[0]), [r * width for r in rows]
+    counts, heads = np.diff(first), points[rows[:-1], 0]  # each window's point count and first point
+    # a solve starts without state: its stored points and caps are the plan's, not copies
+    stored = np.concatenate((state[0], flat)) if held else flat
+    c_stored = np.concatenate((state[2], caps)) if held else caps
+    state = (stored, np.concatenate((state[1], np.empty(len(flat)))), c_stored)
+    runs = stored.searchsorted(heads - delta - 1e-12).tolist()
+    run = np.arange(len(flat)) + np.array([r - d for r, d in zip(runs, first)]).repeat(counts)
     rise = caps - c_stored.take(run, mode="clip")
-    ok = (np.abs(stored.take(run, mode="clip") + delta - distinct) <= 1e-12) & ((rise == 0) | (rise == 1))
+    ok = (np.abs(stored.take(run, mode="clip") + delta - flat) <= 1e-12) & ((rise == 0) | (rise == 1))
     ok = np.logical_and.reduceat(ok, first[:-1]).tolist()
     rose = rise != 0
     del run, rise  # the plan's arrays are O(points): free each as soon as it is done with
     # a window's points increase, so its first x(s - tau_1) is its least
     tau1, b0 = float(taus[0]), float(breaks[0])
-    recur = [g and r + k <= st[0].start and h - tau1 >= b0 for g, r, k, st, h in zip(ok, runs, counts, stores, heads)]
-    since = int(stored.searchsorted(lasts[-1] - delta - 1e-9))
+    recur = [g and r + k <= held + d and h - tau1 >= b0 for g, r, k, d, h in zip(ok, runs, counts.tolist(), first, heads.tolist())]
+    stores = [slice(held + d0, held + d1) for d0, d1 in zip(first, first[1:])]
+    since = int(stored.searchsorted(flat[-1] - delta - 1e-9))
     if not any(recur):
-        return stores, [None] * count, state, since
-    u = distinct - taus[0]
+        return stores, [None] * len(stores), state, since
+    u = flat - taus[0]
     idx = piece_index(breaks, len(breaks), u)
     np.minimum(idx, np.array([len(phi.coeffs) + len(traj.grid) - 1 + r for r in rows[:-1]]).repeat(counts), out=idx)
     u -= breaks[idx]
-    corr = np.zeros(len(distinct))
+    corr = np.zeros(len(flat))
     if not rose.all():
-        corr = phi.read(phi.breakpoints, phi.coeffs, distinct - taus[caps])
+        corr = phi.read(phi.breakpoints, phi.coeffs, flat - taus[caps])
         corr *= bs[caps]  # a growing tail can overflow here and give 0 * inf: that window reads the head
         corr[rose] = 0.0
     recursions = [
@@ -450,14 +433,14 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
     """traj marched on from its horizon to t_end at forcing index n_forcing: a plan, then a sweep.
 
     The plan (_plan) does the grid-only work of every window at once.  The
-    sweep does the work that needs x, a window at a time: F at its distinct
-    points, by the recursion from one eval_located gather where the plan
-    admits it and F is finite, else by the head (_delayed_sums) on the
+    sweep does the work that needs x, a window at a time: F at its points,
+    one value each, by the recursion from one eval_located gather where the
+    plan admits it and F is finite, else by the head (_delayed_sums) on the
     prefix of the table (_buffers) that holds the window's nodes, read by
-    the caller's own delayed_values; then scan(a, x, steps, points, f), the
-    node values from the last one x, the slopes and the Hermite pieces.
-    The last period's points, F and caps ride on the trajectory as
-    _period_state.
+    the caller's own delayed_values; then scan(a, x, dx, steps, points, f),
+    the node values from the last node's value x and slope dx, the slopes
+    and the Hermite pieces.  The last period's points, F and caps ride on
+    the trajectory as _period_state.
     """
     problem = traj.problem
     a, rho = problem.a, problem.family.rho
@@ -473,7 +456,7 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
     # 0 * inf) goes to the head, the head raises UnknownTailError and an overflow below names its time
     with np.errstate(over="ignore", invalid="ignore"):
         plan, state, since = _plan(traj, windows, ends, nodes, breaks, taus, bs, n)
-        for m, steps, points, distinct, caps, expand, store, located in plan:
+        for m, steps, points, caps, store, located in plan:
             f = None
             if located is not None:
                 idx, u, corr, run = located
@@ -485,12 +468,12 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
                     f = None
             if f is None:
                 values_at = partial(delayed_values, problem.history, breaks[: c + m], coeffs[: c + m])
-                f = _delayed_sums(values_at, problem.history, distinct, taus[:n], bs[:n], tail_sums, caps)
+                f = _delayed_sums(values_at, problem.history, points.ravel(), taus[:n], bs[:n], tail_sums, caps)
             if store is not None:
-                state[1][store[0]] = f[store[1] :]
-            f = (f if expand is None else f[expand]).reshape(points.shape)
+                state[1][store] = f
+            f = f.reshape(points.shape)
             new = slice(m, m + len(steps))
-            values[new] = scan(a, float(values[m - 1]), steps, points, f)
+            values[new] = scan(a, float(values[m - 1]), float(derivs[m - 1]), steps, points, f)
             derivs[new] = a * values[new] + f[:, -1]
             m_new = _store_window(values, derivs, pieces, m, steps)
             # each new piece holds its node's value and slope and, in c2 and c3, the next node's
@@ -503,9 +486,16 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
     )
 
 
-def _advance(traj: Trajectory, t_end: float, n_forcing: int) -> Trajectory:
-    """traj marched on to t_end at forcing index n_forcing by variation of constants under the Gauss-4 rule."""
-    return _march(traj, t_end, n_forcing, _delayed_values, GAUSS4_NODES, _voc_scan)
+def _advance(start, t_end: float, n_forcing: int) -> Trajectory:
+    """The trajectory start() marched on to t_end at forcing index n_forcing, by variation of constants under the Gauss-4 rule.
+
+    A delayed sum that is not finite in floating point, solve's F(0) in
+    start() included, refuses the history with NotInPhaseSpaceError.
+    """
+    try:
+        return _march(start(), t_end, n_forcing, _delayed_values, GAUSS4_NODES, _voc_scan)
+    except UnknownTailError as exc:
+        raise NotInPhaseSpaceError(str(exc)) from exc
 
 
 def _start(problem: ProblemSpec, config: SolverConfig, n_forcing: int, n_origin: int, h: float, eps_f: float) -> Trajectory:
@@ -541,10 +531,7 @@ def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] =
     )
     n_forcing = _certify_forcing(problem, horizon, eps_f)
     n_origin = _certify_forcing(problem, 0.0, eps_f)
-    try:
-        return _advance(_start(problem, config, n_forcing, n_origin, h, eps_f), horizon, n_forcing)
-    except UnknownTailError as exc:  # a delayed sum that is not finite in floating point
-        raise NotInPhaseSpaceError(str(exc)) from exc
+    return _advance(partial(_start, problem, config, n_forcing, n_origin, h, eps_f), horizon, n_forcing)
 
 
 def step_interval(traj: Trajectory, k: int) -> Trajectory:
@@ -568,10 +555,7 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
     if target <= traj.horizon + 1e-12:
         return traj
     n_forcing = _certify_forcing(problem, target, traj.eps_forcing_used)
-    try:
-        return _advance(traj, target, n_forcing)
-    except UnknownTailError as exc:  # a delayed sum that is not finite in floating point
-        raise NotInPhaseSpaceError(str(exc)) from exc
+    return _advance(lambda: traj, target, n_forcing)
 
 
 # ---------------------------------------------------------------------------

@@ -142,9 +142,9 @@ def recorded_march(monkeypatch, run) -> tuple:
     One entry per window of a family with a period (stepper._period), in
     march order, read from the plan's state arrays (stepper._plan) once the
     sweep has filled them; head tells whether F came from the head
-    (_delayed_sums) or the one-period recursion.  A first point that repeats
-    the last window's end (the oracle's window start) is dropped, as the
-    march stores it once.
+    (_delayed_sums) or the one-period recursion.  A window's points are its
+    plan entry's points.ravel(), one F each: no point repeats, within a
+    window or across windows.
     """
     plans, heads = [], []
     plan, sums = fd.stepper._plan, fd.stepper._delayed_sums
@@ -163,10 +163,12 @@ def recorded_march(monkeypatch, run) -> tuple:
         out = run()
     windows = []
     for entries, state, _ in plans:
-        for _, _, _, distinct, _, _, (at, skip), _ in entries if state else ():
-            head = any(points is distinct for points in heads)
+        for _, _, points, _, at, _ in entries if state else ():
+            head = any(np.shares_memory(read, points) for read in heads)
             windows.append(tuple(column[at].copy() for column in state) + (head,))
-            assert np.array_equal(windows[-1][0], distinct[skip:])
+            assert np.array_equal(windows[-1][0], points.ravel())
+        # the march's points, window after window, increase strictly: none repeats
+        assert np.all(np.diff(np.concatenate([entry[2].ravel() for entry in entries])) > 0.0)
     return out, windows
 
 

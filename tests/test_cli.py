@@ -1072,13 +1072,29 @@ def test_only_exact_float_lists_take_the_c_encoder():
 
 
 def test_a_failed_report_write_leaves_no_file(tmp_path):
-    from infidelay.scenario import _write_json
+    from infidelay.scenario import _write_report
 
     p = tmp_path / "r.json"
     for data in ({"a": 1.0, "n": np.int64(3)}, {"grid": [0.0, 1.0], "n": np.int64(3)}):
         with pytest.raises(TypeError):
-            _write_json(str(p), data)
+            _write_report(str(p), data)
         assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_csv_write_leaves_no_file(tmp_path, monkeypatch):
+    # trajectory.csv goes through the one report writer with write_csv's
+    # bytes; its text is encoded whole before the temp file is opened, so a
+    # text that cannot be encoded (a lone surrogate) leaves no file
+    traj_class = infidelay.stepper.Trajectory
+    real, solved = traj_class.to_csv_text, []
+    monkeypatch.setattr(traj_class, "to_csv_text", lambda self: solved.append(self) or real(self))
+    assert main(["run", "classic-delay", "--out", str(tmp_path / "ok")]) == EXIT_OK
+    solved[0].write_csv(str(tmp_path / "direct.csv"))
+    assert (tmp_path / "ok" / "classic-delay" / "trajectory.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+    monkeypatch.setattr(traj_class, "to_csv_text", lambda self: real(self) + "\udc80\n")
+    with pytest.raises(UnicodeEncodeError):
+        main(["run", "classic-delay", "--out", str(tmp_path / "bad")])
+    assert [p for p in (tmp_path / "bad").rglob("*") if p.is_file()] == []
 
 
 def test_the_cached_parser_answers_as_a_fresh_one(tmp_path, capsys):

@@ -67,8 +67,8 @@ def test_corrections_read_phi_at_or_below_its_depth(monkeypatch, problem, horizo
     read = [entry for entry in entries if entry[-1] is not None]
     assert len(read) >= len(entries) - period - 1
     stays = 0
-    for _, _, _, points, caps, _, _, (_, _, corr, run) in read:
-        theta = points - taus[caps]
+    for _, _, points, caps, _, (_, _, corr, run) in read:
+        theta = points.ravel() - taus[caps]
         assert np.all(theta <= -depth + 4 * U * taus[caps])
         stayed = caps == state[2][run]
         want = np.where(stayed, bs[caps] * problem.history.evaluate(theta), 0.0)
