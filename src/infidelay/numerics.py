@@ -81,14 +81,15 @@ def hermite_coeffs(x0: float, m0: float, x1: float, m1: float, dt: float) -> tup
     Matches value x0 and slope m0 at u=0, value x1 and slope m1 at u=dt.
     Returns (c0, c1, c2, c3) with p(u) = c0 + c1 u + c2 u^2 + c3 u^3.
     The arguments may also be equal-length arrays, one entry per piece;
-    each entry then gets exactly the scalar result.
+    each entry then gets exactly the scalar result, and ValueError unless each dt**3 is a normal float.
     """
-    if (np.asarray(dt) <= 0.0).any():
-        raise ValueError(f"hermite_coeffs needs dt > 0, got {dt}")
+    dt2 = dt * dt
+    dt3 = dt2 * dt
+    if not np.all(np.isfinite(dt3) & (dt3 >= np.finfo(float).tiny)):
+        raise ValueError(f"hermite_coeffs needs dt > 0 with a normal cube (dt >= about 2.8e-103), got {dt}")
     A = x1 - x0 - m0 * dt
     Bdt = (m1 - m0) * dt
-    dt2 = dt * dt
-    return (x0, m0, (3.0 * A - Bdt) / dt2, (Bdt - 2.0 * A) / (dt2 * dt))
+    return (x0, m0, (3.0 * A - Bdt) / dt2, (Bdt - 2.0 * A) / dt3)
 
 
 #: most keys for which piece_index bisects each key; the guess search wins

@@ -35,27 +35,31 @@ family, tail or weight row.  Any other key is a schema error at that key.
 A key with no default there is passed on only when given.
 
 Check parameters (all optional, all type- and range-checked before the first check runs;
-every k, k_max and k_list entry is >= 1, every t, s, tolerance, threshold and point tol >= 0;
-a point's t may be <= 0, where x = phi(t), but not past the horizon):
+every k, k_max and k_list entry is >= 1, every k_list nonempty, every t, s, tolerance,
+threshold and point tol >= 0; a point's t may be <= 0, where x = phi(t), but not past the horizon):
 
     solve              expect (not-in-phase-space), expect_points [{t (<= horizon), x, tol}, ..]
     seminorms          k_max (p_1..p_kmax)
     membership         k_max, expect (member, not-member or inconclusive)
     semigroup-law      t, s (t + s <= horizon), k_list, tolerance
-    strong-continuity  k, times (strictly decreasing, positive, <= horizon), threshold
+    strong-continuity  k, times (strictly decreasing, 0 < t <= horizon; default [0.1, 0.01, 0.001] * min(tau_1, horizon)), threshold
     mild-solution      t_grid (in [0, horizon]), theta_grid (<= 0), tolerance
-    estimates          k_list (default 1..min(3, floor(horizon / tau_1)))
+    estimates          k_list (each k * tau_1 <= horizon; default 1..min(3, floor(horizon / tau_1)))
     cg-embedding       weight (an object as in a g-envelope tail), k_max, tolerance, expect (holds, not-applicable or any)
     oracle-compare     tolerance, h_fine (> 0)
 
 Schema problems, check parameters included, raise ScenarioError at the
 file:line of the key at fault; check failures are ordinary results.  Runners write one
-JSON report per check plus a summary, all deterministic and with no timestamps.
-Each report's bytes are those of json.dumps(report, indent=2, sort_keys=True,
-allow_nan=True) and a trailing newline (NaN and Infinity as those tokens); the
-trajectory CSV's are Trajectory.write_csv's.  Every file, the CSV included, is
-encoded whole before it is opened, written in one piece to a temp file and
-atomically replaced (_write_report).
+JSON report per check, trajectory.json (the solve's nodes, Trajectory.to_json_dict)
+and a summary, all deterministic and with no timestamps: each the bytes of
+json.dumps(report, indent=2, sort_keys=True, allow_nan=True) and a newline (NaN and
+Infinity as those tokens), encoded whole, then written in one piece to a temp file
+that atomically replaces its path (_write_report).  The nodes as comma-separated
+t,x,xprime rows in a text file out are three lines of numpy away:
+
+    d = json.load(open("trajectory.json"))
+    rows = np.column_stack((d["grid"], d["values"], d["derivs"]))
+    np.savetxt(out, rows, delimiter=",", header="t,x,xprime", comments="")
 """
 
 from __future__ import annotations
@@ -332,7 +336,7 @@ class _Ctx:
         self.solver = solver
         self.tol_scale = tol_scale
         self.anch = anch
-        self.files: dict = {}  # report file name -> JSON data, or the file's text (the trajectory CSV)
+        self.files: dict = {}  # report file name -> JSON data
         self._traj = None
 
     def traj(self):
@@ -351,7 +355,6 @@ def _run_solve(ctx: _Ctx, p: dict) -> dict:
         traj = ctx.traj()
     except NotInPhaseSpaceError as exc:
         return {"passed": p.get("expect") == "not-in-phase-space", "error": str(exc), "expect": p.get("expect")}
-    ctx.files["trajectory.csv"] = traj.to_csv_text()
     ctx.files["trajectory.json"] = traj.to_json_dict()
     points = []
     for pt in p["expect_points"]:
@@ -426,6 +429,10 @@ def _check_ranges(ctx: _Ctx, cname: str, p: dict) -> None:
         raise fail(f"h_fine must be positive, got {p['h_fine']}", p, "h_fine")
     if "expect" in p and p["expect"] not in _EXPECT[cname]:
         raise fail(f"expect must be one of {', '.join(_EXPECT[cname])}, got {p['expect']!r}", p, "expect")
+    if p.get("k_list") == []:
+        raise fail(f"k_list must be nonempty, got [] (horizon {H}, tau_1 {ctx.tau1})", p, "k_list")
+    if cname == "estimates" and max(p["k_list"]) * ctx.tau1 > H + 1e-9:
+        raise fail(f"k_list entries k must have k * tau_1 at most the horizon {H}, got {p['k_list']}", p, "k_list")
     if cname == "semigroup-law" and p["t"] + p["s"] > H:
         raise fail(f"t + s must be at most the horizon {H}, got {p['t'] + p['s']}", p, "s", "t")
     if cname == "strong-continuity":
@@ -494,7 +501,7 @@ CHECKS = {  # name: (description, runner, parameter key table); a default may be
     }),
     "strong-continuity": ("distance of S_t phi from phi as t decreases to 0", _run_strong_continuity, {
         "k": (int, 2),
-        "times": (list, lambda c: [0.1 * c.tau1, 0.01 * c.tau1, 0.001 * c.tau1], float),
+        "times": (list, lambda c: [f * min(c.tau1, c.horizon) for f in (0.1, 0.01, 0.001)], float),
         "threshold": (float, None),
     }),
     "mild-solution": ("integral form of the equation driven by the functional L", _run_mild_solution, {
@@ -556,12 +563,12 @@ def _encode(data) -> str:
     return "{\n  " + ",\n  ".join(parts) + "\n}"
 
 
-def _write_report(path: str, content) -> None:
-    """Encode one report whole (a str as it is, else _encode and a newline), then write a temp file that replaces path."""
-    data = (content if type(content) is str else _encode(content) + "\n").encode()
+def _write_report(path: str, data) -> None:
+    """Encode one report whole (_encode and a newline), then write a temp file that replaces path."""
+    text = (_encode(data) + "\n").encode()
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        fh.write(text)
     os.replace(tmp, path)
 
 

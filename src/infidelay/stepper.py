@@ -165,15 +165,6 @@ class Trajectory:
         out = _delayed_values(phi, *_table(phi, self.grid, self.pieces), np.minimum(np.atleast_1d(th), self.horizon))
         return float(out[0]) if th.ndim == 0 else out
 
-    def to_csv_text(self) -> str:
-        """The nodes as CSV text: a t,x,xprime header, then t, x and x' in %.11e, one row per node."""
-        rows = zip(self.grid.tolist(), self.values.tolist(), self.derivs.tolist())
-        return "t,x,xprime\n" + "".join("%.11e,%.11e,%.11e\n" % row for row in rows)
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
-
     def to_json_dict(self) -> dict:
         return {
             "horizon": self.horizon,

@@ -1,7 +1,6 @@
 """Command line: scenario running, exit codes, determinism, and output layout."""
 
 import copy
-import csv
 import filecmp
 import hashlib
 import json
@@ -91,12 +90,12 @@ def test_classic_scenario_outputs(tmp_path, capsys):
         "oracle-compare",
     ]
     assert all(c["passed"] for c in summary["checks"])
-    # the trajectory lands x(1) = 0 for the unit-delay problem
-    with open(scen_dir / "trajectory.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    at_one = min(rows, key=lambda r: abs(float(r["t"]) - 1.0))
-    assert abs(float(at_one["t"]) - 1.0) < 1e-12
-    assert abs(float(at_one["x"])) < 1e-6
+    # the trajectory lands x(1) = 0 for the unit-delay problem, in its one file
+    traj = json.loads((scen_dir / "trajectory.json").read_text())
+    j = int(np.argmin(np.abs(np.array(traj["grid"]) - 1.0)))
+    assert abs(traj["grid"][j] - 1.0) < 1e-12
+    assert abs(traj["values"][j]) < 1e-6
+    assert not (scen_dir / "trajectory.csv").exists()
 
 
 def test_divergent_scenario_reports_refutation(tmp_path, capsys):
@@ -380,6 +379,21 @@ def _set_law_k_list_zero(cfg):
     _params(cfg, "semigroup-law")["k_list"] = [0]
 
 
+def _set_estimates_k_list_empty(cfg):
+    # once a passing check with no certificates
+    _params(cfg, "estimates")["k_list"] = []
+
+
+def _set_law_k_list_empty(cfg):
+    # once a passing check with no rows and max_discrepancy 0
+    _params(cfg, "semigroup-law")["k_list"] = []
+
+
+def _set_estimates_k_past_horizon(cfg):
+    # once a solve that ran and then failed the check, exiting 1 (tau_1 = 0.4, horizon 6)
+    _params(cfg, "estimates")["k_list"] = [1, 16]
+
+
 def _set_law_t_negative(cfg):
     _params(cfg, "semigroup-law")["t"] = -0.5  # t + s = 0 is within the horizon
 
@@ -479,6 +493,9 @@ _ANCHORS = {
     _set_continuity_threshold_negative: lambda c: (_params(c, "strong-continuity"), "threshold"),
     _set_estimates_k_list_zero: lambda c: (_params(c, "estimates"), "k_list"),
     _set_law_k_list_zero: lambda c: (_params(c, "semigroup-law"), "k_list"),
+    _set_estimates_k_list_empty: lambda c: (_params(c, "estimates"), "k_list"),
+    _set_law_k_list_empty: lambda c: (_params(c, "semigroup-law"), "k_list"),
+    _set_estimates_k_past_horizon: lambda c: (_params(c, "estimates"), "k_list"),
     _set_law_t_negative: lambda c: (_params(c, "semigroup-law"), "t"),
     _set_oracle_h_fine_negative: lambda c: (_params(c, "oracle-compare"), "h_fine"),
     _set_mild_tolerance_negative: lambda c: (_params(c, "mild-solution"), "tolerance"),
@@ -556,6 +573,9 @@ def _anchor_line(cfg, locate):
         _set_continuity_threshold_negative,
         _set_estimates_k_list_zero,
         _set_law_k_list_zero,
+        _set_estimates_k_list_empty,
+        _set_law_k_list_empty,
+        _set_estimates_k_past_horizon,
         _set_law_t_negative,
         _set_oracle_h_fine_negative,
         _set_mild_tolerance_negative,
@@ -741,14 +761,43 @@ def test_a_type_error_in_the_last_check_stops_before_any_check_runs(tmp_path, ca
         {"name": "strong-continuity", "times": [99.0, 0.1]},
         {"name": "mild-solution", "t_grid": [0.0, 99.0]},
         {"name": "oracle-compare", "h_fine": -0.1},
+        {"name": "estimates", "k_list": [1, 9]},
     ],
-    ids=["law-t-plus-s", "continuity-times", "mild-t-grid", "oracle-h-fine"],
+    ids=["law-t-plus-s", "continuity-times", "mild-t-grid", "oracle-h-fine", "estimates-k-tau1"],
 )
 def test_a_horizon_range_error_in_the_last_check_stops_before_any_check_runs(extra, tmp_path, capsys, monkeypatch):
     # geometric-l1 has horizon 8 and runs solve first; each extra check asks past it
     cfg = _bundled_cfg("geometric-l1")
     cfg["checks"].append(extra)
     assert _solves_before_exit(cfg, tmp_path, capsys, monkeypatch) == []
+
+
+def _run_cfg(cfg, tmp_path, capsys) -> tuple:
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    code, out = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+    return code, out, path
+
+
+def test_a_bare_estimates_below_tau1_is_a_schema_error_at_its_entry(tmp_path, capsys):
+    # its default k_list 1..floor(horizon / tau_1) is empty: once a passing check with no certificates
+    cfg = _bundled_cfg("classic-delay")
+    cfg["horizon"], cfg["checks"] = 0.5, ["solve", "estimates"]
+    code, out, path = _run_cfg(cfg, tmp_path, capsys)
+    assert code == EXIT_SCHEMA_ERROR
+    assert f"{path}:{_anchor_line(cfg, lambda c: (c['checks'], 1))}: k_list must be nonempty" in out, out
+    assert _files_under(tmp_path / "out") == []
+
+
+def test_a_bare_strong_continuity_fits_its_times_to_a_short_horizon(tmp_path, capsys):
+    # the default times are [0.1, 0.01, 0.001] * min(tau_1, horizon): once 0.1 tau_1 = 0.1, past the horizon, exiting 2
+    cfg = _bundled_cfg("classic-delay")
+    cfg["horizon"], cfg["checks"] = 0.05, ["strong-continuity"]
+    code, out, _ = _run_cfg(cfg, tmp_path, capsys)
+    assert code == EXIT_OK, out
+    report = json.loads((tmp_path / "out" / "classic-delay" / "01-strong-continuity.json").read_text())
+    assert report["times"] == [0.1 * 0.05, 0.01 * 0.05, 0.001 * 0.05]
+    assert report["passed"] is True
 
 
 @pytest.mark.parametrize("name, code", [("harmonic-divergent", EXIT_OK), ("classic-delay", EXIT_CHECK_FAILED)])
@@ -1079,22 +1128,6 @@ def test_a_failed_report_write_leaves_no_file(tmp_path):
         with pytest.raises(TypeError):
             _write_report(str(p), data)
         assert list(tmp_path.iterdir()) == []
-
-
-def test_a_failed_csv_write_leaves_no_file(tmp_path, monkeypatch):
-    # trajectory.csv goes through the one report writer with write_csv's
-    # bytes; its text is encoded whole before the temp file is opened, so a
-    # text that cannot be encoded (a lone surrogate) leaves no file
-    traj_class = infidelay.stepper.Trajectory
-    real, solved = traj_class.to_csv_text, []
-    monkeypatch.setattr(traj_class, "to_csv_text", lambda self: solved.append(self) or real(self))
-    assert main(["run", "classic-delay", "--out", str(tmp_path / "ok")]) == EXIT_OK
-    solved[0].write_csv(str(tmp_path / "direct.csv"))
-    assert (tmp_path / "ok" / "classic-delay" / "trajectory.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
-    monkeypatch.setattr(traj_class, "to_csv_text", lambda self: real(self) + "\udc80\n")
-    with pytest.raises(UnicodeEncodeError):
-        main(["run", "classic-delay", "--out", str(tmp_path / "bad")])
-    assert [p for p in (tmp_path / "bad").rglob("*") if p.is_file()] == []
 
 
 def test_the_cached_parser_answers_as_a_fresh_one(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -103,6 +104,12 @@ def test_shifted_rows_evaluate_the_original_cubics():
         want = eval_pieces(breaks, coeffs, breaks[:-1] + (u + du))
         got = eval_pieces(breaks, shifted, breaks[:-1] + u)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("dt", [1e-155, 2.8e-103, math.nan, np.array([0.5, 1e-120])])
+def test_hermite_refuses_a_width_whose_cube_is_not_normal(dt):
+    with pytest.raises(ValueError, match="normal cube"):
+        hermite_coeffs(0.0, 0.0, 1.0, 0.0, dt)
 
 
 def test_hermite_rejects_bad_width():
