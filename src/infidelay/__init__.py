@@ -20,6 +20,7 @@ from .coefficients import (
 from .history import (
     ConstantTail,
     CosTail,
+    ExpFormTail,
     ExpTail,
     HistoryFunction,
     L_functional,
@@ -67,6 +68,7 @@ __all__ = [
     "DelaySchedule",
     "DivergentTailError",
     "EstimateCertificate",
+    "ExpFormTail",
     "ExpTail",
     "HistoryFunction",
     "L_functional",

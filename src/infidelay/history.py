@@ -1,8 +1,10 @@
 """History functions on (-infty, 0] and the phase-space seminorm machinery.
 
 A history is stored as an exact piecewise cubic core on [-depth, 0] plus a
-structured analytic tail model for theta <= -depth, one per shape: constant,
-cosine, exponential of either sign, polynomial envelope.  Tail models carry
+structured analytic tail model for theta <= -depth: an ExpFormTail
+amp e^{sigma theta} cos(omega theta + phase), whose settings are the
+constant, cosine and exponential tails (ConstantTail, CosTail and ExpTail
+build them), a polynomial envelope, or a difference of two histories.  Tail models carry
 enough structure to certify sup bounds, weighted envelopes ("atoms"), and
 in favorable cases exact pointwise lower bounds; that is what turns the
 infinite sums below into finitely checkable quantities.
@@ -92,141 +94,130 @@ def _ratio_sup(scale: float, w: WeightFunction, shift: float, g: WeightFunction,
 
 
 @dataclass(frozen=True)
-class ConstantTail:
-    """phi(theta) = value for theta below the core."""
+class ExpFormTail:
+    """phi(theta) = amp e^{sigma theta} cos(omega theta + phase) below the core.
 
-    value: float
-
-    def evaluate(self, theta):
-        return np.full_like(np.asarray(theta, dtype=float), self.value)
-
-    def sup_abs(self, lo, hi):
-        return _per_window(lo, abs(self.value))
-
-    def lower_atom(self, reach: float) -> Optional[Atom]:
-        return (abs(self.value), _CONST1)
-
-    def atoms(self, depth: float) -> list[Atom]:
-        return [(abs(self.value), _CONST1)]
-
-    def derivative(self):
-        return ConstantTail(0.0)
-
-    def shifted(self, s: float) -> "ConstantTail":
-        return self
-
-
-@dataclass(frozen=True)
-class CosTail:
-    """phi(theta) = amp * cos(omega*theta + phase), omega > 0."""
+    A constant is sigma = omega = 0, a cosine sigma = 0 < omega, and an
+    exponential omega = 0 != sigma, decaying into the past for sigma > 0 and
+    growing for sigma < 0.  Each method keeps one float formula per case.
+    """
 
     amp: float
-    omega: float
+    sigma: float = 0.0
+    omega: float = 0.0
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.omega > 0.0):
-            raise ValueError(f"oscillating tail needs omega > 0, got {self.omega}")
+        if not (self.omega >= 0.0 and math.isfinite(self.sigma) and (self.sigma == 0.0 or self.omega == 0.0)
+                and (self.phase == 0.0 or self.omega > 0.0)):
+            raise ValueError(f"an exponential-form tail needs omega >= 0, a finite sigma, sigma or omega 0 "
+                             f"and phase 0 unless omega > 0, got {self}")
 
     def evaluate(self, theta):
-        return self.amp * np.cos(self.omega * np.asarray(theta, dtype=float) + self.phase)
+        th = np.asarray(theta, dtype=float)
+        if self.omega > 0.0:
+            return self.amp * np.cos(self.omega * th + self.phase)
+        if self.sigma != 0.0:
+            return self.amp * np.exp(self.sigma * th)
+        return np.full_like(th, self.amp)
 
     def sup_abs(self, lo, hi):
-        # an extremum of cos sits at omega*theta + phase = j*pi, and some j
-        # lies in [x_lo, x_hi] exactly when floor(x_hi) >= x_lo
-        x_lo = (self.omega * lo + self.phase) / math.pi
-        peak = (self.omega * hi + self.phase) / math.pi // 1 >= x_lo
-        ends = np.maximum(np.abs(self.evaluate(lo)), np.abs(self.evaluate(hi)))
-        return _per_window(lo, np.where(peak, abs(self.amp), ends))
+        if self.omega > 0.0:
+            # an extremum of cos sits at omega*theta + phase = j*pi, and some j
+            # lies in [x_lo, x_hi] exactly when floor(x_hi) >= x_lo
+            x_lo = (self.omega * lo + self.phase) / math.pi
+            peak = (self.omega * hi + self.phase) / math.pi // 1 >= x_lo
+            ends = np.maximum(np.abs(self.evaluate(lo)), np.abs(self.evaluate(hi)))
+            return _per_window(lo, np.where(peak, abs(self.amp), ends))
+        if self.sigma == 0.0:
+            return _per_window(lo, abs(self.amp))
+        return _per_window(lo, abs(self.amp) * np.exp(self.sigma * np.asarray(hi if self.sigma > 0.0 else lo)))
 
     def lower_atom(self, reach: float) -> Optional[Atom]:
-        # any window at least a half-period long contains an extremum
-        return (abs(self.amp), _CONST1) if reach * self.omega >= math.pi else None
+        # a window at least a half-period long holds a cosine's extremum, and
+        # a growing tail is exactly its atom, so its sup is at least the value at -tau_i;
+        # for sigma <= 0 the one atom does not depend on the depth
+        if self.sigma > 0.0 or (self.omega > 0.0 and not reach * self.omega >= math.pi):
+            return None
+        return self.atoms(reach)[0]
 
     def atoms(self, depth: float) -> list[Atom]:
-        return [(abs(self.amp), _CONST1)]
+        if self.sigma > 0.0:
+            return [(abs(self.amp) * math.exp(-self.sigma * depth), _CONST1)]
+        return [(abs(self.amp), WeightFunction(gamma=-self.sigma) if self.sigma else _CONST1)]
 
     def derivative(self):
-        return CosTail(-self.amp * self.omega, self.omega, self.phase - 0.5 * math.pi)
+        if self.omega > 0.0:
+            return replace(self, amp=-self.amp * self.omega, phase=self.phase - 0.5 * math.pi)
+        # a constant's derivative is +0.0, not amp * 0.0
+        return replace(self, amp=self.amp * self.sigma) if self.sigma else ExpFormTail(0.0)
 
-    def shifted(self, s: float) -> "CosTail":
-        return CosTail(self.amp, self.omega, self.phase + self.omega * s)
+    def shifted(self, s: float) -> "ExpFormTail":
+        if self.omega > 0.0:
+            return replace(self, phase=self.phase + self.omega * s)
+        return replace(self, amp=self.amp * math.exp(self.sigma * s)) if self.sigma else self
 
 
-@dataclass(frozen=True)
-class ExpTail:
-    """phi(theta) = amp * exp(rate*theta), rate != 0: decays into the past for rate > 0, grows for rate < 0."""
+def ConstantTail(value: float) -> ExpFormTail:
+    """phi(theta) = value below the core."""
+    return ExpFormTail(value)
 
-    amp: float
-    rate: float
 
-    def __post_init__(self) -> None:
-        if not abs(self.rate) > 0.0:
-            raise ValueError(f"exponential tail needs rate != 0, got {self.rate}")
+def CosTail(amp: float, omega: float, phase: float = 0.0) -> ExpFormTail:
+    """phi(theta) = amp cos(omega theta + phase), omega > 0."""
+    if not omega > 0.0:
+        raise ValueError(f"oscillating tail needs omega > 0, got {omega}")
+    return ExpFormTail(amp, 0.0, omega, phase)
 
-    def evaluate(self, theta):
-        return self.amp * np.exp(self.rate * np.asarray(theta, dtype=float))
 
-    def sup_abs(self, lo, hi):
-        return _per_window(lo, abs(self.amp) * np.exp(self.rate * np.asarray(hi if self.rate > 0.0 else lo)))
-
-    def lower_atom(self, reach: float) -> Optional[Atom]:
-        # a growing tail is exactly |amp| e^{-gamma theta}, so a window's sup is at least its value at -tau_i
-        return None if self.rate > 0.0 else (abs(self.amp), WeightFunction(gamma=-self.rate))
-
-    def atoms(self, depth: float) -> list[Atom]:
-        if self.rate > 0.0:
-            return [(abs(self.amp) * math.exp(-self.rate * depth), _CONST1)]
-        return [self.lower_atom(depth)]
-
-    def derivative(self):
-        return ExpTail(self.amp * self.rate, self.rate)
-
-    def shifted(self, s: float) -> "ExpTail":
-        return ExpTail(self.amp * math.exp(self.rate * s), self.rate)
+def ExpTail(amp: float, rate: float) -> ExpFormTail:
+    """phi(theta) = amp e^{rate theta}, rate != 0: decays into the past for rate > 0, grows for rate < 0."""
+    if not abs(rate) > 0.0:
+        raise ValueError(f"exponential tail needs rate != 0, got {rate}")
+    return ExpFormTail(amp, rate)
 
 
 @dataclass(frozen=True)
 class WeightEnvelopeTail:
-    """phi(theta) = scale * w(theta + shift) for a polynomial weight w.
+    """phi(theta) = amp * w(theta + shift) for a polynomial weight w.
 
     The shift is at most the core depth (HistoryFunction rejects more):
-    below the core |phi| >= |scale| and grows into the past.  _ratio_sup
+    below the core |phi| >= |amp| and grows into the past.  _ratio_sup
     gives its atom's shift factor and its sup against any weight.
     """
 
-    scale: float
+    amp: float
     weight: WeightFunction
     shift: float = 0.0
 
     def __post_init__(self) -> None:
         if self.weight.degree == 0:
-            raise ValueError(f"an envelope tail needs a polynomial weight (ExpTail or ConstantTail otherwise), got {self.weight}")
+            raise ValueError(f"an envelope tail needs a polynomial weight (an ExpFormTail otherwise), got {self.weight}")
 
     def evaluate(self, theta):
-        return self.scale * np.asarray(self.weight(np.asarray(theta, dtype=float) + self.shift), dtype=float)
+        return self.amp * np.asarray(self.weight(np.asarray(theta, dtype=float) + self.shift), dtype=float)
 
     def sup_abs(self, lo, hi):
         # weights are nondecreasing into the past
-        return _per_window(lo, abs(self.scale) * self.weight(np.asarray(lo) + self.shift))
+        return _per_window(lo, abs(self.amp) * self.weight(np.asarray(lo) + self.shift))
 
     def lower_atom(self, reach: float) -> Optional[Atom]:
         # |phi| is nondecreasing into the past, so a window's sup is its value
-        # at -tau_i: exactly |scale| w(-tau_i) when unshifted, and at least
-        # |scale| since every weight is >= 1
-        return (abs(self.scale), self.weight if self.shift == 0.0 else _CONST1)
+        # at -tau_i: exactly |amp| w(-tau_i) when unshifted, and at least
+        # |amp| since every weight is >= 1
+        return (abs(self.amp), self.weight if self.shift == 0.0 else _CONST1)
 
     def atoms(self, depth: float) -> list[Atom]:
-        return [(abs(self.scale) * _ratio_sup(1.0, self.weight, self.shift, self.weight, depth), self.weight)]
+        return [(abs(self.amp) * _ratio_sup(1.0, self.weight, self.shift, self.weight, depth), self.weight)]
 
     def derivative(self):
         q = self.weight.degree
         if q == 1:
-            return ConstantTail(-self.scale)
-        return WeightEnvelopeTail(-q * self.scale, WeightFunction.polynomial(q - 1), self.shift)
+            return ConstantTail(-self.amp)
+        return WeightEnvelopeTail(-q * self.amp, WeightFunction.polynomial(q - 1), self.shift)
 
     def shifted(self, s: float) -> "WeightEnvelopeTail":
-        return WeightEnvelopeTail(self.scale, self.weight, self.shift + s)
+        return WeightEnvelopeTail(self.amp, self.weight, self.shift + s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,21 +261,16 @@ class PairDifferenceTail:
         raise ValueError("difference tails cannot be time-shifted")
 
 
-#: each structured tail model's amplitude field, the one that enters linearly
-_AMPLITUDE = {ConstantTail: "value", CosTail: "amp", ExpTail: "amp", WeightEnvelopeTail: "scale"}
-
-
 def _combine_tails(alpha: float, t1, beta: float, t2):
     """alpha*t1 + beta*t2 as one tail of their kind, or None.
 
-    Two tails combine when they differ only in their amplitude field; a
+    Two tails combine when they differ only in their amplitude field amp; a
     PairDifferenceTail never does.  With alpha = 1 and beta = -1 the new
     amplitude is exactly the difference of the two.
     """
-    field = _AMPLITUDE.get(type(t1))
-    if field is None or type(t2) is not type(t1) or replace(t2, **{field: getattr(t1, field)}) != t1:
+    if isinstance(t1, PairDifferenceTail) or type(t2) is not type(t1) or replace(t2, amp=t1.amp) != t1:
         return None
-    return replace(t1, **{field: alpha * getattr(t1, field) + beta * getattr(t2, field)})
+    return replace(t1, amp=alpha * t1.amp + beta * t2.amp)
 
 
 def tail_difference_atoms(t1, t2, depth: float) -> tuple[Atom, ...]:
@@ -293,21 +279,23 @@ def tail_difference_atoms(t1, t2, depth: float) -> tuple[Atom, ...]:
     Tails that combine (_combine_tails: one kind, differing only in
     amplitude) take their difference tail's own atoms.  Cosine tails of one
     omega and different phases, and envelopes of one polynomial weight with
-    different nonnegative shifts, split off the amplitude difference.
+    different nonnegative shifts, split off the amplitude difference; the
+    cosines' atom is capped by the triangle inequality's |a1| + |a2|.
     Anything else falls back to the triangle inequality over both tails' atoms.
     """
     diff = _combine_tails(1.0, t1, -1.0, t2)
     if diff is not None:
         atoms = diff.atoms(depth)
-    elif isinstance(t1, CosTail) and isinstance(t2, CosTail) and t1.omega == t2.omega:
+    elif isinstance(t1, ExpFormTail) and isinstance(t2, ExpFormTail) and t1.omega == t2.omega > 0.0:
         # a1 cos(x+p1) - a2 cos(x+p2) = (a1-a2) cos(x+p1) + a2 (cos(x+p1)-cos(x+p2))
-        atoms = [(abs(t1.amp - t2.amp) + abs(t2.amp) * abs(t1.phase - t2.phase), _CONST1)]
+        split = abs(t1.amp - t2.amp) + abs(t2.amp) * abs(t1.phase - t2.phase)
+        atoms = [(min(split, abs(t1.amp) + abs(t2.amp)), _CONST1)]
     elif (isinstance(t1, WeightEnvelopeTail) and isinstance(t2, WeightEnvelopeTail)
           and t1.weight == t2.weight and min(t1.shift, t2.shift) >= 0.0):
         # a mean-value bound on the shift difference: |(1-th-s1)^q - (1-th-s2)^q| <= q (1-th)^{q-1} |s1-s2|
         q = t1.weight.degree
-        atoms = [(abs(t1.scale - t2.scale), t1.weight),
-                 (abs(t2.scale) * q * abs(t1.shift - t2.shift), WeightFunction.polynomial(q - 1))]
+        atoms = [(abs(t1.amp - t2.amp), t1.weight),
+                 (abs(t2.amp) * q * abs(t1.shift - t2.shift), WeightFunction.polynomial(q - 1))]
     else:
         atoms = t1.atoms(depth) + t2.atoms(depth)
     return tuple((s, w) for (s, w) in atoms if s != 0.0)
@@ -458,10 +446,15 @@ _CHUNK_TERMS = 65536
 _MOMENT_MIN_TERMS = 64
 
 
+def _is_constant(tail) -> bool:
+    """Whether tail is an exponential-form tail with sigma = omega = 0, a constant amp."""
+    return isinstance(tail, ExpFormTail) and tail.sigma == tail.omega == 0.0
+
+
 def _zeta_tail(phi: HistoryFunction, family: CoefficientFamily) -> Optional[tuple[float, float]]:
     """(c beta, p) when the deep sums are c beta zeta(p, n): a constant tail c under a power law with p > 1."""
-    if isinstance(phi.tail, ConstantTail) and family.kind == "power-law" and family.p_exponent > 1.0:
-        return phi.tail.value * family.beta, family.p_exponent
+    if _is_constant(phi.tail) and family.kind == "power-law" and family.p_exponent > 1.0:
+        return phi.tail.amp * family.beta, family.p_exponent
     return None
 
 
@@ -471,39 +464,22 @@ def _zeta_moment(cb: float, p: float):
     return lambda s, m, cap: cb * np.array([zeta(j) for j in m.tolist()])
 
 
-def _exponential_form(tail) -> Optional[tuple[float, complex, complex]]:
-    """(amp, kappa, i phase) with tail(theta) = Re(amp e^{kappa theta + i phase}), or None.
-
-    Constant (value, 0, 0), cosine (amp, i omega, i phase) and exponential
-    (amp, rate, 0) tails of either sign have this form; kappa and i phase
-    are real floats unless the tail is a cosine, so the other two take real
-    exponentials.  Polynomial envelope tails do not (their binomial moments
-    sum b_i tau_i^j would cancel badly at large tau), nor do difference tails.
-    """
-    if isinstance(tail, ConstantTail):
-        return tail.value, 0.0, 0.0
-    if isinstance(tail, CosTail):
-        return tail.amp, 1j * tail.omega, 1j * tail.phase
-    if isinstance(tail, ExpTail):
-        return tail.amp, tail.rate, 0.0
-    return None
-
-
 def _tail_sums(phi: HistoryFunction, family: CoefficientFamily, taus: np.ndarray, bs: np.ndarray):
     """phi's tail moment tail_sums(s, m, cap) over the delays (see _delayed_sums), or None."""
     closed = _zeta_tail(phi, family)
     if closed is not None:
         return _zeta_moment(*closed)
-    form = _exponential_form(phi.tail) if len(taus) >= _MOMENT_MIN_TERMS else None
+    tail = phi.tail
     # e^{kappa tau_N} and e^{-kappa tau_N} must stay normal floats
-    if form is None or abs(form[1].real) * taus[-1] > 700.0:
+    if not isinstance(tail, ExpFormTail) or len(taus) < _MOMENT_MIN_TERMS or abs(tail.sigma) * taus[-1] > 700.0:
         return None
-    amp, kappa, i_phase = form
+    # tail(theta) = Re(amp e^{kappa theta + i phase}); a constant or exponential takes real exponentials
+    kappa, i_phase = (complex(tail.sigma, tail.omega), 1j * tail.phase) if tail.omega > 0.0 else (tail.sigma, 0.0)
     # suffix[j] = sum_{i > j} b_i e^{-kappa tau_i}, accumulated from the last delay down; suffix[N] = 0
     terms = bs * np.exp(-kappa * taus)
     suffix = np.concatenate((np.cumsum(terms[::-1])[::-1], np.zeros(1, dtype=terms.dtype)))
     # a point with tail terms has s < tau_N; one without takes e^0 times 0
-    return lambda s, m, cap: (amp * np.exp(kappa * np.where(m < cap, s, 0.0) + i_phase) * (suffix[m] - suffix[cap])).real
+    return lambda s, m, cap: (tail.amp * np.exp(kappa * np.where(m < cap, s, 0.0) + i_phase) * (suffix[m] - suffix[cap])).real
 
 
 def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.ndarray, bs: np.ndarray, tail_sums, caps) -> np.ndarray:
@@ -520,17 +496,18 @@ def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.
     reach phi's core or the solution, reads values_at term by term.  The
     tail m < i <= cap reads only phi's analytic tail (an argument that
     rounds across the core's edge is read on the other side, where tail and
-    core agree within the continuity tolerance).  A constant, cosine or
-    exponential tail is Re(amp e^{kappa theta + i phase}) (_exponential_form),
-    so its part is one moment from suffix sums over the delays:
+    core agree within the continuity tolerance).  An ExpFormTail is
+    Re(amp e^{kappa theta + i phase}) with kappa = sigma + i omega, so its
+    part is one moment from suffix sums over the delays:
 
         Re(amp e^{kappa s + i phase} (S[m] - S[cap])),  S[j] = sum_{i > j} b_i e^{-kappa tau_i}
 
     A constant tail under a power law with p > 1 (_zeta_tail) instead takes
     c beta zeta(p, m + 1), the whole series over (m, infinity), at every cap:
-    no suffix sums.  Every other tail, every tail below _MOMENT_MIN_TERMS
-    delays and every kappa with |Re kappa| tau_N > 700 keep every delay up to
-    the cap in the head.  The head's arguments are evaluated in chunks of
+    no suffix sums.  Every other tail (an envelope's binomial moments
+    sum b_i tau_i^j would cancel badly at large tau), every tail below
+    _MOMENT_MIN_TERMS delays and every kappa with |Re kappa| tau_N > 700 keep
+    every delay up to the cap in the head.  The head's arguments are evaluated in chunks of
     points of at most _CHUNK_TERMS terms, each read as one delay-major block
     (one row per delay, so neighbouring arguments are neighbouring points
     and numerics.piece_index's guess search is O(1) per argument), then
@@ -648,11 +625,10 @@ def history_preset(name: str, depth: float = 8.0, resolution: float = 0.05) -> H
 
 
 def scale_history(alpha: float, phi: HistoryFunction) -> HistoryFunction:
-    """alpha*phi: the core's coefficients and the tail's amplitude field (_AMPLITUDE) times alpha."""
-    field = _AMPLITUDE.get(type(phi.tail))
-    if field is None:
+    """alpha*phi: the core's coefficients and the tail's amplitude field amp times alpha."""
+    if isinstance(phi.tail, PairDifferenceTail):
         raise ValueError("difference tails cannot be rescaled")
-    tail = replace(phi.tail, **{field: float(alpha) * getattr(phi.tail, field)})
+    tail = replace(phi.tail, amp=float(alpha) * phi.tail.amp)
     return HistoryFunction(phi.breakpoints.copy(), float(alpha) * phi.coeffs, tail)
 
 
@@ -662,7 +638,7 @@ def combine_histories(
     """alpha*h1 + beta*h2 for histories sharing a breakpoint grid.
 
     The tails must combine (_combine_tails): two tails of one kind that
-    differ only in amplitude, for example two ExpTails of one rate.
+    differ only in amplitude, for example two exponential tails of one rate.
     """
     if not np.array_equal(h1.breakpoints, h2.breakpoints):
         raise ValueError("combine_histories needs identical breakpoint grids")
@@ -675,7 +651,7 @@ def combine_histories(
 def _materialize_constant(phi: HistoryFunction, new_depth: float) -> HistoryFunction:
     """Extend a constant-tailed core to new_depth > its depth with one exact flat piece."""
     bp = np.concatenate([[-new_depth], phi.breakpoints])
-    row = np.array([[phi.tail.value, 0.0, 0.0, 0.0]])
+    row = np.array([[phi.tail.amp, 0.0, 0.0, 0.0]])
     return HistoryFunction(bp, np.concatenate([row, phi.coeffs]), phi.tail)
 
 
@@ -691,9 +667,9 @@ def history_difference(h1: HistoryFunction, h2: HistoryFunction) -> HistoryFunct
     """
     a, b = h1, h2
     if a.depth != b.depth:
-        if a.depth < b.depth and isinstance(a.tail, ConstantTail):
+        if a.depth < b.depth and _is_constant(a.tail):
             a = _materialize_constant(a, b.depth)
-        elif b.depth < a.depth and isinstance(b.tail, ConstantTail):
+        elif b.depth < a.depth and _is_constant(b.tail):
             b = _materialize_constant(b, a.depth)
 
     depth = min(a.depth, b.depth)
@@ -927,9 +903,9 @@ def _tail_weighted_sup(tail, g: WeightFunction, depth: float) -> float:
     growing exponential tail, whose one atom is exactly |tail|.
     """
     if isinstance(tail, WeightEnvelopeTail):
-        return _ratio_sup(abs(tail.scale), tail.weight, tail.shift, g, depth)
+        return _ratio_sup(abs(tail.amp), tail.weight, tail.shift, g, depth)
     total = sum((_ratio_sup(s, w, 0.0, g, depth) for s, w in tail.atoms(depth)), 0.0)
-    if math.isinf(total) and not isinstance(tail, ExpTail):
+    if math.isinf(total) and not (isinstance(tail, ExpFormTail) and tail.sigma < 0.0):
         raise UnknownTailError(f"the atoms of tail {type(tail).__name__} bound no finite weighted sup")
     return total
 

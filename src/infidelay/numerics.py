@@ -75,18 +75,24 @@ def phi1(a: float, d: float) -> float:
     return math.expm1(z) / a
 
 
+def normal_cube(dt) -> bool:
+    """Whether every step dt (a float or an array) has dt*dt*dt a finite normal float, as hermite_coeffs divides by."""
+    dt3 = dt * dt * dt
+    return bool(np.all(np.isfinite(dt3) & (dt3 >= np.finfo(float).tiny)))
+
+
 def hermite_coeffs(x0: float, m0: float, x1: float, m1: float, dt: float) -> tuple[float, float, float, float]:
     """Cubic Hermite interpolant on [0, dt] in local coordinates.
 
     Matches value x0 and slope m0 at u=0, value x1 and slope m1 at u=dt.
     Returns (c0, c1, c2, c3) with p(u) = c0 + c1 u + c2 u^2 + c3 u^3.
     The arguments may also be equal-length arrays, one entry per piece;
-    each entry then gets exactly the scalar result, and ValueError unless each dt**3 is a normal float.
+    each entry then gets exactly the scalar result, and ValueError unless each step has a normal_cube.
     """
+    if not normal_cube(dt):
+        raise ValueError(f"hermite_coeffs needs dt > 0 with a normal cube (dt >= about 2.8e-103), got {dt}")
     dt2 = dt * dt
     dt3 = dt2 * dt
-    if not np.all(np.isfinite(dt3) & (dt3 >= np.finfo(float).tiny)):
-        raise ValueError(f"hermite_coeffs needs dt > 0 with a normal cube (dt >= about 2.8e-103), got {dt}")
     A = x1 - x0 - m0 * dt
     Bdt = (m1 - m0) * dt
     return (x0, m0, (3.0 * A - Bdt) / dt2, (Bdt - 2.0 * A) / dt3)

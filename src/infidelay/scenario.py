@@ -17,13 +17,14 @@ Schema (all floats unless noted):
         "history": {"preset": "constant", "depth": 8.0, "resolution": 0.05}
                    # or {"core": {"breakpoints": [...], "coeffs": [[c0,c1,c2,c3],..]},
                    #     "tail": {"kind": "constant", "value": ..}
-                   #             | {"kind": "cos", "amp": .., "omega": .., "phase": ..}
+                   #             | {"kind": "cos", "amp": .., "omega": .. (> 0), "phase": ..}
                    #             | {"kind": "exp-decay", "amp": .., "rate": .. (> 0)}
                    #             | {"kind": "g-envelope", "scale": .., "shift": .. (<= core depth),
                    #                "weight": {"form": "exponential", "base": 2.0}}}
-                   # a polynomial weight gives a WeightEnvelopeTail, others the ExpTail or ConstantTail they equal
+                   # constant, cos and exp-decay load as an ExpFormTail; a g-envelope is a WeightEnvelopeTail
+                   # under a polynomial weight and otherwise the exponential or constant ExpFormTail it equals
       },
-      "horizon": 10.0,
+      "horizon": 10.0,               # > 0, with a normal float cube (numerics.normal_cube)
       "solver": {"h": .., "eps_forcing": .., "eps_tail_seminorm": ..},
       "checks": ["solve", {"name": "membership", "expect": "member"}, ...]
     }
@@ -83,6 +84,7 @@ from .coefficients import (
 from .history import (
     ConstantTail,
     CosTail,
+    ExpFormTail,
     ExpTail,
     HistoryFunction,
     WeightEnvelopeTail,
@@ -92,6 +94,7 @@ from .history import (
     p_seminorm,
     sup_norm_k,
 )
+from .numerics import normal_cube
 from .oracle import compare_trajectories, oracle_solve
 from .semigroup import (
     check_mild_solution,
@@ -265,9 +268,8 @@ def _envelope(scale: float, weight: WeightFunction, shift: float = 0.0):
     """scale * weight(theta + shift) as the one tail model of its shape: an envelope only for a polynomial weight."""
     if weight.degree:
         return WeightEnvelopeTail(scale, weight, shift)
-    if weight.gamma:
-        return ExpTail(scale * math.exp(-weight.gamma * shift), -weight.gamma)
-    return ConstantTail(scale * weight.level)
+    # level is 1 unless gamma is 0, and 0.0 - gamma keeps sigma +0.0 then
+    return ExpFormTail(scale * weight.level * math.exp(-weight.gamma * shift), 0.0 - weight.gamma)
 
 
 def _build_tail(cfg: dict, anch: _Anchored):
@@ -617,8 +619,8 @@ def run_scenario(
     anch = _Anchored(lines, path)
     v = anch.read(data, _SCENARIO, "scenario")
     name, horizon = v["name"], v["horizon"]
-    if not horizon > 0.0:
-        raise anch.fail(f"horizon must be positive, got {horizon}", data, "horizon")
+    if not normal_cube(horizon):
+        raise anch.fail(f"horizon must be positive with a normal float cube, got {horizon}", data, "horizon")
     ctx = _Ctx(ProblemSpec(**v["problem"]), horizon, v["solver"], tolerance_scale, anch)
 
     checks_cfg, checks = data["checks"], []

@@ -329,6 +329,16 @@ def _set_second_point_tol(cfg):
     _params(cfg, "solve")["expect_points"] = [{"t": 1.0, "x": 0.0, "tol": 1e-8}, {"t": 2.0, "x": 0.0, "tol": "x"}]
 
 
+def _set_cos_tail_omega_zero(cfg):
+    core = {"breakpoints": [-1.0, 0.0], "coeffs": [[1.0, 0.0, 0.0, 0.0]]}
+    cfg["problem"]["history"] = {"core": core, "tail": {"kind": "cos", "amp": 1.0, "omega": 0.0}}
+
+
+def _set_horizon_cube_subnormal(cfg):
+    # 1e-110 cubed is subnormal: no step of the march could be fitted
+    cfg["horizon"] = 1e-110
+
+
 def _set_tail_without_kind(cfg):
     core = {"breakpoints": [-1.0, 0.0], "coeffs": [[1.0, 0.0, 0.0, 0.0]]}
     cfg["problem"]["history"] = {"core": core, "tail": {"value": 1.0}}
@@ -483,6 +493,8 @@ _ANCHORS = {
     _set_problem_kind: lambda c: (_problem(c), "kind"),
     _set_second_point_tol: lambda c: (_params(c, "solve")["expect_points"][1], "tol"),
     _set_tail_without_kind: lambda c: (_problem(c)["history"], "tail"),
+    _set_cos_tail_omega_zero: lambda c: (_problem(c)["history"], "tail"),
+    _set_horizon_cube_subnormal: lambda c: (c, "horizon"),
     _set_estimates_k_max: lambda c: (_params(c, "estimates"), "k_max"),
     _set_k_max_fraction: lambda c: (_params(c, "seminorms"), "k_max"),
     _set_weight_degree_fraction: lambda c: (_params(c, "cg-embedding")["weight"], "degree"),
@@ -563,6 +575,8 @@ def _anchor_line(cfg, locate):
         _set_problem_kind,
         _set_second_point_tol,
         _set_tail_without_kind,
+        _set_cos_tail_omega_zero,
+        _set_horizon_cube_subnormal,
         _set_estimates_k_max,
         _set_k_max_fraction,
         _set_weight_degree_fraction,
@@ -712,7 +726,8 @@ def test_exp_decay_tail_without_a_positive_rate_is_a_schema_error(tmp_path, caps
 
 def test_g_envelope_of_a_constant_or_exponential_weight_keeps_its_values():
     # a shifted envelope of these weights was scale e^{-gamma shift} w(theta);
-    # it now loads as the ConstantTail or growing ExpTail it equals, bit for bit
+    # it now loads as the constant or growing ExpFormTail it equals, bit for bit,
+    # with sigma +0.0 under a constant weight
     from infidelay.scenario import _Anchored, _build_tail
 
     thetas = np.linspace(-40.0, -8.0, 33)
@@ -726,6 +741,7 @@ def test_g_envelope_of_a_constant_or_exponential_weight_keeps_its_values():
     ]:
         got = _build_tail({"kind": "g-envelope", "scale": 0.6, "shift": 0.7, "weight": weight}, _Anchored(None, "<test>"))
         assert got == tail and np.array_equal(got.evaluate(thetas), values)
+        assert math.copysign(1.0, got.sigma) == math.copysign(1.0, tail.sigma)
 
 def _bundled_cfg(name):
     import importlib.resources as res

@@ -15,6 +15,7 @@ from infidelay import (
     CosTail,
     DelaySchedule,
     DivergentTailError,
+    ExpFormTail,
     ExpTail,
     SeminormValue,
     UnknownTailError,
@@ -180,6 +181,31 @@ def test_one_model_per_tail_shape():
     for rate in (0.0, math.nan):
         with pytest.raises(ValueError, match="needs rate != 0"):
             ExpTail(1.0, rate)
+    for omega in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="needs omega > 0"):
+            CosTail(1.0, omega)
+    # one class: at most one of sigma and omega away from 0, omega >= 0, and a phase only with omega > 0
+    for fields in ((1.0, 0.5, 2.0), (1.0, 0.0, -1.0), (1.0, 0.0, 0.0, 0.3), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="exponential-form tail needs"):
+            ExpFormTail(*fields)
+    # each constructor keeps its former class's float formula, bit for bit
+    thetas = np.linspace(-40.0, -6.0, 101)
+    for tail, values in [
+        (ConstantTail(1.5), np.full_like(thetas, 1.5)),
+        (CosTail(0.7, 2.0, 0.3), 0.7 * np.cos(2.0 * thetas + 0.3)),
+        (ExpTail(2.0, 0.5), 2.0 * np.exp(0.5 * thetas)),
+        (ExpTail(0.8, -LN2), 0.8 * np.exp(-LN2 * thetas)),
+    ]:
+        assert type(tail) is ExpFormTail and np.array_equal(tail.evaluate(thetas), values)
+    # a constant computes no 0 * theta, which is NaN at -inf
+    assert ConstantTail(1.5).evaluate(-math.inf) == 1.5
+    s = 1.3
+    assert ConstantTail(1.5).shifted(s) == ConstantTail(1.5) and ConstantTail(1.5).derivative() == ConstantTail(0.0)
+    assert CosTail(0.7, 2.0, 0.3).shifted(s) == CosTail(0.7, 2.0, 0.3 + 2.0 * s)
+    assert CosTail(0.7, 2.0, 0.3).derivative() == CosTail(-0.7 * 2.0, 2.0, 0.3 - 0.5 * math.pi)
+    assert ExpTail(2.0, -0.5).shifted(s) == ExpTail(2.0 * math.exp(-0.5 * s), -0.5)
+    assert ExpTail(2.0, -0.5).derivative() == ExpTail(2.0 * -0.5, -0.5)
+    assert math.copysign(1.0, ConstantTail(-2.0).derivative().amp) == 1.0
 
 
 @pytest.mark.parametrize("tail", TAILS, ids=lambda t: type(t).__name__ + str(TAILS.index(t) if t in TAILS else ""))
@@ -313,8 +339,8 @@ def _scalar_p(phi, fam, k: int, n: int) -> float:
     for i in range(fd.n_index(fam, k), n + 1):
         tau = float(taus[i - 1])
         total += float(coeff[i - 1]) * phi.sup_abs_interval(-tau, min(ktau - tau, 0.0))
-    if isinstance(phi.tail, ConstantTail) and fam.kind == "power-law":
-        total += abs(phi.tail.value * fam.beta) * hurwitz_zeta(fam.p_exponent, n + 1)[0]
+    if isinstance(phi.tail, ExpFormTail) and phi.tail.sigma == phi.tail.omega == 0.0 and fam.kind == "power-law":
+        total += abs(phi.tail.amp * fam.beta) * hurwitz_zeta(fam.p_exponent, n + 1)[0]
     return total
 
 
@@ -818,6 +844,11 @@ _TAIL_PAIRS = [
     for s1 in _SHIFTS
     for s2 in _SHIFTS
     for s in (0.5, -0.3)
+] + [
+    # phase gaps of pi and 2 pi
+    (CosTail(1.0, 2.0, 0.3), CosTail(1.0, 2.0, 0.3 + math.pi)),
+    (CosTail(1.0, 2.0, 0.3), CosTail(-1.0, 2.0, 0.3 + 2.0 * math.pi)),
+    (CosTail(1.0, 2.0, 0.3), CosTail(1.0, 2.0, 0.3 + 2.0 * math.pi)),
 ]
 
 
@@ -826,8 +857,12 @@ def test_tail_difference_atoms_bound_every_structured_pair(t1, t2):
     depth = 6.0
     thetas = -depth - np.concatenate((np.linspace(0.0, 40.0, 2001), np.geomspace(40.0, 1000.0, 400)))
     v1, v2 = (np.asarray(t.evaluate(thetas), dtype=float) for t in (t1, t2))
-    bound = sum((s * w(thetas) for s, w in fd.history.tail_difference_atoms(t1, t2, depth)), np.zeros_like(thetas))
+    atoms = fd.history.tail_difference_atoms(t1, t2, depth)
+    bound = sum((s * w(thetas) for s, w in atoms), np.zeros_like(thetas))
     assert np.all(np.abs(v1 - v2) <= bound + 1e-12 * (np.abs(v1) + np.abs(v2)))
+    if isinstance(t1, ExpFormTail) and isinstance(t2, ExpFormTail) and t1.omega == t2.omega > 0.0:
+        # the cosines' phase split, 3.14 and 6.28 at gaps pi and 2 pi for unit amplitudes, is capped by the triangle inequality
+        assert sum(s for s, _ in atoms) <= abs(t1.amp) + abs(t2.amp)
 
 
 def test_combine_histories_combines_tails_that_differ_in_amplitude():

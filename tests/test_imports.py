@@ -120,3 +120,11 @@ def test_the_check_sees_an_unused_method():
         "class B:\n    def atoms(self):\n        return []\n\n    def retired(self):\n        return None\n"
     )
     assert _unused_methods({"m.py": source}, [source, "print(A().atoms())\n"]) == ["m.py:12 B.retired"]
+
+
+def test_all_names_exactly_what_the_package_imports():
+    tree = ast.parse(Path(infidelay.__file__).read_text())
+    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    exported = [name for name in infidelay.__all__ if name != "__version__"]
+    assert sorted(exported) == sorted(imported)
+    assert all(hasattr(infidelay, name) for name in infidelay.__all__)
