@@ -17,7 +17,9 @@ Seminorms:
 where n(k) is the first delay index reaching depth k*tau_1.  A history
 belongs to the solution phase space iff every p_k is finite.  p_seminorm
 returns a certified value/remainder pair, a certificate of divergence, or
-an explicit "inconclusive" verdict -- never a silent guess, nor a NaN.
+an explicit "inconclusive" verdict -- never a silent guess, nor a NaN.  A
+caller needing several k fills phi's memo in one pass (_sup_norms, _seminorms:
+one sup_abs_interval call, split past _CHUNK_TERMS windows), then reads each k.
 
 Every delay series (p_k, membership, L, the solver's forcing) is certified
 by one call, _truncation(phi, family, reach, eps): the atom search from
@@ -357,9 +359,10 @@ class HistoryFunction:
         if isinstance(self.tail, WeightEnvelopeTail) and self.tail.shift > -bp[0]:
             raise ValueError(f"envelope shift {self.tail.shift} exceeds the core depth {-bp[0]}")
         v_core = cf[0, 0]
-        v_tail = float(self.tail.evaluate(float(bp[0])))
+        with np.errstate(invalid="ignore"):  # a tail that is not finite here is refused below
+            v_tail = float(self.tail.evaluate(float(bp[0])))
         tol = max(_CONT_TOL, _CONT_TOL * abs(v_core))
-        if abs(v_core - v_tail) > tol:
+        if not abs(v_core - v_tail) <= tol:
             raise ValueError(
                 f"tail does not meet the core at theta={bp[0]}: core {v_core} vs tail {v_tail}"
             )
@@ -438,7 +441,7 @@ class HistoryFunction:
 # delayed sums
 # ---------------------------------------------------------------------------
 
-#: largest (points x head) argument block _delayed_sums evaluates at once
+#: largest (points x head) argument block _delayed_sums evaluates at once, and most windows per _seminorms call
 _CHUNK_TERMS = 65536
 
 #: fewest delays for which the delayed sums use tail moments: on 200-point
@@ -738,13 +741,20 @@ class SeminormValue:
 
 
 def sup_norm_k(phi: HistoryFunction, k: int) -> float:
-    """Exact sup of |phi| over [-k, 0], memoized on phi under ("sup", k)."""
-    if k < 1:
-        raise ValueError(f"window index k must be >= 1, got {k}")
-    key = ("sup", k)
-    if key not in phi._memo:
-        phi._memo[key] = phi.sup_abs_interval(-float(k), 0.0)
-    return phi._memo[key]
+    """Exact sup of |phi| over [-k, 0], memoized on phi under ("sup", k) by _sup_norms."""
+    if ("sup", k) not in phi._memo:
+        _sup_norms(phi, [k])
+    return phi._memo[("sup", k)]
+
+
+def _sup_norms(phi: HistoryFunction, ks) -> None:
+    """Memoize sup_norm_k(phi, k) for every k in ks: the windows [-k, 0] not yet known in one sup_abs_interval call."""
+    ks = [k for k in dict.fromkeys(ks) if ("sup", k) not in phi._memo]
+    if min(ks, default=1) < 1:
+        raise ValueError(f"window index k must be >= 1, got {min(ks)}")
+    if ks:
+        sups = phi.sup_abs_interval(-np.array(ks, dtype=float), np.zeros(len(ks)))
+        phi._memo.update(zip([("sup", k) for k in ks], sups.tolist()))
 
 
 def _tail_floor(phi: HistoryFunction, family: CoefficientFamily, reach: float) -> int:
@@ -821,39 +831,50 @@ def p_seminorm(
     the contribution is bounded by the tail's envelope atoms pushed through
     the family's weighted tail sums.  A sum that is not finite in floating
     point is "inconclusive".  The result is memoized on phi under
-    ("p", family, k, eps_tail): a repeated call returns the same object.
+    ("p", family, k, eps_tail): a repeated call returns the same object.  A
+    caller needing several k first fills the memo for all of them in one
+    pass, _seminorms, whose sup_abs_interval calls take at most _CHUNK_TERMS
+    windows each, and then reads each k here.
     """
-    if k < 1:
-        raise ValueError(f"window index k must be >= 1, got {k}")
     key = ("p", family, k, eps_tail)
     if key not in phi._memo:
-        phi._memo[key] = _seminorm(phi, family, k, eps_tail)
+        _seminorms(phi, family, [k], eps_tail)
     return phi._memo[key]
 
 
-def _seminorm(phi: HistoryFunction, family: CoefficientFamily, k: int, eps_tail: float) -> SeminormValue:
-    """p_seminorm's computation, run once per memo key."""
-    d = family.delays
-    n0 = n_index(family, k)
-    ktau = k * d.tau1
-    try:
-        N, rem = _truncation(phi, family, ktau, eps_tail)
-    except DivergentTailError:
-        return SeminormValue(math.inf, math.inf, n0, 0, "divergent")
-    except UnknownTailError:
-        return SeminormValue(math.inf, math.inf, n0, 0, "inconclusive")
-    taus = d.tau_array(N)[n0 - 1 :]
-    with np.errstate(over="ignore", invalid="ignore"):  # a spoiled sum is named below
-        terms = np.concatenate(([0.0], phi.sup_abs_interval(-taus, np.minimum(ktau - taus, 0.0))))
-        terms[1:] *= np.abs(family.b_array(N))[n0 - 1 :]
-        # summed left to right in index order from 0.0, as a scalar loop would
-        total = float(np.cumsum(terms)[-1])
-    closed = _zeta_tail(phi, family)
-    if closed is not None:  # every window past N sees the constant c
-        total += abs(closed[0]) * hurwitz_zeta(closed[1], N + 1)[0]
-    if not math.isfinite(total):
-        return SeminormValue(math.inf, math.inf, n0, 0, "inconclusive")
-    return SeminormValue(total, rem, n0, N, "finite")
+def _seminorms(phi: HistoryFunction, family: CoefficientFamily, ks, eps_tail: float) -> None:
+    """Memoize p_seminorm(phi, family, k, eps_tail) for every k >= 1 in ks in one pass.
+
+    Each k takes its own _truncation.  The windows of the finite ones go, in
+    order, into sup_abs_interval calls of at most _CHUNK_TERMS windows (a k
+    with more takes a call alone; tau_array is read once, b_array once per
+    call after its sups, so no call holds more than p_k did alone), and each k
+    sums its own segment from 0.0 in index order.  A window's sup does not
+    depend on its call, so no value depends on the batch.
+    """
+    d, runs = family.delays, []
+    for k in [k for k in dict.fromkeys(ks) if ("p", family, k, eps_tail) not in phi._memo]:
+        n0 = n_index(family, k)  # refuses k < 1
+        try:
+            runs.append((k, n0, *_truncation(phi, family, k * d.tau1, eps_tail)))
+        except (DivergentTailError, UnknownTailError) as exc:
+            phi._memo["p", family, k, eps_tail] = SeminormValue(math.inf, math.inf, n0, 0, "divergent" if isinstance(exc, DivergentTailError) else "inconclusive")
+    taus, closed = d.tau_array(max((N for _, _, N, _ in runs), default=0)), _zeta_tail(phi, family)
+    while runs:
+        ends = np.cumsum([max(0, N - n0 + 1) for _, n0, N, _ in runs])
+        cut = max(1, int(np.searchsorted(ends, _CHUNK_TERMS, side="right")))
+        group, runs = runs[:cut], runs[cut:]
+        lo = -np.concatenate([taus[n0 - 1 : N] for _, n0, N, _ in group])
+        with np.errstate(over="ignore", invalid="ignore"):  # a spoiled sum is named below
+            sups = phi.sup_abs_interval(lo, np.minimum(np.repeat([k * d.tau1 for k, *_ in group], np.diff(ends[:cut], prepend=0)) + lo, 0.0))
+            bs = np.abs(family.b_array(max(N for _, _, N, _ in group)))
+            totals = [float(np.cumsum(np.concatenate(([0.0], part * bs[n0 - 1 : N])))[-1])
+                      for (_, n0, N, _), part in zip(group, np.split(sups, ends[: cut - 1]))]
+        del lo, sups, bs  # at large N a group is one k: free its arrays before the next
+        for (k, n0, N, rem), total in zip(group, totals):
+            if closed is not None:  # every window past N sees the constant c
+                total += abs(closed[0]) * hurwitz_zeta(closed[1], N + 1)[0]
+            phi._memo["p", family, k, eps_tail] = SeminormValue(total, rem, n0, N, "finite") if math.isfinite(total) else SeminormValue(math.inf, math.inf, n0, 0, "inconclusive")
 
 
 @dataclass(frozen=True)
@@ -877,8 +898,10 @@ def membership_in_F(
     sum past that floor bounds the tail of every p_k past that k's floor,
     and the terms below a floor are finitely many finite ones.
     "not-member" when a reported p_k is certified divergent, "inconclusive"
-    otherwise.  k_max only chooses which values are reported.
+    otherwise.  k_max only chooses which values are reported; p_1..p_{k_max}
+    are one pass (see p_seminorm), one sup_abs_interval call up to _CHUNK_TERMS windows.
     """
+    _seminorms(phi, family, range(1, k_max + 1), eps_tail)
     per_k = {k: p_seminorm(phi, family, k, eps_tail) for k in range(1, k_max + 1)}
     try:
         _truncation(phi, family, 0.0, math.inf)
@@ -966,6 +989,7 @@ def check_cg_embedding(
         return CgEmbeddingReport(False, None, cg, ())
     rows = []
     all_hold = True
+    _seminorms(phi, family, range(1, k_max + 1), eps_tail)
     for k in range(1, k_max + 1):
         lhs = p_seminorm(phi, family, k, eps_tail).upper()
         rhs = cg * tail_sum_bound(family, g, n_index(family, k))

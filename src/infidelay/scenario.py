@@ -88,6 +88,8 @@ from .history import (
     ExpTail,
     HistoryFunction,
     WeightEnvelopeTail,
+    _seminorms,
+    _sup_norms,
     check_cg_embedding,
     history_preset,
     membership_in_F,
@@ -372,11 +374,10 @@ def _run_solve(ctx: _Ctx, p: dict) -> dict:
 
 
 def _run_seminorms(ctx: _Ctx, p: dict) -> dict:
-    eps = ctx.solver.eps_tail_seminorm
-    rows = []
-    for k in range(1, p["k_max"] + 1):
-        sv = p_seminorm(ctx.problem.history, ctx.problem.family, k, eps)
-        rows.append({"k": k, "sup_norm": sup_norm_k(ctx.problem.history, k), "p": _sv_dict(sv)})
+    phi, family, eps, ks = ctx.problem.history, ctx.problem.family, ctx.solver.eps_tail_seminorm, range(1, p["k_max"] + 1)
+    _seminorms(phi, family, ks, eps)
+    _sup_norms(phi, ks)
+    rows = [{"k": k, "sup_norm": sup_norm_k(phi, k), "p": _sv_dict(p_seminorm(phi, family, k, eps))} for k in ks]
     return {"passed": True, "rows": rows}
 
 

@@ -28,6 +28,8 @@ from .history import (
     HistoryFunction,
     L_functional,
     _delayed_sums,
+    _seminorms,
+    _sup_norms,
     _truncation,
     _zeta_moment,
     _zeta_tail,
@@ -101,8 +103,9 @@ def check_semigroup_law(traj: Trajectory, t: float, s: float, k_list=(1, 2, 3)) 
     psi = apply_semigroup(traj, s)
     rhs = apply_semigroup(solve(ProblemSpec(problem.a, problem.family, psi), max(t, 1e-12), traj.config), t)
     diff = history_difference(lhs, rhs)
-    rows = []
-    worst = 0.0
+    rows, worst, k_list = [], 0.0, list(k_list)
+    _seminorms(diff, problem.family, k_list, traj.config.eps_tail_seminorm)
+    _sup_norms(diff, k_list)
     for k in k_list:
         sd = sup_norm_k(diff, k)
         pd = p_seminorm(diff, problem.family, k, traj.config.eps_tail_seminorm).upper()

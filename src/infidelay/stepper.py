@@ -86,7 +86,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import CoefficientFamily, DivergentTailError, UnknownTailError, m_index, n_index
-from .history import HistoryFunction, _delayed_sums, _tail_sums, _truncation, p_seminorm, sup_norm_k
+from .history import HistoryFunction, _delayed_sums, _seminorms, _sup_norms, _tail_sums, _truncation, p_seminorm, sup_norm_k
 from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, eval_located, hermite_coeffs, phi1, piece_index, sup_abs_pieces
 
 
@@ -595,6 +595,7 @@ def estimate_certificate(traj: Trajectory, k: int) -> EstimateCertificate:
         )
     eps = traj.config.eps_tail_seminorm
     p_up = []
+    _seminorms(phi, fam, range(1, k + 1), eps)
     for j in range(1, k + 1):
         sv = p_seminorm(phi, fam, j, eps)
         if sv.verdict == "divergent":
@@ -604,6 +605,7 @@ def estimate_certificate(traj: Trajectory, k: int) -> EstimateCertificate:
         p_up.append(sv.upper())
 
     levels = []
+    _sup_norms(phi, [1, *(m_index(fam, j) for j in range(2, k + 1))])
     sup1 = sup_norm_k(phi, 1)
     levels.append((f"sup_norm[1]", sup1))
     for j in range(1, k + 1):

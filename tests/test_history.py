@@ -112,6 +112,10 @@ def test_tail_must_match_core_at_the_seam():
     cf = [[1.0, 0.0, 0.0, 0.0]]
     with pytest.raises(ValueError):
         fd.HistoryFunction(bp, cf, ConstantTail(3.0))
+    # a tail that is NaN at the seam fails every comparison, "> tol" too
+    for tail in (ConstantTail(math.nan), CosTail(1.0, math.inf), CosTail(1.0, 1.0, math.inf)):
+        with pytest.raises(ValueError, match="tail does not meet the core"):
+            fd.HistoryFunction([-1.0, 0.0], cf, tail)
 
 
 def test_history_holds_finite_numbers():
@@ -157,6 +161,64 @@ def test_seminorms_are_computed_once_per_history(monkeypatch):
     assert sup_norm_k(phi, 1) is s1 and len(sups) == n_sups + 1
     sup_norm_k(phi, 2)
     assert len(sups) == n_sups + 2
+
+
+def _counted_sup_calls(monkeypatch) -> list:
+    sup_abs, calls = fd.HistoryFunction.sup_abs_interval, []
+    monkeypatch.setattr(fd.HistoryFunction, "sup_abs_interval", lambda *a: calls.append(len(np.atleast_1d(a[1]))) or sup_abs(*a))
+    return calls
+
+
+BATCH_CASES = {
+    "geometric": (lambda: history_preset("cos"), GEO_HALF, 1e-10),
+    "power-law-constant-tail": (
+        lambda: scale_history(1.5, history_preset("constant")), CoefficientFamily.power_law(1.0, 2.0, DelaySchedule()), 1e-10),
+    "list-with-mass": (lambda: history_preset("cos"), CoefficientFamily.explicit_list([0.5, 0.25, 0.1], 0.05, DelaySchedule()), 0.1),
+    "zero-mass-list": (
+        lambda: history_preset("cos"), CoefficientFamily.explicit_list([0.3, -0.2, 0.0, 0.1], 0.0, DelaySchedule(delta=0.7)), 1e-10),
+    "harmonic": (lambda: fd.HistoryFunction([-3.0, 0.0], [[0.0, 1.0 / 3.0, 0.0, 0.0]], ConstantTail(0.0)), HARMONIC, 1e-10),
+    "harmonic-cos": (lambda: history_preset("cos"), HARMONIC, 1e-10),
+}
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_a_batch_of_seminorms_changes_no_bit(monkeypatch, case, split):
+    # every p_k and sup_k of one batch equals the value computed alone on a
+    # fresh, equal history, also when the cap on windows per call splits it
+    make, fam, eps = BATCH_CASES[case]
+    ks = range(1, 6)
+    alone = [p_seminorm(make(), fam, k, eps) for k in ks]
+    sizes = [len(sv.indices_used) for sv in alone]
+    if split:
+        monkeypatch.setattr(fd.history, "_CHUNK_TERMS", max(1, sum(sizes) // 2))
+    phi, calls = make(), _counted_sup_calls(monkeypatch)
+    fd.history._seminorms(phi, fam, ks, eps)
+    # no call holds more windows than the cap, save one k's alone
+    assert sum(calls) == sum(sizes) and all(c <= fd.history._CHUNK_TERMS or c in sizes for c in calls)
+    assert len(calls) >= 2 if split and sum(sizes) else len(calls) == (sum(sizes) > 0)
+    fd.history._sup_norms(phi, ks)
+    assert calls[-1] == 5
+    assert [p_seminorm(phi, fam, k, eps) for k in ks] == alone
+    assert [sup_norm_k(phi, k) for k in ks] == [sup_norm_k(make(), k) for k in ks]
+    verdicts = [sv.verdict for sv in alone]
+    if case == "list-with-mass":
+        assert verdicts == ["finite"] * 4 + ["inconclusive"]
+    elif case == "harmonic-cos":
+        assert verdicts == ["inconclusive"] + ["divergent"] * 4
+    else:
+        assert verdicts == ["finite"] * 5
+
+
+def test_a_seminorm_family_is_one_window_sup_call(monkeypatch):
+    calls = _counted_sup_calls(monkeypatch)
+    phi = history_preset("cos")
+    rep = membership_in_F(phi, GEO_HALF, 5)
+    assert len(calls) == 1
+    # the memo answers every repeat with the same objects
+    again = membership_in_F(phi, GEO_HALF, 5)
+    assert all(again.seminorms[k] is rep.seminorms[k] is p_seminorm(phi, GEO_HALF, k) for k in range(1, 6))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
