@@ -10,7 +10,6 @@ from .coefficients import (
     CoefficientFamily,
     DelaySchedule,
     DivergentTailError,
-    TruncationDepthError,
     UnknownTailError,
     WeightFunction,
     m_index,
@@ -79,7 +78,6 @@ __all__ = [
     "SeminormValue",
     "SolverConfig",
     "Trajectory",
-    "TruncationDepthError",
     "UnknownTailError",
     "WeightEnvelopeTail",
     "WeightFunction",

@@ -43,10 +43,6 @@ class DivergentTailError(Exception):
     """A certified-divergent series was used where convergence is required."""
 
 
-class TruncationDepthError(Exception):
-    """No truncation index below the hard cap achieves the target accuracy."""
-
-
 def _require_finite(obj, names: tuple[str, ...]) -> None:
     """ValueError naming the first field of obj (a number or a tuple of numbers) that is not finite."""
     for name in names:
@@ -427,8 +423,8 @@ def _atom_tail_search(
     explicit list with zero recorded mass (a finite support), n_floor is
     first lowered to the last nonzero b_i, where the remainder is exactly
     0.  Raises UnknownTailError when an atom bound is infinite or not
-    certifiable, or when an explicit list's recorded tail mass alone
-    exceeds eps, and TruncationDepthError past the cap.
+    certifiable, when an explicit list's recorded tail mass alone
+    exceeds eps, or when no N below TRUNCATION_CAP certifies eps.
     """
     live = [(s, w) for (s, w) in atoms if s != 0.0]
     if family.kind == "explicit-list" and family.tail_abs_bound == 0.0:
@@ -454,9 +450,7 @@ def _atom_tail_search(
     lo, hi = n_floor, n_floor + 1
     while tb(hi + 1) > eps:
         if hi >= TRUNCATION_CAP:
-            raise TruncationDepthError(
-                f"no truncation index below {TRUNCATION_CAP} certifies tolerance {eps}"
-            )
+            raise UnknownTailError(f"no truncation index below {TRUNCATION_CAP} certifies tolerance {eps}")
         lo, hi = hi, min(2 * hi, TRUNCATION_CAP)
     while hi - lo > 1:
         mid = (lo + hi) // 2

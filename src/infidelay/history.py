@@ -44,7 +44,6 @@ import numpy as np
 from .coefficients import (
     CoefficientFamily,
     DivergentTailError,
-    TruncationDepthError,
     UnknownTailError,
     WeightFunction,
     _atom_tail_search,
@@ -814,7 +813,7 @@ def _truncation(phi: HistoryFunction, family: CoefficientFamily, reach: float, e
         if family.kind == "explicit-list":
             family.b_array(N)
         return N, rem + width
-    except (UnknownTailError, TruncationDepthError) as exc:
+    except UnknownTailError as exc:
         if _certified_divergent(phi, family, reach):
             raise DivergentTailError("the delayed series diverges absolutely for this history") from exc
         raise UnknownTailError(f"cannot certify a truncation of the delayed series to eps={eps}: {exc}") from exc
@@ -972,20 +971,14 @@ def check_cg_embedding(
 ) -> CgEmbeddingReport:
     """Verify the weighted-norm domination of the p_k seminorms.
 
-    Not applicable when the weighted coefficient series diverges or is
-    uncertifiable, or when phi has no finite weighted sup norm.
+    Not applicable, with no rows, unless cg is finite: nan when the weighted
+    series diverges or it or cg_norm is uncertifiable, inf when phi is not in C_g.
     """
     try:
-        total = tail_sum_bound(family, g, 1)
+        cg = math.nan if math.isinf(tail_sum_bound(family, g, 1)) else cg_norm(phi, g)
     except UnknownTailError:
-        return CgEmbeddingReport(False, None, math.nan, ())
-    if math.isinf(total):
-        return CgEmbeddingReport(False, None, math.nan, ())
-    try:
-        cg = cg_norm(phi, g)
-    except UnknownTailError:
-        return CgEmbeddingReport(False, None, math.nan, ())
-    if math.isinf(cg):
+        cg = math.nan
+    if not math.isfinite(cg):
         return CgEmbeddingReport(False, None, cg, ())
     rows = []
     all_hold = True

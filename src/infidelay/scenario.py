@@ -77,7 +77,6 @@ from .coefficients import (
     CoefficientFamily,
     DelaySchedule,
     DivergentTailError,
-    TruncationDepthError,
     UnknownTailError,
     WeightFunction,
 )
@@ -643,7 +642,7 @@ def run_scenario(
     for idx, (cname, params) in enumerate(checks, start=1):
         try:
             res = CHECK_RUNNERS[cname](ctx, params)
-        except (NotInPhaseSpaceError, DivergentTailError, UnknownTailError, TruncationDepthError, OverflowError, ValueError) as exc:
+        except (NotInPhaseSpaceError, DivergentTailError, UnknownTailError, OverflowError, ValueError) as exc:
             res = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
         fname = f"{idx:02d}-{cname}.json"
         ctx.files[fname] = res

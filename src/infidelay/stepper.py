@@ -66,18 +66,19 @@ recursion whose F is not finite (a growing tail's correction can be
 forcing() always reads the head.
 
 Admission is one certificate: solve and step_interval accept a history
-exactly when the forcing truncation N is certified (_certify_forcing).
-That also proves phi in F, every p_k finite, so no p_k is evaluated.
+exactly when the forcing truncation N is certified (history._truncation),
+which proves phi in F, every p_k finite (see solve), so no p_k is evaluated.
 solve also certifies N_0; that fails only where a closed-form tail's
 enclosure fits eps at the horizon's floor but not at F(0)'s.  A forcing
 that is not finite in floating point (a term overflows where its b_i
-underflows) is refused with the same NotInPhaseSpaceError; a solution that
-itself leaves the floating-point range raises OverflowError with the time.
+underflows) is refused with the same NotInPhaseSpaceError (_refusals); a
+solution leaving the floating-point range raises OverflowError with the time.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate
@@ -218,25 +219,16 @@ def forcing(traj: Trajectory, t, n: Optional[int] = None):
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
-def _certify_forcing(problem: ProblemSpec, horizon: float, eps: float) -> int:
-    """Certified forcing truncation index on [0, horizon]: the solver's one admission test.
+@contextmanager
+def _refusals():
+    """Refuse the history with NotInPhaseSpaceError, from exc, where a certificate or a delayed sum fails.
 
-    Success proves phi in F, p_k(phi) < inf for every k, so no p_k is
-    evaluated.  Past _tail_floor(phi, family, k tau_1) every window of p_k
-    lies in phi's tail, where the atoms (s, w) bound |phi(t - tau_i)| for
-    t >= 0 by sum s w(-tau_i) (weights do not decrease into the past); that
-    part of p_k is at most sum s tail_sum_bound(family, w, n) with n past
-    the floor.  Whether this is finite depends on neither n nor k, and each
-    of the finitely many terms below the floor is finite.
-
-    The one-period recursion (_plan_recursion) sums exactly the head's terms
-    i <= max(N_0, _tail_floor(s)), so this index certifies its F too:
-    the discarded part is the same and no second certificate exists.  Its
-    rounding, of order u (|b_1 x| + |rho F| + |correction|) / (1 - |rho|)
-    per point, is bounded in the module docstring, outside eps_forcing.
+    solve and step_interval certify and march inside it: a DivergentTailError
+    names the divergence, and an UnknownTailError (no certifiable truncation,
+    or a delayed sum that is not finite in floating point) keeps its text.
     """
     try:
-        return _truncation(problem.history, problem.family, horizon, eps)[0]
+        yield
     except DivergentTailError as exc:
         raise NotInPhaseSpaceError(
             "the delayed series is certified divergent: the history is outside the phase space"
@@ -477,18 +469,6 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
     )
 
 
-def _advance(start, t_end: float, n_forcing: int) -> Trajectory:
-    """The trajectory start() marched on to t_end at forcing index n_forcing, by variation of constants under the Gauss-4 rule.
-
-    A delayed sum that is not finite in floating point, solve's F(0) in
-    start() included, refuses the history with NotInPhaseSpaceError.
-    """
-    try:
-        return _march(start(), t_end, n_forcing, _delayed_values, GAUSS4_NODES, _voc_scan)
-    except UnknownTailError as exc:
-        raise NotInPhaseSpaceError(str(exc)) from exc
-
-
 def _start(problem: ProblemSpec, config: SolverConfig, n_forcing: int, n_origin: int, h: float, eps_f: float) -> Trajectory:
     """The one-node trajectory at t = 0: x(0) = phi(0), x'(0) = a phi(0) + F(0)."""
     phi0 = problem.history.evaluate(0.0)
@@ -509,20 +489,35 @@ def _start(problem: ProblemSpec, config: SolverConfig, n_forcing: int, n_origin:
 
 
 def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] = None) -> Trajectory:
-    """Integrate the problem on [0, horizon] once its forcing truncation is certified."""
+    """Integrate the problem on [0, horizon] once its forcing truncation is certified.
+
+    The forcing index N on [0, horizon] (history._truncation) is the
+    solver's one admission test.  Success proves phi in F, p_k(phi) < inf
+    for every k, so no p_k is evaluated.  Past _tail_floor(phi, family,
+    k tau_1) every window of p_k lies in phi's tail, where the atoms (s, w)
+    bound |phi(t - tau_i)| for t >= 0 by sum s w(-tau_i) (weights do not
+    decrease into the past); that part of p_k is at most
+    sum s tail_sum_bound(family, w, n) with n past the floor.  Whether this
+    is finite depends on neither n nor k, and each of the finitely many
+    terms below the floor is finite.
+
+    The one-period recursion (_plan_recursion) sums exactly the head's terms
+    i <= max(N_0, _tail_floor(s)), so this index certifies its F too:
+    the discarded part is the same and no second certificate exists.  Its
+    rounding, of order u (|b_1 x| + |rho F| + |correction|) / (1 - |rho|)
+    per point, is bounded in the module docstring, outside eps_forcing.
+    """
     if not (0.0 < horizon < math.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     config = config if config is not None else SolverConfig()
     tau1 = problem.family.delays.tau1
     h = min(config.h if config.h is not None else tau1 / 40.0, tau1)
-    eps_f = (
-        config.eps_forcing
-        if config.eps_forcing is not None
-        else 1e-10 * max(1.0, sup_norm_k(problem.history, 1))
-    )
-    n_forcing = _certify_forcing(problem, horizon, eps_f)
-    n_origin = _certify_forcing(problem, 0.0, eps_f)
-    return _advance(partial(_start, problem, config, n_forcing, n_origin, h, eps_f), horizon, n_forcing)
+    eps_f = config.eps_forcing if config.eps_forcing is not None else 1e-10 * max(1.0, sup_norm_k(problem.history, 1))
+    with _refusals():
+        n_forcing = _truncation(problem.history, problem.family, horizon, eps_f)[0]
+        n_origin = _truncation(problem.history, problem.family, 0.0, eps_f)[0]
+        start = _start(problem, config, n_forcing, n_origin, h, eps_f)
+        return _march(start, horizon, n_forcing, _delayed_values, GAUSS4_NODES, _voc_scan)
 
 
 def step_interval(traj: Trajectory, k: int) -> Trajectory:
@@ -545,8 +540,9 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
     target = (k + 1) * problem.family.delays.tau1
     if target <= traj.horizon + 1e-12:
         return traj
-    n_forcing = _certify_forcing(problem, target, traj.eps_forcing_used)
-    return _advance(lambda: traj, target, n_forcing)
+    with _refusals():
+        n_forcing = _truncation(problem.history, problem.family, target, traj.eps_forcing_used)[0]
+        return _march(traj, target, n_forcing, _delayed_values, GAUSS4_NODES, _voc_scan)
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +580,7 @@ def estimate_certificate(traj: Trajectory, k: int) -> EstimateCertificate:
     """Build and check the window-k a-priori certificate along traj."""
     if k < 1:
         raise ValueError(f"window index k must be >= 1, got {k}")
-    problem = traj.problem
-    fam = problem.family
-    phi = problem.history
-    a = problem.a
+    fam, phi, a = traj.problem.family, traj.problem.history, traj.problem.a
     tau1 = fam.delays.tau1
     if traj.horizon < k * tau1 - 1e-9:
         raise ValueError(
@@ -604,28 +597,17 @@ def estimate_certificate(traj: Trajectory, k: int) -> EstimateCertificate:
             raise UnknownTailError(f"p_{j} cannot be certified; no estimate is available")
         p_up.append(sv.upper())
 
-    levels = []
-    _sup_norms(phi, [1, *(m_index(fam, j) for j in range(2, k + 1))])
-    sup1 = sup_norm_k(phi, 1)
-    levels.append((f"sup_norm[1]", sup1))
-    for j in range(1, k + 1):
-        levels.append((f"p[{j}]", p_up[j - 1]))
+    ms = [m_index(fam, j) for j in range(2, k + 1)]
+    _sup_norms(phi, [1, *ms])
+    sup = {m: sup_norm_k(phi, m) for m in [1, *ms]}  # first-use order
+    levels = [("sup_norm[1]", sup[1]), *((f"p[{j}]", p) for j, p in enumerate(p_up, 1))]
+    levels += [(f"sup_norm[{m}]", v) for m, v in sup.items() if m != 1]
 
-    e1 = math.exp(max(a, 0.0) * tau1)
-    g1 = phi1(a, tau1)
-    b_chain = [e1 * sup1 + g1 * p_up[0]]
-    running = b_chain[0]
-    seen_sup = {1}
-    for j in range(2, k + 1):
-        mj = m_index(fam, j)
-        sup_m = sup_norm_k(phi, mj)
-        if mj not in seen_sup:
-            levels.append((f"sup_norm[{mj}]", sup_m))
-            seen_sup.add(mj)
+    running = math.exp(max(a, 0.0) * tau1) * sup[1] + phi1(a, tau1) * p_up[0]
+    b_chain = [running]
+    for j, mj in enumerate(ms, 2):
         s_j = fam.head_abs_sum(n_index(fam, j))
-        e_j = math.exp(max(a, 0.0) * (j - 1) * tau1)
-        g_j = j * phi1(a * j, tau1)
-        b_j = e_j * running + g_j * (s_j * max(sup_m, running) + p_up[j - 1])
+        b_j = math.exp(max(a, 0.0) * (j - 1) * tau1) * running + j * phi1(a * j, tau1) * (s_j * max(sup[mj], running) + p_up[j - 1])
         b_chain.append(b_j)
         running = max(running, b_j)
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from infidelay import (
     CoefficientFamily,
     DelaySchedule,
-    TruncationDepthError,
     UnknownTailError,
     WeightFunction,
     m_index,
@@ -450,7 +449,7 @@ def test_atom_tail_search_bisects_below_the_cap(floor):
     fam = CoefficientFamily.power_law(1.0, 3.0, DelaySchedule())
     eps = tail_sum_bound(fam, W1, 9_000_001)
     assert _atom_tail_search(fam, [(1.0, W1)], floor, eps) == (9_000_000, eps)
-    with pytest.raises(TruncationDepthError, match="below 10000000"):
+    with pytest.raises(UnknownTailError, match="below 10000000"):
         _atom_tail_search(fam, [(1.0, W1)], floor, tail_sum_bound(fam, W1, TRUNCATION_CAP + 2))
 
 
@@ -477,8 +476,9 @@ def test_atom_tail_search_is_least(fw, eps):
         return
     try:
         n = _search(fam, w, eps)
-    except TruncationDepthError:
-        # the search gives up only when the cap itself fails
+    except UnknownTailError as exc:
+        # the search gives up only when the cap itself fails; any other refusal fails here
+        assert "below 10000000" in str(exc)
         assert tail_sum_bound(fam, w, TRUNCATION_CAP + 1) > eps
         return
     assert tail_sum_bound(fam, w, n + 1) <= eps

@@ -32,6 +32,7 @@ from infidelay import (
     p_seminorm,
     scale_history,
     sup_norm_k,
+    tail_sum_bound,
 )
 from infidelay.coefficients import hurwitz_zeta
 from infidelay.numerics import derivative_coeffs
@@ -603,18 +604,31 @@ def test_cg_embedding_brute_force_both_sides():
 
 
 def test_cg_embedding_not_applicable_cases():
-    rep = check_cg_embedding(history_preset("constant"), HARMONIC, W1)
-    assert not rep.applicable and rep.holds is None
-    # weighted sup norm infinite: growth faster than g
+    # one exit for four routes: cg is nan when the weighted series cannot be
+    # certified (a positive-mass list under an unbounded weight: tail_sum_bound
+    # raises) or diverges (harmonic), or when cg_norm cannot be certified (the
+    # 2^-theta atom of a difference tail under a constant weight); cg is
+    # cg_norm's inf when phi grows faster than g
     fast = history_from_callable(
         lambda t: 4.0 ** (-t),
         8.0,
         0.05,
         tail=ExpTail(1.0, -math.log(4.0)),
     )
-    fam = CoefficientFamily.geometric(1.0, 0.25, DelaySchedule())
-    rep2 = check_cg_embedding(fast, fam, G2)
-    assert not rep2.applicable
+    quarter = CoefficientFamily.geometric(1.0, 0.25, DelaySchedule())
+    unweighted = CoefficientFamily.explicit_list([0.5], 0.2, DelaySchedule())
+    with pytest.raises(UnknownTailError):
+        tail_sum_bound(unweighted, G2, 1)
+    cases = [
+        (history_preset("constant"), unweighted, G2, math.nan),
+        (history_preset("constant"), HARMONIC, W1, math.nan),
+        (_cos_less_g_weight(), quarter, W1, math.nan),
+        (fast, quarter, G2, math.inf),
+    ]
+    for phi, fam, g, cg in cases:
+        rep = check_cg_embedding(phi, fam, g)
+        assert not rep.applicable and rep.holds is None and rep.rows == ()
+        assert rep.cg == cg if math.isinf(cg) else math.isnan(rep.cg)
 
 
 # ---------------------------------------------------------------------------

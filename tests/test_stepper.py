@@ -330,6 +330,22 @@ def test_solve_refuses_a_closed_form_tail_whose_enclosure_fits_only_deeper():
         solve(p, 8.0)
 
 
+def test_the_truncation_cap_refuses_end_to_end():
+    # b_i = i^-2 from the cos history: at eps 1e-10 no truncation index below
+    # the cap certifies the forcing, so solve refuses with the search's text
+    # and an UnknownTailError as cause, L raises that UnknownTailError, p_1 is
+    # inconclusive, and membership, which asks for no eps, still holds
+    fam = CoefficientFamily.power_law(1.0, 2.0, DS)
+    phi = history_preset("cos")
+    with pytest.raises(NotInPhaseSpaceError, match="no truncation index below 10000000") as info:
+        solve(ProblemSpec(-2.0, fam, phi), 4.0)
+    assert isinstance(info.value.__cause__, fd.UnknownTailError)
+    with pytest.raises(fd.UnknownTailError, match="no truncation index below 10000000"):
+        fd.L_functional(phi, fam, -2.0)
+    assert fd.p_seminorm(phi, fam, 1).verdict == "inconclusive"
+    assert fd.membership_in_F(phi, fam).verdict == "member"
+
+
 def test_solve_admits_a_member_whose_seminorms_are_inconclusive():
     # b_i = i^-2 from the cos history: no p_k reaches eps_tail = 1e-10 below
     # the index cap, but the forcing certificate at eps 1e-4 proves
