@@ -105,13 +105,9 @@ class DelaySchedule:
         """First n delays as an array (tau_1..tau_n)."""
         if n < 0:
             raise ValueError(f"length must be >= 0, got {n}")
-        out = np.empty(n)
         npre = min(len(self.prefix), n)
-        out[:npre] = self.prefix[:npre]
-        if n > npre:
-            idx = np.arange(npre + 1, n + 1, dtype=float)
-            out[npre:] = self._offset() + idx * self.delta
-        return out
+        out = self._offset() + np.arange(npre + 1.0, n + 1) * self.delta
+        return np.concatenate((self.prefix[:npre], out)) if npre else out
 
     def first_index_at_least(self, x: float) -> int:
         """Least index i with tau_i >= x.  Exact despite float rounding."""
@@ -241,9 +237,12 @@ class CoefficientFamily:
             m = min(n, len(self.coeffs))
             out[:m] = self.coeffs[:m]
             return out
-        idx = np.arange(1, n + 1, dtype=float)
+        idx = np.arange(1.0, n + 1)
         if self.kind == "geometric":
-            return self.beta * np.sign(self.rho) ** np.arange(1, n + 1) * abs(self.rho) ** idx
+            out = self.beta * abs(self.rho) ** idx
+            if self.rho < 0.0:
+                out[::2] *= -1.0  # b_i = beta |rho|^i (-1)^i: flipping the sign of a product is exact
+            return out
         return self.beta * idx ** (-self.p_exponent)
 
     def head_abs_sum(self, n_exclusive: int) -> float:
@@ -448,14 +447,14 @@ def _atom_tail_search(
         if floor > eps:
             raise UnknownTailError(f"recorded tail mass bound {floor} exceeds target {eps}; no truncation is certifiable")
     lo, hi = n_floor, n_floor + 1
-    while tb(hi + 1) > eps:
+    while (bound := tb(hi + 1)) > eps:
         if hi >= TRUNCATION_CAP:
             raise UnknownTailError(f"no truncation index below {TRUNCATION_CAP} certifies tolerance {eps}")
         lo, hi = hi, min(2 * hi, TRUNCATION_CAP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if tb(mid + 1) <= eps:
-            hi = mid
+        if (t := tb(mid + 1)) <= eps:
+            hi, bound = mid, t
         else:
             lo = mid
-    return hi, tb(hi + 1)
+    return hi, bound

@@ -372,17 +372,18 @@ class HistoryFunction:
 
     def evaluate(self, theta):
         th = np.asarray(theta, dtype=float)
-        if np.any(th > 1e-12):
-            raise ValueError(f"history arguments must be <= 0, got max {th.max()}")
+        if not (th <= 1e-12).all():  # NaN fails too
+            raise ValueError(f"history arguments theta must be <= 0, got max {th.max()}")
         out = self.read(self.breakpoints, self.coeffs, np.minimum(np.atleast_1d(th), 0.0))
         return float(out[0]) if th.ndim == 0 else out
 
     def read(self, breaks: np.ndarray, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Values at the 1-d array x of a table that starts with this core: one eval_pieces, the tail below."""
         below = x < breaks[0]
-        if not below.any():
+        count = np.count_nonzero(below)
+        if count == 0:
             return eval_pieces(breaks, coeffs, x)
-        if below.all():
+        if count == len(x):
             return self.tail.evaluate(x)
         out = np.empty_like(x)
         out[~below] = eval_pieces(breaks, coeffs, x[~below])

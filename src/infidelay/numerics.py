@@ -75,10 +75,14 @@ def phi1(a: float, d: float) -> float:
     return math.expm1(z) / a
 
 
+#: least positive normal float
+_TINY = np.finfo(float).tiny
+
+
 def normal_cube(dt) -> bool:
     """Whether every step dt (a float or an array) has dt*dt*dt a finite normal float, as hermite_coeffs divides by."""
     dt3 = dt * dt * dt
-    return bool(np.all(np.isfinite(dt3) & (dt3 >= np.finfo(float).tiny)))
+    return bool((np.isfinite(dt3) & (dt3 >= _TINY)).all())
 
 
 def hermite_coeffs(x0: float, m0: float, x1: float, m1: float, dt: float) -> tuple[float, float, float, float]:

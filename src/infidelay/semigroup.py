@@ -50,8 +50,8 @@ def apply_semigroup(traj: Trajectory, t: float) -> HistoryFunction:
     [0, t] (coefficient rows reused bitwise), and the tail is phi's tail
     shifted in time.
     """
-    if t < 0.0:
-        raise ValueError(f"semigroup times must be >= 0, got {t}")
+    if not t >= 0.0:  # NaN fails too
+        raise ValueError(f"semigroup times t must be >= 0, got {t}")
     phi = traj.problem.history
     if t == 0.0:
         return phi

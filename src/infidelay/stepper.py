@@ -18,15 +18,20 @@ tau_i <= T, where the solution loses one order of smoothness.  _substeps
 is the one routine that places them: it merges knots within 1e-12 of
 each other and cuts the march into tau_1-windows of sub-steps.
 
-The march (_march) is a plan and a sweep.  The mesh is fixed before any
-value of x is known and the delays are constant, so the plan (_plan) does
-the march's grid-only work in one batch: it writes the step ends into the
-march's one append-only table (phi's core rows, then a row per node;
-_buffers) and gives each tau_1-window its points (start + step * nodes and
-the step ends, interior nodes only, so no point repeats) and their caps
-(_caps).  The sweep runs the windows in order and does the work that needs
-x, one F per point.  Every delay is at least tau_1, so F on the window
-[k tau_1, (k+1) tau_1] reads x only on (-inf, k tau_1]; a scan turns F into
+The march (_march) is a plan and a sweep, set up once per call: one
+family array pair, one tail moment and one append-only table (phi's core
+rows, then a row per node, the step ends written from the start;
+_buffers), whose node rows hold the node values and slopes in columns 0
+and 1, so the scan writes them in place.  A march from _start's one node
+at t = 0 reads that node's slope a phi(0) + F(0) with F(0) a head point of
+these arrays, forcing(traj, 0.0) bit for bit.  The mesh is fixed before
+any value of x is known and the delays are constant, so the plan (_plan)
+does the march's grid-only work in one batch: it gives each tau_1-window
+its points (start + step * nodes and the step ends, interior nodes only,
+so no point repeats) and their caps (_caps).  The sweep runs the windows
+in order and does the work that needs x, one F per point.  Every delay is
+at least tau_1, so F on the window [k tau_1, (k+1) tau_1] reads x only on
+(-inf, k tau_1]; a scan turns F into
 the window's node values (_voc_scan, variation of constants under the
 Gauss-4 weights, for solve and step_interval; the oracle passes its RK4
 scan, whose first stage reads the node's slope), and the slopes are a x + F
@@ -63,7 +68,7 @@ by |rho|, so it stays of order u (|b_1 x| + |rho F| + |correction|) /
 first period, every other family, a window whose points do not recur and a
 recursion whose F is not finite (a growing tail's correction can be
 0 * inf) read the head, so no problem the head admits is refused.
-forcing() always reads the head.
+forcing() always reads the head, with arrays and a table of its own.
 
 Admission is one certificate: solve and step_interval accept a history
 exactly when the forcing truncation N is certified (history._truncation),
@@ -78,8 +83,8 @@ solution leaving the floating-point range raises OverflowError with the time.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
 from typing import Optional
@@ -160,7 +165,7 @@ class Trajectory:
 
     def eval(self, t):
         th = np.asarray(t, dtype=float)
-        if np.any(th > self.horizon + 1e-9):
+        if not (th <= self.horizon + 1e-9).all():  # NaN fails too
             raise ValueError(f"evaluation beyond horizon {self.horizon}: max t={th.max()}")
         phi = self.problem.history
         out = _delayed_values(phi, *_table(phi, self.grid, self.pieces), np.minimum(np.atleast_1d(th), self.horizon))
@@ -199,16 +204,18 @@ def forcing(traj: Trajectory, t, n: Optional[int] = None):
 
     N is each t's own index max(n_origin, _tail_floor(t)) (_caps), the one
     the march used, or n for every t when given; forcing evaluates and never
-    certifies.  Under a closed-form tail (history._zeta_tail) every delay
-    past n must reach phi's tail from t, as it does past an index certified
-    for t's reach.  Valid for t in [0, horizon]; a later t raises
+    certifies.  Each call builds its own family arrays, tail moment and read
+    table; the march does not call it, and reads F(0) for the start slope
+    from its own arrays, as the same head sum.  Under a closed-form tail
+    (history._zeta_tail) every delay past n must reach phi's tail from t, as
+    it does past an index certified for t's reach.  Valid for t in [0, horizon]; a later t raises
     ValueError, as Trajectory.eval does.  t is a time (the result is a
     float) or an array of times, evaluated as one (points x N) batch whose
     entries equal the scalar results bit for bit.
     """
     prob, phi = traj.problem, traj.problem.history
     ts = np.asarray(t, dtype=float)
-    if np.any(ts > traj.horizon + 1e-9):
+    if not (ts <= traj.horizon + 1e-9).all():  # NaN fails too
         raise ValueError(f"forcing beyond horizon {traj.horizon}: max t={ts.max()}")
     n_max = traj.n_forcing if n is None else n
     taus, bs = prob.family.delays.tau_array(n_max), prob.family.b_array(n_max)
@@ -219,22 +226,24 @@ def forcing(traj: Trajectory, t, n: Optional[int] = None):
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
-@contextmanager
-def _refusals():
+class _refusals:
     """Refuse the history with NotInPhaseSpaceError, from exc, where a certificate or a delayed sum fails.
 
     solve and step_interval certify and march inside it: a DivergentTailError
     names the divergence, and an UnknownTailError (no certifiable truncation,
     or a delayed sum that is not finite in floating point) keeps its text.
     """
-    try:
-        yield
-    except DivergentTailError as exc:
-        raise NotInPhaseSpaceError(
-            "the delayed series is certified divergent: the history is outside the phase space"
-        ) from exc
-    except UnknownTailError as exc:
-        raise NotInPhaseSpaceError(str(exc)) from exc
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, DivergentTailError):
+            raise NotInPhaseSpaceError(
+                "the delayed series is certified divergent: the history is outside the phase space"
+            ) from exc
+        if isinstance(exc, UnknownTailError):
+            raise NotInPhaseSpaceError(str(exc)) from exc
 
 
 def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -> list[np.ndarray]:
@@ -266,58 +275,49 @@ def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -
         ends[-1][-1] = t_next
         t_cur = t_next
         if t_next >= j * tau1 - 1e-12 or t_next == t_to:
-            windows.append(np.concatenate(ends))
+            windows.append(ends[0] if len(ends) == 1 else np.concatenate(ends))
             ends = []
             j += 1
     return windows
 
 
-def _buffers(traj: Trajectory, ends: np.ndarray) -> tuple:
-    """The march's append-only read table and node buffers: traj's data, then the step ends of the march.
+def _buffers(traj: Trajectory, windows: list) -> tuple[np.ndarray, np.ndarray]:
+    """The march's append-only read table (breaks, coeffs): traj's, then a row per step end of windows.
 
-    The table (breaks, coeffs) is _table's, phi's core rows and then one row
-    per node, whose node part grid and pieces view; every step end is in
-    grid from the start, and the rows are filled window by window.  The row
-    of the last node holds the pending piece (x, x', 0, 0) while a window's
-    forcing is evaluated, so delayed arguments at or just past that node read
-    the node data exactly.
+    It is _table's table: phi's core rows, then one row per node.  Every
+    step end is in it from the start, and the rows are filled window by
+    window.  A piece starts at its node's value and slope, so columns 0 and
+    1 of the node rows hold the node values and slopes, and the last node's
+    row is the pending piece (x, x', 0, 0) while a window's forcing is
+    evaluated: delayed arguments at or just past that node read the node
+    data exactly.
     """
     phi = traj.problem.history
     c, n0 = len(phi.coeffs), len(traj.grid)
-    total = n0 + len(ends)
-    breaks, coeffs = np.empty(c + total), np.empty((c + total, 4))
-    breaks[:c], coeffs[:c] = phi.breakpoints[:-1], phi.coeffs
-    grid, pieces = breaks[c:], coeffs[c:]
-    values, derivs = np.empty(total), np.empty(total)
-    grid[:n0], values[:n0], derivs[:n0] = traj.grid, traj.values, traj.derivs
-    grid[n0:] = ends
-    pieces[: n0 - 1] = traj.pieces
-    pieces[n0 - 1] = (values[n0 - 1], derivs[n0 - 1], 0.0, 0.0)
-    return breaks, coeffs, grid, values, derivs, pieces
+    breaks = np.concatenate((phi.breakpoints[:-1], traj.grid, *windows))
+    coeffs = np.zeros((len(breaks), 4))
+    coeffs[:c], coeffs[c : c + n0 - 1] = phi.coeffs, traj.pieces
+    coeffs[c + n0 - 1, :2] = traj.values[-1], traj.derivs[-1]
+    return breaks, coeffs
 
 
 def _store_window(values, derivs, pieces, m: int, steps: np.ndarray) -> int:
-    """Write a window's Hermite pieces and the next pending piece.
+    """Complete a window's Hermite pieces, whose node values and slopes (columns 0 and 1) fill rows m onward.
 
-    The window's node values and slopes must already fill rows m onward.
-    Returns the new node count.
+    values and derivs view those columns; the cubic terms go to columns 2
+    and 3 of rows m - 1 onward, and the new last row stays the pending
+    piece.  Returns the new node count.
     """
     m_new = m + len(steps)
     lo, hi = slice(m - 1, m_new - 1), slice(m, m_new)
-    for k, column in enumerate(hermite_coeffs(values[lo], derivs[lo], values[hi], derivs[hi], steps)):
-        pieces[lo, k] = column
-    pieces[m_new - 1] = (values[m_new - 1], derivs[m_new - 1], 0.0, 0.0)
+    pieces[lo, 2], pieces[lo, 3] = hermite_coeffs(values[lo], derivs[lo], values[hi], derivs[hi], steps)[2:]
     return m_new
 
 
 def _voc_scan(a: float, x: float, dx: float, steps: np.ndarray, points: np.ndarray, f: np.ndarray) -> list:
     """Node values of a window by variation of constants, the integral by the Gauss-4 weights (dx is unused)."""
     quad = np.vecdot(np.exp(a * (points[:, -1:] - points[:, :-1])) * f[:, :-1], GAUSS4_WEIGHTS)
-    out = []
-    for step, q in zip(steps.tolist(), quad.tolist()):
-        x = x * math.exp(a * step) + step * q
-        out.append(x)
-    return out
+    return [x := x * math.exp(a * step) + step * q for step, q in zip(steps.tolist(), quad.tolist())]
 
 
 def _period(family: CoefficientFamily) -> int:
@@ -339,7 +339,7 @@ def _plan(traj: Trajectory, windows: list, ends: np.ndarray, nodes: np.ndarray, 
     and 0 without a period (taus holds n delays, not n + 1).
     """
     rows = list(accumulate(map(len, windows), initial=0))
-    starts = np.concatenate((traj.grid[-1:], ends[:-1]))
+    starts = breaks[len(breaks) - len(ends) - 1 : -1]  # the march's table ends with traj's last node, then ends
     steps = ends - starts
     points = np.concatenate((starts[:, None] + steps[:, None] * nodes, ends[:, None]), axis=1)
     width = points.shape[1]
@@ -377,7 +377,7 @@ def _plan_recursion(traj: Trajectory, rows: list, points: np.ndarray, caps, brea
     if not state or state[0][-1] != traj.horizon:  # no state, or another trajectory's
         state = (np.empty(0), np.empty(0), np.empty(0, dtype=caps.dtype))
     held, first = len(state[0]), [r * width for r in rows]
-    counts, heads = np.diff(first), points[rows[:-1], 0]  # each window's point count and first point
+    counts, heads = [d1 - d0 for d0, d1 in zip(first, first[1:])], points[:, 0][rows[:-1]]  # each window's point count and first point
     # a solve starts without state: its stored points and caps are the plan's, not copies
     stored = np.concatenate((state[0], flat)) if held else flat
     c_stored = np.concatenate((state[2], caps)) if held else caps
@@ -391,7 +391,7 @@ def _plan_recursion(traj: Trajectory, rows: list, points: np.ndarray, caps, brea
     del run, rise  # the plan's arrays are O(points): free each as soon as it is done with
     # a window's points increase, so its first x(s - tau_1) is its least
     tau1, b0 = float(taus[0]), float(breaks[0])
-    recur = [g and r + k <= held + d and h - tau1 >= b0 for g, r, k, d, h in zip(ok, runs, counts.tolist(), first, heads.tolist())]
+    recur = [g and r + k <= held + d and h - tau1 >= b0 for g, r, k, d, h in zip(ok, runs, counts, first, heads.tolist())]
     stores = [slice(held + d0, held + d1) for d0, d1 in zip(first, first[1:])]
     since = int(stored.searchsorted(flat[-1] - delta - 1e-9))
     if not any(recur):
@@ -425,20 +425,24 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
     and the Hermite pieces.  The last period's points, F and caps ride on
     the trajectory as _period_state.
     """
-    problem = traj.problem
+    problem, phi = traj.problem, traj.problem.history
     a, rho = problem.a, problem.family.rho
     n, period = n_forcing, _period(problem.family)
     taus = problem.family.delays.tau_array(n + (period > 0))
     bs = problem.family.b_array(n + (period > 0))
-    tail_sums = _tail_sums(problem.history, problem.family, taus[:n], bs[:n])
+    tail_sums = _tail_sums(phi, problem.family, taus[:n], bs[:n])
     windows = _substeps(traj.horizon, t_end, problem.family, traj.h_used)
-    ends = np.concatenate(windows)
-    breaks, coeffs, grid, values, derivs, pieces = _buffers(traj, ends)
-    c = len(breaks) - len(grid)
+    breaks, coeffs = _buffers(traj, windows)
+    c, n0 = len(phi.coeffs), len(traj.grid)
+    grid, pieces = breaks[c:], coeffs[c:]
+    values, derivs = pieces[:, 0], pieces[:, 1]
+    if n0 == 1:  # _start's node: its slope a phi(0) + F(0), F(0) read as a head point of these arrays
+        values_at = partial(delayed_values, phi, breaks[: c + 1], coeffs[: c + 1])
+        derivs[0] = a * values[0] + _delayed_sums(values_at, phi, grid[:1], taus[:n], bs[:n], tail_sums, _caps(traj, grid[:1], taus[:n]))[0]
     # every value that is not finite is named: a recursion's F (a growing tail's correction can be
     # 0 * inf) goes to the head, the head raises UnknownTailError and an overflow below names its time
     with np.errstate(over="ignore", invalid="ignore"):
-        plan, state, since = _plan(traj, windows, ends, nodes, breaks, taus, bs, n)
+        plan, state, since = _plan(traj, windows, grid[n0:], nodes, breaks, taus, bs, n)
         for m, steps, points, caps, store, located in plan:
             f = None
             if located is not None:
@@ -450,8 +454,8 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
                 if not np.isfinite(f).all():
                     f = None
             if f is None:
-                values_at = partial(delayed_values, problem.history, breaks[: c + m], coeffs[: c + m])
-                f = _delayed_sums(values_at, problem.history, points.ravel(), taus[:n], bs[:n], tail_sums, caps)
+                values_at = partial(delayed_values, phi, breaks[: c + m], coeffs[: c + m])
+                f = _delayed_sums(values_at, phi, points.ravel(), taus[:n], bs[:n], tail_sums, caps)
             if store is not None:
                 state[1][store] = f
             f = f.reshape(points.shape)
@@ -464,19 +468,19 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
                 row = np.isfinite(pieces[m - 1 : m_new]).all(axis=1).argmin()
                 raise OverflowError(f"the solution leaves the floating-point range after t = {grid[m - 1 + row]}")
     state = (state[0][since:].copy(), state[1][since:].copy(), state[2][since:].copy()) if state else ()
-    return replace(
-        traj, grid=grid, values=values, derivs=derivs, pieces=pieces[:-1], n_forcing=n_forcing, _period_state=state
-    )
+    # Trajectory's fields in order: a direct call, as dataclasses.replace costs twice as much
+    return Trajectory(problem, traj.config, grid, values.copy(), derivs.copy(), pieces[:-1], n_forcing,
+                      traj.n_origin, traj.h_used, traj.eps_forcing_used, state)
 
 
 def _start(problem: ProblemSpec, config: SolverConfig, n_forcing: int, n_origin: int, h: float, eps_f: float) -> Trajectory:
-    """The one-node trajectory at t = 0: x(0) = phi(0), x'(0) = a phi(0) + F(0)."""
-    phi0 = problem.history.evaluate(0.0)
-    traj = Trajectory(
+    """The one-node trajectory at t = 0, x(0) = phi(0); _march gives it its slope x'(0) = a phi(0) + F(0)."""
+    phi = problem.history
+    return Trajectory(
         problem=problem,
         config=config,
-        grid=np.array([0.0]),
-        values=np.array([phi0]),
+        grid=np.zeros(1),
+        values=phi.read(phi.breakpoints, phi.coeffs, np.zeros(1)),
         derivs=np.zeros(1),
         pieces=np.zeros((0, 4)),
         n_forcing=n_forcing,
@@ -484,8 +488,6 @@ def _start(problem: ProblemSpec, config: SolverConfig, n_forcing: int, n_origin:
         h_used=h,
         eps_forcing_used=eps_f,
     )
-    traj.derivs[0] = problem.a * phi0 + forcing(traj, 0.0)
-    return traj
 
 
 def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] = None) -> Trajectory:
@@ -530,10 +532,15 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
     The one-period recursion continues from traj's _period_state, so the
     nodes are those of one solve to the end.
     An oracle_solve trajectory records no forcing eps (0.0) and is refused:
-    extending it here would not be the RK4 reference.
+    extending it here would not be the RK4 reference.  k must be an integer
+    >= 0 (numpy integers pass, as operator.index reads them).
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"window index k must be an integer, got {k!r}") from None
     if k < 0:
-        raise ValueError(f"window index must be >= 0, got {k}")
+        raise ValueError(f"window index k must be >= 0, got {k}")
     if not traj.eps_forcing_used > 0.0:
         raise ValueError("step_interval extends solve trajectories only, not oracle_solve ones")
     problem = traj.problem

@@ -94,6 +94,14 @@ def test_evaluate_rejects_future_arguments():
         phi.evaluate(np.array([-1.0, 0.25]))
 
 
+def test_evaluate_rejects_nan_arguments():
+    # NaN passed the > guard and read as nan
+    phi = history_preset("cos")
+    for theta in (math.nan, np.array([-1.0, math.nan])):
+        with pytest.raises(ValueError, match="theta must be <= 0"):
+            phi.evaluate(theta)
+
+
 def test_core_must_be_continuous():
     bp = [-2.0, -1.0, 0.0]
     cf = [[0.0, 0.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0]]  # jumps 0 -> 5 at -1

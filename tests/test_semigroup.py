@@ -74,6 +74,13 @@ def test_shift_beyond_orbit_horizon_raises():
         apply_semigroup(traj, -0.1)
 
 
+def test_shift_by_nan_is_refused():
+    # NaN passed both guards and failed in the HistoryFunction constructor
+    traj = solve(classic_problem(), 1.0)
+    with pytest.raises(ValueError, match="semigroup times t must be >= 0"):
+        apply_semigroup(traj, math.nan)
+
+
 def test_shift_replays_trajectory_values():
     traj = solve(classic_problem(), 2.0)
     s = apply_semigroup(traj, 1.5)

@@ -1041,9 +1041,61 @@ def test_step_interval_short_circuits_when_covered():
 
 
 def test_step_interval_rejects_bad_k():
+    # 4.5 once extended silently to 5.5 tau_1, and NaN failed inside the
+    # step grid; a numpy integer is an integer
     traj = solve(classic_problem(), 1.0)
-    with pytest.raises(ValueError):
-        step_interval(traj, -1)
+    for k, match in [(-1, ">= 0"), (4.5, "integer"), (math.nan, "integer"), ("2", "integer"), (2.0, "integer")]:
+        with pytest.raises(ValueError, match=f"window index k must be (an )?{match}"):
+            step_interval(traj, k)
+    _assert_same_nodes(step_interval(traj, np.int64(2)), step_interval(traj, 2))
+
+
+def test_nan_times_are_refused():
+    # NaN passed the > guards: eval and forcing returned nan
+    traj = solve(classic_problem(), 2.0)
+    for t in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match="beyond horizon"):
+            traj.eval(t)
+        with pytest.raises(ValueError, match="beyond horizon"):
+            forcing(traj, t)
+
+
+_START_PROBLEMS = {
+    "geometric": march_long_problem(),
+    # a constant tail under a power law: the deep part is the zeta closed form
+    "zeta": ProblemSpec(-0.5, CoefficientFamily.power_law(1.0, 3.0, DS), history_preset("constant")),
+    "prefix-list": ProblemSpec(-0.4, CoefficientFamily.explicit_list([0.4, -0.3, 0.2, 0.1], 0.0, DelaySchedule(delta=1.0, prefix=(0.5, 1.2))), cos_history()),
+    # N = 79 >= _MOMENT_MIN_TERMS: the cos tail enters through suffix moments
+    "moments": ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.72, DelaySchedule(0.0, 0.1)), cos_history()),
+}
+
+
+@pytest.mark.parametrize("run", ["gauss4", "oracle"])
+@pytest.mark.parametrize("p", list(_START_PROBLEMS.values()), ids=list(_START_PROBLEMS))
+def test_start_slope_is_a_phi0_plus_the_forcing_bit_for_bit(run, p):
+    # the march reads F(0) from its own arrays; it must be forcing's F(0)
+    tau1 = p.family.delays.tau1
+    traj = fd.oracle_solve(p, 2.0 * tau1) if run == "oracle" else solve(p, 2.0 * tau1)
+    if p is _START_PROBLEMS["moments"]:
+        assert traj.n_forcing >= fd.history._MOMENT_MIN_TERMS
+    want = p.a * p.history.evaluate(0.0) + forcing(traj, 0.0)
+    assert _same_bits(traj.derivs[0], want) and _same_bits(traj.values[0], p.history.evaluate(0.0))
+
+
+def test_solve_sets_up_each_march_once(monkeypatch):
+    # F(0) comes from the march's own arrays: solve never calls forcing, and
+    # each march (solve, step_interval) builds its delays and coefficients once
+    calls = []
+    tau_array, b_array = DelaySchedule.tau_array, CoefficientFamily.b_array
+    monkeypatch.setattr(DelaySchedule, "tau_array", lambda self, n: calls.append("tau") or tau_array(self, n))
+    monkeypatch.setattr(CoefficientFamily, "b_array", lambda self, n: calls.append("b") or b_array(self, n))
+    monkeypatch.setattr(fd.stepper, "forcing", lambda *args: calls.append("forcing"))
+    p = march_long_problem()
+    traj = solve(p, 4.0)
+    assert calls == ["tau", "b"]
+    step_interval(traj, 4)
+    fd.oracle_solve(p, 1.0)
+    assert calls == ["tau", "b"] * 3
 
 
 def test_step_interval_refuses_oracle_trajectories():
