@@ -22,11 +22,12 @@ sampled heuristic.
 :func:`_atom_tail_search` is the one certified truncation search, over a
 history's envelope atoms; history._truncation (the seminorms, membership,
 L, the forcing and the oracle) is its one caller.
-:func:`hurwitz_zeta` encloses the one exact tail value, zeta(p, n).
+:func:`hurwitz_zeta` encloses the one exact tail value, zeta(p, n), once per (p, n).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -384,6 +385,7 @@ def tail_sum_bound(family: CoefficientFamily, weight: WeightFunction, n_start: i
 _BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000, 1 / 74724249600)
 
 
+@functools.lru_cache(maxsize=256)
 def hurwitz_zeta(p: float, n: int) -> tuple[float, float]:
     """Outward-rounded enclosure (lo, hi) of zeta(p, n) = sum_{i >= n} i^-p, for p > 1 and n >= 1.
 
@@ -395,7 +397,7 @@ def hurwitz_zeta(p: float, n: int) -> tuple[float, float]:
     roundings (a pow counts two, and 1 - p, p - 1 are exact) is off by at
     most gamma_k ~ k u times its size.  The allowance adds these up, with
     2^-1000 for underflow, and both ends then move one ulp outward, which
-    also covers the O(u^2) rest of gamma_k.
+    also covers the O(u^2) rest of gamma_k.  Memoized by value for the process: the last 256 (p, n).
     """
     if not p > 1.0:
         raise ValueError(f"zeta(p, n) needs p > 1, got {p}")

@@ -30,12 +30,14 @@ _delayed_sums.  A constant tail c under a power law b_i = beta i^-p with
 p > 1 (_zeta_tail) has its deep part in closed form, c beta zeta(p, n),
 enclosed by coefficients.hurwitz_zeta: _truncation then stops at the tail
 floor, and p_k and the delayed sums add that part past their heads.
+hurwitz_zeta is memoized by value for the process; phi._memo holds ("sup", k),
+("p", family, k, eps) and _truncation's search ("N", family, eps, atoms left).
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -462,9 +464,12 @@ def _zeta_tail(phi: HistoryFunction, family: CoefficientFamily) -> Optional[tupl
 
 
 def _zeta_moment(cb: float, p: float):
-    """tail_sums(s, m, cap) = cb zeta(p, m + 1), the lower end of each enclosure, one evaluation per m; no cap."""
-    zeta = functools.cache(lambda j: hurwitz_zeta(p, j + 1)[0])
-    return lambda s, m, cap: cb * np.array([zeta(j) for j in m.tolist()])
+    """tail_sums(s, m, cap) = cb zeta(p, m + 1), the lower ends of the memoized enclosures gathered over [min m, max m]; no cap."""
+    def tail_sums(s, m, cap):
+        lo, hi = (int(m.min()), int(m.max())) if m.size else (0, -1)
+        zeta = np.array([hurwitz_zeta(p, j + 1)[0] for j in range(lo, hi + 1)])
+        return cb * zeta[m - lo]
+    return tail_sums
 
 
 def _tail_sums(phi: HistoryFunction, family: CoefficientFamily, taus: np.ndarray, bs: np.ndarray):
@@ -740,8 +745,20 @@ class SeminormValue:
         return range(self.index_first, self.index_last + 1)  # empty when index_last < index_first
 
 
+def _window_index(k, least: int = 1) -> int:
+    """k as an int >= least; numpy integers pass, as operator.index reads them, and anything else is a ValueError."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"window index k must be an integer, got {k!r}") from None
+    if k < least:
+        raise ValueError(f"window index k must be >= {least}, got {k}")
+    return k
+
+
 def sup_norm_k(phi: HistoryFunction, k: int) -> float:
     """Exact sup of |phi| over [-k, 0], memoized on phi under ("sup", k) by _sup_norms."""
+    k = _window_index(k)
     if ("sup", k) not in phi._memo:
         _sup_norms(phi, [k])
     return phi._memo[("sup", k)]
@@ -749,9 +766,7 @@ def sup_norm_k(phi: HistoryFunction, k: int) -> float:
 
 def _sup_norms(phi: HistoryFunction, ks) -> None:
     """Memoize sup_norm_k(phi, k) for every k in ks: the windows [-k, 0] not yet known in one sup_abs_interval call."""
-    ks = [k for k in dict.fromkeys(ks) if ("sup", k) not in phi._memo]
-    if min(ks, default=1) < 1:
-        raise ValueError(f"window index k must be >= 1, got {min(ks)}")
+    ks = [k for k in dict.fromkeys(map(_window_index, ks)) if ("sup", k) not in phi._memo]
     if ks:
         sups = phi.sup_abs_interval(-np.array(ks, dtype=float), np.zeros(len(ks)))
         phi._memo.update(zip([("sup", k) for k in ks], sups.tolist()))
@@ -795,8 +810,14 @@ def _truncation(phi: HistoryFunction, family: CoefficientFamily, reach: float, e
     at most mass * sup |phi|: N is L and the remainder that bound, once it
     is within eps.  When the search fails, or N still passes the
     stored coefficients, raises DivergentTailError if _certified_divergent
-    holds, UnknownTailError otherwise.
+    holds, UnknownTailError otherwise; eps must be positive (inf asks for
+    membership).  The atom search is memoized on phi as (floor, N, bound)
+    under ("N", family, eps, whether atoms are left): its bound falls as the
+    start grows, so a later floor in [floor, N] takes that N and bound
+    unsearched; past N the first probe succeeds, and the lower floor's entry stays.
     """
+    if not eps > 0.0:  # NaN fails too
+        raise ValueError(f"truncation tolerance eps must be positive, got {eps}")
     floor, atoms, width = _tail_floor(phi, family, reach), phi.tail.atoms(phi.depth), 0.0
     closed = _zeta_tail(phi, family)
     if closed is not None:
@@ -804,7 +825,12 @@ def _truncation(phi: HistoryFunction, family: CoefficientFamily, reach: float, e
         if abs(closed[0]) * (hi - lo) <= eps:
             atoms, width = [], abs(closed[0]) * (hi - lo)
     try:
-        N, rem = _atom_tail_search(family, atoms, floor, eps)
+        key = ("N", family, eps, bool(atoms))
+        low, N, rem = phi._memo.get(key, (math.inf, 0, 0.0))
+        if not low <= floor <= N:
+            N, rem = _atom_tail_search(family, atoms, floor, eps)
+            if floor < low:
+                phi._memo[key] = floor, N, rem
         L, mass = len(family.coeffs), family.tail_abs_bound
         if family.kind == "explicit-list" and N > L and family.delays.tau(L + 1) >= reach:
             # every unstored argument s - tau_i <= reach - tau_{L+1} reads phi
@@ -836,7 +862,7 @@ def p_seminorm(
     pass, _seminorms, whose sup_abs_interval calls take at most _CHUNK_TERMS
     windows each, and then reads each k here.
     """
-    key = ("p", family, k, eps_tail)
+    key = ("p", family, _window_index(k), eps_tail)
     if key not in phi._memo:
         _seminorms(phi, family, [k], eps_tail)
     return phi._memo[key]
@@ -853,8 +879,8 @@ def _seminorms(phi: HistoryFunction, family: CoefficientFamily, ks, eps_tail: fl
     depend on its call, so no value depends on the batch.
     """
     d, runs = family.delays, []
-    for k in [k for k in dict.fromkeys(ks) if ("p", family, k, eps_tail) not in phi._memo]:
-        n0 = n_index(family, k)  # refuses k < 1
+    for k in [k for k in dict.fromkeys(map(_window_index, ks)) if ("p", family, k, eps_tail) not in phi._memo]:
+        n0 = n_index(family, k)
         try:
             runs.append((k, n0, *_truncation(phi, family, k * d.tau1, eps_tail)))
         except (DivergentTailError, UnknownTailError) as exc:
@@ -901,8 +927,9 @@ def membership_in_F(
     otherwise.  k_max only chooses which values are reported; p_1..p_{k_max}
     are one pass (see p_seminorm), one sup_abs_interval call up to _CHUNK_TERMS windows.
     """
-    _seminorms(phi, family, range(1, k_max + 1), eps_tail)
-    per_k = {k: p_seminorm(phi, family, k, eps_tail) for k in range(1, k_max + 1)}
+    ks = range(1, _window_index(k_max, 0) + 1)
+    _seminorms(phi, family, ks, eps_tail)
+    per_k = {k: p_seminorm(phi, family, k, eps_tail) for k in ks}
     try:
         _truncation(phi, family, 0.0, math.inf)
         overall = "member"

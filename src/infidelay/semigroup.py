@@ -298,6 +298,8 @@ def check_generator_domain(
     Histories without a usable derivative (non-C^1 cores or structurally
     underivable tails) report "not-applicable" rather than a fake verdict.
     """
+    if not tol > 0.0:  # NaN fails too
+        raise ValueError(f"generator-domain tolerance must be positive, got {tol}")
     dphi = phi.derivative()
     if dphi is None:
         return GeneratorDomainReport("not-applicable", math.nan, math.nan, math.nan, math.nan, "unknown")

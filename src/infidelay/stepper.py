@@ -83,7 +83,6 @@ solution leaving the floating-point range raises OverflowError with the time.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
@@ -92,7 +91,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import CoefficientFamily, DivergentTailError, UnknownTailError, m_index, n_index
-from .history import HistoryFunction, _delayed_sums, _seminorms, _sup_norms, _tail_sums, _truncation, p_seminorm, sup_norm_k
+from .history import HistoryFunction, _delayed_sums, _seminorms, _sup_norms, _tail_sums, _truncation, _window_index, p_seminorm, sup_norm_k
 from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, eval_located, hermite_coeffs, phi1, piece_index, sup_abs_pieces
 
 
@@ -535,12 +534,7 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
     extending it here would not be the RK4 reference.  k must be an integer
     >= 0 (numpy integers pass, as operator.index reads them).
     """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"window index k must be an integer, got {k!r}") from None
-    if k < 0:
-        raise ValueError(f"window index k must be >= 0, got {k}")
+    k = _window_index(k, 0)
     if not traj.eps_forcing_used > 0.0:
         raise ValueError("step_interval extends solve trajectories only, not oracle_solve ones")
     problem = traj.problem
@@ -584,9 +578,8 @@ class EstimateCertificate:
 
 
 def estimate_certificate(traj: Trajectory, k: int) -> EstimateCertificate:
-    """Build and check the window-k a-priori certificate along traj."""
-    if k < 1:
-        raise ValueError(f"window index k must be >= 1, got {k}")
+    """Build and check the window-k a-priori certificate along traj; k is an integer >= 1 (numpy integers pass)."""
+    k = _window_index(k)
     fam, phi, a = traj.problem.family, traj.problem.history, traj.problem.a
     tau1 = fam.delays.tau1
     if traj.horizon < k * tau1 - 1e-9:

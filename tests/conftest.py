@@ -9,6 +9,7 @@ mass to make the dynamics non-trivial.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
 import infidelay as fd
@@ -22,6 +23,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def _empty_zeta_memo():
+    """Each test starts with an empty process-wide hurwitz_zeta memo, so no call count depends on test order."""
+    fd.coefficients.hurwitz_zeta.cache_clear()
 
 
 def random_core_history(rng: np.random.Generator, depth: float = 6.0, res: float = 0.5, amp: float = 2.0) -> fd.HistoryFunction:

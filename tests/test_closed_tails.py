@@ -129,3 +129,30 @@ def test_power_law_work_stays_at_the_floor(monkeypatch):
     lv = fd.L_functional(phi, fam, -0.5)
     assert asked and max(asked) <= 64
     assert np.isfinite(traj.values).all() and math.isfinite(lv.value)
+
+
+def test_a_fresh_equal_history_computes_no_new_zeta_enclosure():
+    # hurwitz_zeta is memoized by value for the process: equal inputs built anew reuse every enclosure
+    def run():
+        fam = CoefficientFamily.power_law(1.0, 3.0, DelaySchedule())
+        return fd.membership_in_F(scale_history(1.5, history_preset("constant")), fam, 5, 1.5e-10)
+
+    first = run()
+    misses = hurwitz_zeta.cache_info().misses
+    assert run() == first
+    assert hurwitz_zeta.cache_info().misses == misses > 0
+
+
+def test_the_zeta_memo_is_bounded():
+    size = hurwitz_zeta.cache_info().maxsize
+    for n in range(1, size + 50):
+        hurwitz_zeta(3.0, n)
+    assert hurwitz_zeta.cache_info().currsize == size
+
+
+def test_zeta_moment_gathers_the_per_point_values_bit_for_bit():
+    # head counts with gaps and repeats take the value of their own m, as one call per point did
+    m = np.array([7, 7, 3, 12, 9, 3, 20, 7])
+    got = fd.history._zeta_moment(-1.7, 2.5)(np.zeros(len(m)), m, 25)
+    assert got.tobytes() == (-1.7 * np.array([hurwitz_zeta(2.5, j + 1)[0] for j in m.tolist()])).tobytes()
+    assert fd.history._zeta_moment(-1.7, 2.5)(np.zeros(0), m[:0], 25).shape == (0,)

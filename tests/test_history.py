@@ -1150,3 +1150,87 @@ def test_derivative_absent_for_kinked_core():
     cf = [[1.0, -1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
     phi = fd.HistoryFunction(bp, cf, ConstantTail(1.0))
     assert phi.derivative() is None
+
+
+# ---------------------------------------------------------------------------
+# window indices, tolerances and the truncation memo
+# ---------------------------------------------------------------------------
+
+
+def test_sup_norm_k_reads_k_as_an_integer():
+    # NaN passed the k < 1 guard and returned nan; 1.0 would find k = 1's memo entry
+    phi = history_preset("cos")
+    assert sup_norm_k(phi, np.int64(3)) == sup_norm_k(phi, 3)
+    for k in (math.nan, 1.5, 1.0, "2"):
+        with pytest.raises(ValueError, match="window index k must be an integer"):
+            sup_norm_k(phi, k)
+    with pytest.raises(ValueError, match="window index k must be >= 1"):
+        sup_norm_k(phi, 0)
+
+
+def test_p_seminorm_reads_k_as_an_integer():
+    phi = history_preset("cos")
+    assert p_seminorm(phi, GEO_HALF, np.int64(2)) is p_seminorm(phi, GEO_HALF, 2)
+    for k in (1.5, 2.0, math.nan):
+        with pytest.raises(ValueError, match="window index k must be an integer"):
+            p_seminorm(phi, GEO_HALF, k)
+
+
+def test_membership_reads_k_max_as_an_integer():
+    # 2.5 failed inside range() with a bare TypeError
+    phi = history_preset("cos")
+    assert membership_in_F(phi, GEO_HALF, np.int64(3)) == membership_in_F(phi, GEO_HALF, 3)
+    with pytest.raises(ValueError, match="window index k must be an integer"):
+        membership_in_F(phi, GEO_HALF, 2.5)
+
+
+@pytest.mark.parametrize("eps", [math.nan, 0.0, -1e-10])
+def test_a_truncation_tolerance_that_is_not_positive_is_refused(eps):
+    # NaN stopped the search at the floor plus one, and 0 took a bound that underflowed to 0.0 as exact
+    phi = scale_history(1.5, history_preset("constant"))
+    for fam in (GEO_HALF, CoefficientFamily.power_law(1.0, 3.0, DelaySchedule())):
+        for call in (lambda: L_functional(phi, fam, -0.5, eps), lambda: p_seminorm(phi, fam, 2, eps),
+                     lambda: membership_in_F(phi, fam, 3, eps)):
+            with pytest.raises(ValueError, match="truncation tolerance eps must be positive"):
+                call()
+    # membership's own verdict still certifies at eps = inf
+    assert membership_in_F(phi, GEO_HALF, 3).verdict == "member"
+
+
+def _cos_history() -> fd.HistoryFunction:
+    w = 0.5 * math.pi
+    return history_from_callable(lambda t: 1.5 * math.cos(w * t + 1.0), 8.0, 0.05, tail=CosTail(1.5, w, 1.0),
+                                 fn_prime=lambda t: -1.5 * w * math.sin(w * t + 1.0))
+
+
+_MEMO_CASES = {
+    "geometric": (GEO_HALF, _cos_history),
+    "zeta": (CoefficientFamily.power_law(1.0, 3.0, DelaySchedule()), lambda: scale_history(1.5, history_preset("constant"))),
+    # at 1e-10 the enclosure is too wide at the floors of reach 0 and 1, where the atoms stay and
+    # no N below the cap certifies them, and fits from reach 3
+    "zeta-kept": (CoefficientFamily.power_law(0.6, 1.0000076292621705, DelaySchedule()), lambda: history_preset("constant")),
+    "power-law": (CoefficientFamily.power_law(1.0, 3.0, DelaySchedule()), lambda: history_preset("cos")),
+    "list-mass": (CoefficientFamily.explicit_list([0.5**i for i in range(1, 41)], 1e-12, DelaySchedule()), lambda: history_preset("constant")),
+    "list-zero": (CoefficientFamily.finite_support([0.3, -0.2, 0.0, 0.1, 0.0], DelaySchedule(delta=0.8)), lambda: history_preset("cos")),
+    "prefix": (CoefficientFamily.geometric(0.5, 0.9, DelaySchedule(delta=1.0, prefix=(1.0, 2.5))), lambda: history_preset("cos")),
+    "growing": (CoefficientFamily.geometric(0.5, 0.2, DelaySchedule()), lambda: history_preset("g-weight")),
+}
+
+
+def _truncation_outcome(phi, fam, reach, eps):
+    try:
+        return fd.history._truncation(phi, fam, reach, eps)
+    except (DivergentTailError, UnknownTailError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-6])
+@pytest.mark.parametrize("case", list(_MEMO_CASES))
+def test_a_memoized_truncation_equals_a_fresh_search(case, eps):
+    # reaches up, down and repeated: every answer from the memo is the fresh history's, bit for bit
+    fam, build = _MEMO_CASES[case]
+    phi = build()
+    for reach in (0.0, 1.0, 3.0, 8.0, 20.0, 40.0, 33.0, 17.0, 5.0, 2.0, 2.0, 0.0, 0.0, 60.0):
+        got, fresh = _truncation_outcome(phi, fam, reach, eps), _truncation_outcome(build(), fam, reach, eps)
+        assert repr(got) == repr(fresh), reach
+    assert any(key[0] == "N" for key in phi._memo)

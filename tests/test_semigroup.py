@@ -81,6 +81,20 @@ def test_shift_by_nan_is_refused():
         apply_semigroup(traj, math.nan)
 
 
+def test_strong_continuity_reads_k_as_an_integer():
+    # a fractional k returned distances over [-2.5, 0]
+    traj = solve(classic_problem(), 1.0)
+    with pytest.raises(ValueError, match="window index k must be an integer"):
+        check_strong_continuity(traj, 2.5, [0.1, 0.01])
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-6])
+def test_generator_domain_refuses_a_tolerance_that_is_not_positive(tol):
+    # L was certified to min(1e-12, tol * 1e-3), which is 0 at tol = 0
+    with pytest.raises(ValueError, match="generator-domain tolerance must be positive"):
+        check_generator_domain(history_preset("cos"), CoefficientFamily.geometric(1.0, 0.5, DS), 0.1, tol=tol)
+
+
 def test_shift_replays_trajectory_values():
     traj = solve(classic_problem(), 2.0)
     s = apply_semigroup(traj, 1.5)

@@ -1098,6 +1098,21 @@ def test_solve_sets_up_each_march_once(monkeypatch):
     assert calls == ["tau", "b"] * 3
 
 
+def test_a_step_interval_chain_certifies_from_the_memo(monkeypatch):
+    # the solve's search certified N for every floor in [floor, N], so an extension there does
+    # not search, and past N the search's first probe certifies: at most one bound per extension
+    # (eight before the memo)
+    traj = solve(march_long_problem(), 16.0)
+    bound, bounds = fd.coefficients.tail_sum_bound, []
+    for module in (fd.coefficients, fd.history):
+        monkeypatch.setattr(module, "tail_sum_bound", lambda *a: bounds.append(a) or bound(*a))
+    for k in range(16, 32):
+        before = len(bounds)
+        traj = step_interval(traj, k)
+        assert len(bounds) - before <= 1, k
+    assert traj.n_forcing == 39
+
+
 def test_step_interval_refuses_oracle_trajectories():
     # the oracle records no forcing tolerance; extending it by variation of
     # constants would silently swap the RK4 reference for a solve
@@ -1110,6 +1125,15 @@ def test_step_interval_refuses_oracle_trajectories():
 # ---------------------------------------------------------------------------
 # a-priori estimate certificates
 # ---------------------------------------------------------------------------
+
+
+def test_estimate_certificate_reads_k_as_an_integer():
+    # 2.5 failed inside range() with a bare TypeError
+    traj = solve(classic_problem(), 3.0)
+    assert estimate_certificate(traj, np.int64(2)) == estimate_certificate(traj, 2)
+    for k, match in [(2.5, "an integer"), (math.nan, "an integer"), (0, ">= 1")]:
+        with pytest.raises(ValueError, match=f"window index k must be {match}"):
+            estimate_certificate(traj, k)
 
 
 def test_estimate_pure_exponential_bound_is_e():
