@@ -10,6 +10,7 @@ from .coefficients import (
     CoefficientFamily,
     DelaySchedule,
     DivergentTailError,
+    NotInPhaseSpaceError,
     UnknownTailError,
     WeightFunction,
     m_index,
@@ -48,7 +49,6 @@ from .semigroup import (
 )
 from .stepper import (
     EstimateCertificate,
-    NotInPhaseSpaceError,
     ProblemSpec,
     SolverConfig,
     Trajectory,

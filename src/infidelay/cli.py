@@ -35,10 +35,10 @@ def bundled_scenario_names() -> list[str]:
 
 
 def _resolve_scenarios(arg: str) -> list[str]:
-    """A path, a directory of *.json files, or a bundled scenario name."""
+    """A path, a directory's regular *.json files, or a bundled scenario name."""
     if os.path.isdir(arg):
         found = sorted(
-            os.path.join(arg, f) for f in os.listdir(arg) if f.endswith(".json")
+            p for p in (os.path.join(arg, f) for f in os.listdir(arg)) if p.endswith(".json") and os.path.isfile(p)
         )
         if not found:
             raise FileNotFoundError(f"directory {arg!r} contains no .json scenario files")

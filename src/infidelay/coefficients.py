@@ -36,11 +36,19 @@ import numpy as np
 TRUNCATION_CAP = 10_000_000
 
 
-class UnknownTailError(Exception):
+class NotInPhaseSpaceError(Exception):
+    """A delayed series that cannot be certified, or one certified divergent.
+
+    For a history's own series: the history is outside the phase space F,
+    or it cannot be shown inside it.  The subclass says which.
+    """
+
+
+class UnknownTailError(NotInPhaseSpaceError):
     """The stored family data cannot certify a bound or divergence."""
 
 
-class DivergentTailError(Exception):
+class DivergentTailError(NotInPhaseSpaceError):
     """A certified-divergent series was used where convergence is required."""
 
 

@@ -46,6 +46,7 @@ import numpy as np
 from .coefficients import (
     CoefficientFamily,
     DivergentTailError,
+    NotInPhaseSpaceError,
     UnknownTailError,
     WeightFunction,
     _atom_tail_search,
@@ -557,6 +558,12 @@ def _delayed_sums(values_at, phi: HistoryFunction, points: np.ndarray, taus: np.
 # ---------------------------------------------------------------------------
 
 
+# each of the ceil(depth / resolution) pieces costs fn calls and 7 floats,
+# so 10^6 pieces take at least 56 MB and seconds of Python: far past the 160
+# of the presets, and a mistyped resolution is refused before it asks for TiB
+_MAX_CORE_PIECES = 1_000_000
+
+
 def history_from_callable(
     fn, depth: float, resolution: float = 0.05, tail=None, fn_prime=None
 ) -> HistoryFunction:
@@ -564,10 +571,14 @@ def history_from_callable(
 
     Node values and slopes are taken exactly from fn / fn_prime (centered
     differences when fn_prime is missing), so the core is the standard
-    Hermite interpolant with O(resolution^4) error.
+    Hermite interpolant with O(resolution^4) error.  ValueError, before
+    anything is allocated, unless depth and resolution are positive and
+    ceil(depth / resolution) is at most _MAX_CORE_PIECES.
     """
     if depth <= 0.0 or resolution <= 0.0:
         raise ValueError(f"core depth and resolution must be positive, got {depth} and {resolution}")
+    if not depth / resolution <= _MAX_CORE_PIECES:  # NaN and inf fail too
+        raise ValueError(f"core depth / resolution must be at most {_MAX_CORE_PIECES} pieces, got {depth} / {resolution}")
     m = max(2, int(math.ceil(depth / resolution)))
     bp = np.linspace(-depth, 0.0, m + 1)
     bp[-1] = 0.0
@@ -810,11 +821,12 @@ def _truncation(phi: HistoryFunction, family: CoefficientFamily, reach: float, e
     at most mass * sup |phi|: N is L and the remainder that bound, once it
     is within eps.  When the search fails, or N still passes the
     stored coefficients, raises DivergentTailError if _certified_divergent
-    holds, UnknownTailError otherwise; eps must be positive (inf asks for
-    membership).  The atom search is memoized on phi as (floor, N, bound)
-    under ("N", family, eps, whether atoms are left): its bound falls as the
-    start grows, so a later floor in [floor, N] takes that N and bound
-    unsearched; past N the first probe succeeds, and the lower floor's entry stays.
+    holds, UnknownTailError from the search's error otherwise; both are
+    NotInPhaseSpaceErrors.  eps must be positive (inf asks for membership).
+    The atom search is memoized on phi as (floor, N, bound) under
+    ("N", family, eps, whether atoms are left): its bound falls as the start
+    grows, so a later floor in [floor, N] takes that N and bound unsearched;
+    past N the first probe succeeds, and the lower floor's entry stays.
     """
     if not eps > 0.0:  # NaN fails too
         raise ValueError(f"truncation tolerance eps must be positive, got {eps}")
@@ -842,7 +854,7 @@ def _truncation(phi: HistoryFunction, family: CoefficientFamily, reach: float, e
         return N, rem + width
     except UnknownTailError as exc:
         if _certified_divergent(phi, family, reach):
-            raise DivergentTailError("the delayed series diverges absolutely for this history") from exc
+            raise DivergentTailError("the delayed series is certified divergent: the history is outside the phase space") from exc
         raise UnknownTailError(f"cannot certify a truncation of the delayed series to eps={eps}: {exc}") from exc
 
 
@@ -883,7 +895,7 @@ def _seminorms(phi: HistoryFunction, family: CoefficientFamily, ks, eps_tail: fl
         n0 = n_index(family, k)
         try:
             runs.append((k, n0, *_truncation(phi, family, k * d.tau1, eps_tail)))
-        except (DivergentTailError, UnknownTailError) as exc:
+        except NotInPhaseSpaceError as exc:
             phi._memo["p", family, k, eps_tail] = SeminormValue(math.inf, math.inf, n0, 0, "divergent" if isinstance(exc, DivergentTailError) else "inconclusive")
     taus, closed = d.tau_array(max((N for _, _, N, _ in runs), default=0)), _zeta_tail(phi, family)
     while runs:
@@ -933,7 +945,7 @@ def membership_in_F(
     try:
         _truncation(phi, family, 0.0, math.inf)
         overall = "member"
-    except (UnknownTailError, DivergentTailError):
+    except NotInPhaseSpaceError:
         overall = "not-member" if any(v.verdict == "divergent" for v in per_k.values()) else "inconclusive"
     return MembershipReport(per_k, overall)
 
@@ -1043,7 +1055,8 @@ def L_functional(
     phi.evaluate as the solution.  Raises DivergentTailError when it is
     certified to diverge absolutely (phi is then outside the functional's
     domain), UnknownTailError when no finite truncation can be certified
-    or the delayed sum is not finite in floating point.
+    or the delayed sum is not finite in floating point; both are
+    NotInPhaseSpaceErrors.
     """
     N, rem = _truncation(phi, family, 0.0, eps)
     taus, bs = family.delays.tau_array(N), family.b_array(N)

@@ -45,9 +45,9 @@ def _rk4_scan(a: float, x: float, dx: float, steps: np.ndarray, points: np.ndarr
 def oracle_solve(problem: ProblemSpec, horizon: float, h_fine: Optional[float] = None) -> Trajectory:
     """RK4 reference solution on [0, horizon] in a Trajectory container.
 
-    h_fine is the step target (default tau_1/200, clamped to tau_1/2).  Raises
-    DivergentTailError or UnknownTailError, as _truncation does, when the
-    delayed sum has no certified truncation.
+    h_fine is the step target (default tau_1/200, clamped to tau_1/2).  Refuses
+    as solve does, with _truncation's NotInPhaseSpaceError, when the delayed
+    sum has no certified truncation.
     """
     if not (0.0 < horizon < np.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")

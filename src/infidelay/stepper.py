@@ -74,10 +74,12 @@ Admission is one certificate: solve and step_interval accept a history
 exactly when the forcing truncation N is certified (history._truncation),
 which proves phi in F, every p_k finite (see solve), so no p_k is evaluated.
 solve also certifies N_0; that fails only where a closed-form tail's
-enclosure fits eps at the horizon's floor but not at F(0)'s.  A forcing
-that is not finite in floating point (a term overflows where its b_i
-underflows) is refused with the same NotInPhaseSpaceError (_refusals); a
-solution leaving the floating-point range raises OverflowError with the time.
+enclosure fits eps at the horizon's floor but not at F(0)'s.  Every refusal
+is a NotInPhaseSpaceError whose subclass says why: DivergentTailError for a
+series certified divergent, UnknownTailError for one that cannot be
+certified or a forcing that is not finite in floating point (a term
+overflows where its b_i underflows).  A solution leaving the floating-point
+range raises OverflowError with the time.
 """
 
 from __future__ import annotations
@@ -93,10 +95,6 @@ import numpy as np
 from .coefficients import CoefficientFamily, DivergentTailError, UnknownTailError, m_index, n_index
 from .history import HistoryFunction, _delayed_sums, _seminorms, _sup_norms, _tail_sums, _truncation, _window_index, p_seminorm, sup_norm_k
 from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, eval_located, hermite_coeffs, phi1, piece_index, sup_abs_pieces
-
-
-class NotInPhaseSpaceError(Exception):
-    """The history fails (or cannot be certified for) phase-space membership."""
 
 
 @dataclass(frozen=True)
@@ -223,26 +221,6 @@ def forcing(traj: Trajectory, t, n: Optional[int] = None):
         _tail_sums(phi, prob.family, taus, bs), _caps(traj, ts.ravel(), taus) if n is None else n,
     )
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
-
-
-class _refusals:
-    """Refuse the history with NotInPhaseSpaceError, from exc, where a certificate or a delayed sum fails.
-
-    solve and step_interval certify and march inside it: a DivergentTailError
-    names the divergence, and an UnknownTailError (no certifiable truncation,
-    or a delayed sum that is not finite in floating point) keeps its text.
-    """
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind, exc, tb) -> None:
-        if isinstance(exc, DivergentTailError):
-            raise NotInPhaseSpaceError(
-                "the delayed series is certified divergent: the history is outside the phase space"
-            ) from exc
-        if isinstance(exc, UnknownTailError):
-            raise NotInPhaseSpaceError(str(exc)) from exc
 
 
 def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -> list[np.ndarray]:
@@ -493,12 +471,14 @@ def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] =
     """Integrate the problem on [0, horizon] once its forcing truncation is certified.
 
     The forcing index N on [0, horizon] (history._truncation) is the
-    solver's one admission test.  Success proves phi in F, p_k(phi) < inf
-    for every k, so no p_k is evaluated.  Past _tail_floor(phi, family,
-    k tau_1) every window of p_k lies in phi's tail, where the atoms (s, w)
-    bound |phi(t - tau_i)| for t >= 0 by sum s w(-tau_i) (weights do not
-    decrease into the past); that part of p_k is at most
-    sum s tail_sum_bound(family, w, n) with n past the floor.  Whether this
+    solver's one admission test; a refusal is _truncation's
+    DivergentTailError or UnknownTailError, both NotInPhaseSpaceErrors.
+    Success proves phi in F, p_k(phi) < inf for every k, so no p_k is
+    evaluated.  Past _tail_floor(phi, family, k tau_1) every window of p_k
+    lies in phi's tail, where the atoms (s, w) bound |phi(t - tau_i)| for
+    t >= 0 by sum s w(-tau_i) (weights do not decrease into the past); that
+    part of p_k is at most sum s tail_sum_bound(family, w, n) with n past
+    the floor.  Whether this
     is finite depends on neither n nor k, and each of the finitely many
     terms below the floor is finite.
 
@@ -514,11 +494,10 @@ def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] =
     tau1 = problem.family.delays.tau1
     h = min(config.h if config.h is not None else tau1 / 40.0, tau1)
     eps_f = config.eps_forcing if config.eps_forcing is not None else 1e-10 * max(1.0, sup_norm_k(problem.history, 1))
-    with _refusals():
-        n_forcing = _truncation(problem.history, problem.family, horizon, eps_f)[0]
-        n_origin = _truncation(problem.history, problem.family, 0.0, eps_f)[0]
-        start = _start(problem, config, n_forcing, n_origin, h, eps_f)
-        return _march(start, horizon, n_forcing, _delayed_values, GAUSS4_NODES, _voc_scan)
+    n_forcing = _truncation(problem.history, problem.family, horizon, eps_f)[0]
+    n_origin = _truncation(problem.history, problem.family, 0.0, eps_f)[0]
+    start = _start(problem, config, n_forcing, n_origin, h, eps_f)
+    return _march(start, horizon, n_forcing, _delayed_values, GAUSS4_NODES, _voc_scan)
 
 
 def step_interval(traj: Trajectory, k: int) -> Trajectory:
@@ -529,7 +508,7 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
     and marches the remaining span with that index; where it deepens, the
     nodes already computed stand, as each point's index is its own (_caps).
     The one-period recursion continues from traj's _period_state, so the
-    nodes are those of one solve to the end.
+    nodes are those of one solve to the end.  It refuses as solve does.
     An oracle_solve trajectory records no forcing eps (0.0) and is refused:
     extending it here would not be the RK4 reference.  k must be an integer
     >= 0 (numpy integers pass, as operator.index reads them).
@@ -541,9 +520,8 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
     target = (k + 1) * problem.family.delays.tau1
     if target <= traj.horizon + 1e-12:
         return traj
-    with _refusals():
-        n_forcing = _truncation(problem.history, problem.family, target, traj.eps_forcing_used)[0]
-        return _march(traj, target, n_forcing, _delayed_values, GAUSS4_NODES, _voc_scan)
+    n_forcing = _truncation(problem.history, problem.family, target, traj.eps_forcing_used)[0]
+    return _march(traj, target, n_forcing, _delayed_values, GAUSS4_NODES, _voc_scan)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,18 @@ def test_invalid_json_is_a_schema_error_with_line(tmp_path, capsys):
     assert f"{path}:3" in out
 
 
+def test_a_byte_that_is_not_utf8_is_a_schema_error_at_its_line(tmp_path, capsys):
+    # once a UnicodeDecodeError traceback; a scenario file is UTF-8 (RFC 8259)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{\r\n  "name": "caf\xc3\xa9",\r\n  "problem": "na\xefve"\n}\n')
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == EXIT_SCHEMA_ERROR
+    assert f"{path}:3: not UTF-8: byte 0xef" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    assert _files_under(tmp_path / "out") == []
+
+
 def test_unknown_check_is_a_schema_error(tmp_path, capsys):
     cfg = {
         "name": "bad-check",
@@ -373,6 +385,11 @@ def _set_resolution_negative(cfg):
     cfg["problem"]["history"]["resolution"] = -0.05
 
 
+def _set_resolution_too_fine(cfg):
+    # once a 58 TiB allocation in np.linspace
+    cfg["problem"]["history"].update(depth=8.0, resolution=1e-12)
+
+
 def _set_continuity_k_zero(cfg):
     _params(cfg, "strong-continuity")["k"] = 0
 
@@ -501,6 +518,7 @@ _ANCHORS = {
     _set_core_coeff_null: lambda c: (_problem(c)["history"]["core"]["coeffs"][0], 0),
     _set_resolution_zero: lambda c: (_problem(c), "history"),
     _set_resolution_negative: lambda c: (_problem(c), "history"),
+    _set_resolution_too_fine: lambda c: (_problem(c), "history"),
     _set_continuity_k_zero: lambda c: (_params(c, "strong-continuity"), "k"),
     _set_continuity_threshold_negative: lambda c: (_params(c, "strong-continuity"), "threshold"),
     _set_estimates_k_list_zero: lambda c: (_params(c, "estimates"), "k_list"),
@@ -583,6 +601,7 @@ def _anchor_line(cfg, locate):
         _set_core_coeff_null,
         _set_resolution_zero,
         _set_resolution_negative,
+        _set_resolution_too_fine,
         _set_continuity_k_zero,
         _set_continuity_threshold_negative,
         _set_estimates_k_list_zero,
@@ -1008,6 +1027,22 @@ def test_directory_batch_and_jobs(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 2
     code2, out2 = run_cli(["run", str(tmp_path / "empty-missing")], capsys)
     assert code2 == EXIT_SCHEMA_ERROR
+
+
+def test_a_directory_named_like_a_scenario_is_not_read(tmp_path, capsys):
+    # once an IsADirectoryError traceback: a batch directory runs its regular files only
+    import importlib.resources as res
+
+    batch = tmp_path / "batch"
+    (batch / "x.json").mkdir(parents=True)
+    (batch / "classic-delay.json").write_text((res.files("infidelay") / "scenarios" / "classic-delay.json").read_text())
+    code, out = run_cli(["run", str(batch), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_OK
+    assert out.startswith("PASS classic-delay") and len(out.strip().splitlines()) == 1
+    (batch / "classic-delay.json").unlink()
+    code, out = run_cli(["run", str(batch), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_SCHEMA_ERROR
+    assert "contains no .json scenario files" in out
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

@@ -382,10 +382,14 @@ def family_weight(draw):
 #: a geometric family under a constant weight from inside its delay prefix:
 #: the prefix is summed term by term, then the continuation in closed form
 _PREFIX_GEOMETRIC = (CoefficientFamily.geometric(0.6, -0.95, DelaySchedule(0.0, 0.5, (0.3, 0.7))), WeightFunction.constant(2.5))
+#: the same under e^{theta} with prefix delays past 1, where e^{gamma tau_i}
+#: differs from e^{-gamma tau_i} and e^{gamma / tau_i}: the prefix is 56 of the 293
+_PREFIX_GEOMETRIC_EXP = (CoefficientFamily.geometric(1.0, 0.5, DelaySchedule(0.0, 0.5, (0.5, 3.0, 6.0))), WeightFunction.exponential(gamma=1.0))
 
 
 @given(fw=family_weight(), n=st.integers(min_value=1, max_value=30))
 @example(fw=_PREFIX_GEOMETRIC, n=1)
+@example(fw=_PREFIX_GEOMETRIC_EXP, n=1)
 def test_tail_bound_sound_against_partial_sums(fw, n):
     fam, w = fw
     bound = tail_sum_bound(fam, w, n)
@@ -401,6 +405,14 @@ def test_tail_bound_sound_against_partial_sums(fw, n):
     terms = terms[np.isfinite(terms)]
     partial = float(np.sum(terms))
     assert partial <= bound * (1.0 + 1e-12) + 1e-300
+
+
+def test_tail_bound_of_a_term_whose_weight_overflows_is_exact():
+    # 2^-1000 (1 + 1)^1100 = 2^100, though the weight 2^1100 alone overflows:
+    # the log-domain term, which the partial sums above drop as overflowed
+    fam = CoefficientFamily.finite_support([2.0**-1000], DelaySchedule(0.0, 1.0))
+    bound = tail_sum_bound(fam, WeightFunction.polynomial(1100), 1)
+    assert 2.0**100 <= bound == pytest.approx(2.0**100, rel=1e-12, abs=0.0)
 
 
 @given(fw=family_weight(), n=st.integers(min_value=1, max_value=20))

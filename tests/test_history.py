@@ -1,6 +1,7 @@
 """Histories, tail models, seminorms, membership, weighted norms, and L."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -77,6 +78,22 @@ def test_evaluate_sampled_callable_matches_function():
     assert abs(phi.evaluate(-math.pi) - math.cos(-math.pi)) < 1e-8
     thetas = np.linspace(-8.0, 0.0, 400)
     assert np.max(np.abs(phi.evaluate(thetas) - np.cos(thetas))) < 1e-6
+
+
+@pytest.mark.parametrize("depth, resolution", [(8.0, 1e-12), (1e12, 1e-12), (1e12, 0.05), (math.inf, 0.05), (math.inf, math.inf), (8.0, math.nan), (math.nan, 0.05)])
+def test_a_core_of_too_many_pieces_is_refused_before_any_allocation(depth, resolution):
+    # resolution 1e-12 once asked np.linspace for 58 TiB
+    def never(t):
+        raise AssertionError("sampled a core that should be refused")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="must be at most 1000000 pieces"):
+            history_from_callable(never, depth=depth, resolution=resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("depth, resolution", [(8.0, 0.0), (8.0, -0.05), (0.0, 0.05)])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -328,6 +329,35 @@ def test_solve_refuses_a_closed_form_tail_whose_enclosure_fits_only_deeper():
     assert 0.6 * (hi - lo) > 1e-10
     with pytest.raises(NotInPhaseSpaceError, match="cannot certify"):
         solve(p, 8.0)
+
+
+#: (family, eps, why) from the constant history: b_i = 1/i is certified
+#: divergent, and a recorded tail mass of 0.2 above eps = 0.1 proves neither verdict
+_REFUSED_PAIRS = [
+    (CoefficientFamily.power_law(1.0, 1.0, DS), 1e-10, fd.DivergentTailError),
+    (CoefficientFamily.explicit_list([0.5], 0.2, DS), 0.1, fd.UnknownTailError),
+]
+
+
+@pytest.mark.parametrize("call", ["solve", "step_interval", "oracle_solve", "L_functional", "estimate_certificate"])
+@pytest.mark.parametrize("fam, eps, why", _REFUSED_PAIRS, ids=["divergent", "uncertifiable"])
+def test_every_refusal_is_a_not_in_phase_space_error_that_says_why(fam, eps, why, call):
+    # the trajectory step_interval and estimate_certificate read comes from a
+    # finite support, then carries the refused problem
+    phi = history_preset("constant")
+    problem, config = ProblemSpec(0.0, fam, phi), SolverConfig(eps_forcing=eps, eps_tail_seminorm=eps)
+    host = solve(ProblemSpec(0.0, CoefficientFamily.finite_support([0.5], DS), phi), 1.0, config)
+    traj = replace(host, problem=problem)
+    calls = {
+        "solve": lambda: solve(problem, 1.0, config),
+        "step_interval": lambda: step_interval(traj, 1),
+        "oracle_solve": lambda: fd.oracle_solve(problem, 1.0),
+        "L_functional": lambda: fd.L_functional(phi, fam, 0.0, eps),
+        "estimate_certificate": lambda: estimate_certificate(traj, 1),
+    }
+    with pytest.raises(NotInPhaseSpaceError) as info:
+        calls[call]()
+    assert type(info.value) is why
 
 
 def test_the_truncation_cap_refuses_end_to_end():
