@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -213,6 +213,16 @@ class CoefficientFamily:
             raise ValueError(f"power-law family needs p > 0, got {self.p_exponent}")
         if self.kind == "explicit-list" and self.tail_abs_bound < 0.0:
             raise ValueError(f"tail mass bound must be >= 0, got {self.tail_abs_bound}")
+
+    def __hash__(self) -> int:
+        """The dataclass hash of the fields, computed once: every memo key holding a family hashes it."""
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self) -> dict:
+        # a str hashes differently in another process: a copy or an unpickled family hashes afresh
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @classmethod
     def finite_support(cls, coeffs, delays: DelaySchedule) -> "CoefficientFamily":

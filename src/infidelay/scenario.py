@@ -68,6 +68,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -116,12 +117,32 @@ class ScenarioError(Exception):
         super().__init__(f"{path}:{line}: {message}")
 
 
+#: deepest nesting of objects and arrays a scenario file may have: the
+#: pure-Python scanner below recurses about three frames per level, so this
+#: stays well inside Python's default recursion limit of 1000 (a scenario
+#: nests five levels; RFC 8259 section 9 lets a parser limit the depth)
+_MAX_NESTING = 100
+
+#: a JSON string (one left open runs to the end of the text, where the
+#: scanner reports it), or one bracket outside strings, and the depth each changes by
+_BRACKETS = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[][{}]', re.DOTALL)
+_NESTING_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
 def _parse_with_lines(raw: str) -> tuple[object, dict]:
     """json.loads(raw), and a map from id(container) to (container, line, {key or entry index: line}).
 
     json.decoder.JSONObject and JSONArray run under the pure-Python scanner,
     with the value scanner they are given wrapped to note where values start.
+    A bracket that opens a level past _MAX_NESTING is a JSONDecodeError at
+    its position, found before the scanner runs by one regular-expression
+    pass, which a text of at most _MAX_NESTING opening brackets skips.
     """
+    depth = 0
+    for token in _BRACKETS.finditer(raw) if raw.count("[") + raw.count("{") > _MAX_NESTING else ():
+        depth += _NESTING_STEP.get(token.group(), 0)
+        if depth > _MAX_NESTING:
+            raise json.JSONDecodeError(f"nested deeper than {_MAX_NESTING} levels", raw, token.start())
     spots: dict = {}
 
     def line(pos: int) -> int:

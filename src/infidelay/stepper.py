@@ -18,13 +18,18 @@ tau_i <= T, where the solution loses one order of smoothness.  _substeps
 is the one routine that places them: it merges knots within 1e-12 of
 each other and cuts the march into tau_1-windows of sub-steps.
 
-The march (_march) is a plan and a sweep, set up once per call: one
-family array pair, one tail moment and one append-only table (phi's core
-rows, then a row per node, the step ends written from the start;
-_buffers), whose node rows hold the node values and slopes in columns 0
-and 1, so the scan writes them in place.  A march from _start's one node
-at t = 0 reads that node's slope a phi(0) + F(0) with F(0) a head point of
-these arrays, forcing(traj, 0.0) bit for bit.  The mesh is fixed before
+The march (_march) is a plan and a sweep.  It appends to its chain's
+buffers (_Chain): one read table (phi's core rows, then a row per node,
+the step ends written from the start), whose node rows hold the node
+values and slopes in columns 0 and 1, so the scan writes them in place;
+the period state; and one family array pair, with the tail moment built
+only when a head window reads it.  A solve starts a chain, and
+step_interval from the chain's latest trajectory appends to it in place,
+so an extension costs O(window), not O(trajectory); any other parent
+copies itself once into a chain of its own (_chain).  A trajectory is
+read-only views of the buffers it was marched in.  A march from _start's
+one node at t = 0 reads that node's slope a phi(0) + F(0) with F(0) a
+head point of these arrays, forcing(traj, 0.0) bit for bit.  The mesh is fixed before
 any value of x is known and the delays are constant, so the plan (_plan)
 does the march's grid-only work in one batch: it gives each tau_1-window
 its points (start + step * nodes and the step ends, interior nodes only,
@@ -141,7 +146,12 @@ class Trajectory:
     forcing index certified on [0, horizon], n_origin the one at reach 0.
     _period_state holds the march's (points, F, caps) of the last period,
     from which an extension continues the one-period recursion; it is
-    march state and reaches no report.
+    march state and reaches no report.  A marched trajectory's arrays are
+    read-only views of its chain's buffers: _chain is the chain (_Chain)
+    and _read the read table (breaks, coeffs) of phi's core rows and the
+    pieces.  A trajectory built by its constructor, such as a
+    dataclasses.replace copy, has neither until it is read or extended,
+    and then copies its own fields into a chain of its own.
     """
 
     problem: ProblemSpec
@@ -155,6 +165,8 @@ class Trajectory:
     h_used: float
     eps_forcing_used: float
     _period_state: tuple = field(default=(), repr=False)
+    _chain: Optional["_Chain"] = field(default=None, init=False, repr=False)
+    _read: tuple = field(default=(), init=False, repr=False)
 
     @property
     def horizon(self) -> float:
@@ -165,7 +177,7 @@ class Trajectory:
         if not (th <= self.horizon + 1e-9).all():  # NaN fails too
             raise ValueError(f"evaluation beyond horizon {self.horizon}: max t={th.max()}")
         phi = self.problem.history
-        out = _delayed_values(phi, *_table(phi, self.grid, self.pieces), np.minimum(np.atleast_1d(th), self.horizon))
+        out = _delayed_values(phi, *(self._read or _chain(self, 0).read()), np.minimum(np.atleast_1d(th), self.horizon))
         return float(out[0]) if th.ndim == 0 else out
 
     def to_json_dict(self) -> dict:
@@ -177,13 +189,140 @@ class Trajectory:
         }
 
 
-def _table(phi: HistoryFunction, grid: np.ndarray, pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The read table of a trajectory: phi's core rows, then the pieces on grid (breaks, coeffs)."""
-    return np.concatenate((phi.breakpoints[:-1], grid)), np.concatenate((phi.coeffs, pieces))
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """A read-only view of each array: every slice of one is read-only too."""
+    views = tuple(arr.view() for arr in arrays)
+    for view in views:
+        view.setflags(write=False)
+    return views
+
+
+def _grown(arr: np.ndarray, used: int, size: int) -> np.ndarray:
+    """A new buffer of size rows that starts with arr's first used rows."""
+    out = np.empty((size, *arr.shape[1:]), arr.dtype)
+    out[:used] = arr[:used]
+    return out
+
+
+class _Chain:
+    """The buffers a step_interval chain appends to: read table, period state and family arrays.
+
+    The table (breaks, coeffs) is phi's core rows, then one row per node:
+    a piece starts at its node's value and slope, so columns 0 and 1 of a
+    node row hold the node's value and slope, and the last node's row is
+    the pending piece (x, x', 0, 0) while a window's forcing is evaluated:
+    delayed arguments at or just past that node read the node data exactly.
+    rows counts the tip's rows (the tip is the chain's latest trajectory),
+    and the state arrays (points, F, caps) hold its last period at [lo, hi).
+    A march writes past them and moves them on only when it succeeds, so
+    one that raised leaves the tip as it was.  taus and bs hold at least
+    the delays and coefficients any march read, moment the tail moment of
+    the last n a head read, and period the family's _period.  A full
+    table or family array grows to twice its size, and a full state moves
+    its live part to new buffers four times the live part and the points
+    to be added; a solve keeps read-only copies of its state's last
+    period, not its plan's arrays.  Trajectories hold slices of read-only
+    views (frozen, frozen_state) of the buffers they were marched in,
+    which no march writes again.
+    """
+
+    def __init__(self, traj: Trajectory, rows: int):
+        phi = traj.problem.history
+        c, n0 = len(phi.coeffs), len(traj.grid)
+        self.breaks, self.coeffs = np.empty(c + n0 + rows), np.empty((c + n0 + rows, 4))
+        self.breaks[:c], self.breaks[c : c + n0] = phi.breakpoints[:-1], traj.grid
+        self.coeffs[:c], self.coeffs[c : c + n0 - 1] = phi.coeffs, traj.pieces
+        self.coeffs[c + n0 - 1, :2] = traj.values[-1], traj.derivs[-1]
+        self.frozen, self.core, self.rows = _read_only(self.breaks, self.coeffs), c, c + n0
+        state = traj._period_state
+        # no state, or another trajectory's: the first march's plan arrays become the state
+        self.state = self.frozen_state = state if state and state[0][-1] == traj.horizon else None
+        self.lo, self.hi = 0, len(state[0]) if self.state else 0
+        self.taus = self.bs = np.empty(0)
+        self.moment, self.period = (-1, None), _period(traj.problem.family)
+
+    def read(self) -> tuple:
+        """The tip's read table (breaks, coeffs): phi's core rows, then the pieces."""
+        return self.frozen[0][: self.rows], self.frozen[1][: self.rows - 1]
+
+    def nodes(self) -> tuple:
+        """The tip's (grid, values, derivs, pieces)."""
+        grid, rows = self.frozen[0][self.core : self.rows], self.frozen[1][self.core : self.rows]
+        return grid, rows[:, 0], rows[:, 1], rows[:-1]
+
+    def family_arrays(self, family: CoefficientFamily, n: int) -> tuple:
+        """The first n delays and coefficients; an entry does not depend on how many are built."""
+        if len(self.taus) < n:
+            # an explicit list may hold no more coefficients than it stores
+            size = n if family.kind == "explicit-list" else max(n, 2 * len(self.taus))
+            self.taus, self.bs = family.delays.tau_array(size), family.b_array(size)
+        return self.taus[:n], self.bs[:n]
+
+    def tail_sums(self, phi: HistoryFunction, family: CoefficientFamily, n: int):
+        """history._tail_sums over the first n delays, built when a head first reads it."""
+        if self.moment[0] != n:
+            self.moment = (n, _tail_sums(phi, family, self.taus[:n], self.bs[:n]))
+        return self.moment[1]
+
+    def extend(self, ends: list) -> tuple:
+        """The table with a row per step end after the tip's: (breaks, coeffs), cubic terms 0 from the tip's last row."""
+        r0 = self.rows
+        r1 = r0 + sum(map(len, ends))
+        if r1 > len(self.breaks):
+            size = max(r1, 2 * len(self.breaks))
+            self.breaks, self.coeffs = _grown(self.breaks, r0, size), _grown(self.coeffs, r0, size)
+            self.frozen = _read_only(self.breaks, self.coeffs)
+        np.concatenate(ends, out=self.breaks[r0:r1])
+        self.coeffs[r0 - 1 : r1, 2:] = 0.0  # a march that raised may have written them
+        return self.breaks[:r1], self.coeffs[:r1]
+
+    def _restate(self, size: int) -> None:
+        """Move the live state [lo, hi) to the front of new buffers of size entries."""
+        self.state = tuple(_grown(arr[self.lo :], self.hi - self.lo, size) for arr in self.state)
+        self.frozen_state, self.lo, self.hi = _read_only(*self.state), 0, self.hi - self.lo
+
+    def stack(self, points: np.ndarray, caps: np.ndarray) -> tuple:
+        """(points, F, caps) of the tip's last period, then of points and caps (F for the sweep to write)."""
+        k = len(points)
+        if self.state is None:  # a solve: its stored points and caps are the plan's, not copies
+            self.state = (points, np.empty(k), caps)
+            return self.state
+        if self.hi + k > len(self.state[0]):
+            self._restate(4 * (self.hi - self.lo + k))
+        pts, f, cps = self.state
+        pts[self.hi : self.hi + k], cps[self.hi : self.hi + k] = points, caps
+        return pts[self.lo : self.hi + k], f[self.lo : self.hi + k], cps[self.lo : self.hi + k]
+
+    def advance(self, rows: int, stored: Optional[tuple], since: int) -> tuple:
+        """Make a march's result the tip: rows table rows, and its stack's state from since on (none without)."""
+        self.rows = rows
+        if stored is None:
+            return ()
+        fresh = self.hi == 0  # the state arrays are the march's plan arrays
+        self.lo, self.hi = self.lo + since, self.lo + len(stored[0])
+        if fresh:  # keep read-only copies of the last period: a full state, which the next stack moves
+            self.state = self.frozen_state = _read_only(*(arr[self.lo : self.hi].copy() for arr in self.state))
+            self.lo, self.hi = 0, self.hi - self.lo
+        return tuple(arr[self.lo : self.hi] for arr in self.frozen_state)
+
+
+def _chain(traj: Trajectory, rows: int) -> _Chain:
+    """The chain traj extends in place: its own when traj is the tip, else a new one, a copy of traj with room for rows more nodes.
+
+    An older trajectory of a chain, a second child's parent or a
+    trajectory built outside a march thus copies once and starts a chain
+    of its own, and no extension writes where another trajectory reads.
+    """
+    chain = traj._chain
+    if chain is None or chain.rows != chain.core + len(traj.grid):
+        chain = _Chain(traj, rows)
+        object.__setattr__(traj, "_chain", chain)
+        object.__setattr__(traj, "_read", traj._read or chain.read())
+    return chain
 
 
 def _delayed_values(phi: HistoryFunction, breaks: np.ndarray, coeffs: np.ndarray, args: np.ndarray) -> np.ndarray:
-    """x at the 1-d array args, read (phi.read) from _table's table or a prefix of the march's (_buffers)."""
+    """x at the 1-d array args, read (phi.read) from a trajectory's read table or a prefix of a march's."""
     return phi.read(breaks, coeffs, args)
 
 
@@ -217,7 +356,7 @@ def forcing(traj: Trajectory, t, n: Optional[int] = None):
     n_max = traj.n_forcing if n is None else n
     taus, bs = prob.family.delays.tau_array(n_max), prob.family.b_array(n_max)
     out = _delayed_sums(
-        partial(_delayed_values, phi, *_table(phi, traj.grid, traj.pieces)), phi, ts.ravel(), taus, bs,
+        partial(_delayed_values, phi, *(traj._read or _chain(traj, 0).read())), phi, ts.ravel(), taus, bs,
         _tail_sums(phi, prob.family, taus, bs), _caps(traj, ts.ravel(), taus) if n is None else n,
     )
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
@@ -256,26 +395,6 @@ def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -
             ends = []
             j += 1
     return windows
-
-
-def _buffers(traj: Trajectory, windows: list) -> tuple[np.ndarray, np.ndarray]:
-    """The march's append-only read table (breaks, coeffs): traj's, then a row per step end of windows.
-
-    It is _table's table: phi's core rows, then one row per node.  Every
-    step end is in it from the start, and the rows are filled window by
-    window.  A piece starts at its node's value and slope, so columns 0 and
-    1 of the node rows hold the node values and slopes, and the last node's
-    row is the pending piece (x, x', 0, 0) while a window's forcing is
-    evaluated: delayed arguments at or just past that node read the node
-    data exactly.
-    """
-    phi = traj.problem.history
-    c, n0 = len(phi.coeffs), len(traj.grid)
-    breaks = np.concatenate((phi.breakpoints[:-1], traj.grid, *windows))
-    coeffs = np.zeros((len(breaks), 4))
-    coeffs[:c], coeffs[c : c + n0 - 1] = phi.coeffs, traj.pieces
-    coeffs[c + n0 - 1, :2] = traj.values[-1], traj.derivs[-1]
-    return breaks, coeffs
 
 
 def _store_window(values, derivs, pieces, m: int, steps: np.ndarray) -> int:
@@ -336,7 +455,7 @@ def _plan_recursion(traj: Trajectory, rows: list, points: np.ndarray, caps, brea
     """The one-period recursion's part of the plan: (stores, recursions, state, since).
 
     The state arrays (points, F, caps) hold traj's last period, then each
-    window's points (points.ravel()) and caps; the sweep writes window w's
+    window's points (points.ravel()) and caps (_Chain.stack); the sweep writes window w's
     F at the slice stores[w], and the last period starts at since, one
     period (less 1e-9) before the end.  A window's run is the stored points
     from the first at or past its first point - delta - 1e-12 on.
@@ -350,15 +469,9 @@ def _plan_recursion(traj: Trajectory, rows: list, points: np.ndarray, caps, brea
     """
     phi, delta = traj.problem.history, traj.problem.family.delays.delta
     flat, width = points.ravel(), points.shape[1]
-    state = traj._period_state
-    if not state or state[0][-1] != traj.horizon:  # no state, or another trajectory's
-        state = (np.empty(0), np.empty(0), np.empty(0, dtype=caps.dtype))
-    held, first = len(state[0]), [r * width for r in rows]
+    state = stored, _, c_stored = traj._chain.stack(flat, caps)
+    held, first = len(stored) - len(flat), [r * width for r in rows]
     counts, heads = [d1 - d0 for d0, d1 in zip(first, first[1:])], points[:, 0][rows[:-1]]  # each window's point count and first point
-    # a solve starts without state: its stored points and caps are the plan's, not copies
-    stored = np.concatenate((state[0], flat)) if held else flat
-    c_stored = np.concatenate((state[2], caps)) if held else caps
-    state = (stored, np.concatenate((state[1], np.empty(len(flat)))), c_stored)
     runs = stored.searchsorted(heads - delta - 1e-12).tolist()
     run = np.arange(len(flat)) + np.array([r - d for r, d in zip(runs, first)]).repeat(counts)
     rise = caps - c_stored.take(run, mode="clip")
@@ -396,7 +509,7 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
     sweep does the work that needs x, a window at a time: F at its points,
     one value each, by the recursion from one eval_located gather where the
     plan admits it and F is finite, else by the head (_delayed_sums) on the
-    prefix of the table (_buffers) that holds the window's nodes, read by
+    prefix of the chain's table (_Chain.extend) that holds the window's nodes, read by
     the caller's own delayed_values; then scan(a, x, dx, steps, points, f),
     the node values from the last node's value x and slope dx, the slopes
     and the Hermite pieces.  The last period's points, F and caps ride on
@@ -404,18 +517,17 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
     """
     problem, phi = traj.problem, traj.problem.history
     a, rho = problem.a, problem.family.rho
-    n, period = n_forcing, _period(problem.family)
-    taus = problem.family.delays.tau_array(n + (period > 0))
-    bs = problem.family.b_array(n + (period > 0))
-    tail_sums = _tail_sums(phi, problem.family, taus[:n], bs[:n])
+    n = n_forcing
     windows = _substeps(traj.horizon, t_end, problem.family, traj.h_used)
-    breaks, coeffs = _buffers(traj, windows)
+    chain = _chain(traj, sum(map(len, windows)))
+    taus, bs = chain.family_arrays(problem.family, n + (chain.period > 0))
+    breaks, coeffs = chain.extend(windows)
     c, n0 = len(phi.coeffs), len(traj.grid)
     grid, pieces = breaks[c:], coeffs[c:]
     values, derivs = pieces[:, 0], pieces[:, 1]
     if n0 == 1:  # _start's node: its slope a phi(0) + F(0), F(0) read as a head point of these arrays
         values_at = partial(delayed_values, phi, breaks[: c + 1], coeffs[: c + 1])
-        derivs[0] = a * values[0] + _delayed_sums(values_at, phi, grid[:1], taus[:n], bs[:n], tail_sums, _caps(traj, grid[:1], taus[:n]))[0]
+        derivs[0] = a * values[0] + _delayed_sums(values_at, phi, grid[:1], taus[:n], bs[:n], chain.tail_sums(phi, problem.family, n), _caps(traj, grid[:1], taus[:n]))[0]
     # every value that is not finite is named: a recursion's F (a growing tail's correction can be
     # 0 * inf) goes to the head, the head raises UnknownTailError and an overflow below names its time
     with np.errstate(over="ignore", invalid="ignore"):
@@ -432,7 +544,7 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
                     f = None
             if f is None:
                 values_at = partial(delayed_values, phi, breaks[: c + m], coeffs[: c + m])
-                f = _delayed_sums(values_at, phi, points.ravel(), taus[:n], bs[:n], tail_sums, caps)
+                f = _delayed_sums(values_at, phi, points.ravel(), taus[:n], bs[:n], chain.tail_sums(phi, problem.family, n), caps)
             if store is not None:
                 state[1][store] = f
             f = f.reshape(points.shape)
@@ -444,10 +556,13 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
             if not np.isfinite(pieces[m - 1 : m_new]).all():
                 row = np.isfinite(pieces[m - 1 : m_new]).all(axis=1).argmin()
                 raise OverflowError(f"the solution leaves the floating-point range after t = {grid[m - 1 + row]}")
-    state = (state[0][since:].copy(), state[1][since:].copy(), state[2][since:].copy()) if state else ()
+    state = chain.advance(len(breaks), state, since)
     # Trajectory's fields in order: a direct call, as dataclasses.replace costs twice as much
-    return Trajectory(problem, traj.config, grid, values.copy(), derivs.copy(), pieces[:-1], n_forcing,
-                      traj.n_origin, traj.h_used, traj.eps_forcing_used, state)
+    out = Trajectory(problem, traj.config, *chain.nodes(), n_forcing,
+                     traj.n_origin, traj.h_used, traj.eps_forcing_used, state)
+    object.__setattr__(out, "_chain", chain)
+    object.__setattr__(out, "_read", chain.read())
+    return out
 
 
 def _start(problem: ProblemSpec, config: SolverConfig, n_forcing: int, n_origin: int, h: float, eps_f: float) -> Trajectory:
@@ -508,7 +623,9 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
     and marches the remaining span with that index; where it deepens, the
     nodes already computed stand, as each point's index is its own (_caps).
     The one-period recursion continues from traj's _period_state, so the
-    nodes are those of one solve to the end.  It refuses as solve does.
+    nodes are those of one solve to the end.  From its chain's latest
+    trajectory it appends to the chain's buffers, in O(window); from any
+    other it copies traj once first (_chain).  It refuses as solve does.
     An oracle_solve trajectory records no forcing eps (0.0) and is refused:
     extending it here would not be the RK4 reference.  k must be an integer
     >= 0 (numpy integers pass, as operator.index reads them).

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import infidelay
 from infidelay.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_SCHEMA_ERROR, bundled_scenario_names, main
+from infidelay.scenario import _parse_with_lines
 
 BUNDLED = {
     "classic-delay",
@@ -143,6 +144,24 @@ def test_a_byte_that_is_not_utf8_is_a_schema_error_at_its_line(tmp_path, capsys)
     assert f"{path}:3: not UTF-8: byte 0xef" in captured.out
     assert "Traceback" not in captured.out + captured.err
     assert _files_under(tmp_path / "out") == []
+
+
+def test_a_scenario_nested_too_deeply_is_a_schema_error_at_its_line(tmp_path, capsys):
+    # once a RecursionError traceback from the pure-Python scanner
+    path = tmp_path / "deep.json"
+    path.write_text('{\n  "name": "deep",\n  "problem": ' + "[" * 5000 + "]" * 5000 + "\n}\n")
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == EXIT_SCHEMA_ERROR
+    assert f"{path}:3: invalid JSON: nested deeper than 100 levels" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    assert _files_under(tmp_path / "out") == []
+    # a hundred levels parse, and brackets inside strings do not nest
+    data, _ = _parse_with_lines('{"name": "' + "[{" * 200 + '\\"]", "x": ' + "[" * 99 + "]" * 99 + "}")
+    assert data["name"] == "[{" * 200 + '"]'
+    # brackets after a string left open are its text: the scanner names the string
+    with pytest.raises(json.JSONDecodeError, match="Unterminated string"):
+        _parse_with_lines('{"name": "' + "[" * 200)
 
 
 def test_unknown_check_is_a_schema_error(tmp_path, capsys):

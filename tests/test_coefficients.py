@@ -1,7 +1,9 @@
 """Delay schedules, coefficient families, weights, and tail certificates."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -238,6 +240,30 @@ def test_a_finite_support_is_the_zero_mass_list():
     assert KINDS == ("geometric", "power-law", "explicit-list")
     with pytest.raises(ValueError, match="unknown family kind 'finite-support'"):
         CoefficientFamily(kind="finite-support", delays=ds, coeffs=(0.3, -0.2))
+
+
+def test_a_family_hashes_its_coefficients_once():
+    # memo keys hash the family on every lookup: equal families hash equal,
+    # as dataclass equality needs, and a second hash() walks no coefficient.
+    # A copy, or an unpickled family in another process, hashes afresh
+    walked = []
+
+    class Counted(float):
+        def __hash__(self):
+            walked.append(self)
+            return float.__hash__(self)
+
+    ds = DelaySchedule(delta=0.7)
+    values = [0.5**i for i in range(1, 1001)]
+    counted = CoefficientFamily(kind="explicit-list", delays=ds, coeffs=tuple(map(Counted, values)))
+    plain = CoefficientFamily.finite_support(values, ds)
+    assert counted == plain and hash(counted) == hash(plain) and len(walked) == 1000
+    assert hash(counted) == hash(plain) and len(walked) == 1000
+    assert hash(plain) == hash(("explicit-list", ds, tuple(values), 0.0, 0.0, 0.0, 0.0))
+    assert hash(copy.copy(plain)) == hash(plain) and "_hash" not in pickle.loads(pickle.dumps(plain)).__dict__
+    assert {plain: 1}[CoefficientFamily.finite_support(values, ds)] == 1
+    other = CoefficientFamily.finite_support(values[:-1] + [0.0], ds)
+    assert other != plain and hash(other) != hash(plain)
 
 
 def test_head_abs_sum():

@@ -220,7 +220,7 @@ def test_delay_major_sums_have_the_row_major_bits(monkeypatch, chunk, moment, un
     # s + depth between two delays gives every point one sorted search
     points = np.linspace(0.31, 0.39, 40) if uniform else np.concatenate((np.linspace(0.0, 2.0, 97), traj.grid[::5]))
     caps = n if uniform else fd.stepper._caps(traj, points, taus)
-    values_at = partial(fd.stepper._delayed_values, phi, *fd.stepper._table(phi, traj.grid, traj.pieces))
+    values_at = partial(fd.stepper._delayed_values, phi, *traj._read)
     want, heads = _row_major_sums(values_at, phi, points, taus, bs, tail_sums, caps)
     assert (len(set(heads.tolist())) == 1) == uniform
     monkeypatch.setattr(fd.history, "_CHUNK_TERMS", chunk)
@@ -737,7 +737,7 @@ def test_one_table_read_matches_the_three_way_split(monkeypatch, run, p):
     assert sum(buffers) >= 3 and len(planned) >= 2  # the windows of [0, 3], each with its pending row
     monkeypatch.undo()
     ts = np.concatenate((_edge_arguments(p.history, traj.grid), np.linspace(-20.0, 3.0, 2001), traj.grid))
-    table = fd.stepper._table(p.history, traj.grid, traj.pieces)
+    table = traj._read
     assert _same_bits(real(p.history, *table, ts), _three_way_read(p.history, traj.grid, traj.pieces, ts))
     clamped = np.minimum(ts, traj.horizon)
     assert _same_bits(traj.eval(ts), _three_way_read(p.history, traj.grid, traj.pieces, clamped))
@@ -1019,6 +1019,109 @@ def test_step_interval_chain_stores_each_window_once(monkeypatch):
     assert stored == [float(k) for k in range(32)]
 
 
+def _bits(traj) -> list:
+    """Every node array and period-state array of traj as bytes, with its forcing index."""
+    arrays = (traj.grid, traj.values, traj.derivs, traj.pieces, *traj._period_state)
+    return [traj.n_forcing, len(traj._period_state)] + [arr.tobytes() for arr in arrays]
+
+
+def test_two_extensions_from_one_parent_do_not_see_each_other():
+    # the first child appends to the parent's chain in place; the second
+    # finds the parent no longer its chain's tip, copies it once and starts
+    # a chain of its own.  Each child, and each grandchild, is a fresh chain's
+    p = march_long_problem()
+    parent = step_interval(solve(p, 3.0), 3)
+    before = _bits(parent)
+    first, second = step_interval(parent, 4), step_interval(parent, 5)
+    fresh = step_interval(solve(p, 3.0), 3)
+    assert _bits(first) == _bits(step_interval(fresh, 4))
+    assert _bits(second) == _bits(step_interval(fresh, 5)) and first._chain is not second._chain
+    assert _bits(step_interval(first, 6)) == _bits(step_interval(step_interval(fresh, 4), 6))
+    assert _bits(step_interval(second, 6)) == _bits(step_interval(fresh, 6))
+    assert _bits(parent) == before
+
+
+def test_an_extension_from_a_replaced_copy_reads_its_own_pieces():
+    # a dataclasses.replace copy shares its parent's chain arrays in every
+    # field it does not replace, but not the chain: it copies its own
+    # fields once, so the perturbed piece is read and the parent's arrays
+    # and extensions stay as they were
+    p = march_long_problem()
+    parent = step_interval(solve(p, 3.0), 3)
+    before = _bits(parent)
+    pieces = parent.pieces.copy()
+    pieces[-20, 2] += 1e-3  # on [3.5, 3.525]: x(s - tau_1) of the next window reads it
+    copy = replace(parent, pieces=pieces)
+    got = step_interval(copy, 4)
+    fresh = replace(step_interval(solve(p, 3.0), 3), pieces=pieces.copy())
+    assert _bits(got) == _bits(step_interval(fresh, 4))
+    assert _bits(got)[3:] != _bits(step_interval(parent, 4))[3:]
+    assert _bits(parent) == before
+    assert _bits(step_interval(parent, 4)) == _bits(step_interval(step_interval(solve(p, 3.0), 3), 4))
+
+
+def test_an_extension_after_one_that_overflowed_is_a_fresh_chains():
+    # with a = 150 the solution leaves the floating-point range at t = 4.64:
+    # the failed march wrote its first window, its state and the parent's
+    # last row in the chain's buffers, in place, but the parent stays the
+    # tip, and the next extension overwrites them
+    p = ProblemSpec(150.0, CoefficientFamily.geometric(1.0, 0.5, DelaySchedule(0.0, 0.5)), history_preset("cos"))
+    parent = step_interval(solve(p, 3.5), 7)
+    before = _bits(parent)
+    with pytest.raises(OverflowError, match="after t = 4.6"):
+        step_interval(parent, 9)
+    assert _bits(parent) == before
+    # what lies past the tip may be anything (a new buffer is np.empty): NaN, read, spoils every F
+    chain = parent._chain
+    chain.breaks[chain.rows :], chain.coeffs[chain.rows - 1, 2:], chain.coeffs[chain.rows :] = np.nan, np.nan, np.nan
+    for arr in chain.state:
+        arr[chain.hi :] = -1 if arr.dtype.kind == "i" else np.nan
+    got = step_interval(parent, 8)
+    assert got._chain is parent._chain  # appended in place, not copied
+    assert _bits(got) == _bits(step_interval(step_interval(solve(p, 3.5), 7), 8))
+    assert _bits(parent) == before
+
+
+@pytest.mark.parametrize("how", ["solve", "step_interval"])
+def test_a_trajectorys_arrays_are_read_only(how):
+    # they are views of the chain's buffers, which later extensions write past
+    p = march_long_problem()
+    traj = solve(p, 3.0) if how == "solve" else step_interval(solve(p, 3.0), 3)
+    arrays = (traj.grid, traj.values, traj.derivs, traj.pieces, *traj._period_state, *traj._read)
+    assert len(arrays) == 9
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_one_window_extensions_allocate_per_window_not_per_trajectory():
+    # 64 one-window extensions from H = 1,024 (40,961 nodes): after the
+    # first, which doubles the chain's table and family arrays, each one's
+    # allocations peak far below one copy of the ~1.6 MB read table, and
+    # the chain keeps O(window) more per extension.  Counted by tracemalloc,
+    # not timed
+    import tracemalloc
+
+    traj = step_interval(solve(march_long_problem(), 1024.0), 1024)
+    table = sum(arr.nbytes for arr in traj._read)
+    assert table > 1.5e6
+    peaks = []
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for k in range(1025, 1025 + 64):
+            tracemalloc.reset_peak()
+            now = tracemalloc.get_traced_memory()[0]
+            traj = step_interval(traj, k)
+            peaks.append(tracemalloc.get_traced_memory()[1] - now)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert traj.horizon == 1089.0 and len(traj.grid) == 40 * 1089 + 1
+    assert sum(peaks) / len(peaks) < table / 20 and max(peaks) < table / 8
+    assert kept / 64 < table / 100
+
+
 def test_per_point_forcing_stays_within_eps_of_a_deep_sum():
     # every node's forcing sums max(N_0, floor(s)) delays; against 200 delays
     # the discarded part is within the certified eps_forcing
@@ -1114,7 +1217,8 @@ def test_start_slope_is_a_phi0_plus_the_forcing_bit_for_bit(run, p):
 
 def test_solve_sets_up_each_march_once(monkeypatch):
     # F(0) comes from the march's own arrays: solve never calls forcing, and
-    # each march (solve, step_interval) builds its delays and coefficients once
+    # each march builds its delays and coefficients at most once: a chain
+    # keeps them for its extensions, doubled when one needs more
     calls = []
     tau_array, b_array = DelaySchedule.tau_array, CoefficientFamily.b_array
     monkeypatch.setattr(DelaySchedule, "tau_array", lambda self, n: calls.append("tau") or tau_array(self, n))
@@ -1123,9 +1227,13 @@ def test_solve_sets_up_each_march_once(monkeypatch):
     p = march_long_problem()
     traj = solve(p, 4.0)
     assert calls == ["tau", "b"]
-    step_interval(traj, 4)
+    step_interval(traj, 4)  # N = 34 at H = 5: the solve's 35 entries hold it
     fd.oracle_solve(p, 1.0)
-    assert calls == ["tau", "b"] * 3
+    assert calls == ["tau", "b"] * 2
+    chain = step_interval(solve(p, 27.0), 27)  # N = 35 at H = 28 needs 36 entries: 70 are built
+    assert calls == ["tau", "b"] * 4 and len(chain._chain.taus) == 70
+    step_interval(chain, 28)
+    assert calls == ["tau", "b"] * 4
 
 
 def test_a_step_interval_chain_certifies_from_the_memo(monkeypatch):
