@@ -239,10 +239,10 @@ class _Anchored:
         kind is a class (float takes an int and gives a float), a key table
         (read into a dict) or a builder(obj, anch) of an object, whose
         ValueError anchors at that object.  Floats at any list depth must be
-        finite.
+        finite; a bool is no float or int.
         """
         cls = kind if isinstance(kind, type) else dict
-        if not isinstance(v, (int, float) if cls is float else cls):
+        if not isinstance(v, (int, float) if cls is float else cls) or isinstance(v, bool) and cls is not bool:
             raise self.fail(f"{label} must be {cls.__name__}, got {type(v).__name__}", obj, key)
         if isinstance(v, float) and not math.isfinite(v):
             raise self.fail(f"{label} must be finite, got {v}", obj, key)

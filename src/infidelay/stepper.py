@@ -21,15 +21,16 @@ each other and cuts the march into tau_1-windows of sub-steps.
 The march (_march) is a plan and a sweep.  It appends to its chain's
 buffers (_Chain): one read table (phi's core rows, then a row per node,
 the step ends written from the start), whose node rows hold the node
-values and slopes in columns 0 and 1, so the scan writes them in place;
-the period state; and one family array pair, with the tail moment built
-only when a head window reads it.  A solve starts a chain, and
-step_interval from the chain's latest trajectory appends to it in place,
-so an extension costs O(window), not O(trajectory); any other parent
-copies itself once into a chain of its own (_chain).  A trajectory is
-read-only views of the buffers it was marched in.  A march from _start's
-one node at t = 0 reads that node's slope a phi(0) + F(0) with F(0) a
-head point of these arrays, forcing(traj, 0.0) bit for bit.  The mesh is fixed before
+values and slopes in columns 0 and 1, so the scan writes them in place,
+and one family array pair, with the tail moment built only when a head
+window reads it.  A solve starts a chain, and step_interval from the
+chain's latest trajectory appends to it in place, so an extension costs
+O(window), not O(trajectory); any other parent copies itself once into a
+chain of its own (_chain).  A trajectory is read-only views of the
+buffers it was marched in, and a copy of its march's last period.  A
+march from _start's one node at t = 0 reads that node's slope
+a phi(0) + F(0) with F(0) a head point of these arrays, forcing(traj, 0.0)
+bit for bit.  The mesh is fixed before
 any value of x is known and the delays are constant, so the plan (_plan)
 does the march's grid-only work in one batch: it gives each tau_1-window
 its points (start + step * nodes and the step ends, interior nodes only,
@@ -73,7 +74,8 @@ by |rho|, so it stays of order u (|b_1 x| + |rho F| + |correction|) /
 first period, every other family, a window whose points do not recur and a
 recursion whose F is not finite (a growing tail's correction can be
 0 * inf) read the head, so no problem the head admits is refused.
-forcing() always reads the head, with arrays and a table of its own.
+forcing() always reads the head, from the trajectory's read table, with
+family arrays and a tail moment of its own.
 
 Admission is one certificate: solve and step_interval accept a history
 exactly when the forcing truncation N is certified (history._truncation),
@@ -144,14 +146,15 @@ class Trajectory:
     coefficients on [grid[j], grid[j+1]].  Evaluation at t <= 0 falls back
     to the history, so x is usable on (-infty, horizon].  n_forcing is the
     forcing index certified on [0, horizon], n_origin the one at reach 0.
-    _period_state holds the march's (points, F, caps) of the last period,
-    from which an extension continues the one-period recursion; it is
-    march state and reaches no report.  A marched trajectory's arrays are
-    read-only views of its chain's buffers: _chain is the chain (_Chain)
-    and _read the read table (breaks, coeffs) of phi's core rows and the
-    pieces.  A trajectory built by its constructor, such as a
-    dataclasses.replace copy, has neither until it is read or extended,
-    and then copies its own fields into a chain of its own.
+    _period_state holds read-only copies of the march's (points, F, caps)
+    of the last period, from which an extension continues the one-period
+    recursion; it is march state and reaches no report.  A marched
+    trajectory's node arrays are read-only views of its chain's buffers:
+    _chain is the chain (_Chain) and _read the read table (breaks, coeffs)
+    of phi's core rows and the pieces.  A trajectory built by its
+    constructor, such as a dataclasses.replace copy, has neither until it
+    is read or extended, and then copies its own fields into a chain of
+    its own.
     """
 
     problem: ProblemSpec
@@ -205,25 +208,23 @@ def _grown(arr: np.ndarray, used: int, size: int) -> np.ndarray:
 
 
 class _Chain:
-    """The buffers a step_interval chain appends to: read table, period state and family arrays.
+    """The buffers a step_interval chain appends to: the read table and the family arrays.
 
     The table (breaks, coeffs) is phi's core rows, then one row per node:
     a piece starts at its node's value and slope, so columns 0 and 1 of a
     node row hold the node's value and slope, and the last node's row is
     the pending piece (x, x', 0, 0) while a window's forcing is evaluated:
     delayed arguments at or just past that node read the node data exactly.
-    rows counts the tip's rows (the tip is the chain's latest trajectory),
-    and the state arrays (points, F, caps) hold its last period at [lo, hi).
-    A march writes past them and moves them on only when it succeeds, so
-    one that raised leaves the tip as it was.  taus and bs hold at least
+    rows counts the tip's rows (the tip is the chain's latest trajectory).
+    A march writes past them and sets rows only when it succeeds, so one
+    that raised leaves the tip as it was.  taus and bs hold at least
     the delays and coefficients any march read, moment the tail moment of
     the last n a head read, and period the family's _period.  A full
-    table or family array grows to twice its size, and a full state moves
-    its live part to new buffers four times the live part and the points
-    to be added; a solve keeps read-only copies of its state's last
-    period, not its plan's arrays.  Trajectories hold slices of read-only
-    views (frozen, frozen_state) of the buffers they were marched in,
-    which no march writes again.
+    table or family array grows to twice its size.  Trajectories hold
+    slices of read-only views (frozen) of the buffers they were marched
+    in, which no march writes again.  The one-period recursion's state is
+    not the chain's: it is O(window), so each march stacks its own
+    (_plan_recursion) and gives its trajectory the last period.
     """
 
     def __init__(self, traj: Trajectory, rows: int):
@@ -234,10 +235,6 @@ class _Chain:
         self.coeffs[:c], self.coeffs[c : c + n0 - 1] = phi.coeffs, traj.pieces
         self.coeffs[c + n0 - 1, :2] = traj.values[-1], traj.derivs[-1]
         self.frozen, self.core, self.rows = _read_only(self.breaks, self.coeffs), c, c + n0
-        state = traj._period_state
-        # no state, or another trajectory's: the first march's plan arrays become the state
-        self.state = self.frozen_state = state if state and state[0][-1] == traj.horizon else None
-        self.lo, self.hi = 0, len(state[0]) if self.state else 0
         self.taus = self.bs = np.empty(0)
         self.moment, self.period = (-1, None), _period(traj.problem.family)
 
@@ -276,35 +273,6 @@ class _Chain:
         self.coeffs[r0 - 1 : r1, 2:] = 0.0  # a march that raised may have written them
         return self.breaks[:r1], self.coeffs[:r1]
 
-    def _restate(self, size: int) -> None:
-        """Move the live state [lo, hi) to the front of new buffers of size entries."""
-        self.state = tuple(_grown(arr[self.lo :], self.hi - self.lo, size) for arr in self.state)
-        self.frozen_state, self.lo, self.hi = _read_only(*self.state), 0, self.hi - self.lo
-
-    def stack(self, points: np.ndarray, caps: np.ndarray) -> tuple:
-        """(points, F, caps) of the tip's last period, then of points and caps (F for the sweep to write)."""
-        k = len(points)
-        if self.state is None:  # a solve: its stored points and caps are the plan's, not copies
-            self.state = (points, np.empty(k), caps)
-            return self.state
-        if self.hi + k > len(self.state[0]):
-            self._restate(4 * (self.hi - self.lo + k))
-        pts, f, cps = self.state
-        pts[self.hi : self.hi + k], cps[self.hi : self.hi + k] = points, caps
-        return pts[self.lo : self.hi + k], f[self.lo : self.hi + k], cps[self.lo : self.hi + k]
-
-    def advance(self, rows: int, stored: Optional[tuple], since: int) -> tuple:
-        """Make a march's result the tip: rows table rows, and its stack's state from since on (none without)."""
-        self.rows = rows
-        if stored is None:
-            return ()
-        fresh = self.hi == 0  # the state arrays are the march's plan arrays
-        self.lo, self.hi = self.lo + since, self.lo + len(stored[0])
-        if fresh:  # keep read-only copies of the last period: a full state, which the next stack moves
-            self.state = self.frozen_state = _read_only(*(arr[self.lo : self.hi].copy() for arr in self.state))
-            self.lo, self.hi = 0, self.hi - self.lo
-        return tuple(arr[self.lo : self.hi] for arr in self.frozen_state)
-
 
 def _chain(traj: Trajectory, rows: int) -> _Chain:
     """The chain traj extends in place: its own when traj is the tip, else a new one, a copy of traj with room for rows more nodes.
@@ -340,9 +308,10 @@ def forcing(traj: Trajectory, t, n: Optional[int] = None):
 
     N is each t's own index max(n_origin, _tail_floor(t)) (_caps), the one
     the march used, or n for every t when given; forcing evaluates and never
-    certifies.  Each call builds its own family arrays, tail moment and read
-    table; the march does not call it, and reads F(0) for the start slope
-    from its own arrays, as the same head sum.  Under a closed-form tail
+    certifies.  Each call reads traj's read table (_read) and builds its
+    own family arrays and tail moment; the march does not call it, and
+    reads F(0) for the start slope from its chain's arrays, as the same
+    head sum.  Under a closed-form tail
     (history._zeta_tail) every delay past n must reach phi's tail from t, as
     it does past an index certified for t's reach.  Valid for t in [0, horizon]; a later t raises
     ValueError, as Trajectory.eval does.  t is a time (the result is a
@@ -455,7 +424,7 @@ def _plan_recursion(traj: Trajectory, rows: list, points: np.ndarray, caps, brea
     """The one-period recursion's part of the plan: (stores, recursions, state, since).
 
     The state arrays (points, F, caps) hold traj's last period, then each
-    window's points (points.ravel()) and caps (_Chain.stack); the sweep writes window w's
+    window's points (points.ravel()) and caps; the sweep writes window w's
     F at the slice stores[w], and the last period starts at since, one
     period (less 1e-9) before the end.  A window's run is the stored points
     from the first at or past its first point - delta - 1e-12 on.
@@ -469,7 +438,10 @@ def _plan_recursion(traj: Trajectory, rows: list, points: np.ndarray, caps, brea
     """
     phi, delta = traj.problem.history, traj.problem.family.delays.delta
     flat, width = points.ravel(), points.shape[1]
-    state = stored, _, c_stored = traj._chain.stack(flat, caps)
+    state, last = (flat, np.empty(len(flat)), caps), traj._period_state
+    if last and last[0][-1] == traj.horizon:  # traj's own last period, not another trajectory's (a solve's stack is the plan's arrays)
+        state = tuple(map(np.concatenate, zip(last, state)))
+    stored, _, c_stored = state
     held, first = len(stored) - len(flat), [r * width for r in rows]
     counts, heads = [d1 - d0 for d0, d1 in zip(first, first[1:])], points[:, 0][rows[:-1]]  # each window's point count and first point
     runs = stored.searchsorted(heads - delta - 1e-12).tolist()
@@ -512,8 +484,8 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
     prefix of the chain's table (_Chain.extend) that holds the window's nodes, read by
     the caller's own delayed_values; then scan(a, x, dx, steps, points, f),
     the node values from the last node's value x and slope dx, the slopes
-    and the Hermite pieces.  The last period's points, F and caps ride on
-    the trajectory as _period_state.
+    and the Hermite pieces.  Read-only copies of the last period's points,
+    F and caps ride on the trajectory as _period_state.
     """
     problem, phi = traj.problem, traj.problem.history
     a, rho = problem.a, problem.family.rho
@@ -556,7 +528,8 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
             if not np.isfinite(pieces[m - 1 : m_new]).all():
                 row = np.isfinite(pieces[m - 1 : m_new]).all(axis=1).argmin()
                 raise OverflowError(f"the solution leaves the floating-point range after t = {grid[m - 1 + row]}")
-    state = chain.advance(len(breaks), state, since)
+    chain.rows = len(breaks)
+    state = _read_only(*(arr[since:].copy() for arr in state)) if state else ()
     # Trajectory's fields in order: a direct call, as dataclasses.replace costs twice as much
     out = Trajectory(problem, traj.config, *chain.nodes(), n_forcing,
                      traj.n_origin, traj.h_used, traj.eps_forcing_used, state)

@@ -272,6 +272,19 @@ def _set_coeffs_nan(cfg):
     cfg["problem"]["family"]["coeffs"][0] = math.nan
 
 
+def _set_a_false(cfg):
+    # a JSON boolean is no number, though Python's bool is an int
+    cfg["problem"]["a"] = False
+
+
+def _set_k_max_true(cfg):
+    _params(cfg, "seminorms")["k_max"] = True
+
+
+def _set_coeffs_true(cfg):
+    cfg["problem"]["family"]["coeffs"][1] = True
+
+
 def _files_under(root):
     return [os.path.join(d, f) for d, _, fs in os.walk(root) for f in fs]
 
@@ -554,6 +567,9 @@ _ANCHORS = {
     _set_tau_c_with_prefix: lambda c: (_problem(c), "family"),
     _set_point_tol_negative: lambda c: (_params(c, "solve")["expect_points"][1], "tol"),
     _set_point_past_horizon: lambda c: (_params(c, "solve")["expect_points"][1], "t"),
+    _set_a_false: lambda c: (_problem(c), "a"),
+    _set_k_max_true: lambda c: (_params(c, "seminorms"), "k_max"),
+    _set_coeffs_true: lambda c: (_problem(c)["family"]["coeffs"], 1),
 }
 
 
@@ -637,6 +653,9 @@ def _anchor_line(cfg, locate):
         _set_tau_c_with_prefix,
         _set_point_tol_negative,
         _set_point_past_horizon,
+        _set_a_false,
+        _set_k_max_true,
+        _set_coeffs_true,
     ],
 )
 def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
@@ -655,6 +674,25 @@ def test_invalid_values_are_schema_errors(tmp_path, capsys, mutate):
     assert _files_under(tmp_path / "out") == []
     line = int(captured.out.split(f"{path}:")[1].split(":")[0])
     assert line == _anchor_line(cfg, _ANCHORS[mutate]), captured.out
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set_a_false, "problem.a must be float, got bool"),
+        (_set_k_max_true, "k_max must be int, got bool"),
+        (_set_coeffs_true, "coeffs entry must be float, got bool"),
+    ],
+)
+def test_a_boolean_is_not_a_number(tmp_path, capsys, mutate, message):
+    import importlib.resources as res
+
+    cfg = json.loads((res.files("infidelay") / "scenarios" / "affine-delays.json").read_text())
+    mutate(cfg)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    code, out = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_SCHEMA_ERROR and message in out, out
 
 
 def test_power_law_oracle_compare_passes_at_default_parameters(tmp_path, capsys):

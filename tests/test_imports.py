@@ -1,4 +1,4 @@
-"""Every module of the package, the tests and the scripts uses each name it imports; each name and method the package defines is used."""
+"""Every module of the package, the tests and the scripts uses each name it imports; each name, method and stored attribute the package defines is used."""
 
 import ast
 from pathlib import Path
@@ -120,6 +120,36 @@ def test_the_check_sees_an_unused_method():
         "class B:\n    def atoms(self):\n        return []\n\n    def retired(self):\n        return None\n"
     )
     assert _unused_methods({"m.py": source}, [source, "print(A().atoms())\n"]) == ["m.py:12 B.retired"]
+
+
+def _unread_attributes(defining: dict[str, str], using: list[str]) -> list[str]:
+    """Attributes stored as self.x = ... in defining whose name no source in using reads as .x.
+
+    Any store counts: a tuple's entries, an augmented or annotated
+    assignment.  An attribute that is only ever written holds state nothing
+    uses.  Names are matched, not classes: a .x read of any object counts.
+    """
+    read = {n.attr for src in using for n in ast.walk(ast.parse(src)) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    stored = {}
+    for mod, src in defining.items():
+        for n in ast.walk(ast.parse(src)):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name) and n.value.id == "self":
+                stored.setdefault(n.attr, f"{mod}:{n.lineno} self.{n.attr}")
+    return sorted(where for name, where in stored.items() if name not in read)
+
+
+def test_every_stored_attribute_is_read():
+    using = [p.read_text() for p in SOURCES + TESTS_AND_SCRIPTS + BENCH]
+    assert _unread_attributes({p.name: p.read_text() for p in SOURCES}, using) == []
+
+
+def test_the_check_sees_an_unread_attribute():
+    source = (
+        "class Chain:\n    def __init__(self):\n        self.rows, self.lo = 0, 0\n        self.hi: int = 0\n\n"
+        "    def grow(self):\n        self.rows += 1\n        self.hi += 1\n        return self.rows\n"
+    )
+    # lo is only stored, hi only stored and incremented: neither is read
+    assert _unread_attributes({"m.py": source}, [source]) == ["m.py:3 self.lo", "m.py:4 self.hi"]
 
 
 def test_all_names_exactly_what_the_package_imports():

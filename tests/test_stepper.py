@@ -13,6 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import infidelay as fd
 from infidelay import (
@@ -1074,12 +1076,39 @@ def test_an_extension_after_one_that_overflowed_is_a_fresh_chains():
     # what lies past the tip may be anything (a new buffer is np.empty): NaN, read, spoils every F
     chain = parent._chain
     chain.breaks[chain.rows :], chain.coeffs[chain.rows - 1, 2:], chain.coeffs[chain.rows :] = np.nan, np.nan, np.nan
-    for arr in chain.state:
-        arr[chain.hi :] = -1 if arr.dtype.kind == "i" else np.nan
     got = step_interval(parent, 8)
     assert got._chain is parent._chain  # appended in place, not copied
     assert _bits(got) == _bits(step_interval(step_interval(solve(p, 3.5), 7), 8))
     assert _bits(parent) == before
+
+
+_TREE_PROBLEMS = {"period-1": march_long_problem(), "period-2": odd_delays_problem()}
+_ONE_SHOT: dict = {}  # (problem name, horizon) -> _bits of one solve to it, shared by the examples
+
+
+@given(
+    name=st.sampled_from(sorted(_TREE_PROBLEMS)),
+    h0=st.sampled_from([3.0, 3.5, 4.0]),
+    moves=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3)), min_size=6, max_size=6),
+)
+def test_every_extension_tree_marches_to_the_one_shot_nodes(name, h0, moves):
+    # six extensions, each from any trajectory built so far (the chain's tip
+    # or not), 1 to 3 windows past its parent's last window: each equals one
+    # solve to its horizon bit for bit, and none changes an earlier one
+    problem = _TREE_PROBLEMS[name]
+    tau1 = problem.family.delays.tau1
+    trajs = [solve(problem, h0)]
+    bits = [_bits(trajs[0])]
+    for pick, reach in moves:
+        parent = trajs[pick % len(trajs)]
+        child = step_interval(parent, math.ceil(parent.horizon / tau1 - 1e-12) - 1 + reach)
+        key = (name, child.horizon)
+        if key not in _ONE_SHOT:
+            _ONE_SHOT[key] = _bits(solve(problem, child.horizon))
+        trajs.append(child)
+        bits.append(_bits(child))
+        assert bits[-1] == _ONE_SHOT[key]
+        assert [_bits(traj) for traj in trajs[:-1]] == bits[:-1]
 
 
 @pytest.mark.parametrize("how", ["solve", "step_interval"])
