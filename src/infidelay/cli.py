@@ -9,7 +9,9 @@ bundled scenario name (``infidelay checks`` lists checks; bundled names
 are the basenames under the package's ``scenarios/`` directory, e.g.
 ``classic-delay``).  Scenarios run one after another in the given order.
 
-Exit codes: 2 for schema errors, 1 when any check failed, 0 otherwise.
+Exit codes: 2 for schema errors and for a scenario that cannot be found,
+read or written (the run goes on with the next one), 1 when any check
+failed, 0 otherwise.
 The INFIDELAY_OUT environment variable overrides --out.
 """
 
@@ -82,6 +84,8 @@ def _run_one(path: str, out_root: str, tol_scale: float) -> tuple[str, int]:
         result = run_scenario(data, out_root, lines=lines, path=path, tolerance_scale=tol_scale)
     except ScenarioError as exc:
         return (f"schema error: {exc}", EXIT_SCHEMA_ERROR)
+    except OSError as exc:  # the file cannot be read, or its reports written
+        return (f"error: {exc}", EXIT_SCHEMA_ERROR)
     status = "PASS" if result.passed else "FAIL"
     return (
         f"{status} {result.name}: {len(result.check_results)} checks -> {result.out_dir}",

@@ -18,8 +18,8 @@ where n(k) is the first delay index reaching depth k*tau_1.  A history
 belongs to the solution phase space iff every p_k is finite.  p_seminorm
 returns a certified value/remainder pair, a certificate of divergence, or
 an explicit "inconclusive" verdict -- never a silent guess, nor a NaN.  A
-caller needing several k fills phi's memo in one pass (_sup_norms, _seminorms:
-one sup_abs_interval call, split past _CHUNK_TERMS windows), then reads each k.
+caller needing several k makes one batch call (_sup_norms, _seminorms: one
+sup_abs_interval call, split past _CHUNK_TERMS windows), which returns them.
 
 Every delay series (p_k, membership, L, the solver's forcing) is certified
 by one call, _truncation(phi, family, reach, eps): the atom search from
@@ -768,19 +768,18 @@ def _window_index(k, least: int = 1) -> int:
 
 
 def sup_norm_k(phi: HistoryFunction, k: int) -> float:
-    """Exact sup of |phi| over [-k, 0], memoized on phi under ("sup", k) by _sup_norms."""
-    k = _window_index(k)
-    if ("sup", k) not in phi._memo:
-        _sup_norms(phi, [k])
-    return phi._memo[("sup", k)]
+    """Exact sup of |phi| over [-k, 0]: _sup_norms of the one k."""
+    return _sup_norms(phi, [k])[0]
 
 
-def _sup_norms(phi: HistoryFunction, ks) -> None:
-    """Memoize sup_norm_k(phi, k) for every k in ks: the windows [-k, 0] not yet known in one sup_abs_interval call."""
-    ks = [k for k in dict.fromkeys(map(_window_index, ks)) if ("sup", k) not in phi._memo]
-    if ks:
-        sups = phi.sup_abs_interval(-np.array(ks, dtype=float), np.zeros(len(ks)))
-        phi._memo.update(zip([("sup", k) for k in ks], sups.tolist()))
+def _sup_norms(phi: HistoryFunction, ks) -> list[float]:
+    """sup_norm_k(phi, k) for every k in ks, in order; the windows [-k, 0] not in phi._memo under ("sup", k) are one sup_abs_interval call."""
+    ks = list(map(_window_index, ks))
+    new = [k for k in dict.fromkeys(ks) if ("sup", k) not in phi._memo]
+    if new:
+        sups = phi.sup_abs_interval(-np.array(new, dtype=float), np.zeros(len(new)))
+        phi._memo.update(zip([("sup", k) for k in new], sups.tolist()))
+    return [phi._memo["sup", k] for k in ks]
 
 
 def _tail_floor(phi: HistoryFunction, family: CoefficientFamily, reach: float) -> int:
@@ -868,36 +867,32 @@ def p_seminorm(
     core and the tail's sup_abs below it, summed in index order; beyond it
     the contribution is bounded by the tail's envelope atoms pushed through
     the family's weighted tail sums.  A sum that is not finite in floating
-    point is "inconclusive".  The result is memoized on phi under
-    ("p", family, k, eps_tail): a repeated call returns the same object.  A
-    caller needing several k first fills the memo for all of them in one
-    pass, _seminorms, whose sup_abs_interval calls take at most _CHUNK_TERMS
-    windows each, and then reads each k here.
+    point is "inconclusive".  It is _seminorms of the one k, so a repeated
+    call returns the same object.
     """
-    key = ("p", family, _window_index(k), eps_tail)
-    if key not in phi._memo:
-        _seminorms(phi, family, [k], eps_tail)
-    return phi._memo[key]
+    return _seminorms(phi, family, [k], eps_tail)[0]
 
 
-def _seminorms(phi: HistoryFunction, family: CoefficientFamily, ks, eps_tail: float) -> None:
-    """Memoize p_seminorm(phi, family, k, eps_tail) for every k >= 1 in ks in one pass.
+def _seminorms(phi: HistoryFunction, family: CoefficientFamily, ks, eps_tail: float) -> list[SeminormValue]:
+    """p_seminorm(phi, family, k, eps_tail) for every k >= 1 in ks, in order, in one pass.
 
-    Each k takes its own _truncation.  The windows of the finite ones go, in
-    order, into sup_abs_interval calls of at most _CHUNK_TERMS windows (a k
-    with more takes a call alone; tau_array is read once, b_array once per
-    call after its sups, so no call holds more than p_k did alone), and each k
-    sums its own segment from 0.0 in index order.  A window's sup does not
-    depend on its call, so no value depends on the batch.
+    A k not in phi._memo under ("p", family, k, eps_tail) takes its own
+    _truncation.  The windows of the finite ones go, in order, into
+    sup_abs_interval calls of at most _CHUNK_TERMS windows (a k with more
+    takes a call alone; tau_array is read once, b_array once per call after
+    its sups, so no call holds more than p_k did alone), and each k sums its
+    own segment from 0.0 in index order.  A window's sup does not depend on
+    its call, so no value depends on the batch.
     """
-    d, runs = family.delays, []
-    for k in [k for k in dict.fromkeys(map(_window_index, ks)) if ("p", family, k, eps_tail) not in phi._memo]:
+    ks, d, runs = list(map(_window_index, ks)), family.delays, []
+    for k in [k for k in dict.fromkeys(ks) if ("p", family, k, eps_tail) not in phi._memo]:
         n0 = n_index(family, k)
         try:
             runs.append((k, n0, *_truncation(phi, family, k * d.tau1, eps_tail)))
         except NotInPhaseSpaceError as exc:
             phi._memo["p", family, k, eps_tail] = SeminormValue(math.inf, math.inf, n0, 0, "divergent" if isinstance(exc, DivergentTailError) else "inconclusive")
-    taus, closed = d.tau_array(max((N for _, _, N, _ in runs), default=0)), _zeta_tail(phi, family)
+    if runs:
+        taus, closed = d.tau_array(max(N for _, _, N, _ in runs)), _zeta_tail(phi, family)
     while runs:
         ends = np.cumsum([max(0, N - n0 + 1) for _, n0, N, _ in runs])
         cut = max(1, int(np.searchsorted(ends, _CHUNK_TERMS, side="right")))
@@ -913,6 +908,7 @@ def _seminorms(phi: HistoryFunction, family: CoefficientFamily, ks, eps_tail: fl
             if closed is not None:  # every window past N sees the constant c
                 total += abs(closed[0]) * hurwitz_zeta(closed[1], N + 1)[0]
             phi._memo["p", family, k, eps_tail] = SeminormValue(total, rem, n0, N, "finite") if math.isfinite(total) else SeminormValue(math.inf, math.inf, n0, 0, "inconclusive")
+    return [phi._memo["p", family, k, eps_tail] for k in ks]
 
 
 @dataclass(frozen=True)
@@ -937,11 +933,10 @@ def membership_in_F(
     and the terms below a floor are finitely many finite ones.
     "not-member" when a reported p_k is certified divergent, "inconclusive"
     otherwise.  k_max only chooses which values are reported; p_1..p_{k_max}
-    are one pass (see p_seminorm), one sup_abs_interval call up to _CHUNK_TERMS windows.
+    are one _seminorms pass, one sup_abs_interval call up to _CHUNK_TERMS windows.
     """
     ks = range(1, _window_index(k_max, 0) + 1)
-    _seminorms(phi, family, ks, eps_tail)
-    per_k = {k: p_seminorm(phi, family, k, eps_tail) for k in ks}
+    per_k = dict(zip(ks, _seminorms(phi, family, ks, eps_tail)))
     try:
         _truncation(phi, family, 0.0, math.inf)
         overall = "member"
@@ -1022,9 +1017,8 @@ def check_cg_embedding(
         return CgEmbeddingReport(False, None, cg, ())
     rows = []
     all_hold = True
-    _seminorms(phi, family, range(1, k_max + 1), eps_tail)
-    for k in range(1, k_max + 1):
-        lhs = p_seminorm(phi, family, k, eps_tail).upper()
+    for k, sv in enumerate(_seminorms(phi, family, range(1, k_max + 1), eps_tail), 1):
+        lhs = sv.upper()
         rhs = cg * tail_sum_bound(family, g, n_index(family, k))
         ok = lhs <= rhs + tol
         all_hold = all_hold and ok

@@ -65,6 +65,7 @@ t,x,xprime rows in a text file out are three lines of numpy away:
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -92,8 +93,6 @@ from .history import (
     check_cg_embedding,
     history_preset,
     membership_in_F,
-    p_seminorm,
-    sup_norm_k,
 )
 from .numerics import normal_cube
 from .oracle import compare_trajectories, oracle_solve
@@ -133,7 +132,8 @@ def _parse_with_lines(raw: str) -> tuple[object, dict]:
     """json.loads(raw), and a map from id(container) to (container, line, {key or entry index: line}).
 
     json.decoder.JSONObject and JSONArray run under the pure-Python scanner,
-    with the value scanner they are given wrapped to note where values start.
+    with the value scanner they are given wrapped to note where values start;
+    a start's line is a binary search in the newline offsets, listed once.
     A bracket that opens a level past _MAX_NESTING is a JSONDecodeError at
     its position, found before the scanner runs by one regular-expression
     pass, which a text of at most _MAX_NESTING opening brackets skips.
@@ -144,9 +144,10 @@ def _parse_with_lines(raw: str) -> tuple[object, dict]:
         if depth > _MAX_NESTING:
             raise json.JSONDecodeError(f"nested deeper than {_MAX_NESTING} levels", raw, token.start())
     spots: dict = {}
+    newlines = [m.start() for m in re.finditer("\n", raw)]
 
     def line(pos: int) -> int:
-        return raw.count("\n", 0, pos) + 1
+        return bisect.bisect_left(newlines, pos) + 1
 
     def noting(scan_once, starts: list):
         def scan(s, idx):
@@ -393,9 +394,8 @@ def _run_solve(ctx: _Ctx, p: dict) -> dict:
 
 def _run_seminorms(ctx: _Ctx, p: dict) -> dict:
     phi, family, eps, ks = ctx.problem.history, ctx.problem.family, ctx.solver.eps_tail_seminorm, range(1, p["k_max"] + 1)
-    _seminorms(phi, family, ks, eps)
-    _sup_norms(phi, ks)
-    rows = [{"k": k, "sup_norm": sup_norm_k(phi, k), "p": _sv_dict(p_seminorm(phi, family, k, eps))} for k in ks]
+    pks = _seminorms(phi, family, ks, eps)
+    rows = [{"k": k, "sup_norm": sup, "p": _sv_dict(pk)} for k, sup, pk in zip(ks, _sup_norms(phi, ks), pks)]
     return {"passed": True, "rows": rows}
 
 

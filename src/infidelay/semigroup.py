@@ -104,11 +104,8 @@ def check_semigroup_law(traj: Trajectory, t: float, s: float, k_list=(1, 2, 3)) 
     rhs = apply_semigroup(solve(ProblemSpec(problem.a, problem.family, psi), max(t, 1e-12), traj.config), t)
     diff = history_difference(lhs, rhs)
     rows, worst, k_list = [], 0.0, list(k_list)
-    _seminorms(diff, problem.family, k_list, traj.config.eps_tail_seminorm)
-    _sup_norms(diff, k_list)
-    for k in k_list:
-        sd = sup_norm_k(diff, k)
-        pd = p_seminorm(diff, problem.family, k, traj.config.eps_tail_seminorm).upper()
+    pds = [sv.upper() for sv in _seminorms(diff, problem.family, k_list, traj.config.eps_tail_seminorm)]
+    for k, sd, pd in zip(k_list, _sup_norms(diff, k_list), pds):
         rows.append(SemigroupLawRow(k, sd, pd))
         worst = max(worst, sd, pd)
     return SemigroupLawReport(t, s, tuple(rows), worst)
@@ -198,17 +195,17 @@ class MildSolutionReport:
     passed: bool
 
 
-def _rounding(traj: Trajectory, ts: np.ndarray, n: int) -> np.ndarray:
+def _rounding(traj: Trajectory, ts: np.ndarray, n) -> np.ndarray:
     """Higham's gamma_{n+2} = (n+2)u / (1 - (n+2)u) times |a x(t)| + sum_{i<=n} |b_i x(t - tau_i)|, at every t in ts.
 
-    The delayed sum is one _delayed_sums batch of |x| against |b_i|.  It has
-    no tail moment, except the closed-form deep part |c beta| zeta(p, m + 1)
-    that the sums it covers add past each head m (history._zeta_tail).
+    n is one int or one per t, the caps of one _delayed_sums batch of |x|
+    against |b_i|.  It has no tail moment, except the closed-form deep part
+    |c beta| zeta(p, m + 1) that the sums it covers add past each head m.
     """
-    prob, fam = traj.problem, traj.problem.family
+    prob, fam, top = traj.problem, traj.problem.family, int(np.max(n))
     closed = _zeta_tail(prob.history, fam)
     delayed = _delayed_sums(
-        lambda args: np.abs(traj.eval(args)), prob.history, ts, fam.delays.tau_array(n), np.abs(fam.b_array(n)),
+        lambda args: np.abs(traj.eval(args)), prob.history, ts, fam.delays.tau_array(top), np.abs(fam.b_array(top)),
         None if closed is None else _zeta_moment(abs(closed[0]), closed[1]), n,
     )
     nu = (n + 2) * 2.0**-53
@@ -259,10 +256,7 @@ def check_mild_solution(traj: Trajectory, t_grid, theta_grid, tolerance: float =
         lvs.append(L_functional(psi, problem.family, problem.a, eps_l))
         gap = max(gap, abs(lvs[-1].value - float(l_vals[nodes.size + i])))
     ts, last = np.array(ts), np.array([lv.index_last for lv in lvs])
-    l_round = np.zeros(len(ts))
-    for n in set(last.tolist()):
-        l_round[last == n] = _rounding(traj, ts[last == n], n)
-    bound = float(np.min(np.array([float(lv.error_bound) for lv in lvs]) + eps_l + l_round + _rounding(traj, ts, n_terms)))
+    bound = float(np.min(np.array([float(lv.error_bound) for lv in lvs]) + eps_l + _rounding(traj, ts, last) + _rounding(traj, ts, n_terms)))
     return MildSolutionReport(
         worst, tolerance, r.size, gap, bound, eps_l, n_terms, "gauss4", worst <= tolerance and gap <= bound
     )

@@ -100,7 +100,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import CoefficientFamily, DivergentTailError, UnknownTailError, m_index, n_index
-from .history import HistoryFunction, _delayed_sums, _seminorms, _sup_norms, _tail_sums, _truncation, _window_index, p_seminorm, sup_norm_k
+from .history import HistoryFunction, _delayed_sums, _seminorms, _sup_norms, _tail_sums, _truncation, _window_index, sup_norm_k
 from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, eval_located, hermite_coeffs, phi1, piece_index, sup_abs_pieces
 
 
@@ -656,9 +656,7 @@ def estimate_certificate(traj: Trajectory, k: int) -> EstimateCertificate:
         )
     eps = traj.config.eps_tail_seminorm
     p_up = []
-    _seminorms(phi, fam, range(1, k + 1), eps)
-    for j in range(1, k + 1):
-        sv = p_seminorm(phi, fam, j, eps)
+    for j, sv in enumerate(_seminorms(phi, fam, range(1, k + 1), eps), 1):
         if sv.verdict == "divergent":
             raise DivergentTailError(f"p_{j} is certified divergent; no estimate exists")
         if sv.verdict == "inconclusive":
@@ -666,8 +664,7 @@ def estimate_certificate(traj: Trajectory, k: int) -> EstimateCertificate:
         p_up.append(sv.upper())
 
     ms = [m_index(fam, j) for j in range(2, k + 1)]
-    _sup_norms(phi, [1, *ms])
-    sup = {m: sup_norm_k(phi, m) for m in [1, *ms]}  # first-use order
+    sup = dict(zip([1, *ms], _sup_norms(phi, [1, *ms])))  # first-use order
     levels = [("sup_norm[1]", sup[1]), *((f"p[{j}]", p) for j, p in enumerate(p_up, 1))]
     levels += [(f"sup_norm[{m}]", v) for m, v in sup.items() if m != 1]
 

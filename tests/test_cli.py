@@ -164,6 +164,53 @@ def test_a_scenario_nested_too_deeply_is_a_schema_error_at_its_line(tmp_path, ca
         _parse_with_lines('{"name": "' + "[" * 200)
 
 
+class _CountingText(str):
+    """A str that adds up the span of text each count() call scans."""
+
+    scanned = 0
+
+    def count(self, sub, start=0, end=None):
+        self.scanned += max(0, min(len(self), len(self) if end is None else end) - start)
+        return super().count(sub, start, end)
+
+
+def _core_scenario(pieces: int) -> dict:
+    core = {"breakpoints": [(j - pieces) / 100 for j in range(pieces + 1)], "coeffs": [[1.0, 0.0, 0.0, 0.0]] * pieces}
+    return {
+        "name": "long-core",
+        "problem": {
+            "a": -0.5,
+            "family": {"kind": "finite-support", "coeffs": [-1.0], "tau": {"delta": 1.0}},
+            "history": {"core": core, "tail": {"kind": "constant", "value": 1.0}},
+        },
+        "horizon": 1.0,
+        "checks": ["solve"],
+    }
+
+
+def test_the_line_map_scans_the_text_a_bounded_number_of_times():
+    # once a count of the newlines before every key and entry: quadratic in the text
+    raw = _CountingText(json.dumps(_core_scenario(2000), indent=2))
+    data, spots = _parse_with_lines(raw)
+    assert raw.scanned <= 3 * len(raw)
+    # indent 2 puts each row's four entries and brackets on six lines, below the key's line
+    key = str.count(raw, "\n", 0, raw.index('"coeffs"', raw.index('"core"'))) + 1
+    rows = spots[id(data["problem"]["history"]["core"]["coeffs"])]
+    assert rows[1] == key and rows[2] == {j: key + 1 + 6 * j for j in range(2000)}
+
+
+def test_a_schema_error_deep_in_a_long_core_names_its_line(tmp_path, capsys):
+    cfg = _core_scenario(8000)
+    cfg["problem"]["history"]["core"]["coeffs"][-1] = [True, 0.0, 0.0, 0.0]
+    text = json.dumps(cfg, indent=2)
+    path = tmp_path / "long-core.json"
+    path.write_text(text)
+    line = text[: text.index("true")].count("\n") + 1
+    code, out = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_SCHEMA_ERROR
+    assert f"{path}:{line}: history.core.coeffs entry entry must be float, got bool" in out
+
+
 def test_unknown_check_is_a_schema_error(tmp_path, capsys):
     cfg = {
         "name": "bad-check",
@@ -1084,6 +1131,23 @@ def test_directory_batch_and_jobs(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 2
     code2, out2 = run_cli(["run", str(tmp_path / "empty-missing")], capsys)
     assert code2 == EXIT_SCHEMA_ERROR
+
+
+def test_an_unwritable_out_is_an_error_and_the_run_goes_on(tmp_path, capsys):
+    # once a NotADirectoryError traceback after every check had run, and exit 1
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["run", "classic-delay", "harmonic-divergent", "--out", str(blocker)])
+    captured = capsys.readouterr()
+    assert code == EXIT_SCHEMA_ERROR and "Traceback" not in captured.out + captured.err
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["error", "error"]
+    # a report directory that is a file stops that scenario only
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "classic-delay").write_text("")
+    code, out = run_cli(["run", "classic-delay", "harmonic-divergent", "--out", str(tmp_path / "out")], capsys)
+    lines = out.splitlines()
+    assert code == EXIT_SCHEMA_ERROR and len(lines) == 2
+    assert lines[0].startswith("error: ") and "classic-delay" in lines[0] and lines[1].startswith("PASS harmonic-divergent")
 
 
 def test_a_directory_named_like_a_scenario_is_not_read(tmp_path, capsys):

@@ -236,6 +236,32 @@ def test_a_batch_of_seminorms_changes_no_bit(monkeypatch, case, split):
         assert verdicts == ["finite"] * 5
 
 
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_the_batches_return_their_values_in_the_order_asked(case):
+    make, fam, eps = BATCH_CASES[case]
+    phi, ks = make(), [3, 1, np.int64(3), 2, 1]
+    p_seminorm(phi, fam, 2, eps)  # one k known before the batch
+    pks, sups = fd.history._seminorms(phi, fam, ks, eps), fd.history._sup_norms(phi, ks)
+    assert len(pks) == len(sups) == 5 and pks[0] is pks[2] and pks[1] is pks[4]
+    assert all(pk is p_seminorm(phi, fam, k, eps) for k, pk in zip(ks, pks))
+    assert all(sup is sup_norm_k(phi, k) for k, sup in zip(ks, sups))
+    assert fd.history._seminorms(phi, fam, [], eps) == fd.history._sup_norms(phi, []) == []
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_a_repeated_seminorm_builds_no_array_and_runs_no_search(monkeypatch, case):
+    make, fam, eps = BATCH_CASES[case]
+    phi = make()
+    first = p_seminorm(phi, fam, 2, eps), sup_norm_k(phi, 2)
+    calls = []
+    for owner, name in [(DelaySchedule, "tau_array"), (CoefficientFamily, "b_array"), (fd.history, "_truncation"),
+                        (fd.HistoryFunction, "sup_abs_interval")]:
+        monkeypatch.setattr(owner, name, lambda *a, name=name: calls.append(name))
+    assert (p_seminorm(phi, fam, 2, eps), sup_norm_k(phi, np.int64(2))) == first
+    assert fd.history._seminorms(phi, fam, [2, 2], eps) == [first[0]] * 2 and fd.history._sup_norms(phi, [2]) == [first[1]]
+    assert calls == []
+
+
 def test_a_seminorm_family_is_one_window_sup_call(monkeypatch):
     calls = _counted_sup_calls(monkeypatch)
     phi = history_preset("cos")

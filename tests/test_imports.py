@@ -152,6 +152,33 @@ def test_the_check_sees_an_unread_attribute():
     assert _unread_attributes({"m.py": source}, [source]) == ["m.py:3 self.lo", "m.py:4 self.hi"]
 
 
+def _discarded_batches(sources: dict[str, str]) -> list[str]:
+    """Statements that call _seminorms or _sup_norms and drop the values they return.
+
+    The batches return what they compute; a bare call would only fill
+    phi._memo for a read-back through p_seminorm or sup_norm_k.
+    """
+    return [
+        f"{mod}:{node.lineno}"
+        for mod, src in sources.items()
+        for node in ast.walk(ast.parse(src))
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        and {getattr(node.value.func, "id", None), getattr(node.value.func, "attr", None)} & {"_seminorms", "_sup_norms"}
+    ]
+
+
+def test_no_batch_result_is_dropped():
+    assert _discarded_batches({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_the_check_sees_a_dropped_batch():
+    source = (
+        "def warm(phi, fam, ks):\n    _seminorms(phi, fam, ks, 1e-10)\n    history._sup_norms(phi, ks)\n"
+        "    return [p_seminorm(phi, fam, k) for k in ks], _sup_norms(phi, ks)\n"
+    )
+    assert _discarded_batches({"m.py": source}) == ["m.py:2", "m.py:3"]
+
+
 def test_all_names_exactly_what_the_package_imports():
     tree = ast.parse(Path(infidelay.__file__).read_text())
     imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]

@@ -242,6 +242,23 @@ def test_mild_batch_agrees_with_L_on_the_splice():
         assert rep.l_bound >= rep.eps_l == 1e-10 and rep.quad == "gauss4" and rep.n_terms >= 1
 
 
+def test_rounding_with_one_index_per_time_equals_the_calls_per_index():
+    # b_i = i^-3 from a constant history: each splice S_t phi is deeper, so
+    # L's truncation stops at a later tail floor and the closed-form deep part
+    # starts later; a geometric family reads every delay up to each cap
+    power = ProblemSpec(-0.5, CoefficientFamily.power_law(1.0, 3.0, DS), history_preset("constant"))
+    cases = [(power, None), (geometric_problem(), np.array([3, 5, 3, 8, 1]))]
+    for p, ns in cases:
+        traj, ts = solve(p, 2.0), np.linspace(0.0, 2.0, 5)
+        if ns is None:
+            ns = np.array([fd.L_functional(apply_semigroup(traj, t), p.family, p.a, 1e-10).index_last for t in ts])
+            assert ns.tolist() == [7, 8, 8, 9, 9]
+        per_index = np.zeros(len(ts))
+        for n in set(ns.tolist()):
+            per_index[ns == n] = fd.semigroup._rounding(traj, ts[ns == n], n)
+        assert fd.semigroup._rounding(traj, ts, ns).tobytes() == per_index.tobytes()
+
+
 def test_mild_check_fails_on_a_perturbed_trajectory():
     # a trajectory that leaves the equation on one piece must fail: the
     # residual has to depend on the integrand along the orbit

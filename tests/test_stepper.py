@@ -803,13 +803,13 @@ def test_step_interval_resolve_is_bit_identical():
 @pytest.fixture
 def seminorm_calls(monkeypatch):
     calls = []
-    original = fd.stepper.p_seminorm
+    original = fd.stepper._seminorms
 
-    def counted(phi, family, k, eps_tail=1e-10):
-        calls.append(k)
-        return original(phi, family, k, eps_tail)
+    def counted(phi, family, ks, eps_tail):
+        calls.append(ks)
+        return original(phi, family, ks, eps_tail)
 
-    monkeypatch.setattr(fd.stepper, "p_seminorm", counted)
+    monkeypatch.setattr(fd.stepper, "_seminorms", counted)
     return calls
 
 
