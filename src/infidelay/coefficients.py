@@ -27,6 +27,7 @@ L, the forcing and the oracle) is its one caller.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, fields
@@ -119,18 +120,32 @@ class DelaySchedule:
         return np.concatenate((self.prefix[:npre], out)) if npre else out
 
     def first_index_at_least(self, x: float) -> int:
-        """Least index i with tau_i >= x.  Exact despite float rounding."""
-        for j, t in enumerate(self.prefix, start=1):
-            if t >= x:
-                return j
-        off = self._offset()
-        lo = len(self.prefix) + 1
-        i = max(lo, math.ceil((x - off) / self.delta))
-        while i - 1 >= lo and off + (i - 1) * self.delta >= x:
-            i -= 1
-        while off + i * self.delta < x:
-            i += 1
-        return i
+        """Least index i with tau_i >= x.  Exact despite float rounding.
+
+        The float delays off + i * delta never decrease as i grows, so past
+        the prefix a search gallops from the guess ceil((x - off) / delta)
+        to a bracket and bisects it: O(log) steps even where many
+        neighbouring delays round to one float.
+        """
+        prefix = self.prefix
+        if prefix and prefix[-1] >= x:
+            return bisect.bisect_left(prefix, x) + 1
+        off, delta, first = self._offset(), self.delta, len(prefix) + 1
+        hi = max(first, math.ceil((x - off) / delta))
+        lo, step = hi - 1, 1
+        # gallop until hi holds and lo fails (or is first - 1), then bisect
+        while off + hi * delta < x:
+            lo, hi, step = hi, hi + step, 2 * step
+        while lo >= first and off + lo * delta >= x:
+            lo, hi, step = lo - step, lo, 2 * step
+        lo = max(lo, first - 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if off + mid * delta >= x:
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
 
 @dataclass(frozen=True)
@@ -443,7 +458,9 @@ def _atom_tail_search(
     first lowered to the last nonzero b_i, where the remainder is exactly
     0.  Raises UnknownTailError when an atom bound is infinite or not
     certifiable, when an explicit list's recorded tail mass alone
-    exceeds eps, or when no N below TRUNCATION_CAP certifies eps.
+    exceeds eps, or when no N below TRUNCATION_CAP certifies eps, a floor
+    past the cap included.  eps = inf builds no array of N, so a floor past
+    the cap still answers membership.
     """
     live = [(s, w) for (s, w) in atoms if s != 0.0]
     if family.kind == "explicit-list" and family.tail_abs_bound == 0.0:
@@ -458,6 +475,8 @@ def _atom_tail_search(
             total += s * t
         return total
 
+    if n_floor > TRUNCATION_CAP and eps < math.inf:
+        raise UnknownTailError(f"no truncation index below {TRUNCATION_CAP} certifies tolerance {eps}")
     first = tb(n_floor + 1)
     if first <= eps:
         return n_floor, first

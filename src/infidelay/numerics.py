@@ -18,11 +18,16 @@ any refitting error.
 
 The convention is applied in this module only.  piece_index finds the
 piece of a point, derivative_coeffs differentiates the pieces, shift_coeffs
-re-centres them, hermite_coeffs fits them from node values and slopes, and
-the evaluators build on these: eval_pieces evaluates, as eval_located at
-piece_index's pieces (a derivative is eval_pieces of derivative_coeffs; a
-caller that finds its pieces ahead, as the march's plan does, calls
-eval_located itself), sup_abs_pieces takes the exact sup of |p| over one
+re-centres them, hermite_coeffs fits them from node values and slopes (in
+two parts: hermite_steps, the grid part, forms each step's dt, dt**2 and
+dt**3 and refuses a step whose cube is not a normal float; hermite_terms,
+the part that needs the values, forms c2 and c3 from those powers, so a
+caller that fits many windows on one grid, as the march does, pays for the
+powers and the refusal once), and the evaluators build on these:
+eval_pieces evaluates, as eval_located at piece_index's pieces (a
+derivative is eval_pieces of derivative_coeffs; a caller that finds its
+pieces ahead, as the march's plan does, calls eval_located itself),
+sup_abs_pieces takes the exact sup of |p| over one
 interval or arrays of intervals in one array pass, and
 sup_ratio_pieces the exact sup of |p|/w under a WeightFunction w, whose
 shape it reads from w's own fields, also in one array pass (np.roots of each
@@ -75,8 +80,8 @@ def phi1(a: float, d: float) -> float:
     return math.expm1(z) / a
 
 
-#: least positive normal float
-_TINY = np.finfo(float).tiny
+#: least positive normal float and the largest finite one
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
 def normal_cube(dt) -> bool:
@@ -85,21 +90,43 @@ def normal_cube(dt) -> bool:
     return bool((np.isfinite(dt3) & (dt3 >= _TINY)).all())
 
 
+def hermite_steps(t0, t1) -> tuple:
+    """The grid part of hermite_coeffs: (dt, dt**2, dt**3) of the steps dt = t1 - t0.
+
+    t1 is a float or an array, t0 a float or an array of t1's shape.
+    ValueError, naming the first bad step's start, unless every dt**3 is a
+    normal float (about 2.8e-103 <= dt <= 5.6e102), as the fit divides by
+    it.  A caller with many fits on one grid, as the march's plan is,
+    computes this once and hands hermite_terms its slices.
+    """
+    dt = t1 - t0
+    dt2 = dt * dt
+    dt3 = dt2 * dt
+    # dt3 is normal iff it lies in [_TINY, _HUGE]; a NaN fails both ends
+    if not (np.minimum.reduce(dt3, axis=None) >= _TINY and np.maximum.reduce(dt3, axis=None) <= _HUGE):
+        i, at = np.argmin((dt3 >= _TINY) & (dt3 <= _HUGE)), np.broadcast_to(t0, np.shape(dt)).flat
+        raise ValueError(f"a Hermite step needs a normal cube dt**3 (about 2.8e-103 <= dt <= 5.6e102): the step from t = {at[i]} has dt = {np.ravel(dt)[i]}")
+    return dt, dt2, dt3
+
+
+def hermite_terms(x0, m0, x1, m1, steps: tuple) -> tuple:
+    """The cubic terms (c2, c3) of hermite_coeffs, the steps' powers read from hermite_steps."""
+    dt, dt2, dt3 = steps
+    A = x1 - x0 - m0 * dt
+    Bdt = (m1 - m0) * dt
+    return (3.0 * A - Bdt) / dt2, (Bdt - 2.0 * A) / dt3
+
+
 def hermite_coeffs(x0: float, m0: float, x1: float, m1: float, dt: float) -> tuple[float, float, float, float]:
     """Cubic Hermite interpolant on [0, dt] in local coordinates.
 
     Matches value x0 and slope m0 at u=0, value x1 and slope m1 at u=dt.
-    Returns (c0, c1, c2, c3) with p(u) = c0 + c1 u + c2 u^2 + c3 u^3.
-    The arguments may also be equal-length arrays, one entry per piece;
-    each entry then gets exactly the scalar result, and ValueError unless each step has a normal_cube.
+    Returns (c0, c1, c2, c3) with p(u) = c0 + c1 u + c2 u^2 + c3 u^3:
+    hermite_terms on hermite_steps(0.0, dt).  The arguments may also be
+    equal-length arrays, one entry per piece; each entry then gets exactly
+    the scalar result, and ValueError unless each step has a normal_cube.
     """
-    if not normal_cube(dt):
-        raise ValueError(f"hermite_coeffs needs dt > 0 with a normal cube (dt >= about 2.8e-103), got {dt}")
-    dt2 = dt * dt
-    dt3 = dt2 * dt
-    A = x1 - x0 - m0 * dt
-    Bdt = (m1 - m0) * dt
-    return (x0, m0, (3.0 * A - Bdt) / dt2, (Bdt - 2.0 * A) / dt3)
+    return (x0, m0, *hermite_terms(x0, m0, x1, m1, hermite_steps(0.0, dt)))
 
 
 #: most keys for which piece_index bisects each key; the guess search wins
@@ -162,14 +189,17 @@ def shift_coeffs(coeffs: np.ndarray, du: np.ndarray) -> np.ndarray:
 def eval_located(coeffs: np.ndarray, idx, u):
     """The cubics of pieces idx at their local coordinates u: c0 + u*(c1 + u*(c2 + u*c3)).
 
-    Vectorized Horner on one gather per column, in place on the c3 gather; a
-    float sum or product does not depend on the order of its two operands, so
-    the bits are those of the nested expression.
+    Vectorized Horner on one row gather (take along axis 0, cheaper than
+    one gather per column up to some 10^4 points), in place on the c3 * u
+    product; a float sum or product does not depend on the order of its two
+    operands, so the bits are those of the nested expression.
     """
-    out = coeffs[:, 3][idx]
-    for k in (2, 1, 0):
+    rows = coeffs.take(idx, axis=0)
+    out = rows[..., 3] * u
+    for k in (2, 1):
+        out += rows[..., k]
         out *= u
-        out += coeffs[:, k][idx]
+    out += rows[..., 0]
     return out
 
 

@@ -5,10 +5,11 @@ the solver's rule (stepper._caps) with the indices that history._truncation,
 the one truncation rule, certifies to _EPS_TRUNC at reach 0 and on
 [0, horizon].  It runs the stepper's window march (stepper._march) with
 the stage node 1/2 of each step, so it shares the step boundaries, the
-batched forcing evaluation and the Hermite storage; the first stage reads
-the start node's slope, so each point's F is evaluated once.  Its update,
-_rk4_scan, has no code in common with the variation-of-constants scan,
-which is what makes agreement between the two meaningful.
+plan, the batched forcing evaluation and the Hermite storage; the first
+stage reads the start node's slope, so each point's F is evaluated once.
+Its update, _rk4_scan with its grid part _rk4_grid, has no code in common
+with the variation-of-constants scan, which is what makes agreement
+between the two meaningful.
 """
 
 from __future__ import annotations
@@ -28,11 +29,19 @@ _EPS_TRUNC = 1e-10
 _COMPARE_SAMPLES = 2001
 
 
-def _rk4_scan(a: float, x: float, dx: float, steps: np.ndarray, points: np.ndarray, f: np.ndarray) -> list:
-    """Node values of a window by classical RK4, F at each step's midpoint and end; k1 is the start node's slope."""
+def _rk4_grid(a: float, steps: np.ndarray, points: np.ndarray) -> list:
+    """_rk4_scan's grid part of a whole march: the steps as floats."""
+    return steps.tolist()
+
+
+def _rk4_scan(a: float, x: float, dx: float, grid: list, rows: slice, f: np.ndarray) -> list:
+    """Node values of a window by classical RK4, F at each step's midpoint and end; k1 is the start node's slope.
+
+    grid is the march's _rk4_grid and rows the window's steps in it.
+    """
     out = []
     k1 = dx
-    for dt, gm, g1 in zip(steps.tolist(), *f.T.tolist()):
+    for dt, gm, g1 in zip(grid[rows], *f.T.tolist()):
         k2 = a * (x + 0.5 * dt * k1) + gm
         k3 = a * (x + 0.5 * dt * k2) + gm
         k4 = a * (x + dt * k3) + g1
@@ -40,6 +49,10 @@ def _rk4_scan(a: float, x: float, dx: float, steps: np.ndarray, points: np.ndarr
         k1 = a * x + g1
         out.append(x)
     return out
+
+
+#: the oracle's scan: (the stage node 1/2, its grid part, the scan)
+_RK4 = (np.array([0.5]), _rk4_grid, _rk4_scan)
 
 
 def oracle_solve(problem: ProblemSpec, horizon: float, h_fine: Optional[float] = None) -> Trajectory:
@@ -56,7 +69,7 @@ def oracle_solve(problem: ProblemSpec, horizon: float, h_fine: Optional[float] =
     n = _truncation(problem.history, problem.family, horizon, _EPS_TRUNC)[0]
     n_origin = _truncation(problem.history, problem.family, 0.0, _EPS_TRUNC)[0]
     start = _start(problem, SolverConfig(h=h), n, n_origin, h, 0.0)
-    return _march(start, horizon, n, _delayed_values, np.array([0.5]), _rk4_scan)
+    return _march(start, horizon, n, _delayed_values, _RK4)
 
 
 def compare_trajectories(ta: Trajectory, tb: Trajectory, interval: Optional[tuple[float, float]] = None) -> float:

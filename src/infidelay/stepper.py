@@ -16,7 +16,10 @@ and slopes.
 Step boundaries are forced at every multiple of tau_1 and at every delay
 tau_i <= T, where the solution loses one order of smoothness.  _substeps
 is the one routine that places them: it merges knots within 1e-12 of
-each other and cuts the march into tau_1-windows of sub-steps.
+each other and cuts the march into tau_1-windows of sub-steps.  It
+refuses, with ValueError and before any list is built, a march of more
+than history._MAX_CORE_PIECES steps: they are rows of one read table, as
+a core's pieces are.
 
 The march (_march) is a plan and a sweep.  It appends to its chain's
 buffers (_Chain): one read table (phi's core rows, then a row per node,
@@ -30,21 +33,28 @@ chain of its own (_chain).  A trajectory is read-only views of the
 buffers it was marched in, and a copy of its march's last period.  A
 march from _start's one node at t = 0 reads that node's slope
 a phi(0) + F(0) with F(0) a head point of these arrays, forcing(traj, 0.0)
-bit for bit.  The mesh is fixed before
-any value of x is known and the delays are constant, so the plan (_plan)
-does the march's grid-only work in one batch: it gives each tau_1-window
-its points (start + step * nodes and the step ends, interior nodes only,
-so no point repeats) and their caps (_caps).  The sweep runs the windows
-in order and does the work that needs x, one F per point.  Every delay is
-at least tau_1, so F on the window [k tau_1, (k+1) tau_1] reads x only on
-(-inf, k tau_1]; a scan turns F into
-the window's node values (_voc_scan, variation of constants under the
-Gauss-4 weights, for solve and step_interval; the oracle passes its RK4
-scan, whose first stage reads the node's slope), and the slopes are a x + F
-at the step ends.  While a window's F is evaluated, the table's row after
-the last node holds the pending piece (x, x', 0, 0), so an argument at that
-node, or one rounding step past it, reads the node data exactly as a
-finished piece would.
+bit for bit.  The mesh is fixed before any value of x is known and the
+delays are constant, so the plan (_plan) does every computation that
+depends on the grid alone, for all windows in one pass: the steps' powers
+dt, dt**2 and dt**3 (numerics.hermite_steps, which refuses a step whose
+cube is not a normal float once per march, before any row is written),
+each window's points (start + dt * nodes and the step ends, interior
+nodes only, so no point repeats) and their caps (_caps), the scan's grid
+part, and the one-period recursion's reads below.  The sweep runs the
+windows in order and keeps only the arithmetic that needs x, one F per
+point.  Every delay is at least tau_1, so F on the window
+[k tau_1, (k+1) tau_1] reads x only on (-inf, k tau_1]; a scan turns F
+into the window's node values, the slopes a x + F at the step ends are
+formed in place, and numerics.hermite_terms fits the pieces from the
+planned powers.  A scan is a pair that shares no code with the other:
+_voc_scan, variation of constants under the Gauss-4 weights for solve and
+step_interval, whose grid part (_voc_grid) holds the steps as floats and
+e^{a(t_end - s)} at every Gauss point, so only e^{a dt} of the running
+value is left to its loop; and the oracle's RK4 scan, whose grid part is
+its steps as floats and whose first stage reads the node's slope.  While a
+window's F is evaluated, the table's row after the last node holds the
+pending piece (x, x', 0, 0), so an argument at that node, or one rounding
+step past it, reads the node data exactly as a finished piece would.
 
 A window's F is the head (history._delayed_sums: one sorted search per
 point splits its delays into a head, read from the table's prefix that
@@ -64,7 +74,8 @@ certificate is unchanged.  The plan admits the window, locates each
 x(s - tau_1) in the table and reads the whole correction, whose argument
 lies at or below -depth, in phi alone (c >= _tail_floor(s), so tau_{c+1} >=
 s + depth); the sweep reads one solution argument per point, one
-eval_located gather, so a window costs O(points), not O(points * N).  Per
+eval_located row gather, and forms F in place in the period state, so a
+window costs O(points), not O(points * N).  Per
 point the recursion adds at most 4u (|b_1 x| + |rho F(s - delta)| +
 |correction|) of rounding and 3u sum |b_i x| for b_{i+1} != rho b_i in
 floating point, plus rho times the read mismatch of a point that recurs
@@ -86,7 +97,8 @@ is a NotInPhaseSpaceError whose subclass says why: DivergentTailError for a
 series certified divergent, UnknownTailError for one that cannot be
 certified or a forcing that is not finite in floating point (a term
 overflows where its b_i underflows).  A solution leaving the floating-point
-range raises OverflowError with the time.
+range raises OverflowError with the time; a march too long to hold, or a
+step whose cube is not a normal float, raises ValueError before the sweep.
 """
 
 from __future__ import annotations
@@ -100,8 +112,8 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import CoefficientFamily, DivergentTailError, UnknownTailError, m_index, n_index
-from .history import HistoryFunction, _delayed_sums, _seminorms, _sup_norms, _tail_sums, _truncation, _window_index, sup_norm_k
-from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, eval_located, hermite_coeffs, phi1, piece_index, sup_abs_pieces
+from .history import _MAX_CORE_PIECES, HistoryFunction, _delayed_sums, _seminorms, _sup_norms, _tail_sums, _truncation, _window_index, sup_norm_k
+from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, eval_located, hermite_steps, hermite_terms, phi1, piece_index, sup_abs_pieces
 
 
 @dataclass(frozen=True)
@@ -341,14 +353,22 @@ def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -
     cut into equal sub-steps of at most h, the i-th ending at t_cur + i dt
     and the last at the knot.  A window closes at every multiple of tau_1
     and at t_to, so with h <= tau_1 no delayed argument of a window reaches
-    past the node it starts from.
+    past the node it starts from.  A march of more than _MAX_CORE_PIECES
+    steps (history's cap on a core: the steps are pieces of the same read
+    table) raises ValueError before any list is built: each knot interval
+    takes at most its length / h + 1 steps, so the count is at most
+    (t_to - t_from) / h plus one more than the knot candidates.
     """
     d = family.delays
     tau1 = d.tau1
     j = math.floor(t_from / tau1 + 1e-12) + 1
     lo, hi = t_from + 1e-12, t_to - 1e-12
+    i_lo, i_hi = d.first_index_at_least(lo), d.first_index_at_least(hi)
+    count = (t_to - t_from) / h + max(0.0, hi / tau1 - j + 2) + (i_hi - i_lo) + 1
+    if not count <= _MAX_CORE_PIECES:  # NaN and inf fail too
+        raise ValueError(f"a march from t = {t_from} to {t_to} in steps of at most h = {h} takes up to {count:.4g} steps, more than {_MAX_CORE_PIECES}")
     cands = [k * tau1 for k in range(j, math.ceil(hi / tau1) + 1)]
-    cands += [d.tau(i) for i in range(d.first_index_at_least(lo), d.first_index_at_least(hi))]
+    cands += [d.tau(i) for i in range(i_lo, i_hi)]
     knots = sorted(v for v in cands if lo < v < hi) + [t_to]
     knots = [v for v, nxt in zip(knots, knots[1:]) if nxt - v > 1e-12] + [t_to]
     windows = []
@@ -366,23 +386,38 @@ def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -
     return windows
 
 
-def _store_window(values, derivs, pieces, m: int, steps: np.ndarray) -> int:
+def _store_window(values, derivs, pieces, m: int, steps: tuple) -> int:
     """Complete a window's Hermite pieces, whose node values and slopes (columns 0 and 1) fill rows m onward.
 
-    values and derivs view those columns; the cubic terms go to columns 2
-    and 3 of rows m - 1 onward, and the new last row stays the pending
-    piece.  Returns the new node count.
+    values and derivs view those columns and steps is the window's slice of
+    the plan's hermite_steps (dt, dt**2, dt**3); the cubic terms
+    (hermite_terms) go to columns 2 and 3 of rows m - 1 onward, and the new
+    last row stays the pending piece.  Returns the new node count.
     """
-    m_new = m + len(steps)
+    m_new = m + len(steps[0])
     lo, hi = slice(m - 1, m_new - 1), slice(m, m_new)
-    pieces[lo, 2], pieces[lo, 3] = hermite_coeffs(values[lo], derivs[lo], values[hi], derivs[hi], steps)[2:]
+    pieces[lo, 2], pieces[lo, 3] = hermite_terms(values[lo], derivs[lo], values[hi], derivs[hi], steps)
     return m_new
 
 
-def _voc_scan(a: float, x: float, dx: float, steps: np.ndarray, points: np.ndarray, f: np.ndarray) -> list:
-    """Node values of a window by variation of constants, the integral by the Gauss-4 weights (dx is unused)."""
-    quad = np.vecdot(np.exp(a * (points[:, -1:] - points[:, :-1])) * f[:, :-1], GAUSS4_WEIGHTS)
-    return [x := x * math.exp(a * step) + step * q for step, q in zip(steps.tolist(), quad.tolist())]
+def _voc_grid(a: float, steps: np.ndarray, points: np.ndarray) -> tuple:
+    """_voc_scan's grid part of a whole march: the steps as floats and e^{a(t_end - s)} at each step's Gauss points s."""
+    return steps.tolist(), np.exp(a * (points[:, -1:] - points[:, :-1]))
+
+
+def _voc_scan(a: float, x: float, dx: float, grid: tuple, rows: slice, f: np.ndarray) -> list:
+    """Node values of a window by variation of constants, the integral by the Gauss-4 weights (dx is unused).
+
+    grid is the march's _voc_grid and rows the window's steps in it; only
+    e^{a dt} of the running value is left to the loop.
+    """
+    steps, decay = grid
+    quad = np.vecdot(decay[rows] * f[:, :-1], GAUSS4_WEIGHTS)
+    return [x := x * math.exp(a * step) + step * q for step, q in zip(steps[rows], quad.tolist())]
+
+
+#: the variation-of-constants scan of solve and step_interval: (its points' nodes in a step, its grid part, the scan)
+_VOC = (GAUSS4_NODES, _voc_grid, _voc_scan)
 
 
 def _period(family: CoefficientFamily) -> int:
@@ -394,19 +429,25 @@ def _period(family: CoefficientFamily) -> int:
     return p if p >= 1 and abs(p * d.tau1 - d.delta) <= 1e-12 else 0
 
 
-def _plan(traj: Trajectory, windows: list, ends: np.ndarray, nodes: np.ndarray, breaks: np.ndarray, taus, bs, n: int) -> tuple:
-    """The grid-only work of every window of a march, in one batch: (entries, state, since).
+def _plan(traj: Trajectory, windows: list, ends: np.ndarray, scan: tuple, breaks: np.ndarray, taus, bs, n: int) -> tuple:
+    """The grid-only work of every window of a march, in one batch: (entries, grid, state, since).
 
-    A window's entry is (m, steps, points, caps, store, recursion): its
-    first node row m; each step's points, start + step * nodes and its end,
-    which never repeat; and the caps (_caps) of points.ravel().  store,
-    recursion, state and since are _plan_recursion's, or None, None, None
-    and 0 without a period (taus holds n delays, not n + 1).
+    scan is the march's (nodes, grid part, scan), and grid the grid part of
+    the march's steps and points.  The steps' powers are hermite_steps'
+    (dt, dt**2, dt**3), computed once, so a step without a normal cube is
+    refused here, before the sweep writes a row.  A window's entry is
+    (m, rows, steps, points, caps, store, recursion): its first node row m;
+    the slice rows of its steps in the march; its slices of the powers;
+    each step's points, start + dt * nodes and its end, which never repeat;
+    and the caps (_caps) of points.ravel().  store, recursion, state and
+    since are _plan_recursion's, or None, None, None and 0 without a period
+    (taus holds n delays, not n + 1).
     """
+    nodes, scan_grid, _ = scan
     rows = list(accumulate(map(len, windows), initial=0))
     starts = breaks[len(breaks) - len(ends) - 1 : -1]  # the march's table ends with traj's last node, then ends
-    steps = ends - starts
-    points = np.concatenate((starts[:, None] + steps[:, None] * nodes, ends[:, None]), axis=1)
+    dt, dt2, dt3 = hermite_steps(starts, ends)
+    points = np.concatenate((starts[:, None] + dt[:, None] * nodes, ends[:, None]), axis=1)
     width = points.shape[1]
     caps = _caps(traj, points.ravel(), taus[:n])
     stores = recursions = [None] * len(windows)
@@ -414,10 +455,10 @@ def _plan(traj: Trajectory, windows: list, ends: np.ndarray, nodes: np.ndarray, 
     if len(taus) > n:
         stores, recursions, state, since = _plan_recursion(traj, rows, points, caps, breaks, taus, bs)
     entries = [
-        (len(traj.grid) + r0, steps[r0:r1], points[r0:r1], caps[r0 * width : r1 * width], st, rc)
+        (len(traj.grid) + r0, (rs := slice(r0, r1)), (dt[rs], dt2[rs], dt3[rs]), points[rs], caps[r0 * width : r1 * width], st, rc)
         for r0, r1, st, rc in zip(rows, rows[1:], stores, recursions)
     ]
-    return entries, state, since
+    return entries, scan_grid(traj.problem.a, dt, points), state, since
 
 
 def _plan_recursion(traj: Trajectory, rows: list, points: np.ndarray, caps, breaks, taus, bs) -> tuple:
@@ -474,18 +515,26 @@ def _plan_recursion(traj: Trajectory, rows: list, points: np.ndarray, caps, brea
     return stores, recursions, state, since
 
 
-def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes: np.ndarray, scan) -> Trajectory:
+# every value that is not finite is named: a recursion's F (a growing tail's correction can be
+# 0 * inf) goes to the head, the head raises UnknownTailError and an overflow names its time
+@np.errstate(over="ignore", invalid="ignore")
+def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, scan: tuple) -> Trajectory:
     """traj marched on from its horizon to t_end at forcing index n_forcing: a plan, then a sweep.
 
-    The plan (_plan) does the grid-only work of every window at once.  The
-    sweep does the work that needs x, a window at a time: F at its points,
-    one value each, by the recursion from one eval_located gather where the
-    plan admits it and F is finite, else by the head (_delayed_sums) on the
-    prefix of the chain's table (_Chain.extend) that holds the window's nodes, read by
-    the caller's own delayed_values; then scan(a, x, dx, steps, points, f),
-    the node values from the last node's value x and slope dx, the slopes
-    and the Hermite pieces.  Read-only copies of the last period's points,
-    F and caps ride on the trajectory as _period_state.
+    scan is (nodes, grid part, scan): the points' nodes in a step, and the
+    two halves of a scan (_VOC, or the oracle's RK4).  The plan (_plan)
+    does the grid-only work of every window at once, the step powers and
+    the scan's grid part included.  The sweep keeps only the work that
+    needs x, a window at a time: F at its points, one value each, by the
+    recursion from one eval_located row gather, formed in place in the
+    period state, where the plan admits it and F is finite, else by the
+    head (_delayed_sums) on the prefix of the chain's table (_Chain.extend)
+    that holds the window's nodes, read by the caller's own delayed_values;
+    then scan(a, x, dx, grid, rows, f), the node values from the last
+    node's value x and slope dx, the march's grid part and the window's
+    steps rows in it; the slopes a x + F in place; and the Hermite pieces
+    from the planned powers (_store_window).  Read-only copies of the last
+    period's points, F and caps ride on the trajectory as _period_state.
     """
     problem, phi = traj.problem, traj.problem.history
     a, rho = problem.a, problem.family.rho
@@ -500,34 +549,34 @@ def _march(traj: Trajectory, t_end: float, n_forcing: int, delayed_values, nodes
     if n0 == 1:  # _start's node: its slope a phi(0) + F(0), F(0) read as a head point of these arrays
         values_at = partial(delayed_values, phi, breaks[: c + 1], coeffs[: c + 1])
         derivs[0] = a * values[0] + _delayed_sums(values_at, phi, grid[:1], taus[:n], bs[:n], chain.tail_sums(phi, problem.family, n), _caps(traj, grid[:1], taus[:n]))[0]
-    # every value that is not finite is named: a recursion's F (a growing tail's correction can be
-    # 0 * inf) goes to the head, the head raises UnknownTailError and an overflow below names its time
-    with np.errstate(over="ignore", invalid="ignore"):
-        plan, state, since = _plan(traj, windows, grid[n0:], nodes, breaks, taus, bs, n)
-        for m, steps, points, caps, store, located in plan:
-            f = None
-            if located is not None:
-                idx, u, corr, run = located
-                f = eval_located(coeffs, idx, u)
-                f *= bs[0]
-                f += rho * state[1][run]
-                f -= corr
-                if not np.isfinite(f).all():
-                    f = None
-            if f is None:
-                values_at = partial(delayed_values, phi, breaks[: c + m], coeffs[: c + m])
-                f = _delayed_sums(values_at, phi, points.ravel(), taus[:n], bs[:n], chain.tail_sums(phi, problem.family, n), caps)
+    plan, scan_grid, state, since = _plan(traj, windows, grid[n0:], scan, breaks, taus, bs, n)
+    window_scan = scan[2]
+    for m, rows, steps, points, caps, store, located in plan:
+        f = None
+        if located is not None:
+            idx, u, corr, run = located
+            f = np.multiply(state[1][run], rho, state[1][store])
+            head = eval_located(coeffs, idx, u)
+            head *= bs[0]
+            f += head
+            f -= corr
+            if not np.isfinite(f).all():
+                f = None
+        if f is None:
+            values_at = partial(delayed_values, phi, breaks[: c + m], coeffs[: c + m])
+            f = _delayed_sums(values_at, phi, points.ravel(), taus[:n], bs[:n], chain.tail_sums(phi, problem.family, n), caps)
             if store is not None:
                 state[1][store] = f
-            f = f.reshape(points.shape)
-            new = slice(m, m + len(steps))
-            values[new] = scan(a, float(values[m - 1]), float(derivs[m - 1]), steps, points, f)
-            derivs[new] = a * values[new] + f[:, -1]
-            m_new = _store_window(values, derivs, pieces, m, steps)
-            # each new piece holds its node's value and slope and, in c2 and c3, the next node's
-            if not np.isfinite(pieces[m - 1 : m_new]).all():
-                row = np.isfinite(pieces[m - 1 : m_new]).all(axis=1).argmin()
-                raise OverflowError(f"the solution leaves the floating-point range after t = {grid[m - 1 + row]}")
+        f = f.reshape(points.shape)
+        new = slice(m, m + len(steps[0]))
+        values[new] = window_scan(a, float(values[m - 1]), float(derivs[m - 1]), scan_grid, rows, f)
+        slopes = np.multiply(values[new], a, derivs[new])
+        slopes += f[:, -1]
+        m_new = _store_window(values, derivs, pieces, m, steps)
+        # each new piece holds its node's value and slope and, in c2 and c3, the next node's
+        if not np.isfinite(pieces[m - 1 : m_new]).all():
+            row = np.isfinite(pieces[m - 1 : m_new]).all(axis=1).argmin()
+            raise OverflowError(f"the solution leaves the floating-point range after t = {grid[m - 1 + row]}")
     chain.rows = len(breaks)
     state = _read_only(*(arr[since:].copy() for arr in state)) if state else ()
     # Trajectory's fields in order: a direct call, as dataclasses.replace costs twice as much
@@ -585,7 +634,7 @@ def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] =
     n_forcing = _truncation(problem.history, problem.family, horizon, eps_f)[0]
     n_origin = _truncation(problem.history, problem.family, 0.0, eps_f)[0]
     start = _start(problem, config, n_forcing, n_origin, h, eps_f)
-    return _march(start, horizon, n_forcing, _delayed_values, GAUSS4_NODES, _voc_scan)
+    return _march(start, horizon, n_forcing, _delayed_values, _VOC)
 
 
 def step_interval(traj: Trajectory, k: int) -> Trajectory:
@@ -611,7 +660,7 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
     if target <= traj.horizon + 1e-12:
         return traj
     n_forcing = _truncation(problem.history, problem.family, target, traj.eps_forcing_used)[0]
-    return _march(traj, target, n_forcing, _delayed_values, GAUSS4_NODES, _voc_scan)
+    return _march(traj, target, n_forcing, _delayed_values, _VOC)
 
 
 # ---------------------------------------------------------------------------

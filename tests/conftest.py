@@ -169,13 +169,13 @@ def recorded_march(monkeypatch, run) -> tuple:
         m.setattr(fd.stepper, "_plan", recorded_plan)
         out = run()
     windows = []
-    for entries, state, _ in plans:
-        for _, _, points, _, at, _ in entries if state else ():
+    for entries, _, state, _ in plans:
+        for _, _, _, points, _, at, _ in entries if state else ():
             head = any(np.shares_memory(read, points) for read in heads)
             windows.append(tuple(column[at].copy() for column in state) + (head,))
             assert np.array_equal(windows[-1][0], points.ravel())
         # the march's points, window after window, increase strictly: none repeats
-        assert np.all(np.diff(np.concatenate([entry[2].ravel() for entry in entries])) > 0.0)
+        assert np.all(np.diff(np.concatenate([entry[3].ravel() for entry in entries])) > 0.0)
     return out, windows
 
 

@@ -1059,6 +1059,48 @@ def test_an_overflowing_solution_fails_its_checks(tmp_path, capsys):
         assert report["error"].startswith("OverflowError: the solution leaves the floating-point range after t = ")
 
 
+@pytest.mark.parametrize("horizon, solver", [(1e9, {}), (8.0, {"h": 1e-300})], ids=["long-horizon", "tiny-h"])
+def test_a_march_too_long_to_hold_fails_its_checks(tmp_path, capsys, horizon, solver):
+    # each march is refused before it allocates: the checks that solve fail
+    # with the step count, the others run, and nothing ends in a traceback
+    cfg = {
+        "name": "too-long",
+        "problem": {
+            "a": 0.0,
+            "family": {"kind": "finite-support", "coeffs": [-1.0], "tau": {"delta": 1.0}},
+            "history": {"preset": "constant"},
+        },
+        "horizon": horizon,
+        "solver": solver,
+        "checks": ["solve", "seminorms", "oracle-compare"],
+    }
+    path = tmp_path / "too-long.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    code, out = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_CHECK_FAILED and out.startswith("FAIL") and "Traceback" not in out
+    reports = [json.loads((tmp_path / "out" / "too-long" / name).read_text()) for name in ("01-solve.json", "02-seminorms.json", "03-oracle-compare.json")]
+    assert [r["passed"] for r in reports] == [False, True, False]
+    for report in (reports[0], reports[2]):
+        assert re.match(r"ValueError: a march from t = 0\.0 to .* takes up to .* steps, more than 1000000", report["error"])
+
+
+def test_delays_that_round_together_end_in_refused_checks(tmp_path, capsys):
+    # delta = 1e-300: the floor's search once stepped through ~1e301 indices,
+    # and the floor past the cap certifies no truncation
+    cfg = json.loads((Path(infidelay.__file__).parent / "scenarios" / "geometric-l1.json").read_text())
+    cfg["name"] = "dense-delays"
+    cfg["problem"]["family"]["tau"] = {"c": 0.0, "delta": 1e-300}
+    cfg["checks"] = ["solve", "seminorms", {"name": "membership", "expect": "member"}]
+    path = tmp_path / "dense-delays.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    code, out = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_CHECK_FAILED and "Traceback" not in out
+    solved = json.loads((tmp_path / "out" / "dense-delays" / "01-solve.json").read_text())
+    assert solved["passed"] is False and "no truncation index below 10000000" in solved["error"]
+    seminorms = json.loads((tmp_path / "out" / "dense-delays" / "02-seminorms.json").read_text())
+    assert [row["p"]["verdict"] for row in seminorms["rows"]] == ["inconclusive"] * 3
+
+
 def test_tolerance_scale_rescues_tight_pins(tmp_path, capsys):
     cfg = {
         "name": "tight",

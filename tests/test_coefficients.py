@@ -76,6 +76,41 @@ def test_first_index_at_least_scans_prefix():
     assert ds.first_index_at_least(2.0) == 4
 
 
+def _stepwise_first_index(ds: DelaySchedule, x: float) -> int:
+    """The search as it once was: from the guess, one index at a time."""
+    for j, t in enumerate(ds.prefix, start=1):
+        if t >= x:
+            return j
+    off = ds.prefix[-1] - len(ds.prefix) * ds.delta if ds.prefix else ds.c
+    lo = len(ds.prefix) + 1
+    i = max(lo, math.ceil((x - off) / ds.delta))
+    while i - 1 >= lo and off + (i - 1) * ds.delta >= x:
+        i -= 1
+    while off + i * ds.delta < x:
+        i += 1
+    return i
+
+
+@given(
+    c=st.floats(min_value=-0.5, max_value=3.0),
+    delta=st.floats(min_value=1e-3, max_value=2.0),
+    prefix=st.sampled_from([(), (0.25,), (0.1, 0.35, 0.8)]),
+    x=st.floats(min_value=-1.0, max_value=60.0),
+)
+def test_the_bracketing_search_finds_the_stepwise_index(c, delta, prefix, x):
+    ds = DelaySchedule(c=0.0 if prefix else max(c, 1e-3 - delta), delta=delta, prefix=prefix)
+    assert ds.first_index_at_least(x) == _stepwise_first_index(ds, x)
+
+
+@pytest.mark.parametrize("c, delta, x", [(0.0, 1e-300, 16.0), (1.0, 1e-30, 1.0 + 4.5e-16), (1.0, 1e-30, 1.0 + 1e-15)])
+def test_the_least_index_is_found_where_many_delays_round_together(c, delta, x):
+    # the stepwise search once walked one index at a time through ~1e301
+    # (or ~3e14) indices whose float delays round together
+    ds = DelaySchedule(c=c, delta=delta)
+    n = ds.first_index_at_least(x)
+    assert ds.tau(n) >= x and ds.tau(n - 1) < x
+
+
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
@@ -489,6 +524,18 @@ def test_atom_tail_search_bisects_below_the_cap(floor):
     assert _atom_tail_search(fam, [(1.0, W1)], floor, eps) == (9_000_000, eps)
     with pytest.raises(UnknownTailError, match="below 10000000"):
         _atom_tail_search(fam, [(1.0, W1)], floor, tail_sum_bound(fam, W1, TRUNCATION_CAP + 2))
+
+
+def test_a_floor_past_the_cap_certifies_no_finite_tolerance():
+    # the first probe at a floor past the cap once returned that floor, and a
+    # caller went on to ask tau_array for 8e9 delays; membership (eps = inf)
+    # builds no array of N and keeps its answer
+    fam = CoefficientFamily.geometric(1.0, 0.5, DelaySchedule(0.0, 1e-9))
+    floor = 8_000_000_001
+    with pytest.raises(UnknownTailError, match="below 10000000"):
+        _atom_tail_search(fam, [(1.0, W1)], floor, 1e-10)
+    assert _atom_tail_search(fam, [(1.0, W1)], floor, math.inf)[0] == floor
+    assert _atom_tail_search(fam, [(1.0, W1)], TRUNCATION_CAP, 1e-10)[0] == TRUNCATION_CAP
 
 
 def test_atom_tail_search_divergent():

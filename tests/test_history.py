@@ -569,6 +569,25 @@ def test_seminorm_value_accessors():
 # ---------------------------------------------------------------------------
 
 
+def test_a_truncation_floor_past_the_cap_leaves_p_k_inconclusive():
+    # delta = 1e-9 puts the floor at 8e9 delays: p_k once asked tau_array for
+    # all of them (59.6 GiB); now no N below the cap certifies eps, so p_k is
+    # inconclusive and solve refuses with the cap's message.  Membership's
+    # eps = inf proof builds no array and still certifies phi in F
+    fam = CoefficientFamily.geometric(1.0, 0.5, DelaySchedule(0.0, 1e-9))
+    phi = history_preset("cos")
+    tracemalloc.start()
+    try:
+        assert [sv.verdict for sv in fd.history._seminorms(phi, fam, [1, 2, 3], 1e-10)] == ["inconclusive"] * 3
+        with pytest.raises(UnknownTailError, match="no truncation index below 10000000 certifies tolerance 1e-10"):
+            fd.solve(fd.ProblemSpec(-0.5, fam, phi), 8.0)
+        assert membership_in_F(phi, fam, 3).verdict == "member"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_membership_verdicts():
     phi = history_preset("constant")
     assert membership_in_F(phi, GEO_HALF).verdict == "member"

@@ -62,12 +62,12 @@ def test_corrections_read_phi_at_or_below_its_depth(monkeypatch, problem, horizo
     plans, real = [], fd.stepper._plan
     monkeypatch.setattr(fd.stepper, "_plan", lambda *args: plans.append((args, real(*args))) or plans[-1][1])
     solve(problem, horizon)
-    (args, (entries, state, _)), depth = plans[0], problem.history.depth
+    (args, (entries, _, state, _)), depth = plans[0], problem.history.depth
     taus, bs = args[5], args[6]
     read = [entry for entry in entries if entry[-1] is not None]
     assert len(read) >= len(entries) - period - 1
     stays = 0
-    for _, _, points, caps, _, (_, _, corr, run) in read:
+    for _, _, _, points, caps, _, (_, _, corr, run) in read:
         theta = points.ravel() - taus[caps]
         assert np.all(theta <= -depth + 4 * U * taus[caps])
         stayed = caps == state[2][run]

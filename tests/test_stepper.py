@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -537,12 +538,68 @@ def test_an_overflowing_solution_is_named(horizon):
 
 def test_a_step_with_a_subnormal_cube_is_refused_not_called_an_overflow():
     # below dt of about 2.8e-103, dt**3 leaves the normal range; at 1e-155 the
-    # Hermite fit once divided by zero and the march named a false overflow
+    # Hermite fit once divided by zero and the march named a false overflow.
+    # The plan refuses once, naming the first bad step's start
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="normal cube"):
-            solve(classic_problem(), 1e-155)
+        for march in (solve, fd.oracle_solve):
+            with pytest.raises(ValueError, match=r"normal cube .*the step from t = 0\.0 has dt = 1e-155"):
+                march(classic_problem(), 1e-155)
         assert solve(classic_problem(), 1e-100).eval(1e-100) == 1.0
+        assert fd.oracle_solve(classic_problem(), 1e-100).eval(1e-100) == 1.0
+
+
+def test_a_step_whose_cube_overflows_is_refused_before_a_row_is_written():
+    # with tau_1 = 1e200 an extension steps by tau_1/40, whose cube passes the
+    # largest float: step_interval refuses in the plan, so the parent stays its
+    # chain's tip and the chain keeps its rows
+    problem = ProblemSpec(0.0, CoefficientFamily.finite_support([-1.0], DelaySchedule(0.0, 1e200)), history_preset("constant"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = solve(problem, 1e100)  # one step of 1e100: its cube is normal
+        chain, rows = traj._chain, traj._chain.rows
+        nodes = [arr.tobytes() for arr in (traj.grid, traj.values, traj.derivs, traj.pieces)]
+        with pytest.raises(ValueError, match=r"normal cube .*the step from t = 1e\+100 has dt = 2\.\d+e\+198"):
+            step_interval(traj, 0)
+    assert chain.rows == rows == chain.core + len(traj.grid) and fd.stepper._chain(traj, 0) is chain
+    assert [arr.tobytes() for arr in (traj.grid, traj.values, traj.derivs, traj.pieces)] == nodes
+
+
+@pytest.mark.parametrize(
+    "march",
+    [
+        # a knot list of 4e10 multiples of tau_1 once ran out of memory
+        partial(solve, classic_problem(), 1e9),
+        partial(fd.oracle_solve, classic_problem(), 1e9),
+        # tau_1 = 1e-6: 3.2e8 steps of tau_1/40 once asked numpy for 2.6 GB
+        partial(solve, ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.5, DelaySchedule(-0.999999, 1.0)), history_preset("cos")), 8.0),
+        # h = 1e-300 once asked np.arange for 8e300 entries
+        partial(solve, classic_problem(), 8.0, SolverConfig(h=1e-300)),
+    ],
+    ids=["solve", "oracle_solve", "tiny-tau1", "tiny-h"],
+)
+def test_a_march_of_too_many_steps_is_refused_before_any_allocation(march):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"takes up to .* steps, more than 1000000"):
+            march()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_an_extension_of_too_many_steps_is_refused_before_any_allocation():
+    traj = solve(classic_problem(), 2.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"a march from t = 2\.0 to 1000000000\.0 .* takes up to 4\.\d+e\+10 steps"):
+            step_interval(traj, 10**9 - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert step_interval(traj, 2).horizon == 3.0  # the chain marches on
 
 
 def test_solve_is_deterministic():
@@ -716,9 +773,9 @@ def test_one_table_read_matches_the_three_way_split(monkeypatch, run, p):
         buffers.append(len(pieces) == len(grid))
         return real(phi, breaks, coeffs, args)
 
-    def recorded_plan(traj, windows, ends, nodes, breaks, taus, bs, n):
-        out = plan(traj, windows, ends, nodes, breaks, taus, bs, n)
-        for m, _, points, _, _, located in out[0]:
+    def recorded_plan(traj, windows, ends, scan, breaks, taus, bs, n):
+        out = plan(traj, windows, ends, scan, breaks, taus, bs, n)
+        for m, _, _, points, _, _, located in out[0]:
             if located is not None:
                 planned[id(located[0])] = (breaks, m, points.ravel() - taus[0])
         return out
@@ -975,15 +1032,15 @@ def test_a_recursion_that_is_not_finite_leaves_the_window_to_the_head(monkeypatc
     problem, real = march_long_problem(), fd.stepper._plan
 
     def spoiled(*args):
-        entries, state, since = real(*args)
+        entries, grid, state, since = real(*args)
         for *_, recursion in entries[1:]:
             _, _, corr, _ = recursion  # every window past the first recurs
             corr[0] = np.nan
-        return entries, state, since
+        return entries, grid, state, since
 
     def head_only(*args):
-        entries, state, since = real(*args)
-        return [entry[:5] + (None,) for entry in entries], state, since
+        entries, grid, state, since = real(*args)
+        return [entry[:-1] + (None,) for entry in entries], grid, state, since
 
     runs = []
     for plan in (spoiled, head_only):
@@ -1012,6 +1069,26 @@ def test_a_cap_that_rises_by_two_leaves_the_window_to_the_head(monkeypatch):
     monkeypatch.setattr(fd.stepper, "_caps", lowered)
     _, windows = recorded_march(monkeypatch, partial(solve, problem, 4.0))
     assert [head for *_, head in windows] == [True, True, True, False]
+
+
+def test_the_plan_does_the_grid_only_work_once_per_march(monkeypatch):
+    # a 32-window solve computes its step powers, its scan's grid part and
+    # its one np.exp once, in the plan; the sweep exponentiates only e^{a dt}
+    # (math.exp) and never tests a cube.  The RK4 grid part needs no np.exp
+    calls = []
+    powers, exp, (nodes, grid, scan) = fd.stepper.hermite_steps, np.exp, fd.stepper._VOC
+    monkeypatch.setattr(fd.stepper, "hermite_steps", lambda *args: calls.append("powers") or powers(*args))
+    monkeypatch.setattr(fd.stepper, "_VOC", (nodes, lambda *args: calls.append("grid") or grid(*args), scan))
+    monkeypatch.setattr(np, "exp", lambda *args, **kw: calls.append("np.exp") or exp(*args, **kw))
+    monkeypatch.setattr(fd.numerics, "normal_cube", lambda dt: calls.append("normal_cube"))
+    traj = solve(march_long_problem(), 32.0)
+    assert sorted(calls) == ["grid", "np.exp", "powers"] and len(traj.grid) == 1281
+    calls.clear()
+    step_interval(traj, 32)
+    assert sorted(calls) == ["grid", "np.exp", "powers"]
+    calls.clear()
+    fd.oracle_solve(march_long_problem(), 4.0)
+    assert calls == ["powers"]
 
 
 def test_step_interval_chain_stores_each_window_once(monkeypatch):
