@@ -54,7 +54,7 @@ from .coefficients import (
     n_index,
     tail_sum_bound,
 )
-from .numerics import dedupe_knots, derivative_coeffs, eval_located, eval_pieces, hermite_coeffs, piece_index, shift_coeffs, sup_abs_pieces, sup_ratio_pieces
+from .numerics import SAME_TIME, dedupe_knots, derivative_coeffs, eval_located, eval_pieces, hermite_coeffs, piece_index, shift_coeffs, sup_abs_pieces, sup_ratio_pieces
 
 _CONST1 = WeightFunction.constant(1.0)
 
@@ -249,7 +249,7 @@ class PairDifferenceTail:
         # the atoms certify |diff| <= sum scale*w below -depth, and every
         # weight form is nondecreasing into the past, so w peaks at lo
         from_atoms = sum(s * w(lo) for s, w in self.bound_atoms)
-        below = np.asarray(hi) <= -self.depth + 1e-12
+        below = np.asarray(hi) <= -self.depth + SAME_TIME * self.depth
         return _per_window(lo, np.where(below, np.minimum(triangle, from_atoms), triangle))
 
     def lower_atom(self, reach: float) -> Optional[Atom]:
@@ -351,10 +351,14 @@ class HistoryFunction:
             raise ValueError("breakpoints must be strictly increasing")
         if cf.shape != (len(bp) - 1, 4):
             raise ValueError(f"coefficient array must be {(len(bp) - 1, 4)}, got {cf.shape}")
-        # continuity across interior breakpoints
-        v_end = eval_located(cf, np.arange(len(cf) - 1), np.diff(bp)[:-1])
-        v_next = cf[1:, 0]
-        bad = np.flatnonzero(np.abs(v_end - v_next) > np.maximum(_CONT_TOL, _CONT_TOL * np.abs(v_next)))
+        # continuity across interior breakpoints within _CONT_TOL max(1, |value|, size), size the piece's
+        # |c0| + |c1| u + |c2| u^2 + |c3| u^3 at its end, formed only where max(1, |value|) does not settle it
+        du = np.diff(bp)
+        v_end, v_next = eval_located(cf, np.arange(len(cf) - 1), du[:-1]), cf[1:, 0]
+        gap = np.abs(v_end - v_next)
+        bad = np.flatnonzero(gap > _CONT_TOL * np.maximum(1.0, np.abs(v_next)))
+        if len(bad):
+            bad = bad[gap[bad] > _CONT_TOL * eval_located(np.abs(cf), bad, du[bad])]
         if len(bad):
             j = bad[0]
             raise ValueError(f"core is discontinuous at theta={bp[j + 1]}: {v_end[j]} vs {v_next[j]}")
@@ -363,8 +367,8 @@ class HistoryFunction:
         v_core = cf[0, 0]
         with np.errstate(invalid="ignore"):  # a tail that is not finite here is refused below
             v_tail = float(self.tail.evaluate(float(bp[0])))
-        tol = max(_CONT_TOL, _CONT_TOL * abs(v_core))
-        if not abs(v_core - v_tail) <= tol:
+        gap = abs(v_core - v_tail)  # the same rule, the size the first piece's
+        if not (gap <= _CONT_TOL * max(1.0, abs(v_core)) or gap <= _CONT_TOL * eval_located(np.abs(cf), 0, du[0])):
             raise ValueError(
                 f"tail does not meet the core at theta={bp[0]}: core {v_core} vs tail {v_tail}"
             )
@@ -375,7 +379,7 @@ class HistoryFunction:
 
     def evaluate(self, theta):
         th = np.asarray(theta, dtype=float)
-        if not (th <= 1e-12).all():  # NaN fails too
+        if not (th <= SAME_TIME * self.depth).all():  # NaN fails too
             raise ValueError(f"history arguments theta must be <= 0, got max {th.max()}")
         out = self.read(self.breakpoints, self.coeffs, np.minimum(np.atleast_1d(th), 0.0))
         return float(out[0]) if th.ndim == 0 else out
@@ -401,7 +405,7 @@ class HistoryFunction:
         core, and the tail's sup_abs when some window reaches below the core.
         """
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        if np.any(hi > 1e-12):
+        if np.any(hi > SAME_TIME * self.depth):
             raise ValueError(f"history intervals must end at <= 0, got {hi.max()}")
         hi = np.minimum(hi, 0.0)
         b0 = self.breakpoints[0]
@@ -420,7 +424,7 @@ class HistoryFunction:
         """
         bp = self.breakpoints
         cf = self.coeffs
-        scale = max(1.0, float(np.max(np.abs(cf))))
+        scale = float(np.max(np.abs(cf[:, 1])))  # the node slopes: a kink is measured in slope units
         dcf = derivative_coeffs(cf)
         du = np.diff(bp)[:-1]
         rise = du * (dcf[:-1, 1] + du * dcf[:-1, 2])
@@ -692,11 +696,12 @@ def history_difference(h1: HistoryFunction, h2: HistoryFunction) -> HistoryFunct
             b = _materialize_constant(b, a.depth)
 
     depth = min(a.depth, b.depth)
-    inner_a = a.breakpoints[(a.breakpoints > -depth + 1e-12) & (a.breakpoints < -1e-12)]
-    inner_b = b.breakpoints[(b.breakpoints > -depth + 1e-12) & (b.breakpoints < -1e-12)]
-    bp = np.concatenate([[-depth], dedupe_knots(np.concatenate([inner_a, inner_b])), [0.0]])
+    tol = SAME_TIME * depth
+    inner_a = a.breakpoints[(a.breakpoints > -depth + tol) & (a.breakpoints < -tol)]
+    inner_b = b.breakpoints[(b.breakpoints > -depth + tol) & (b.breakpoints < -tol)]
+    bp = np.concatenate([[-depth], dedupe_knots(np.concatenate([inner_a, inner_b]), depth), [0.0]])
     # pick source pieces by the segment midpoint: union knots merged
-    # within 1e-12 may sit a few ulp before a side's own knot, and a
+    # within SAME_TIME * depth may sit a few ulp before a side's own knot, and a
     # left-endpoint lookup would then extrapolate the previous piece
     mid = 0.5 * (bp[:-1] + bp[1:])
     ia, ib = (piece_index(h.breakpoints, len(h.coeffs), mid) for h in (a, b))

@@ -3,7 +3,7 @@
 The 4-point Gauss-Legendre rule on [0, 1], the phi1 function (expm1(z)/z
 with a stable small-z branch), cubic Hermite coefficients, and evaluation /
 exact (weighted) sup-norm of piecewise cubic polynomials stored in local
-coordinates.
+coordinates, and the one rule for "the same time" (SAME_TIME, PAST_END).
 
 Piecewise convention used everywhere in this package: a function on
 [breaks[0], breaks[-1]] is stored as an (m, 4) array of local coefficients
@@ -43,6 +43,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+#: the package's only time tolerances, in the caller's time unit (tau_1; a history's core depth):
+#: two knots or points closer than SAME_TIME are one time, and a time up to PAST_END past a span's end reads the end
+SAME_TIME, PAST_END = 1e-12, 1e-9
 
 # 4-point Gauss-Legendre rule mapped from [-1, 1] to [0, 1].
 _GL4_X = (0.3399810435848563, 0.8611363115940526)
@@ -234,11 +238,13 @@ def sup_abs_pieces(breaks: np.ndarray, coeffs: np.ndarray, lo, hi):
     u_lo = np.maximum(lo[which], left) - left
     u_hi = np.minimum(hi[which], breaks[j + 1]) - left
     c0, c1, c2, c3 = coeffs[j].T
-    a2, a1 = 3.0 * c3, 2.0 * c2
+    # the quadratic in units of s, a power of two that scales with the time unit: the roots keep their bits, and no overflow at 2^-300
+    s = math.ldexp(1.0, math.frexp(breaks[-1] - breaks[0])[1])
+    a2, a1, den = (3.0 * s**3) * c3, (2.0 * s * s) * c2, (6.0 * s * s) * c3  # den = 2 a2 / s
     with np.errstate(all="ignore"):
         # a linear derivative has one root; no root is a nan or an infinity
-        sq = np.sqrt(a1 * a1 - 4.0 * a2 * c1)
-        u = np.array((u_lo, u_hi, np.where(a2 == 0.0, -c1 / a1, np.nan), (-a1 + sq) / (2.0 * a2), (-a1 - sq) / (2.0 * a2)))
+        sq = np.sqrt(a1 * a1 - 4.0 * a2 * (s * c1))
+        u = np.array((u_lo, u_hi, np.where(a2 == 0.0, -c1 / (2.0 * c2), np.nan), (-a1 + sq) / den, (-a1 - sq) / den))
         # a root outside (u_lo, u_hi) falls back to u_lo, already a candidate
         u[2:] = np.where((u_lo < u[2:]) & (u[2:] < u_hi), u[2:], u_lo)
         vals = np.abs(c0 + u * (c1 + u * (c2 + u * c3))).max(axis=0)
@@ -293,17 +299,13 @@ def sup_ratio_pieces(breaks: np.ndarray, coeffs: np.ndarray, weight) -> float:
     return float(np.max(np.abs(c0 + u * (c1 + u * (c2 + u * c3))) / weight(s[:, None] + u)))
 
 
-#: knots at most this far apart are one knot
-_KNOT_TOL = 1e-12
-
-
-def dedupe_knots(values: np.ndarray) -> np.ndarray:
-    """Sort and merge knots within _KNOT_TOL (keeping the first of each cluster)."""
+def dedupe_knots(values: np.ndarray, unit: float) -> np.ndarray:
+    """Sort and merge knots within SAME_TIME * unit (keeping the first of each cluster); unit is the problem's time unit."""
     v = np.sort(np.asarray(values, dtype=float))
     if len(v) == 0:
         return v
     keep = [v[0]]
     for x in v[1:]:
-        if x - keep[-1] > _KNOT_TOL:
+        if x - keep[-1] > SAME_TIME * unit:
             keep.append(x)
     return np.array(keep)

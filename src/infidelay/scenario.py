@@ -94,7 +94,7 @@ from .history import (
     history_preset,
     membership_in_F,
 )
-from .numerics import normal_cube
+from .numerics import PAST_END, SAME_TIME, normal_cube
 from .oracle import compare_trajectories, oracle_solve
 from .semigroup import (
     check_mild_solution,
@@ -452,7 +452,7 @@ def _check_ranges(ctx: _Ctx, cname: str, p: dict) -> None:
         raise fail(f"expect must be one of {', '.join(_EXPECT[cname])}, got {p['expect']!r}", p, "expect")
     if p.get("k_list") == []:
         raise fail(f"k_list must be nonempty, got [] (horizon {H}, tau_1 {ctx.tau1})", p, "k_list")
-    if cname == "estimates" and max(p["k_list"]) * ctx.tau1 > H + 1e-9:
+    if cname == "estimates" and max(p["k_list"]) * ctx.tau1 > H + PAST_END * ctx.tau1:
         raise fail(f"k_list entries k must have k * tau_1 at most the horizon {H}, got {p['k_list']}", p, "k_list")
     if cname == "semigroup-law" and p["t"] + p["s"] > H:
         raise fail(f"t + s must be at most the horizon {H}, got {p['t'] + p['s']}", p, "s", "t")
@@ -531,7 +531,7 @@ CHECKS = {  # name: (description, runner, parameter key table); a default may be
         "tolerance": (float, 1e-6),
     }),
     "estimates": ("a-priori window bounds against observed sups", _run_estimates, {
-        "k_list": (list, lambda c: list(range(1, min(3, int(math.floor(c.horizon / c.tau1 + 1e-12))) + 1)), int),
+        "k_list": (list, lambda c: list(range(1, min(3, int(math.floor(c.horizon / c.tau1 + SAME_TIME))) + 1)), int),
     }),
     "cg-embedding": ("weighted-norm domination of the p seminorms", _run_cg_embedding, {
         "weight": (_build_weight, {"form": "exponential", "base": 2.0}),

@@ -38,7 +38,7 @@ from .history import (
     p_seminorm,
     sup_norm_k,
 )
-from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, derivative_coeffs, eval_pieces, piece_index, sup_abs_pieces
+from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, PAST_END, SAME_TIME, derivative_coeffs, eval_pieces, piece_index, sup_abs_pieces
 from .stepper import ProblemSpec, Trajectory, forcing, solve
 
 
@@ -55,10 +55,11 @@ def apply_semigroup(traj: Trajectory, t: float) -> HistoryFunction:
     phi = traj.problem.history
     if t == 0.0:
         return phi
-    if t > traj.horizon + 1e-9:
+    tau1 = traj.problem.family.delays.tau1
+    if t > traj.horizon + PAST_END * tau1:
         raise ValueError(f"trajectory computed to {traj.horizon}, cannot shift by {t}")
     t = min(t, traj.horizon)
-    inner = traj.grid[(traj.grid > 1e-15) & (traj.grid < t - 1e-15)]
+    inner = traj.grid[(traj.grid > SAME_TIME * tau1) & (traj.grid < t - SAME_TIME * tau1)]
     n_piece = len(inner) + 1  # pieces of the trajectory below t
     bp = np.concatenate([phi.breakpoints - t, inner - t, [0.0]])
     coeffs = np.concatenate([phi.coeffs, traj.pieces[:n_piece]])
@@ -101,7 +102,7 @@ def check_semigroup_law(traj: Trajectory, t: float, s: float, k_list=(1, 2, 3)) 
     problem = traj.problem
     lhs = apply_semigroup(traj, t + s)
     psi = apply_semigroup(traj, s)
-    rhs = apply_semigroup(solve(ProblemSpec(problem.a, problem.family, psi), max(t, 1e-12), traj.config), t)
+    rhs = apply_semigroup(solve(ProblemSpec(problem.a, problem.family, psi), max(t, SAME_TIME * problem.family.delays.tau1), traj.config), t)
     diff = history_difference(lhs, rhs)
     rows, worst, k_list = [], 0.0, list(k_list)
     pds = [sv.upper() for sv in _seminorms(diff, problem.family, k_list, traj.config.eps_tail_seminorm)]
@@ -234,7 +235,7 @@ def check_mild_solution(traj: Trajectory, t_grid, theta_grid, tolerance: float =
     phi0 = phi.evaluate(0.0)
     r = np.add.outer(ts, thetas)
     pos = r > 0.0
-    grid = traj.grid[traj.grid <= r.max() + 1e-12]
+    grid = traj.grid[traj.grid <= r.max() + SAME_TIME * problem.family.delays.tau1]
     steps = np.diff(grid)
     j = piece_index(grid, len(grid), r[pos])
     part = r[pos] - grid[j]

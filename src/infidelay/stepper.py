@@ -15,11 +15,12 @@ and slopes.
 
 Step boundaries are forced at every multiple of tau_1 and at every delay
 tau_i <= T, where the solution loses one order of smoothness.  _substeps
-is the one routine that places them: it merges knots within 1e-12 of
-each other and cuts the march into tau_1-windows of sub-steps.  It
-refuses, with ValueError and before any list is built, a march of more
-than history._MAX_CORE_PIECES steps: they are rows of one read table, as
-a core's pieces are.
+is the one routine that places them: it merges knots within SAME_TIME
+tau_1 of each other (numerics: every time tolerance is relative to tau_1,
+so a march rescaled in time takes the same steps) and cuts the march into
+tau_1-windows of sub-steps.  It refuses, with ValueError and before any
+list is built, a march of more than history._MAX_CORE_PIECES steps: they
+are rows of one read table, as a core's pieces are.
 
 The march (_march) is a plan and a sweep.  It appends to its chain's
 buffers (_Chain): one read table (phi's core rows, then a row per node,
@@ -62,9 +63,9 @@ holds the window's nodes by _delayed_values, and a tail moment) or, where
 it is exact, the one-period recursion (the discrete linear chain trick):
 b_i = beta rho^i on tau_i = c + i delta with no prefix and delta = P tau_1
 for an integer P (_period), and every point of the window one period delta
-after a stored point (within 1e-12), which holds from the (P+1)-th window
-on and across step_interval, whose trajectory carries the last period's
-points, F and caps.  There
+after a stored point (within SAME_TIME tau_1), which holds from the
+(P+1)-th window on and across step_interval, whose trajectory carries the
+last period's points, F and caps.  There
 
     F(s) = b_1 x(s - tau_1) + rho F(s - delta) - [c(s) = c(s - delta)] b_{c+1} x(s - tau_{c+1}),
 
@@ -79,7 +80,7 @@ window costs O(points), not O(points * N).  Per
 point the recursion adds at most 4u (|b_1 x| + |rho F(s - delta)| +
 |correction|) of rounding and 3u sum |b_i x| for b_{i+1} != rho b_i in
 floating point, plus rho times the read mismatch of a point that recurs
-within 1e-12 rather than exactly; each period damps the error carried in
+within SAME_TIME tau_1 rather than exactly; each period damps the error carried in
 by |rho|, so it stays of order u (|b_1 x| + |rho F| + |correction|) /
 (1 - |rho|) per point on top of the first period's head rounding.  The
 first period, every other family, a window whose points do not recur and a
@@ -113,7 +114,7 @@ import numpy as np
 
 from .coefficients import CoefficientFamily, DivergentTailError, UnknownTailError, m_index, n_index
 from .history import _MAX_CORE_PIECES, HistoryFunction, _delayed_sums, _seminorms, _sup_norms, _tail_sums, _truncation, _window_index, sup_norm_k
-from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, eval_located, hermite_steps, hermite_terms, phi1, piece_index, sup_abs_pieces
+from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, PAST_END, SAME_TIME, eval_located, hermite_steps, hermite_terms, phi1, piece_index, sup_abs_pieces
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ class Trajectory:
 
     def eval(self, t):
         th = np.asarray(t, dtype=float)
-        if not (th <= self.horizon + 1e-9).all():  # NaN fails too
+        if not (th <= self.horizon + PAST_END * self.problem.family.delays.tau1).all():  # NaN fails too
             raise ValueError(f"evaluation beyond horizon {self.horizon}: max t={th.max()}")
         phi = self.problem.history
         out = _delayed_values(phi, *(self._read or _chain(self, 0).read()), np.minimum(np.atleast_1d(th), self.horizon))
@@ -332,7 +333,7 @@ def forcing(traj: Trajectory, t, n: Optional[int] = None):
     """
     prob, phi = traj.problem, traj.problem.history
     ts = np.asarray(t, dtype=float)
-    if not (ts <= traj.horizon + 1e-9).all():  # NaN fails too
+    if not (ts <= traj.horizon + PAST_END * prob.family.delays.tau1).all():  # NaN fails too
         raise ValueError(f"forcing beyond horizon {traj.horizon}: max t={ts.max()}")
     n_max = traj.n_forcing if n is None else n
     taus, bs = prob.family.delays.tau_array(n_max), prob.family.b_array(n_max)
@@ -347,8 +348,8 @@ def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -
     """Sub-step end times in (t_from, t_to], one array per tau_1-window.
 
     The knots are the multiples of tau_1 and the delays tau_i strictly
-    inside (t_from, t_to) by more than 1e-12, sorted, then t_to; a knot is
-    kept only when the next one lies more than 1e-12 past it, so of a
+    inside (t_from, t_to) by more than SAME_TIME tau_1, sorted, then t_to; a
+    knot is kept only when the next one lies more than that past it, so of a
     cluster the last point stays (t_to wins ties).  Each knot interval is
     cut into equal sub-steps of at most h, the i-th ending at t_cur + i dt
     and the last at the knot.  A window closes at every multiple of tau_1
@@ -360,9 +361,9 @@ def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -
     (t_to - t_from) / h plus one more than the knot candidates.
     """
     d = family.delays
-    tau1 = d.tau1
-    j = math.floor(t_from / tau1 + 1e-12) + 1
-    lo, hi = t_from + 1e-12, t_to - 1e-12
+    tau1, tol = d.tau1, SAME_TIME * d.tau1
+    j = math.floor(t_from / tau1 + SAME_TIME) + 1
+    lo, hi = t_from + tol, t_to - tol
     i_lo, i_hi = d.first_index_at_least(lo), d.first_index_at_least(hi)
     count = (t_to - t_from) / h + max(0.0, hi / tau1 - j + 2) + (i_hi - i_lo) + 1
     if not count <= _MAX_CORE_PIECES:  # NaN and inf fail too
@@ -370,16 +371,16 @@ def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -
     cands = [k * tau1 for k in range(j, math.ceil(hi / tau1) + 1)]
     cands += [d.tau(i) for i in range(i_lo, i_hi)]
     knots = sorted(v for v in cands if lo < v < hi) + [t_to]
-    knots = [v for v, nxt in zip(knots, knots[1:]) if nxt - v > 1e-12] + [t_to]
+    knots = [v for v, nxt in zip(knots, knots[1:]) if nxt - v > tol] + [t_to]
     windows = []
     ends: list = []
     t_cur = t_from
     for t_next in knots:
-        nsub = max(1, math.ceil((t_next - t_cur) / h - 1e-12))
+        nsub = max(1, math.ceil((t_next - t_cur) / h - SAME_TIME))
         ends.append(t_cur + np.arange(1.0, nsub + 1) * ((t_next - t_cur) / nsub))
         ends[-1][-1] = t_next
         t_cur = t_next
-        if t_next >= j * tau1 - 1e-12 or t_next == t_to:
+        if t_next >= j * tau1 - tol or t_next == t_to:
             windows.append(ends[0] if len(ends) == 1 else np.concatenate(ends))
             ends = []
             j += 1
@@ -426,7 +427,7 @@ def _period(family: CoefficientFamily) -> int:
     if family.kind != "geometric" or d.prefix:
         return 0
     p = round(d.delta / d.tau1)
-    return p if p >= 1 and abs(p * d.tau1 - d.delta) <= 1e-12 else 0
+    return p if p >= 1 and abs(p * d.tau1 - d.delta) <= SAME_TIME * d.tau1 else 0
 
 
 def _plan(traj: Trajectory, windows: list, ends: np.ndarray, scan: tuple, breaks: np.ndarray, taus, bs, n: int) -> tuple:
@@ -467,17 +468,17 @@ def _plan_recursion(traj: Trajectory, rows: list, points: np.ndarray, caps, brea
     The state arrays (points, F, caps) hold traj's last period, then each
     window's points (points.ravel()) and caps; the sweep writes window w's
     F at the slice stores[w], and the last period starts at since, one
-    period (less 1e-9) before the end.  A window's run is the stored points
-    from the first at or past its first point - delta - 1e-12 on.
+    period (less PAST_END tau_1) before the end.  A window's run is the stored
+    points from the first at or past its first point - delta - SAME_TIME tau_1 on.
     recursions[w] is None, so the head reads the window, unless the run was
-    stored before the window, each run point lies within 1e-12 of its
+    stored before the window, each run point lies within SAME_TIME tau_1 of its
     point - delta, each cap rose by 0 or 1 and each x(s - tau_1) lies in the
     table.  Else it is (idx, u, corr, run): each x(s - tau_1)'s piece (no
     later than the window's pending row, as a read of the table's prefix)
     and local coordinate, the correction b_{c+1} x(s - tau_{c+1}) where the
     cap stayed (0 where it rose), read from phi alone, and the run's slice.
     """
-    phi, delta = traj.problem.history, traj.problem.family.delays.delta
+    phi, delta, tau1 = traj.problem.history, traj.problem.family.delays.delta, float(taus[0])
     flat, width = points.ravel(), points.shape[1]
     state, last = (flat, np.empty(len(flat)), caps), traj._period_state
     if last and last[0][-1] == traj.horizon:  # traj's own last period, not another trajectory's (a solve's stack is the plan's arrays)
@@ -485,18 +486,18 @@ def _plan_recursion(traj: Trajectory, rows: list, points: np.ndarray, caps, brea
     stored, _, c_stored = state
     held, first = len(stored) - len(flat), [r * width for r in rows]
     counts, heads = [d1 - d0 for d0, d1 in zip(first, first[1:])], points[:, 0][rows[:-1]]  # each window's point count and first point
-    runs = stored.searchsorted(heads - delta - 1e-12).tolist()
+    runs = stored.searchsorted(heads - delta - SAME_TIME * tau1).tolist()
     run = np.arange(len(flat)) + np.array([r - d for r, d in zip(runs, first)]).repeat(counts)
     rise = caps - c_stored.take(run, mode="clip")
-    ok = (np.abs(stored.take(run, mode="clip") + delta - flat) <= 1e-12) & ((rise == 0) | (rise == 1))
+    ok = (np.abs(stored.take(run, mode="clip") + delta - flat) <= SAME_TIME * tau1) & ((rise == 0) | (rise == 1))
     ok = np.logical_and.reduceat(ok, first[:-1]).tolist()
     rose = rise != 0
     del run, rise  # the plan's arrays are O(points): free each as soon as it is done with
     # a window's points increase, so its first x(s - tau_1) is its least
-    tau1, b0 = float(taus[0]), float(breaks[0])
+    b0 = float(breaks[0])
     recur = [g and r + k <= held + d and h - tau1 >= b0 for g, r, k, d, h in zip(ok, runs, counts, first, heads.tolist())]
     stores = [slice(held + d0, held + d1) for d0, d1 in zip(first, first[1:])]
-    since = int(stored.searchsorted(flat[-1] - delta - 1e-9))
+    since = int(stored.searchsorted(flat[-1] - delta - PAST_END * tau1))
     if not any(recur):
         return stores, [None] * len(stores), state, since
     u = flat - taus[0]
@@ -657,7 +658,7 @@ def step_interval(traj: Trajectory, k: int) -> Trajectory:
         raise ValueError("step_interval extends solve trajectories only, not oracle_solve ones")
     problem = traj.problem
     target = (k + 1) * problem.family.delays.tau1
-    if target <= traj.horizon + 1e-12:
+    if target <= traj.horizon + SAME_TIME * problem.family.delays.tau1:
         return traj
     n_forcing = _truncation(problem.history, problem.family, target, traj.eps_forcing_used)[0]
     return _march(traj, target, n_forcing, _delayed_values, _VOC)
@@ -699,7 +700,7 @@ def estimate_certificate(traj: Trajectory, k: int) -> EstimateCertificate:
     k = _window_index(k)
     fam, phi, a = traj.problem.family, traj.problem.history, traj.problem.a
     tau1 = fam.delays.tau1
-    if traj.horizon < k * tau1 - 1e-9:
+    if traj.horizon < k * tau1 - PAST_END * tau1:
         raise ValueError(
             f"trajectory covers [0, {traj.horizon}] but the certificate needs [0, {k * tau1}]"
         )

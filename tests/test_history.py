@@ -133,6 +133,24 @@ def test_core_continuity_error_names_the_first_jump():
         fd.HistoryFunction(bp, cf, ConstantTail(0.0))
 
 
+@pytest.mark.parametrize("s", [2.0**16, 2.0**100, 2.0**1000])
+def test_core_continuity_is_relative_to_the_pieces_size(s):
+    # an absolute floor of 1e-12 read the rounding of cos at theta = -7 as a jump from s = 2^16 on
+    phi, w = history_preset("cos"), 0.5 * math.pi
+    assert np.array_equal(scale_history(s, phi).coeffs, s * phi.coeffs)
+    # at the seam the core's -s sin(0) = 0 meets the tail's s cos(-3.5 pi), s times a rounding
+    seam = history_from_callable(lambda t: -s * math.sin(w * (t + 7.0)), 7.0, 0.05, tail=CosTail(s, w),
+                                 fn_prime=lambda t: -s * w * math.cos(w * (t + 7.0)))
+    assert seam.coeffs[0, 0] == 0.0 != seam.tail.evaluate(-7.0)
+    # a real jump is still refused, inside the core and at the seam
+    cf = s * phi.coeffs
+    cf[80, 0] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="core is discontinuous"):
+        fd.HistoryFunction(phi.breakpoints, cf, CosTail(s, w))
+    with pytest.raises(ValueError, match="tail does not meet the core"):
+        fd.HistoryFunction(phi.breakpoints, s * phi.coeffs, CosTail(s * (1.0 + 1e-6), w))
+
+
 def test_tail_must_match_core_at_the_seam():
     bp = [-2.0, 0.0]
     cf = [[1.0, 0.0, 0.0, 0.0]]
@@ -1204,6 +1222,18 @@ def test_derivative_snaps_junctions_left_to_right():
         du = bp[j + 1] - bp[j]
         dcf[j + 1, 0] = dcf[j, 0] + du * (dcf[j, 1] + du * dcf[j, 2])
     assert np.array_equal(phi.derivative().coeffs, dcf)
+
+
+@pytest.mark.parametrize("e", [-300, -40, 40, 300])
+def test_derivative_measures_a_kink_in_slope_units(e):
+    # with the scale max(1, max |coeffs|), a 0.1% slope kink passed as C^1 at a time unit of 2^40
+    c, phi = 2.0**e, history_preset("cos")
+    bp, cf, tail = c * phi.breakpoints, phi.coeffs / c ** np.arange(4.0), replace(phi.tail, omega=phi.tail.omega / c)
+    assert fd.HistoryFunction(bp, cf, tail).derivative() is not None
+    du, kink = bp[81] - bp[80], 1e-3 * np.max(np.abs(cf[:, 1]))
+    cf[80, 1] += kink
+    cf[80, 3] -= kink / du**2  # the piece's end value stays; its slope moves by +kink at its start, -2 kink at its end
+    assert fd.HistoryFunction(bp, cf, tail).derivative() is None
 
 
 def test_derivative_absent_for_kinked_core():

@@ -1,4 +1,4 @@
-"""Every module of the package, the tests and the scripts uses each name it imports; each name, method and stored attribute the package defines is used."""
+"""Every module of the package, the tests and the scripts uses each name it imports; each name, method and stored attribute the package defines is used; no function body of the package holds a bare tolerance literal."""
 
 import ast
 from pathlib import Path
@@ -177,6 +177,69 @@ def test_the_check_sees_a_dropped_batch():
         "    return [p_seminorm(phi, fam, k) for k in ks], _sup_norms(phi, ks)\n"
     )
     assert _discarded_batches({"m.py": source}) == ["m.py:2", "m.py:3"]
+
+
+#: the float literals below 1e-8 that a function body of the package may hold, as (module, function,
+#: value): value slacks, none of them a time, since numerics.SAME_TIME and PAST_END state every time
+#: tolerance in the problem's own unit.  The list may shrink and never grow.
+_VALUE_SLACKS = {
+    ("coefficients.py", "tail_sum_bound", 1e-12),  # the rounding of a log-domain term's exponent
+    ("history.py", "derivative", 1e-9),  # a kink, in units of the node slopes
+    ("numerics.py", "sup_ratio_pieces", 1e-10),  # a root is real when |Im r| <= 1e-10 max(1, max |r|)
+    ("semigroup.py", "check_strong_continuity", 1e-10),  # the distances' monotone slack
+    ("semigroup.py", "check_generator_domain", 1e-12),  # L's tolerance at most 1e-12
+    ("stepper.py", "solve", 1e-10),  # the default eps_forcing, times max(1, sup |phi| on [-1, 0])
+    ("stepper.py", "estimate_certificate", 1e-9),  # the observed sup against the bound
+}
+
+
+def _literals(node, owner=None):
+    """(owner, constant) for each constant under node, owner the innermost function whose body holds it.
+
+    A signature's defaults and decorators belong to the enclosing scope, the
+    module's for a top-level function (owner None); a lambda's body to its
+    enclosing function, or to "<lambda>" at module level.
+    """
+    if isinstance(node, ast.Constant):
+        yield owner, node
+    elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        for part in [node.args, *getattr(node, "decorator_list", [])]:
+            yield from _literals(part, owner)
+        body = [node.body] if isinstance(node, ast.Lambda) else node.body
+        yield from (hit for part in body for hit in _literals(part, getattr(node, "name", owner or "<lambda>")))
+    else:
+        for child in ast.iter_child_nodes(node):
+            yield from _literals(child, owner)
+
+
+def _small_literals(sources: dict[str, str]) -> list[str]:
+    """Float literals below 1e-8 in function bodies that _VALUE_SLACKS does not name, as "module:line function value"."""
+    return [
+        f"{mod}:{c.lineno} {owner} {c.value!r}"
+        for mod, src in sources.items()
+        for owner, c in _literals(ast.parse(src))
+        if owner and isinstance(c.value, float) and 0.0 < c.value < 1e-8 and (mod, owner, c.value) not in _VALUE_SLACKS
+    ]
+
+
+def test_no_bare_tolerance_literal():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    assert _small_literals(sources) == []
+    # every slack is still in the code, so the list shrinks as they go
+    found = {(mod, owner, c.value) for mod, src in sources.items() for owner, c in _literals(ast.parse(src))}
+    assert _VALUE_SLACKS <= found
+
+
+def test_the_check_sees_an_added_literal():
+    sources = {
+        "m.py": (
+            "TOL = 1e-12\n\ndef near(a, b, eps=1e-10):\n    return abs(a - b) <= 1e-12 or (lambda: 1e-15)()\n\n"
+            "class A:\n    def f(self, tol=3e-9):\n        return 2.0**-53 + 1e-8\n\nF = {'k': lambda c: c + 2e-9}\n"
+        ),
+        "stepper.py": "def estimate_certificate(bound):\n    return bound + 1e-9 + 5e-12\n",
+    }
+    # TOL, the defaults, 2.0**-53 and 1e-8 pass, and so does the named slack
+    assert _small_literals(sources) == ["m.py:4 near 1e-12", "m.py:4 near 1e-15", "m.py:10 <lambda> 2e-09", "stepper.py:2 estimate_certificate 5e-12"]
 
 
 def test_all_names_exactly_what_the_package_imports():

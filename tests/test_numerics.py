@@ -318,6 +318,8 @@ def test_sup_ratio_pieces_equals_the_per_piece_roots_loop_bit_for_bit():
                 assert sup_ratio_pieces(*piece).hex() == _loop_sup_ratio_pieces(*piece).hex()
 
 
-def test_dedupe_knots_merges_nearby():
-    out = dedupe_knots(np.array([0.0, 1.0, 1.0 + 1e-15, 2.0]))
-    assert len(out) == 3
+@pytest.mark.parametrize("unit", [1.0, 2.0**-40, 2.0**40])
+def test_dedupe_knots_merges_nearby(unit):
+    # the merge distance is SAME_TIME in the caller's unit: at 2^-40 knots one unit apart are 9e-13 apart
+    out = dedupe_knots(unit * np.array([0.0, 1.0, 1.0 + 1e-15, 2.0]), unit)
+    assert out.tolist() == (unit * np.array([0.0, 1.0, 2.0])).tolist()
