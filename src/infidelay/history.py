@@ -31,7 +31,8 @@ p > 1 (_zeta_tail) has its deep part in closed form, c beta zeta(p, n),
 enclosed by coefficients.hurwitz_zeta: _truncation then stops at the tail
 floor, and p_k and the delayed sums add that part past their heads.
 hurwitz_zeta is memoized by value for the process; phi._memo holds ("sup", k),
-("p", family, k, eps) and _truncation's search ("N", family, eps, atoms left).
+("p", family, k, eps), _truncation's search ("N", family, eps, atoms left)
+and stepper.solve's trajectories of one problem ("solve").
 """
 
 from __future__ import annotations
@@ -591,7 +592,7 @@ def history_from_callable(
         slopes = np.array([float(fn_prime(t)) for t in bp])
     else:
         # centered differences, one-sided at the theta=0 end where fn is undefined
-        hstep = max(1e-6, 1e-6 * depth)
+        hstep = 1e-6 * depth
         slopes = np.empty_like(vals)
         for j, t in enumerate(bp):
             r = min(t + hstep, 0.0)

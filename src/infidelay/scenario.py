@@ -360,12 +360,9 @@ class _Ctx:
         self.tol_scale = tol_scale
         self.anch = anch
         self.files: dict = {}  # report file name -> JSON data
-        self._traj = None
 
     def traj(self):
-        if self._traj is None:
-            self._traj = solve(self.problem, self.horizon, self.solver)
-        return self._traj
+        return solve(self.problem, self.horizon, self.solver)  # the history's memo returns one object per run
 
 
 def _sv_dict(sv) -> dict:

@@ -15,25 +15,22 @@ and slopes.
 
 Step boundaries are forced at every multiple of tau_1 and at every delay
 tau_i <= T, where the solution loses one order of smoothness.  _substeps
-is the one routine that places them: it merges knots within SAME_TIME
-tau_1 of each other (numerics: every time tolerance is relative to tau_1,
-so a march rescaled in time takes the same steps) and cuts the march into
-tau_1-windows of sub-steps.  It refuses, with ValueError and before any
-list is built, a march of more than history._MAX_CORE_PIECES steps: they
-are rows of one read table, as a core's pieces are.
+places them: it merges knots within SAME_TIME tau_1 of each other (a time
+tolerance is relative to tau_1, so a march rescaled in time takes the same
+steps) and cuts the march into tau_1-windows of sub-steps.
 
 The march (_march) is a plan and a sweep.  It appends to its chain's
 buffers (_Chain): one read table (phi's core rows, then a row per node,
 the step ends written from the start), whose node rows hold the node
 values and slopes in columns 0 and 1, so the scan writes them in place,
 and one family array pair, with the tail moment built only when a head
-window reads it.  A solve starts a chain, and step_interval from the
-chain's latest trajectory appends to it in place, so an extension costs
-O(window), not O(trajectory); any other parent copies itself once into a
-chain of its own (_chain).  A trajectory is read-only views of the
-buffers it was marched in, and a copy of its march's last period.  A
-march from _start's one node at t = 0 reads that node's slope
-a phi(0) + F(0) with F(0) a head point of these arrays, forcing(traj, 0.0)
+window reads it.  A solve starts a chain or continues an earlier solve's
+(solve), and step_interval from the chain's latest trajectory appends to
+it in place, so an extension costs O(window), not O(trajectory); any other
+parent copies itself once into a chain of its own (_chain).  A trajectory
+is read-only views of the buffers it was marched in, and a copy of its
+march's last period.  A march from _start's one node reads its slope
+a phi(0) + F(0), F(0) a head point of these arrays, forcing(traj, 0.0)
 bit for bit.  The mesh is fixed before any value of x is known and the
 delays are constant, so the plan (_plan) does every computation that
 depends on the grid alone, for all windows in one pass: the steps' powers
@@ -113,7 +110,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import CoefficientFamily, DivergentTailError, UnknownTailError, m_index, n_index
-from .history import _MAX_CORE_PIECES, HistoryFunction, _delayed_sums, _seminorms, _sup_norms, _tail_sums, _truncation, _window_index, sup_norm_k
+from .history import _MAX_CORE_PIECES, _MOMENT_MIN_TERMS, HistoryFunction, _delayed_sums, _seminorms, _sup_norms, _tail_sums, _truncation, _window_index, sup_norm_k
 from .numerics import GAUSS4_NODES, GAUSS4_WEIGHTS, PAST_END, SAME_TIME, eval_located, hermite_steps, hermite_terms, phi1, piece_index, sup_abs_pieces
 
 
@@ -344,6 +341,17 @@ def forcing(traj: Trajectory, t, n: Optional[int] = None):
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
+def _bounded(t_from: float, t_to: float, family: CoefficientFamily, h: float) -> tuple:
+    """_substeps' (j, lo, hi, i_lo, i_hi), or ValueError when the march may take more than _MAX_CORE_PIECES steps."""
+    d, tau1 = family.delays, family.delays.tau1
+    j, lo, hi = math.floor(t_from / tau1 + SAME_TIME) + 1, t_from + SAME_TIME * tau1, t_to - SAME_TIME * tau1
+    i_lo, i_hi = d.first_index_at_least(lo), d.first_index_at_least(hi)
+    count = (t_to - t_from) / h + max(0.0, hi / tau1 - j + 2) + (i_hi - i_lo) + 1
+    if not count <= _MAX_CORE_PIECES:  # NaN and inf fail too
+        raise ValueError(f"a march from t = {t_from} to {t_to} in steps of at most h = {h} takes up to {count:.4g} steps, more than {_MAX_CORE_PIECES}")
+    return j, lo, hi, i_lo, i_hi
+
+
 def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -> list[np.ndarray]:
     """Sub-step end times in (t_from, t_to], one array per tau_1-window.
 
@@ -356,18 +364,13 @@ def _substeps(t_from: float, t_to: float, family: CoefficientFamily, h: float) -
     and at t_to, so with h <= tau_1 no delayed argument of a window reaches
     past the node it starts from.  A march of more than _MAX_CORE_PIECES
     steps (history's cap on a core: the steps are pieces of the same read
-    table) raises ValueError before any list is built: each knot interval
-    takes at most its length / h + 1 steps, so the count is at most
+    table) raises ValueError (_bounded) before any list is built: each knot
+    interval takes at most its length / h + 1 steps, so the count is at most
     (t_to - t_from) / h plus one more than the knot candidates.
     """
     d = family.delays
     tau1, tol = d.tau1, SAME_TIME * d.tau1
-    j = math.floor(t_from / tau1 + SAME_TIME) + 1
-    lo, hi = t_from + tol, t_to - tol
-    i_lo, i_hi = d.first_index_at_least(lo), d.first_index_at_least(hi)
-    count = (t_to - t_from) / h + max(0.0, hi / tau1 - j + 2) + (i_hi - i_lo) + 1
-    if not count <= _MAX_CORE_PIECES:  # NaN and inf fail too
-        raise ValueError(f"a march from t = {t_from} to {t_to} in steps of at most h = {h} takes up to {count:.4g} steps, more than {_MAX_CORE_PIECES}")
+    j, lo, hi, i_lo, i_hi = _bounded(t_from, t_to, family, h)
     cands = [k * tau1 for k in range(j, math.ceil(hi / tau1) + 1)]
     cands += [d.tau(i) for i in range(i_lo, i_hi)]
     knots = sorted(v for v in cands if lo < v < hi) + [t_to]
@@ -616,26 +619,50 @@ def solve(problem: ProblemSpec, horizon: float, config: Optional[SolverConfig] =
     lies in phi's tail, where the atoms (s, w) bound |phi(t - tau_i)| for
     t >= 0 by sum s w(-tau_i) (weights do not decrease into the past); that
     part of p_k is at most sum s tail_sum_bound(family, w, n) with n past
-    the floor.  Whether this
-    is finite depends on neither n nor k, and each of the finitely many
-    terms below the floor is finite.
+    the floor.  Whether this is finite depends on neither n nor k, and each
+    of the finitely many terms below the floor is finite.
 
     The one-period recursion (_plan_recursion) sums exactly the head's terms
     i <= max(N_0, _tail_floor(s)), so this index certifies its F too:
     the discarded part is the same and no second certificate exists.  Its
     rounding, of order u (|b_1 x| + |rho F| + |correction|) / (1 - |rho|)
     per point, is bounded in the module docstring, outside eps_forcing.
+
+    The history keeps one problem's solves, phi._memo["solve"] = (key,
+    {horizon: trajectory}) for key (a, family, config), which another key
+    replaces.  An equal call returns the same trajectory; any other certifies
+    N and marches on (S(t + s) phi = S(t) S(s) phi) from the longest held
+    window end of its own march (_window_end) whose F does not depend on N,
+    else from _start, with the step count over [0, horizon]: its trajectory
+    and refusals are a fresh solve's, bit for bit.
     """
     if not (0.0 < horizon < math.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     config = config if config is not None else SolverConfig()
+    key, memo = (problem.a, problem.family, config), problem.history._memo.get("solve")
+    if memo is None or memo[0] != key:
+        memo = problem.history._memo["solve"] = (key, {})
+    if horizon in memo[1]:  # the same call certified and marched before
+        return memo[1][horizon]
     tau1 = problem.family.delays.tau1
     h = min(config.h if config.h is not None else tau1 / 40.0, tau1)
     eps_f = config.eps_forcing if config.eps_forcing is not None else 1e-10 * max(1.0, sup_norm_k(problem.history, 1))
     n_forcing = _truncation(problem.history, problem.family, horizon, eps_f)[0]
     n_origin = _truncation(problem.history, problem.family, 0.0, eps_f)[0]
-    start = _start(problem, config, n_forcing, n_origin, h, eps_f)
-    return _march(start, horizon, n_forcing, _delayed_values, _VOC)
+    # a run's F must read no moment over all N delays (its N is N, N < _MOMENT_MIN_TERMS, or every head reaches its cap); none held, none checked
+    n_free = memo[1] and (n_forcing < _MOMENT_MIN_TERMS or problem.family.delays.tau(max(n_origin, 1)) <= problem.history.depth)
+    base = memo[1] and max((t for t in memo[1].values() if (n_free or t.n_forcing == n_forcing) and _window_end(t.horizon, horizon, problem.family.delays)), key=lambda t: t.horizon, default=None)
+    if base:
+        _bounded(0.0, horizon, problem.family, h)  # the march from 0 would have refused
+    memo[1][horizon] = out = _march(base or _start(problem, config, n_forcing, n_origin, h, eps_f), horizon, n_forcing, _delayed_values, _VOC)
+    return out
+
+
+def _window_end(t: float, t_to: float, delays) -> bool:
+    """Whether _substeps(0, t_to) closes a window at t: t = k tau_1 as it forms it, with no other delay, nor t_to, within 2 SAME_TIME tau_1."""
+    tol = 2 * SAME_TIME * delays.tau1
+    i = delays.first_index_at_least(t - tol)
+    return t == round(t / delays.tau1) * delays.tau1 and t_to - t > tol and delays.tau(i + (delays.tau(i) == t)) > t + tol
 
 
 def step_interval(traj: Trajectory, k: int) -> Trajectory:

@@ -20,20 +20,22 @@ mpmath = pytest.importorskip("mpmath")  # the reference sums are mpmath's
 MP = mpmath.mp.clone()
 MP.dps = 50
 
+# each case builds a fresh problem per test: solve returns a history's earlier result
 _CASES = {
     # P = 1, a cosine tail; N = 34 from reach 0 and 39 at the horizon
-    "march-long": (march_long_problem(), 32.0, 1),
+    "march-long": (march_long_problem, 32.0, 1),
     # tau_i = 2i - 1: delta = 2 tau_1
-    "odd-delays": (ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.5, DelaySchedule(-1.0, 2.0)), cos_history()), 16.0, 2),
-    "negative-rho": (ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, -0.6, DelaySchedule()), cos_history()), 16.0, 1),
+    "odd-delays": (lambda: ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.5, DelaySchedule(-1.0, 2.0)), cos_history()), 16.0, 2),
+    "negative-rho": (lambda: ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, -0.6, DelaySchedule()), cos_history()), 16.0, 1),
     # phi = 2^-theta grows into the past, b_i = 0.5 0.3^i
-    "growing-exp": (ProblemSpec(-0.5, CoefficientFamily.geometric(0.5, 0.3, DelaySchedule()), history_preset("g-weight")), 16.0, 1),
+    "growing-exp": (lambda: ProblemSpec(-0.5, CoefficientFamily.geometric(0.5, 0.3, DelaySchedule()), history_preset("g-weight")), 16.0, 1),
 }
 
 
 @pytest.mark.parametrize("run", ["gauss4", "oracle"])
-@pytest.mark.parametrize("problem, horizon, period", list(_CASES.values()), ids=list(_CASES))
-def test_recursion_stays_within_its_bound_of_an_exact_sum(monkeypatch, run, problem, horizon, period):
+@pytest.mark.parametrize("make, horizon, period", list(_CASES.values()), ids=list(_CASES))
+def test_recursion_stays_within_its_bound_of_an_exact_sum(monkeypatch, run, make, horizon, period):
+    problem = make()
     if run == "oracle":
         horizon /= 4.0  # the RK4 steps are five times finer
     assert fd.stepper._period(problem.family) == period
@@ -53,13 +55,13 @@ def test_recursion_stays_within_its_bound_of_an_exact_sum(monkeypatch, run, prob
         assert abs(MP.mpf(float(f)) - exact) <= bound, t
 
 
-@pytest.mark.parametrize("problem, horizon, period", list(_CASES.values()), ids=list(_CASES))
-def test_corrections_read_phi_at_or_below_its_depth(monkeypatch, problem, horizon, period):
+@pytest.mark.parametrize("make, horizon, period", list(_CASES.values()), ids=list(_CASES))
+def test_corrections_read_phi_at_or_below_its_depth(monkeypatch, make, horizon, period):
     # c >= _tail_floor(s), so tau_{c+1} >= s + depth: every correction
     # argument s - tau_{c+1} lies at or below -depth up to the rounding of
     # s + depth and of the difference, and the plan's correction is
     # b_{c+1} phi(s - tau_{c+1}) where the cap stayed, 0 where it rose
-    plans, real = [], fd.stepper._plan
+    problem, plans, real = make(), [], fd.stepper._plan
     monkeypatch.setattr(fd.stepper, "_plan", lambda *args: plans.append((args, real(*args))) or plans[-1][1])
     solve(problem, horizon)
     (args, (entries, _, state, _)), depth = plans[0], problem.history.depth
@@ -77,16 +79,17 @@ def test_corrections_read_phi_at_or_below_its_depth(monkeypatch, problem, horizo
     assert stays > 0
 
 
-@pytest.mark.parametrize("problem, horizon, period", list(_CASES.values()), ids=list(_CASES))
-def test_one_window_per_call_from_tau_1_is_the_one_shot_solve(problem, horizon, period):
+@pytest.mark.parametrize("make, horizon, period", list(_CASES.values()), ids=list(_CASES))
+def test_one_window_per_call_from_tau_1_is_the_one_shot_solve(make, horizon, period):
     # step_interval from t = tau_1, one window per call, continues the
     # recursion from each trajectory's _period_state: nodes and state are
     # the one-shot solve's bit for bit
+    problem = make()
     tau1 = problem.family.delays.tau1
     chained = solve(problem, tau1)
     for k in range(1, round(horizon / tau1)):
         chained = step_interval(chained, k)
-    direct = solve(problem, horizon)
+    direct = solve(make(), horizon)
     for name in ("grid", "values", "derivs", "pieces"):
         assert getattr(chained, name).tobytes() == getattr(direct, name).tobytes(), name
     assert all(a.tobytes() == b.tobytes() for a, b in zip(chained._period_state, direct._period_state))

@@ -120,6 +120,16 @@ def test_seminorms_and_L_scale_by_one_over_c(name, e):
     assert (c * lv_c.value, c * lv_c.error_bound, lv_c.index_last) == (lv.value, lv.error_bound, lv.index_last)
 
 
+@pytest.mark.parametrize("e", [-20, -40])
+def test_a_core_from_central_differences_is_bit_identical_under_time_scaling(e):
+    # without fn_prime the slopes are central differences of step 1e-6 depth;
+    # once at least 1e-6 in time, which at these units spans the whole core
+    c, fn = 2.0**e, lambda t: 1.5 * math.cos(0.5 * math.pi * t + 0.3)
+    phi, phi_c = history_from_callable(fn, 8.0, 0.05), history_from_callable(lambda t: fn(t / c), 8.0 * c, 0.05 * c)
+    assert np.array_equal(phi_c.breakpoints, c * phi.breakpoints)
+    assert np.array_equal(phi_c.coeffs * c**POWERS, phi.coeffs)
+
+
 def test_step_interval_marches_at_a_tiny_time_unit():
     # once returned its parent unchanged: an absolute 1e-12 read 6e-100 as "already covered"
     prob, _, config = _scaled(PROBLEMS["march-long"], 1e-100)

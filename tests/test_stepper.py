@@ -72,6 +72,11 @@ def march_long_problem() -> ProblemSpec:
     return ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.5, DS), cos_history())
 
 
+def one_shot(problem: ProblemSpec, horizon: float, config=None):
+    """solve on a copy of problem's history: a march from t = 0, not on from an earlier solve of it."""
+    return solve(replace(problem, history=replace(problem.history)), horizon, config)
+
+
 def odd_delays_problem() -> ProblemSpec:
     """b_i = 0.5^i on tau_i = 2i - 1 from a cosine history: the period delta is 2 tau_1, N = 34 to H = 32."""
     return ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.5, DelaySchedule(-1.0, 2.0)), cos_history())
@@ -660,7 +665,7 @@ def test_step_interval_extends_bit_identically():
     p = classic_problem()
     base = solve(p, 1.0)
     extended = step_interval(base, 2)  # through the window [2*tau_1, 3*tau_1]
-    direct = solve(p, 3.0)
+    direct = one_shot(p, 3.0)
     assert extended.horizon == direct.horizon
     assert compare_trajectories(extended, direct, (0.0, 3.0)) == 0.0
 
@@ -840,7 +845,7 @@ def test_step_interval_from_inside_a_window_is_bit_identical():
     p = slow_geometric_problem()
     base = solve(p, 2.5)
     chained = step_interval(base, 3)
-    direct = solve(p, 4.0)
+    direct = one_shot(p, 4.0)
     assert base.n_forcing == direct.n_forcing
     _assert_same_nodes(chained, direct)
 
@@ -852,7 +857,7 @@ def test_step_interval_resolve_is_bit_identical():
     p = fast_geometric_problem()
     base = solve(p, 2.0)
     chained = step_interval(base, 3)
-    direct = solve(p, 4.0)
+    direct = one_shot(p, 4.0)
     assert base.n_forcing != direct.n_forcing
     _assert_same_nodes(chained, direct)
 
@@ -911,39 +916,34 @@ def _chain(problem: ProblemSpec, horizon: float, windows, monkeypatch) -> tuple:
 
 
 @pytest.mark.parametrize(
-    "problem, start, ns, tol",
+    "problem, start, ns",
     [
         # N is 34 from reach 0 up to H = 27 and the floor H + 7 beyond, so
         # the last five extensions deepen it
-        (march_long_problem(), 16, (34, 39), 0.0),
+        (march_long_problem(), 16, (34, 39)),
         # b_i = i^-3 from the constant history: N is the floor H + 7, deeper
         # at every extension.  At s = 4, tau_12 = s + depth exactly, so
         # the sorted search there reaches past the shorter run's delays: the head
         # must stop at the point's own index in both runs
-        (ProblemSpec(-0.5, CoefficientFamily.power_law(1.0, 3.0, DS), history_preset("constant")), 4, (7, 15), 0.0),
+        (ProblemSpec(-0.5, CoefficientFamily.power_law(1.0, 3.0, DS), history_preset("constant")), 4, (7, 15)),
         # tau_i = i/10: N is the floor, at least 79 >= _MOMENT_MIN_TERMS, so
-        # the cos tail enters through suffix moments over (m, cap]; those
-        # start from the array's last delay, so they round by array length.
-        # A moment over (m, N] instead would differ by b_90..b_99, ~1e-12
-        (ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.72, DelaySchedule(0.0, 0.1)), cos_history()), 10, (79, 99), 1e-14),
+        # the cos tail has suffix moments over (m, cap]; tau_79 <= depth, so
+        # every point's head reaches its cap and no moment enters F
+        (ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.72, DelaySchedule(0.0, 0.1)), cos_history()), 10, (79, 99)),
         # tau_i = 2i - 1: the recursion reads F two windows back, across extensions
-        (odd_delays_problem(), 16, (34, 34), 0.0),
+        (odd_delays_problem(), 16, (34, 34)),
     ],
     ids=["march-long", "closed-form", "moments", "period-2"],
 )
-def test_step_interval_chain_marches_on_to_the_one_shot_nodes(monkeypatch, problem, start, ns, tol):
+def test_step_interval_chain_marches_on_to_the_one_shot_nodes(monkeypatch, problem, start, ns):
     # solve to start tau_1, then one window per extension to 2 start tau_1:
     # no extension starts over from t = 0, and the nodes are the one-shot's
     tau1 = problem.family.delays.tau1
     chained, starts, _ = _chain(problem, start * tau1, range(start, 2 * start), monkeypatch)
-    direct = solve(problem, 2 * start * tau1)
+    direct = one_shot(problem, 2 * start * tau1)
     assert starts == 1
     assert (chained.n_origin, chained.n_forcing) == (direct.n_origin, direct.n_forcing) == ns
-    if tol == 0.0:
-        _assert_same_nodes(chained, direct)
-    assert np.array_equal(chained.grid, direct.grid)
-    for name in ("values", "derivs"):
-        assert np.max(np.abs(getattr(chained, name) - getattr(direct, name))) <= tol, name
+    _assert_same_nodes(chained, direct)
 
 
 @pytest.mark.parametrize("problem", [march_long_problem(), odd_delays_problem()], ids=["period-1", "period-2"])
@@ -952,9 +952,135 @@ def test_step_interval_chain_from_inside_a_window_marches_on_to_the_one_shot_nod
     # window [16, 16.5] and the extension's [16.5, 17] recur one period after
     # points the march stored, so they read the recursion as the one-shot does
     chained, starts, stored = _chain(problem, 16.5, range(16, 24), monkeypatch)
-    direct = solve(problem, 24.0)
+    direct = one_shot(problem, 24.0)
     assert starts == 1 and stored[16:18] == [16.0, 16.5]
     _assert_same_nodes(chained, direct)
+
+
+# ---------------------------------------------------------------------------
+# the solve memo: solve marches on from the longest earlier solve of the problem
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_run(a, b):
+    """a and b bit for bit: nodes, pieces, indices and the last period's state."""
+    _assert_same_nodes(a, b)
+    assert (a.n_forcing, a.n_origin) == (b.n_forcing, b.n_origin)
+    assert len(a._period_state) == len(b._period_state)
+    assert all(np.array_equal(x, y) for x, y in zip(a._period_state, b._period_state))
+
+
+def _marched_from(monkeypatch) -> list:
+    """The horizon each stepper._march starts from, recorded as the march runs."""
+    starts, real = [], fd.stepper._march
+    monkeypatch.setattr(fd.stepper, "_march", lambda traj, *args: starts.append(traj.horizon) or real(traj, *args))
+    return starts
+
+
+def tail_below_cap_problem() -> ProblemSpec:
+    """b_i = 0.8^i on tau_i = i/10 from a depth-1 cosine core: N_0 = 110 reaches past the core, so
+    points up to s = 10 read suffix moments over (head, N_0], built over all N delays of the march."""
+    w = 0.5 * math.pi
+    phi = fd.history_from_callable(lambda t: 1.5 * math.cos(w * t + 0.3), 1.0, 0.05, tail=fd.CosTail(1.5, w, 0.3),
+                                   fn_prime=lambda t: -1.5 * w * math.sin(w * t + 0.3))
+    return ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.8, DelaySchedule(0.0, 0.1)), phi)
+
+
+# (problem, time unit of the horizons 4, 8, 8, 16, 12, 10.5 and 21)
+_MEMO_CASES = {
+    "negative-rho-period-2": (lambda: ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, -0.6, DelaySchedule(-1.0, 2.0)), cos_history()), 1.0),
+    "negative-rho-period-1": (lambda: ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, -0.6, DS), cos_history()), 1.0),
+    "power-law": (lambda: ProblemSpec(-0.5, CoefficientFamily.power_law(1.0, 3.0, DS), history_preset("constant")), 1.0),
+    "prefix": (slow_geometric_problem, 1.0),
+    "explicit-list": (lambda: ProblemSpec(-0.5, CoefficientFamily.explicit_list([0.5 * 0.9**i for i in range(100)], 1e-12, DelaySchedule(0.0, 0.7)), history_preset("cos")), 0.7),
+    "moments": (lambda: ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.72, DelaySchedule(0.0, 0.1)), cos_history()), 0.1),
+    # N = 110 up to H = 8 and deeper past it: 8 marches on from 4, every longer solve starts afresh
+    "tail-below-cap": (tail_below_cap_problem, 1.0),
+}
+
+
+@pytest.mark.parametrize("make, unit", list(_MEMO_CASES.values()), ids=list(_MEMO_CASES))
+def test_a_solve_after_other_solves_of_its_problem_is_a_fresh_solve(monkeypatch, make, unit):
+    # shorter, equal and longer solves before it, at window ends and inside
+    # windows: every solve is the one-shot march from t = 0, bit for bit
+    problem, starts = make(), _marched_from(monkeypatch)
+    for horizon in (4.0, 8.0, 8.0, 16.0, 12.0, 10.5, 21.0):
+        _assert_same_run(solve(problem, horizon * unit), solve(make(), horizon * unit))
+    assert max(starts) > 0.0  # some solve marched on
+
+
+@pytest.mark.parametrize("make, marched", [(march_long_problem, [0.0, 4.0, 8.0, 8.0]), (tail_below_cap_problem, [0.0, 4.0, 0.0, 0.0])],
+                         ids=["march-long", "tail-below-cap"])
+def test_solve_marches_on_from_the_longest_earlier_window_end(monkeypatch, make, marched):
+    # 4 and 8 are window ends of the march to 16, and 10.5 is not.  Where
+    # suffix moments over all N delays reach the early points, solve marches
+    # on only from a run at its own N: 110 to H = 8, 115 at 10.5, 170 at 16
+    problem, starts = make(), _marched_from(monkeypatch)
+    for horizon in (4.0, 8.0, 10.5, 16.0):
+        solve(problem, horizon)
+    assert starts == marched
+
+
+def test_an_equal_solve_returns_the_same_trajectory(monkeypatch):
+    problem = march_long_problem()
+    traj, starts = solve(problem, 8.0), _marched_from(monkeypatch)
+    assert solve(problem, 8.0, SolverConfig()) is traj and solve(replace(problem), 8.0) is traj
+    assert solve(problem, 8.0, SolverConfig(h=0.05)) is not traj  # another key starts over
+    assert starts == [0.0]
+
+
+def test_a_delay_just_past_a_window_end_blocks_the_march_on(monkeypatch):
+    # the march to 8 places its knot at tau_2 = 4 + SAME_TIME / 2, not at 4,
+    # so it marches on from 2, the longest earlier window end it shares
+    ds = DelaySchedule(delta=1.0, prefix=(1.0, 4.0 + 0.5 * fd.numerics.SAME_TIME))
+    make = lambda: ProblemSpec(-0.5, CoefficientFamily.geometric(0.5, 0.5, ds), history_preset("cos"))
+    problem, starts = make(), _marched_from(monkeypatch)
+    solve(problem, 2.0), solve(problem, 4.0)
+    _assert_same_run(solve(problem, 8.0), solve(make(), 8.0))
+    assert starts == [0.0, 2.0, 2.0, 0.0]
+
+
+def test_a_solve_that_marches_on_refuses_what_a_fresh_one_refuses(monkeypatch):
+    # the step count is taken over [0, H], not over the part left to march
+    monkeypatch.setattr(fd.stepper, "_MAX_CORE_PIECES", 500)
+    problem = march_long_problem()
+    solve(problem, 8.0)  # 320 steps
+    for prob in (problem, march_long_problem()):
+        with pytest.raises(ValueError, match="more than 500"):
+            solve(prob, 16.0)
+
+
+def test_an_extension_of_a_marched_on_solve_is_a_fresh_chain():
+    problem = march_long_problem()
+    solve(problem, 8.0)
+    chained, fresh = solve(problem, 16.0), one_shot(problem, 16.0)
+    for k in range(16, 20):
+        chained, fresh = step_interval(chained, k), step_interval(fresh, k)
+    _assert_same_run(chained, fresh)
+
+
+def test_a_history_holds_the_solves_of_one_problem():
+    # a sweep over a keeps one key, and one trajectory, on the history
+    phi, family = cos_history(), CoefficientFamily.geometric(1.0, 0.5, DS)
+    for a in np.linspace(-1.0, 0.0, 50):
+        solve(ProblemSpec(float(a), family, phi), 4.0)
+    key, held = phi._memo["solve"]
+    assert key[0] == 0.0 and list(held) == [4.0]
+
+
+def test_march_long_marches_each_sub_step_once(monkeypatch):
+    # the bench's op list: solve to 8, 16 and 32, solve to 16 again, then
+    # one window per step_interval from that solve to 32.  1,920 sub-steps
+    # (48 windows); 3,520 (88) when every solve started from t = 0
+    counts, real = [], fd.stepper._substeps
+    monkeypatch.setattr(fd.stepper, "_substeps", lambda *args: counts.append(sum(map(len, out := real(*args)))) or out)
+    problem = march_long_problem()
+    for horizon in (8.0, 16.0, 32.0):
+        solve(problem, horizon)
+    traj = solve(problem, 16.0)
+    for k in range(16, 32):
+        traj = step_interval(traj, k)
+    assert sum(counts) == 1920 and counts[:3] == [320, 320, 640]
 
 
 def _reads(monkeypatch, march) -> list:
@@ -977,14 +1103,15 @@ def _reads(monkeypatch, march) -> list:
     return sizes
 
 
-@pytest.mark.parametrize("problem, period", [(march_long_problem(), 1), (odd_delays_problem(), 2)], ids=["period-1", "period-2"])
-def test_recursion_reads_one_solution_argument_per_point(monkeypatch, problem, period):
+@pytest.mark.parametrize("make, period", [(march_long_problem, 1), (odd_delays_problem, 2)], ids=["period-1", "period-2"])
+def test_recursion_reads_one_solution_argument_per_point(monkeypatch, make, period):
     # F(0) is one read and each window one more; past the first period a
     # window reads x(s - tau_1) once at each of its 5 points per step, and
     # the correction x(s - tau_{c+1}) from phi alone, in the plan; so the
     # reads per node do not grow with the horizon as the head's do
     per_node = {}
     for horizon in (32.0, 256.0):
+        problem = make()  # a fresh history: solve would march on from the last run's
         sizes = _reads(monkeypatch, partial(solve, problem, horizon))
         windows = fd.stepper._substeps(0.0, horizon, problem.family, problem.family.delays.tau1 / 40.0)
         assert len(sizes) == 1 + len(windows)
@@ -995,30 +1122,30 @@ def test_recursion_reads_one_solution_argument_per_point(monkeypatch, problem, p
 
 
 _HEAD_ONLY = {
-    "power-law": (ProblemSpec(-0.5, CoefficientFamily.power_law(1.0, 3.0, DS), cos_history()), 8.0),
-    "prefix": (slow_geometric_problem(), 8.0),
-    "half-period": (ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.5, DelaySchedule(0.5, 0.5)), cos_history()), 8.0),
+    "power-law": (lambda: ProblemSpec(-0.5, CoefficientFamily.power_law(1.0, 3.0, DS), cos_history()), 8.0),
+    "prefix": (slow_geometric_problem, 8.0),
+    "half-period": (lambda: ProblemSpec(-0.5, CoefficientFamily.geometric(1.0, 0.5, DelaySchedule(0.5, 0.5)), cos_history()), 8.0),
 }
 
 
-@pytest.mark.parametrize("problem, horizon", list(_HEAD_ONLY.values()), ids=list(_HEAD_ONLY))
-def test_families_without_a_period_read_the_head(monkeypatch, problem, horizon):
+@pytest.mark.parametrize("make, horizon", list(_HEAD_ONLY.values()), ids=list(_HEAD_ONLY))
+def test_families_without_a_period_read_the_head(monkeypatch, make, horizon):
     # a power law, a delay prefix and delta = tau_1 / 2 have no period: every
-    # window reads the head, argument for argument
-    assert fd.stepper._period(problem.family) == 0
-    sizes = _reads(monkeypatch, partial(solve, problem, horizon))
+    # window reads the head, argument for argument (each run on a fresh
+    # history, as solve returns a history's earlier result)
+    assert fd.stepper._period(make().family) == 0
+    sizes = _reads(monkeypatch, partial(solve, make(), horizon))
     monkeypatch.setattr(fd.stepper, "_period", lambda family: 0)
-    assert sizes == _reads(monkeypatch, partial(solve, problem, horizon))
+    assert sizes == _reads(monkeypatch, partial(solve, make(), horizon))
 
 
 @pytest.mark.parametrize("horizon, recurs", [(8.31, False), (8.5, True)])
 def test_a_partial_last_window_recurs_only_on_the_stored_points(monkeypatch, horizon, recurs):
     # [8, 8.31] takes 13 steps of 0.31/13, which recur nowhere one period
     # back, so it reads the head; [8, 8.5] takes the 20 steps of [7, 7.5]
-    problem = march_long_problem()
-    sizes = _reads(monkeypatch, partial(solve, problem, horizon))
+    sizes = _reads(monkeypatch, partial(solve, march_long_problem(), horizon))
     monkeypatch.setattr(fd.stepper, "_period", lambda family: 0)
-    heads = _reads(monkeypatch, partial(solve, problem, horizon))
+    heads = _reads(monkeypatch, partial(solve, march_long_problem(), horizon))
     assert sizes[:2] == heads[:2] and all(n < h for n, h in zip(sizes[2:-1], heads[2:-1]))
     assert (sizes[-1] < heads[-1]) == recurs and (sizes[-1] == heads[-1]) != recurs
 
@@ -1028,8 +1155,9 @@ def test_a_recursion_that_is_not_finite_leaves_the_window_to_the_head(monkeypatc
     # is not finite reads the head instead.  With the correction at each
     # window's first point spoiled, every window reads the head: the nodes
     # and the stored (points, F, caps) are those of a plan without the
-    # recursion, and the nodes those of a family without a period
-    problem, real = march_long_problem(), fd.stepper._plan
+    # recursion, and the nodes those of a family without a period; each
+    # run solves a fresh history, as solve returns a history's earlier result
+    real = fd.stepper._plan
 
     def spoiled(*args):
         entries, grid, state, since = real(*args)
@@ -1045,10 +1173,10 @@ def test_a_recursion_that_is_not_finite_leaves_the_window_to_the_head(monkeypatc
     runs = []
     for plan in (spoiled, head_only):
         monkeypatch.setattr(fd.stepper, "_plan", plan)
-        runs.append(solve(problem, 4.0))
+        runs.append(solve(march_long_problem(), 4.0))
     monkeypatch.setattr(fd.stepper, "_plan", real)
     monkeypatch.setattr(fd.stepper, "_period", lambda family: 0)
-    runs.append(solve(problem, 4.0))
+    runs.append(solve(march_long_problem(), 4.0))
     _assert_same_nodes(runs[0], runs[1])
     _assert_same_nodes(runs[0], runs[2])
     assert len(runs[0]._period_state[0]) > 0 and runs[2]._period_state == ()
